@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt check chaos bench figures readpath walcrash walbench transportbench addpath attrpath planparity shardbench
+.PHONY: build test race vet fmt check chaos bench figures readpath walcrash walbench transportbench addpath attrpath planparity shardbench regress regress-test
 
 build:
 	$(GO) build ./...
@@ -109,3 +109,18 @@ attrpath:
 shardbench:
 	$(GO) run ./cmd/mcsbench -fig 18 -shard-counts 1,2,4 -sizes 10000 \
 		-shard-json BENCH_shard.json $(SHARDBENCH_FLAGS)
+
+# The regression benchmark (benchmark/README.md): one seeded 10 s run of each
+# of the five workloads, exactly as the driver invokes it. Each run appends
+# to benchmark/out/results.json; compare two result sets with
+# `go -C benchmark run . -compare A.json B.json`.
+regress:
+	@for w in discover ingest mixed mixed_soap sharded; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
+
+# The benchmark module's own tests. It is a separate module, so the root
+# `go test ./...` never compiles it: this is what catches an exported-API
+# change that would stop the benchmark building.
+regress-test:
+	$(GO) -C benchmark test .

@@ -1,12 +1,15 @@
-// Allocation gates for the add path. The write-amplification work (compact
-// Values, batched index maintenance, shared-interior btree copies) is easy to
+// Allocation gates for the add path and the restored heap. The
+// write-amplification work (compact Values, batched index maintenance,
+// shared-interior btree copies, row-pointer index entries) is easy to
 // regress invisibly — throughput benchmarks drift with hardware, but bytes
-// allocated per add do not. These tests pin hard budgets well above today's
-// measurements and far below the pre-optimization numbers, so a change that
-// reintroduces per-row index descent or fat value copies fails in CI.
+// allocated per add and bytes live per restored file do not. These tests
+// pin hard budgets well above today's measurements and far below the
+// pre-optimization numbers, so a change that reintroduces per-row index
+// descent, fat value copies or wide index keys fails in CI.
 package mcs_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -31,15 +34,18 @@ func allocsPerAdd(n int, add func(i int)) (bytesPer, allocsPer float64) {
 }
 
 // Budgets. A direct add (CreateFile with 10 attributes) currently costs
-// ~200 KB / ~800 allocations against a 10k-file catalog; before this PR it
-// cost ~900 KB / ~1900 allocations. The gates sit at roughly 2× today's
-// numbers: loose enough for tree-depth noise and toolchain drift, tight
-// enough that losing any one optimization trips them.
+// ~95 KB / ~755 allocations against a 2k-file catalog (it was ~194 KB / ~855
+// with 88-byte index keys, ~900 KB / ~1900 before batched index maintenance),
+// an add inside a 100-op batch ~21 KB / ~140 (was ~58 KB / ~245), and a
+// restored catalog keeps ~5.0 KB of heap per file (it was ~31 KB). The gates sit at roughly 2×
+// today's numbers: loose enough for tree-depth noise and toolchain drift,
+// tight enough that losing any one optimization trips them.
 const (
-	singleAddByteBudget  = 450_000
-	singleAddAllocBudget = 1_800
-	batchAddByteBudget   = 150_000 // per add inside a 100-op batch (~54 KB today)
-	batchAddAllocBudget  = 500
+	singleAddByteBudget  = 200_000
+	singleAddAllocBudget = 1_600
+	batchAddByteBudget   = 45_000 // per add inside a 100-op batch
+	batchAddAllocBudget  = 330
+	restoredHeapBudget   = 10_000 // bytes live per file after core.Restore
 )
 
 func gateCatalog(t *testing.T) *core.Catalog {
@@ -154,4 +160,69 @@ func TestBatch100AddAllocBudget(t *testing.T) {
 	if allocsPer > batchAddAllocBudget {
 		t.Errorf("batched add makes %.0f allocations per add, budget %d", allocsPer, batchAddAllocBudget)
 	}
+}
+
+// datasetSnapshot loads the benchmark dataset into a throwaway catalog and
+// returns its snapshot; the catalog itself is garbage by the time the
+// caller measures anything.
+func datasetSnapshot(tb testing.TB, files int) []byte {
+	tb.Helper()
+	cat, err := bench.Load(bench.DefaultConfig(files))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cat.Snapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// liveHeap is HeapAlloc after two forced collections (the second sweeps
+// what the first one's finalizers and deferred frees released).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRestoredHeapBudget gates what a booted catalog costs to keep: heap
+// bytes per file after core.Restore, the figure that decides how many files
+// one mcsd — or one follower or migration target booting through the same
+// path — can hold.
+func TestRestoredHeapBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap gate needs a populated catalog")
+	}
+	const files = 2000
+	snap := datasetSnapshot(t, files)
+	before := liveHeap()
+	cat, err := core.Restore(core.Options{}, bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := float64(liveHeap()-before) / files
+	runtime.KeepAlive(cat)
+	t.Logf("restored heap: %.0f B per file", perFile)
+	if perFile > restoredHeapBudget {
+		t.Errorf("restored catalog keeps %.0f B of heap per file, budget %d", perFile, restoredHeapBudget)
+	}
+}
+
+// BenchmarkRestore times core.Restore of the benchmark dataset
+// (MCS_BENCH_FILES files, default 10000): files/s is the boot rate of every
+// path that starts an instance from "snapshot + log suffix".
+func BenchmarkRestore(b *testing.B) {
+	files := benchFiles()
+	snap := datasetSnapshot(b, files)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Restore(core.Options{}, bytes.NewReader(snap)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(files)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
 }

@@ -14,7 +14,9 @@
 //
 // Fan-out is per tree: New uses DefaultDegree, tuned for read-mostly maps;
 // NewDegree lets write-heavy trees (sqldb's secondary indexes) pick a small
-// degree so each copy-on-write path copy moves fewer bytes.
+// degree so each copy-on-write path copy moves fewer bytes. FromSorted builds
+// a packed tree from already-sorted input in O(n), the boot path of every
+// index sqldb restores or backfills.
 package btree
 
 // DefaultDegree is the minimum number of children of an internal node for
@@ -83,6 +85,74 @@ func NewDegree[K, V any](degree int, less func(a, b K) bool) *Tree[K, V] {
 		maxItems: 2*degree - 1,
 		minItems: degree - 1,
 	}
+}
+
+// FromSorted returns a tree of the given degree holding keys[i] → vals[i],
+// built bottom-up in O(n) with no comparisons. keys must be strictly
+// ascending under less; vals may be nil, which stores the zero V under every
+// key. The slices are only read: the tree copies what it keeps.
+//
+// Each level is cut into the fewest nodes that can hold it and its items are
+// dealt evenly across them, so every node is as full as that node count
+// allows (leaves of a large tree sit within one item of full) and — because
+// n items over k >= 2 nodes with n >= (k-1)(maxItems+1) leave each node at
+// least maxItems/2 >= minItems — every non-root node satisfies the occupancy
+// invariant Delete's rebalancing relies on, with no short tail to patch up.
+// Every node carries the new tree's ownership token.
+func FromSorted[K, V any](degree int, less func(a, b K) bool, keys []K, vals []V) *Tree[K, V] {
+	if vals != nil && len(vals) != len(keys) {
+		panic("btree: FromSorted with mismatched keys and vals")
+	}
+	t := NewDegree[K, V](degree, less)
+	if len(keys) == 0 {
+		return t
+	}
+	t.size = len(keys)
+	nodes, seps := t.packLevel(len(keys), func(i int) item[K, V] {
+		it := item[K, V]{key: keys[i]}
+		if vals != nil {
+			it.val = vals[i]
+		}
+		return it
+	}, nil)
+	for len(nodes) > 1 {
+		below := seps
+		nodes, seps = t.packLevel(len(below), func(i int) item[K, V] { return below[i] }, nodes)
+	}
+	t.root = nodes[0]
+	return t
+}
+
+// packLevel builds one level of a bulk-loaded tree from its n items in order
+// (at(i) yields the i'th) and, above the leaves, the n+1 nodes of the level
+// below. It returns the level's nodes and the items promoted between them.
+func (t *Tree[K, V]) packLevel(n int, at func(i int) item[K, V], kids []*node[K, V]) ([]*node[K, V], []item[K, V]) {
+	k := (n + 1 + t.maxItems) / (t.maxItems + 1) // ceil((n+1) / (maxItems+1))
+	stored := n - (k - 1)                        // the rest separate the k nodes
+	nodes := make([]*node[K, V], 0, k)
+	seps := make([]item[K, V], 0, k-1)
+	next := 0
+	for j := 0; j < k; j++ {
+		cnt := stored / k
+		if j < stored%k {
+			cnt++
+		}
+		nd := &node[K, V]{cow: t.cow, itemsCow: t.cow, items: make([]item[K, V], cnt)}
+		for x := range nd.items {
+			nd.items[x] = at(next)
+			next++
+		}
+		if kids != nil {
+			nd.children = append(make([]*node[K, V], 0, cnt+1), kids[:cnt+1]...)
+			kids = kids[cnt+1:]
+		}
+		nodes = append(nodes, nd)
+		if j < k-1 {
+			seps = append(seps, at(next))
+			next++
+		}
+	}
+	return nodes, seps
 }
 
 // Clone returns a copy of the tree in O(1): both trees share every node
@@ -205,8 +275,11 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	}
 }
 
-// Set inserts key/val, replacing any existing value under an equal key.
-// It reports whether an existing value was replaced.
+// Set inserts key/val, replacing any existing item under an equal key — the
+// stored key as well as the value, so a key that carries more than its
+// ordering (sqldb's index entries point at the row they index) never
+// outlives the Set that superseded it. It reports whether an existing item
+// was replaced.
 func (t *Tree[K, V]) Set(key K, val V) bool {
 	t.root = t.mutable(t.root)
 	if len(t.root.items) == t.maxItems {
@@ -228,7 +301,7 @@ func (t *Tree[K, V]) insertNonFull(n *node[K, V], key K, val V) bool {
 		i, ok := t.find(n, key)
 		if ok {
 			t.ownItems(n)
-			n.items[i].val = val
+			n.items[i] = item[K, V]{key: key, val: val}
 			return true
 		}
 		if n.leaf() {
@@ -242,7 +315,7 @@ func (t *Tree[K, V]) insertNonFull(n *node[K, V], key K, val V) bool {
 			// The promoted separator may equal or order before key.
 			if !t.less(key, n.items[i].key) {
 				if !t.less(n.items[i].key, key) {
-					n.items[i].val = val
+					n.items[i] = item[K, V]{key: key, val: val}
 					return true
 				}
 				i++
@@ -450,7 +523,7 @@ func (t *Tree[K, V]) ascend(n *node[K, V], fn func(K, V) bool) bool {
 // AscendRange calls fn in key order for every item with ge <= key < lt,
 // until fn returns false.
 func (t *Tree[K, V]) AscendRange(ge, lt K, fn func(key K, val V) bool) {
-	t.ascendGE(t.root, ge, func(k K, v V) bool {
+	t.AscendGE(ge, func(k K, v V) bool {
 		if !t.less(k, lt) {
 			return false
 		}
@@ -461,13 +534,33 @@ func (t *Tree[K, V]) AscendRange(ge, lt K, fn func(key K, val V) bool) {
 // AscendGE calls fn in key order for every item with key >= ge,
 // until fn returns false.
 func (t *Tree[K, V]) AscendGE(ge K, fn func(key K, val V) bool) {
-	t.ascendGE(t.root, ge, fn)
+	t.ascendFrom(t.root, func(k K) bool { return !t.less(k, ge) }, fn)
 }
 
-func (t *Tree[K, V]) ascendGE(n *node[K, V], ge K, fn func(K, V) bool) bool {
-	i, _ := t.find(n, ge)
+// AscendFrom calls fn in key order starting at the first item for which
+// atOrAfter reports true, until fn returns false. atOrAfter must be monotone
+// in key order — false for some prefix of the keys, true for the rest — so
+// the seek is a binary search per node, exactly like AscendGE's, but the
+// caller need not be able to build a K for the position it seeks: sqldb
+// probes an index with bare column values while the stored keys read their
+// columns out of the rows they point at.
+func (t *Tree[K, V]) AscendFrom(atOrAfter func(key K) bool, fn func(key K, val V) bool) {
+	t.ascendFrom(t.root, atOrAfter, fn)
+}
+
+func (t *Tree[K, V]) ascendFrom(n *node[K, V], atOrAfter func(K) bool, fn func(K, V) bool) bool {
+	lo, hi := 0, len(n.items)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if atOrAfter(n.items[mid].key) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	i := lo
 	if !n.leaf() {
-		if !t.ascendGE(n.children[i], ge, fn) {
+		if !t.ascendFrom(n.children[i], atOrAfter, fn) {
 			return false
 		}
 	}

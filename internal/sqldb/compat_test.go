@@ -94,30 +94,47 @@ type legacyV1Snapshot struct {
 	Tables  []legacyV1Table
 }
 
-// appendLegacyWALRecord hand-frames one WAL record in the PR 6 format:
-// tag 5 (varint unix seconds) for DATETIME arguments, tags 0-4 as today.
+// legacyStmt is one statement of a hand-framed legacy WAL record.
+type legacyStmt struct {
+	sql  string
+	args []any
+}
+
+// appendLegacyWALRecord hand-frames one single-statement WAL record in the
+// PR 6 format: tag 5 (varint unix seconds) for DATETIME arguments, tags 0-4
+// as today.
 func appendLegacyWALRecord(t *testing.T, f *os.File, lsn uint64, sql string, args ...any) {
+	t.Helper()
+	appendLegacyWALRecordStmts(t, f, lsn, legacyStmt{sql, args})
+}
+
+// appendLegacyWALRecordStmts hand-frames a record of several statements the
+// way every version before statement back-references wrote it: each
+// statement's SQL text in full, however often it repeats.
+func appendLegacyWALRecordStmts(t *testing.T, f *os.File, lsn uint64, stmts ...legacyStmt) {
 	t.Helper()
 	payload := make([]byte, 8)
 	binary.BigEndian.PutUint64(payload, lsn)
-	payload = binary.AppendUvarint(payload, 1) // one statement
-	payload = binary.AppendUvarint(payload, uint64(len(sql)))
-	payload = append(payload, sql...)
-	payload = binary.AppendUvarint(payload, uint64(len(args)))
-	for _, a := range args {
-		switch v := a.(type) {
-		case int64:
-			payload = append(payload, walTagInt)
-			payload = binary.AppendVarint(payload, v)
-		case string:
-			payload = append(payload, walTagText)
-			payload = binary.AppendUvarint(payload, uint64(len(v)))
-			payload = append(payload, v...)
-		case time.Time:
-			payload = append(payload, walTagTimeSec)
-			payload = binary.AppendVarint(payload, v.Unix())
-		default:
-			t.Fatalf("unsupported legacy arg %T", a)
+	payload = binary.AppendUvarint(payload, uint64(len(stmts)))
+	for _, s := range stmts {
+		payload = binary.AppendUvarint(payload, uint64(len(s.sql)))
+		payload = append(payload, s.sql...)
+		payload = binary.AppendUvarint(payload, uint64(len(s.args)))
+		for _, a := range s.args {
+			switch v := a.(type) {
+			case int64:
+				payload = append(payload, walTagInt)
+				payload = binary.AppendVarint(payload, v)
+			case string:
+				payload = append(payload, walTagText)
+				payload = binary.AppendUvarint(payload, uint64(len(v)))
+				payload = append(payload, v...)
+			case time.Time:
+				payload = append(payload, walTagTimeSec)
+				payload = binary.AppendVarint(payload, v.Unix())
+			default:
+				t.Fatalf("unsupported legacy arg %T", a)
+			}
 		}
 	}
 	rec := make([]byte, walRecordHeaderSize, walRecordHeaderSize+len(payload))
@@ -191,6 +208,13 @@ func TestBootFromLegacySnapshotAndWAL(t *testing.T) {
 	appendLegacyWALRecord(t, f, 3,
 		"INSERT INTO files (name, size, created) VALUES (?, ?, ?)",
 		"gamma", int64(2048), born.Add(time.Hour))
+	// LSN 4 is a multi-statement commit as written before statement
+	// back-references existed: the same INSERT text three times in full.
+	const insert = "INSERT INTO files (name, size, created) VALUES (?, ?, ?)"
+	appendLegacyWALRecordStmts(t, f, 4,
+		legacyStmt{insert, []any{"batch-1", int64(1), born}},
+		legacyStmt{insert, []any{"batch-2", int64(2), born}},
+		legacyStmt{insert, []any{"batch-3", int64(3), born}})
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +225,11 @@ func TestBootFromLegacySnapshotAndWAL(t *testing.T) {
 	}
 	w, stats := openTestWAL(t, walPath, db, WALOptions{})
 	defer w.Close()
-	if stats.Records != 2 || stats.Applied != 1 {
-		t.Fatalf("replay stats = %+v, want 2 records / 1 applied", stats)
+	if stats.Records != 3 || stats.Applied != 2 {
+		t.Fatalf("replay stats = %+v, want 3 records / 2 applied", stats)
+	}
+	if n := mustQuery(t, db, "SELECT COUNT(*) FROM files WHERE size < 4 AND size > 0").Data[0][0].Int(); n != 3 {
+		t.Fatalf("old-format multi-statement record replayed %d of its 3 inserts", n)
 	}
 
 	rows := mustQuery(t, db, "SELECT id, name, size, score, valid, created FROM files WHERE name = ?", Text("alpha"))
@@ -226,13 +253,13 @@ func TestBootFromLegacySnapshotAndWAL(t *testing.T) {
 	if len(rows.Data) != 1 || !rows.Data[0][0].IsNull() {
 		t.Fatalf("beta row = %v", rows.Data)
 	}
-	// The autoincrement counter carries over: 3 rows exist, next id is 4.
+	// The autoincrement counter carries over: 6 rows exist, next id is 7.
 	res, err := db.Exec("INSERT INTO files (name) VALUES ('delta')")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LastInsertID != 4 {
-		t.Fatalf("autoinc after legacy boot = %d, want 4", res.LastInsertID)
+	if res.LastInsertID != 7 {
+		t.Fatalf("autoinc after legacy boot = %d, want 7", res.LastInsertID)
 	}
 	// Unique index rebuilt from the legacy rows still enforces.
 	if _, err := db.Exec("INSERT INTO files (name) VALUES ('alpha')"); err == nil {

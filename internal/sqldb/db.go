@@ -624,23 +624,16 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 		cols[i] = p
 	}
 	ix := newIndex(s.Name, t, cols, s.Unique)
-	// Backfill existing rows, verifying uniqueness as we go. The tree is
-	// written directly (not via the pending-delta path) so checkUnique's
-	// tree probe sees every row backfilled so far without an O(n²) scan of
-	// an ever-growing delta list.
-	var backfillErr error
+	// Backfill existing rows through the bulk path; a UNIQUE violation among
+	// them surfaces from the sorted run.
+	entries := make([]indexEntry, 0, t.rows.Len())
 	t.rows.Ascend(func(rowid int64, row Row) bool {
-		if err := ix.checkUnique(rowid, row); err != nil {
-			backfillErr = err
-			return false
-		}
-		ix.tree.Set(ix.keyFor(rowid, row), struct{}{})
+		entries = append(entries, entryOf(rowid, row))
 		return true
 	})
-	if backfillErr != nil {
-		return Result{}, backfillErr
+	if err := ix.build(entries); err != nil {
+		return Result{}, err
 	}
-	ix.recomputeStats() // backfill bypassed the stat-maintaining flush path
 	t.indexes = append(t.indexes, ix)
 	tx.work.indexes[s.Name] = ix
 	return Result{}, nil

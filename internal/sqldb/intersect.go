@@ -21,8 +21,9 @@ import "sort"
 //   - Covered stages. When a stage's local predicates are exactly the
 //     equality prefix of its chosen index and the join-key column is also
 //     an index column (the catalog's ua_attr_* indexes are shaped for
-//     this), the stage is answered from index entries alone — no row
-//     fetches, no filter evaluation per scanned entry.
+//     this), the stage is answered from index entries alone — an entry
+//     points at its row, so the key is one load away, with no row-store
+//     lookup and no filter evaluation per scanned entry.
 //   - Consumed key equalities. The cross-stage equalities between chosen
 //     key columns are enforced by the key grouping itself, which is exact:
 //     SQL `=` evaluates as Compare()==0 with NULL never matching, the
@@ -547,21 +548,21 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 			// skipped, so groups stay contiguous).
 			g := makeGroups(int(is.est)+1, p.inter.intKeys)
 			if p.inter.intKeys {
-				is.access.idx.scanEqualEntries(ap.eqVals, func(k indexKey) bool {
-					key := k.col(is.keyEntryPos)
+				is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
+					key := &row[is.keyCol]
 					if key.T == TypeNull {
 						return true // a NULL key can never satisfy a join equality
 					}
-					g.addInt(key.N, k.rowid)
+					g.addInt(key.N, rowid)
 					return true
 				})
 			} else {
-				is.access.idx.scanEqualEntries(ap.eqVals, func(k indexKey) bool {
-					key := k.col(is.keyEntryPos)
+				is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
+					key := row[is.keyCol]
 					if key.IsNull() {
 						return true
 					}
-					g.add(key, k.rowid)
+					g.add(key, rowid)
 					return true
 				})
 			}
@@ -569,12 +570,12 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 			return g, nil
 		}
 		var pairs []keyRowid
-		is.access.idx.scanEqualEntries(ap.eqVals, func(k indexKey) bool {
-			key := k.col(is.keyEntryPos)
+		is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
+			key := row[is.keyCol]
 			if key.IsNull() {
 				return true
 			}
-			pairs = append(pairs, keyRowid{key: key, rowid: k.rowid})
+			pairs = append(pairs, keyRowid{key: key, rowid: rowid})
 			return true
 		})
 		return groupPairs(pairs, p.inter.intKeys), nil
@@ -610,15 +611,13 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 // the surviving keys in ascending order, so the groups are built in order.
 func (p *selectPlan) probeStage(is *istage, ev *env, nk int, keyAt func(int) Value) (stageGroups, error) {
 	ip := p.inter
-	sp := &p.stages[is.si]
 	g := makeGroups(nk, ip.intKeys)
 	probe := make([]Value, 1)
 	var perr error
 	for i := 0; i < nk; i++ {
 		key := keyAt(i)
 		probe[0] = key
-		is.probeIdx.scanEqual(probe, func(rowid int64) bool {
-			row, _ := sp.tbl.rows.Get(rowid)
+		is.probeIdx.scanEqual(probe, func(rowid int64, row Row) bool {
 			ev.bindings[is.si].row = row
 			ok, err := passesAll(is.locals, ev)
 			if err != nil {

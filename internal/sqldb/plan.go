@@ -65,10 +65,6 @@ func (ap accessPath) String() string {
 
 // scan invokes fn for each rowid selected by the path until fn returns false.
 func (ap accessPath) scan(fn func(rowid int64, row Row) bool) {
-	lookup := func(rowid int64) bool {
-		row, _ := ap.tbl.rows.Get(rowid)
-		return fn(rowid, row)
-	}
 	switch {
 	case ap.idx != nil && ap.inList != nil:
 		// One equality probe per IN value. The list is deduplicated at bind
@@ -78,8 +74,8 @@ func (ap accessPath) scan(fn func(rowid int64, row Row) bool) {
 		stop := false
 		for _, v := range ap.inList {
 			probe[len(ap.eqVals)] = v
-			ap.idx.scanEqual(probe, func(rowid int64) bool {
-				if !lookup(rowid) {
+			ap.idx.scanEqual(probe, func(rowid int64, row Row) bool {
+				if !fn(rowid, row) {
 					stop = true
 					return false
 				}
@@ -90,9 +86,9 @@ func (ap accessPath) scan(fn func(rowid int64, row Row) bool) {
 			}
 		}
 	case ap.idx != nil && (ap.rangeLo != nil || ap.rangeHi != nil):
-		ap.idx.scanPrefixRange(ap.eqVals, ap.rangeLo, ap.rangeHi, ap.rangeLoInc, ap.rangeHiInc, lookup)
+		ap.idx.scanPrefixRange(ap.eqVals, ap.rangeLo, ap.rangeHi, ap.rangeLoInc, ap.rangeHiInc, fn)
 	case ap.idx != nil && ap.eqVals != nil:
-		ap.idx.scanEqual(ap.eqVals, lookup)
+		ap.idx.scanEqual(ap.eqVals, fn)
 	default:
 		ap.tbl.rows.Ascend(fn)
 	}
@@ -783,8 +779,7 @@ func (p *selectPlan) runNested(ev *env, params []Value, emit func() bool) error 
 			}
 			aborted := false
 			if !probe.IsNull() {
-				sp.joinIdx.scanEqual([]Value{probe}, func(rowid int64) bool {
-					row, _ := sp.tbl.rows.Get(rowid)
+				sp.joinIdx.scanEqual([]Value{probe}, func(_ int64, row Row) bool {
 					m, cont := tryRow(row)
 					anyMatch = anyMatch || m
 					if !cont {

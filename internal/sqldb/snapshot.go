@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"mcs/internal/btree"
@@ -150,7 +152,17 @@ func (db *DB) Dump(w io.Writer) error {
 
 // LoadSnapshot rebuilds a database from a Dump stream. It must be called on
 // a database whose tables do not collide with the snapshot's (typically a
-// fresh one); indexes are rebuilt from the rows.
+// fresh one). Nothing in the stream is trusted: a table whose rows and
+// rowids disagree in number, whose rowids do not strictly ascend or pass
+// NextRow, whose rows are not full width or break a UNIQUE index is a
+// descriptive error, and any error leaves the previous root untouched.
+//
+// Indexes are not in the stream; they are rebuilt from the rows, in bulk:
+// the row store comes straight from the rowid-ordered rows, and each index
+// sorts one entry per row and builds its tree bottom-up (index.build), a
+// table's indexes side by side on as many goroutines as GOMAXPROCS allows.
+// Each table's decoded rows are let go as soon as the table is built, so the
+// load never holds two full copies of the database.
 func (db *DB) LoadSnapshot(r io.Reader) error {
 	var snap gobSnapshot
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&snap); err != nil {
@@ -174,56 +186,97 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 			return fmt.Errorf("sqldb: snapshot table %q already exists", gt.Name)
 		}
 	}
-	for _, gt := range snap.Tables {
-		t := &table{
-			name:    gt.Name,
-			cols:    gt.Cols,
-			colPos:  make(map[string]int, len(gt.Cols)),
-			rows:    btree.New[int64, Row](rowidLess),
-			nextRow: gt.NextRow,
-			autoInc: gt.AutoInc,
+	for i := range snap.Tables {
+		gt := &snap.Tables[i]
+		t, err := loadTable(gt, snap.Version)
+		if err != nil {
+			return err
 		}
-		for i, c := range gt.Cols {
-			t.colPos[c.Name] = i
-		}
-		for _, gi := range gt.Indexes {
-			for _, c := range gi.Cols {
-				if c < 0 || c >= len(gt.Cols) {
-					return fmt.Errorf("sqldb: snapshot index %q references column %d of %q",
-						gi.Name, c, gt.Name)
-				}
-			}
-			ix := newIndex(gi.Name, t, gi.Cols, gi.Unique)
-			t.indexes = append(t.indexes, ix)
-			work.indexes[gi.Name] = ix
-		}
-		for i, rowid := range gt.RowIDs {
-			gr := gt.Rows[i]
-			if len(gr) != len(gt.Cols) {
-				return fmt.Errorf("sqldb: snapshot row width %d in table %q with %d columns",
-					len(gr), gt.Name, len(gt.Cols))
-			}
-			row := make(Row, len(gr))
-			for c, gv := range gr {
-				row[c] = fromGob(gv, snap.Version)
-			}
-			t.rows.Set(rowid, row)
-			// Write index trees directly; the pending-delta path exists to
-			// batch transactional writes and would only buffer the whole
-			// table here.
-			for _, ix := range t.indexes {
-				ix.tree.Set(ix.keyFor(rowid, row), struct{}{})
-			}
-		}
-		// Direct tree writes bypassed the stat-maintaining flush; rebuild
-		// the planner's cardinality counts with one walk per index.
+		gt.RowIDs, gt.Rows = nil, nil
 		for _, ix := range t.indexes {
-			ix.recomputeStats()
+			work.indexes[ix.name] = ix
 		}
-		work.tables[gt.Name] = t
+		work.tables[t.name] = t
 	}
 	// Publish the rebuilt state atomically; an error above leaves the
 	// previous root untouched (the partially built work root is discarded).
 	db.root.Store(work)
 	return nil
+}
+
+// loadTable validates one snapshot table and builds its row store and
+// indexes. It empties gt.Rows as it converts them.
+func loadTable(gt *gobTable, version int) (*table, error) {
+	if len(gt.Rows) != len(gt.RowIDs) {
+		return nil, fmt.Errorf("sqldb: snapshot table %q has %d rowids for %d rows",
+			gt.Name, len(gt.RowIDs), len(gt.Rows))
+	}
+	t := &table{
+		name:    gt.Name,
+		cols:    gt.Cols,
+		colPos:  make(map[string]int, len(gt.Cols)),
+		nextRow: gt.NextRow,
+		autoInc: gt.AutoInc,
+	}
+	for i, c := range gt.Cols {
+		t.colPos[c.Name] = i
+	}
+	for _, gi := range gt.Indexes {
+		for _, c := range gi.Cols {
+			if c < 0 || c >= len(gt.Cols) {
+				return nil, fmt.Errorf("sqldb: snapshot index %q references column %d of %q",
+					gi.Name, c, gt.Name)
+			}
+		}
+		t.indexes = append(t.indexes, newIndex(gi.Name, t, gi.Cols, gi.Unique))
+	}
+	rows := make([]Row, len(gt.Rows))
+	for i, gr := range gt.Rows {
+		if i > 0 && gt.RowIDs[i] <= gt.RowIDs[i-1] {
+			return nil, fmt.Errorf("sqldb: snapshot table %q: rowid %d follows %d, want strictly ascending",
+				gt.Name, gt.RowIDs[i], gt.RowIDs[i-1])
+		}
+		if len(gr) != len(gt.Cols) {
+			return nil, fmt.Errorf("sqldb: snapshot row width %d in table %q with %d columns",
+				len(gr), gt.Name, len(gt.Cols))
+		}
+		row := make(Row, len(gr))
+		for c, gv := range gr {
+			row[c] = fromGob(gv, version)
+		}
+		rows[i] = row
+		gt.Rows[i] = nil
+	}
+	if n := len(gt.RowIDs); n > 0 && gt.NextRow < gt.RowIDs[n-1] {
+		return nil, fmt.Errorf("sqldb: snapshot table %q: next rowid %d is below stored rowid %d",
+			gt.Name, gt.NextRow, gt.RowIDs[n-1])
+	}
+	t.rows = btree.FromSorted(btree.DefaultDegree, rowidLess, gt.RowIDs, rows)
+
+	// One goroutine per index, at most GOMAXPROCS at a time: each build is
+	// CPU-bound (a sort) and touches only its own index and the shared,
+	// read-only rows.
+	errs := make([]error, len(t.indexes))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, ix := range t.indexes {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			entries := make([]indexEntry, len(rows))
+			for j, row := range rows {
+				entries[j] = entryOf(gt.RowIDs[j], row)
+			}
+			errs[i] = ix.build(entries)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sqldb: snapshot table %q: %w", gt.Name, err)
+		}
+	}
+	return t, nil
 }

@@ -1,7 +1,5 @@
 package sqldb
 
-import "math"
-
 // Cardinality statistics for the cost-based planner.
 //
 // Every index carries exact distinct-prefix counts — for each prefix length
@@ -10,9 +8,9 @@ import "math"
 // batch is already sorted by key, so each distinct prefix group in the
 // batch costs at most two read-only tree probes (one before the group's ops
 // apply, one after) to detect a 0→N or N→0 transition. Row counts come
-// from the trees' own lengths. Paths that build index trees directly —
-// CREATE INDEX backfill and snapshot restore — recompute the counts with
-// one ordered walk.
+// from the trees' own lengths. The bulk path — CREATE INDEX backfill and
+// snapshot restore, see index.build — counts them in the same pass over the
+// sorted run that checks UNIQUE, before the tree exists.
 //
 // The planner never reads these fields (or the trees) directly: it consults
 // a statsRegistry snapshot taken at compile time, mirroring the
@@ -34,64 +32,35 @@ func (s indexStats) clone() indexStats {
 }
 
 // distinctCounts computes the distinct-prefix counts from scratch with one
-// ordered tree walk. recomputeStats installs the result; the stats property
-// tests also use it directly as the ground truth the incremental flush
-// maintenance must agree with.
+// ordered tree walk: the ground truth the stats property tests hold both the
+// incremental flush maintenance and the bulk build's sorted-run count to.
 func (ix *index) distinctCounts() []int {
 	nc := len(ix.cols)
 	d := make([]int, nc)
-	var prev indexKey
+	var prev indexEntry
 	first := true
-	ix.tree.Ascend(func(k indexKey, _ struct{}) bool {
-		// diff is the first key column where k departs from prev; prefixes
-		// longer than diff columns are new.
+	ix.tree.Ascend(func(e indexEntry, _ struct{}) bool {
+		// Prefixes longer than the columns e shares with prev are new.
 		diff := 0
 		if !first {
-			diff = nc
-			for i := 0; i < nc; i++ {
-				if Compare(k.col(i), prev.col(i)) != 0 {
-					diff = i
-					break
-				}
-			}
+			diff = ix.keyDiff(prev, e)
 		}
 		for i := diff; i < nc; i++ {
 			d[i]++
 		}
-		prev, first = k, false
+		prev, first = e, false
 		return true
 	})
 	return d
 }
 
-// recomputeStats rebuilds the distinct-prefix counts. Used by the paths
-// that bypass the pending-delta flush (CREATE INDEX backfill, snapshot
-// restore); incremental maintenance during flush keeps the counts exact
-// everywhere else.
-func (ix *index) recomputeStats() {
-	ix.stats = indexStats{distinct: ix.distinctCounts()}
-}
-
 // hasPrefix reports whether the tree holds at least one entry whose first n
 // key columns equal key's. It is a single read-only descent; flush uses it
 // to detect distinct-count transitions around each delta group.
-func (ix *index) hasPrefix(key indexKey, n int) bool {
-	probe := indexKey{v0: key.v0, n: int32(n), rowid: math.MinInt64}
-	if n > 1 {
-		probe.v1 = key.v1
-	}
-	if n > 2 {
-		probe.more = key.more
-	}
+func (ix *index) hasPrefix(key indexEntry, n int) bool {
 	found := false
-	ix.tree.AscendGE(probe, func(k indexKey, _ struct{}) bool {
+	ix.scanWhile(func(e indexEntry) int { return ix.compareKey(e, key, n) }, func(indexEntry) bool {
 		found = true
-		for i := 0; i < n; i++ {
-			if Compare(k.col(i), probe.col(i)) != 0 {
-				found = false
-				break
-			}
-		}
 		return false
 	})
 	return found

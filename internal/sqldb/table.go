@@ -2,8 +2,8 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
+	"unsafe"
 
 	"mcs/internal/btree"
 )
@@ -17,85 +17,52 @@ func (r Row) clone() Row {
 	return out
 }
 
-// indexKey orders index entries by column values, then by rowid so that
-// duplicate values coexist and each row has a unique entry. The first two
-// columns — the full width of every index in practice — live inline, so
-// building a key for an index insert, delete or probe allocates nothing;
-// wider keys spill the remainder behind a pointer. The layout is tuned for
-// bulk: index-tree nodes hold arrays of these, and every copy-on-write node
-// copy moves them, so the spill slice is a pointer (8 B, nil in practice)
-// rather than an inline slice header (24 B) and the column count is an
-// int32 packed into the pointer's padding — 88 bytes per key instead of 104.
-type indexKey struct {
-	v0, v1 Value
-	more   *[]Value // columns beyond the first two, nil when n <= 2
-	rowid  int64
-	n      int32
+// indexEntry is the key of one index-tree item: the stored row it indexes
+// (a pointer to the row's first cell) and the row's rowid. Entries order by
+// the index's key columns — read out of the row through index.cols — then by
+// rowid, so duplicate values coexist and each row has exactly one entry.
+//
+// Pointing at the row instead of copying its key columns is what keeps an
+// entry at 16 bytes whatever the index width (a four-column ua_attr_* key
+// used to cost 88 bytes inline plus two spill allocations), and it is safe
+// because a stored Row is immutable under MVCC: UPDATE installs a fresh
+// slice and re-indexes it (table.update), so the cells an entry compares by
+// never change while the entry is reachable. The converse obligation is
+// that an entry must never outlive its row in any root: every re-index of a
+// rowid replaces the entry itself, not just a payload beside it (btree.Set
+// replaces the stored key; see TestUpdateDoesNotRetainSupersededRows).
+type indexEntry struct {
+	row   *Value
+	rowid int64
 }
 
-// col returns the i'th key column.
-func (k *indexKey) col(i int) Value {
-	switch i {
-	case 0:
-		return k.v0
-	case 1:
-		return k.v1
-	default:
-		return (*k.more)[i-2]
-	}
+func entryOf(rowid int64, row Row) indexEntry {
+	return indexEntry{row: &row[0], rowid: rowid}
 }
 
-// keyFromVals builds an indexKey from column values in order.
-func keyFromVals(vals []Value, rowid int64) indexKey {
-	k := indexKey{n: int32(len(vals)), rowid: rowid}
-	for i, v := range vals {
-		switch i {
-		case 0:
-			k.v0 = v
-		case 1:
-			k.v1 = v
-		default:
-			if k.more == nil {
-				spill := make([]Value, 0, len(vals)-2)
-				k.more = &spill
-			}
-			*k.more = append(*k.more, v)
-		}
-	}
-	return k
-}
-
-func indexKeyLess(a, b indexKey) bool {
-	n := int(a.n)
-	if int(b.n) < n {
-		n = int(b.n)
-	}
-	for i := 0; i < n; i++ {
-		switch Compare(a.col(i), b.col(i)) {
-		case -1:
-			return true
-		case 1:
-			return false
-		}
-	}
-	if a.n != b.n {
-		return a.n < b.n
-	}
-	return a.rowid < b.rowid
+// col returns the cell at table column position c of the indexed row. The
+// row is at least as wide as every position an index names: index columns
+// are validated against the table definition when the index is created or
+// loaded, and every stored row is full width.
+func (e indexEntry) col(c int) *Value {
+	return (*Value)(unsafe.Add(unsafe.Pointer(e.row), uintptr(c)*unsafe.Sizeof(Value{})))
 }
 
 // indexDegree is the btree fan-out for index trees. Indexes are the
 // write-amplification hot spot — every row insert touches every index, and
 // under MVCC each first touch of a node per transaction copies the whole
-// node — so index trees trade depth for small nodes: at degree 8 a node
-// holds ≤15 ~88-byte indexKeys (~1.3 KB per path-copy) versus ~9.9 KB at
-// the default degree 32. The primary row store keeps the default fan-out:
-// its int64 keys are cheap to copy and it is scanned far more than written.
+// node — so index trees trade depth for small nodes: at degree 8 a leaf
+// holds ≤15 16-byte entries (240 B per leaf copy). Re-measured for the
+// 16-byte entry with BenchmarkFig17AddSingle/AddBatch100 and the restored
+// heap (EXPERIMENTS.md, "Row-pointer index entries"): degree 16 shaves ~4 %
+// off the heap and costs ~14 % more bytes per single add; degree 8 stays. The
+// primary row store keeps the default fan-out: it is scanned far more than
+// written.
 const indexDegree = 8
 
 // indexDelta is one deferred index mutation: an entry to set or delete.
 type indexDelta struct {
-	key indexKey
+	key indexEntry
 	del bool
 }
 
@@ -114,7 +81,7 @@ type index struct {
 	table   *table
 	cols    []int // positions in the table's column list
 	unique  bool
-	tree    *btree.Tree[indexKey, struct{}]
+	tree    *btree.Tree[indexEntry, struct{}]
 	pending []indexDelta
 
 	// stats holds the exact distinct counts the planner's statsRegistry
@@ -128,51 +95,131 @@ func newIndex(name string, t *table, cols []int, unique bool) *index {
 		table:  t,
 		cols:   cols,
 		unique: unique,
-		tree:   btree.NewDegree[indexKey, struct{}](indexDegree, indexKeyLess),
+		tree:   btree.NewDegree[indexEntry, struct{}](indexDegree, entryLess(cols)),
 		stats:  indexStats{distinct: make([]int, len(cols))},
 	}
 }
 
-func (ix *index) keyFor(rowid int64, row Row) indexKey {
-	k := indexKey{n: int32(len(ix.cols)), rowid: rowid}
-	for i, c := range ix.cols {
-		switch i {
-		case 0:
-			k.v0 = row[c]
-		case 1:
-			k.v1 = row[c]
-		default:
-			if k.more == nil {
-				spill := make([]Value, 0, len(ix.cols)-2)
-				k.more = &spill
-			}
-			*k.more = append(*k.more, row[c])
-		}
-	}
-	return k
+// entryLess returns the tree ordering for an index over cols. It closes over
+// the column list alone — never the index — because every clone of the tree
+// carries the function along, and a captured *index would pin the version of
+// the tree that index held for as long as any descendant lives.
+func entryLess(cols []int) func(a, b indexEntry) bool {
+	return func(a, b indexEntry) bool { return compareEntries(cols, a, b) < 0 }
 }
 
-// sameKeyCols reports whether a and b agree on all key columns (rowids may
-// differ).
-func sameKeyCols(a, b indexKey) bool {
-	if a.n != b.n {
-		return false
-	}
-	for i := 0; i < int(a.n); i++ {
-		if Compare(a.col(i), b.col(i)) != 0 {
-			return false
+// compareKeyCols orders two entries by the given key columns alone.
+func compareKeyCols(cols []int, a, b indexEntry) int {
+	for _, c := range cols {
+		if r := compareCells(a.col(c), b.col(c)); r != 0 {
+			return r
 		}
 	}
-	return true
+	return 0
+}
+
+// compareEntries orders two entries of an index over cols: key columns in
+// order, then rowid.
+func compareEntries(cols []int, a, b indexEntry) int {
+	if a.row != b.row {
+		if r := compareKeyCols(cols, a, b); r != 0 {
+			return r
+		}
+	}
+	switch {
+	case a.rowid < b.rowid:
+		return -1
+	case a.rowid > b.rowid:
+		return 1
+	}
+	return 0
+}
+
+func (ix *index) compare(a, b indexEntry) int { return compareEntries(ix.cols, a, b) }
+
+// keyDiff returns the first key column (as a position in ix.cols) where a
+// and b differ, or len(ix.cols) when they agree on the whole key.
+func (ix *index) keyDiff(a, b indexEntry) int {
+	if a.row != b.row {
+		for i, c := range ix.cols {
+			if compareCells(a.col(c), b.col(c)) != 0 {
+				return i
+			}
+		}
+	}
+	return len(ix.cols)
+}
+
+// compareKey orders e's leading n key columns against key's.
+func (ix *index) compareKey(e, key indexEntry, n int) int {
+	return compareKeyCols(ix.cols[:n], e, key)
+}
+
+// comparePrefix orders e's leading key columns against the probe values.
+func (ix *index) comparePrefix(e indexEntry, prefix []Value) int {
+	for i := range prefix {
+		if r := compareCells(e.col(ix.cols[i]), &prefix[i]); r != 0 {
+			return r
+		}
+	}
+	return 0
+}
+
+// nullKey reports whether any key column of e is NULL (such keys are exempt
+// from UNIQUE, as in SQL).
+func (ix *index) nullKey(e indexEntry) bool {
+	for _, c := range ix.cols {
+		if e.col(c).IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// rowOf returns the stored row behind an entry of this index.
+func (ix *index) rowOf(e indexEntry) Row {
+	return unsafe.Slice(e.row, len(ix.table.cols))
+}
+
+func (ix *index) uniqueViolation() error {
+	return fmt.Errorf("sqldb: UNIQUE constraint %q violated on table %q", ix.name, ix.table.name)
+}
+
+// build replaces the tree and statistics of a new, empty index with the
+// given entries — one per table row, in any order. It is the one way an
+// index comes to hold rows it did not see inserted (CREATE INDEX backfill
+// and snapshot restore): sort once, find UNIQUE violations and count
+// distinct prefixes by comparing neighbours in the sorted run, then hand the
+// run to the tree's bottom-up constructor. It sorts entries in place; on
+// error the index is unchanged.
+func (ix *index) build(entries []indexEntry) error {
+	slices.SortFunc(entries, ix.compare)
+	nc := len(ix.cols)
+	distinct := make([]int, nc)
+	for i, e := range entries {
+		diff := 0
+		if i > 0 {
+			diff = ix.keyDiff(entries[i-1], e)
+		}
+		if diff == nc && ix.unique && !ix.nullKey(e) {
+			return ix.uniqueViolation()
+		}
+		for j := diff; j < nc; j++ {
+			distinct[j]++
+		}
+	}
+	ix.tree = btree.FromSorted[indexEntry, struct{}](indexDegree, entryLess(ix.cols), entries, nil)
+	ix.stats = indexStats{distinct: distinct}
+	return nil
 }
 
 // pendingNet returns the latest pending operation for the exact entry
 // (probe's key columns + rowid): +1 net-inserted, -1 net-deleted, 0 no
 // pending op.
-func (ix *index) pendingNet(probe indexKey, rowid int64) int {
+func (ix *index) pendingNet(probe indexEntry, rowid int64) int {
 	for i := len(ix.pending) - 1; i >= 0; i-- {
 		d := &ix.pending[i]
-		if d.key.rowid == rowid && sameKeyCols(d.key, probe) {
+		if d.key.rowid == rowid && ix.keyDiff(d.key, probe) == len(ix.cols) {
 			if d.del {
 				return -1
 			}
@@ -190,15 +237,14 @@ func (ix *index) checkUnique(rowid int64, row Row) error {
 	if !ix.unique {
 		return nil
 	}
-	key := ix.keyFor(rowid, row)
-	for i := 0; i < int(key.n); i++ {
-		if key.col(i).IsNull() {
-			return nil
-		}
+	key := entryOf(rowid, row)
+	if ix.nullKey(key) {
+		return nil
 	}
+	nc := len(ix.cols)
 	dup := false
-	ix.scanEqualKey(key, func(other int64) bool {
-		if other != rowid && ix.pendingNet(key, other) >= 0 {
+	ix.scanWhile(func(e indexEntry) int { return ix.compareKey(e, key, nc) }, func(e indexEntry) bool {
+		if e.rowid != rowid && ix.pendingNet(key, e.rowid) >= 0 {
 			dup = true
 			return false
 		}
@@ -208,7 +254,7 @@ func (ix *index) checkUnique(rowid int64, row Row) error {
 		// Entries inserted earlier in this transaction exist only in pending.
 		for i := len(ix.pending) - 1; i >= 0; i-- {
 			d := &ix.pending[i]
-			if d.key.rowid == rowid || !sameKeyCols(d.key, key) {
+			if d.key.rowid == rowid || ix.keyDiff(d.key, key) != nc {
 				continue
 			}
 			// Only the latest pending op per entry decides its net state.
@@ -219,17 +265,17 @@ func (ix *index) checkUnique(rowid int64, row Row) error {
 		}
 	}
 	if dup {
-		return fmt.Errorf("sqldb: UNIQUE constraint %q violated on table %q", ix.name, ix.table.name)
+		return ix.uniqueViolation()
 	}
 	return nil
 }
 
 func (ix *index) insert(rowid int64, row Row) {
-	ix.push(indexDelta{key: ix.keyFor(rowid, row)})
+	ix.push(indexDelta{key: entryOf(rowid, row)})
 }
 
 func (ix *index) remove(rowid int64, row Row) {
-	ix.push(indexDelta{key: ix.keyFor(rowid, row), del: true})
+	ix.push(indexDelta{key: entryOf(rowid, row), del: true})
 }
 
 func (ix *index) push(d indexDelta) {
@@ -244,7 +290,9 @@ func (ix *index) push(d indexDelta) {
 // flush applies pending deltas to the tree. Deltas are sorted by key so the
 // tree is walked leaf-by-leaf in order, and multiple ops on the same entry
 // coalesce to the last one — an insert+delete pair in the same transaction
-// never touches the tree at all.
+// never touches the tree at all, and an UPDATE that leaves the key columns
+// alone (delete of the old row's entry, insert of the new row's, equal
+// under the ordering) becomes one Set that swaps the entry's row pointer.
 //
 // Because the batch is sorted, deltas touching the same key prefix are
 // contiguous, which is what makes incremental distinct-count maintenance
@@ -257,7 +305,7 @@ func (ix *index) flush() {
 		return
 	}
 	if len(p) > 1 {
-		sort.SliceStable(p, func(i, j int) bool { return indexKeyLess(p[i].key, p[j].key) })
+		slices.SortStableFunc(p, func(a, b indexDelta) int { return ix.compare(a.key, b.key) })
 	}
 	nc := len(ix.cols)
 	// apply processes deltas p[lo:hi) that share their first lvl key
@@ -270,7 +318,7 @@ func (ix *index) flush() {
 		if lvl == nc {
 			for k := lo; k < hi; {
 				m := k + 1
-				for m < hi && !indexKeyLess(p[k].key, p[m].key) {
+				for m < hi && p[m].key.rowid == p[k].key.rowid {
 					m++
 				}
 				if last := p[m-1]; last.del {
@@ -282,9 +330,10 @@ func (ix *index) flush() {
 			}
 			return
 		}
+		c := ix.cols[lvl]
 		for i := lo; i < hi; {
 			e := i + 1
-			for e < hi && Compare(p[e].key.col(lvl), p[i].key.col(lvl)) == 0 {
+			for e < hi && compareCells(p[e].key.col(c), p[i].key.col(c)) == 0 {
 				e++
 			}
 			pre := ix.hasPrefix(p[i].key, lvl+1)
@@ -300,120 +349,73 @@ func (ix *index) flush() {
 	}
 	apply(0, len(p), 0)
 	// Keep the backing array for the next batch in this transaction, but
-	// zero it so published roots don't pin dead keys.
+	// zero it so published roots don't pin dead rows.
 	for i := range p {
 		p[i] = indexDelta{}
 	}
 	ix.pending = p[:0]
 }
 
-// scanEqual calls fn with the rowid of every entry whose leading columns
-// equal prefix, in index order, until fn returns false. The caller must
-// have flushed pending deltas (the planner entry points do); the guard
-// turns a missed flush point into a loud failure instead of silently
-// missing rows.
-func (ix *index) scanEqual(prefix []Value, fn func(rowid int64) bool) {
+// scanWhile visits, in index order, the run of entries for which cmp
+// reports 0, until fn returns false. cmp orders an entry against the probe
+// the caller has in mind (negative: the entry sorts before it) and must be
+// monotone in index order; the probe may be bare values, which is why this
+// is a comparator-driven seek and not a key-driven one. Nothing here
+// allocates: both closures stay on the caller's stack.
+func (ix *index) scanWhile(cmp func(e indexEntry) int, fn func(e indexEntry) bool) {
+	ix.tree.AscendFrom(
+		func(e indexEntry) bool { return cmp(e) >= 0 },
+		func(e indexEntry, _ struct{}) bool { return cmp(e) == 0 && fn(e) })
+}
+
+// mustBeFlushed turns a missed flush point into a loud failure instead of
+// silently missing rows: scans read the tree alone, and the planner entry
+// points flush before they probe.
+func (ix *index) mustBeFlushed() {
 	if len(ix.pending) != 0 {
 		panic("sqldb: index scan with unflushed deltas on " + ix.name)
 	}
-	ix.scanEqualKey(keyFromVals(prefix, math.MinInt64), fn)
 }
 
-// scanEqualKey is scanEqual with a prebuilt prefix key of start.n columns
-// (start.rowid is overridden to scan from the first matching entry).
-func (ix *index) scanEqualKey(start indexKey, fn func(rowid int64) bool) {
-	start.rowid = math.MinInt64
-	ix.tree.AscendGE(start, func(k indexKey, _ struct{}) bool {
-		if !prefixEq(&k, &start) {
-			return false
-		}
-		return fn(k.rowid)
-	})
-}
-
-// prefixEq reports whether k's leading start.n columns all compare equal to
-// start's. It is the per-entry termination test of every equality scan, so
-// it reads the inline key fields directly (no col() copies) and compares
-// with valuesEq's fast paths rather than the full comparator.
-func prefixEq(k, start *indexKey) bool {
-	n := int(start.n)
-	if n > 0 && !valuesEq(&k.v0, &start.v0) {
-		return false
-	}
-	if n > 1 && !valuesEq(&k.v1, &start.v1) {
-		return false
-	}
-	for i := 2; i < n; i++ {
-		if !valuesEq(&(*k.more)[i-2], &(*start.more)[i-2]) {
-			return false
-		}
-	}
-	return true
-}
-
-// scanEqualEntries is scanEqual exposing the whole index entry instead of
-// just the rowid. Covered plans (see intersect.go) read join-key columns
-// straight out of the entries, skipping the row fetch entirely.
-func (ix *index) scanEqualEntries(prefix []Value, fn func(key indexKey) bool) {
-	if len(ix.pending) != 0 {
-		panic("sqldb: index scan with unflushed deltas on " + ix.name)
-	}
-	start := keyFromVals(prefix, math.MinInt64)
-	ix.tree.AscendGE(start, func(k indexKey, _ struct{}) bool {
-		if !prefixEq(&k, &start) {
-			return false
-		}
-		return fn(k)
-	})
-}
-
-// scanRange calls fn for entries whose first column lies in the interval
-// described by lo/hi (nil means unbounded) with the given inclusivity.
-func (ix *index) scanRange(lo, hi *Value, loInc, hiInc bool, fn func(rowid int64) bool) {
-	ix.scanPrefixRange(nil, lo, hi, loInc, hiInc, fn)
+// scanEqual calls fn with the rowid and stored row of every entry whose
+// leading columns equal prefix, in index order, until fn returns false. The
+// row comes straight from the entry — no row-store lookup — which is also
+// what makes covered plans (see intersect.go) free of row fetches.
+func (ix *index) scanEqual(prefix []Value, fn func(rowid int64, row Row) bool) {
+	ix.mustBeFlushed()
+	ix.scanWhile(
+		func(e indexEntry) int { return ix.comparePrefix(e, prefix) },
+		func(e indexEntry) bool { return fn(e.rowid, ix.rowOf(e)) })
 }
 
 // scanPrefixRange calls fn for entries whose leading columns equal prefix
 // and whose next column lies in the interval described by lo/hi (nil means
 // unbounded) with the given inclusivity. An empty prefix is a plain range
 // scan on the first column.
-func (ix *index) scanPrefixRange(prefix []Value, lo, hi *Value, loInc, hiInc bool, fn func(rowid int64) bool) {
-	if len(ix.pending) != 0 {
-		panic("sqldb: index scan with unflushed deltas on " + ix.name)
-	}
-	rc := len(prefix)
-	visit := func(k indexKey, _ struct{}) bool {
-		for i := 0; i < rc; i++ {
-			if Compare(k.col(i), prefix[i]) != 0 {
-				return false
-			}
+func (ix *index) scanPrefixRange(prefix []Value, lo, hi *Value, loInc, hiInc bool, fn func(rowid int64, row Row) bool) {
+	ix.mustBeFlushed()
+	rc := ix.cols[len(prefix)] // the ranged column
+	ix.tree.AscendFrom(func(e indexEntry) bool {
+		if c := ix.comparePrefix(e, prefix); c != 0 {
+			return c > 0
 		}
-		v := k.col(rc)
-		if lo != nil {
-			c := Compare(v, *lo)
-			if c < 0 || (c == 0 && !loInc) {
-				return true // before range; keep going (only when starting unbounded)
-			}
+		return lo == nil || compareCells(e.col(rc), lo) >= 0
+	}, func(e indexEntry, _ struct{}) bool {
+		if ix.comparePrefix(e, prefix) != 0 {
+			return false
+		}
+		v := e.col(rc)
+		if lo != nil && !loInc && compareCells(v, lo) == 0 {
+			return true // the excluded lower bound itself; the range starts after it
 		}
 		if hi != nil {
-			c := Compare(v, *hi)
+			c := compareCells(v, hi)
 			if c > 0 || (c == 0 && !hiInc) {
 				return false
 			}
 		}
-		return fn(k.rowid)
-	}
-	switch {
-	case lo != nil:
-		vals := make([]Value, rc+1)
-		copy(vals, prefix)
-		vals[rc] = *lo
-		ix.tree.AscendGE(keyFromVals(vals, math.MinInt64), visit)
-	case rc > 0:
-		ix.tree.AscendGE(keyFromVals(prefix, math.MinInt64), visit)
-	default:
-		ix.tree.Ascend(visit)
-	}
+		return fn(e.rowid, ix.rowOf(e))
+	})
 }
 
 // rowidLess orders the primary row store by rowid.

@@ -269,6 +269,34 @@ func valuesEq(a, b *Value) bool {
 	return Compare(*a, *b) == 0
 }
 
+// compareCells is Compare through pointers, for the index comparators:
+// index entries point at stored rows rather than carrying copies of their
+// key columns, so the hot comparison reads both operands in place. The
+// same-type cases Compare decides on one field are decided here without
+// copying either 32-byte Value; everything else defers to Compare.
+func compareCells(a, b *Value) int {
+	if a.T == b.T {
+		switch a.T {
+		case TypeNull:
+			return 0
+		case TypeInt, TypeBool, TypeTime:
+			switch {
+			case a.N < b.N:
+				return -1
+			case a.N > b.N:
+				return 1
+			}
+			return 0
+		case TypeText:
+			if a.S == b.S {
+				return 0
+			}
+			return strings.Compare(a.S, b.S)
+		}
+	}
+	return Compare(*a, *b)
+}
+
 // coerce converts v to column type t where a lossless conversion exists.
 func coerce(v Value, t Type) (Value, error) {
 	if v.T == TypeNull || v.T == t {

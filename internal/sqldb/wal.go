@@ -562,14 +562,45 @@ func syncWALDir(path string) error {
 
 // --- record encoding -------------------------------------------------------
 
-// encodeWALRecord renders one commit as header + payload bytes.
+// walBackrefWindow bounds how many distinct statement texts one record
+// remembers for back-references. A commit repeats a handful of texts (a
+// createFile is one logical_file insert and N user_attribute inserts; a
+// 100-op batch repeats those a hundred times), so a short linear table finds
+// every repeat without allocating; texts past the window are written in full.
+const walBackrefWindow = 16
+
+// encodeWALRecord renders one commit as header + payload bytes. A statement
+// whose SQL text already occurred in the record is written as a zero length
+// followed by the index of that earlier statement, not as the text again:
+// an empty statement is never logged (it cannot parse, so it cannot commit),
+// which makes length 0 free to mean "same text as statement i". The change
+// is additive, like walTagTimeMicro: logs written before it contain no zero
+// lengths and decode as they always did.
 func encodeWALRecord(lsn uint64, stmts []redoStmt) []byte {
 	payload := make([]byte, 8, 64*len(stmts)+8)
 	binary.BigEndian.PutUint64(payload, lsn)
 	payload = binary.AppendUvarint(payload, uint64(len(stmts)))
-	for _, s := range stmts {
-		payload = binary.AppendUvarint(payload, uint64(len(s.sql)))
-		payload = append(payload, s.sql...)
+	var firsts [walBackrefWindow]int // indexes of the first statement with each text
+	nfirsts := 0
+	for i, s := range stmts {
+		ref := -1
+		for _, f := range firsts[:nfirsts] {
+			if stmts[f].sql == s.sql {
+				ref = f
+				break
+			}
+		}
+		if ref >= 0 {
+			payload = binary.AppendUvarint(payload, 0)
+			payload = binary.AppendUvarint(payload, uint64(ref))
+		} else {
+			if nfirsts < len(firsts) {
+				firsts[nfirsts] = i
+				nfirsts++
+			}
+			payload = binary.AppendUvarint(payload, uint64(len(s.sql)))
+			payload = append(payload, s.sql...)
+		}
 		payload = binary.AppendUvarint(payload, uint64(len(s.args)))
 		for _, v := range s.args {
 			payload = encodeWALValue(payload, v)
@@ -599,8 +630,19 @@ func decodeWALRecord(payload []byte) (lsn uint64, stmts []redoStmt, err error) {
 		if err != nil || uint64(len(b)) < sqlLen {
 			return 0, nil, fmt.Errorf("statement %d: bad sql length", i)
 		}
-		sql := string(b[:sqlLen])
-		b = b[sqlLen:]
+		var sql string
+		if sqlLen == 0 {
+			// Back-reference to an earlier statement's text.
+			var ref uint64
+			ref, b, err = walUvarint(b)
+			if err != nil || ref >= i {
+				return 0, nil, fmt.Errorf("statement %d: bad sql back-reference", i)
+			}
+			sql = stmts[ref].sql
+		} else {
+			sql = string(b[:sqlLen])
+			b = b[sqlLen:]
+		}
 		var nargs uint64
 		nargs, b, err = walUvarint(b)
 		if err != nil {

@@ -443,3 +443,58 @@ func TestWALValueRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestWALStatementBackReferences: a record writes each distinct SQL text
+// once and every repeat as a back-reference, decodes to exactly the
+// statements it was given, and rejects references that do not point at an
+// earlier statement.
+func TestWALStatementBackReferences(t *testing.T) {
+	const insAttr = "INSERT INTO user_attribute (object_type, object_id, attr_id, sval) VALUES (?, ?, ?, ?)"
+	const insFile = "INSERT INTO logical_file (name, version) VALUES (?, ?)"
+	var stmts []redoStmt
+	for f := 0; f < 3; f++ {
+		stmts = append(stmts, redoStmt{sql: insFile, args: []Value{Text(fmt.Sprintf("f%d", f)), Int(1)}})
+		for a := 0; a < 10; a++ {
+			stmts = append(stmts, redoStmt{sql: insAttr, args: []Value{Text("file"), Int(int64(f)), Int(int64(a)), Text("v")}})
+		}
+	}
+	// More distinct texts than the back-reference window remembers: the
+	// overflow is written in full, still round-trips, and can still repeat.
+	for i := 0; i < walBackrefWindow+4; i++ {
+		stmts = append(stmts, redoStmt{sql: fmt.Sprintf("DELETE FROM t%d WHERE id = ?", i), args: []Value{Int(int64(i))}})
+	}
+	stmts = append(stmts, stmts[len(stmts)-1], stmts[0])
+
+	rec := encodeWALRecord(11, stmts)
+	if n := bytes.Count(rec, []byte(insAttr)); n != 1 {
+		t.Fatalf("the attribute insert's text appears %d times in the record, want 1", n)
+	}
+	if n := bytes.Count(rec, []byte(insFile)); n != 1 {
+		t.Fatalf("the file insert's text appears %d times in the record, want 1", n)
+	}
+	lsn, got, err := decodeWALRecord(rec[walRecordHeaderSize:])
+	if err != nil || lsn != 11 {
+		t.Fatalf("decode: lsn %d, err %v", lsn, err)
+	}
+	if len(got) != len(stmts) {
+		t.Fatalf("decoded %d statements, want %d", len(got), len(stmts))
+	}
+	for i := range stmts {
+		if got[i].sql != stmts[i].sql || fmt.Sprint(got[i].args) != fmt.Sprint(stmts[i].args) {
+			t.Fatalf("statement %d decoded to %q %v, want %q %v", i, got[i].sql, got[i].args, stmts[i].sql, stmts[i].args)
+		}
+	}
+
+	// A reference to itself, to a later statement, or in the first statement
+	// is corruption, not a statement.
+	for _, ref := range []uint64{0, 1, 5} {
+		payload := make([]byte, 8)
+		payload = append(payload, 1) // one statement
+		payload = append(payload, 0) // sqlLen 0: back-reference
+		payload = append(payload, byte(ref))
+		payload = append(payload, 0) // no args
+		if _, _, err := decodeWALRecord(payload); err == nil {
+			t.Fatalf("back-reference %d from statement 0 decoded without error", ref)
+		}
+	}
+}

@@ -36,7 +36,8 @@ func TestWALTornWriteCorpus(t *testing.T) {
 	w, _ := openTestWAL(t, path, db, WALOptions{})
 
 	// Commits of varying shapes so the final record's offsets sweep
-	// through length, CRC, LSN, statement text and every value type.
+	// through length, CRC, LSN, statement text, statement back-references
+	// and every value type.
 	commits := [][]func(tx *Tx) error{
 		{func(tx *Tx) error {
 			_, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text("alpha"), Int(1))
@@ -57,6 +58,14 @@ func TestWALTornWriteCorpus(t *testing.T) {
 			return err
 		}, func(tx *Tx) error {
 			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("second — final record"))
+			return err
+		}, func(tx *Tx) error {
+			// Repeats of earlier texts: the final record carries statement
+			// back-references, so the cuts also land inside those.
+			_, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text("gamma"), Int(4))
+			return err
+		}, func(tx *Tx) error {
+			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("third"))
 			return err
 		}},
 	}

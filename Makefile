@@ -1,5 +1,6 @@
 # Development targets. `make check` is the pre-merge gate: formatting,
-# static analysis and the full test suite under the race detector.
+# static analysis, the full test suite under the race detector, and the
+# separate benchmark module's vet and tests.
 
 GO ?= go
 
@@ -21,7 +22,7 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: fmt vet race planparity
+check: fmt vet race planparity regress-test
 	@echo "check: ok"
 
 # The differential planner-parity suite: seeded random schemas, data and
@@ -119,8 +120,9 @@ regress:
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
 
-# The benchmark module's own tests. It is a separate module, so the root
-# `go test ./...` never compiles it: this is what catches an exported-API
-# change that would stop the benchmark building.
+# The benchmark module's vet and own tests. It is a separate module, so the
+# root `go vet ./...` and `go test ./...` never compile it: this is what
+# catches an exported-API change that would stop the benchmark building.
 regress-test:
+	$(GO) -C benchmark vet .
 	$(GO) -C benchmark test .

@@ -1,11 +1,13 @@
 package mcs
 
 import (
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"mcs/internal/gsi"
+	"mcs/internal/shard"
 )
 
 // The CAS integration tests: section 9 of the paper plans MCS+CAS; here the
@@ -126,5 +128,59 @@ func TestCASWrongCommunityKeyRejected(t *testing.T) {
 	memberC.UseAssertion(encoded)
 	if _, err := memberC.CreateFile(FileSpec{Name: "x"}); err == nil {
 		t.Fatal("foreign-CAS assertion accepted")
+	}
+}
+
+// TestCASAssertionThroughRouter: community rights must survive the router
+// hop. The router holds no community key — it forwards the assertion, and
+// the owning shard decides. A member with a valid assertion writes through
+// mcsrouter on both wires; a stolen assertion, or none, still cannot.
+func TestCASAssertionThroughRouter(t *testing.T) {
+	cas, err := gsi.NewCAS("ligo.org")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardOpts := ServerOptions{
+		CatalogOptions: Options{Owner: casAdmin, EnforceAuthz: true},
+		CAS: &CASIntegration{
+			Community: "ligo.org", Key: cas.PublicKey(), CommunityDN: casCommunity,
+		},
+	}
+	d := startSharded(t, shard.Options{}, shardOpts, shardOpts)
+	// A global grant: the router broadcasts it to every shard.
+	if err := NewClient(d.url, casAdmin).Grant(ObjectService, "", casCommunity, PermCreate); err != nil {
+		t.Fatal(err)
+	}
+	assertionFor := func(subject string) string {
+		cas.Grant(subject, "", gsi.RightCreate)
+		a, err := cas.IssueAssertion(subject, "", time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded, err := gsi.EncodeAssertion(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encoded
+	}
+	valid, stolen := assertionFor(casMember), assertionFor("/O=LIGO/CN=SomeoneElse")
+
+	for _, kind := range []TransportKind{TransportSOAP, TransportJSON} {
+		name := "s1-" + string(kind) + ".dat" // owned by the second shard
+		if _, err := NewClient(d.url, casMember, WithTransport(kind)).CreateFile(FileSpec{Name: name}); !errors.Is(err, ErrDenied) {
+			t.Fatalf("%s: assertion-less create through the router: %v, want ErrDenied", kind, err)
+		}
+		thief := NewClient(d.url, casMember, WithTransport(kind), WithAssertion(stolen))
+		if _, err := thief.CreateFile(FileSpec{Name: name}); !errors.Is(err, ErrDenied) {
+			t.Fatalf("%s: stolen assertion through the router: %v, want ErrDenied", kind, err)
+		}
+		member := NewClient(d.url, casMember, WithTransport(kind), WithAssertion(valid))
+		f, err := member.CreateFile(FileSpec{Name: name})
+		if err != nil {
+			t.Fatalf("%s: member with a valid assertion could not write through the router: %v", kind, err)
+		}
+		if f.Creator != casCommunity {
+			t.Fatalf("%s: creator = %q, want the community DN", kind, f.Creator)
+		}
 	}
 }

@@ -41,11 +41,10 @@ import (
 // ErrTransport; WithRetry makes the client retry those (and ErrUnavailable)
 // automatically with idempotency keys on mutating operations.
 type Client struct {
-	// soap and json are the two built-in wire clients. They share one HTTP
-	// connection pool and one header set, so every option applies whichever
-	// transport is (or later becomes) selected.
-	soap      *soap.Client
-	json      *jsonwire.Client
+	// wire is the one built-in wire client; WithTransport swaps only its
+	// codec, so every other option applies whichever wire is (or later
+	// becomes) selected.
+	wire      *mcswire.Client
 	transport Transport
 	kind      TransportKind
 	// dn is the identity declared on unauthenticated deployments. When a
@@ -74,23 +73,20 @@ type ClientOption func(*Client)
 // per-call deadlines via the ...Ctx variants compose with (and can be
 // shorter than) this ceiling.
 func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.soap.HTTP.Timeout = d }
+	return func(c *Client) { c.wire.HTTP.Timeout = d }
 }
 
 // WithCredential attaches a GSI credential: every request is signed and the
 // server authenticates the chain instead of trusting the declared DN.
 func WithCredential(cred *gsi.Credential) ClientOption {
-	return func(c *Client) {
-		c.soap.Sign = cred.Sign
-		c.json.Sign = cred.Sign
-	}
+	return func(c *Client) { c.wire.Sign = cred.Sign }
 }
 
 // WithAssertion attaches an encoded CAS capability assertion (from
 // gsi.EncodeAssertion) to every request, enabling community-authorized
 // operations on servers configured with CASIntegration.
 func WithAssertion(encoded string) ClientOption {
-	return func(c *Client) { c.soap.Header.Set(gsi.AssertionHeader, encoded) }
+	return func(c *Client) { c.wire.Header.Set(gsi.AssertionHeader, encoded) }
 }
 
 // WithTransport selects the wire encoding: TransportSOAP (the default, and
@@ -109,15 +105,12 @@ func WithCustomTransport(t Transport) ClientOption {
 	return func(c *Client) { c.transport, c.kind = t, "" }
 }
 
-// WithHTTPClient substitutes the *http.Client both wire transports share —
+// WithHTTPClient substitutes the *http.Client the wire client uses —
 // custom TLS configuration, proxies or instrumentation. It replaces the
 // default pool including its timeout, so combine with WithTimeout (after
 // this option) when a call ceiling is still wanted.
 func WithHTTPClient(h *http.Client) ClientOption {
-	return func(c *Client) {
-		c.soap.HTTP = h
-		c.json.HTTP = h
-	}
+	return func(c *Client) { c.wire.HTTP = h }
 }
 
 // WithRetry enables automatic retry of failed calls: each logical call makes
@@ -154,29 +147,19 @@ func WithBackoff(base, max time.Duration) ClientOption {
 // deployments that standardize on another name; "" disables request-ID
 // propagation.
 func WithRequestIDHeader(name string) ClientOption {
-	return func(c *Client) {
-		c.soap.RequestIDHeader = name
-		c.json.RequestIDHeader = name
-	}
+	return func(c *Client) { c.wire.RequestIDHeader = name }
 }
 
 // NewClient returns a client for the MCS at endpoint, acting as dn.
 func NewClient(endpoint, dn string, opts ...ClientOption) *Client {
 	c := &Client{
-		soap:        soap.NewClient(endpoint),
-		json:        jsonwire.NewClient(endpoint),
+		wire:        mcswire.NewClient(endpoint, nil, nil),
 		dn:          dn,
 		backoffBase: 25 * time.Millisecond,
 		backoffMax:  time.Second,
 		sleep:       ctxSleep,
 		rngState:    seedRNG(),
 	}
-	// One pool, one header set: options and deprecated setters configure
-	// the client, not a wire, so they must land on whichever transport is
-	// ever selected.
-	c.json.HTTP = c.soap.HTTP
-	c.soap.Header = make(http.Header)
-	c.json.Header = c.soap.Header
 	c.setTransport(TransportSOAP)
 	for _, opt := range opts {
 		opt(c)
@@ -188,9 +171,9 @@ func NewClient(endpoint, dn string, opts ...ClientOption) *Client {
 func (c *Client) setTransport(kind TransportKind) {
 	switch kind {
 	case TransportJSON:
-		c.transport, c.kind = jsonTransport{c.json}, TransportJSON
+		c.wire.Codec, c.transport, c.kind = jsonwire.Codec{}, c.wire, TransportJSON
 	default:
-		c.transport, c.kind = soapTransport{c.soap}, TransportSOAP
+		c.wire.Codec, c.transport, c.kind = soap.Codec{}, unaryTransport{c.wire}, TransportSOAP
 	}
 }
 
@@ -213,12 +196,11 @@ func (c *Client) SetTimeout(d time.Duration) { WithTimeout(d)(c) }
 // Deprecated: pass WithAssertion to NewClient.
 func (c *Client) UseAssertion(encoded string) { WithAssertion(encoded)(c) }
 
-// call performs one logical call — a single wire round trip, or a retry
-// loop when WithRetry is configured — and maps wire faults back to the
-// sentinel their fault code names, whichever transport carried them.
+// call performs one logical call: a single wire round trip, or a retry
+// loop when WithRetry is configured.
 func (c *Client) call(ctx context.Context, action string, req, resp any) error {
 	if c.retryAttempts <= 1 {
-		return mapWireError(c.transport.Call(ctx, action, nil, req, resp))
+		return c.transport.Call(ctx, action, nil, req, resp)
 	}
 	return c.callRetry(ctx, action, req, resp)
 }
@@ -664,9 +646,9 @@ func (c *Client) RunQueryStreamCtx(ctx context.Context, q Query, row func(name s
 				Type: string(p.Value.Type), Value: p.Value.Render(),
 			})
 		}
-		return mapWireError(st.Stream(ctx, "query", nil, req,
+		return st.Stream(ctx, "query", nil, req,
 			func() any { return new(mcswire.QueryRow) },
-			func(r any) error { return row(r.(*mcswire.QueryRow).Name) }))
+			func(r any) error { return row(r.(*mcswire.QueryRow).Name) })
 	}
 	sent, token := 0, ""
 	for {

@@ -144,10 +144,8 @@ type config struct {
 	snapshotEvery time.Duration
 	// wal enables the write-ahead log beside the snapshot (per-commit
 	// durability); walSync selects its fsync policy ("always" or "off").
-	wal     bool
-	walSync string
-	// jsonAPI serves the compact JSON wire under /api/v1/ beside SOAP.
-	jsonAPI   bool
+	wal       bool
+	walSync   string
 	metrics   bool
 	slowOp    time.Duration
 	slowOpLog string
@@ -206,7 +204,7 @@ func run(cfg config, stop <-chan os.Signal, ready chan<- net.Addr) error {
 		defer f.Close()
 		obsOpts.SlowOpLogger = log.New(f, "", log.LstdFlags|log.LUTC)
 	}
-	srvOpts := mcs.ServerOptions{Catalog: catalog, Obs: obsOpts, WAL: wal, DisableJSONAPI: !cfg.jsonAPI}
+	srvOpts := mcs.ServerOptions{Catalog: catalog, Obs: obsOpts, WAL: wal}
 	if cfg.faultSpec != "" {
 		rules, err := mcs.ParseFaultSpec(cfg.faultSpec)
 		if err != nil {
@@ -253,10 +251,7 @@ func run(cfg config, stop <-chan os.Signal, ready chan<- net.Addr) error {
 			}
 		}()
 	}
-	extra := ""
-	if cfg.jsonAPI {
-		extra += ", JSON API at /api/v1/"
-	}
+	extra := ", JSON API at /api/v1/"
 	if cfg.metrics {
 		extra += ", metrics at /metrics"
 	}
@@ -302,7 +297,6 @@ func main() {
 	flag.DurationVar(&cfg.snapshotEvery, "snapshot-interval", time.Minute, "interval between periodic snapshots")
 	flag.BoolVar(&cfg.wal, "wal", true, "with -snapshot, keep a write-ahead log beside it for per-commit durability")
 	flag.StringVar(&cfg.walSync, "wal-sync", "always", "WAL fsync policy: \"always\" (group commit, crash-safe) or \"off\" (OS-paced, loses the unsynced tail on power failure)")
-	flag.BoolVar(&cfg.jsonAPI, "json-api", true, "serve the compact JSON wire under /api/v1/ beside the SOAP endpoint")
 	flag.BoolVar(&cfg.metrics, "metrics", true, "expose the /metrics, /healthz and /statz operational endpoints")
 	flag.DurationVar(&cfg.slowOp, "slow-op", 0, "log operations slower than this threshold, with request ID and DN (0 disables)")
 	flag.StringVar(&cfg.slowOpLog, "slow-op-log", "", "file receiving slow-op lines (default stderr)")

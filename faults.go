@@ -1,18 +1,15 @@
 package mcs
 
-import (
-	"errors"
-
-	"mcs/internal/jsonwire"
-	"mcs/internal/mcswire"
-	"mcs/internal/soap"
-)
+import "mcs/internal/mcswire"
 
 // faultSentinels is the exhaustive, symmetric mapping between the catalog's
-// sentinel errors and SOAP fault code suffixes. It lives in
+// sentinel errors and wire error-code suffixes. It lives in
 // internal/mcswire so the shard router maps errors identically without
 // importing this package; every core.Err* sentinel must appear there
-// exactly once (TestFaultSentinelTableExhaustive enforces it).
+// exactly once (TestFaultSentinelTableExhaustive enforces it). A wire error
+// (*mcswire.WireError) unwraps to the sentinel its code names, so a failed
+// call matches errors.Is(err, mcs.ErrNotFound) etc. over either wire with
+// no client-side translation.
 var faultSentinels = mcswire.Sentinels
 
 // ErrTransport marks calls that failed without a decodable reply — on
@@ -21,85 +18,4 @@ var faultSentinels = mcswire.Sentinels
 // may or may not have applied the operation, which is exactly why mutating
 // calls carry idempotency keys; with retries enabled the client re-sends
 // these automatically.
-var ErrTransport = errors.New("mcs: transport failure")
-
-// transportError couples a transport failure with the ErrTransport sentinel
-// while keeping the underlying chain (url.Error, context errors, io
-// errors) reachable for errors.Is/As.
-type transportError struct {
-	inner error
-}
-
-func (e *transportError) Error() string { return e.inner.Error() }
-
-// Unwrap exposes the cause and the sentinel.
-func (e *transportError) Unwrap() []error { return []error{e.inner, ErrTransport} }
-
-// faultCodeFor maps a handler error to its fault code suffix ("" when the
-// error wraps no known sentinel).
-func faultCodeFor(err error) string { return mcswire.CodeForError(err) }
-
-// sentinelForFault maps a wire fault code (e.g. "soapenv:Server.NotFound")
-// back to its sentinel, or nil for unrecognized codes.
-func sentinelForFault(code string) error { return mcswire.SentinelForCode(code) }
-
-// wireError couples the SOAP fault a call returned with the sentinel its
-// fault code names, so callers can both read the server's message and match
-// with errors.Is(err, mcs.ErrNotFound) etc.
-type wireError struct {
-	fault    *soap.Fault
-	sentinel error
-}
-
-func (e *wireError) Error() string { return e.fault.Error() }
-
-// Unwrap exposes both the fault (for errors.As(*soap.Fault)) and the
-// sentinel (for errors.Is).
-func (e *wireError) Unwrap() []error { return []error{e.fault, e.sentinel} }
-
-// jsonWireError couples a JSON wire error with the sentinel its code names
-// — the JSON-wire twin of wireError, carrying the same "Server.<Code>"
-// strings the SOAP faultcode does, so both wires decode to identical
-// sentinels.
-type jsonWireError struct {
-	wire     *jsonwire.Error
-	sentinel error
-}
-
-func (e *jsonWireError) Error() string { return e.wire.Error() }
-
-// Unwrap exposes both the wire error (for errors.As) and the sentinel (for
-// errors.Is).
-func (e *jsonWireError) Unwrap() []error { return []error{e.wire, e.sentinel} }
-
-// mapWireError decorates wire faults (SOAP or JSON) with their sentinel and
-// transport failures with ErrTransport; other errors (marshal problems,
-// context cancellation before send) pass through unchanged.
-func mapWireError(err error) error {
-	if err == nil {
-		return nil
-	}
-	var fault *soap.Fault
-	if errors.As(err, &fault) {
-		if sentinel := sentinelForFault(fault.Code); sentinel != nil {
-			return &wireError{fault: fault, sentinel: sentinel}
-		}
-		return err
-	}
-	var jerr *jsonwire.Error
-	if errors.As(err, &jerr) {
-		if sentinel := sentinelForFault(jerr.Code); sentinel != nil {
-			return &jsonWireError{wire: jerr, sentinel: sentinel}
-		}
-		return err
-	}
-	var ste *soap.TransportError
-	if errors.As(err, &ste) {
-		return &transportError{inner: err}
-	}
-	var jte *jsonwire.TransportError
-	if errors.As(err, &jte) {
-		return &transportError{inner: err}
-	}
-	return err
-}
+var ErrTransport = mcswire.ErrTransport

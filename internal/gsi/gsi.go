@@ -238,7 +238,7 @@ func signingBytes(method, path, timestamp string, body []byte) []byte {
 		base64.StdEncoding.EncodeToString(digest[:]))
 }
 
-// Sign returns a request-signing function for use as soap.Client.Sign.
+// Sign is a request-signing function for use as mcswire.Client.Sign.
 func (c *Credential) Sign(req *http.Request, body []byte) error {
 	chain, err := json.Marshal(c.Chain)
 	if err != nil {
@@ -256,8 +256,8 @@ func (c *Credential) Sign(req *http.Request, body []byte) error {
 	return nil
 }
 
-// Verifier authenticates signed requests against a trust store. It
-// implements soap.Authenticator.
+// Verifier authenticates signed requests against a trust store; its
+// Authenticate method is an mcswire.Config.Authenticate.
 type Verifier struct {
 	Trust *TrustStore
 	// Now allows tests to control the clock; defaults to time.Now.

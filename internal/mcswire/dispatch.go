@@ -1,15 +1,20 @@
 package mcswire
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
 )
 
 // Ctx carries per-request context into transport-neutral operation handlers.
-// Both wire servers (SOAP and JSON) build one per request, so a handler never
-// learns which encoding carried its call.
+// The pipeline (Server) builds one per request, so a handler never learns
+// which encoding carried its call.
 type Ctx struct {
+	// Context is the inbound request's context: cancelled when the client
+	// hangs up. Handlers that do further I/O (the shard router's forwards)
+	// derive from it so abandoned work stops.
+	Context context.Context
 	// DN is the authenticated distinguished name of the caller, or "" when
 	// the service runs without authentication.
 	DN string
@@ -23,14 +28,11 @@ type Ctx struct {
 	// IdempotencyKey is the client's deduplication key for a mutating call
 	// (the X-MCS-Idempotency-Key request header), "" when absent.
 	IdempotencyKey string
-	// Transport names the wire that carried the call ("soap" or "json");
-	// informational only — handlers must not branch on it.
-	Transport string
 }
 
 // Handler is one catalog operation in the transport-neutral dispatch table:
-// a request factory plus a type-erased call. The wire servers own decoding
-// (XML or JSON) into the fresh request and encoding of the returned response;
+// a request factory plus a type-erased call. A Codec owns decoding (XML or
+// JSON) into the fresh request and encoding of the returned response;
 // everything between — authorization, the core call, error identity — is
 // shared and therefore provably identical across transports.
 type Handler struct {
@@ -46,8 +48,8 @@ type Handler struct {
 	Call func(ctx *Ctx, req any) (any, error)
 	// Stream, when non-nil, serves the operation incrementally: rows are
 	// handed to emit one at a time so arbitrarily large result sets never
-	// materialize server-side. Transports without a streaming encoding
-	// (SOAP) ignore it and use Call.
+	// materialize server-side. Codecs without a streaming encoding (SOAP)
+	// use Call.
 	Stream func(ctx *Ctx, req any, emit func(row any) error) error
 }
 
@@ -64,8 +66,8 @@ type ContentsRow struct {
 	Collection *WireCollection `json:"collection,omitempty"`
 }
 
-// Table is the dispatch table shared by every wire server. Operations are
-// registered exactly once; both muxes mount the same handlers.
+// Table is the dispatch table a Server serves over every codec. Operations
+// are registered exactly once.
 type Table struct {
 	ops map[string]*Handler
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mcs/internal/federation"
-	"mcs/internal/jsonwire"
 	"mcs/internal/mcswire"
 	"mcs/internal/rls"
 )
@@ -20,7 +19,7 @@ import (
 // shard's last soft-state discovery summary and health.
 type backend struct {
 	name   string // the shard's endpoint URL; also its identity in metrics
-	client *jsonwire.Client
+	client *mcswire.Client
 
 	// forwarded counts operations sent to this shard; unreachable counts
 	// transport-level failures talking to it.
@@ -66,7 +65,7 @@ func (b *backend) freshSummary(now time.Time, ttl time.Duration) (*federation.Su
 func (b *backend) refreshSummary(ctx context.Context, fp float64, now func() time.Time) error {
 	b.dirty.Store(false)
 	var resp mcswire.DiscoverySummaryResponse
-	err := b.client.CallCtx(ctx, "discoverySummary", &mcswire.DiscoverySummaryRequest{FP: fp}, &resp)
+	err := b.client.Call(ctx, "discoverySummary", nil, &mcswire.DiscoverySummaryRequest{FP: fp}, &resp)
 	if err == nil {
 		var sum *federation.Summary
 		sum, err = summaryFromWire(b.name, &resp)

@@ -15,6 +15,7 @@ import (
 
 	"mcs/internal/core"
 	"mcs/internal/faultinject"
+	"mcs/internal/gsi"
 	"mcs/internal/jsonwire"
 	"mcs/internal/mcswire"
 	"mcs/internal/obs"
@@ -51,17 +52,16 @@ type Options struct {
 }
 
 // Router is the stateless scatter-gather front of a sharded MCS deployment.
-// It mounts the same transport-neutral operation table as mcsd on both the
-// SOAP and JSON wires, so any MCS client — either transport, retries and
-// all — works unchanged against it. It implements http.Handler.
+// It serves the same transport-neutral operation table as mcsd through the
+// same request pipeline and codecs, so any MCS client — either transport,
+// retries and all — works unchanged against it. It implements http.Handler.
 type Router struct {
 	mapp     *Map
 	backends []*backend // sorted by endpoint: the deterministic shard order
 	byName   map[string]*backend
 
 	table   *mcswire.Table
-	soap    *soap.Server
-	json    *jsonwire.Server
+	wire    *mcswire.Server
 	metrics *obs.Registry
 
 	fp          float64
@@ -128,7 +128,7 @@ func NewRouter(opts Options) (*Router, error) {
 		}
 	}
 	for _, ep := range endpoints {
-		b := &backend{name: ep, client: jsonwire.NewClientWithHTTP(ep, pool)}
+		b := &backend{name: ep, client: mcswire.NewClient(ep, jsonwire.Codec{}, pool)}
 		r.backends = append(r.backends, b)
 		r.byName[ep] = b
 	}
@@ -139,38 +139,9 @@ func NewRouter(opts Options) (*Router, error) {
 	r.table = mcswire.NewTable()
 	r.buildTable()
 
-	ss := soap.NewServer("MetadataCatalogService", mcswire.NS)
-	ss.SetErrorCode(mcswire.CodeForError)
-	if r.metrics != nil {
-		ss.SetMetrics(r.metrics)
-	}
-	if opts.FaultInjector != nil {
-		if opts.FaultInjector.DefaultErr == nil {
-			opts.FaultInjector.DefaultErr = core.ErrUnavailable
-		}
-		ss.SetFaultInjector(opts.FaultInjector)
-	}
-	for _, name := range r.table.Ops() {
-		h := r.table.Lookup(name)
-		ss.HandleAny(h.Name, h.New, func(ctx *soap.Ctx, req any) (any, error) {
-			return h.Call(&mcswire.Ctx{
-				DN: ctx.DN, RemoteAddr: ctx.RemoteAddr, Header: ctx.Header,
-				RequestID: ctx.RequestID, IdempotencyKey: ctx.IdempotencyKey,
-				Transport: "soap",
-			}, req)
-		})
-	}
-	r.soap = ss
-
-	js := jsonwire.NewServer(r.table)
-	js.SetErrorCode(mcswire.CodeForError)
-	if r.metrics != nil {
-		js.SetMetrics(r.metrics)
-	}
-	if opts.FaultInjector != nil {
-		js.SetFaultInjector(opts.FaultInjector)
-	}
-	r.json = js
+	r.wire = mcswire.NewServer(r.table,
+		mcswire.Config{Metrics: r.metrics, Faults: opts.FaultInjector},
+		jsonwire.Codec{}, soap.Codec{})
 	return r, nil
 }
 
@@ -282,43 +253,23 @@ func (r *Router) owner(name string) (*backend, error) {
 	return r.byName[ep], nil
 }
 
-// shardError couples a backend reply (or transport failure) with the
-// sentinel it names, so the router's own wire servers re-encode the exact
-// code — and the exact message — a direct server would have produced.
-type shardError struct {
-	msg      string
-	sentinel error
-}
-
-func (e *shardError) Error() string { return e.msg }
-
-// Unwrap exposes the sentinel for errors.Is and the wire error-code mapping.
-func (e *shardError) Unwrap() error { return e.sentinel }
-
-// mapBackendError translates a shard-side failure for the client. Decodable
-// wire errors keep their message and sentinel verbatim; transport failures
-// become ErrUnavailable (the shard may be down — retryable, and the
-// idempotency key forwarded with the original attempt makes the retry safe).
+// mapBackendError translates a shard-side failure for the client. A wire
+// error is the shard's verdict and passes through — code and message — so
+// the router's own pipeline re-encodes exactly what a direct server would
+// have sent. A transport failure becomes ErrUnavailable (the shard may be
+// down — retryable, and the idempotency key forwarded with the original
+// attempt makes the retry safe), unless the call was cancelled: a caller
+// who hung up says nothing about the shard.
 func (r *Router) mapBackendError(b *backend, err error) error {
-	if err == nil {
-		return nil
+	var te *mcswire.TransportError
+	if !errors.As(err, &te) || errors.Is(err, context.Canceled) {
+		return err
 	}
-	var je *jsonwire.Error
-	if errors.As(err, &je) {
-		if s := mcswire.SentinelForCode(je.Code); s != nil {
-			return &shardError{msg: je.Message, sentinel: s}
-		}
-		return &shardError{msg: je.Message, sentinel: errors.New(je.Code)}
+	b.unreachable.Add(1)
+	return &mcswire.WireError{
+		Code:    "Server.Unavailable",
+		Message: fmt.Sprintf("shard %s unreachable: %v", b.name, err),
 	}
-	var te *jsonwire.TransportError
-	if errors.As(err, &te) {
-		b.unreachable.Add(1)
-		return &shardError{
-			msg:      fmt.Sprintf("shard %s unreachable: %v", b.name, err),
-			sentinel: core.ErrUnavailable,
-		}
-	}
-	return err
 }
 
 // forwardHeaders builds the extra headers for one forwarded call: the
@@ -326,11 +277,16 @@ func (r *Router) mapBackendError(b *backend, err error) error {
 // key pass through verbatim, so a WithRetry client's replay reaches the
 // owning shard's replay cache unchanged and the mutation applies exactly
 // once across the extra hop. idemSuffix derives distinct per-shard keys for
-// broadcast ops (each shard keeps its own replay cache).
+// broadcast ops (each shard keeps its own replay cache). A CAS capability
+// assertion passes through too: the shard, not the router, holds the
+// community key and decides what the assertion grants.
 func forwardHeaders(ctx *mcswire.Ctx, op, idemSuffix string) http.Header {
-	hdr := make(http.Header, 2)
+	hdr := make(http.Header, 3)
 	if ctx.RequestID != "" {
 		hdr.Set(obs.RequestIDHeader, ctx.RequestID)
+	}
+	if a := ctx.Header.Get(gsi.AssertionHeader); a != "" {
+		hdr.Set(gsi.AssertionHeader, a)
 	}
 	if mcswire.MutatingOps[op] && ctx.IdempotencyKey != "" {
 		hdr.Set(obs.IdempotencyKeyHeader, ctx.IdempotencyKey+idemSuffix)
@@ -356,38 +312,57 @@ func injectCaller(req any, dn string) {
 	}
 }
 
+// forward issues one instrumented unary call to a backend on behalf of an
+// inbound request, whose context ctx is: bounded by the call timeout,
+// cancelled when that request's client hangs up, counted against the
+// shard, and with its failure translated for the client.
+func (r *Router) forward(ctx context.Context, b *backend, op string, hdr http.Header, req, resp any) error {
+	var om *obs.OpMetrics
+	if r.metrics != nil {
+		om = r.metrics.TransportOp("shard:"+b.name, op)
+		om.Begin()
+	}
+	cctx, cancel := context.WithTimeout(ctx, r.callTimeout)
+	defer cancel()
+	start := time.Now()
+	err := b.client.Call(cctx, op, hdr, req, resp)
+	if om != nil {
+		om.End(time.Since(start), err)
+	}
+	b.forwarded.Add(1)
+	return r.mapBackendError(b, err)
+}
+
+// forwardStream is forward for a streamed call: rows pass to row as the
+// shard produces them.
+func (r *Router) forwardStream(ctx context.Context, b *backend, op string, hdr http.Header, req any,
+	newRow func() any, row func(any) error) error {
+	cctx, cancel := context.WithTimeout(ctx, r.callTimeout)
+	defer cancel()
+	err := b.client.Stream(cctx, op, hdr, req, newRow, row)
+	b.forwarded.Add(1)
+	return r.mapBackendError(b, err)
+}
+
 // call forwards one typed request to one backend and decodes the reply.
 func call[Resp any](r *Router, ctx *mcswire.Ctx, b *backend, op string, req any, idemSuffix string) (*Resp, error) {
 	injectCaller(req, ctx.DN)
-	hdr := forwardHeaders(ctx, op, idemSuffix)
 	mutating := mcswire.MutatingOps[op]
 	if mutating {
 		// Marked before the forward so a concurrent scatter can never screen
 		// this shard out while the write is in flight...
 		b.dirty.Store(true)
 	}
-	var om *obs.OpMetrics
-	if r.metrics != nil {
-		om = r.metrics.TransportOp("shard:"+b.name, op)
-		om.Begin()
-	}
-	cctx, cancel := context.WithTimeout(context.Background(), r.callTimeout)
-	defer cancel()
-	start := time.Now()
 	resp := new(Resp)
-	err := b.client.CallHdrCtx(cctx, op, hdr, req, resp)
-	if om != nil {
-		om.End(time.Since(start), err)
-	}
+	err := r.forward(ctx.Context, b, op, forwardHeaders(ctx, op, idemSuffix), req, resp)
 	if mutating {
 		// ...and re-marked after it returns, in case a summary refresh that
 		// sampled the shard before this write committed cleared the flag
 		// mid-flight.
 		b.dirty.Store(true)
 	}
-	b.forwarded.Add(1)
 	if err != nil {
-		return nil, r.mapBackendError(b, err)
+		return nil, err
 	}
 	return resp, nil
 }
@@ -671,12 +646,9 @@ func (r *Router) registerCollectionContents() {
 				return err
 			}
 			injectCaller(q, ctx.DN)
-			cctx, cancel := context.WithTimeout(context.Background(), r.callTimeout)
-			defer cancel()
-			err = b.client.StreamCtx(cctx, "collectionContents", forwardHeaders(ctx, "collectionContents", ""), q,
-				func() any { return new(mcswire.ContentsRow) },
-				func(row any) error { return emit(row) })
-			return r.mapBackendError(b, err)
+			return r.forwardStream(ctx.Context, b, "collectionContents",
+				forwardHeaders(ctx, "collectionContents", ""), q,
+				func() any { return new(mcswire.ContentsRow) }, emit)
 		},
 	})
 }
@@ -701,9 +673,9 @@ func batchOpKey(op mcswire.WireBatchOp) (string, error) {
 	return "", fmt.Errorf("empty batch op")
 }
 
-// ServeHTTP routes diagnostics, then the JSON wire, then SOAP — the same
-// surface a single mcsd presents, so clients and probes need no
-// router-specific configuration.
+// ServeHTTP routes diagnostics, then both wires through the request
+// pipeline — the same surface a single mcsd presents, so clients and probes
+// need no router-specific configuration.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if r.metrics != nil {
 		switch req.URL.Path {
@@ -718,11 +690,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	if strings.HasPrefix(req.URL.Path, jsonwire.Prefix) {
-		r.json.ServeHTTP(w, req)
-		return
-	}
-	r.soap.ServeHTTP(w, req)
+	r.wire.ServeHTTP(w, req)
 }
 
 func (r *Router) serveMetrics(w http.ResponseWriter, req *http.Request) {
@@ -739,8 +707,8 @@ func (r *Router) serveMetrics(w http.ResponseWriter, req *http.Request) {
 // while at least one shard answers — single-shard operations on surviving
 // shards keep succeeding — and reports "degraded" with the unreachable
 // endpoints listed; it only goes 503 when no shard answers at all.
-func (r *Router) serveHealthz(w http.ResponseWriter, _ *http.Request) {
-	down := r.probeShards()
+func (r *Router) serveHealthz(w http.ResponseWriter, req *http.Request) {
+	down := r.probeShards(req.Context())
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	switch {
 	case len(down) == 0:
@@ -755,16 +723,16 @@ func (r *Router) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // probeShards pings every shard concurrently and returns the endpoints that
 // failed to answer.
-func (r *Router) probeShards() []string {
+func (r *Router) probeShards(ctx context.Context) []string {
 	errs := make([]error, len(r.backends))
 	var wg sync.WaitGroup
 	for i, b := range r.backends {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 			defer cancel()
-			errs[i] = b.client.CallCtx(ctx, "ping", &mcswire.PingRequest{}, &mcswire.PingResponse{})
+			errs[i] = b.client.Call(ctx, "ping", nil, &mcswire.PingRequest{}, &mcswire.PingResponse{})
 		}(i, b)
 	}
 	wg.Wait()

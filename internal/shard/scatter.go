@@ -8,11 +8,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"mcs/internal/core"
 	"mcs/internal/mcswire"
-	"mcs/internal/obs"
 )
 
 // candidate is one shard selected for a scatter: screened marks backends a
@@ -126,25 +124,8 @@ func scatterCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op string, req *Req
 		wg.Add(1)
 		go func(i int, c candidate) {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(context.Background(), r.callTimeout)
-			defer cancel()
-			var om *obs.OpMetrics
-			if r.metrics != nil {
-				om = r.metrics.TransportOp("shard:"+c.b.name, op)
-				om.Begin()
-			}
-			start := time.Now()
-			resp := new(Resp)
-			err := c.b.client.CallHdrCtx(cctx, op, hdr, req, resp)
-			if om != nil {
-				om.End(time.Since(start), err)
-			}
-			c.b.forwarded.Add(1)
-			if err != nil {
-				errs[i] = r.mapBackendError(c.b, err)
-				return
-			}
-			resps[i] = resp
+			resps[i] = new(Resp)
+			errs[i] = r.forward(ctx.Context, c.b, op, hdr, req, resps[i])
 		}(i, c)
 	}
 	wg.Wait()
@@ -370,7 +351,7 @@ func (r *Router) streamQuery(ctx *mcswire.Ctx, q *mcswire.QueryRequest, emit fun
 	fwd := *q
 	fwd.Limit = 0
 
-	cctx, cancel := context.WithCancel(context.Background())
+	cctx, cancel := context.WithCancel(ctx.Context)
 	defer cancel()
 
 	chans := make([]chan string, len(cands))
@@ -383,7 +364,7 @@ func (r *Router) streamQuery(ctx *mcswire.Ctx, q *mcswire.QueryRequest, emit fun
 		go func(i int, c candidate) {
 			defer wg.Done()
 			defer close(chans[i])
-			err := c.b.client.StreamCtx(cctx, "query", hdr, &fwd,
+			err := r.forwardStream(cctx, c.b, "query", hdr, &fwd,
 				func() any { return new(mcswire.QueryRow) },
 				func(row any) error {
 					select {
@@ -394,11 +375,10 @@ func (r *Router) streamQuery(ctx *mcswire.Ctx, q *mcswire.QueryRequest, emit fun
 						return cctx.Err()
 					}
 				})
-			c.b.forwarded.Add(1)
 			// This write precedes the deferred close(chans[i]), so the merge
 			// loop observing the close also observes the error.
-			if err != nil && cctx.Err() == nil {
-				errs[i] = r.mapBackendError(c.b, err)
+			if cctx.Err() == nil {
+				errs[i] = err
 			}
 		}(i, c)
 	}

@@ -1,5 +1,6 @@
-// Package soap implements the SOAP 1.1 over HTTP transport used between the
-// MCS client and server.
+// Package soap is the SOAP 1.1 encoding of the MCS wire: the envelope, the
+// fault, the WSDL, and the mcswire.Codec that plugs them into the shared
+// request pipeline (internal/mcswire owns everything that is not bytes).
 //
 // It stands in for the Apache Axis/Tomcat stack of the original deployment:
 // requests and responses are Go structs marshalled into a SOAP envelope with
@@ -14,6 +15,9 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"strings"
+
+	"mcs/internal/mcswire"
 )
 
 // EnvelopeNS is the SOAP 1.1 envelope namespace.
@@ -29,17 +33,13 @@ type body struct {
 	Inner []byte `xml:",innerxml"`
 }
 
-// Fault is a SOAP 1.1 fault, used to carry application errors.
+// Fault is the XML shape of a SOAP 1.1 fault: an mcswire.WireError on this
+// wire, its code under the soapenv: prefix.
 type Fault struct {
 	XMLName xml.Name `xml:"http://schemas.xmlsoap.org/soap/envelope/ Fault"`
 	Code    string   `xml:"faultcode"`
 	String  string   `xml:"faultstring"`
 	Detail  string   `xml:"detail,omitempty"`
-}
-
-// Error implements the error interface so faults flow naturally to callers.
-func (f *Fault) Error() string {
-	return fmt.Sprintf("soap fault %s: %s", f.Code, f.String)
 }
 
 // envOpen and envClose are the constant envelope bytes around a marshalled
@@ -109,7 +109,7 @@ func decodeBody(dec *xml.Decoder) (xml.StartElement, error) {
 }
 
 // Unmarshal extracts the first Body element of a SOAP message into v.
-// If the body is a Fault, it is returned as the error.
+// If the body is a Fault, it is returned as a *mcswire.WireError.
 func Unmarshal(raw []byte, v any) error {
 	dec := xml.NewDecoder(bytes.NewReader(raw))
 	se, err := decodeBody(dec)
@@ -121,7 +121,7 @@ func Unmarshal(raw []byte, v any) error {
 		if err := dec.DecodeElement(&f, &se); err != nil {
 			return fmt.Errorf("soap: parse fault: %w", err)
 		}
-		return &f
+		return &mcswire.WireError{Code: strings.TrimPrefix(f.Code, "soapenv:"), Message: f.String}
 	}
 	if err := dec.DecodeElement(v, &se); err != nil {
 		return fmt.Errorf("soap: unmarshal %s: %w", se.Name.Local, err)

@@ -7,7 +7,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mcs/internal/mcswire"
 )
+
+// The encoding's own tests: envelope, fault and WSDL. How a request moves
+// through the server and client is the pipeline's business and is tested in
+// internal/mcswire against every codec, this one included.
 
 type echoRequest struct {
 	XMLName xml.Name `xml:"urn:test echo"`
@@ -19,172 +25,6 @@ type echoResponse struct {
 	XMLName xml.Name `xml:"urn:test echoResponse"`
 	Message string   `xml:"message"`
 	N       int      `xml:"n"`
-}
-
-func newEchoServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	s := NewServer("TestService", "urn:test")
-	Handle(s, "echo", func(ctx *Ctx, req *echoRequest) (*echoResponse, error) {
-		if req.Message == "boom" {
-			return nil, errors.New("handler exploded")
-		}
-		return &echoResponse{Message: req.Message, N: req.N * 2}, nil
-	})
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
-func TestRoundTrip(t *testing.T) {
-	_, ts := newEchoServer(t)
-	c := NewClient(ts.URL)
-	var resp echoResponse
-	if err := c.Call("echo", &echoRequest{Message: "hi", N: 21}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Message != "hi" || resp.N != 42 {
-		t.Fatalf("response = %+v", resp)
-	}
-}
-
-func TestFaultPropagation(t *testing.T) {
-	_, ts := newEchoServer(t)
-	c := NewClient(ts.URL)
-	var resp echoResponse
-	err := c.Call("echo", &echoRequest{Message: "boom"}, &resp)
-	var fault *Fault
-	if !errors.As(err, &fault) {
-		t.Fatalf("error = %v, want *Fault", err)
-	}
-	if !strings.Contains(fault.String, "handler exploded") {
-		t.Fatalf("fault string = %q", fault.String)
-	}
-	if fault.Code != "soapenv:Server" {
-		t.Fatalf("fault code = %q", fault.Code)
-	}
-}
-
-func TestUnknownOperation(t *testing.T) {
-	_, ts := newEchoServer(t)
-	c := NewClient(ts.URL)
-	type otherReq struct {
-		XMLName xml.Name `xml:"urn:test nosuch"`
-	}
-	var resp echoResponse
-	err := c.Call("nosuch", &otherReq{}, &resp)
-	var fault *Fault
-	if !errors.As(err, &fault) || !strings.Contains(fault.String, "unknown operation") {
-		t.Fatalf("error = %v", err)
-	}
-}
-
-func TestMalformedEnvelope(t *testing.T) {
-	_, ts := newEchoServer(t)
-	resp, err := http.Post(ts.URL, "text/xml", strings.NewReader("this is not xml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-func TestSpecialCharactersSurviveXML(t *testing.T) {
-	_, ts := newEchoServer(t)
-	c := NewClient(ts.URL)
-	msg := `<>&"'` + "\n\ttabs & ümläuts 日本語"
-	var resp echoResponse
-	if err := c.Call("echo", &echoRequest{Message: msg}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Message != msg {
-		t.Fatalf("round-tripped %q, want %q", resp.Message, msg)
-	}
-}
-
-func TestWSDLGeneration(t *testing.T) {
-	s, ts := newEchoServer(t)
-	if ops := s.Operations(); len(ops) != 1 || ops[0] != "echo" {
-		t.Fatalf("Operations() = %v", ops)
-	}
-	resp, err := http.Get(ts.URL + "?wsdl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	wsdl := string(buf[:n])
-	for _, want := range []string{"definitions", "TestService", "echoRequest", "echoResponse", "portType"} {
-		if !strings.Contains(wsdl, want) {
-			t.Errorf("WSDL missing %q", want)
-		}
-	}
-}
-
-func TestMethodNotAllowed(t *testing.T) {
-	_, ts := newEchoServer(t)
-	req, _ := http.NewRequest(http.MethodPut, ts.URL, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	s := NewServer("x", "urn:x")
-	Handle(s, "op", func(ctx *Ctx, req *echoRequest) (*echoResponse, error) { return nil, nil })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	Handle(s, "op", func(ctx *Ctx, req *echoRequest) (*echoResponse, error) { return nil, nil })
-}
-
-type denyAuth struct{}
-
-func (denyAuth) Authenticate(r *http.Request, body []byte) (string, error) {
-	if r.Header.Get("X-Token") == "letmein" {
-		return "CN=alice", nil
-	}
-	return "", errors.New("bad credentials")
-}
-
-func TestAuthenticatorHook(t *testing.T) {
-	s := NewServer("TestService", "urn:test")
-	var gotDN string
-	Handle(s, "echo", func(ctx *Ctx, req *echoRequest) (*echoResponse, error) {
-		gotDN = ctx.DN
-		return &echoResponse{Message: req.Message}, nil
-	})
-	s.SetAuthenticator(denyAuth{})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	c := NewClient(ts.URL)
-	var resp echoResponse
-	err := c.Call("echo", &echoRequest{Message: "m"}, &resp)
-	var fault *Fault
-	if !errors.As(err, &fault) || !strings.Contains(fault.Code, "Authentication") {
-		t.Fatalf("unauthenticated call error = %v", err)
-	}
-
-	c.Sign = func(req *http.Request, body []byte) error {
-		req.Header.Set("X-Token", "letmein")
-		return nil
-	}
-	if err := c.Call("echo", &echoRequest{Message: "m"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if gotDN != "CN=alice" {
-		t.Fatalf("handler DN = %q", gotDN)
-	}
 }
 
 func TestMarshalUnmarshalDirect(t *testing.T) {
@@ -204,16 +44,72 @@ func TestMarshalUnmarshalDirect(t *testing.T) {
 	}
 }
 
+// Open names the operation after the first Body element and decodes exactly
+// that element, whatever characters it carries.
+func TestOpenDecodesBodyElement(t *testing.T) {
+	msg := `<>&"'` + "\n\ttabs & ümläuts 日本語"
+	raw, err := Marshal(&echoRequest{Message: msg, N: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, decode, err := Codec{}.Open(nil, raw)
+	if err != nil || op != "echo" {
+		t.Fatalf("Open = %q, %v", op, err)
+	}
+	var req echoRequest
+	if err := decode(&req); err != nil {
+		t.Fatal(err)
+	}
+	if req.Message != msg || req.N != 7 {
+		t.Fatalf("decoded %+v, want message %q", req, msg)
+	}
+	if _, _, err := (Codec{}).Open(nil, []byte("this is not xml")); err == nil {
+		t.Fatal("Open accepted a non-envelope")
+	}
+}
+
 func TestUnmarshalFault(t *testing.T) {
-	raw, err := Marshal(&Fault{Code: "soapenv:Server", String: "nope"})
+	raw, err := Marshal(&Fault{Code: "soapenv:Server.NotFound", String: "nope"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resp echoResponse
 	err = Unmarshal(raw, &resp)
-	var fault *Fault
-	if !errors.As(err, &fault) || fault.String != "nope" {
+	var we *mcswire.WireError
+	if !errors.As(err, &we) || we.Message != "nope" || we.Code != "Server.NotFound" {
 		t.Fatalf("err = %v", err)
+	}
+	if got := (Codec{}).ReadError(raw); got == nil || *got != *we {
+		t.Fatalf("ReadError = %+v, want %+v", got, we)
+	}
+	// A body that is not a fault is not an error reply.
+	ok, _ := Marshal(&echoResponse{Message: "fine"})
+	if got := (Codec{}).ReadError(ok); got != nil {
+		t.Fatalf("ReadError(reply) = %+v, want nil", got)
+	}
+}
+
+// Faults travel with HTTP 500 whatever the pipeline's classification (SOAP
+// 1.1 binding) — except the 413 of a refused oversize body.
+func TestWriteErrorStatusAndFraming(t *testing.T) {
+	for pipeline, want := range map[int]int{
+		http.StatusBadRequest:            http.StatusInternalServerError,
+		http.StatusUnauthorized:          http.StatusInternalServerError,
+		http.StatusInternalServerError:   http.StatusInternalServerError,
+		http.StatusRequestEntityTooLarge: http.StatusRequestEntityTooLarge,
+	} {
+		rec := httptest.NewRecorder()
+		Codec{}.WriteError(rec, pipeline, &mcswire.WireError{Code: "Client", Message: "bad"})
+		if rec.Code != want {
+			t.Errorf("pipeline status %d went out as %d, want %d", pipeline, rec.Code, want)
+		}
+		we := (Codec{}).ReadError(rec.Body.Bytes())
+		if we == nil || we.Code != "Client" || we.Message != "bad" {
+			t.Errorf("fault did not round-trip: %+v from %s", we, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "<faultcode>soapenv:Client</faultcode>") {
+			t.Errorf("fault code not under the soapenv: prefix: %s", rec.Body)
+		}
 	}
 }
 
@@ -222,5 +118,19 @@ func TestEmptyBody(t *testing.T) {
 	var resp echoResponse
 	if err := Unmarshal(raw, &resp); err == nil {
 		t.Fatal("empty body did not fail")
+	}
+}
+
+func TestWSDLGeneration(t *testing.T) {
+	rec := httptest.NewRecorder()
+	Codec{}.ServeInfo(rec, httptest.NewRequest(http.MethodGet, "/?wsdl", nil), []string{"echo"})
+	wsdl := rec.Body.String()
+	if wsdl != WSDL([]string{"echo"}) {
+		t.Fatalf("GET ?wsdl served %q", wsdl)
+	}
+	for _, want := range []string{"definitions", ServiceName, "echoRequest", "echoResponse", "portType"} {
+		if !strings.Contains(wsdl, want) {
+			t.Errorf("WSDL missing %q", want)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"mcs/internal/gsi"
-	"mcs/internal/soap"
+	"mcs/internal/mcswire"
 )
 
 const (
@@ -202,12 +202,12 @@ func TestEndToEndFaultsCarrySentinels(t *testing.T) {
 	_, url := startServer(t, ServerOptions{})
 	c := NewClient(url, testAlice)
 	_, err := c.GetFile("nope", 0)
-	var fault *soap.Fault
+	var fault *mcswire.WireError
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %T %v", err, err)
 	}
-	if !strings.Contains(fault.String, "not found") {
-		t.Fatalf("fault = %q", fault.String)
+	if !strings.Contains(fault.Message, "not found") {
+		t.Fatalf("fault = %q", fault.Message)
 	}
 }
 

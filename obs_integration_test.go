@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mcs/internal/mcswire"
 	"mcs/internal/obs"
 )
 
@@ -221,8 +222,7 @@ func TestRequestIDPropagationEndToEnd(t *testing.T) {
 
 	// Caller-supplied ID (e.g. from an upstream workflow system).
 	c := NewClient(url, testAlice)
-	c.soap.Header = http.Header{}
-	c.soap.Header.Set(obs.RequestIDHeader, "workflow-step-17")
+	c.wire.Header.Set(obs.RequestIDHeader, "workflow-step-17")
 	if _, err := c.CreateFile(FileSpec{Name: "traced", Audited: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +300,7 @@ func TestSlowOpLogEndToEnd(t *testing.T) {
 		SlowOpLogger:    log.New(&buf, "", 0),
 	}})
 	c := NewClient(url, testAlice)
-	c.soap.Header = http.Header{}
-	c.soap.Header.Set(obs.RequestIDHeader, "slow-req-1")
+	c.wire.Header.Set(obs.RequestIDHeader, "slow-req-1")
 	if _, err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +386,7 @@ func TestFaultSentinelRoundTrip(t *testing.T) {
 		if !errors.Is(err, tc.sentinel) {
 			t.Errorf("%s: errors.Is failed on %v", tc.name, err)
 		}
-		if err.Error() == "" || !strings.Contains(err.Error(), "soap fault") {
+		if err.Error() == "" || !strings.Contains(err.Error(), "Server.") {
 			t.Errorf("%s: message lost: %q", tc.name, err)
 		}
 	}
@@ -415,7 +414,7 @@ func TestFaultSentinelTableExhaustive(t *testing.T) {
 	}
 	covered := map[string]bool{}
 	for name, sentinel := range all {
-		code := faultCodeFor(fmt.Errorf("wrapped: %w", sentinel))
+		code := mcswire.CodeForError(fmt.Errorf("wrapped: %w", sentinel))
 		if code == "" {
 			t.Errorf("%s missing from faultSentinels", name)
 			continue
@@ -424,17 +423,17 @@ func TestFaultSentinelTableExhaustive(t *testing.T) {
 			t.Errorf("fault code %q mapped twice", code)
 		}
 		covered[code] = true
-		back := sentinelForFault("soapenv:Server." + code)
+		back := mcswire.SentinelForCode("soapenv:Server." + code)
 		if back != sentinel { //nolint:errorlint // table stores exact sentinels
 			t.Errorf("%s: round trip gave %v", name, back)
 		}
 	}
 	// Unknown and malformed codes map to nothing.
-	if sentinelForFault("soapenv:Server.Bogus") != nil || sentinelForFault("soapenv:Server") != nil {
+	if mcswire.SentinelForCode("soapenv:Server.Bogus") != nil || mcswire.SentinelForCode("soapenv:Server") != nil {
 		t.Error("unknown fault codes must not map to sentinels")
 	}
 	// A generic server error carries no code suffix.
-	if code := faultCodeFor(errors.New("disk on fire")); code != "" {
+	if code := mcswire.CodeForError(errors.New("disk on fire")); code != "" {
 		t.Errorf("generic error mapped to %q", code)
 	}
 }

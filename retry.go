@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mcs/internal/mcswire"
-	"mcs/internal/obs"
 )
 
 // mutatingActions lists the operations that change catalog state. Retried
@@ -48,18 +47,10 @@ func (c *Client) RetryStats() RetryStats {
 // pinned once and repeated verbatim on every attempt, so the server can
 // recognize replays and the audit log shows one logical request.
 func (c *Client) callRetry(ctx context.Context, action string, req, resp any) error {
-	hdr := make(http.Header)
-	// Both wire clients share one Header and keep RequestIDHeader in sync
-	// (see NewClient), so reading the SOAP side covers either transport.
-	if h := c.soap.RequestIDHeader; h != "" && c.soap.Header.Get(h) == "" {
-		hdr.Set(h, obs.NewRequestID())
-	}
-	if mutatingActions[action] {
-		hdr.Set(obs.IdempotencyKeyHeader, obs.NewRequestID())
-	}
+	hdr := c.wire.PinCall(action)
 	for attempt := 1; ; attempt++ {
 		c.attempts.Add(1)
-		err := mapWireError(c.callOnce(ctx, action, hdr, req, resp, attempt > 1))
+		err := c.callOnce(ctx, action, hdr, req, resp, attempt > 1)
 		if err == nil || attempt >= c.retryAttempts || ctx.Err() != nil || !Retryable(err) {
 			return err
 		}

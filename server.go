@@ -21,7 +21,6 @@ import (
 	"log"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"mcs/internal/core"
@@ -290,14 +289,11 @@ type ServerOptions struct {
 	// wal_appends/wal_fsyncs/wal_replayed counters on /metrics and /statz —
 	// and routes "wal"-site fault-injection rules into it.
 	WAL *WAL
-	// DisableJSONAPI removes the compact JSON wire (/api/v1/<op>), leaving
-	// SOAP as the only operation transport. Both wires serve the same
-	// dispatch table; disabling one never changes the other's behavior.
-	DisableJSONAPI bool
 }
 
-// Server is the MCS web service: a SOAP endpoint in front of a Catalog.
-// It implements http.Handler.
+// Server is the MCS web service: the SOAP endpoint at / and the compact
+// JSON wire under /api/v1/, one request pipeline in front of a Catalog. It
+// implements http.Handler.
 //
 // Unless disabled via ObsOptions, the handler also serves:
 //
@@ -307,7 +303,6 @@ type ServerOptions struct {
 //	/healthz — liveness probe (checks the catalog answers queries)
 //	/statz   — catalog row counts (Catalog.Stats) as JSON
 type Server struct {
-	*soap.Server
 	catalog   *Catalog
 	cas       *CASIntegration
 	metrics   *obs.Registry
@@ -315,7 +310,7 @@ type Server struct {
 	faults    *faultinject.Injector
 	wal       *WAL
 	table     *mcswire.Table
-	json      *jsonwire.Server
+	wire      *mcswire.Server
 	endpoints bool
 	started   time.Time
 }
@@ -335,7 +330,7 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 func (s *Server) SlowOps() *obs.SlowOpLog { return s.slow }
 
 // Table returns the transport-neutral dispatch table: every catalog
-// operation, registered exactly once and mounted by both wire servers.
+// operation, registered exactly once and served over both wires.
 func (s *Server) Table() *mcswire.Table { return s.table }
 
 // caller resolves the effective identity of a request: the authenticated
@@ -378,19 +373,14 @@ func NewServer(opts ServerOptions) (*Server, error) {
 			return nil, err
 		}
 	}
-	ss := soap.NewServer("MetadataCatalogService", mcswire.NS)
-	if opts.TrustStore != nil {
-		ss.SetAuthenticator(&gsi.Verifier{Trust: opts.TrustStore})
-	}
 	s := &Server{
-		Server: ss, catalog: cat, cas: opts.CAS,
+		catalog: cat, cas: opts.CAS,
 		wal:       opts.WAL,
 		endpoints: !opts.Obs.DisableEndpoints,
 		started:   time.Now(),
 	}
 	if !opts.Obs.DisableMetrics {
 		s.metrics = obs.NewRegistry()
-		ss.SetMetrics(s.metrics)
 		if w := opts.WAL; w != nil {
 			s.metrics.RegisterCounter("mcs_wal_appends_total",
 				"Commit records appended to the write-ahead log.",
@@ -405,14 +395,11 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	}
 	if opts.Obs.SlowOpThreshold > 0 {
 		s.slow = obs.NewSlowOpLog(opts.Obs.SlowOpThreshold, opts.Obs.SlowOpLogger)
-		ss.SetSlowOpLog(s.slow)
 	}
 	if inj := opts.FaultInjector; inj != nil {
-		if inj.DefaultErr == nil {
-			inj.DefaultErr = core.ErrUnavailable
-		}
+		// mcswire.NewServer below defaults inj.DefaultErr to ErrUnavailable,
+		// for these hooks as much as for its own sites.
 		s.faults = inj
-		ss.SetFaultInjector(inj)
 		cat.DB().SetFaultHook(func(verb string) error {
 			f := inj.Eval(faultinject.SiteDB, verb, "")
 			if f == nil {
@@ -455,25 +442,12 @@ func NewServer(opts ServerOptions) (*Server, error) {
 			})
 		}
 	}
-	ss.SetErrorCode(faultCodeFor)
 	s.register()
-	if !opts.DisableJSONAPI {
-		js := jsonwire.NewServer(s.table)
-		if opts.TrustStore != nil {
-			js.SetAuthenticator(&gsi.Verifier{Trust: opts.TrustStore})
-		}
-		if s.metrics != nil {
-			js.SetMetrics(s.metrics)
-		}
-		if s.slow != nil {
-			js.SetSlowOpLog(s.slow)
-		}
-		if s.faults != nil {
-			js.SetFaultInjector(s.faults)
-		}
-		js.SetErrorCode(faultCodeFor)
-		s.json = js
+	cfg := mcswire.Config{Metrics: s.metrics, SlowOps: s.slow, Faults: s.faults}
+	if opts.TrustStore != nil {
+		cfg.Authenticate = (&gsi.Verifier{Trust: opts.TrustStore}).Authenticate
 	}
+	s.wire = mcswire.NewServer(s.table, cfg, jsonwire.Codec{}, soap.Codec{})
 	return s, nil
 }
 
@@ -482,9 +456,8 @@ func (s *Server) ListenAndServe(addr string) error {
 	return http.ListenAndServe(addr, s)
 }
 
-// ServeHTTP routes the diagnostic endpoints when enabled, the JSON API
-// under /api/v1/ unless disabled, and hands everything else to the SOAP
-// dispatcher.
+// ServeHTTP routes the diagnostic endpoints when enabled and hands
+// everything else — both wires — to the request pipeline.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.endpoints {
 		switch r.URL.Path {
@@ -499,11 +472,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.json != nil && strings.HasPrefix(r.URL.Path, jsonwire.Prefix) {
-		s.json.ServeHTTP(w, r)
-		return
-	}
-	s.Server.ServeHTTP(w, r)
+	s.wire.ServeHTTP(w, r)
 }
 
 // serveMetrics renders the registry: Prometheus text exposition format by
@@ -578,7 +547,7 @@ func (s *Server) serveStatz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handle registers one typed operation handler in the dispatch table,
-// type-erasing it for the wire servers. Mutating comes from the same
+// type-erasing it for the pipeline. Mutating comes from the same
 // mutatingActions map the client retry layer consults, so both ends of the
 // wire agree — from one source — on which calls carry idempotency keys.
 func handle[Req, Resp any](t *mcswire.Table, name string, fn func(ctx *mcswire.Ctx, req *Req) (*Resp, error)) {
@@ -590,22 +559,6 @@ func handle[Req, Resp any](t *mcswire.Table, name string, fn func(ctx *mcswire.C
 			return fn(ctx, req.(*Req))
 		},
 	})
-}
-
-// mountSOAP serves every dispatch-table operation over the SOAP wire. The
-// SOAP layer owns XML decoding and envelope encoding; the table handler in
-// between is the same one the JSON wire runs.
-func (s *Server) mountSOAP() {
-	for _, name := range s.table.Ops() {
-		h := s.table.Lookup(name)
-		s.Server.HandleAny(h.Name, h.New, func(ctx *soap.Ctx, req any) (any, error) {
-			return h.Call(&mcswire.Ctx{
-				DN: ctx.DN, RemoteAddr: ctx.RemoteAddr, Header: ctx.Header,
-				RequestID: ctx.RequestID, IdempotencyKey: ctx.IdempotencyKey,
-				Transport: "soap",
-			}, req)
-		})
-	}
 }
 
 // queryFromWire converts a wire query (target + string-typed predicates)
@@ -630,9 +583,8 @@ func queryFromWire(target string, limit int, preds []mcswire.WirePredicate) (Que
 // out as they surface, so response size never drives server memory.
 const streamPageSize = 512
 
-// register builds the transport-neutral dispatch table — every catalog
-// operation, registered exactly once — and mounts it on the SOAP server.
-// NewServer mounts the same table on the JSON wire.
+// register builds the transport-neutral dispatch table: every catalog
+// operation, registered exactly once.
 func (s *Server) register() {
 	cat := s.catalog
 	t := mcswire.NewTable()
@@ -1232,6 +1184,4 @@ func (s *Server) register() {
 			Objects: sum.Objects,
 		}, nil
 	})
-
-	s.mountSOAP()
 }

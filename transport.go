@@ -4,8 +4,7 @@ import (
 	"context"
 	"net/http"
 
-	"mcs/internal/jsonwire"
-	"mcs/internal/soap"
+	"mcs/internal/mcswire"
 )
 
 // TransportKind selects one of the built-in wire encodings.
@@ -42,21 +41,11 @@ type StreamTransport interface {
 		newRow func() any, row func(any) error) error
 }
 
-// soapTransport adapts the SOAP wire client to the Transport interface.
-type soapTransport struct{ c *soap.Client }
+// unaryTransport is the wire client behind a codec with no streamed
+// encoding (SOAP): hiding Stream makes the StreamTransport assertion fail,
+// so streaming callers fall back to paging.
+type unaryTransport struct{ c *mcswire.Client }
 
-func (t soapTransport) Call(ctx context.Context, action string, extra http.Header, req, resp any) error {
-	return t.c.CallHdrCtx(ctx, action, extra, req, resp)
-}
-
-// jsonTransport adapts the JSON wire client; it also streams.
-type jsonTransport struct{ c *jsonwire.Client }
-
-func (t jsonTransport) Call(ctx context.Context, action string, extra http.Header, req, resp any) error {
-	return t.c.CallHdrCtx(ctx, action, extra, req, resp)
-}
-
-func (t jsonTransport) Stream(ctx context.Context, action string, extra http.Header, req any,
-	newRow func() any, row func(any) error) error {
-	return t.c.StreamCtx(ctx, action, extra, req, newRow, row)
+func (t unaryTransport) Call(ctx context.Context, action string, extra http.Header, req, resp any) error {
+	return t.c.Call(ctx, action, extra, req, resp)
 }

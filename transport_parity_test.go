@@ -11,8 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"mcs/internal/jsonwire"
-	"mcs/internal/soap"
+	"mcs/internal/mcswire"
 )
 
 // fixedClock pins catalog timestamps so two servers running the same script
@@ -246,19 +245,6 @@ func TestTransportOpsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTransportDisableJSONAPI checks the knob: with the JSON wire off,
-// /api/v1 requests fall through to the SOAP dispatcher and fail, while SOAP
-// keeps working.
-func TestTransportDisableJSONAPI(t *testing.T) {
-	_, url := startServer(t, ServerOptions{DisableJSONAPI: true})
-	if _, err := NewClient(url, testAlice).Ping(); err != nil {
-		t.Fatalf("soap ping with JSON API disabled: %v", err)
-	}
-	if _, err := NewClient(url, testAlice, WithTransport(TransportJSON)).Ping(); err == nil {
-		t.Fatal("json ping succeeded against a server with DisableJSONAPI")
-	}
-}
-
 // TestTransportMetricsLabels checks dispatch instrumentation separates the
 // wires: SOAP calls keep the historical unlabeled series, JSON calls get a
 // transport="json" label — so existing dashboards keep working and the new
@@ -312,16 +298,11 @@ func TestTransportErrorParity(t *testing.T) {
 		if !errors.Is(err, ErrTransport) {
 			t.Fatalf("%s against non-wire server: %v, want ErrTransport", kind, err)
 		}
-		var ste *soap.TransportError
-		var jte *jsonwire.TransportError
-		switch {
-		case errors.As(err, &ste):
-			got = append(got, evidence{ste.Status, ste.Body})
-		case errors.As(err, &jte):
-			got = append(got, evidence{jte.Status, jte.Body})
-		default:
+		var te *mcswire.TransportError
+		if !errors.As(err, &te) {
 			t.Fatalf("%s error %v carries no TransportError", kind, err)
 		}
+		got = append(got, evidence{te.Status, te.Body})
 	}
 	if got[0].status != got[1].status || got[0].body != got[1].body {
 		t.Fatalf("transport error evidence differs:\n soap: %+v\n json: %+v", got[0], got[1])

@@ -192,9 +192,9 @@ func TestStreamCollectionContents(t *testing.T) {
 		}
 	}
 
-	jc := jsonwire.NewClient(url)
+	jc := mcswire.NewClient(url, jsonwire.Codec{}, nil)
 	var files, subs int
-	err := jc.StreamCtx(t.Context(), "collectionContents", nil,
+	err := jc.Stream(t.Context(), "collectionContents", nil,
 		map[string]string{"caller": testAlice, "name": "big"},
 		func() any { return new(mcswire.ContentsRow) },
 		func(r any) error {

@@ -58,11 +58,14 @@ readpath:
 # The write-ahead-log crash suite: the torn-write corpus (recovery from a
 # hard cut at every byte offset of the final record), the kill-and-replay
 # chaos leg (a retried mutation straddling a crash stays exactly-once),
-# the checkpoint-failure regression and the daemon-level crash recovery.
+# the checkpoint-failure regression, the daemon-level crash recovery, and —
+# the other half of what a crash leaves behind — the snapshot suite: format
+# pin, structural and byte-level damage corpus, legacy fixture, orphaned
+# temp file.
 walcrash:
 	MCS_CHAOS_SEEDS=$${MCS_CHAOS_SEEDS:-1,7,42} \
 		$(GO) test -race -timeout 10m -v \
-		-run 'TestWAL|TestChaosWALKillReplay|TestCheckpointFailureKeepsWAL|TestDaemonWALCrashRecovery' \
+		-run 'TestWAL|TestChaosWALKillReplay|TestCheckpointFailureKeepsWAL|TestDaemonWALCrashRecovery|TestSnapshot|TestLoadSnapshot|TestBootFromLegacySnapshotAndWAL|TestBootRemovesOrphanedTmp|TestBootSurvivesUnremovableTmp' \
 		./internal/sqldb ./cmd/mcsd .
 
 # The durability sweep (Fig. 15): add rate snapshot-only vs WAL with group

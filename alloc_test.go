@@ -1,4 +1,4 @@
-// Allocation gates for the add path and the restored heap. The
+// Allocation gates for the add path, the snapshot and the restored heap. The
 // write-amplification work (compact Values, batched index maintenance,
 // shared-interior btree copies, row-pointer index entries) is easy to
 // regress invisibly — throughput benchmarks drift with hardware, but bytes
@@ -46,6 +46,9 @@ const (
 	batchAddByteBudget   = 45_000 // per add inside a 100-op batch
 	batchAddAllocBudget  = 330
 	restoredHeapBudget   = 10_000 // bytes live per file after core.Restore
+	// Catalog.Snapshot allocates its frame buffer and little else (~45 KB
+	// measured); the gob encoder it replaced allocated ~16 KB per file.
+	snapshotAllocBudget = 256 << 10 // bytes per Snapshot, whatever the catalog's size
 )
 
 func gateCatalog(t *testing.T) *core.Catalog {
@@ -178,6 +181,41 @@ func datasetSnapshot(tb testing.TB, files int) []byte {
 	return buf.Bytes()
 }
 
+// countingWriter is a sink that keeps the byte count only.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestSnapshotAllocBudget gates the checkpoint's memory: Catalog.Snapshot of
+// a catalog five times the size must fit the same fixed budget — O(frame),
+// not O(catalog) — so a checkpoint never competes with the working set for
+// heap, and never hands the collector a catalog-sized pile to trace while
+// writers run.
+func TestSnapshotAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs a populated catalog")
+	}
+	for _, files := range []int{2000, 10000} {
+		cat, err := bench.Load(bench.DefaultConfig(files))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out countingWriter
+		perSnapshot, _ := allocsPerAdd(1, func(int) {
+			if err := cat.Snapshot(&out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d files: Snapshot writes %d B (%.0f B per file) and allocates %.0f B", files, out.n, float64(out.n)/float64(files), perSnapshot)
+		if perSnapshot > snapshotAllocBudget {
+			t.Errorf("Snapshot of %d files allocates %.0f B, budget %d at any size", files, perSnapshot, snapshotAllocBudget)
+		}
+	}
+}
+
 // liveHeap is HeapAlloc after two forced collections (the second sweeps
 // what the first one's finalizers and deferred frees released).
 func liveHeap() uint64 {
@@ -225,4 +263,21 @@ func BenchmarkRestore(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(files)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
+}
+
+// BenchmarkSnapshot times Catalog.Snapshot of the same dataset into a sink:
+// MB/s of stream written, files/s, and — the point of the framed stream —
+// B/op that does not grow with the catalog.
+func BenchmarkSnapshot(b *testing.B) {
+	cat := loadedCatalog(b)
+	var out countingWriter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cat.Snapshot(&out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(out.n / int64(b.N))
+	b.ReportMetric(float64(benchFiles())*float64(b.N)/b.Elapsed().Seconds(), "files/s")
 }

@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -45,11 +46,20 @@ import (
 // restoreOrOpen loads the catalog from an existing snapshot file, or opens
 // a fresh one when the file does not exist yet. restored reports whether
 // state actually came from the snapshot — callers must not re-run initial
-// data loads in that case.
+// data loads in that case. A <path>.tmp beside the snapshot is what a
+// checkpoint killed mid-write left behind; nothing reads it and only the
+// next successful checkpoint would replace it, so boot removes it.
 func restoreOrOpen(path string, opts mcs.Options) (cat *mcs.Catalog, restored bool, err error) {
 	if path == "" {
 		cat, err = mcs.OpenCatalog(opts)
 		return cat, false, err
+	}
+	if err := os.Remove(path + ".tmp"); err == nil {
+		log.Printf("mcsd: removed %s.tmp, left by an interrupted checkpoint", path)
+	} else if !os.IsNotExist(err) {
+		// Housekeeping only: the snapshot and the log are what boot needs,
+		// and the next checkpoint's create will report a real problem.
+		log.Printf("mcsd: cannot remove the interrupted checkpoint's temp file: %v", err)
 	}
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -72,27 +82,29 @@ func restoreOrOpen(path string, opts mcs.Options) (cat *mcs.Catalog, restored bo
 // rename, then fsync of the parent directory. Without the file sync a crash
 // shortly after the rename can leave a truncated "complete" snapshot;
 // without the directory sync the rename itself may not have reached disk.
-func snapshotTo(cat *mcs.Catalog, path string) error {
+// It fills in st's bytes, dump and persist.
+func snapshotTo(cat *mcs.Catalog, path string, st *checkpointStats) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := cat.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	start := time.Now()
+	err = cat.Snapshot(f)
+	dumped := time.Now()
+	st.dump = dumped.Sub(start)
+	defer func() { st.persist = time.Since(dumped) }()
+	if err == nil {
+		st.bytes, _ = f.Seek(0, io.SeekCurrent) // reported only; Sync below is the check that counts
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -116,22 +128,50 @@ func syncDir(dir string) error {
 // covering LSN is captured before the dump, so a commit racing the snapshot
 // can only make the snapshot newer than claimed, never older: a failed or
 // short checkpoint always leaves every uncovered record on disk for the
-// next recovery.
-func checkpoint(cat *mcs.Catalog, w *mcs.WAL, path string) error {
-	if w == nil {
-		return snapshotTo(cat, path)
+// next recovery. Each phase is timed; the result is logged on one line and,
+// when there is a server, published on its /metrics and /statz.
+func checkpoint(cat *mcs.Catalog, w *mcs.WAL, path string, srv *mcs.Server) error {
+	var st checkpointStats
+	err := func() error {
+		if w != nil {
+			start := time.Now()
+			err := w.Rotate()
+			st.rotate = time.Since(start)
+			if err != nil {
+				return fmt.Errorf("wal rotate: %w", err)
+			}
+		}
+		st.lsn = cat.LastLSN()
+		if err := snapshotTo(cat, path, &st); err != nil {
+			return err
+		}
+		if w != nil {
+			start := time.Now()
+			err := w.DropCovered(st.lsn)
+			st.drop = time.Since(start)
+			if err != nil {
+				return fmt.Errorf("wal truncate: %w", err)
+			}
+		}
+		return nil
+	}()
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	log.Printf("mcsd: checkpoint: lsn=%d bytes=%d rotate_ms=%.1f dump_ms=%.1f persist_ms=%.1f drop_ms=%.1f err=%v",
+		st.lsn, st.bytes, ms(st.rotate), ms(st.dump), ms(st.persist), ms(st.drop), err)
+	if srv != nil {
+		srv.RecordCheckpoint(st.lsn, st.bytes, st.rotate+st.dump+st.persist+st.drop, st.dump, err)
 	}
-	if err := w.Rotate(); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
-	}
-	lsn := cat.LastLSN()
-	if err := snapshotTo(cat, path); err != nil {
-		return err
-	}
-	if err := w.DropCovered(lsn); err != nil {
-		return fmt.Errorf("wal truncate: %w", err)
-	}
-	return nil
+	return err
+}
+
+// checkpointStats is what checkpoint measures: the LSN the snapshot covers,
+// its size on disk, and the phases — rotating the log, Catalog.Snapshot into
+// the temp file, making it durable (fsync, rename, directory fsync), dropping
+// the log the snapshot covers. A failed checkpoint has the phases it reached.
+type checkpointStats struct {
+	lsn                         uint64
+	bytes                       int64
+	rotate, dump, persist, drop time.Duration
 }
 
 // config carries mcsd's parsed flags.
@@ -242,9 +282,7 @@ func run(cfg config, stop <-chan os.Signal, ready chan<- net.Addr) error {
 			for {
 				select {
 				case <-ticker.C:
-					if err := checkpoint(catalog, wal, cfg.snapshot); err != nil {
-						log.Printf("mcsd: snapshot: %v", err)
-					}
+					checkpoint(catalog, wal, cfg.snapshot, srv) //nolint:errcheck // logged there, and on /statz
 				case <-tickerDone:
 					return
 				}
@@ -279,7 +317,7 @@ func run(cfg config, stop <-chan os.Signal, ready chan<- net.Addr) error {
 		log.Printf("mcsd: drain: %v", err)
 	}
 	if cfg.snapshot != "" {
-		if err := checkpoint(catalog, wal, cfg.snapshot); err != nil {
+		if err := checkpoint(catalog, wal, cfg.snapshot, srv); err != nil {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
 		log.Printf("mcsd: final snapshot written to %s", cfg.snapshot)

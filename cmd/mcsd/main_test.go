@@ -39,7 +39,7 @@ func TestSnapshotCycle(t *testing.T) {
 	if _, err := cat.CreateFile("/CN=x", mcs.FileSpec{Name: "persisted"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshotTo(cat, path); err != nil {
+	if err := snapshotTo(cat, path, &checkpointStats{}); err != nil {
 		t.Fatal(err)
 	}
 	// No temp file left behind.
@@ -69,6 +69,73 @@ func TestRestoreOrOpenCorruptFile(t *testing.T) {
 	}
 }
 
+// TestBootRemovesOrphanedTmp: a checkpoint killed mid-write leaves a
+// snapshot-sized <snapshot>.tmp that nothing reads; boot removes it, with or
+// without a real snapshot beside it, and never mistakes it for one.
+func TestBootRemovesOrphanedTmp(t *testing.T) {
+	for _, withSnapshot := range []bool{true, false} {
+		t.Run(fmt.Sprintf("snapshot=%v", withSnapshot), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state.mcs")
+			if withSnapshot {
+				cat, err := mcs.OpenCatalog(mcs.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cat.CreateFile("/CN=x", mcs.FileSpec{Name: "persisted"}); err != nil {
+					t.Fatal(err)
+				}
+				if err := snapshotTo(cat, path, &checkpointStats{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Half a snapshot, as kill -9 mid-dump leaves it.
+			if err := os.WriteFile(path+".tmp", []byte("half a snapshot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cat, restored, err := restoreOrOpen(path, mcs.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored != withSnapshot {
+				t.Fatalf("restored = %v with snapshot present = %v", restored, withSnapshot)
+			}
+			if _, err := cat.GetFile("/CN=x", "persisted", 0); (err == nil) != withSnapshot {
+				t.Fatalf("GetFile after boot: %v", err)
+			}
+			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("orphaned tmp still there after boot: %v", err)
+			}
+		})
+	}
+}
+
+// TestBootSurvivesUnremovableTmp: failing to clear the temp file is
+// housekeeping gone wrong, not a reason to refuse a catalog whose snapshot is
+// intact. A non-empty directory stands in for whatever os.Remove chokes on.
+func TestBootSurvivesUnremovableTmp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.mcs")
+	cat, err := mcs.OpenCatalog(mcs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.CreateFile("/CN=x", mcs.FileSpec{Name: "persisted"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshotTo(cat, path, &checkpointStats{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path+".tmp", "in the way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cat, restored, err := restoreOrOpen(path, mcs.Options{})
+	if err != nil || !restored {
+		t.Fatalf("restoreOrOpen = restored %v, %v; want the snapshot booted", restored, err)
+	}
+	if _, err := cat.GetFile("/CN=x", "persisted", 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fileSet lists the logical file names and versions in a catalog via the
 // benchmark loader's query surface.
 func fileSet(t *testing.T, cat *mcs.Catalog) []string {
@@ -94,7 +161,7 @@ func TestSnapshotRestartMutateResnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := snapshotTo(cat, path); err != nil {
+	if err := snapshotTo(cat, path, &checkpointStats{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +182,7 @@ func TestSnapshotRestartMutateResnapshot(t *testing.T) {
 	if err := second.DeleteFile("/CN=x", "gen1-0", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshotTo(second, path); err != nil {
+	if err := snapshotTo(second, path, &checkpointStats{}); err != nil {
 		t.Fatal(err)
 	}
 

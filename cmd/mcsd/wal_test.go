@@ -1,9 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -56,7 +61,7 @@ func TestCheckpointFailureKeepsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A checkpoint that succeeds: snapshot v1 covers before-good.dat.
-	if err := checkpoint(cat, w, snapPath); err != nil {
+	if err := checkpoint(cat, w, snapPath, nil); err != nil {
 		t.Fatal(err)
 	}
 	if w.Sealed() {
@@ -70,7 +75,7 @@ func TestCheckpointFailureKeepsWAL(t *testing.T) {
 	// snapshot did not, so the sealed generation (holding before-bad.dat)
 	// must be retained — the persisted snapshot does not cover it.
 	doomed := filepath.Join(dir, "no-such-dir", "cat.snap")
-	if err := checkpoint(cat, w, doomed); err == nil {
+	if err := checkpoint(cat, w, doomed, nil); err == nil {
 		t.Fatal("checkpoint to unwritable path succeeded")
 	}
 	if !w.Sealed() {
@@ -108,7 +113,7 @@ func TestCheckpointFailureKeepsWAL(t *testing.T) {
 
 	// And once a checkpoint to the real path succeeds, the backlog drains:
 	// both generations are covered and the sealed file is released.
-	if err := checkpoint(cat2, w2, snapPath); err != nil {
+	if err := checkpoint(cat2, w2, snapPath, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(walPath + ".1"); !os.IsNotExist(err) {
@@ -190,5 +195,77 @@ func TestDaemonWALCrashRecovery(t *testing.T) {
 	}
 	if _, err := cat.GetFile("/CN=tester", "survives-kill.dat", 0); err != nil {
 		t.Fatalf("write lost across clean restart: %v", err)
+	}
+}
+
+// TestCheckpointObservable: a daemon's periodic checkpoints show up in the
+// product — last_checkpoint on /statz with the covered LSN, the snapshot's
+// size and the phase times, and the three checkpoint series on /metrics
+// (there from boot, reading 0 until the first checkpoint).
+func TestCheckpointObservable(t *testing.T) {
+	snapPath := filepath.Join(t.TempDir(), "cat.snap")
+	cfg := config{
+		addr: "127.0.0.1:0", snapshot: snapPath, wal: true, walSync: "off",
+		snapshotEvery: 50 * time.Millisecond, metrics: true, drainTimeout: 5 * time.Second,
+	}
+	addr, shutdown := startDaemon(t, cfg)
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr.String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	client := mcs.NewClient("http://"+addr.String(), "/CN=tester")
+	if _, err := client.CreateFile(mcs.FileSpec{Name: "checkpointed.dat"}); err != nil {
+		t.Fatal(err)
+	}
+	var statz struct {
+		Last *struct {
+			LSN         uint64  `json:"lsn"`
+			Bytes       int64   `json:"bytes"`
+			Seconds     float64 `json:"seconds"`
+			DumpSeconds float64 `json:"dump_seconds"`
+			AgeSeconds  float64 `json:"age_seconds"`
+			Error       string  `json:"error"`
+		} `json:"last_checkpoint"`
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for statz.Last == nil || statz.Last.LSN == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint covering the write on /statz: %s", get("/statz"))
+		}
+		time.Sleep(20 * time.Millisecond)
+		if err := json.Unmarshal([]byte(get("/statz")), &statz); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := statz.Last
+	if last.Error != "" || last.Bytes <= 0 || last.Seconds <= 0 || last.DumpSeconds <= 0 || last.DumpSeconds > last.Seconds || last.AgeSeconds < 0 {
+		t.Fatalf("last_checkpoint = %+v", *last)
+	}
+	// Later checkpoints of the unchanged catalog write the same bytes.
+	if last.Bytes != fi.Size() {
+		t.Fatalf("last_checkpoint.bytes = %d, the snapshot on disk is %d", last.Bytes, fi.Size())
+	}
+	metrics := get("/metrics")
+	for _, series := range []string{"mcs_checkpoints_total ", "mcs_checkpoint_seconds_total 0.",
+		"# TYPE mcs_snapshot_bytes gauge\n", fmt.Sprintf("mcs_snapshot_bytes %d\n", fi.Size())} {
+		if !strings.Contains(metrics, "\n"+series) {
+			t.Errorf("/metrics lacks %q", series)
+		}
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }

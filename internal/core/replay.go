@@ -16,10 +16,8 @@ import (
 // mode.
 const ReplayCacheBound = 4096
 
-// replayTableDDL creates the replay cache. IF NOT EXISTS makes it double as
-// the upgrade path for snapshots taken before the table existed (Restore
-// runs it after loading).
-const replayTableDDL = `CREATE TABLE IF NOT EXISTS replay_cache (
+// replayTableDDL creates the replay cache.
+const replayTableDDL = `CREATE TABLE replay_cache (
 	id INTEGER PRIMARY KEY AUTOINCREMENT,
 	idem_key TEXT NOT NULL UNIQUE,
 	action TEXT NOT NULL,

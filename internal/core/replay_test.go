@@ -127,34 +127,3 @@ func TestReplayCacheSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("versions after restore = %d, want 1", len(vs))
 	}
 }
-
-// Snapshots taken before the replay cache existed restore cleanly: Restore
-// creates the missing table so idempotent writes work immediately.
-func TestRestoreUpgradesLegacySnapshot(t *testing.T) {
-	c, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dn := "/CN=writer"
-	if _, err := c.CreateFile(dn, FileSpec{Name: "old.dat"}); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a pre-replay-cache snapshot by dropping the table first.
-	if _, err := c.db.Exec("DROP TABLE replay_cache"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(Options{}, &buf)
-	if err != nil {
-		t.Fatalf("restore of legacy snapshot = %v", err)
-	}
-	if _, err := restored.CreateFile(dn, FileSpec{Name: "new.dat"}, WithIdempotencyKey("up-key")); err != nil {
-		t.Fatalf("idempotent write after legacy restore = %v", err)
-	}
-	if _, err := restored.CreateFile(dn, FileSpec{Name: "new.dat"}, WithIdempotencyKey("up-key")); err != nil {
-		t.Fatalf("replay after legacy restore = %v", err)
-	}
-}

@@ -30,15 +30,10 @@ func Restore(opts Options, r io.Reader) (*Catalog, error) {
 		return nil, err
 	}
 	// Sanity-check that this snapshot carries an MCS schema.
-	for _, required := range []string{"logical_file", "logical_collection", "user_attribute"} {
+	for _, required := range []string{"logical_file", "logical_collection", "user_attribute", "replay_cache"} {
 		if _, err := db.RowCount(required); err != nil {
 			return nil, fmt.Errorf("mcs: snapshot lacks table %q: %w", required, err)
 		}
-	}
-	// Snapshots taken before the replay cache existed gain the (empty)
-	// table here, so idempotent retry keeps working across the upgrade.
-	if _, err := db.Exec(replayTableDDL); err != nil {
-		return nil, err
 	}
 	return &Catalog{db: db, opts: opts, authz: opts.EnforceAuthz}, nil
 }

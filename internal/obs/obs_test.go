@@ -190,6 +190,28 @@ func TestRegistryPrometheus(t *testing.T) {
 	}
 }
 
+// TestRegistryExternalSeries: a registered counter renders as the integer it
+// is, however large; a float series renders under the type it was given.
+func TestRegistryExternalSeries(t *testing.T) {
+	r := NewRegistry()
+	r.RegisterCounter("x_ops_total", "Ops.", func() int64 { return 1 << 40 })
+	r.RegisterFloat("x_seconds_total", "Seconds.", "counter", func() float64 { return 0.25 })
+	r.RegisterFloat("x_bytes", "Bytes.", "gauge", func() float64 { return 7 })
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE x_ops_total counter\nx_ops_total 1099511627776\n",
+		"# TYPE x_seconds_total counter\nx_seconds_total 0.25\n",
+		"# TYPE x_bytes gauge\nx_bytes 7\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("missing %q in:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestNewRequestIDUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {

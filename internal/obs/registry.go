@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,11 +118,13 @@ type Registry struct {
 	start    time.Time
 }
 
-// externalCounter is a counter registered via RegisterCounter.
+// externalCounter is a series registered via RegisterCounter or
+// RegisterFloat.
 type externalCounter struct {
 	name string
 	help string
-	fn   func() int64
+	typ  string // its Prometheus type
+	fn   func() float64
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -198,24 +201,32 @@ func (r *Registry) FaultsInjected() map[string]int64 {
 // atomic state and the registry stays free of cross-package dependencies.
 // Registering the same name again replaces the callback.
 func (r *Registry) RegisterCounter(name, help string, fn func() int64) {
+	r.RegisterFloat(name, help, "counter", func() float64 { return float64(fn()) })
+}
+
+// RegisterFloat is RegisterCounter for a series that is not a whole number
+// (seconds) or not a counter: typ is its Prometheus type, "counter" or
+// "gauge".
+func (r *Registry) RegisterFloat(name, help, typ string, fn func() float64) {
+	c := externalCounter{name: name, help: help, typ: typ, fn: fn}
 	r.extMu.Lock()
 	defer r.extMu.Unlock()
 	for i := range r.external {
 		if r.external[i].name == name {
-			r.external[i] = externalCounter{name: name, help: help, fn: fn}
+			r.external[i] = c
 			return
 		}
 	}
-	r.external = append(r.external, externalCounter{name: name, help: help, fn: fn})
+	r.external = append(r.external, c)
 	sort.Slice(r.external, func(i, j int) bool { return r.external[i].name < r.external[j].name })
 }
 
-// Counters samples every registered external counter by name.
-func (r *Registry) Counters() map[string]int64 {
+// Counters samples every registered external series by name.
+func (r *Registry) Counters() map[string]float64 {
 	r.extMu.Lock()
 	ext := append([]externalCounter(nil), r.external...)
 	r.extMu.Unlock()
-	out := make(map[string]int64, len(ext))
+	out := make(map[string]float64, len(ext))
 	for _, c := range ext {
 		out[c.name] = c.fn()
 	}
@@ -296,7 +307,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		BatchSizes    sizeSnapshot          `json:"batch_sizes"`
 		PageSizes     sizeSnapshot          `json:"page_sizes"`
 		Faults        map[string]int64      `json:"faults_injected"`
-		Counters      map[string]int64      `json:"counters"`
+		Counters      map[string]float64    `json:"counters"`
 		Operations    map[string]opSnapshot `json:"operations"`
 	}{
 		UptimeSeconds: int64(time.Since(r.start).Seconds()),
@@ -361,7 +372,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	ext := append([]externalCounter(nil), r.external...)
 	r.extMu.Unlock()
 	for _, c := range ext {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.fn())
+		p("# HELP %s %s\n# TYPE %s %s\n%s %s\n", c.name, c.help, c.name, c.typ, c.name,
+			strconv.FormatFloat(c.fn(), 'f', -1, 64))
 	}
 	p("# HELP mcs_batch_ops Operations carried per batchWrite request.\n# TYPE mcs_batch_ops summary\n")
 	p("mcs_batch_ops_sum %d\nmcs_batch_ops_count %d\n", r.batchSizes.Sum(), r.batchSizes.Count())

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,40 +62,6 @@ func TestMonotonicClockStrippedAtIngest(t *testing.T) {
 	}
 }
 
-// Legacy (version 1) snapshot wire structs, as written before the Value
-// compaction. gob matches struct fields by name, so these local mirrors
-// produce byte streams indistinguishable from what the old code emitted.
-type legacyV1Value struct {
-	T    Type
-	I    int64
-	F    float64
-	S    string
-	B    bool
-	Unix int64
-}
-
-type legacyV1Index struct {
-	Name   string
-	Cols   []int
-	Unique bool
-}
-
-type legacyV1Table struct {
-	Name    string
-	Cols    []ColumnDef
-	Indexes []legacyV1Index
-	NextRow int64
-	AutoInc int64
-	RowIDs  []int64
-	Rows    [][]legacyV1Value
-}
-
-type legacyV1Snapshot struct {
-	Version int
-	LSN     uint64
-	Tables  []legacyV1Table
-}
-
 // legacyStmt is one statement of a hand-framed legacy WAL record.
 type legacyStmt struct {
 	sql  string
@@ -137,7 +105,7 @@ func appendLegacyWALRecordStmts(t *testing.T, f *os.File, lsn uint64, stmts ...l
 			}
 		}
 	}
-	rec := make([]byte, walRecordHeaderSize, walRecordHeaderSize+len(payload))
+	rec := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
 	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
 	rec = append(rec, payload...)
@@ -146,72 +114,42 @@ func appendLegacyWALRecordStmts(t *testing.T, f *os.File, lsn uint64, stmts ...l
 	}
 }
 
-// TestBootFromLegacySnapshotAndWAL boots the engine from a fixture built in
-// the pre-compaction formats — a version-1 gob snapshot (wide per-cell value
-// fields) plus a log tail whose DATETIME arguments use the seconds-only wire
-// tag — and verifies rows from both sources decode to today's Values.
-func TestBootFromLegacySnapshotAndWAL(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "state.wal")
-	born := time.Date(2003, 11, 15, 9, 30, 0, 0, time.UTC)
+// readV2Fixture returns testdata/v2.snap: a generation-2 (gob) snapshot
+// written by the last build whose Dump wrote gob (PR 15's tree), LSN 52. Its
+// files table (newTestDB's schema plus an index on size) holds lfn-00..lfn-39
+// without lfn-17, size 100·i, score i/4, valid i even, created 2003-11-15
+// 09:30 UTC + i hours — plus 123456 µs where i%5 == 0 — all four NULL where
+// i%7 == 3, and lfn-20's size updated to -5; its notes table (file, body,
+// indexed together) holds one row per fourth file, body NULL per eighth.
+func readV2Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "v2.snap"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
 
-	snap := legacyV1Snapshot{
-		Version: 1,
-		LSN:     2,
-		Tables: []legacyV1Table{{
-			Name: "files",
-			Cols: []ColumnDef{
-				{Name: "id", Type: TypeInt, AutoIncrement: true, NotNull: true},
-				{Name: "name", Type: TypeText, NotNull: true},
-				{Name: "size", Type: TypeInt},
-				{Name: "score", Type: TypeFloat},
-				{Name: "valid", Type: TypeBool},
-				{Name: "created", Type: TypeTime},
-			},
-			Indexes: []legacyV1Index{{Name: "files_name", Cols: []int{1}, Unique: true}},
-			NextRow: 3,
-			AutoInc: 2,
-			RowIDs:  []int64{1, 2},
-			Rows: [][]legacyV1Value{
-				{
-					{T: TypeInt, I: 1},
-					{T: TypeText, S: "alpha"},
-					{T: TypeInt, I: 1024},
-					{T: TypeFloat, F: 0.5},
-					{T: TypeBool, B: true},
-					{T: TypeTime, Unix: born.Unix()},
-				},
-				{
-					{T: TypeInt, I: 2},
-					{T: TypeText, S: "beta"},
-					{T: TypeNull},
-					{T: TypeNull},
-					{T: TypeNull},
-					{T: TypeNull},
-				},
-			},
-		}},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatalf("encode legacy snapshot: %v", err)
-	}
+// TestBootFromLegacySnapshotAndWAL boots the engine from files in both
+// frozen on-disk contracts — the committed generation-2 gob snapshot, and a
+// log tail hand-framed the way PR 6 wrote it (seconds-only DATETIME tag,
+// statement texts in full) — verifies rows from both sources decode to
+// today's Values, and that the next Dump leaves the gob generation behind.
+func TestBootFromLegacySnapshotAndWAL(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "state.wal")
+	born := time.Date(2003, 11, 15, 9, 30, 0, 0, time.UTC)
 
 	f, err := os.Create(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// LSN 2 is covered by the snapshot and must be skipped; LSN 3 is the tail.
-	appendLegacyWALRecord(t, f, 2,
-		"INSERT INTO files (name, size, created) VALUES (?, ?, ?)",
-		"beta-shadow", int64(7), born)
-	appendLegacyWALRecord(t, f, 3,
-		"INSERT INTO files (name, size, created) VALUES (?, ?, ?)",
-		"gamma", int64(2048), born.Add(time.Hour))
-	// LSN 4 is a multi-statement commit as written before statement
-	// back-references existed: the same INSERT text three times in full.
+	// LSN 52 is covered by the snapshot and must be skipped; 53 is the tail.
 	const insert = "INSERT INTO files (name, size, created) VALUES (?, ?, ?)"
-	appendLegacyWALRecordStmts(t, f, 4,
+	appendLegacyWALRecord(t, f, 52, insert, "shadow", int64(7), born)
+	appendLegacyWALRecord(t, f, 53, insert, "gamma", int64(2048), born.Add(time.Hour))
+	// LSN 54 is a multi-statement commit as written before statement
+	// back-references existed: the same INSERT text three times in full.
+	appendLegacyWALRecordStmts(t, f, 54,
 		legacyStmt{insert, []any{"batch-1", int64(1), born}},
 		legacyStmt{insert, []any{"batch-2", int64(2), born}},
 		legacyStmt{insert, []any{"batch-3", int64(3), born}})
@@ -220,67 +158,120 @@ func TestBootFromLegacySnapshotAndWAL(t *testing.T) {
 	}
 
 	db := New()
-	if err := db.LoadSnapshot(&buf); err != nil {
-		t.Fatalf("LoadSnapshot(v1): %v", err)
+	if err := db.LoadSnapshot(bytes.NewReader(readV2Fixture(t))); err != nil {
+		t.Fatalf("LoadSnapshot(v2 gob): %v", err)
+	}
+	if db.LastLSN() != 52 {
+		t.Fatalf("LSN after the legacy snapshot = %d, want 52", db.LastLSN())
 	}
 	w, stats := openTestWAL(t, walPath, db, WALOptions{})
 	defer w.Close()
 	if stats.Records != 3 || stats.Applied != 2 {
 		t.Fatalf("replay stats = %+v, want 3 records / 2 applied", stats)
 	}
-	if n := mustQuery(t, db, "SELECT COUNT(*) FROM files WHERE size < 4 AND size > 0").Data[0][0].Int(); n != 3 {
-		t.Fatalf("old-format multi-statement record replayed %d of its 3 inserts", n)
-	}
 
-	rows := mustQuery(t, db, "SELECT id, name, size, score, valid, created FROM files WHERE name = ?", Text("alpha"))
-	if len(rows.Data) != 1 {
-		t.Fatalf("alpha lookup = %v", rows.Data)
+	// The same answers from the gob-loaded database and from one reloaded
+	// from its own (framed) dump.
+	dump := dumpBytes(t, db)
+	if !bytes.Equal(dump[9:16], []byte(snapshotMagic)) {
+		t.Fatalf("the next Dump is not the framed format: starts %q", dump[:24])
 	}
-	got := rows.Data[0]
-	if got[0] != Int(1) || got[1] != Text("alpha") || got[2] != Int(1024) ||
-		got[3] != Float(0.5) || got[4] != Bool(true) || got[5] != Time(born) {
-		t.Fatalf("legacy snapshot row decoded to %v", got)
+	reloaded := New()
+	if err := reloaded.LoadSnapshot(bytes.NewReader(dump)); err != nil {
+		t.Fatal(err)
 	}
-	rows = mustQuery(t, db, "SELECT name, size, created FROM files WHERE name = ?", Text("gamma"))
-	if len(rows.Data) != 1 {
-		t.Fatalf("gamma lookup = %v", rows.Data)
+	for _, db := range []*DB{db, reloaded} {
+		count := func(q string, args ...Value) int64 { return mustQuery(t, db, q, args...).Data[0][0].Int() }
+		if n := count("SELECT COUNT(*) FROM files"); n != 39+4 {
+			t.Fatalf("files = %d rows, want the fixture's 39 and the log's 4", n)
+		}
+		if n := count("SELECT COUNT(*) FROM files WHERE size < 4 AND size > 0"); n != 3 {
+			t.Fatalf("old-format multi-statement record replayed %d of its 3 inserts", n)
+		}
+		if n := count("SELECT COUNT(*) FROM files WHERE score IS NULL AND valid IS NULL AND id < 41"); n != 5 {
+			t.Fatalf("NULL-heavy fixture rows = %d, want 5", n)
+		}
+		if n := count("SELECT COUNT(*) FROM files WHERE name = 'lfn-17' OR name = 'shadow'"); n != 0 {
+			t.Fatalf("a deleted or covered row came back (%d)", n)
+		}
+		if a, b := count("SELECT COUNT(*) FROM notes"), count("SELECT COUNT(*) FROM notes WHERE body IS NULL"); a != 10 || b != 5 {
+			t.Fatalf("notes = %d rows, %d without body, want 10 and 5", a, b)
+		}
+		// Every value type, through the rebuilt index on size.
+		rows := mustQuery(t, db, "SELECT id, name, score, valid, created FROM files WHERE size = ?", Int(500))
+		want := []Value{Int(6), Text("lfn-05"), Float(1.25), Bool(false), Time(born.Add(5*time.Hour + 123456*time.Microsecond))}
+		if len(rows.Data) != 1 || !reflect.DeepEqual([]Value(rows.Data[0]), want) {
+			t.Fatalf("fixture row by size = %v, want %v", rows.Data, want)
+		}
+		if got := mustQuery(t, db, "SELECT size, created FROM files WHERE name = 'lfn-20'").Data[0]; got[0] != Int(-5) || got[1] != Time(born.Add(20*time.Hour+123456*time.Microsecond)) {
+			t.Fatalf("updated fixture row = %v", got)
+		}
+		if got := mustQuery(t, db, "SELECT size, created FROM files WHERE name = 'gamma'").Data[0]; got[0] != Int(2048) || got[1] != Time(born.Add(time.Hour)) {
+			t.Fatalf("legacy WAL row decoded to %v", got)
+		}
 	}
-	if got := rows.Data[0]; got[1] != Int(2048) || got[2] != Time(born.Add(time.Hour)) {
-		t.Fatalf("legacy WAL row decoded to %v", got)
-	}
-	// NULL-heavy legacy row survives.
-	rows = mustQuery(t, db, "SELECT size FROM files WHERE name = ?", Text("beta"))
-	if len(rows.Data) != 1 || !rows.Data[0][0].IsNull() {
-		t.Fatalf("beta row = %v", rows.Data)
-	}
-	// The autoincrement counter carries over: 6 rows exist, next id is 7.
+	// The autoincrement counter carries over: 40 ids in the fixture (one
+	// covered insert never replayed), 4 from the log, so the next is 45.
 	res, err := db.Exec("INSERT INTO files (name) VALUES ('delta')")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LastInsertID != 7 {
-		t.Fatalf("autoinc after legacy boot = %d, want 7", res.LastInsertID)
+	if res.LastInsertID != 45 {
+		t.Fatalf("autoinc after legacy boot = %d, want 45", res.LastInsertID)
 	}
 	// Unique index rebuilt from the legacy rows still enforces.
-	if _, err := db.Exec("INSERT INTO files (name) VALUES ('alpha')"); err == nil {
+	if _, err := db.Exec("INSERT INTO files (name) VALUES ('lfn-05')"); err == nil {
 		t.Fatal("unique constraint lost across legacy boot")
 	}
 }
 
-// TestCurrentSnapshotIsVersion2 pins the write-side format so a future
-// refactor can't silently regress to the legacy layout.
-func TestCurrentSnapshotIsVersion2(t *testing.T) {
-	db := New()
-	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
+// TestGeneration1SnapshotRefused: the wide-cell gob generation is no longer
+// read, and the error says which generation the file is.
+func TestGeneration1SnapshotRefused(t *testing.T) {
 	var buf bytes.Buffer
-	if err := db.Dump(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&gobSnapshot{Version: 1, LSN: 2}); err != nil {
 		t.Fatal(err)
 	}
-	var snap gobSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-		t.Fatal(err)
+	db := New()
+	err := db.LoadSnapshot(&buf)
+	if err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("LoadSnapshot(v1) = %v, want a refusal naming format version 1", err)
 	}
-	if snap.Version != 2 {
-		t.Fatalf("snapshot version = %d, want 2", snap.Version)
+	if len(db.Tables()) != 0 {
+		t.Fatal("a refused stream left tables behind")
+	}
+}
+
+// legacyStream gob-encodes a generation-2 snapshot of one two-row table whose
+// second column is declared colType and whose last cell claims cellType.
+func legacyStream(tb testing.TB, colType, cellType Type) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&gobSnapshot{Version: 2, LSN: 7, Tables: []gobTable{{
+		Name:    "t",
+		Cols:    []ColumnDef{{Name: "id", Type: TypeInt}, {Name: "v", Type: colType}},
+		NextRow: 2,
+		RowIDs:  []int64{1, 2},
+		Rows:    [][]gobValue{{{T: TypeInt, N: 1}, {T: TypeText, S: "a"}}, {{T: TypeInt, N: 2}, {T: cellType, N: 3}}},
+	}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadSnapshotRefusesUnknownTypes: the gob reader copies type
+// numbers off the disk, and the value codec has no tag for one it does not
+// know — so a scribbled type must stop the load, not reach the next Dump
+// (which FuzzLoadSnapshot once caught writing a stream nothing could read).
+func TestLoadSnapshotRefusesUnknownTypes(t *testing.T) {
+	loadRefused(t, legacyStream(t, TypeText, Type(14)), `table "t", rowid 2: column 1 holds a value of unknown type Type(14)`)
+	loadRefused(t, legacyStream(t, Type(-3), TypeNull), `column "v" is of unknown type Type(-3)`)
+	db := New()
+	if err := db.LoadSnapshot(bytes.NewReader(legacyStream(t, TypeText, TypeNull))); err != nil {
+		t.Fatalf("the same stream with known types: %v", err)
+	}
+	if again := New(); again.LoadSnapshot(bytes.NewReader(dumpBytes(t, db))) != nil {
+		t.Fatal("its framed re-dump does not load")
 	}
 }

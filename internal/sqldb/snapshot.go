@@ -2,198 +2,200 @@ package sqldb
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"mcs/internal/btree"
 )
 
 // Snapshots give the in-memory engine the durability of the MySQL backend
-// it replaces: Dump serializes every table definition, secondary index
-// definition and row to a stream; Load rebuilds a database from one.
-// The format is versioned gob, written from a pinned immutable MVCC root,
-// so dumping never blocks (or is blocked by) concurrent traffic.
+// it replaces: Dump writes every table definition, secondary index
+// definition and row to a stream; LoadSnapshot rebuilds a database from one.
+//
+// The stream is a sequence of frames (frame.go, the write-ahead log's
+// container) whose values are written by the log's value codec. Every
+// payload starts with a kind byte:
+//
+//	header   magic, format version, LSN of the dumped root
+//	table    name, columns, index definitions, nextRow, autoInc, row count
+//	rows     per row: rowid delta (uvarint), then one tagged value a column
+//	trailer  table count, row count
+//
+// A table frame is followed by that table's rows frames, each sealed once it
+// reaches snapshotFrameSize; the first delta of a frame counts from 0, so a
+// frame's first rowid is absolute. The trailer is last. The CRCs catch a
+// damaged frame; ascending rowids and the row count in the definition catch a
+// dropped, repeated or reordered rows frame; the trailer catches a dropped
+// table and a stream cut at a frame boundary.
+const (
+	snapFrameHeader = iota + 1
+	snapFrameTable
+	snapFrameRows
+	snapFrameTrailer
+)
 
-// snapshotVersion guards format evolution. Version 1 serialized the old
-// wide Value (separate I/F/S/B/Unix fields per cell); version 2 writes the
-// compact tagged-union form (N carries int/float-bits/bool/unix-micros).
-// Loading accepts both: gob matches fields by name and zero-fills absences,
-// so the one gobValue struct below decodes either generation and fromGob
-// picks the populated representation per the stream version.
-const snapshotVersion = 2
+const (
+	snapshotMagic = "MCSSNAP"
+	// snapshotVersion counts stream generations: 1 and 2 were gob (see
+	// snapshot_legacy.go), 3 is the framed stream.
+	snapshotVersion = 3
+	// snapshotFrameSize is the payload size at which Dump seals a rows
+	// frame: a frame exceeds it by less than one row.
+	snapshotFrameSize = 32 << 10
+)
 
-// legacySnapshotVersion is the oldest stream generation LoadSnapshot accepts.
-const legacySnapshotVersion = 1
-
-// gobValue is the wire form of a Value. Version 2 streams populate T, N and
-// S only; the I/F/B/Unix fields exist so the same struct decodes version 1
-// streams (gob omits zero-valued fields on encode, so they cost nothing on
-// the write side).
-type gobValue struct {
-	T Type
-	N int64
-	S string
-
-	// Version 1 layout, decode-only.
-	I    int64
-	F    float64
-	B    bool
-	Unix int64 // seconds; valid when T == TypeTime
+// snapshotWriter builds one frame at a time in a buffer it reuses. The first
+// write error sticks and turns every later frame into a no-op.
+type snapshotWriter struct {
+	w   io.Writer
+	buf []byte // the frame under construction; empty between frames
+	err error
 }
 
-func toGob(v Value) gobValue {
-	return gobValue{T: v.T, N: v.N, S: v.S}
-}
+func (sw *snapshotWriter) begin(kind byte) { sw.buf = append(beginFrame(sw.buf[:0]), kind) }
 
-// fromGob rebuilds a Value from either stream generation. Text is interned:
-// a snapshot of a million rows repeats the same attribute names and type
-// tags a million times, and this is the one place every stored string
-// passes through at boot.
-func fromGob(g gobValue, version int) Value {
-	if version >= 2 {
-		v := Value{T: g.T, N: g.N, S: g.S}
-		if v.T == TypeText {
-			v.S = Intern(v.S)
-		}
-		return v
+func (sw *snapshotWriter) end() {
+	if endFrame(sw.buf, 0); sw.err == nil {
+		_, sw.err = sw.w.Write(sw.buf)
 	}
-	switch g.T {
-	case TypeInt:
-		return Int(g.I)
-	case TypeFloat:
-		return Float(g.F)
-	case TypeText:
-		return Text(Intern(g.S))
-	case TypeBool:
-		return Bool(g.B)
-	case TypeTime:
-		return Time(time.Unix(g.Unix, 0).UTC())
-	}
-	return Null()
+	sw.buf = sw.buf[:0]
 }
 
-// gobIndex describes one secondary index.
-type gobIndex struct {
-	Name   string
-	Cols   []int
-	Unique bool
-}
-
-// gobTable carries one table's definition and contents.
-type gobTable struct {
-	Name    string
-	Cols    []ColumnDef
-	Indexes []gobIndex
-	NextRow int64
-	AutoInc int64
-	RowIDs  []int64
-	Rows    [][]gobValue
-}
-
-// gobSnapshot is the full stream payload. LSN is the write-ahead-log
-// sequence number of the pinned root: recovery replays only log records
-// above it. The field is additive — gob decodes pre-WAL snapshots to LSN 0
-// (replay everything) and old readers ignore it — so the version stays 1.
-type gobSnapshot struct {
-	Version int
-	LSN     uint64
-	Tables  []gobTable
+// appendString appends s the way decoder.bytes reads it back.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Dump writes a consistent snapshot of the database to w. It pins the
-// current committed root with one atomic load and serializes from that
-// immutable version, so a dump of any size never blocks writers (or is
-// affected by them): commits that land mid-dump simply produce newer roots
-// this dump does not see.
+// current committed root with one atomic load and walks that immutable
+// version table by table into one reusable frame buffer, so a dump of any
+// size never blocks writers (commits that land mid-dump produce newer roots
+// this dump does not see) and holds a frame of memory, not a copy of the
+// database.
 func (db *DB) Dump(w io.Writer) error {
 	root := db.root.Load()
-	snap := gobSnapshot{Version: snapshotVersion, LSN: root.lsn}
+	sw := snapshotWriter{w: w, buf: make([]byte, 0, snapshotFrameSize+4096)}
+	sw.begin(snapFrameHeader)
+	sw.buf = append(sw.buf, snapshotMagic...)
+	sw.buf = binary.AppendUvarint(sw.buf, snapshotVersion)
+	sw.buf = binary.AppendUvarint(sw.buf, root.lsn)
+	sw.end()
 	names := make([]string, 0, len(root.tables))
 	for n := range root.tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	rows := 0
 	for _, name := range names {
 		t := root.tables[name]
-		gt := gobTable{
-			Name:    t.name,
-			Cols:    t.cols,
-			NextRow: t.nextRow,
-			AutoInc: t.autoInc,
-		}
-		for _, ix := range t.indexes {
-			gt.Indexes = append(gt.Indexes, gobIndex{Name: ix.name, Cols: ix.cols, Unique: ix.unique})
-		}
-		gt.RowIDs = make([]int64, 0, t.rows.Len())
-		gt.Rows = make([][]gobValue, 0, t.rows.Len())
+		rows += t.rows.Len()
+		sw.begin(snapFrameTable)
+		sw.buf = appendTableDef(sw.buf, t)
+		sw.end()
+		var prev int64
 		t.rows.Ascend(func(rowid int64, row Row) bool {
-			gt.RowIDs = append(gt.RowIDs, rowid)
-			gr := make([]gobValue, len(row))
-			for c, v := range row {
-				gr[c] = toGob(v)
+			if len(sw.buf) == 0 {
+				sw.begin(snapFrameRows)
+				prev = 0
 			}
-			gt.Rows = append(gt.Rows, gr)
-			return true
+			sw.buf = binary.AppendUvarint(sw.buf, uint64(rowid-prev))
+			prev = rowid
+			for _, v := range row {
+				sw.buf = encodeWALValue(sw.buf, v)
+			}
+			if len(sw.buf) >= snapshotFrameSize {
+				sw.end()
+			}
+			return sw.err == nil
 		})
-		snap.Tables = append(snap.Tables, gt)
+		if len(sw.buf) > 0 {
+			sw.end()
+		}
 	}
-	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(&snap); err != nil {
-		return fmt.Errorf("sqldb: encode snapshot: %w", err)
+	sw.begin(snapFrameTrailer)
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(len(root.tables)))
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(rows))
+	if sw.end(); sw.err != nil {
+		return fmt.Errorf("sqldb: write snapshot: %w", sw.err)
 	}
-	return bw.Flush()
+	return nil
 }
 
-// LoadSnapshot rebuilds a database from a Dump stream. It must be called on
-// a database whose tables do not collide with the snapshot's (typically a
-// fresh one). Nothing in the stream is trusted: a table whose rows and
-// rowids disagree in number, whose rowids do not strictly ascend or pass
-// NextRow, whose rows are not full width or break a UNIQUE index is a
-// descriptive error, and any error leaves the previous root untouched.
+// appendTableDef appends a table frame's body; readTableDef is its inverse.
+func appendTableDef(b []byte, t *table) []byte {
+	b = binary.AppendUvarint(appendString(b, t.name), uint64(len(t.cols)))
+	for _, c := range t.cols {
+		// A column's type is written as the zero value of that type: the
+		// value codec's frozen tags are the only type tags on disk.
+		b = encodeWALValue(appendString(b, c.Name), Value{T: c.Type})
+		for _, flag := range [...]bool{c.NotNull, c.PrimaryKey, c.AutoIncrement, c.Unique} {
+			b = encodeWALValue(b, Bool(flag))
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(t.indexes)))
+	for _, ix := range t.indexes {
+		b = encodeWALValue(appendString(b, ix.name), Bool(ix.unique))
+		b = binary.AppendUvarint(b, uint64(len(ix.cols)))
+		for _, c := range ix.cols {
+			b = binary.AppendUvarint(b, uint64(c))
+		}
+	}
+	b = binary.AppendVarint(binary.AppendVarint(b, t.nextRow), t.autoInc)
+	return binary.AppendUvarint(b, uint64(t.rows.Len()))
+}
+
+// LoadSnapshot rebuilds a database from a Dump stream, read frame by frame
+// from r. It must be called on a database whose tables do not collide with
+// the snapshot's (typically a fresh one). Nothing in the stream is trusted:
+// a frame that is damaged, missing or out of place, a table whose rows
+// disagree in number with its definition, whose rowids do not strictly
+// ascend or pass nextRow, whose rows are cut short, hold a value of no known
+// type or break a UNIQUE index is an error naming the frame's offset, and any
+// error leaves the previous root untouched. A stream that does not start with the framed header is
+// handed to the one legacy reader (snapshot_legacy.go).
 //
 // Indexes are not in the stream; they are rebuilt from the rows, in bulk:
 // the row store comes straight from the rowid-ordered rows, and each index
 // sorts one entry per row and builds its tree bottom-up (index.build), a
 // table's indexes side by side on as many goroutines as GOMAXPROCS allows.
-// Each table's decoded rows are let go as soon as the table is built, so the
+// A table's decoded rows are let go as soon as the table is built, so the
 // load never holds two full copies of the database.
 func (db *DB) LoadSnapshot(r io.Reader) error {
-	var snap gobSnapshot
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&snap); err != nil {
-		return fmt.Errorf("sqldb: decode snapshot: %w", err)
+	br := bufio.NewReaderSize(r, 64<<10)
+	read := readSnapshot
+	// A framed stream opens: frame header, kind byte, magic. Peek's error
+	// is the reader's to report: a short or failing stream is not framed.
+	if head, _ := br.Peek(frameHeaderSize + 1 + len(snapshotMagic)); !bytes.HasSuffix(head, []byte(snapshotMagic)) {
+		read = readLegacySnapshot
 	}
-	if snap.Version < legacySnapshotVersion || snap.Version > snapshotVersion {
-		return fmt.Errorf("sqldb: snapshot version %d, want %d..%d",
-			snap.Version, legacySnapshotVersion, snapshotVersion)
+	lsn, tables, err := read(br)
+	if err != nil {
+		return err
 	}
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	base := db.root.Load()
 	work := &dbRoot{
 		epoch:   base.epoch + 1,
-		lsn:     max(base.lsn, snap.LSN),
+		lsn:     max(base.lsn, lsn),
 		tables:  maps.Clone(base.tables),
 		indexes: maps.Clone(base.indexes),
 	}
-	for _, gt := range snap.Tables {
-		if _, exists := work.tables[gt.Name]; exists {
-			return fmt.Errorf("sqldb: snapshot table %q already exists", gt.Name)
+	for _, t := range tables {
+		if _, exists := work.tables[t.name]; exists {
+			return fmt.Errorf("sqldb: snapshot table %q already exists", t.name)
 		}
-	}
-	for i := range snap.Tables {
-		gt := &snap.Tables[i]
-		t, err := loadTable(gt, snap.Version)
-		if err != nil {
-			return err
-		}
-		gt.RowIDs, gt.Rows = nil, nil
 		for _, ix := range t.indexes {
+			if _, exists := work.indexes[ix.name]; exists {
+				return fmt.Errorf("sqldb: snapshot index %q already exists", ix.name)
+			}
 			work.indexes[ix.name] = ix
 		}
 		work.tables[t.name] = t
@@ -204,54 +206,182 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 	return nil
 }
 
-// loadTable validates one snapshot table and builds its row store and
-// indexes. It empties gt.Rows as it converts them.
-func loadTable(gt *gobTable, version int) (*table, error) {
-	if len(gt.Rows) != len(gt.RowIDs) {
-		return nil, fmt.Errorf("sqldb: snapshot table %q has %d rowids for %d rows",
-			gt.Name, len(gt.RowIDs), len(gt.Rows))
+// readSnapshot reads a framed stream to its end and returns the LSN it
+// embeds and the tables it holds, built.
+func readSnapshot(r io.Reader) (lsn uint64, tables []*table, err error) {
+	fr := frameReader{r: r}
+	var (
+		cur  *tableLoader // the table whose rows frames are arriving
+		rows uint64
+		done bool // the trailer has been read
+	)
+	for {
+		payload, err := fr.next()
+		if err == io.EOF && done {
+			return lsn, tables, nil
+		}
+		if err == io.EOF {
+			err = fmt.Errorf("stream ends without a trailer")
+		}
+		d := decoder{b: payload, err: err}
+		switch kind := d.byte(); {
+		case d.err != nil:
+		case done:
+			d.fail("frame after the trailer")
+		case (kind == snapFrameHeader) != (fr.off == 0):
+			d.fail("frame kind %d at offset %d", kind, fr.off)
+		case kind == snapFrameHeader:
+			d.b = d.b[min(len(d.b), len(snapshotMagic)):] // LoadSnapshot matched the magic
+			if v := d.uvarint(); v != snapshotVersion {
+				d.fail("format version %d, want %d", v, snapshotVersion)
+			}
+			lsn = d.uvarint()
+		case kind == snapFrameRows && cur != nil:
+			cur.addRows(&d)
+		case kind == snapFrameTable || kind == snapFrameTrailer:
+			if cur != nil {
+				t, err := cur.build()
+				if err != nil {
+					d.fail("%w", err)
+					break
+				}
+				tables = append(tables, t)
+				rows += cur.want
+			}
+			if cur = nil; kind == snapFrameTable {
+				cur = readTableDef(&d)
+			} else if nt, nr := d.uvarint(), d.uvarint(); d.err == nil && (nt != uint64(len(tables)) || nr != rows) {
+				d.fail("trailer counts %d tables and %d rows, stream held %d and %d", nt, nr, len(tables), rows)
+			} else {
+				done = true
+			}
+		default:
+			d.fail("unexpected frame kind %d", kind)
+		}
+		if d.err == nil && len(d.b) != 0 {
+			d.fail("%d trailing bytes", len(d.b))
+		}
+		if d.err != nil {
+			return 0, nil, fmt.Errorf("sqldb: snapshot: frame at offset %d: %w", fr.off, d.err)
+		}
 	}
-	t := &table{
-		name:    gt.Name,
-		cols:    gt.Cols,
-		colPos:  make(map[string]int, len(gt.Cols)),
-		nextRow: gt.NextRow,
-		autoInc: gt.AutoInc,
+}
+
+// readTableDef decodes a table frame into a loader for the rows to come.
+func readTableDef(d *decoder) *tableLoader {
+	name := string(d.bytes())
+	cols := make([]ColumnDef, d.count())
+	for i := range cols {
+		c := &cols[i]
+		c.Name, c.Type = string(d.bytes()), decodeWALValue(d).T
+		for _, flag := range [...]*bool{&c.NotNull, &c.PrimaryKey, &c.AutoIncrement, &c.Unique} {
+			*flag = decodeWALValue(d).N != 0
+		}
 	}
-	for i, c := range gt.Cols {
+	l := newTableLoader(name, cols)
+	for range d.count() {
+		name, unique := string(d.bytes()), decodeWALValue(d).N != 0
+		pos := make([]int, d.count())
+		for i := range pos {
+			pos[i] = int(min(d.uvarint(), math.MaxInt32))
+		}
+		if err := l.addIndex(name, pos, unique); err != nil {
+			d.fail("%w", err)
+		}
+	}
+	l.t.nextRow, l.t.autoInc, l.want = d.varint(), d.varint(), d.uvarint()
+	// The promised count sizes the slices only so far: rows are believed
+	// as they arrive.
+	l.rowids, l.rows = make([]int64, 0, min(l.want, 1<<16)), make([]Row, 0, min(l.want, 1<<16))
+	return l
+}
+
+// tableLoader collects one table's rows in rowid order, validating them as
+// they arrive, and builds the table from them. Both stream readers feed it.
+type tableLoader struct {
+	t      *table
+	want   uint64 // rows the definition promised
+	last   int64  // rowid of the last row added; rowids start at 1
+	rowids []int64
+	rows   []Row
+}
+
+func newTableLoader(name string, cols []ColumnDef) *tableLoader {
+	t := &table{name: name, cols: cols, colPos: make(map[string]int, len(cols))}
+	for i, c := range cols {
 		t.colPos[c.Name] = i
 	}
-	for _, gi := range gt.Indexes {
-		for _, c := range gi.Cols {
-			if c < 0 || c >= len(gt.Cols) {
-				return nil, fmt.Errorf("sqldb: snapshot index %q references column %d of %q",
-					gi.Name, c, gt.Name)
-			}
-		}
-		t.indexes = append(t.indexes, newIndex(gi.Name, t, gi.Cols, gi.Unique))
+	return &tableLoader{t: t}
+}
+
+func (l *tableLoader) addIndex(name string, cols []int, unique bool) error {
+	if len(cols) == 0 {
+		return fmt.Errorf("index %q of %q has no columns", name, l.t.name)
 	}
-	rows := make([]Row, len(gt.Rows))
-	for i, gr := range gt.Rows {
-		if i > 0 && gt.RowIDs[i] <= gt.RowIDs[i-1] {
-			return nil, fmt.Errorf("sqldb: snapshot table %q: rowid %d follows %d, want strictly ascending",
-				gt.Name, gt.RowIDs[i], gt.RowIDs[i-1])
+	for _, c := range cols {
+		if c < 0 || c >= len(l.t.cols) {
+			return fmt.Errorf("index %q references column %d of %q", name, c, l.t.name)
 		}
-		if len(gr) != len(gt.Cols) {
-			return nil, fmt.Errorf("sqldb: snapshot row width %d in table %q with %d columns",
-				len(gr), gt.Name, len(gt.Cols))
-		}
-		row := make(Row, len(gr))
-		for c, gv := range gr {
-			row[c] = fromGob(gv, version)
-		}
-		rows[i] = row
-		gt.Rows[i] = nil
 	}
-	if n := len(gt.RowIDs); n > 0 && gt.NextRow < gt.RowIDs[n-1] {
-		return nil, fmt.Errorf("sqldb: snapshot table %q: next rowid %d is below stored rowid %d",
-			gt.Name, gt.NextRow, gt.RowIDs[n-1])
+	l.t.indexes = append(l.t.indexes, newIndex(name, l.t, cols, unique))
+	return nil
+}
+
+// addRows decodes one rows frame. Each row is its own allocation: a slab
+// shared by a frame's rows would stay pinned for as long as any one of them
+// is live, however many the catalog has since rewritten.
+func (l *tableLoader) addRows(d *decoder) {
+	prev := int64(0) // a frame's first delta counts from 0
+	for len(d.b) > 0 {
+		delta := d.uvarint()
+		row := make(Row, len(l.t.cols))
+		for c := range row {
+			row[c] = decodeWALValue(d)
+		}
+		if d.err != nil {
+			d.err = fmt.Errorf("table %q, row after rowid %d: %w", l.t.name, l.last, d.err)
+			return
+		}
+		prev += int64(min(delta, uint64(math.MaxInt64-prev)))
+		if err := l.add(prev, row); err != nil {
+			d.fail("%w", err)
+		}
 	}
-	t.rows = btree.FromSorted(btree.DefaultDegree, rowidLess, gt.RowIDs, rows)
+}
+
+// add appends one row.
+func (l *tableLoader) add(rowid int64, row Row) error {
+	if rowid <= l.last {
+		return fmt.Errorf("table %q: rowid %d follows %d, want strictly ascending", l.t.name, rowid, l.last)
+	}
+	if len(row) != len(l.t.cols) {
+		return fmt.Errorf("row width %d in table %q with %d columns", len(row), l.t.name, len(l.t.cols))
+	}
+	for c, v := range row {
+		if !v.T.valid() {
+			return fmt.Errorf("table %q, rowid %d: column %d holds a value of unknown type %v", l.t.name, rowid, c, v.T)
+		}
+	}
+	l.last, l.rowids, l.rows = rowid, append(l.rowids, rowid), append(l.rows, row)
+	return nil
+}
+
+// build checks the collected rows against the definition and builds the row
+// store and the indexes.
+func (l *tableLoader) build() (*table, error) {
+	t, rowids, rows := l.t, l.rowids, l.rows
+	for _, c := range t.cols {
+		if !c.Type.valid() {
+			return nil, fmt.Errorf("table %q: column %q is of unknown type %v", t.name, c.Name, c.Type)
+		}
+	}
+	if uint64(len(rows)) != l.want {
+		return nil, fmt.Errorf("table %q has %d rows, its definition promised %d", t.name, len(rows), l.want)
+	}
+	if n := len(rowids); n > 0 && t.nextRow < rowids[n-1] {
+		return nil, fmt.Errorf("table %q: next rowid %d is below stored rowid %d", t.name, t.nextRow, rowids[n-1])
+	}
+	t.rows = btree.FromSorted(btree.DefaultDegree, rowidLess, rowids, rows)
 
 	// One goroutine per index, at most GOMAXPROCS at a time: each build is
 	// CPU-bound (a sort) and touches only its own index and the shared,
@@ -267,7 +397,7 @@ func loadTable(gt *gobTable, version int) (*table, error) {
 			defer func() { <-sem }()
 			entries := make([]indexEntry, len(rows))
 			for j, row := range rows {
-				entries[j] = entryOf(gt.RowIDs[j], row)
+				entries[j] = entryOf(rowids[j], row)
 			}
 			errs[i] = ix.build(entries)
 		}()
@@ -275,7 +405,7 @@ func loadTable(gt *gobTable, version int) (*table, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("sqldb: snapshot table %q: %w", gt.Name, err)
+			return nil, fmt.Errorf("table %q: %w", t.name, err)
 		}
 	}
 	return t, nil

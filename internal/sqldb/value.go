@@ -33,6 +33,10 @@ const (
 	TypeTime
 )
 
+// valid reports whether t is one of the types above — what an on-disk stream
+// may claim and the value codec can write.
+func (t Type) valid() bool { return t >= TypeNull && t <= TypeTime }
+
 // String returns the SQL spelling of the type.
 func (t Type) String() string {
 	switch t {

@@ -1,9 +1,11 @@
 package sqldb
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,19 +20,17 @@ import (
 // crash loses every commit since the last dump. The WAL closes that gap to
 // per-commit durability. Each committed transaction serializes its redo
 // statements — the same logical statement stream the MVCC writer applied —
-// into one self-contained record appended to an append-only log file:
+// into one self-contained record, one frame (frame.go) appended to an
+// append-only log file:
 //
-//	+----------+----------+--------------------------------------+
-//	| len (4B) | crc (4B) | payload (len bytes)                  |
-//	+----------+----------+--------------------------------------+
 //	payload: lsn (8B big-endian)
 //	         nstmts (uvarint)
 //	         per statement: sqlLen (uvarint), sql bytes,
 //	                        nargs (uvarint), args (tagged values)
 //
-// The CRC32 (IEEE) covers the payload, so recovery can detect a torn write
-// — a record whose tail never reached disk — and truncate it instead of
-// failing. Records carry strictly increasing log sequence numbers (LSNs)
+// The frame's CRC lets recovery detect a torn write — a record whose tail
+// never reached disk — and truncate it instead of failing. Records carry
+// strictly increasing log sequence numbers (LSNs)
 // assigned at commit; snapshots embed the LSN of the root they pinned, so
 // boot restores the snapshot and replays only the log suffix with larger
 // LSNs.
@@ -47,13 +47,6 @@ import (
 // covering the sealed file's last LSN has durably persisted the sealed file
 // is deleted. A crash between those steps leaves both generations on disk;
 // recovery replays <path>.1 then <path>.
-
-// walRecordHeaderSize is the fixed per-record header: length + CRC32.
-const walRecordHeaderSize = 8
-
-// maxWALRecordSize bounds a single record's payload; a length field above
-// it is treated as corruption (torn or scribbled tail).
-const maxWALRecordSize = 1 << 28
 
 // redoStmt is one logged mutation: the statement text and its bound
 // parameters, exactly as the committer executed them.
@@ -236,22 +229,15 @@ func OpenWAL(path string, db *DB, afterLSN uint64, opts WALOptions) (*WAL, Repla
 		return nil, stats, err
 	}
 	w.f = f
-	w.size = validWALSize(&stats, f)
+	if fi, err := f.Stat(); err == nil {
+		w.size = fi.Size() // after any truncation
+	}
 	w.curRecs = recs
 	w.appendLSN = last
 	w.durable = last
 	w.replayed.Store(uint64(stats.Applied))
 	stats.LastLSN = last
 	return w, stats, nil
-}
-
-// validWALSize returns the current file's post-truncation size.
-func validWALSize(_ *ReplayStats, f *os.File) int64 {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }
 
 // replayFile opens one log generation read-write, replays it and closes it.
@@ -273,31 +259,21 @@ func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *u
 	if err != nil {
 		return fmt.Errorf("sqldb: wal: %w", err)
 	}
-	data := make([]byte, fi.Size())
-	if _, err := f.ReadAt(data, 0); err != nil && fi.Size() > 0 {
-		return fmt.Errorf("sqldb: wal: read: %w", err)
-	}
+	fr := frameReader{r: bufio.NewReader(io.NewSectionReader(f, 0, fi.Size()))}
 	valid := int64(0)
-	off := 0
 	for {
-		rest := data[off:]
-		if len(rest) < walRecordHeaderSize {
-			break // torn header (or clean EOF when len(rest) == 0)
+		payload, err := fr.next()
+		if err == io.EOF || errors.Is(err, errFrameDamaged) {
+			break // clean end, or a torn or scribbled record: cut here
 		}
-		n := binary.BigEndian.Uint32(rest[0:4])
-		crc := binary.BigEndian.Uint32(rest[4:8])
-		if n == 0 || n > maxWALRecordSize || walRecordHeaderSize+int(n) > len(rest) {
-			break // torn or scribbled length
-		}
-		payload := rest[walRecordHeaderSize : walRecordHeaderSize+int(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // torn payload
+		if err != nil {
+			return fmt.Errorf("sqldb: wal: read: %w", err)
 		}
 		lsn, stmts, err := decodeWALRecord(payload)
 		if err != nil {
 			// The CRC matched, so the bytes are what was written: this is a
 			// format error, not a torn write. Refuse to guess.
-			return fmt.Errorf("sqldb: wal: record at offset %d: %w", off, err)
+			return fmt.Errorf("sqldb: wal: record at offset %d: %w", fr.off, err)
 		}
 		if lsn <= *last && !(lsn <= afterLSN) {
 			break // LSN went backwards: treat the rest as garbage
@@ -312,8 +288,7 @@ func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *u
 			}
 			stats.Applied++
 		}
-		off += walRecordHeaderSize + int(n)
-		valid = int64(off)
+		valid = fr.end
 		if recs != nil {
 			*recs++
 		}
@@ -569,7 +544,7 @@ func syncWALDir(path string) error {
 // every repeat without allocating; texts past the window are written in full.
 const walBackrefWindow = 16
 
-// encodeWALRecord renders one commit as header + payload bytes. A statement
+// encodeWALRecord renders one commit as one sealed frame. A statement
 // whose SQL text already occurred in the record is written as a zero length
 // followed by the index of that earlier statement, not as the text again:
 // an empty statement is never logged (it cannot parse, so it cannot commit),
@@ -577,9 +552,9 @@ const walBackrefWindow = 16
 // is additive, like walTagTimeMicro: logs written before it contain no zero
 // lengths and decode as they always did.
 func encodeWALRecord(lsn uint64, stmts []redoStmt) []byte {
-	payload := make([]byte, 8, 64*len(stmts)+8)
-	binary.BigEndian.PutUint64(payload, lsn)
-	payload = binary.AppendUvarint(payload, uint64(len(stmts)))
+	rec := beginFrame(make([]byte, 0, 64*len(stmts)+24))
+	rec = binary.BigEndian.AppendUint64(rec, lsn)
+	rec = binary.AppendUvarint(rec, uint64(len(stmts)))
 	var firsts [walBackrefWindow]int // indexes of the first statement with each text
 	nfirsts := 0
 	for i, s := range stmts {
@@ -591,25 +566,22 @@ func encodeWALRecord(lsn uint64, stmts []redoStmt) []byte {
 			}
 		}
 		if ref >= 0 {
-			payload = binary.AppendUvarint(payload, 0)
-			payload = binary.AppendUvarint(payload, uint64(ref))
+			rec = binary.AppendUvarint(rec, 0)
+			rec = binary.AppendUvarint(rec, uint64(ref))
 		} else {
 			if nfirsts < len(firsts) {
 				firsts[nfirsts] = i
 				nfirsts++
 			}
-			payload = binary.AppendUvarint(payload, uint64(len(s.sql)))
-			payload = append(payload, s.sql...)
+			rec = appendString(rec, s.sql)
 		}
-		payload = binary.AppendUvarint(payload, uint64(len(s.args)))
+		rec = binary.AppendUvarint(rec, uint64(len(s.args)))
 		for _, v := range s.args {
-			payload = encodeWALValue(payload, v)
+			rec = encodeWALValue(rec, v)
 		}
 	}
-	rec := make([]byte, walRecordHeaderSize, walRecordHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	return append(rec, payload...)
+	endFrame(rec, 0)
+	return rec
 }
 
 // decodeWALRecord parses a CRC-verified payload back into its statements.
@@ -618,49 +590,30 @@ func decodeWALRecord(payload []byte) (lsn uint64, stmts []redoStmt, err error) {
 		return 0, nil, fmt.Errorf("payload too short")
 	}
 	lsn = binary.BigEndian.Uint64(payload)
-	b := payload[8:]
-	nstmts, b, err := walUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	stmts = make([]redoStmt, 0, nstmts)
-	for i := uint64(0); i < nstmts; i++ {
-		var sqlLen uint64
-		sqlLen, b, err = walUvarint(b)
-		if err != nil || uint64(len(b)) < sqlLen {
-			return 0, nil, fmt.Errorf("statement %d: bad sql length", i)
-		}
+	d := decoder{b: payload[8:]}
+	stmts = make([]redoStmt, 0, d.count())
+	for i := range cap(stmts) {
 		var sql string
-		if sqlLen == 0 {
-			// Back-reference to an earlier statement's text.
-			var ref uint64
-			ref, b, err = walUvarint(b)
-			if err != nil || ref >= i {
-				return 0, nil, fmt.Errorf("statement %d: bad sql back-reference", i)
-			}
-			sql = stmts[ref].sql
+		if text := d.bytes(); len(text) > 0 {
+			sql = string(text)
+		} else if ref := d.uvarint(); ref < uint64(i) {
+			sql = stmts[ref].sql // back-reference to an earlier statement's text
 		} else {
-			sql = string(b[:sqlLen])
-			b = b[sqlLen:]
+			d.fail("bad sql back-reference")
 		}
-		var nargs uint64
-		nargs, b, err = walUvarint(b)
-		if err != nil {
-			return 0, nil, err
-		}
-		args := make([]Value, nargs)
+		args := make([]Value, d.count())
 		for j := range args {
-			args[j], b, err = decodeWALValue(b)
-			if err != nil {
-				return 0, nil, fmt.Errorf("statement %d arg %d: %w", i, j, err)
-			}
+			args[j] = decodeWALValue(&d)
+		}
+		if d.err != nil {
+			return 0, nil, fmt.Errorf("statement %d: %w", i, d.err)
 		}
 		stmts = append(stmts, redoStmt{sql: sql, args: args})
 	}
-	if len(b) != 0 {
-		return 0, nil, fmt.Errorf("%d trailing bytes", len(b))
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
 	}
-	return lsn, stmts, nil
+	return lsn, stmts, d.err
 }
 
 // Typed-argument wire tags. These are a frozen on-disk contract — logs
@@ -714,65 +667,105 @@ func encodeWALValue(b []byte, v Value) []byte {
 			b = append(b, walTagTimeMicro)
 			b = binary.AppendVarint(b, v.N)
 		}
+	default:
+		// Writing nothing would shift every value behind this one.
+		panic(fmt.Sprintf("sqldb: cannot encode a value of unknown type %v", v.T))
 	}
 	return b
 }
 
-// decodeWALValue parses one tagged value, returning the remaining bytes.
-// Text is interned: replay re-creates every hot string in the log, and the
-// schema vocabulary (attribute names, type tags) repeats per row.
-func decodeWALValue(b []byte) (Value, []byte, error) {
-	if len(b) == 0 {
-		return Value{}, nil, fmt.Errorf("missing value tag")
-	}
-	t := b[0]
-	b = b[1:]
-	switch t {
+// decodeWALValue parses one tagged value. Text is interned: replay and
+// restore re-create every hot string on disk, and the schema vocabulary
+// (attribute names, type tags) repeats per row.
+func decodeWALValue(d *decoder) Value {
+	switch t := d.byte(); t {
 	case walTagNull:
-		return Null(), b, nil
+		return Null()
 	case walTagInt:
-		i, n := binary.Varint(b)
-		if n <= 0 {
-			return Value{}, nil, fmt.Errorf("bad int")
-		}
-		return Int(i), b[n:], nil
+		return Int(d.varint())
 	case walTagFloat:
-		if len(b) < 8 {
-			return Value{}, nil, fmt.Errorf("bad float")
+		if len(d.b) < 8 {
+			d.fail("bad float")
+			return Null()
 		}
-		return Float(math.Float64frombits(binary.BigEndian.Uint64(b))), b[8:], nil
+		bits := binary.BigEndian.Uint64(d.b)
+		d.b = d.b[8:]
+		return Float(math.Float64frombits(bits))
 	case walTagText:
-		n, rest, err := walUvarint(b)
-		if err != nil || uint64(len(rest)) < n {
-			return Value{}, nil, fmt.Errorf("bad text length")
-		}
-		return Text(internBytes(rest[:n])), rest[n:], nil
+		return Text(internBytes(d.bytes()))
 	case walTagBool:
-		if len(b) < 1 {
-			return Value{}, nil, fmt.Errorf("bad bool")
-		}
-		return Bool(b[0] != 0), b[1:], nil
+		return Bool(d.byte() != 0)
 	case walTagTimeSec:
-		sec, n := binary.Varint(b)
-		if n <= 0 {
-			return Value{}, nil, fmt.Errorf("bad time")
-		}
-		return Time(time.Unix(sec, 0).UTC()), b[n:], nil
+		return Time(time.Unix(d.varint(), 0).UTC())
 	case walTagTimeMicro:
-		us, n := binary.Varint(b)
-		if n <= 0 {
-			return Value{}, nil, fmt.Errorf("bad time")
-		}
-		return TimeMicros(us), b[n:], nil
+		return TimeMicros(d.varint())
+	default:
+		d.fail("unknown value tag %d", t)
+		return Null()
 	}
-	return Value{}, nil, fmt.Errorf("unknown value tag %d", t)
 }
 
-// walUvarint reads one uvarint, returning the remaining bytes.
-func walUvarint(b []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("bad uvarint")
+// decoder walks one CRC-verified payload. The first malformed field sets err
+// and empties what is left, so a caller decodes a whole structure and checks
+// once; every later read returns a zero.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
 	}
-	return x, b[n:], nil
+	d.b = nil
+}
+
+func (d *decoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("unexpected end of payload")
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *decoder) uvarint() uint64 {
+	x, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("bad uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return x
+}
+
+func (d *decoder) varint() int64 {
+	x, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return x
+}
+
+// count reads how many elements follow. Every element takes at least a
+// byte, so a count above what is left of the payload is refused before
+// anything is allocated for it.
+func (d *decoder) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail("count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
+// bytes reads a length-prefixed byte string, aliasing the payload.
+func (d *decoder) bytes() []byte {
+	n := d.count()
+	s := d.b[:n]
+	d.b = d.b[n:]
+	return s
 }

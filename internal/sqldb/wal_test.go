@@ -429,7 +429,7 @@ func TestWALValueRoundTrip(t *testing.T) {
 		Text(""), Text("héllo\x00world"), Bool(true), Bool(false), Time(now),
 	}
 	rec := encodeWALRecord(7, []redoStmt{{sql: "INSERT INTO t VALUES (?)", args: vals}})
-	lsn, stmts, err := decodeWALRecord(rec[walRecordHeaderSize:])
+	lsn, stmts, err := decodeWALRecord(rec[frameHeaderSize:])
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -472,7 +472,7 @@ func TestWALStatementBackReferences(t *testing.T) {
 	if n := bytes.Count(rec, []byte(insFile)); n != 1 {
 		t.Fatalf("the file insert's text appears %d times in the record, want 1", n)
 	}
-	lsn, got, err := decodeWALRecord(rec[walRecordHeaderSize:])
+	lsn, got, err := decodeWALRecord(rec[frameHeaderSize:])
 	if err != nil || lsn != 11 {
 		t.Fatalf("decode: lsn %d, err %v", lsn, err)
 	}

@@ -203,7 +203,7 @@ func TestWALCorruptTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	data[keepSize+walRecordHeaderSize+2] ^= 0x40
+	data[keepSize+frameHeaderSize+2] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}

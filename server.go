@@ -21,6 +21,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"mcs/internal/core"
@@ -313,6 +314,33 @@ type Server struct {
 	wire      *mcswire.Server
 	endpoints bool
 	started   time.Time
+
+	// What RecordCheckpoint has been told.
+	ckptCount, ckptNanos, ckptBytes atomic.Int64
+	ckptLast                        atomic.Pointer[checkpointReport]
+}
+
+// checkpointReport is one checkpoint as RecordCheckpoint was told of it.
+type checkpointReport struct {
+	lsn         uint64
+	bytes       int64
+	total, dump time.Duration
+	err         error
+	at          time.Time
+}
+
+// RecordCheckpoint publishes one finished checkpoint as whoever runs
+// checkpoints (mcsd) saw it: a snapshot covering lsn, bytes long, written in
+// total of which Catalog.Snapshot took dump, or failed with err. It feeds
+// mcs_checkpoints_total, mcs_checkpoint_seconds_total and mcs_snapshot_bytes
+// on /metrics and becomes last_checkpoint on /statz.
+func (s *Server) RecordCheckpoint(lsn uint64, bytes int64, total, dump time.Duration, err error) {
+	s.ckptNanos.Add(int64(total))
+	if err == nil {
+		s.ckptCount.Add(1)
+		s.ckptBytes.Store(bytes)
+	}
+	s.ckptLast.Store(&checkpointReport{lsn, bytes, total, dump, err, time.Now()})
 }
 
 // FaultInjector returns the server's fault injector, or nil when chaos
@@ -392,6 +420,15 @@ func NewServer(opts ServerOptions) (*Server, error) {
 				"Log records replayed during recovery at startup.",
 				func() int64 { return int64(w.Stats().Replayed) })
 		}
+		s.metrics.RegisterCounter("mcs_checkpoints_total",
+			"Checkpoints completed (snapshot durable, covered log dropped).",
+			s.ckptCount.Load)
+		s.metrics.RegisterFloat("mcs_checkpoint_seconds_total",
+			"Time spent in checkpoints, failed ones included.", "counter",
+			func() float64 { return time.Duration(s.ckptNanos.Load()).Seconds() })
+		s.metrics.RegisterFloat("mcs_snapshot_bytes",
+			"Size of the snapshot the last completed checkpoint wrote.", "gauge",
+			func() float64 { return float64(s.ckptBytes.Load()) })
 	}
 	if opts.Obs.SlowOpThreshold > 0 {
 		s.slow = obs.NewSlowOpLog(opts.Obs.SlowOpThreshold, opts.Obs.SlowOpLogger)
@@ -520,6 +557,25 @@ func (s *Server) serveStatz(w http.ResponseWriter, _ *http.Request) {
 	if s.wal != nil {
 		wal = s.wal.Stats()
 	}
+	type checkpointStatz struct {
+		LSN         uint64  `json:"lsn"`
+		Bytes       int64   `json:"bytes"`
+		Seconds     float64 `json:"seconds"`
+		DumpSeconds float64 `json:"dump_seconds"`
+		AgeSeconds  float64 `json:"age_seconds"`
+		Error       string  `json:"error"`
+	}
+	var lastCheckpoint *checkpointStatz
+	if last := s.ckptLast.Load(); last != nil {
+		lastCheckpoint = &checkpointStatz{
+			LSN: last.lsn, Bytes: last.bytes,
+			Seconds: last.total.Seconds(), DumpSeconds: last.dump.Seconds(),
+			AgeSeconds: time.Since(last.at).Seconds(),
+		}
+		if last.err != nil {
+			lastCheckpoint.Error = last.err.Error()
+		}
+	}
 	enc.Encode(struct { //nolint:errcheck // best-effort response write
 		UptimeSeconds  int64  `json:"uptime_seconds"`
 		Files          int    `json:"files"`
@@ -533,6 +589,8 @@ func (s *Server) serveStatz(w http.ResponseWriter, _ *http.Request) {
 		WALFsyncs      uint64 `json:"wal_fsyncs"`
 		WALReplayed    uint64 `json:"wal_replayed"`
 		WALDurableLSN  uint64 `json:"wal_durable_lsn"`
+		// LastCheckpoint is absent until a checkpoint has been reported.
+		LastCheckpoint *checkpointStatz `json:"last_checkpoint,omitempty"`
 	}{
 		UptimeSeconds: int64(time.Since(s.started).Seconds()),
 		Files:         st.Files, Collections: st.Collections, Views: st.Views,
@@ -543,6 +601,7 @@ func (s *Server) serveStatz(w http.ResponseWriter, _ *http.Request) {
 		WALFsyncs:      wal.Fsyncs,
 		WALReplayed:    wal.Replayed,
 		WALDurableLSN:  wal.DurableLSN,
+		LastCheckpoint: lastCheckpoint,
 	})
 }
 

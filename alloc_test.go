@@ -63,10 +63,10 @@ func gateCatalog(t *testing.T) *core.Catalog {
 	return cat
 }
 
-// BenchmarkFig17AddSingle and BenchmarkFig17AddBatch100 are the testing.B
-// counterparts of the Fig. 17 sweep and of the gates above: pure adds (no
-// compensating delete), with B/op and allocs/op reported beside the rate.
-func BenchmarkFig17AddSingle(b *testing.B) {
+// BenchmarkAddSingle and BenchmarkAddBatch100 are the testing.B counterparts
+// of the gates above: pure adds (no compensating delete), with B/op and
+// allocs/op reported beside the rate.
+func BenchmarkAddSingle(b *testing.B) {
 	cat := loadedCatalog(b)
 	cfg := bench.DefaultConfig(benchFiles())
 	b.ReportAllocs()
@@ -86,7 +86,7 @@ func BenchmarkFig17AddSingle(b *testing.B) {
 	})
 }
 
-func BenchmarkFig17AddBatch100(b *testing.B) {
+func BenchmarkAddBatch100(b *testing.B) {
 	cat := loadedCatalog(b)
 	cfg := bench.DefaultConfig(benchFiles())
 	const batch = 100

@@ -21,7 +21,9 @@ const (
 	casMember    = "/O=LIGO/CN=Carol"
 )
 
-func startCASServer(t *testing.T) (*gsi.CAS, *Client, *Client) {
+// startCASServer serves a CAS-integrated catalog whose community identity
+// holds service-level create rights, and returns the CAS and the base URL.
+func startCASServer(t *testing.T) (*gsi.CAS, string) {
 	t.Helper()
 	cas, err := gsi.NewCAS("ligo.org")
 	if err != nil {
@@ -47,15 +49,14 @@ func startCASServer(t *testing.T) (*gsi.CAS, *Client, *Client) {
 	if err := adminC.Grant(ObjectService, "", casCommunity, PermCreate); err != nil {
 		t.Fatal(err)
 	}
-	memberC := NewClient(ts.URL, casMember)
-	return cas, adminC, memberC
+	return cas, ts.URL
 }
 
 func TestCASAssertionEnablesCommunityRights(t *testing.T) {
-	cas, _, memberC := startCASServer(t)
+	cas, url := startCASServer(t)
 
 	// Without an assertion, the member has no rights of their own.
-	if _, err := memberC.CreateFile(FileSpec{Name: "denied.dat"}); err == nil {
+	if _, err := NewClient(url, casMember).CreateFile(FileSpec{Name: "denied.dat"}); err == nil {
 		t.Fatal("assertion-less create succeeded")
 	}
 
@@ -69,7 +70,7 @@ func TestCASAssertionEnablesCommunityRights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memberC.UseAssertion(encoded)
+	memberC := NewClient(url, casMember, WithAssertion(encoded))
 
 	f, err := memberC.CreateFile(FileSpec{Name: "allowed.dat"})
 	if err != nil {
@@ -86,12 +87,12 @@ func TestCASAssertionEnablesCommunityRights(t *testing.T) {
 }
 
 func TestCASAssertionRightsAreChecked(t *testing.T) {
-	cas, _, memberC := startCASServer(t)
+	cas, url := startCASServer(t)
 	// Assertion granting only read cannot create.
 	cas.Grant(casMember, "", gsi.RightRead)
 	a, _ := cas.IssueAssertion(casMember, "", time.Hour)
 	encoded, _ := gsi.EncodeAssertion(a)
-	memberC.UseAssertion(encoded)
+	memberC := NewClient(url, casMember, WithAssertion(encoded))
 	if _, err := memberC.CreateFile(FileSpec{Name: "x"}); err == nil {
 		t.Fatal("read-only assertion allowed create")
 	}
@@ -99,7 +100,7 @@ func TestCASAssertionRightsAreChecked(t *testing.T) {
 
 func TestCASAssertionSubjectMustMatch(t *testing.T) {
 	// Carol presents an assertion issued to someone else: rejected.
-	cas, _, carol := startCASServer(t)
+	cas, url := startCASServer(t)
 	cas.Grant("/O=LIGO/CN=SomeoneElse", "", gsi.RightCreate)
 	a, err := cas.IssueAssertion("/O=LIGO/CN=SomeoneElse", "", time.Hour)
 	if err != nil {
@@ -109,14 +110,14 @@ func TestCASAssertionSubjectMustMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	carol.UseAssertion(encoded)
+	carol := NewClient(url, casMember, WithAssertion(encoded))
 	if _, err := carol.CreateFile(FileSpec{Name: "stolen"}); err == nil {
 		t.Fatal("assertion with mismatched subject accepted")
 	}
 }
 
 func TestCASWrongCommunityKeyRejected(t *testing.T) {
-	_, _, memberC := startCASServer(t)
+	_, url := startCASServer(t)
 	// An assertion signed by a different CAS must be ignored.
 	otherCAS, err := gsi.NewCAS("ligo.org")
 	if err != nil {
@@ -125,7 +126,7 @@ func TestCASWrongCommunityKeyRejected(t *testing.T) {
 	otherCAS.Grant(casMember, "", gsi.RightCreate)
 	a, _ := otherCAS.IssueAssertion(casMember, "", time.Hour)
 	encoded, _ := gsi.EncodeAssertion(a)
-	memberC.UseAssertion(encoded)
+	memberC := NewClient(url, casMember, WithAssertion(encoded))
 	if _, err := memberC.CreateFile(FileSpec{Name: "x"}); err == nil {
 		t.Fatal("foreign-CAS assertion accepted")
 	}

@@ -181,21 +181,6 @@ func (c *Client) setTransport(kind TransportKind) {
 // TransportJSON, or "" for a custom Transport.
 func (c *Client) TransportName() TransportKind { return c.kind }
 
-// UseCredential attaches a GSI credential.
-//
-// Deprecated: pass WithCredential to NewClient.
-func (c *Client) UseCredential(cred *gsi.Credential) { WithCredential(cred)(c) }
-
-// SetTimeout adjusts the per-call HTTP timeout.
-//
-// Deprecated: pass WithTimeout to NewClient.
-func (c *Client) SetTimeout(d time.Duration) { WithTimeout(d)(c) }
-
-// UseAssertion attaches an encoded CAS capability assertion.
-//
-// Deprecated: pass WithAssertion to NewClient.
-func (c *Client) UseAssertion(encoded string) { WithAssertion(encoded)(c) }
-
 // call performs one logical call: a single wire round trip, or a retry
 // loop when WithRetry is configured.
 func (c *Client) call(ctx context.Context, action string, req, resp any) error {

@@ -24,8 +24,7 @@ func httpPost(url, body string) (string, error) {
 // must surface as errors, never hangs or corrupt results.
 
 func TestClientDeadEndpoint(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1", "/CN=x") // port 1: connection refused
-	c.SetTimeout(2 * time.Second)
+	c := NewClient("http://127.0.0.1:1", "/CN=x", WithTimeout(2*time.Second)) // port 1: connection refused
 	if _, err := c.Ping(); err == nil {
 		t.Fatal("call to dead endpoint succeeded")
 	}

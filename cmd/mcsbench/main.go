@@ -1,12 +1,7 @@
 // Command mcsbench regenerates the evaluation figures of the MCS paper
 // (SC'03, Figures 5–11): add, simple-query and complex-query rates against
 // the catalog directly and through the SOAP web service, swept over client
-// threads, client hosts, database sizes and attribute counts. Figure 12
-// extends the evaluation with a batchWrite batch-size sweep: bulk
-// registration throughput at 1, 10, 100 and 1000 files per call. Figure 13
-// compares add rate and latency on a healthy server against a degraded one
-// (injected dispatch errors and dropped replies) reached by a client with
-// retries and idempotency keys — the cost of riding out failures.
+// threads, client hosts, database sizes and attribute counts.
 //
 // Usage:
 //
@@ -14,50 +9,10 @@
 //	mcsbench -fig all -sizes 10000,50000   # every figure at chosen sizes
 //	mcsbench -fig 11 -duration 5s          # longer measurement windows
 //	mcsbench -fig 6 -latency               # p50/p95/p99 per data point
-//	mcsbench -fig 12 -batch-sizes 1,100    # batch sweep at chosen sizes
-//
-// Figure 14 is the MVCC read-path sweep: query and add rates with one
-// writer thread plus a growing pool of reader threads on one catalog —
-// the workload the lock-free snapshot read path is built for. With
-// -json FILE the fig 14 points are also written as machine-readable JSON
-// (BENCH_readpath.json in CI).
-//
-// Figure 15 is the durability sweep: add rate directly against the engine
-// with the write-ahead log disabled (snapshot-only, the pre-WAL baseline),
-// enabled with group-commit fsync, and enabled without fsync. With
-// -wal-json FILE the points land as JSON (BENCH_wal.json in CI), including
-// the group-commit slowdown factor versus snapshot-only.
-//
-// Figure 16 is the wire comparison: add and simple-query rate through the
-// same server over the SOAP envelope versus the compact JSON wire under
-// /api/v1/ — the encoding tax, isolated, because both endpoints share one
-// dispatch table. With -transport-json FILE the points land as JSON
-// (BENCH_transport.json in CI), including the JSON-over-SOAP speedup on
-// the add path.
-//
-// Figure 17 is the write-amplification sweep: pure add rate (no
-// compensating delete — the bulk-ingest regime) directly against the engine,
-// one CreateFile call per file versus 100 creates per batchWrite
-// transaction, with heap bytes allocated per add alongside the rates. With
-// -addpath-json FILE the points land as JSON (BENCH_addpath.json in CI),
-// including the batch-over-single speedup.
-//
-// Figure 18 is the horizontal-sharding sweep: aggregate add, simple-query
-// and scatter-query rate through the mcsrouter scatter-gather front end
-// over a shard-count axis (1, 2 and 4 mcsd shards by default). Adds and
-// simple queries carry shard-prefixed names and forward to exactly one
-// shard; scatter queries fan out to every shard and merge. With -shard-json
-// FILE the points land as JSON (BENCH_shard.json in CI), including the
-// add-rate scale-out factor at the largest shard count. On a single-core
-// host the sweep measures routing overhead, not scale-out — the shards and
-// the router share the CPU — so the JSON records gomaxprocs alongside the
-// ratios.
 //
 // Figure 11, the attribute-count sweep, runs single-threaded with a warmup
 // and a forced GC before each measurement window so the 1-vs-8-attribute
-// ratio is trustworthy on small hosts (see bench.AttrPathSweep). With
-// -attr-json FILE the points — including the per-count EXPLAIN plan and the
-// cliff ratio — land as JSON (BENCH_attrpath.json in CI).
+// ratio is trustworthy on small hosts.
 //
 // The paper's full-scale databases (100k/1M/5M files) are reachable with
 // -sizes 100000,1000000,5000000 given enough memory and patience; the
@@ -66,312 +21,21 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"mcs"
 	"mcs/internal/bench"
-	"mcs/internal/core"
-	"mcs/internal/shard"
 )
 
-// readPathReport is the machine-readable form of the Fig. 14 sweep.
-type readPathReport struct {
-	Bench       string             `json:"bench"`
-	GoMaxProcs  int                `json:"gomaxprocs"`
-	NumCPU      int                `json:"num_cpu"`
-	DBFiles     int                `json:"db_files"`
-	DurationSec float64            `json:"duration_sec"`
-	Points      []bench.MixedPoint `json:"points"`
-	// QuerySpeedup is the aggregate query rate at the largest thread count
-	// divided by the rate at the smallest — the multi-client scaling figure
-	// of merit (meaningful only when GOMAXPROCS spans the thread counts).
-	QuerySpeedup float64 `json:"query_speedup"`
-}
-
-// writeReadPathJSON emits the Fig. 14 points to path.
-func writeReadPathJSON(path string, size int, d time.Duration, points []bench.MixedPoint) error {
-	rep := readPathReport{
-		Bench:       "readpath",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		DBFiles:     size,
-		DurationSec: d.Seconds(),
-		Points:      points,
-	}
-	if len(points) > 1 && points[0].QueryOps > 0 {
-		rep.QuerySpeedup = points[len(points)-1].QueryOps / points[0].QueryOps
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// walReport is the machine-readable form of the Fig. 15 sweep.
-type walReport struct {
-	Bench       string           `json:"bench"`
-	GoMaxProcs  int              `json:"gomaxprocs"`
-	NumCPU      int              `json:"num_cpu"`
-	DBFiles     int              `json:"db_files"`
-	DurationSec float64          `json:"duration_sec"`
-	Points      []bench.WALPoint `json:"points"`
-	// GroupCommitSlowdown is the snapshot-only add rate divided by the
-	// group-commit rate at the largest common thread count — the durability
-	// tax. Group commit amortizes fsyncs across concurrent committers, so
-	// the factor shrinks as threads grow.
-	GroupCommitSlowdown float64 `json:"group_commit_slowdown"`
-}
-
-// writeWALJSON emits the Fig. 15 points to path.
-func writeWALJSON(path string, size int, d time.Duration, points []bench.WALPoint) error {
-	rep := walReport{
-		Bench:       "wal",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		DBFiles:     size,
-		DurationSec: d.Seconds(),
-		Points:      points,
-	}
-	rate := func(mode string) float64 {
-		best := -1
-		var out float64
-		for _, p := range points {
-			if p.Mode == mode && p.Threads > best {
-				best, out = p.Threads, p.AddsPerSec
-			}
-		}
-		return out
-	}
-	if wal := rate("wal group commit"); wal > 0 {
-		rep.GroupCommitSlowdown = rate("snapshot-only") / wal
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// transportReport is the machine-readable form of the Fig. 16 sweep.
-type transportReport struct {
-	Bench       string                 `json:"bench"`
-	GoMaxProcs  int                    `json:"gomaxprocs"`
-	NumCPU      int                    `json:"num_cpu"`
-	DBFiles     int                    `json:"db_files"`
-	DurationSec float64                `json:"duration_sec"`
-	Points      []bench.TransportPoint `json:"points"`
-	// AddSpeedup and QuerySpeedup are the JSON-wire rate divided by the
-	// SOAP-wire rate for the same operation at the largest common thread
-	// count — how much of the web-service overhead was envelope encoding.
-	AddSpeedup   float64 `json:"add_speedup"`
-	QuerySpeedup float64 `json:"query_speedup"`
-}
-
-// writeTransportJSON emits the Fig. 16 points to path.
-func writeTransportJSON(path string, size int, d time.Duration, points []bench.TransportPoint) error {
-	rep := transportReport{
-		Bench:       "transport",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		DBFiles:     size,
-		DurationSec: d.Seconds(),
-		Points:      points,
-	}
-	rate := func(transport, op string) float64 {
-		best := -1
-		var out float64
-		for _, p := range points {
-			if p.Transport == transport && p.Op == op && p.Threads > best {
-				best, out = p.Threads, p.OpsPerSec
-			}
-		}
-		return out
-	}
-	if soap := rate("soap", "add"); soap > 0 {
-		rep.AddSpeedup = rate("json", "add") / soap
-	}
-	if soap := rate("soap", "query"); soap > 0 {
-		rep.QuerySpeedup = rate("json", "query") / soap
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// shardReport is the machine-readable form of the Fig. 18 sweep.
-type shardReport struct {
-	Bench       string             `json:"bench"`
-	GoMaxProcs  int                `json:"gomaxprocs"`
-	NumCPU      int                `json:"num_cpu"`
-	DBFiles     int                `json:"db_files"`
-	DurationSec float64            `json:"duration_sec"`
-	Points      []bench.ShardPoint `json:"points"`
-	// AddScale and QueryScale are the aggregate add and simple-query rates
-	// at the largest shard count divided by the single-shard rates — the
-	// scale-out figures of merit. Meaningful only when gomaxprocs exceeds
-	// the shard count: on fewer cores the shards, the router and the load
-	// generator time-slice one CPU and the ratio measures the router's
-	// extra hop instead.
-	AddScale   float64 `json:"add_scale"`
-	QueryScale float64 `json:"query_scale"`
-	// ScatterScale is the same ratio for the fan-out query: expected below
-	// one on any host, since every scatter pays one subquery per shard.
-	ScatterScale float64 `json:"scatter_scale"`
-	MaxShards    int     `json:"max_shards"`
-}
-
-// writeShardJSON emits the Fig. 18 points to path.
-func writeShardJSON(path string, size int, d time.Duration, points []bench.ShardPoint) error {
-	rep := shardReport{
-		Bench:       "shard",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		DBFiles:     size,
-		DurationSec: d.Seconds(),
-		Points:      points,
-	}
-	for _, p := range points {
-		if p.Shards > rep.MaxShards {
-			rep.MaxShards = p.Shards
-		}
-	}
-	rate := func(op string, shards int) float64 {
-		for _, p := range points {
-			if p.Op == op && p.Shards == shards {
-				return p.OpsPerSec
-			}
-		}
-		return 0
-	}
-	for op, dst := range map[string]*float64{
-		"add": &rep.AddScale, "query": &rep.QueryScale, "scatter": &rep.ScatterScale,
-	} {
-		if base := rate(op, 1); base > 0 {
-			*dst = rate(op, rep.MaxShards) / base
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// attrPathReport is the machine-readable form of the Fig. 11 sweep.
-type attrPathReport struct {
-	Bench       string                `json:"bench"`
-	GoMaxProcs  int                   `json:"gomaxprocs"`
-	NumCPU      int                   `json:"num_cpu"`
-	DBFiles     int                   `json:"db_files"`
-	DurationSec float64               `json:"duration_sec"`
-	Points      []bench.AttrPathPoint `json:"points"`
-	// CliffRatio is the 1-attribute query rate divided by the 8-attribute
-	// rate (10-attribute when the sweep has no 8): the Fig. 11 figure of
-	// merit. The paper's nested-join cliff puts this near 10; the sorted-
-	// rowid-intersection planner is held to 2 or below.
-	CliffRatio float64 `json:"cliff_ratio"`
-}
-
-// writeAttrPathJSON emits the Fig. 11 points to path.
-func writeAttrPathJSON(path string, size int, d time.Duration, points []bench.AttrPathPoint) error {
-	rep := attrPathReport{
-		Bench:       "attrpath",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		DBFiles:     size,
-		DurationSec: d.Seconds(),
-		Points:      points,
-	}
-	rate := func(attrs int) float64 {
-		for _, p := range points {
-			if p.Attrs == attrs {
-				return p.QueriesPerSec
-			}
-		}
-		return 0
-	}
-	wide := rate(8)
-	if wide == 0 {
-		wide = rate(10)
-	}
-	if wide > 0 {
-		rep.CliffRatio = rate(1) / wide
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// addPathReport is the machine-readable form of the Fig. 17 sweep.
-type addPathReport struct {
-	Bench       string               `json:"bench"`
-	GoMaxProcs  int                  `json:"gomaxprocs"`
-	NumCPU      int                  `json:"num_cpu"`
-	DBFiles     int                  `json:"db_files"`
-	DurationSec float64              `json:"duration_sec"`
-	Points      []bench.AddPathPoint `json:"points"`
-	// SingleAddsPerSec and BatchAddsPerSec are the peak rates across the
-	// thread sweep per mode (on a single-core host extra threads only add
-	// queueing, so the peak — not the largest thread count — is the
-	// machine's capability); BatchSpeedup is their ratio — what
-	// per-transaction index batching and one-lock-per-batch commit buy.
-	SingleAddsPerSec float64 `json:"single_adds_per_sec"`
-	BatchAddsPerSec  float64 `json:"batch_adds_per_sec"`
-	BatchSpeedup     float64 `json:"batch_speedup"`
-	// SingleBytesPerAdd is the allocation footprint at that same point — the
-	// write-amplification figure of merit tracked across PRs.
-	SingleBytesPerAdd float64 `json:"single_bytes_per_add"`
-}
-
-// writeAddPathJSON emits the Fig. 17 points to path.
-func writeAddPathJSON(path string, size int, d time.Duration, points []bench.AddPathPoint) error {
-	rep := addPathReport{
-		Bench:       "addpath",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		DBFiles:     size,
-		DurationSec: d.Seconds(),
-		Points:      points,
-	}
-	best := func(mode string) bench.AddPathPoint {
-		var out bench.AddPathPoint
-		for _, p := range points {
-			if p.Mode == mode && p.AddsPerSec > out.AddsPerSec {
-				out = p
-			}
-		}
-		return out
-	}
-	single, batch := best("single"), best("batch100")
-	rep.SingleAddsPerSec = single.AddsPerSec
-	rep.BatchAddsPerSec = batch.AddsPerSec
-	rep.SingleBytesPerAdd = single.BytesPerAdd
-	if single.AddsPerSec > 0 {
-		rep.BatchSpeedup = batch.AddsPerSec / single.AddsPerSec
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func parseSizes(s string) ([]int, error) {
+// mustInts parses the comma-separated positive integers of flag name,
+// exiting on a malformed value.
+func mustInts(name, s string) []int {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -380,312 +44,61 @@ func parseSizes(s string) ([]int, error) {
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad size %q", part)
+			log.Fatalf("mcsbench: -%s: bad value %q", name, part)
 		}
 		out = append(out, n)
 	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) { return parseSizes(s) }
-
-func env() bench.Env {
-	return bench.Env{
-		StartServer: func(cat *core.Catalog) (string, func(), error) {
-			srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat})
-			if err != nil {
-				return "", nil, err
-			}
-			ts := httptest.NewUnstartedServer(srv)
-			ts.Start()
-			return ts.URL, ts.Close, nil
-		},
-		NewClient: func(url string) bench.SOAPClient {
-			// Complex queries over the largest database can exceed the
-			// default timeout when many simulated hosts share few cores.
-			return mcs.NewClient(url, bench.LoaderDN, mcs.WithTimeout(10*time.Minute))
-		},
-		StartDegradedServer: func(cat *core.Catalog) (string, func(), error) {
-			// Periodic (not probabilistic) rules keep the bench workers
-			// deterministic: the retry that follows an injected failure lands
-			// on the next call number and succeeds, so every logical add
-			// completes and the measured cost is pure retry overhead.
-			inj := mcs.NewFaultInjector(1,
-				mcs.FaultRule{Site: mcs.FaultSiteDispatch, Kind: mcs.FaultKindError, Every: 7},
-				mcs.FaultRule{Site: mcs.FaultSiteTransport, Kind: mcs.FaultKindDrop, Every: 13},
-			)
-			srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat, FaultInjector: inj})
-			if err != nil {
-				return "", nil, err
-			}
-			ts := httptest.NewUnstartedServer(srv)
-			ts.Start()
-			return ts.URL, ts.Close, nil
-		},
-		NewRetryClient: func(url string) bench.SOAPClient {
-			return mcs.NewClient(url, bench.LoaderDN,
-				mcs.WithTimeout(10*time.Minute),
-				mcs.WithRetry(5),
-				mcs.WithBackoff(time.Millisecond, 20*time.Millisecond))
-		},
-		NewJSONClient: func(url string) bench.SOAPClient {
-			return mcs.NewClient(url, bench.LoaderDN,
-				mcs.WithTimeout(10*time.Minute),
-				mcs.WithTransport(mcs.TransportJSON))
-		},
-		StartShardedRouter: func(cats []*core.Catalog) (string, func(), error) {
-			var stops []func()
-			stop := func() {
-				for i := len(stops) - 1; i >= 0; i-- {
-					stops[i]()
-				}
-			}
-			var parts []string
-			for i, cat := range cats {
-				srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat})
-				if err != nil {
-					stop()
-					return "", nil, err
-				}
-				ts := httptest.NewServer(srv)
-				stops = append(stops, ts.Close)
-				parts = append(parts, bench.ShardPrefix(i)+"="+ts.URL)
-				if i == 0 {
-					parts = append(parts, "*="+ts.URL)
-				}
-			}
-			m, err := shard.ParseInline(strings.Join(parts, ","))
-			if err != nil {
-				stop()
-				return "", nil, err
-			}
-			router, err := shard.NewRouter(shard.Options{Map: m})
-			if err != nil {
-				stop()
-				return "", nil, err
-			}
-			stops = append(stops, router.Stop)
-			ts := httptest.NewServer(router)
-			stops = append(stops, ts.Close)
-			return ts.URL, stop, nil
-		},
-	}
+	return out
 }
 
 func main() {
 	log.SetFlags(0)
-	fig := flag.String("fig", "all", `figure to regenerate: 5..17 or "all"`)
+	fig := flag.String("fig", "all", `figure to regenerate: 5..11 or "all"`)
 	sizes := flag.String("sizes", "10000,50000,100000", "database sizes (files), comma-separated")
 	threads := flag.String("threads", "1,2,4,8,12,16", "thread sweep for figures 5-7")
 	hosts := flag.String("hosts", "1,2,4,6,8,10", "host sweep for figures 8-10")
 	threadsPerHost := flag.Int("threads-per-host", 4, "threads per host for figures 8-10")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window per data point")
 	attrSweep := flag.String("attr-sweep", "1,2,4,6,8,10", "attribute counts for figure 11")
-	batchSizes := flag.String("batch-sizes", "1,10,100,1000", "batch-size sweep for figure 12")
 	latency := flag.Bool("latency", false, "also report per-operation latency (p50/p95/p99) per data point")
-	jsonOut := flag.String("json", "", "write figure 14 points as JSON to this path (e.g. BENCH_readpath.json)")
-	walJSONOut := flag.String("wal-json", "", "write figure 15 points as JSON to this path (e.g. BENCH_wal.json)")
-	transportJSONOut := flag.String("transport-json", "", "write figure 16 points as JSON to this path (e.g. BENCH_transport.json)")
-	addPathJSONOut := flag.String("addpath-json", "", "write figure 17 points as JSON to this path (e.g. BENCH_addpath.json)")
-	attrJSONOut := flag.String("attr-json", "", "write figure 11 points as JSON to this path (e.g. BENCH_attrpath.json)")
-	shardJSONOut := flag.String("shard-json", "", "write figure 18 points as JSON to this path (e.g. BENCH_shard.json)")
-	shardCounts := flag.String("shard-counts", "1,2,4", "shard-count sweep for figure 18")
-	shardThreads := flag.Int("shard-threads", 8, "client threads per figure 18 data point")
 	flag.Parse()
-	_ = http.DefaultClient // keep net/http linked for httptest servers
 
-	szs, err := parseSizes(*sizes)
-	if err != nil {
-		log.Fatalf("mcsbench: %v", err)
-	}
-	thr, err := parseInts(*threads)
-	if err != nil {
-		log.Fatalf("mcsbench: %v", err)
-	}
-	hst, err := parseInts(*hosts)
-	if err != nil {
-		log.Fatalf("mcsbench: %v", err)
-	}
-	swp, err := parseInts(*attrSweep)
-	if err != nil {
-		log.Fatalf("mcsbench: %v", err)
-	}
-	bsz, err := parseInts(*batchSizes)
-	if err != nil {
-		log.Fatalf("mcsbench: %v", err)
-	}
-	shc, err := parseInts(*shardCounts)
-	if err != nil {
-		log.Fatalf("mcsbench: %v", err)
-	}
 	opt := bench.FigureOptions{
-		Sizes: szs, Threads: thr, Hosts: hst,
-		ThreadsPerHost: *threadsPerHost, Duration: *duration,
-		AttrSweep: swp, BatchSizes: bsz, Latency: *latency, Env: env(),
+		Sizes:          mustInts("sizes", *sizes),
+		Threads:        mustInts("threads", *threads),
+		Hosts:          mustInts("hosts", *hosts),
+		ThreadsPerHost: *threadsPerHost,
+		Duration:       *duration,
+		AttrSweep:      mustInts("attr-sweep", *attrSweep),
+		Latency:        *latency,
 	}
 
-	var figs []int
-	if *fig == "all" {
-		figs = []int{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}
-	} else {
+	figs := bench.Figures
+	if *fig != "all" {
 		n, err := strconv.Atoi(*fig)
-		if err != nil {
-			log.Fatalf("mcsbench: bad -fig %q", *fig)
+		if err != nil || !slices.Contains(bench.Figures, n) {
+			log.Fatalf("mcsbench: bad -fig %q: the paper's evaluation is Figures 5–11", *fig)
 		}
 		figs = []int{n}
 	}
 
-	// Figures 12, 15, 17 and 18 build their own fresh catalogs; preloaded
-	// databases are only needed for the rest.
-	needLoad := false
-	for _, f := range figs {
-		if f != 12 && f != 15 && f != 17 && f != 18 {
-			needLoad = true
-		}
+	fmt.Fprintf(os.Stderr, "mcsbench: loading databases %v...\n", opt.Sizes)
+	loadStart := time.Now()
+	cats, err := bench.LoadAll(opt.Sizes)
+	if err != nil {
+		log.Fatalf("mcsbench: load: %v", err)
 	}
-	if needLoad {
-		fmt.Fprintf(os.Stderr, "mcsbench: loading databases %v...\n", szs)
-		loadStart := time.Now()
-		cats, err := bench.LoadAll(szs)
-		if err != nil {
-			log.Fatalf("mcsbench: load: %v", err)
-		}
-		opt.Catalogs = cats
-		fmt.Fprintf(os.Stderr, "mcsbench: databases loaded in %s\n", time.Since(loadStart).Round(time.Second))
-	}
+	opt.Catalogs = cats
+	fmt.Fprintf(os.Stderr, "mcsbench: databases loaded in %s\n", time.Since(loadStart).Round(time.Second))
 
 	for _, f := range figs {
-		fmt.Fprintf(os.Stderr, "mcsbench: running figure %d (sizes %v, window %s)...\n", f, szs, *duration)
+		fmt.Fprintf(os.Stderr, "mcsbench: running figure %d (sizes %v, window %s)...\n", f, opt.Sizes, *duration)
 		start := time.Now()
-		if f == 14 {
-			// Run the sweep once and feed both the rendered table and the
-			// optional JSON report from the same points.
-			size := szs[0]
-			for _, s := range szs[1:] {
-				if s < size {
-					size = s
-				}
-			}
-			points := bench.ReadPathSweep(opt.Catalogs[size], thr, *duration, bench.DefaultConfig(size))
-			fmt.Println(bench.Render(14, bench.MixedPointSeries(size, points)))
-			if *jsonOut != "" {
-				if err := writeReadPathJSON(*jsonOut, size, *duration, points); err != nil {
-					log.Fatalf("mcsbench: write %s: %v", *jsonOut, err)
-				}
-				fmt.Fprintf(os.Stderr, "mcsbench: wrote %s\n", *jsonOut)
-			}
-		} else if f == 11 {
-			// One single-threaded, GC-settled sweep per size feeds both the
-			// rendered table and the optional JSON report (largest size —
-			// where the attribute cliff would be steepest if it came back).
-			large := szs[0]
-			for _, s := range szs[1:] {
-				if s > large {
-					large = s
-				}
-			}
-			var series []bench.Series
-			var largePoints []bench.AttrPathPoint
-			for _, size := range szs {
-				points, err := bench.AttrPathSweep(opt.Catalogs[size], swp, *duration, bench.DefaultConfig(size))
-				if err != nil {
-					log.Fatalf("mcsbench: figure 11: %v", err)
-				}
-				series = append(series, bench.AttrPathPointSeries(size, points)...)
-				if size == large {
-					largePoints = points
-				}
-			}
-			fmt.Println(bench.Render(11, series))
-			if *attrJSONOut != "" {
-				if err := writeAttrPathJSON(*attrJSONOut, large, *duration, largePoints); err != nil {
-					log.Fatalf("mcsbench: write %s: %v", *attrJSONOut, err)
-				}
-				fmt.Fprintf(os.Stderr, "mcsbench: wrote %s\n", *attrJSONOut)
-			}
-		} else if f == 16 {
-			// Like figs 14/15: one sweep feeds both the table and the JSON.
-			size := szs[0]
-			for _, s := range szs[1:] {
-				if s < size {
-					size = s
-				}
-			}
-			points, err := bench.TransportSweep(opt)
-			if err != nil {
-				log.Fatalf("mcsbench: figure 16: %v", err)
-			}
-			fmt.Println(bench.Render(16, bench.TransportPointSeries(size, points)))
-			if *transportJSONOut != "" {
-				if err := writeTransportJSON(*transportJSONOut, size, *duration, points); err != nil {
-					log.Fatalf("mcsbench: write %s: %v", *transportJSONOut, err)
-				}
-				fmt.Fprintf(os.Stderr, "mcsbench: wrote %s\n", *transportJSONOut)
-			}
-		} else if f == 17 {
-			// Like figs 14/15: one sweep feeds both the table and the JSON.
-			size := szs[0]
-			for _, s := range szs[1:] {
-				if s < size {
-					size = s
-				}
-			}
-			points, err := bench.AddPathSweep(size, thr, *duration)
-			if err != nil {
-				log.Fatalf("mcsbench: figure 17: %v", err)
-			}
-			fmt.Println(bench.Render(17, bench.AddPathPointSeries(size, points)))
-			if *addPathJSONOut != "" {
-				if err := writeAddPathJSON(*addPathJSONOut, size, *duration, points); err != nil {
-					log.Fatalf("mcsbench: write %s: %v", *addPathJSONOut, err)
-				}
-				fmt.Fprintf(os.Stderr, "mcsbench: wrote %s\n", *addPathJSONOut)
-			}
-		} else if f == 18 {
-			// Like figs 14/15: one sweep feeds both the table and the JSON.
-			size := szs[0]
-			for _, s := range szs[1:] {
-				if s < size {
-					size = s
-				}
-			}
-			points, err := bench.ShardSweep(opt, shc, *shardThreads)
-			if err != nil {
-				log.Fatalf("mcsbench: figure 18: %v", err)
-			}
-			fmt.Println(bench.Render(18, bench.ShardPointSeries(size, points)))
-			if *shardJSONOut != "" {
-				if err := writeShardJSON(*shardJSONOut, size, *duration, points); err != nil {
-					log.Fatalf("mcsbench: write %s: %v", *shardJSONOut, err)
-				}
-				fmt.Fprintf(os.Stderr, "mcsbench: wrote %s\n", *shardJSONOut)
-			}
-		} else if f == 15 {
-			// Like fig 14: one sweep feeds both the table and the JSON.
-			size := szs[0]
-			for _, s := range szs[1:] {
-				if s < size {
-					size = s
-				}
-			}
-			points, err := bench.WALSweep(size, thr, *duration)
-			if err != nil {
-				log.Fatalf("mcsbench: figure 15: %v", err)
-			}
-			fmt.Println(bench.Render(15, bench.WALPointSeries(size, points)))
-			if *walJSONOut != "" {
-				if err := writeWALJSON(*walJSONOut, size, *duration, points); err != nil {
-					log.Fatalf("mcsbench: write %s: %v", *walJSONOut, err)
-				}
-				fmt.Fprintf(os.Stderr, "mcsbench: wrote %s\n", *walJSONOut)
-			}
-		} else {
-			series, err := bench.Figure(f, opt)
-			if err != nil {
-				log.Fatalf("mcsbench: figure %d: %v", f, err)
-			}
-			fmt.Println(bench.Render(f, series))
+		series, err := bench.Figure(f, opt)
+		if err != nil {
+			log.Fatalf("mcsbench: figure %d: %v", f, err)
 		}
+		fmt.Println(bench.Render(f, series))
 		fmt.Fprintf(os.Stderr, "mcsbench: figure %d done in %s\n\n", f, time.Since(start).Round(time.Second))
 	}
 }

@@ -44,8 +44,7 @@ func TestGSIAndCASCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adminC := NewClient(ts.URL, "ignored")
-	adminC.UseCredential(adminCred)
+	adminC := NewClient(ts.URL, "ignored", WithCredential(adminCred))
 	if err := adminC.Grant(ObjectService, "", communityDN, PermCreate); err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +59,7 @@ func TestGSIAndCASCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memberC := NewClient(ts.URL, "ignored")
-	memberC.UseCredential(proxy)
+	memberC := NewClient(ts.URL, "ignored", WithCredential(proxy))
 	if _, err := memberC.CreateFile(FileSpec{Name: "x"}); err == nil {
 		t.Fatal("create without assertion succeeded")
 	}
@@ -77,7 +75,7 @@ func TestGSIAndCASCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memberC.UseAssertion(encoded)
+	memberC = NewClient(ts.URL, "ignored", WithCredential(proxy), WithAssertion(encoded))
 	f, err := memberC.CreateFile(FileSpec{Name: "signed-and-asserted.dat"})
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +91,9 @@ func TestGSIAndCASCombined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eveC := NewClient(ts.URL, memberDN) // declares Dana
-	eveC.UseCredential(eveCred)         // but signs as Eve
-	eveC.UseAssertion(encoded)          // with Dana's stolen assertion
+	eveC := NewClient(ts.URL, memberDN, // declares Dana
+		WithCredential(eveCred), // but signs as Eve
+		WithAssertion(encoded))  // with Dana's stolen assertion
 	if _, err := eveC.CreateFile(FileSpec{Name: "stolen.dat"}); err == nil {
 		t.Fatal("stolen assertion over mismatched credential accepted")
 	}

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mcs"
 	"mcs/internal/core"
 	"mcs/internal/obs"
 )
@@ -196,18 +197,8 @@ func (d Direct) AttrQuery(preds []core.Predicate) error {
 	return err
 }
 
-// SOAPClient is the subset of the mcs.Client API the harness uses; declared
-// as an interface to avoid an import cycle with the root package.
-type SOAPClient interface {
-	CreateFile(spec core.FileSpec) (core.File, error)
-	DeleteFile(name string, version int) error
-	RunQuery(q core.Query) ([]string, error)
-	BatchWrite(ops []core.BatchOp) ([]core.BatchResult, error)
-	BatchWriteQuiet(ops []core.BatchOp) (int, error)
-}
-
 // SOAP runs operations through the web-service stack.
-type SOAP struct{ Client SOAPClient }
+type SOAP struct{ Client *mcs.Client }
 
 // AddAndDelete implements Target.
 func (s SOAP) AddAndDelete(name string, attrs []core.Attribute) error {
@@ -246,16 +237,10 @@ const (
 // RunRate drives hosts×threads workers against per-host targets for the
 // given duration and returns the aggregate operation rate per second.
 // attrK is the predicate count for OpComplexQuery (the paper uses 10).
-func RunRate(targets []Target, threadsPerHost int, d time.Duration, op Op, cfg Config, attrK int) float64 {
-	return RunRateHist(targets, threadsPerHost, d, op, cfg, attrK, nil)
-}
-
-// RunRateHist is RunRate with per-operation latency recording: every
-// completed operation's wall time is observed into hist (the same
+// A non-nil hist receives every completed operation's wall time (the same
 // fixed-bucket histogram the server's /metrics endpoint uses, so client-side
-// p50/p95/p99 are directly comparable with server-side numbers). A nil hist
-// disables recording.
-func RunRateHist(targets []Target, threadsPerHost int, d time.Duration, op Op, cfg Config, attrK int, hist *obs.Histogram) float64 {
+// p50/p95/p99 are directly comparable with server-side numbers).
+func RunRate(targets []Target, threadsPerHost int, d time.Duration, op Op, cfg Config, attrK int, hist *obs.Histogram) float64 {
 	var total atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -302,131 +287,4 @@ func RunRateHist(targets []Target, threadsPerHost int, d time.Duration, op Op, c
 	wg.Wait()
 	elapsed := time.Since(start)
 	return float64(total.Load()) / elapsed.Seconds()
-}
-
-// MixedPoint is one measurement of the read-path sweep (Fig. 14): Threads
-// reader threads running simple queries concurrently with one writer thread
-// doing add/delete cycles against the same catalog.
-type MixedPoint struct {
-	Threads  int     `json:"threads"`
-	QueryOps float64 `json:"query_ops_per_sec"`
-	WriteOps float64 `json:"write_ops_per_sec"`
-}
-
-// RunMixedRate measures the mixed read/write workload directly against the
-// catalog engine: one writer thread cycling add/delete plus threads reader
-// threads issuing simple queries, all for duration d. Under the MVCC read
-// path the queries are wait-free snapshot reads of the last committed root,
-// so the aggregate query rate should scale with reader threads instead of
-// serializing behind the writer.
-func RunMixedRate(cat *core.Catalog, threads int, d time.Duration, cfg Config) MixedPoint {
-	var reads, writes atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	tgt := Direct{Catalog: cat}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		iter := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			iter++
-			name := fmt.Sprintf("bench-mixed-%08d", iter)
-			if err := tgt.AddAndDelete(name, FileAttributes(iter, cfg.AttrsPerFile)); err != nil {
-				panic(fmt.Sprintf("bench: mixed writer: %v", err))
-			}
-			writes.Add(1)
-		}
-	}()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			iter := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				iter++
-				if err := tgt.SimpleQuery(FileName((t*17 + iter*7919) % cfg.Files)); err != nil {
-					panic(fmt.Sprintf("bench: mixed reader t=%d: %v", t, err))
-				}
-				reads.Add(1)
-			}
-		}(t)
-	}
-	start := time.Now()
-	time.Sleep(d)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	return MixedPoint{
-		Threads:  threads,
-		QueryOps: float64(reads.Load()) / elapsed,
-		WriteOps: float64(writes.Load()) / elapsed,
-	}
-}
-
-// ReadPathSweep runs RunMixedRate at each reader thread count.
-func ReadPathSweep(cat *core.Catalog, threads []int, d time.Duration, cfg Config) []MixedPoint {
-	points := make([]MixedPoint, 0, len(threads))
-	for _, t := range threads {
-		points = append(points, RunMixedRate(cat, t, d, cfg))
-	}
-	return points
-}
-
-// BatchRegistrationAttrs is the attribute count of the Fig. 12 bulk-
-// registration workload: bare logical names, no attributes. Bulk loads
-// register names first and attach rich metadata later (the POOL catalog's
-// bulk registration works the same way), so the sweep isolates per-call
-// transport overhead — the quantity batching amortizes.
-const BatchRegistrationAttrs = 0
-
-// RunBatchRate measures bulk-registration throughput (files created per
-// second) through the web-service stack at a given batch size, on one
-// client thread — the per-call-overhead-bound regime of Fig. 5. Batch size
-// 1 is the baseline: one createFile call per file, the only option before
-// batchWrite existed. Batches use the quiet form, as a bulk loader would:
-// the per-op acks are never read. The catalog grows for the duration of
-// the window; callers give each measurement a fresh catalog.
-func RunBatchRate(client SOAPClient, batchSize int, d time.Duration, attrsPerFile int) float64 {
-	var files int64
-	iter := 0
-	start := time.Now()
-	deadline := start.Add(d)
-	for time.Now().Before(deadline) {
-		if batchSize <= 1 {
-			iter++
-			_, err := client.CreateFile(core.FileSpec{
-				Name:       fmt.Sprintf("bench-batch-%09d", iter),
-				Attributes: FileAttributes(iter, attrsPerFile),
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: batch size 1: %v", err))
-			}
-			files++
-			continue
-		}
-		ops := make([]core.BatchOp, batchSize)
-		for k := range ops {
-			iter++
-			spec := core.FileSpec{
-				Name:       fmt.Sprintf("bench-batch-%09d", iter),
-				Attributes: FileAttributes(iter, attrsPerFile),
-			}
-			ops[k] = core.BatchOp{CreateFile: &spec}
-		}
-		if _, err := client.BatchWriteQuiet(ops); err != nil {
-			panic(fmt.Sprintf("bench: batch size %d: %v", batchSize, err))
-		}
-		files += int64(batchSize)
-	}
-	return float64(files) / time.Since(start).Seconds()
 }

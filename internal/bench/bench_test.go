@@ -2,6 +2,7 @@ package bench_test
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,23 +11,6 @@ import (
 	"mcs/internal/bench"
 	"mcs/internal/core"
 )
-
-func testEnv(t *testing.T) bench.Env {
-	t.Helper()
-	return bench.Env{
-		StartServer: func(cat *core.Catalog) (string, func(), error) {
-			srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat})
-			if err != nil {
-				return "", nil, err
-			}
-			ts := httptest.NewServer(srv)
-			return ts.URL, ts.Close, nil
-		},
-		NewClient: func(url string) bench.SOAPClient {
-			return mcs.NewClient(url, bench.LoaderDN)
-		},
-	}
-}
 
 func TestLoadShape(t *testing.T) {
 	cfg := bench.Config{Files: 250, FilesPerCollection: 100, AttrsPerFile: 10}
@@ -103,13 +87,13 @@ func TestSOAPTargetOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := testEnv(t)
-	url, stop, err := env.StartServer(cat)
+	srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	s := bench.SOAP{Client: env.NewClient(url)}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	s := bench.SOAP{Client: mcs.NewClient(ts.URL, bench.LoaderDN)}
 	if err := s.AddAndDelete("tmp-soap", bench.FileAttributes(1, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -128,33 +112,15 @@ func TestRunRateCounts(t *testing.T) {
 	}
 	cfg := bench.DefaultConfig(200)
 	rate := bench.RunRate([]bench.Target{bench.Direct{Catalog: cat}}, 2,
-		100*time.Millisecond, bench.OpSimpleQuery, cfg, 10)
+		100*time.Millisecond, bench.OpSimpleQuery, cfg, 10, nil)
 	if rate <= 0 {
 		t.Fatalf("rate = %f", rate)
 	}
 }
 
-func TestRunMixedRateCounts(t *testing.T) {
-	cat, err := bench.Load(bench.Config{Files: 200, FilesPerCollection: 100, AttrsPerFile: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := bench.ReadPathSweep(cat, []int{1, 2}, 100*time.Millisecond, bench.DefaultConfig(200))
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
-	}
-	for _, p := range points {
-		if p.QueryOps <= 0 {
-			t.Fatalf("threads=%d: query rate %f", p.Threads, p.QueryOps)
-		}
-		if p.WriteOps <= 0 {
-			t.Fatalf("threads=%d: write rate %f (writer starved)", p.Threads, p.WriteOps)
-		}
-	}
-}
-
 func TestFigureSmoke(t *testing.T) {
-	// A miniature end-to-end run of each figure to prove the harness works.
+	// A miniature end-to-end run of each of the paper's figures to prove the
+	// harness works, latency histograms included.
 	opt := bench.FigureOptions{
 		Sizes:          []int{200},
 		Threads:        []int{1, 2},
@@ -162,10 +128,13 @@ func TestFigureSmoke(t *testing.T) {
 		ThreadsPerHost: 1,
 		Duration:       50 * time.Millisecond,
 		AttrSweep:      []int{1, 3},
-		BatchSizes:     []int{1, 2},
-		Env:            testEnv(t),
+		Latency:        true,
 	}
-	for _, fig := range []int{5, 6, 7, 8, 9, 10, 11, 12, 14} {
+	want := []int{5, 6, 7, 8, 9, 10, 11}
+	if !slices.Equal(bench.Figures, want) {
+		t.Fatalf("Figures = %v, want %v", bench.Figures, want)
+	}
+	for _, fig := range bench.Figures {
 		series, err := bench.Figure(fig, opt)
 		if err != nil {
 			t.Fatalf("figure %d: %v", fig, err)
@@ -178,17 +147,24 @@ func TestFigureSmoke(t *testing.T) {
 				if p.Y <= 0 {
 					t.Fatalf("figure %d series %q has nonpositive rate at x=%d", fig, s.Label, p.X)
 				}
+				if p.Hist == nil || p.Hist.Count() == 0 {
+					t.Fatalf("figure %d series %q has no latency at x=%d", fig, s.Label, p.X)
+				}
 			}
 		}
 		text := bench.Render(fig, series)
-		if !strings.Contains(text, "Fig.") {
-			t.Fatalf("render missing title: %s", text)
+		if !strings.HasPrefix(text, bench.FigureTitle(fig)) || !strings.Contains(text, "per-operation latency:") {
+			t.Fatalf("figure %d render missing title or latency:\n%s", fig, text)
 		}
 	}
 }
 
 func TestFigureUnknown(t *testing.T) {
-	if _, err := bench.Figure(13, bench.FigureOptions{Env: testEnv(t)}); err == nil {
-		t.Fatal("unknown figure accepted")
+	// Outside 5–11 there is nothing to regenerate: before the paper's
+	// evaluation, or one of the retired extension sweeps (12–18).
+	for _, fig := range []int{0, 4, 12, 13, 18} {
+		if _, err := bench.Figure(fig, bench.FigureOptions{Sizes: []int{100}}); err == nil {
+			t.Errorf("figure %d accepted", fig)
+		}
 	}
 }

@@ -2,46 +2,20 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"mcs"
 	"mcs/internal/core"
 	"mcs/internal/obs"
-	"mcs/internal/sqldb"
 )
 
-// Env supplies the web-service plumbing without importing the root package
-// (the mcs package provides both functions; see cmd/mcsbench).
-type Env struct {
-	// StartServer serves cat over SOAP/HTTP, returning the base URL and a
-	// shutdown function.
-	StartServer func(cat *core.Catalog) (url string, stop func(), err error)
-	// NewClient returns an independent SOAP client ("client host") for url.
-	NewClient func(url string) SOAPClient
-	// StartDegradedServer serves cat with deterministic fault injection
-	// enabled (periodic dispatch errors and dropped replies); used by the
-	// Fig. 13 degraded-mode comparison. Optional — only Figure 13 needs it.
-	StartDegradedServer func(cat *core.Catalog) (url string, stop func(), err error)
-	// NewRetryClient returns a client with retries, backoff and idempotency
-	// keys enabled, matching the degraded server. Optional — Figure 13 only.
-	NewRetryClient func(url string) SOAPClient
-	// NewJSONClient returns a client speaking the compact JSON wire
-	// (/api/v1/) against the same server NewClient's SOAP client talks to.
-	// Optional — only the Fig. 16 wire comparison and the Fig. 18 sharding
-	// sweep need it.
-	NewJSONClient func(url string) SOAPClient
-	// StartShardedRouter serves each catalog as its own shard — shard i
-	// owning the ShardPrefix(i) namespace, shard 0 doubling as the
-	// catch-all — behind a scatter-gather router, and returns the router's
-	// base URL. Optional — only the Fig. 18 sharding sweep needs it.
-	StartShardedRouter func(cats []*core.Catalog) (url string, stop func(), err error)
-}
+// Figures lists the paper's evaluation figures in order; Figure accepts
+// exactly these.
+var Figures = []int{5, 6, 7, 8, 9, 10, 11}
 
 // Point is one measurement: X is the swept parameter, Y the rate (ops/s).
 // Hist carries the per-operation latency distribution of the measurement
@@ -76,13 +50,9 @@ type FigureOptions struct {
 	AttrK int
 	// AttrSweep is the Fig. 11 attribute-count sweep.
 	AttrSweep []int
-	// BatchSizes is the Fig. 12 batch-size sweep.
-	BatchSizes []int
 	// Latency also records a per-operation latency histogram per data point
 	// (rendered as p50/p95/p99 below the rate table).
 	Latency bool
-	// Env provides the web-service plumbing.
-	Env Env
 	// Catalogs supplies preloaded databases keyed by size; Figure loads any
 	// missing size itself. Use LoadAll to share loads across figures.
 	Catalogs map[int]*core.Catalog
@@ -115,9 +85,6 @@ func (o FigureOptions) Defaults() FigureOptions {
 	}
 	if len(o.AttrSweep) == 0 {
 		o.AttrSweep = []int{1, 2, 4, 6, 8, 10}
-	}
-	if len(o.BatchSizes) == 0 {
-		o.BatchSizes = []int{1, 10, 100, 1000}
 	}
 	return o
 }
@@ -162,114 +129,58 @@ func opForFigure(fig int) (Op, error) {
 	case 7, 10, 11:
 		return OpComplexQuery, nil
 	}
-	return 0, fmt.Errorf("bench: no figure %d in the paper's evaluation", fig)
+	return 0, fmt.Errorf("bench: no figure %d in the paper's evaluation (Figures 5–11)", fig)
 }
 
-// Figure regenerates one of the paper's Figures 5–11, or the follow-on
-// Fig. 12 batch-size sweep, and returns its series.
+// Figure regenerates one of the paper's Figures 5–11 and returns its series.
+// Figures 5–10 measure each database size twice, directly and through the
+// web service; Fig. 11 measures the engine alone (see attrPoint).
 func Figure(fig int, opt FigureOptions) ([]Series, error) {
-	opt = opt.Defaults()
-	if fig == 12 {
-		return batchFigure(opt)
-	}
-	if fig == 13 {
-		return degradedFigure(opt)
-	}
-	if fig == 14 {
-		return mixedFigure(opt)
-	}
-	if fig == 15 {
-		return walFigure(opt)
-	}
-	if fig == 16 {
-		return transportFigure(opt)
-	}
-	if fig == 17 {
-		return addPathFigure(opt)
-	}
 	op, err := opForFigure(fig)
 	if err != nil {
 		return nil, err
 	}
+	opt = opt.Defaults()
 	cats, err := loadAll(opt.Sizes, opt.Catalogs)
 	if err != nil {
 		return nil, err
 	}
 	var out []Series
-
-	measure := func(cat *core.Catalog, size, hosts, threads int, web bool, attrK int) (float64, *obs.Histogram, error) {
-		cfg := DefaultConfig(size)
-		targets := make([]Target, hosts)
-		if web {
-			url, stop, err := opt.Env.StartServer(cat)
-			if err != nil {
-				return 0, nil, err
-			}
-			defer stop()
-			for h := range targets {
-				targets[h] = SOAP{Client: opt.Env.NewClient(url)}
-			}
-		} else {
-			for h := range targets {
-				targets[h] = Direct{Catalog: cat}
-			}
-		}
-		var hist *obs.Histogram
-		if opt.Latency {
-			hist = &obs.Histogram{}
-		}
-		return RunRateHist(targets, threads, opt.Duration, op, cfg, attrK, hist), hist, nil
-	}
-
-	switch fig {
-	case 5, 6, 7:
-		// Single host, thread sweep, direct and web series per size.
-		for _, web := range []bool{false, true} {
-			for _, size := range opt.Sizes {
-				label := sizeLabel(size) + " database, no web service"
-				if web {
-					label = sizeLabel(size) + " database, with web service"
-				}
-				s := Series{Label: label}
-				for _, threads := range opt.Threads {
-					rate, hist, err := measure(cats[size], size, 1, threads, web, opt.AttrK)
-					if err != nil {
-						return nil, err
-					}
-					s.Points = append(s.Points, Point{X: threads, Y: rate, Hist: hist})
-				}
-				out = append(out, s)
-			}
-		}
-	case 8, 9, 10:
-		// Host sweep at fixed threads-per-host, direct and web per size.
-		for _, web := range []bool{false, true} {
-			for _, size := range opt.Sizes {
-				label := sizeLabel(size) + " database, no web service"
-				if web {
-					label = sizeLabel(size) + " database, with web service"
-				}
-				s := Series{Label: label}
-				for _, hosts := range opt.Hosts {
-					rate, hist, err := measure(cats[size], size, hosts, opt.ThreadsPerHost, web, opt.AttrK)
-					if err != nil {
-						return nil, err
-					}
-					s.Points = append(s.Points, Point{X: hosts, Y: rate, Hist: hist})
-				}
-				out = append(out, s)
-			}
-		}
-	case 11:
-		// Attribute-count sweep, database only (no web service).
+	if fig == 11 {
 		for _, size := range opt.Sizes {
 			s := Series{Label: sizeLabel(size) + " database"}
 			for _, k := range opt.AttrSweep {
-				rate, hist, err := measure(cats[size], size, 1, 4, false, k)
+				p, err := attrPoint(Direct{Catalog: cats[size]}, k, opt)
 				if err != nil {
 					return nil, err
 				}
-				s.Points = append(s.Points, Point{X: k, Y: rate, Hist: hist})
+				s.Points = append(s.Points, p)
+			}
+			out = append(out, s)
+		}
+		return out, nil
+	}
+
+	// Figures 5–7 sweep threads on one client host; 8–10 sweep client hosts
+	// at a fixed thread count per host.
+	xs, hostsThreads := opt.Threads, func(x int) (int, int) { return 1, x }
+	if fig >= 8 {
+		xs, hostsThreads = opt.Hosts, func(x int) (int, int) { return x, opt.ThreadsPerHost }
+	}
+	for _, web := range []bool{false, true} {
+		for _, size := range opt.Sizes {
+			s := Series{Label: sizeLabel(size) + " database, no web service"}
+			if web {
+				s.Label = sizeLabel(size) + " database, with web service"
+			}
+			for _, x := range xs {
+				hosts, threads := hostsThreads(x)
+				p, err := ratePoint(cats[size], size, hosts, threads, web, op, opt)
+				if err != nil {
+					return nil, err
+				}
+				p.X = x
+				s.Points = append(s.Points, p)
 			}
 			out = append(out, s)
 		}
@@ -277,452 +188,85 @@ func Figure(fig int, opt FigureOptions) ([]Series, error) {
 	return out, nil
 }
 
-// batchFigure measures Fig. 12: bulk-registration throughput through the web
-// service as the write batch size grows. Each point starts from a fresh,
-// empty catalog (bulk registration populates an empty database) and runs one
-// client thread, the regime where per-call overhead dominates in Fig. 5.
-// Batch size 1 means one createFile call per file — the pre-batchWrite
-// baseline the sweep is measured against.
-func batchFigure(opt FigureOptions) ([]Series, error) {
-	s := Series{Label: "bulk registration, with web service"}
-	for _, bs := range opt.BatchSizes {
-		cat, err := Load(DefaultConfig(0))
-		if err != nil {
-			return nil, fmt.Errorf("bench: fig 12 setup: %w", err)
-		}
-		url, stop, err := opt.Env.StartServer(cat)
-		if err != nil {
-			return nil, err
-		}
-		rate := RunBatchRate(opt.Env.NewClient(url), bs, opt.Duration, BatchRegistrationAttrs)
-		stop()
-		s.Points = append(s.Points, Point{X: bs, Y: rate})
+// ratePoint measures one point of Figures 5–10: hosts targets, each driven
+// by threads workers. Through the web service every point gets a fresh
+// server and every host its own client, hence its own connection pool.
+func ratePoint(cat *core.Catalog, size, hosts, threads int, web bool, op Op, opt FigureOptions) (Point, error) {
+	targets := make([]Target, hosts)
+	for h := range targets {
+		targets[h] = Direct{Catalog: cat}
 	}
-	return []Series{s}, nil
+	if web {
+		srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat})
+		if err != nil {
+			return Point{}, err
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		for h := range targets {
+			// Complex queries over the largest database can exceed the
+			// default timeout when many simulated hosts share few cores.
+			targets[h] = SOAP{Client: mcs.NewClient(ts.URL, LoaderDN, mcs.WithTimeout(10*time.Minute))}
+		}
+	}
+	var p Point
+	if opt.Latency {
+		p.Hist = &obs.Histogram{}
+	}
+	p.Y = RunRate(targets, threads, opt.Duration, op, DefaultConfig(size), opt.AttrK, p.Hist)
+	return p, nil
 }
 
-// degradedFigure measures Fig. 13: add rate and latency through the web
-// service on a healthy server versus a degraded one — periodic injected
-// dispatch errors and dropped replies — reached by a client with retries,
-// backoff and idempotency keys. The gap between the two series is the price
-// of riding out the failures; the paper's evaluation assumes a healthy
-// service, so this is a follow-on figure. Uses the smallest configured
-// database and always records latency (the degraded tail is the point).
-func degradedFigure(opt FigureOptions) ([]Series, error) {
-	if opt.Env.StartDegradedServer == nil || opt.Env.NewRetryClient == nil {
-		return nil, fmt.Errorf("bench: figure 13 requires Env.StartDegradedServer and Env.NewRetryClient")
-	}
-	size := opt.Sizes[0]
-	for _, s := range opt.Sizes[1:] {
-		if s < size {
-			size = s
-		}
-	}
-	cats, err := loadAll([]int{size}, opt.Catalogs)
-	if err != nil {
-		return nil, err
-	}
-	cat := cats[size]
-	cfg := DefaultConfig(size)
+// attrWarmup is the per-point warmup query count of Fig. 11.
+const attrWarmup = 50
 
-	measure := func(start func(*core.Catalog) (string, func(), error), newClient func(string) SOAPClient, threads int) (float64, *obs.Histogram, error) {
-		url, stop, err := start(cat)
-		if err != nil {
-			return 0, nil, err
-		}
-		defer stop()
-		targets := []Target{SOAP{Client: newClient(url)}}
-		hist := &obs.Histogram{}
-		return RunRateHist(targets, threads, opt.Duration, OpAdd, cfg, opt.AttrK, hist), hist, nil
-	}
+// attrRepeats is how many measurement windows each Fig. 11 point runs; the
+// point keeps the fastest. Interference on a loaded host — a
+// garbage-collection cycle or scheduler hiccup landing inside a window —
+// only ever subtracts throughput, so the peak is the least-biased estimate
+// of per-query cost.
+const attrRepeats = 3
 
-	healthy := Series{Label: sizeLabel(size) + " database, healthy"}
-	degraded := Series{Label: sizeLabel(size) + " database, degraded + retry"}
-	for _, threads := range opt.Threads {
-		rate, hist, err := measure(opt.Env.StartServer, opt.Env.NewClient, threads)
-		if err != nil {
-			return nil, err
-		}
-		healthy.Points = append(healthy.Points, Point{X: threads, Y: rate, Hist: hist})
-		rate, hist, err = measure(opt.Env.StartDegradedServer, opt.Env.NewRetryClient, threads)
-		if err != nil {
-			return nil, err
-		}
-		degraded.Points = append(degraded.Points, Point{X: threads, Y: rate, Hist: hist})
-	}
-	return []Series{healthy, degraded}, nil
-}
-
-// mixedFigure measures Fig. 14: the MVCC read-path sweep. One writer thread
-// cycles add/delete while 1..N reader threads run simple queries against the
-// same catalog (the smallest configured size, directly, no web service).
-// Before MVCC the readers serialized behind the writer's lock; now they read
-// the last committed root wait-free, so the query series should scale with
-// reader threads on a multicore host while the writer keeps committing.
-func mixedFigure(opt FigureOptions) ([]Series, error) {
-	size := opt.Sizes[0]
-	for _, s := range opt.Sizes[1:] {
-		if s < size {
-			size = s
+// attrPoint measures one point of Fig. 11 — complex-query rate at k
+// predicates — with a methodology tuned for trustworthy ratios rather than
+// peak throughput: a single query thread (so points measure per-query cost,
+// not scheduler behaviour), attrWarmup warmup queries (so plan compilation
+// and cache warming happen outside the window), and a forced garbage
+// collection before each window. The last one matters most on small hosts:
+// the loaded catalog keeps hundreds of megabytes live, a concurrent mark
+// takes whole seconds of one core, and without the settle a GC cycle lands
+// inside some windows and not others, swamping the effect the sweep exists
+// to show.
+func attrPoint(tgt Direct, k int, opt FigureOptions) (Point, error) {
+	for i := 0; i < attrWarmup; i++ {
+		if err := tgt.AttrQuery(Predicates(k, i%valueGroups)); err != nil {
+			return Point{}, fmt.Errorf("bench: fig 11 warmup k=%d: %w", k, err)
 		}
 	}
-	cats, err := loadAll([]int{size}, opt.Catalogs)
-	if err != nil {
-		return nil, err
-	}
-	points := ReadPathSweep(cats[size], opt.Threads, opt.Duration, DefaultConfig(size))
-	return MixedPointSeries(size, points), nil
-}
-
-// WALPoint is one measurement of the durability sweep (Fig. 15): add rate
-// at a given thread count under one durability mode. Appends and Fsyncs are
-// the write-ahead log's counter deltas over the measurement window; their
-// ratio is the group-commit batching factor (fsyncs ≪ appends under load).
-type WALPoint struct {
-	Mode       string  `json:"mode"`
-	Threads    int     `json:"threads"`
-	AddsPerSec float64 `json:"adds_per_sec"`
-	Appends    uint64  `json:"wal_appends"`
-	Fsyncs     uint64  `json:"wal_fsyncs"`
-}
-
-// WALSweep measures Fig. 15: the durability tax. Add rate directly against
-// the catalog engine (the regime where commit cost dominates — through the
-// web service the SOAP overhead would mask it) in three modes: snapshot-only
-// (the pre-WAL baseline: commits are memory-only until the next checkpoint),
-// write-ahead log with group-commit fsync (every ack durable), and the log
-// without fsync (bound the cost of serializing redo records alone). Each
-// mode gets a freshly loaded catalog and, for the log modes, a throwaway
-// log file in a temp directory.
-func WALSweep(size int, threads []int, d time.Duration) ([]WALPoint, error) {
-	cfg := DefaultConfig(size)
-	modes := []struct {
-		name   string
-		attach bool
-		opts   sqldb.WALOptions
-	}{
-		{"snapshot-only", false, sqldb.WALOptions{}},
-		{"wal group commit", true, sqldb.WALOptions{}},
-		{"wal nosync", true, sqldb.WALOptions{NoSync: true}},
-	}
-	var out []WALPoint
-	for _, m := range modes {
-		cat, err := Load(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fig 15 setup: %w", err)
+	best := Point{X: k}
+	for r := 0; r < attrRepeats; r++ {
+		var hist *obs.Histogram
+		if opt.Latency {
+			hist = &obs.Histogram{}
 		}
-		var w *sqldb.WAL
-		var dir string
-		if m.attach {
-			dir, err = os.MkdirTemp("", "mcsbench-wal-")
-			if err != nil {
-				return nil, err
+		runtime.GC()
+		start := time.Now()
+		n := 0
+		for now := start; now.Sub(start) < opt.Duration; n++ {
+			if err := tgt.AttrQuery(Predicates(k, n%valueGroups)); err != nil {
+				return Point{}, fmt.Errorf("bench: fig 11 k=%d: %w", k, err)
 			}
-			w, _, err = cat.OpenWAL(filepath.Join(dir, "bench.snap.wal"), m.opts)
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, fmt.Errorf("bench: fig 15 wal: %w", err)
+			prev := now
+			now = time.Now()
+			if hist != nil {
+				hist.Observe(now.Sub(prev))
 			}
 		}
-		tgt := []Target{Direct{Catalog: cat}}
-		for _, th := range threads {
-			var before sqldb.WALStats
-			if w != nil {
-				before = w.Stats()
-			}
-			p := WALPoint{Mode: m.name, Threads: th, AddsPerSec: RunRate(tgt, th, d, OpAdd, cfg, 10)}
-			if w != nil {
-				st := w.Stats()
-				p.Appends = st.Appends - before.Appends
-				p.Fsyncs = st.Fsyncs - before.Fsyncs
-			}
-			out = append(out, p)
-		}
-		if w != nil {
-			w.Close()
-			os.RemoveAll(dir)
+		if rate := float64(n) / time.Since(start).Seconds(); rate > best.Y {
+			best.Y, best.Hist = rate, hist
 		}
 	}
-	return out, nil
-}
-
-// walFigure measures Fig. 15 over the smallest configured database.
-func walFigure(opt FigureOptions) ([]Series, error) {
-	size := opt.Sizes[0]
-	for _, s := range opt.Sizes[1:] {
-		if s < size {
-			size = s
-		}
-	}
-	points, err := WALSweep(size, opt.Threads, opt.Duration)
-	if err != nil {
-		return nil, err
-	}
-	return WALPointSeries(size, points), nil
-}
-
-// AddPathPoint is one measurement of the write-amplification sweep (Fig. 17):
-// pure add rate — CreateFile only, no compensating delete, so the database
-// grows for the duration of the window — at a given thread count through one
-// ingestion mode. BytesPerAdd is heap bytes allocated per add over the
-// window (from the runtime's monotonic allocation counter), the quantity the
-// compact-Value and batched-index-maintenance work drives down.
-type AddPathPoint struct {
-	Mode        string  `json:"mode"` // "single" or "batch100"
-	Threads     int     `json:"threads"`
-	AddsPerSec  float64 `json:"adds_per_sec"`
-	BytesPerAdd float64 `json:"bytes_per_add"`
-}
-
-// AddPathBatchSize is the ops-per-call of the Fig. 17 batch mode.
-const AddPathBatchSize = 100
-
-// AddPathSweep measures Fig. 17: direct add throughput (the paper's add
-// workload minus the compensating delete — the bulk-ingest regime) swept
-// over threads in two modes: one CreateFile call per file, and 100 creates
-// per BatchWrite transaction. Each mode starts from a freshly loaded catalog
-// of the given size and keeps it across its thread points; the growth over a
-// few measurement windows is small against the preloaded population.
-func AddPathSweep(size int, threads []int, d time.Duration) ([]AddPathPoint, error) {
-	cfg := DefaultConfig(size)
-	var out []AddPathPoint
-	for _, mode := range []string{"single", "batch100"} {
-		cat, err := Load(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fig 17 setup: %w", err)
-		}
-		var seq atomic.Int64
-		for _, th := range threads {
-			out = append(out, runAddPath(cat, mode, th, d, cfg, &seq))
-		}
-	}
-	return out, nil
-}
-
-// runAddPath drives threads workers doing pure adds in the given mode for
-// duration d and returns the aggregate rate and bytes allocated per add.
-func runAddPath(cat *core.Catalog, mode string, threads int, d time.Duration, cfg Config, seq *atomic.Int64) AddPathPoint {
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if mode == "single" {
-					i := seq.Add(1)
-					_, err := cat.CreateFile(LoaderDN, core.FileSpec{
-						Name:       fmt.Sprintf("bench-addpath-%010d", i),
-						DataType:   "binary",
-						Attributes: FileAttributes(int(i), cfg.AttrsPerFile),
-					})
-					if err != nil {
-						panic(fmt.Sprintf("bench: addpath single: %v", err))
-					}
-					total.Add(1)
-					continue
-				}
-				ops := make([]core.BatchOp, AddPathBatchSize)
-				for k := range ops {
-					i := seq.Add(1)
-					spec := core.FileSpec{
-						Name:       fmt.Sprintf("bench-addpath-%010d", i),
-						DataType:   "binary",
-						Attributes: FileAttributes(int(i), cfg.AttrsPerFile),
-					}
-					ops[k] = core.BatchOp{CreateFile: &spec}
-				}
-				if _, err := cat.BatchWrite(LoaderDN, ops); err != nil {
-					panic(fmt.Sprintf("bench: addpath batch: %v", err))
-				}
-				total.Add(AddPathBatchSize)
-			}
-		}()
-	}
-	start := time.Now()
-	time.Sleep(d)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	p := AddPathPoint{
-		Mode:       mode,
-		Threads:    threads,
-		AddsPerSec: float64(total.Load()) / elapsed.Seconds(),
-	}
-	if n := total.Load(); n > 0 {
-		p.BytesPerAdd = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-	}
-	return p
-}
-
-// addPathFigure measures Fig. 17 over the smallest configured database.
-func addPathFigure(opt FigureOptions) ([]Series, error) {
-	size := opt.Sizes[0]
-	for _, s := range opt.Sizes[1:] {
-		if s < size {
-			size = s
-		}
-	}
-	points, err := AddPathSweep(size, opt.Threads, opt.Duration)
-	if err != nil {
-		return nil, err
-	}
-	return AddPathPointSeries(size, points), nil
-}
-
-// AddPathPointSeries renders the add-path sweep as figure series, one line
-// per mode over the thread axis.
-func AddPathPointSeries(size int, points []AddPathPoint) []Series {
-	var out []Series
-	idx := map[string]int{}
-	for _, p := range points {
-		i, ok := idx[p.Mode]
-		if !ok {
-			i = len(out)
-			idx[p.Mode] = i
-			out = append(out, Series{Label: sizeLabel(size) + " database, " + p.Mode + " adds"})
-		}
-		out[i].Points = append(out[i].Points, Point{X: p.Threads, Y: p.AddsPerSec})
-	}
-	return out
-}
-
-// TransportPoint is one measurement of the wire comparison (Fig. 16):
-// throughput of one operation at a given thread count through one wire
-// encoding — the same server, the same handlers, only the envelope differs.
-type TransportPoint struct {
-	Transport string  `json:"transport"`
-	Op        string  `json:"op"`
-	Threads   int     `json:"threads"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-}
-
-// TransportSweep measures Fig. 16: add and simple-query rate through the
-// web service over the SOAP wire versus the compact JSON wire, swept over
-// client threads on the smallest configured database. Both clients hit the
-// same server instance — the dispatch table behind both endpoints is
-// shared — so any gap is pure encoding and framing cost.
-func TransportSweep(opt FigureOptions) ([]TransportPoint, error) {
-	opt = opt.Defaults()
-	if opt.Env.NewJSONClient == nil {
-		return nil, fmt.Errorf("bench: figure 16 requires Env.NewJSONClient")
-	}
-	size := opt.Sizes[0]
-	for _, s := range opt.Sizes[1:] {
-		if s < size {
-			size = s
-		}
-	}
-	cats, err := loadAll([]int{size}, opt.Catalogs)
-	if err != nil {
-		return nil, err
-	}
-	cfg := DefaultConfig(size)
-	url, stop, err := opt.Env.StartServer(cats[size])
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-
-	wires := []struct {
-		name      string
-		newClient func(url string) SOAPClient
-	}{
-		{"soap", opt.Env.NewClient},
-		{"json", opt.Env.NewJSONClient},
-	}
-	ops := []struct {
-		name string
-		op   Op
-	}{
-		{"add", OpAdd},
-		{"query", OpSimpleQuery},
-	}
-	var out []TransportPoint
-	for _, wire := range wires {
-		targets := []Target{SOAP{Client: wire.newClient(url)}}
-		for _, o := range ops {
-			for _, th := range opt.Threads {
-				out = append(out, TransportPoint{
-					Transport: wire.name, Op: o.name, Threads: th,
-					OpsPerSec: RunRate(targets, th, opt.Duration, o.op, cfg, opt.AttrK),
-				})
-			}
-		}
-	}
-	return out, nil
-}
-
-// transportFigure measures Fig. 16 over the smallest configured database.
-func transportFigure(opt FigureOptions) ([]Series, error) {
-	size := opt.Sizes[0]
-	for _, s := range opt.Sizes[1:] {
-		if s < size {
-			size = s
-		}
-	}
-	points, err := TransportSweep(opt)
-	if err != nil {
-		return nil, err
-	}
-	return TransportPointSeries(size, points), nil
-}
-
-// TransportPointSeries renders the wire comparison as figure series, one
-// line per (wire, operation) pair over the thread axis.
-func TransportPointSeries(size int, points []TransportPoint) []Series {
-	var out []Series
-	idx := map[string]int{}
-	for _, p := range points {
-		key := p.Transport + "/" + p.Op
-		i, ok := idx[key]
-		if !ok {
-			i = len(out)
-			idx[key] = i
-			out = append(out, Series{Label: sizeLabel(size) + " database, " + p.Op + " over " + p.Transport})
-		}
-		out[i].Points = append(out[i].Points, Point{X: p.Threads, Y: p.OpsPerSec})
-	}
-	return out
-}
-
-// WALPointSeries renders the durability sweep as figure series, one line
-// per mode over the thread axis.
-func WALPointSeries(size int, points []WALPoint) []Series {
-	var out []Series
-	idx := map[string]int{}
-	for _, p := range points {
-		i, ok := idx[p.Mode]
-		if !ok {
-			i = len(out)
-			idx[p.Mode] = i
-			out = append(out, Series{Label: sizeLabel(size) + " database, " + p.Mode})
-		}
-		out[i].Points = append(out[i].Points, Point{X: p.Threads, Y: p.AddsPerSec})
-	}
-	return out
-}
-
-// MixedPointSeries renders read-path sweep points as figure series (queries
-// and writes as separate lines over the reader-thread axis).
-func MixedPointSeries(size int, points []MixedPoint) []Series {
-	queries := Series{Label: sizeLabel(size) + " database, queries (readers)"}
-	writes := Series{Label: sizeLabel(size) + " database, adds (1 writer)"}
-	for _, p := range points {
-		queries.Points = append(queries.Points, Point{X: p.Threads, Y: p.QueryOps})
-		writes.Points = append(writes.Points, Point{X: p.Threads, Y: p.WriteOps})
-	}
-	return []Series{queries, writes}
+	return best, nil
 }
 
 // FigureTitle returns the caption of a figure.
@@ -742,20 +286,6 @@ func FigureTitle(fig int) string {
 		return "Fig. 10: Complex query rate with varying client hosts (queries/s)"
 	case 11:
 		return "Fig. 11: Complex query rate vs number of attributes, database only (queries/s)"
-	case 12:
-		return "Fig. 12: Bulk-registration rate vs write batch size, single client thread (adds/s)"
-	case 13:
-		return "Fig. 13: Add rate and latency under injected faults, healthy vs degraded-with-retry (adds/s)"
-	case 14:
-		return "Fig. 14: Mixed read/write rate, 1 writer + varying reader threads, database only (ops/s)"
-	case 15:
-		return "Fig. 15: Add rate, snapshot-only vs write-ahead log with group commit, database only (adds/s)"
-	case 16:
-		return "Fig. 16: Add and simple-query rate, SOAP wire vs compact JSON wire, same server (ops/s)"
-	case 17:
-		return "Fig. 17: Pure add rate, single CreateFile vs 100-op batches, database only (adds/s)"
-	case 18:
-		return "Fig. 18: Aggregate add, simple-query and scatter-query rate through the shard router vs shard count (ops/s)"
 	}
 	return fmt.Sprintf("unknown figure %d", fig)
 }
@@ -763,14 +293,10 @@ func FigureTitle(fig int) string {
 // xAxis returns the swept-parameter label of a figure.
 func xAxis(fig int) string {
 	switch fig {
-	case 5, 6, 7, 13, 14, 15, 16, 17:
+	case 5, 6, 7:
 		return "threads"
 	case 8, 9, 10:
 		return "hosts"
-	case 12:
-		return "batch"
-	case 18:
-		return "shards"
 	default:
 		return "attributes"
 	}

@@ -53,7 +53,7 @@ func (e indexEntry) col(c int) *Value {
 // under MVCC each first touch of a node per transaction copies the whole
 // node — so index trees trade depth for small nodes: at degree 8 a leaf
 // holds ≤15 16-byte entries (240 B per leaf copy). Re-measured for the
-// 16-byte entry with BenchmarkFig17AddSingle/AddBatch100 and the restored
+// 16-byte entry with BenchmarkAddSingle/AddBatch100 and the restored
 // heap (EXPERIMENTS.md, "Row-pointer index entries"): degree 16 shaves ~4 %
 // off the heap and costs ~14 % more bytes per single add; degree 8 stays. The
 // primary row store keeps the default fan-out: it is scanned far more than

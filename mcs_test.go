@@ -230,8 +230,7 @@ func TestEndToEndWithGSI(t *testing.T) {
 	// client declares someone else.
 	cred, _ := ca.Issue(testAlice, time.Hour)
 	proxy, _ := cred.Delegate(10 * time.Minute)
-	c2 := NewClient(url, "/CN=Impostor")
-	c2.UseCredential(proxy)
+	c2 := NewClient(url, "/CN=Impostor", WithCredential(proxy))
 	dn, err := c2.Ping()
 	if err != nil {
 		t.Fatal(err)

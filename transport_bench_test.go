@@ -7,8 +7,9 @@ import (
 
 // BenchmarkTransportPing isolates pure wire cost: ping does no catalog
 // work, so each iteration is one envelope encode/decode plus one HTTP
-// round trip. The soap/json gap here is the per-call encoding tax the
-// Fig. 16 sweep measures under real workloads.
+// round trip. The soap/json gap here is the per-call encoding tax; the
+// regression benchmark's mixed and mixed_soap workloads measure it under
+// real load.
 func BenchmarkTransportPing(b *testing.B) {
 	srv, err := NewServer(ServerOptions{})
 	if err != nil {
@@ -32,7 +33,7 @@ func BenchmarkTransportPing(b *testing.B) {
 }
 
 // BenchmarkTransportCreateFile measures one mutating call per iteration
-// over each wire — the add-path unit the Fig. 16 sweep integrates.
+// over each wire — the add-path unit of the encoding tax.
 func BenchmarkTransportCreateFile(b *testing.B) {
 	srv, err := NewServer(ServerOptions{})
 	if err != nil {

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt check chaos bench figures walcrash planparity regress regress-test
+.PHONY: build test race vet fmt deps check chaos bench figures walcrash planparity regress regress-test
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,15 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: fmt vet race planparity regress-test
+# The request path — the library, mcsd and mcsrouter — links none of the
+# Figure 2 ecosystem packages; only examples, scenario tests and their own
+# daemons do.
+deps:
+	@list=$$($(GO) list -deps . ./cmd/mcsd ./cmd/mcsrouter) || exit 1; \
+		out=$$(echo "$$list" | grep -E '^mcs/internal/(rls|gridftp|pegasus|container|xmlshred)$$'); \
+		if [ -n "$$out" ]; then echo "request path links:"; echo "$$out"; exit 1; fi
+
+check: fmt vet deps race planparity regress-test
 	@echo "check: ok"
 
 # The differential planner-parity suite: seeded random schemas, data and

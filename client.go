@@ -904,7 +904,7 @@ type DiscoverySummary struct {
 	// Attrs lists the attribute names the catalog defines, sorted.
 	Attrs []string
 	// Pairs is the base64-encoded JSON bloom filter over attribute
-	// bindings (decode with internal/rls.Bloom via encoding/json).
+	// bindings (internal/federation.Decode reads it).
 	Pairs string
 	// Objects counts the summarized bindings.
 	Objects int

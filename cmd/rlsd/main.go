@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"mcs/internal/bloom"
 	"mcs/internal/rls"
 )
 
@@ -62,10 +63,10 @@ func main() {
 		}
 		updater := &rls.Updater{
 			LRC: lrc, TTL: *ttl, Interval: *interval, BloomFP: *bloomFP,
-			Push: func(name string, lfns []string, bloom *rls.Bloom, ttl time.Duration) error {
+			Push: func(name string, lfns []string, summary *bloom.Filter, ttl time.Duration) error {
 				var firstErr error
 				for _, c := range clients {
-					if err := c.SendUpdate(name, lfns, bloom, ttl); err != nil && firstErr == nil {
+					if err := c.SendUpdate(name, lfns, summary, ttl); err != nil && firstErr == nil {
 						firstErr = err
 					}
 				}

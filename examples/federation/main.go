@@ -2,39 +2,38 @@
 // section 9, running live.
 //
 // Three virtual organizations each operate their own self-consistent MCS.
-// Every catalog pushes periodic soft-state summaries — a bloom filter over
-// its (attribute, value) bindings — to an aggregating index node. A client
-// with a discovery query first asks the index which catalogs could match,
-// then subqueries only those, merging the answers. The output shows how
-// much fan-out the index saves and that expiry removes catalogs that stop
-// refreshing.
+// A shard router in front of them is the aggregating index: it pulls each
+// catalog's soft-state summary — a bloom filter over its (attribute, value)
+// bindings — and screens every discovery query through those summaries
+// before it subqueries the catalogs, merging the answers. The output shows
+// how much fan-out screening saves, and that a site that goes down turns a
+// query it could answer into a typed partial-result error, never a short
+// list.
+//
+// The router merges without de-duplicating: it assumes the sites' logical
+// names do not overlap, which the per-site name prefixes guarantee.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"time"
 
 	"mcs"
-	"mcs/internal/core"
-	"mcs/internal/federation"
+	"mcs/internal/shard"
 )
 
 const me = "/O=Grid/CN=federated-user"
 
-type site struct {
-	name    string
-	catalog *core.Catalog
-	url     string
-	updater *federation.Updater
-}
-
 func main() {
 	log.SetFlags(0)
-	index := federation.NewIndex()
 
-	// --- Three sites, each its own MCS with its own metadata ontology. ---
+	// --- Three sites, each its own MCS, each publishing under its prefix. ---
 	specs := []struct {
 		name, project string
 		files         int
@@ -43,22 +42,22 @@ func main() {
 		{"esg-ncar", "esg", 25},
 		{"griphyn-ufl", "cms", 30},
 	}
-	sites := make([]*site, 0, len(specs))
+	var rules []string
+	servers := map[string]*httptest.Server{}
 	for _, sp := range specs {
-		cat, err := mcs.OpenCatalog(mcs.Options{})
-		must(err)
-		srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat})
+		srv, err := mcs.NewServer(mcs.ServerOptions{})
 		must(err)
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
+		servers[sp.name] = ts
 
-		client := mcs.NewClient(ts.URL, me)
-		_, err = client.DefineAttribute("project", mcs.AttrString, "")
+		site := mcs.NewClient(ts.URL, me)
+		_, err = site.DefineAttribute("project", mcs.AttrString, "")
 		must(err)
-		_, err = client.DefineAttribute("segment", mcs.AttrInt, "")
+		_, err = site.DefineAttribute("segment", mcs.AttrInt, "")
 		must(err)
 		for i := 0; i < sp.files; i++ {
-			_, err := client.CreateFile(mcs.FileSpec{
+			_, err := site.CreateFile(mcs.FileSpec{
 				Name: fmt.Sprintf("%s-data-%03d", sp.project, i),
 				Attributes: []mcs.Attribute{
 					{Name: "project", Value: mcs.String(sp.project)},
@@ -67,58 +66,66 @@ func main() {
 			})
 			must(err)
 		}
-
-		u := &federation.Updater{
-			Catalog: cat, Name: sp.name,
-			TTL: 2 * time.Second, Interval: 500 * time.Millisecond,
-			Push: func(s *federation.Summary, ttl time.Duration) error {
-				index.Update(s, ttl)
-				return nil
-			},
-		}
-		must(u.Start())
-		defer u.Stop()
-		sites = append(sites, &site{name: sp.name, catalog: cat, url: ts.URL, updater: u})
+		rules = append(rules, sp.project+"-="+ts.URL)
 		fmt.Printf("site %-14s serving %2d files at %s\n", sp.name, sp.files, ts.URL)
 	}
-	fmt.Printf("index knows %v\n\n", index.Known())
 
-	dial := func(name string) (federation.Querier, error) {
-		for _, s := range sites {
-			if s.name == name {
-				return mcs.NewClient(s.url, me), nil
-			}
-		}
-		return nil, fmt.Errorf("unknown site %q", name)
+	// --- The router: Start pulls every site's summary before it returns. ---
+	m, err := shard.ParseInline(strings.Join(rules, ","))
+	must(err)
+	router, err := shard.NewRouter(shard.Options{Map: m, SummaryInterval: time.Minute})
+	must(err)
+	router.Start()
+	defer router.Stop()
+	front := httptest.NewServer(router)
+	defer front.Close()
+	fed := mcs.NewClient(front.URL, me)
+	fmt.Printf("router over %d sites at %s\n\n", len(specs), front.URL)
+
+	// query runs one discovery query through the router and reports how many
+	// sites it was sent to.
+	query := func(p mcs.Predicate) ([]string, int64, error) {
+		before := subqueries(front.URL)
+		names, err := fed.RunQuery(mcs.Query{Predicates: []mcs.Predicate{p}})
+		return names, subqueries(front.URL) - before, err
 	}
-	fed := &federation.Client{Index: index, Dial: dial}
 
-	// --- Query 1: a value held by one site; the index screens the rest. ---
-	res, err := fed.Query(mcs.Query{Predicates: []mcs.Predicate{
-		{Attribute: "project", Op: mcs.OpEq, Value: mcs.String("esg")},
-	}})
+	// --- Query 1: a value held by one site; the summaries screen the rest. ---
+	names, sent, err := query(mcs.Predicate{Attribute: "project", Op: mcs.OpEq, Value: mcs.String("esg")})
 	must(err)
-	fmt.Printf("project=esg: index screened to %v (skipped %d subqueries); %d matches\n",
-		res.Candidates, res.Skipped, len(res.Merged()))
+	fmt.Printf("project=esg: screened to %d of %d sites (%d subqueries skipped); %d matches\n",
+		sent, len(specs), int64(len(specs))-sent, len(names))
 
-	// --- Query 2: a range predicate fans out to every site. ---
-	res, err = fed.Query(mcs.Query{Predicates: []mcs.Predicate{
-		{Attribute: "segment", Op: mcs.OpGe, Value: mcs.Int(3)},
-	}})
+	// --- Query 2: a range predicate cannot be screened by value. ---
+	names, sent, err = query(mcs.Predicate{Attribute: "segment", Op: mcs.OpGe, Value: mcs.Int(3)})
 	must(err)
-	fmt.Printf("segment>=3: candidates %v; merged %d names from %d catalogs\n",
-		res.Candidates, len(res.Merged()), len(res.Names))
+	fmt.Printf("segment>=3: sent to %d sites; merged %d names\n", sent, len(names))
 
-	// --- Soft state: a site that stops refreshing drops out of discovery. ---
-	sites[0].updater.Stop()
-	fmt.Printf("\nstopping %s's updater; waiting for its summary to expire...\n", sites[0].name)
-	time.Sleep(2500 * time.Millisecond)
-	res, err = fed.Query(mcs.Query{Predicates: []mcs.Predicate{
-		{Attribute: "project", Op: mcs.OpEq, Value: mcs.String("ligo")},
-	}})
+	// --- A site goes down. ---
+	servers["ligo-caltech"].Close()
+	fmt.Printf("\nligo-caltech is down\n")
+	names, sent, err = query(mcs.Predicate{Attribute: "project", Op: mcs.OpEq, Value: mcs.String("esg")})
 	must(err)
-	fmt.Printf("project=ligo after expiry: candidates %v, index knows %v\n",
-		res.Candidates, index.Known())
+	fmt.Printf("project=esg: sent to %d site; %d matches (the dead site is screened out, never asked)\n",
+		sent, len(names))
+	_, _, err = query(mcs.Predicate{Attribute: "segment", Op: mcs.OpGe, Value: mcs.Int(3)})
+	if !errors.Is(err, mcs.ErrPartialResult) {
+		log.Fatalf("segment>=3 with a site down: got %v, want a partial-result error", err)
+	}
+	fmt.Printf("segment>=3: refused as a partial result, not a short list: %v\n", err)
+}
+
+// subqueries reads the router's running count of shard subqueries from its
+// /statz endpoint.
+func subqueries(url string) int64 {
+	resp, err := http.Get(url + "/statz")
+	must(err)
+	defer resp.Body.Close()
+	var st struct {
+		ScatterSubqueries int64 `json:"scatter_subqueries"`
+	}
+	must(json.NewDecoder(resp.Body).Decode(&st))
+	return st.ScatterSubqueries
 }
 
 func must(err error) {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mcs"
+	"mcs/internal/bloom"
 	"mcs/internal/core"
 	"mcs/internal/gridftp"
 	"mcs/internal/pegasus"
@@ -70,7 +71,7 @@ func main() {
 	rli := rls.NewRLI()
 	updater := &rls.Updater{
 		LRC: lrc, BloomFP: 0.01, TTL: time.Minute, Interval: 50 * time.Millisecond,
-		Push: func(name string, lfns []string, b *rls.Bloom, ttl time.Duration) error {
+		Push: func(name string, lfns []string, b *bloom.Filter, ttl time.Duration) error {
 			rli.UpdateBloom(name, b, ttl)
 			return nil
 		},

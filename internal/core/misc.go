@@ -246,8 +246,8 @@ func (c *Catalog) ExternalCatalogs(dn string) ([]ExternalCatalog, error) {
 }
 
 // AttributePairs calls fn with every (attribute name, rendered value)
-// binding on objects of the given type, until fn returns false. The
-// federation index uses this to build discovery summaries.
+// binding on objects of the given type, until fn returns false.
+// federation.Summarize uses this to build discovery summaries.
 func (c *Catalog) AttributePairs(objType ObjectType, fn func(attr, value string) bool) error {
 	rows, err := c.db.Query(`SELECT d.name, d.type, ua.sval, ua.ival, ua.fval, ua.tval
 		FROM user_attribute ua JOIN attribute_def d ON d.id = ua.attr_id

@@ -1,29 +1,31 @@
-// Package federation implements the distributed MCS design sketched in the
-// paper's "Summary and Future Directions" (section 9): self-consistent
-// local metadata catalogs use soft-state update mechanisms to send periodic
-// summaries of their metadata discovery information to aggregating index
-// nodes; clients query the indexes to find which catalogs may hold matching
-// data sets, then issue subqueries to those local catalogs — the same
-// architecture as the Replica Location Service and the Monitoring and
-// Discovery Service, lifted to descriptive metadata.
+// Package federation is the soft-state discovery summary of the paper's
+// "Summary and Future Directions" (section 9): self-consistent local
+// metadata catalogs publish periodic summaries of their discovery
+// information, and an aggregating index screens queries through them before
+// subquerying the catalogs — the Replica Location Service's design lifted to
+// descriptive metadata. The aggregating index is the shard router
+// (internal/shard), which pulls these summaries; this package owns the
+// summary itself: building one from a catalog, its wire format, and the
+// screening test.
 //
 // A summary carries a bloom filter over the catalog's (attribute, value)
 // bindings plus the plain set of attribute names it defines: equality
 // predicates are screened through the filter, while inequality/LIKE
 // predicates (whose value sets cannot be enumerated) only require the
-// attribute to be present. The index therefore never produces false
-// negatives — a catalog it rules out cannot match — and false positives
-// cost one wasted subquery, resolved by the local catalog itself.
+// attribute to be present. Screening therefore never produces false
+// negatives — a catalog it rules out cannot match — and a false positive
+// costs one wasted subquery, resolved by the local catalog itself.
 package federation
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
+	"mcs/internal/bloom"
 	"mcs/internal/core"
-	"mcs/internal/rls"
+	"mcs/internal/mcswire"
 )
 
 // pairKey canonicalizes an (attribute, value) binding for the bloom filter.
@@ -33,11 +35,9 @@ func pairKey(attr, value string) string {
 
 // Summary is one local catalog's soft-state discovery summary.
 type Summary struct {
-	// Catalog names the local MCS (typically its endpoint URL).
-	Catalog string
 	// Pairs is a bloom filter over pairKey(attr, value) for every
 	// user-defined attribute binding on logical files.
-	Pairs *rls.Bloom
+	Pairs *bloom.Filter
 	// Attrs lists the attribute names the catalog defines.
 	Attrs map[string]bool
 	// Objects counts the summarized bindings (diagnostics).
@@ -45,15 +45,14 @@ type Summary struct {
 }
 
 // Summarize builds a summary of a local catalog at false-positive rate fp.
-func Summarize(cat *core.Catalog, name string, fp float64) (*Summary, error) {
+func Summarize(cat *core.Catalog, fp float64) (*Summary, error) {
 	st, err := cat.Stats()
 	if err != nil {
 		return nil, err
 	}
 	s := &Summary{
-		Catalog: name,
-		Pairs:   rls.NewBloom(st.Attributes+1, fp),
-		Attrs:   make(map[string]bool),
+		Pairs: bloom.New(st.Attributes+1, fp),
+		Attrs: make(map[string]bool),
 	}
 	defs, err := cat.ListAttributeDefs()
 	if err != nil {
@@ -73,82 +72,43 @@ func Summarize(cat *core.Catalog, name string, fp float64) (*Summary, error) {
 	return s, nil
 }
 
-// MayMatch reports whether the summarized catalog may hold objects matching
-// q. False negatives are impossible — a summary that rules a catalog out is
-// authoritative — while a false positive costs one wasted subquery. The
-// shard router uses this to screen scatter queries per shard.
-func (s *Summary) MayMatch(q core.Query) bool { return summaryMayMatch(s, q) }
-
-// indexEntry is what the index holds for one local catalog.
-type indexEntry struct {
-	summary *Summary
-	expires time.Time
-}
-
-// Index is an aggregating index node.
-type Index struct {
-	mu      sync.RWMutex
-	entries map[string]*indexEntry
-	clock   func() time.Time
-}
-
-// NewIndex returns an empty aggregating index.
-func NewIndex() *Index {
-	return &Index{entries: make(map[string]*indexEntry), clock: time.Now}
-}
-
-// SetClock overrides the clock (tests).
-func (ix *Index) SetClock(fn func() time.Time) { ix.clock = fn }
-
-// Update installs or refreshes a catalog's summary with the given TTL.
-func (ix *Index) Update(s *Summary, ttl time.Duration) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.entries[s.Catalog] = &indexEntry{summary: s, expires: ix.clock().Add(ttl)}
-}
-
-// Remove drops a catalog from the index.
-func (ix *Index) Remove(catalog string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	delete(ix.entries, catalog)
-}
-
-// Known lists catalogs with unexpired summaries.
-func (ix *Index) Known() []string {
-	now := ix.clock()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var out []string
-	for name, e := range ix.entries {
-		if !now.After(e.expires) {
-			out = append(out, name)
-		}
+// Encode puts the summary on the wire: attribute names sorted, the bloom
+// filter as base64 of its JSON encoding (so the same payload is legal in
+// both the XML and JSON bodies). Routers and shards of different versions
+// exchange these bytes, so they must not change.
+func (s *Summary) Encode() (*mcswire.DiscoverySummaryResponse, error) {
+	bloomJSON, err := json.Marshal(s.Pairs)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(out)
-	return out
+	attrs := make([]string, 0, len(s.Attrs))
+	for name := range s.Attrs {
+		attrs = append(attrs, name)
+	}
+	sort.Strings(attrs)
+	return &mcswire.DiscoverySummaryResponse{
+		Attrs:   attrs,
+		Pairs:   base64.StdEncoding.EncodeToString(bloomJSON),
+		Objects: s.Objects,
+	}, nil
 }
 
-// Candidates returns the catalogs that may satisfy the query. Static
-// predicates (predefined attributes like name or dataType) cannot be
-// screened, so they do not narrow the candidate set; user-defined equality
-// predicates are screened through the bloom filter and all user-defined
-// predicates require the attribute to be defined at the catalog.
-func (ix *Index) Candidates(q core.Query) []string {
-	now := ix.clock()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var out []string
-	for name, e := range ix.entries {
-		if now.After(e.expires) {
-			continue
-		}
-		if summaryMayMatch(e.summary, q) {
-			out = append(out, name)
-		}
+// Decode reads a summary off the wire. The reply comes from another host:
+// a bloom filter that is not well formed is refused with an error.
+func Decode(resp *mcswire.DiscoverySummaryResponse) (*Summary, error) {
+	raw, err := base64.StdEncoding.DecodeString(resp.Pairs)
+	if err != nil {
+		return nil, fmt.Errorf("decode summary bloom: %w", err)
 	}
-	sort.Strings(out)
-	return out
+	pairs := &bloom.Filter{}
+	if err := json.Unmarshal(raw, pairs); err != nil {
+		return nil, fmt.Errorf("decode summary bloom: %w", err)
+	}
+	attrs := make(map[string]bool, len(resp.Attrs))
+	for _, a := range resp.Attrs {
+		attrs[a] = true
+	}
+	return &Summary{Pairs: pairs, Attrs: attrs, Objects: resp.Objects}, nil
 }
 
 // staticAttrs are the predefined attribute names that every catalog can
@@ -160,7 +120,14 @@ var staticAttrs = map[string]bool{
 	"collectionId": true,
 }
 
-func summaryMayMatch(s *Summary, q core.Query) bool {
+// MayMatch reports whether the summarized catalog may hold objects matching
+// q. Static predicates (predefined attributes like name or dataType) cannot
+// be screened and never rule a catalog out; every user-defined predicate
+// requires its attribute to be defined at the catalog, and an equality one
+// must also pass the bloom filter. False negatives are impossible — a
+// summary that rules a catalog out is authoritative — while a false positive
+// costs one wasted subquery.
+func (s *Summary) MayMatch(q core.Query) bool {
 	for _, p := range q.Predicates {
 		if staticAttrs[p.Attribute] {
 			continue
@@ -173,161 +140,4 @@ func summaryMayMatch(s *Summary, q core.Query) bool {
 		}
 	}
 	return true
-}
-
-// Updater periodically pushes a local catalog's summary to index nodes.
-type Updater struct {
-	Catalog *core.Catalog
-	Name    string
-	// FP is the bloom false-positive rate (default 0.01).
-	FP float64
-	// TTL carried by each update (default 60s); Interval defaults to TTL/3.
-	TTL      time.Duration
-	Interval time.Duration
-	// Push delivers a summary to the index (or indexes).
-	Push func(s *Summary, ttl time.Duration) error
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// Start pushes immediately and then on every interval tick.
-func (u *Updater) Start() error {
-	if u.Push == nil {
-		return fmt.Errorf("federation: Updater.Push not set")
-	}
-	if u.FP <= 0 {
-		u.FP = 0.01
-	}
-	if u.TTL <= 0 {
-		u.TTL = time.Minute
-	}
-	if u.Interval <= 0 {
-		u.Interval = u.TTL / 3
-	}
-	if err := u.pushOnce(); err != nil {
-		return err
-	}
-	u.stop = make(chan struct{})
-	u.done = make(chan struct{})
-	go func() {
-		defer close(u.done)
-		t := time.NewTicker(u.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-u.stop:
-				return
-			case <-t.C:
-				u.pushOnce() //nolint:errcheck // soft state tolerates lost updates
-			}
-		}
-	}()
-	return nil
-}
-
-func (u *Updater) pushOnce() error {
-	s, err := Summarize(u.Catalog, u.Name, u.FP)
-	if err != nil {
-		return err
-	}
-	return u.Push(s, u.TTL)
-}
-
-// Stop halts the background pushes; it is safe to call more than once.
-func (u *Updater) Stop() {
-	if u.stop == nil {
-		return
-	}
-	select {
-	case <-u.stop: // already closed
-	default:
-		close(u.stop)
-	}
-	<-u.done
-}
-
-// Querier answers MCS queries; both mcs.Client and the dn-bound local
-// adapter satisfy it.
-type Querier interface {
-	RunQuery(q core.Query) ([]string, error)
-}
-
-// Client performs federated discovery: screen through the index, then
-// subquery each candidate catalog and merge.
-type Client struct {
-	Index *Index
-	// Dial returns a querier for a catalog named in the index.
-	Dial func(catalog string) (Querier, error)
-}
-
-// Result is the outcome of one federated query.
-type Result struct {
-	// Names maps catalog name to the logical names it matched.
-	Names map[string][]string
-	// Candidates is the screened candidate list (diagnostics: how much the
-	// index narrowed the fan-out).
-	Candidates []string
-	// Skipped counts catalogs the index ruled out without a subquery.
-	Skipped int
-}
-
-// Merged returns the union of all matched names, sorted and de-duplicated.
-func (r *Result) Merged() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, names := range r.Names {
-		for _, n := range names {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Query fans the query out to every candidate catalog.
-func (c *Client) Query(q core.Query) (*Result, error) {
-	candidates := c.Index.Candidates(q)
-	res := &Result{
-		Names:      make(map[string][]string, len(candidates)),
-		Candidates: candidates,
-		Skipped:    len(c.Index.Known()) - len(candidates),
-	}
-	type answer struct {
-		catalog string
-		names   []string
-		err     error
-	}
-	ch := make(chan answer, len(candidates))
-	for _, catalog := range candidates {
-		go func(catalog string) {
-			qr, err := c.Dial(catalog)
-			if err != nil {
-				ch <- answer{catalog: catalog, err: err}
-				return
-			}
-			names, err := qr.RunQuery(q)
-			ch <- answer{catalog: catalog, names: names, err: err}
-		}(catalog)
-	}
-	var firstErr error
-	for range candidates {
-		a := <-ch
-		if a.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("federation: subquery %s: %w", a.catalog, a.err)
-			}
-			continue
-		}
-		if len(a.names) > 0 {
-			res.Names[a.catalog] = a.names
-		}
-	}
-	if firstErr != nil && len(res.Names) == 0 {
-		return nil, firstErr
-	}
-	return res, nil
 }

@@ -1,11 +1,13 @@
 package federation
 
 import (
+	"encoding/base64"
 	"fmt"
+	"reflect"
 	"testing"
-	"time"
 
 	"mcs/internal/core"
+	"mcs/internal/mcswire"
 )
 
 const dn = "/O=Grid/CN=federator"
@@ -39,193 +41,101 @@ func newSite(t *testing.T, project string, files int) *core.Catalog {
 	return cat
 }
 
-func localDialer(cats map[string]*core.Catalog) func(string) (Querier, error) {
-	return func(name string) (Querier, error) {
-		cat, ok := cats[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown catalog %q", name)
-		}
-		return adapter{cat}, nil
+// wireSummary is what a router holds for a catalog: its summary built,
+// encoded as the discoverySummary reply and decoded again.
+func wireSummary(t *testing.T, cat *core.Catalog) *Summary {
+	t.Helper()
+	s, err := Summarize(cat, 0.001)
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
-
-type adapter struct{ cat *core.Catalog }
-
-func (a adapter) RunQuery(q core.Query) ([]string, error) { return a.cat.RunQuery(dn, q) }
 
 func TestSummaryScreening(t *testing.T) {
-	ligo := newSite(t, "ligo", 20)
-	esg := newSite(t, "esg", 20)
-	ix := NewIndex()
-	for name, cat := range map[string]*core.Catalog{"ligo-cat": ligo, "esg-cat": esg} {
-		s, err := Summarize(cat, name, 0.001)
-		if err != nil {
-			t.Fatal(err)
+	sites := map[string]*Summary{
+		"ligo": wireSummary(t, newSite(t, "ligo", 20)),
+		"esg":  wireSummary(t, newSite(t, "esg", 20)),
+	}
+	for _, c := range []struct {
+		name string
+		pred core.Predicate
+		want []string // the sites that may match
+	}{
+		{"value held by one site", core.Predicate{Attribute: "project", Op: core.OpEq, Value: core.String("ligo")}, []string{"ligo"}},
+		{"value held by none", core.Predicate{Attribute: "project", Op: core.OpEq, Value: core.String("sdss")}, nil},
+		{"unknown attribute", core.Predicate{Attribute: "nosuch", Op: core.OpEq, Value: core.String("x")}, nil},
+		{"range predicate", core.Predicate{Attribute: "index", Op: core.OpGt, Value: core.Int(5)}, []string{"esg", "ligo"}},
+		{"static attribute", core.Predicate{Attribute: "dataType", Op: core.OpEq, Value: core.String("binary")}, []string{"esg", "ligo"}},
+	} {
+		q := core.Query{Predicates: []core.Predicate{c.pred}}
+		var got []string
+		for _, name := range []string{"esg", "ligo"} {
+			if sites[name].MayMatch(q) {
+				got = append(got, name)
+			}
 		}
-		ix.Update(s, time.Minute)
-	}
-	// Equality on a value only one site has -> one candidate.
-	cands := ix.Candidates(core.Query{Predicates: []core.Predicate{
-		{Attribute: "project", Op: core.OpEq, Value: core.String("ligo")},
-	}})
-	if len(cands) != 1 || cands[0] != "ligo-cat" {
-		t.Fatalf("candidates = %v", cands)
-	}
-	// Unknown attribute -> no candidates.
-	cands = ix.Candidates(core.Query{Predicates: []core.Predicate{
-		{Attribute: "nosuch", Op: core.OpEq, Value: core.String("x")},
-	}})
-	if len(cands) != 0 {
-		t.Fatalf("unknown-attr candidates = %v", cands)
-	}
-	// Inequality cannot be screened by value: both sites have the attr.
-	cands = ix.Candidates(core.Query{Predicates: []core.Predicate{
-		{Attribute: "index", Op: core.OpGt, Value: core.Int(5)},
-	}})
-	if len(cands) != 2 {
-		t.Fatalf("range candidates = %v", cands)
-	}
-	// Static predicates never narrow.
-	cands = ix.Candidates(core.Query{Predicates: []core.Predicate{
-		{Attribute: "dataType", Op: core.OpEq, Value: core.String("binary")},
-	}})
-	if len(cands) != 2 {
-		t.Fatalf("static candidates = %v", cands)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: may match %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
-func TestSoftStateExpiry(t *testing.T) {
-	cat := newSite(t, "x", 1)
-	ix := NewIndex()
-	now := time.Now()
-	ix.SetClock(func() time.Time { return now })
-	s, _ := Summarize(cat, "x-cat", 0.01)
-	ix.Update(s, 10*time.Second)
-	if len(ix.Known()) != 1 {
-		t.Fatal("fresh summary not known")
-	}
-	now = now.Add(11 * time.Second)
-	if len(ix.Known()) != 0 {
-		t.Fatal("expired summary still known")
-	}
-	if cands := ix.Candidates(core.Query{}); len(cands) != 0 {
-		t.Fatalf("expired candidates = %v", cands)
-	}
-}
-
-func TestFederatedQueryMergesAndSkips(t *testing.T) {
-	cats := map[string]*core.Catalog{
-		"ligo-cat": newSite(t, "ligo", 10),
-		"esg-cat":  newSite(t, "esg", 10),
-		"sdss-cat": newSite(t, "sdss", 10),
-	}
-	ix := NewIndex()
-	for name, cat := range cats {
-		s, err := Summarize(cat, name, 0.0001)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.Update(s, time.Minute)
-	}
-	fc := &Client{Index: ix, Dial: localDialer(cats)}
-
-	// Value held by exactly one site: two subqueries skipped.
-	res, err := fc.Query(core.Query{Predicates: []core.Predicate{
-		{Attribute: "project", Op: core.OpEq, Value: core.String("esg")},
-	}})
+// TestSummaryWireFormat pins the discoverySummary reply byte for byte:
+// routers and shards of different versions exchange it.
+func TestSummaryWireFormat(t *testing.T) {
+	cat := newSite(t, "ligo", 2)
+	s, err := Summarize(cat, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Candidates) != 1 || res.Skipped != 2 {
-		t.Fatalf("candidates=%v skipped=%d", res.Candidates, res.Skipped)
-	}
-	if got := res.Merged(); len(got) != 10 {
-		t.Fatalf("merged = %v", got)
-	}
-	// Range predicate fans out to all three and merges 3x5 results.
-	res, err = fc.Query(core.Query{Predicates: []core.Predicate{
-		{Attribute: "index", Op: core.OpGe, Value: core.Int(5)},
-	}})
+	resp, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Candidates) != 3 {
-		t.Fatalf("candidates = %v", res.Candidates)
+	want := &mcswire.DiscoverySummaryResponse{
+		Attrs:   []string{"index", "project"},
+		Pairs:   "eyJtIjo2NCwiayI6OSwiYml0cyI6ImQ1SkVnS3NFRWdrPSJ9",
+		Objects: 4,
 	}
-	if got := res.Merged(); len(got) != 15 {
-		t.Fatalf("merged %d names", len(got))
-	}
-}
-
-func TestUpdaterRefreshesSummaries(t *testing.T) {
-	cat := newSite(t, "dyn", 1)
-	ix := NewIndex()
-	u := &Updater{
-		Catalog: cat, Name: "dyn-cat", TTL: time.Minute, Interval: 5 * time.Millisecond,
-		Push: func(s *Summary, ttl time.Duration) error {
-			ix.Update(s, ttl)
-			return nil
-		},
-	}
-	if err := u.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer u.Stop()
-	// A newly published value appears in the index after a refresh.
-	if _, err := cat.CreateFile(dn, core.FileSpec{
-		Name:       "late-file",
-		Attributes: []core.Attribute{{Name: "project", Value: core.String("late-project")}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	q := core.Query{Predicates: []core.Predicate{
-		{Attribute: "project", Op: core.OpEq, Value: core.String("late-project")},
-	}}
-	deadline := time.After(2 * time.Second)
-	for {
-		if cands := ix.Candidates(q); len(cands) == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("refresh never carried the new value")
-		case <-time.After(2 * time.Millisecond):
-		}
+	if !reflect.DeepEqual(resp, want) {
+		t.Fatalf("Encode = %+v\nwant     %+v", resp, want)
 	}
 }
 
-func TestUpdaterRequiresPush(t *testing.T) {
-	cat := newSite(t, "x", 0)
-	u := &Updater{Catalog: cat, Name: "x"}
-	if err := u.Start(); err == nil {
-		t.Fatal("Start without Push succeeded")
-	}
-}
-
-func TestDialFailureSurfaces(t *testing.T) {
-	cats := map[string]*core.Catalog{"good": newSite(t, "p", 1)}
-	ix := NewIndex()
-	s, _ := Summarize(cats["good"], "good", 0.01)
-	ix.Update(s, time.Minute)
-	bad, _ := Summarize(cats["good"], "bad", 0.01)
-	bad.Catalog = "bad"
-	ix.Update(bad, time.Minute)
-	fc := &Client{Index: ix, Dial: localDialer(cats)} // "bad" will fail to dial
-	res, err := fc.Query(core.Query{Predicates: []core.Predicate{
-		{Attribute: "project", Op: core.OpEq, Value: core.String("p")},
-	}})
-	// Partial success: the good catalog's answer is returned.
+func TestDecodeRefusesMalformedBloom(t *testing.T) {
+	good, err := Summarize(newSite(t, "x", 3), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Names["good"]) != 1 {
-		t.Fatalf("names = %v", res.Names)
+	resp, err := good.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Total failure: error surfaces.
-	ix.Remove("good")
-	if _, err := fc.Query(core.Query{Predicates: []core.Predicate{
-		{Attribute: "project", Op: core.OpEq, Value: core.String("p")},
-	}}); err == nil {
-		t.Fatal("all-failed query returned no error")
+	raw, err := base64.StdEncoding.DecodeString(resp.Pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b64 := base64.StdEncoding.EncodeToString
+	for name, pairs := range map[string]string{
+		"not base64":      "!!not base64!!",
+		"truncated JSON":  b64(raw[:len(raw)/2]),
+		"not JSON":        b64([]byte("bloom")),
+		"short bits":      b64([]byte(`{"m":1024,"k":4,"bits":"AA=="}`)),
+		"partial word":    b64([]byte(`{"m":72,"k":4,"bits":"AAAAAAAAAAAA"}`)),
+		"zero hash count": b64([]byte(`{"m":64,"k":0,"bits":"AAAAAAAAAAA="}`)),
+		"empty":           "",
+	} {
+		if s, err := Decode(&mcswire.DiscoverySummaryResponse{Attrs: resp.Attrs, Pairs: pairs}); err == nil {
+			t.Errorf("%s: Decode accepted the bloom (%+v)", name, s)
+		}
 	}
 }

@@ -12,9 +12,10 @@ type DiscoverySummaryRequest struct {
 	FP      float64  `xml:"fp,omitempty" json:"fp,omitempty"`
 }
 
-// DiscoverySummaryResponse carries one federation.Summary. The bloom filter
-// travels as base64 of its JSON encoding so the same payload is legal in
-// both the XML and JSON wire bodies.
+// DiscoverySummaryResponse carries one federation.Summary; federation's
+// Encode and Decode are the only code that writes and reads it. Catalog is
+// always empty (the puller knows whom it asked) but stays on the wire, so
+// the reply's bytes do not change.
 type DiscoverySummaryResponse struct {
 	XMLName xml.Name `xml:"urn:mcs discoverySummaryResponse" json:"-"`
 	Catalog string   `xml:"catalog" json:"catalog"`

@@ -11,6 +11,7 @@ package mcswire
 
 import (
 	"encoding/xml"
+	"fmt"
 	"time"
 
 	"mcs/internal/core"
@@ -46,6 +47,23 @@ type WirePredicate struct {
 	Op        string `xml:"op" json:"op"`
 	Type      string `xml:"type" json:"type"`
 	Value     string `xml:"value" json:"value"`
+}
+
+// QueryFromWire converts a wire query (target + string-typed predicates)
+// into a core.Query: the one conversion behind the server's query handlers
+// and the router's screening, so both evaluate the same parsed query.
+func QueryFromWire(target string, limit int, preds []WirePredicate) (core.Query, error) {
+	q := core.Query{Target: core.ObjectType(target), Limit: limit}
+	for _, wp := range preds {
+		v, err := core.ParseAttrValue(core.AttrType(wp.Type), wp.Value)
+		if err != nil {
+			return core.Query{}, fmt.Errorf("predicate %q: %w", wp.Attribute, err)
+		}
+		q.Predicates = append(q.Predicates, core.Predicate{
+			Attribute: wp.Attribute, Op: core.Op(wp.Op), Value: v,
+		})
+	}
+	return q, nil
 }
 
 // WireFile is the wire form of a logical file's static metadata.

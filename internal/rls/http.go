@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"mcs/internal/bloom"
 )
 
 // HTTP bindings for the RLS, so the Figure-2 scenario (MCS query → RLS
@@ -53,10 +55,10 @@ type mappingRequest struct {
 }
 
 type updateRequest struct {
-	LRC        string   `json:"lrc"`
-	LFNs       []string `json:"lfns,omitempty"`
-	Bloom      *Bloom   `json:"bloom,omitempty"`
-	TTLSeconds int      `json:"ttlSeconds"`
+	LRC        string        `json:"lrc"`
+	LFNs       []string      `json:"lfns,omitempty"`
+	Bloom      *bloom.Filter `json:"bloom,omitempty"`
+	TTLSeconds int           `json:"ttlSeconds"`
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -190,11 +192,11 @@ func (c *Client) QueryRLI(lfn string) ([]string, error) {
 }
 
 // SendUpdate pushes a soft-state update to the remote RLI (full list when
-// bloom is nil).
-func (c *Client) SendUpdate(lrcName string, lfns []string, bloom *Bloom, ttl time.Duration) error {
+// summary is nil).
+func (c *Client) SendUpdate(lrcName string, lfns []string, summary *bloom.Filter, ttl time.Duration) error {
 	var resp map[string]bool
 	return c.post("/rli/update", updateRequest{
-		LRC: lrcName, LFNs: lfns, Bloom: bloom, TTLSeconds: int(ttl / time.Second),
+		LRC: lrcName, LFNs: lfns, Bloom: summary, TTLSeconds: int(ttl / time.Second),
 	}, &resp)
 }
 

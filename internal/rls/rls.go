@@ -1,3 +1,10 @@
+// Package rls implements a Replica Location Service in the style of the
+// Giggle framework (Chervenak et al., SC 2002), the companion service the
+// MCS paper federates with: Local Replica Catalogs (LRCs) map logical file
+// names to physical locations, and Replica Location Indices (RLIs) answer
+// "which LRCs know this logical name" using soft-state summaries — either
+// full name lists or compressed bloom filters — that expire unless
+// refreshed.
 package rls
 
 import (
@@ -5,6 +12,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"mcs/internal/bloom"
 )
 
 // LRC is a Local Replica Catalog: authoritative logical-name → physical-
@@ -84,10 +93,10 @@ func (l *LRC) Len() int {
 
 // Summary builds a bloom-filter summary of this LRC's logical names for a
 // compressed soft-state update.
-func (l *LRC) Summary(fpRate float64) *Bloom {
+func (l *LRC) Summary(fpRate float64) *bloom.Filter {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	b := NewBloom(len(l.mappings)+1, fpRate)
+	b := bloom.New(len(l.mappings)+1, fpRate)
 	for lfn := range l.mappings {
 		b.Add(lfn)
 	}
@@ -97,7 +106,7 @@ func (l *LRC) Summary(fpRate float64) *Bloom {
 // lrcState is what an RLI knows about one LRC.
 type lrcState struct {
 	full    map[string]bool // nil when a bloom summary is in use
-	bloom   *Bloom
+	bloom   *bloom.Filter
 	expires time.Time
 }
 
@@ -127,7 +136,7 @@ func (r *RLI) UpdateFull(lrc string, lfns []string, ttl time.Duration) {
 }
 
 // UpdateBloom replaces the index's knowledge of lrc with a bloom summary.
-func (r *RLI) UpdateBloom(lrc string, b *Bloom, ttl time.Duration) {
+func (r *RLI) UpdateBloom(lrc string, b *bloom.Filter, ttl time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.entries[lrc] = &lrcState{bloom: b, expires: r.clock().Add(ttl)}
@@ -205,7 +214,7 @@ type Updater struct {
 	// 0 sends full name lists.
 	BloomFP float64
 	// Push delivers one update; set by the caller.
-	Push func(lrcName string, lfns []string, bloom *Bloom, ttl time.Duration) error
+	Push func(lrcName string, lfns []string, summary *bloom.Filter, ttl time.Duration) error
 
 	stop chan struct{}
 	done chan struct{}

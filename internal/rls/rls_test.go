@@ -1,12 +1,12 @@
 package rls
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"testing/quick"
 	"time"
+
+	"mcs/internal/bloom"
 )
 
 func TestLRCBasic(t *testing.T) {
@@ -103,58 +103,6 @@ func TestRLIBloomUpdates(t *testing.T) {
 	}
 }
 
-func TestBloomRoundTripJSON(t *testing.T) {
-	b := NewBloom(100, 0.01)
-	for i := 0; i < 100; i++ {
-		b.Add(fmt.Sprintf("k%d", i))
-	}
-	raw, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b2 Bloom
-	if err := json.Unmarshal(raw, &b2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if !b2.Test(fmt.Sprintf("k%d", i)) {
-			t.Fatalf("round-tripped filter lost k%d", i)
-		}
-	}
-	if b.FillRatio() != b2.FillRatio() {
-		t.Fatal("fill ratios differ after round trip")
-	}
-}
-
-func TestBloomMalformedJSON(t *testing.T) {
-	var b Bloom
-	if err := json.Unmarshal([]byte(`{"m":0,"k":1,"bits":""}`), &b); err == nil {
-		t.Fatal("malformed bloom accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"m":1024,"k":4,"bits":"AA=="}`), &b); err == nil {
-		t.Fatal("short bloom accepted")
-	}
-}
-
-// Property: no false negatives for any added key set.
-func TestQuickBloomNoFalseNegatives(t *testing.T) {
-	f := func(keys []string) bool {
-		b := NewBloom(len(keys)+1, 0.01)
-		for _, k := range keys {
-			b.Add(k)
-		}
-		for _, k := range keys {
-			if !b.Test(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHTTPEndToEnd(t *testing.T) {
 	lrc := NewLRC("lrc://site-a")
 	rli := NewRLI()
@@ -203,7 +151,7 @@ func TestUpdaterPushesPeriodically(t *testing.T) {
 		LRC:      lrc,
 		TTL:      time.Minute,
 		Interval: 5 * time.Millisecond,
-		Push: func(name string, lfns []string, bloom *Bloom, ttl time.Duration) error {
+		Push: func(name string, lfns []string, summary *bloom.Filter, ttl time.Duration) error {
 			rli.UpdateFull(name, lfns, ttl)
 			return nil
 		},
@@ -234,11 +182,11 @@ func TestUpdaterPushesPeriodically(t *testing.T) {
 func TestUpdaterBloomMode(t *testing.T) {
 	lrc := NewLRC("lrc://bloom")
 	lrc.Add("x", "p")
-	var gotBloom *Bloom
+	var gotBloom *bloom.Filter
 	u := &Updater{
 		LRC: lrc, TTL: time.Minute, Interval: time.Hour, BloomFP: 0.01,
-		Push: func(name string, lfns []string, bloom *Bloom, ttl time.Duration) error {
-			gotBloom = bloom
+		Push: func(name string, lfns []string, summary *bloom.Filter, ttl time.Duration) error {
+			gotBloom = summary
 			return nil
 		},
 	}

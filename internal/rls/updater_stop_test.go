@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"mcs/internal/bloom"
 )
 
 // A failed initial push must leave the updater in a state where Stop is a
@@ -11,7 +13,7 @@ import (
 func TestUpdaterStopAfterFailedStart(t *testing.T) {
 	u := &Updater{
 		LRC: NewLRC("x"), TTL: time.Minute,
-		Push: func(string, []string, *Bloom, time.Duration) error {
+		Push: func(string, []string, *bloom.Filter, time.Duration) error {
 			return errors.New("index unreachable")
 		},
 	}
@@ -33,7 +35,7 @@ func TestUpdaterStopAfterFailedStart(t *testing.T) {
 func TestUpdaterDoubleStop(t *testing.T) {
 	u := &Updater{
 		LRC: NewLRC("x"), TTL: time.Minute, Interval: time.Hour,
-		Push: func(string, []string, *Bloom, time.Duration) error { return nil },
+		Push: func(string, []string, *bloom.Filter, time.Duration) error { return nil },
 	}
 	if err := u.Start(); err != nil {
 		t.Fatal(err)

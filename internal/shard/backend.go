@@ -2,8 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,7 +9,6 @@ import (
 
 	"mcs/internal/federation"
 	"mcs/internal/mcswire"
-	"mcs/internal/rls"
 )
 
 // backend is the router's view of one shard: a JSON wire client (the
@@ -37,7 +34,8 @@ type backend struct {
 	mu        sync.Mutex
 	summary   *federation.Summary
 	summaryAt time.Time
-	healthy   bool
+	polled    bool // a pull has finished, so healthy is a verdict
+	healthy   bool // the last pull succeeded
 	lastErr   string
 }
 
@@ -66,47 +64,32 @@ func (b *backend) refreshSummary(ctx context.Context, fp float64, now func() tim
 	b.dirty.Store(false)
 	var resp mcswire.DiscoverySummaryResponse
 	err := b.client.Call(ctx, "discoverySummary", nil, &mcswire.DiscoverySummaryRequest{FP: fp}, &resp)
+	var sum *federation.Summary
 	if err == nil {
-		var sum *federation.Summary
-		sum, err = summaryFromWire(b.name, &resp)
-		if err == nil {
-			b.mu.Lock()
-			b.summary, b.summaryAt, b.healthy, b.lastErr = sum, now(), true, ""
-			b.mu.Unlock()
-			return nil
+		if sum, err = federation.Decode(&resp); err != nil {
+			err = fmt.Errorf("shard %s: %w", b.name, err)
 		}
 	}
-	b.dirty.Store(true)
-	b.mu.Lock()
-	b.healthy, b.lastErr = false, err.Error()
-	b.mu.Unlock()
-	return err
-}
-
-// summaryFromWire decodes a wire discovery summary (attrs list + base64 JSON
-// bloom) into a federation.Summary.
-func summaryFromWire(catalog string, resp *mcswire.DiscoverySummaryResponse) (*federation.Summary, error) {
-	raw, err := base64.StdEncoding.DecodeString(resp.Pairs)
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: decode summary bloom: %w", catalog, err)
+		b.dirty.Store(true)
 	}
-	bloom := &rls.Bloom{}
-	if err := json.Unmarshal(raw, bloom); err != nil {
-		return nil, fmt.Errorf("shard %s: decode summary bloom: %w", catalog, err)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.polled = true
+	if err != nil {
+		b.healthy, b.lastErr = false, err.Error()
+		return err
 	}
-	attrs := make(map[string]bool, len(resp.Attrs))
-	for _, a := range resp.Attrs {
-		attrs[a] = true
-	}
-	return &federation.Summary{
-		Catalog: catalog, Pairs: bloom, Attrs: attrs, Objects: resp.Objects,
-	}, nil
+	b.summary, b.summaryAt, b.healthy, b.lastErr = sum, now(), true, ""
+	return nil
 }
 
-// status is one backend's snapshot for /statz and /healthz.
+// status is one backend's snapshot for /statz. Healthy is null until the
+// router has pulled the shard's summary once: with polling off it never
+// does, and it has no verdict to report.
 type status struct {
 	Endpoint       string  `json:"endpoint"`
-	Healthy        bool    `json:"healthy"`
+	Healthy        *bool   `json:"healthy"`
 	Forwarded      int64   `json:"forwarded"`
 	Unreachable    int64   `json:"unreachable"`
 	SummaryAgeSec  float64 `json:"summary_age_sec"`
@@ -119,10 +102,13 @@ func (b *backend) status(now time.Time) status {
 	defer b.mu.Unlock()
 	st := status{
 		Endpoint:    b.name,
-		Healthy:     b.healthy,
 		Forwarded:   b.forwarded.Load(),
 		Unreachable: b.unreachable.Load(),
 		LastError:   b.lastErr,
+	}
+	if b.polled {
+		healthy := b.healthy
+		st.Healthy = &healthy
 	}
 	if b.summary != nil {
 		st.SummaryAgeSec = now.Sub(b.summaryAt).Seconds()

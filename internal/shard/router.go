@@ -29,26 +29,19 @@ type Options struct {
 	// FP is the bloom false-positive rate requested from shard summaries
 	// (default 0.01).
 	FP float64
-	// SummaryInterval is the period of background summary polls; 0 disables
-	// background polling (summaries then refresh only via
-	// RefreshSummaries, as tests do for determinism).
+	// SummaryInterval is the period of background summary polls. A pulled
+	// summary screens queries for 3×SummaryInterval. 0 disables polling and
+	// with it screening, except for summaries pulled by RefreshSummaries,
+	// which then screen for 45s (tests pull that way for determinism).
 	SummaryInterval time.Duration
-	// SummaryTTL is how long a pulled summary may screen queries (default
-	// 3×SummaryInterval, or 45s when polling is disabled).
-	SummaryTTL time.Duration
 	// CallTimeout bounds each forwarded call (default 30s).
 	CallTimeout time.Duration
-	// HTTP optionally substitutes the pooled *http.Client shared by every
-	// backend connection.
-	HTTP *http.Client
 	// DisableMetrics turns off the registry and diagnostic endpoints.
 	DisableMetrics bool
 	// FaultInjector, when non-nil, injects failures into the router's own
 	// wire dispatch (chaos tests of the extra hop); shard-side faults are
 	// configured on the shards themselves.
 	FaultInjector *faultinject.Injector
-	// Clock overrides time.Now (tests).
-	Clock func() time.Time
 }
 
 // Router is the stateless scatter-gather front of a sharded MCS deployment.
@@ -95,10 +88,10 @@ func NewRouter(opts Options) (*Router, error) {
 		mapp:        opts.Map,
 		byName:      make(map[string]*backend, len(endpoints)),
 		fp:          opts.FP,
-		ttl:         opts.SummaryTTL,
+		ttl:         45 * time.Second,
 		interval:    opts.SummaryInterval,
 		callTimeout: opts.CallTimeout,
-		now:         opts.Clock,
+		now:         time.Now,
 	}
 	if r.fp <= 0 || r.fp >= 1 {
 		r.fp = 0.01
@@ -106,26 +99,16 @@ func NewRouter(opts Options) (*Router, error) {
 	if r.callTimeout <= 0 {
 		r.callTimeout = 30 * time.Second
 	}
-	if r.ttl <= 0 {
-		if r.interval > 0 {
-			r.ttl = 3 * r.interval
-		} else {
-			r.ttl = 45 * time.Second
-		}
-	}
-	if r.now == nil {
-		r.now = time.Now
+	if r.interval > 0 {
+		r.ttl = 3 * r.interval
 	}
 	r.started = r.now()
-	pool := opts.HTTP
-	if pool == nil {
-		pool = &http.Client{
-			Timeout: r.callTimeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 64,
-			},
-		}
+	pool := &http.Client{
+		Timeout: r.callTimeout,
+		Transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 64,
+		},
 	}
 	for _, ep := range endpoints {
 		b := &backend{name: ep, client: mcswire.NewClient(ep, jsonwire.Codec{}, pool)}
@@ -185,15 +168,15 @@ func (r *Router) registerCounters() {
 // against the server's).
 func (r *Router) Table() *mcswire.Table { return r.table }
 
-// Start begins background summary polling (no-op when SummaryInterval is 0).
-// The first poll runs synchronously so a freshly started router screens
-// queries immediately; its errors are soft (an unreachable shard simply
-// stays unscreenable).
+// Start begins background summary polling; with SummaryInterval 0 it does
+// nothing. The first poll runs synchronously so a freshly started router
+// screens queries immediately; its errors are soft (an unreachable shard
+// simply stays unscreenable).
 func (r *Router) Start() {
-	r.RefreshSummaries()
 	if r.interval <= 0 || r.stopPoll != nil {
 		return
 	}
+	r.RefreshSummaries()
 	r.stopPoll = make(chan struct{})
 	r.pollDone = make(chan struct{})
 	go func() {
@@ -436,7 +419,7 @@ func pinned[Req, Resp any](r *Router, op string) {
 // authorization and transaction scope) forward to exactly one shard;
 // global-namespace mutations broadcast; cross-shard reads scatter-gather
 // (scatter.go). discoverySummary is deliberately not mounted: the router is
-// a router, not a catalog — federation indexes poll shards directly.
+// the aggregating index that pulls summaries, not a catalog that has one.
 func (r *Router) buildTable() {
 	// Liveness is answered locally: the router itself is the probed service.
 	r.table.Register(mcswire.Handler{

@@ -27,9 +27,10 @@ type candidate struct {
 // shape — is included. Summaries index file attribute pairs only, so only
 // file-target queries screen at all. A predicate that fails to parse
 // disables screening entirely: every shard then reproduces exactly the
-// invalid-input error a direct server would report.
+// invalid-input error a direct server would report, so the router's own
+// parse error is not needed.
 func (r *Router) screenQuery(target string, preds []mcswire.WirePredicate) []candidate {
-	q, err := coreQuery(target, preds)
+	q, err := mcswire.QueryFromWire(target, 0, preds)
 	screenable := err == nil && (target == "" || target == string(core.ObjectFile))
 	now := r.now()
 	cands := make([]candidate, 0, len(r.backends))
@@ -46,23 +47,6 @@ func (r *Router) screenQuery(target string, preds []mcswire.WirePredicate) []can
 		cands = append(cands, candidate{b: b})
 	}
 	return cands
-}
-
-// coreQuery mirrors the server's queryFromWire: the router evaluates the
-// same parsed query against summaries that the shard will evaluate against
-// its catalog.
-func coreQuery(target string, preds []mcswire.WirePredicate) (core.Query, error) {
-	q := core.Query{Target: core.ObjectType(target)}
-	for _, wp := range preds {
-		v, err := core.ParseAttrValue(core.AttrType(wp.Type), wp.Value)
-		if err != nil {
-			return core.Query{}, err
-		}
-		q.Predicates = append(q.Predicates, core.Predicate{
-			Attribute: wp.Attribute, Op: core.Op(wp.Op), Value: v,
-		})
-	}
-	return q, nil
 }
 
 // partialError reports a scatter that lost one or more shards while others

@@ -11,10 +11,11 @@
 // choose name prefixes (one per experiment, instrument or year, say) and
 // name collections, their files and their views under the owning prefix —
 // the same operational convention grid projects already use to partition
-// logical namespaces. Routing metadata is soft state in the
-// internal/federation style: the router periodically pulls each shard's
-// bloom-filter discovery summary and uses it to screen shards out of
-// cross-shard queries. Staleness is only ever allowed to cost a wasted
+// logical namespaces. The router is also section 9's aggregating index over
+// independent catalogs: a federation of sites is a shard map with one prefix
+// per site. Routing metadata is soft state: the router periodically pulls
+// each shard's internal/federation discovery summary and uses it to screen
+// shards out of cross-shard queries. Staleness is only ever allowed to cost a wasted
 // subquery (a screened-in shard that holds no match), never a wrong answer:
 // a shard that received a router-forwarded mutation since its last summary
 // pull is marked dirty and always included in scatters until the next

@@ -8,17 +8,19 @@ package mcs_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"mcs"
-	"mcs/internal/core"
-	"mcs/internal/federation"
 	"mcs/internal/gridftp"
 	"mcs/internal/rls"
+	"mcs/internal/shard"
 )
 
 const scenarioDN = "/O=Grid/OU=Test/CN=scenario"
@@ -106,66 +108,100 @@ func TestFigure2Scenario(t *testing.T) {
 	}
 }
 
+// TestFederatedDiscoveryScenario runs section 9's design: independent
+// sites, each a full MCS publishing under its own name prefix, behind a
+// router that is the aggregating index. The router screens a discovery
+// query through the sites' summaries, subqueries only the sites that may
+// match, and refuses to pass off a dead site's missing rows as a short list.
 func TestFederatedDiscoveryScenario(t *testing.T) {
-	// Two sites, each a full MCS; an aggregating index screens queries.
-	type site struct {
-		cat *core.Catalog
-		url string
-	}
-	sites := map[string]*site{}
-	for _, name := range []string{"site-east", "site-west"} {
-		cat, err := mcs.OpenCatalog(mcs.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := mcs.NewServer(mcs.ServerOptions{Catalog: cat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		sites[name] = &site{cat: cat, url: ts.URL}
-	}
-	// Publish distinct experiments at each site.
-	for name, exp := range map[string]string{"site-east": "atlas", "site-west": "cms"} {
-		c := mcs.NewClient(sites[name].url, scenarioDN)
-		if _, err := c.DefineAttribute("experiment", mcs.AttrString, ""); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if _, err := c.CreateFile(mcs.FileSpec{
-				Name:       fmt.Sprintf("%s-%d.root", exp, i),
-				Attributes: []mcs.Attribute{{Name: "experiment", Value: mcs.String(exp)}},
-			}); err != nil {
+	for _, kind := range []mcs.TransportKind{mcs.TransportSOAP, mcs.TransportJSON} {
+		t.Run(string(kind), func(t *testing.T) {
+			sites := map[string]*httptest.Server{}
+			var rules []string
+			for _, exp := range []string{"atlas", "cms"} {
+				srv, err := mcs.NewServer(mcs.ServerOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(srv)
+				t.Cleanup(ts.Close)
+				sites[exp] = ts
+				rules = append(rules, exp+"-="+ts.URL)
+
+				c := mcs.NewClient(ts.URL, scenarioDN, mcs.WithTransport(kind))
+				if _, err := c.DefineAttribute("experiment", mcs.AttrString, ""); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 5; i++ {
+					if _, err := c.CreateFile(mcs.FileSpec{
+						Name:       fmt.Sprintf("%s-%d.root", exp, i),
+						Attributes: []mcs.Attribute{{Name: "experiment", Value: mcs.String(exp)}},
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			m, err := shard.ParseInline(strings.Join(rules, ","))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
+			router, err := shard.NewRouter(shard.Options{Map: m, SummaryInterval: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			router.Start()
+			t.Cleanup(router.Stop)
+			front := httptest.NewServer(router)
+			t.Cleanup(front.Close)
+			c := mcs.NewClient(front.URL, scenarioDN, mcs.WithTransport(kind))
+
+			query := func(exp string) ([]string, int64, error) {
+				t.Helper()
+				before := scatterSubqueries(t, front.URL)
+				names, err := c.RunQuery(mcs.Query{Predicates: []mcs.Predicate{
+					{Attribute: "experiment", Op: mcs.OpEq, Value: mcs.String(exp)},
+				}})
+				return names, scatterSubqueries(t, front.URL) - before, err
+			}
+			names, sent, err := query("cms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sent != 1 {
+				t.Fatalf("query for one site's value sent %d subqueries, want 1", sent)
+			}
+			if len(names) != 5 || !strings.HasPrefix(names[0], "cms-") {
+				t.Fatalf("names = %v", names)
+			}
+
+			// A dead site: a query the summaries cannot narrow to the live
+			// site is refused as a partial result, never answered short.
+			sites["atlas"].Close()
+			if names, _, err := query("cms"); err != nil || len(names) != 5 {
+				t.Fatalf("screened query with the other site down = %v, %v", names, err)
+			}
+			if names, err := c.RunQuery(mcs.Query{Predicates: []mcs.Predicate{
+				{Attribute: "experiment", Op: mcs.OpLike, Value: mcs.String("%")},
+			}}); !errors.Is(err, mcs.ErrPartialResult) {
+				t.Fatalf("unscreenable query with a site down = %v, %v; want ErrPartialResult", names, err)
+			}
+		})
 	}
-	// Index the sites via soft-state summaries.
-	ix := federation.NewIndex()
-	for name, s := range sites {
-		sum, err := federation.Summarize(s.cat, name, 0.001)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.Update(sum, time.Minute)
-	}
-	fc := &federation.Client{
-		Index: ix,
-		Dial: func(name string) (federation.Querier, error) {
-			return mcs.NewClient(sites[name].url, scenarioDN), nil
-		},
-	}
-	res, err := fc.Query(mcs.Query{Predicates: []mcs.Predicate{
-		{Attribute: "experiment", Op: mcs.OpEq, Value: mcs.String("cms")},
-	}})
+}
+
+// scatterSubqueries reads the router's running count of shard subqueries.
+func scatterSubqueries(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/statz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Skipped != 1 {
-		t.Fatalf("index did not screen: %+v", res)
+	defer resp.Body.Close()
+	var st struct {
+		ScatterSubqueries int64 `json:"scatter_subqueries"`
 	}
-	if got := res.Merged(); len(got) != 5 || !strings.HasPrefix(got[0], "cms-") {
-		t.Fatalf("merged = %v", got)
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
 	}
+	return st.ScatterSubqueries
 }

@@ -14,13 +14,11 @@ package mcs
 
 import (
 	"crypto/ed25519"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -250,12 +248,10 @@ type CASIntegration struct {
 	CommunityDN string
 }
 
-// ObsOptions configures the server's observability layer. The zero value
-// enables dispatch instrumentation and the /metrics, /healthz and /statz
-// endpoints, with the slow-operation log off.
+// ObsOptions configures the server's observability layer. Dispatch
+// instrumentation is always on; the zero value also serves the /metrics,
+// /healthz and /statz endpoints, with the slow-operation log off.
 type ObsOptions struct {
-	// DisableMetrics turns off per-operation dispatch instrumentation.
-	DisableMetrics bool
 	// DisableEndpoints removes the /metrics, /healthz and /statz HTTP
 	// endpoints, leaving only the SOAP endpoint.
 	DisableEndpoints bool
@@ -350,8 +346,7 @@ func (s *Server) FaultInjector() *FaultInjector { return s.faults }
 // Catalog returns the server's underlying catalog engine.
 func (s *Server) Catalog() *Catalog { return s.catalog }
 
-// Metrics returns the server's metrics registry, or nil when dispatch
-// instrumentation is disabled.
+// Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // SlowOps returns the server's slow-operation log, or nil when disabled.
@@ -407,29 +402,27 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		endpoints: !opts.Obs.DisableEndpoints,
 		started:   time.Now(),
 	}
-	if !opts.Obs.DisableMetrics {
-		s.metrics = obs.NewRegistry()
-		if w := opts.WAL; w != nil {
-			s.metrics.RegisterCounter("mcs_wal_appends_total",
-				"Commit records appended to the write-ahead log.",
-				func() int64 { return int64(w.Stats().Appends) })
-			s.metrics.RegisterCounter("mcs_wal_fsyncs_total",
-				"Group-commit fsync rounds on the write-ahead log.",
-				func() int64 { return int64(w.Stats().Fsyncs) })
-			s.metrics.RegisterCounter("mcs_wal_replayed_total",
-				"Log records replayed during recovery at startup.",
-				func() int64 { return int64(w.Stats().Replayed) })
-		}
-		s.metrics.RegisterCounter("mcs_checkpoints_total",
-			"Checkpoints completed (snapshot durable, covered log dropped).",
-			s.ckptCount.Load)
-		s.metrics.RegisterFloat("mcs_checkpoint_seconds_total",
-			"Time spent in checkpoints, failed ones included.", "counter",
-			func() float64 { return time.Duration(s.ckptNanos.Load()).Seconds() })
-		s.metrics.RegisterFloat("mcs_snapshot_bytes",
-			"Size of the snapshot the last completed checkpoint wrote.", "gauge",
-			func() float64 { return float64(s.ckptBytes.Load()) })
+	s.metrics = obs.NewRegistry()
+	if w := opts.WAL; w != nil {
+		s.metrics.RegisterCounter("mcs_wal_appends_total",
+			"Commit records appended to the write-ahead log.",
+			func() int64 { return int64(w.Stats().Appends) })
+		s.metrics.RegisterCounter("mcs_wal_fsyncs_total",
+			"Group-commit fsync rounds on the write-ahead log.",
+			func() int64 { return int64(w.Stats().Fsyncs) })
+		s.metrics.RegisterCounter("mcs_wal_replayed_total",
+			"Log records replayed during recovery at startup.",
+			func() int64 { return int64(w.Stats().Replayed) })
 	}
+	s.metrics.RegisterCounter("mcs_checkpoints_total",
+		"Checkpoints completed (snapshot durable, covered log dropped).",
+		s.ckptCount.Load)
+	s.metrics.RegisterFloat("mcs_checkpoint_seconds_total",
+		"Time spent in checkpoints, failed ones included.", "counter",
+		func() float64 { return time.Duration(s.ckptNanos.Load()).Seconds() })
+	s.metrics.RegisterFloat("mcs_snapshot_bytes",
+		"Size of the snapshot the last completed checkpoint wrote.", "gauge",
+		func() float64 { return float64(s.ckptBytes.Load()) })
 	if opts.Obs.SlowOpThreshold > 0 {
 		s.slow = obs.NewSlowOpLog(opts.Obs.SlowOpThreshold, opts.Obs.SlowOpLogger)
 	}
@@ -442,9 +435,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 			if f == nil {
 				return nil
 			}
-			if s.metrics != nil {
-				s.metrics.FaultInjected(string(faultinject.SiteDB))
-			}
+			s.metrics.FaultInjected(string(faultinject.SiteDB))
 			if f.Delay > 0 {
 				inj.Sleep(f.Delay)
 			}
@@ -459,9 +450,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 				if f == nil {
 					return nil
 				}
-				if s.metrics != nil {
-					s.metrics.FaultInjected(string(faultinject.SiteWAL))
-				}
+				s.metrics.FaultInjected(string(faultinject.SiteWAL))
 				wf := &WALFault{Delay: f.Delay}
 				switch f.Kind {
 				case faultinject.KindLatency:
@@ -516,10 +505,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // default (the conventional /metrics contract), expvar-style JSON with
 // ?format=json.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.metrics == nil {
-		http.Error(w, "metrics disabled", http.StatusNotFound)
-		return
-	}
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		s.metrics.WriteJSON(w) //nolint:errcheck // best-effort response write
@@ -618,23 +603,6 @@ func handle[Req, Resp any](t *mcswire.Table, name string, fn func(ctx *mcswire.C
 			return fn(ctx, req.(*Req))
 		},
 	})
-}
-
-// queryFromWire converts a wire query (target + string-typed predicates)
-// into a core Query, shared by the query, queryPage and queryAttrs handlers
-// and the streamed query path.
-func queryFromWire(target string, limit int, preds []mcswire.WirePredicate) (Query, error) {
-	q := Query{Target: ObjectType(target), Limit: limit}
-	for _, wp := range preds {
-		v, err := core.ParseAttrValue(AttrType(wp.Type), wp.Value)
-		if err != nil {
-			return Query{}, fmt.Errorf("predicate %q: %w", wp.Attribute, err)
-		}
-		q.Predicates = append(q.Predicates, Predicate{
-			Attribute: wp.Attribute, Op: Op(wp.Op), Value: v,
-		})
-	}
-	return q, nil
 }
 
 // streamPageSize bounds how many result rows a streamed operation holds in
@@ -760,9 +728,7 @@ func (s *Server) register() {
 		if err != nil {
 			return nil, err
 		}
-		if s.metrics != nil {
-			s.metrics.ObserveBatchSize(len(ops))
-		}
+		s.metrics.ObserveBatchSize(len(ops))
 		resp := &mcswire.BatchWriteResponse{Count: len(results)}
 		if !req.Quiet {
 			for _, r := range results {
@@ -856,9 +822,7 @@ func (s *Server) register() {
 		if err != nil {
 			return nil, err
 		}
-		if s.metrics != nil {
-			s.metrics.ObservePageSize(len(files) + len(subs))
-		}
+		s.metrics.ObservePageSize(len(files) + len(subs))
 		resp := &mcswire.CollectionContentsPageResponse{Next: next}
 		for _, f := range files {
 			resp.Files = append(resp.Files, mcswire.FileToWire(f))
@@ -1010,7 +974,7 @@ func (s *Server) register() {
 		New:  func() any { return new(mcswire.QueryRequest) },
 		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
 			r := req.(*mcswire.QueryRequest)
-			q, err := queryFromWire(r.Target, r.Limit, r.Predicates)
+			q, err := mcswire.QueryFromWire(r.Target, r.Limit, r.Predicates)
 			if err != nil {
 				return nil, err
 			}
@@ -1022,7 +986,7 @@ func (s *Server) register() {
 		},
 		Stream: func(ctx *mcswire.Ctx, req any, emit func(row any) error) error {
 			r := req.(*mcswire.QueryRequest)
-			q, err := queryFromWire(r.Target, 0, r.Predicates)
+			q, err := mcswire.QueryFromWire(r.Target, 0, r.Predicates)
 			if err != nil {
 				return err
 			}
@@ -1051,7 +1015,7 @@ func (s *Server) register() {
 	})
 
 	handle(t, "queryPage", func(ctx *mcswire.Ctx, req *mcswire.QueryPageRequest) (*mcswire.QueryPageResponse, error) {
-		q, err := queryFromWire(req.Target, 0, req.Predicates)
+		q, err := mcswire.QueryFromWire(req.Target, 0, req.Predicates)
 		if err != nil {
 			return nil, err
 		}
@@ -1059,14 +1023,12 @@ func (s *Server) register() {
 		if err != nil {
 			return nil, err
 		}
-		if s.metrics != nil {
-			s.metrics.ObservePageSize(len(names))
-		}
+		s.metrics.ObservePageSize(len(names))
 		return &mcswire.QueryPageResponse{Names: names, Next: next}, nil
 	})
 
 	handle(t, "queryAttrs", func(ctx *mcswire.Ctx, req *mcswire.QueryAttrsRequest) (*mcswire.QueryAttrsResponse, error) {
-		q, err := queryFromWire(req.Target, req.Limit, req.Predicates)
+		q, err := mcswire.QueryFromWire(req.Target, req.Limit, req.Predicates)
 		if err != nil {
 			return nil, err
 		}
@@ -1219,28 +1181,13 @@ func (s *Server) register() {
 		}, nil
 	})
 
+	// discoverySummary checks no rights: its bloom filter tells any caller
+	// whether an (attribute, value) binding exists here (DESIGN.md §8).
 	handle(t, "discoverySummary", func(ctx *mcswire.Ctx, req *mcswire.DiscoverySummaryRequest) (*mcswire.DiscoverySummaryResponse, error) {
-		fp := req.FP
-		if fp <= 0 || fp >= 1 {
-			fp = 0.01
-		}
-		sum, err := federation.Summarize(cat, "", fp)
+		sum, err := federation.Summarize(cat, req.FP)
 		if err != nil {
 			return nil, err
 		}
-		bloomJSON, err := json.Marshal(sum.Pairs)
-		if err != nil {
-			return nil, err
-		}
-		attrs := make([]string, 0, len(sum.Attrs))
-		for name := range sum.Attrs {
-			attrs = append(attrs, name)
-		}
-		sort.Strings(attrs)
-		return &mcswire.DiscoverySummaryResponse{
-			Attrs:   attrs,
-			Pairs:   base64.StdEncoding.EncodeToString(bloomJSON),
-			Objects: sum.Objects,
-		}, nil
+		return sum.Encode()
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mcs/internal/shard"
 )
@@ -632,6 +633,40 @@ func TestShardRouterBloomScreening(t *testing.T) {
 	}
 	if d := subqueries() - base; d != 1 {
 		t.Fatalf("re-screened query hit %d shards, want 1", d)
+	}
+}
+
+// TestShardRouterPollCoversBypassedWrite: a write sent straight to a shard
+// sets no dirty bit, so the router's summary hides it until the background
+// poll pulls a summary that covers it; from then on the query is both
+// answered and screened down to that shard.
+func TestShardRouterPollCoversBypassedWrite(t *testing.T) {
+	sharded := startSharded(t, shard.Options{SummaryInterval: 5 * time.Millisecond})
+	c := NewClient(sharded.url, testAlice, WithTransport(TransportJSON))
+	if _, err := c.DefineAttribute("run", AttrString, "science run"); err != nil {
+		t.Fatal(err)
+	}
+	sharded.router.Start()
+	if _, err := sharded.shards[1].Catalog().CreateFile(testAlice, FileSpec{
+		Name: "s1-late.dat", Attributes: []Attribute{{Name: "run", Value: String("S9")}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		base := routerStatz(t, sharded.url).ScatterSubqueries
+		names, err := c.RunQuery(Query{Predicates: []Predicate{{Attribute: "run", Op: OpEq, Value: String("S9")}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := routerStatz(t, sharded.url).ScatterSubqueries - base
+		if reflect.DeepEqual(names, []string{"s1-late.dat"}) && sent == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no poll covered the bypassed write: query = %v over %d shards", names, sent)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

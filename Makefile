@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt deps check chaos bench figures walcrash planparity regress regress-test
+.PHONY: build test race vet fmt deps check chaos bench figures walcrash planparity census regress regress-test
 
 build:
 	$(GO) build ./...
@@ -61,13 +61,25 @@ figures:
 # chaos leg (a retried mutation straddling a crash stays exactly-once),
 # the checkpoint-failure regression, the daemon-level crash recovery, and —
 # the other half of what a crash leaves behind — the snapshot suite: format
-# pin, structural and byte-level damage corpus, legacy fixture, orphaned
-# temp file.
+# pin, structural and byte-level damage corpus, the refusal of gob-era
+# snapshots, the hand-framed legacy log tail, orphaned temp file.
 walcrash:
 	MCS_CHAOS_SEEDS=$${MCS_CHAOS_SEEDS:-1,7,42} \
 		$(GO) test -race -timeout 10m -v \
-		-run 'TestWAL|TestChaosWALKillReplay|TestCheckpointFailureKeepsWAL|TestDaemonWALCrashRecovery|TestSnapshot|TestLoadSnapshot|TestBootFromLegacySnapshotAndWAL|TestBootRemovesOrphanedTmp|TestBootSurvivesUnremovableTmp' \
+		-run 'TestWAL|TestChaosWALKillReplay|TestCheckpointFailureKeepsWAL|TestDaemonWALCrashRecovery|TestSnapshot|TestLoadSnapshot|TestGeneration1SnapshotRefused|TestBootFromLegacyWALTail|TestBootRemovesOrphanedTmp|TestBootSurvivesUnremovableTmp' \
 		./internal/sqldb ./cmd/mcsd .
+
+# The engine's statement census: the tests of every package but sqldb (and
+# btree) run with internal/sqldb instrumented, then the sqldb functions they
+# never execute are listed. A function at 0.0 % is either an error path, the
+# QueryNaive oracle, or code no catalog statement reaches. Not part of
+# `make check`: it answers a question, it gates nothing.
+census:
+	@prof=$$(mktemp) && trap 'rm -f "$$prof"' EXIT && \
+		$(GO) test -count=1 -coverpkg=mcs/internal/sqldb -coverprofile="$$prof" \
+			$$($(GO) list ./... | grep -v 'internal/sqldb$$\|internal/btree$$') && \
+		echo "sqldb functions no other package's tests execute:" && \
+		$(GO) tool cover -func="$$prof" | grep '[[:space:]]0\.0%$$' | sed 's|^mcs/internal/sqldb/||'
 
 # The regression benchmark (benchmark/README.md): one seeded 10 s run of each
 # of the five workloads, exactly as the driver invokes it. Each run appends

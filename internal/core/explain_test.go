@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"mcs/internal/sqldb"
 )
 
 // EXPLAIN goldens for the catalog's own hot statements. These pin the
@@ -15,10 +13,10 @@ import (
 // regression flips a test, not just a benchmark curve.
 
 // explainPlan compiles sql against the catalog's database and returns the
-// one-line plan rendering.
-func explainPlan(t *testing.T, c *Catalog, sql string, args ...sqldb.Value) string {
+// one-line plan rendering. Plans are value-free, so no arguments are bound.
+func explainPlan(t *testing.T, c *Catalog, sql string) string {
 	t.Helper()
-	plan, err := c.DB().Explain(sql, args...)
+	plan, err := c.DB().Explain(sql)
 	if err != nil {
 		t.Fatalf("explain %q: %v", sql, err)
 	}
@@ -56,9 +54,7 @@ func TestExplainAuthzAncestorChain(t *testing.T) {
 	// across the whole collection chain. acl_object leads with object_type,
 	// so the probe is an equality prefix extended by the IN list.
 	plan := explainPlan(t, c,
-		"SELECT id FROM acl WHERE object_type = ? AND principal = ? AND permission = ? AND object_id IN (?, ?, ?)",
-		sqldb.Text("collection"), sqldb.Text(alice), sqldb.Text("read"),
-		sqldb.Int(1), sqldb.Int(2), sqldb.Int(3))
+		"SELECT id FROM acl WHERE object_type = ? AND principal = ? AND permission = ? AND object_id IN (?, ?, ?)")
 	if plan != "index-in(acl_object)" {
 		t.Fatalf("authz chain plan = %s", plan)
 	}
@@ -74,8 +70,7 @@ func TestExplainAttributeBatchHydration(t *testing.T) {
 	plan := explainPlan(t, c,
 		"SELECT ua.object_id, ad.name, ad.attr_type, ua.sval, ua.ival, ua.fval, ua.tval "+
 			"FROM user_attribute ua JOIN attribute_def ad ON ad.id = ua.attr_id "+
-			"WHERE ua.object_type = ? AND ua.object_id IN (?, ?, ?)",
-		sqldb.Text("file"), sqldb.Int(1), sqldb.Int(2), sqldb.Int(3))
+			"WHERE ua.object_type = ? AND ua.object_id IN (?, ?, ?)")
 	want := "intersect[ad full-scan(attribute_def) & ua index-in(ua_object)]"
 	if plan != want {
 		t.Fatalf("attribute batch plan:\n  got  %s\n  want %s", plan, want)
@@ -94,7 +89,7 @@ func TestExplainEightAttributeQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := explainPlan(t, c, sql, mustCompileArgs(t, c, q)...)
+	plan := explainPlan(t, c, sql)
 	// All eight predicates are string-typed, so every attribute stage is a
 	// covered equality probe of ua_attr_s and the file table is reached by
 	// key probes — the flat Fig. 11 shape. Stage order among equal

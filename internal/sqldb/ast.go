@@ -3,11 +3,10 @@ package sqldb
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
-// CreateTableStmt is CREATE TABLE [IF NOT EXISTS] name (columns...).
+// CreateTableStmt is CREATE TABLE name (columns...).
 type CreateTableStmt struct {
-	Name        string
-	IfNotExists bool
-	Columns     []ColumnDef
+	Name    string
+	Columns []ColumnDef
 }
 
 // ColumnDef describes one column in a CREATE TABLE.
@@ -20,24 +19,11 @@ type ColumnDef struct {
 	Unique        bool
 }
 
-// CreateIndexStmt is CREATE [UNIQUE] INDEX [IF NOT EXISTS] name ON table (cols...).
+// CreateIndexStmt is CREATE INDEX name ON table (cols...).
 type CreateIndexStmt struct {
-	Name        string
-	Table       string
-	Columns     []string
-	Unique      bool
-	IfNotExists bool
-}
-
-// DropTableStmt is DROP TABLE [IF EXISTS] name.
-type DropTableStmt struct {
-	Name     string
-	IfExists bool
-}
-
-// DropIndexStmt is DROP INDEX name.
-type DropIndexStmt struct {
-	Name string
+	Name    string
+	Table   string
+	Columns []string
 }
 
 // InsertStmt is INSERT INTO table (cols) VALUES (...), (...).
@@ -66,26 +52,17 @@ type DeleteStmt struct {
 	Where Expr
 }
 
-// SelectStmt is SELECT [DISTINCT] items FROM table [alias] [JOIN ...]
-// [WHERE expr] [ORDER BY col [ASC|DESC], ...] [LIMIT n [OFFSET m]].
+// SelectStmt is SELECT [DISTINCT] {COUNT(*) | items} FROM table [alias]
+// [JOIN ...] [WHERE expr] [ORDER BY col [ASC|DESC], ...] [LIMIT n].
 type SelectStmt struct {
 	Distinct bool
-	Items    []SelectItem
+	Count    bool   // COUNT(*); Items is empty
+	Items    []Expr // the projected expressions
 	From     TableRef
 	Joins    []JoinClause
 	Where    Expr
 	OrderBy  []OrderKey
 	Limit    int // -1 means no limit
-	Offset   int
-}
-
-// SelectItem is one projected expression. Star selects every column of
-// every table in FROM order.
-type SelectItem struct {
-	Star  bool
-	Count bool // COUNT(*)
-	Expr  Expr
-	As    string
 }
 
 // TableRef names a table with an optional alias.
@@ -94,9 +71,8 @@ type TableRef struct {
 	Alias string // defaults to Table
 }
 
-// JoinClause is [INNER|LEFT] JOIN table [alias] ON expr.
+// JoinClause is JOIN table [alias] ON expr, an inner join.
 type JoinClause struct {
-	Left  bool
 	Table TableRef
 	On    Expr
 }
@@ -109,8 +85,6 @@ type OrderKey struct {
 
 func (*CreateTableStmt) stmt() {}
 func (*CreateIndexStmt) stmt() {}
-func (*DropTableStmt) stmt()   {}
-func (*DropIndexStmt) stmt()   {}
 func (*InsertStmt) stmt()      {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
@@ -119,7 +93,7 @@ func (*SelectStmt) stmt()      {}
 // Expr is a SQL expression tree node.
 type Expr interface{ expr() }
 
-// Literal is a constant value.
+// Literal is a constant: an integer or TRUE.
 type Literal struct{ Val Value }
 
 // Param is a ? placeholder, numbered left to right from 0.
@@ -137,29 +111,14 @@ type BinaryExpr struct {
 	L, R Expr
 }
 
-// UnaryExpr applies Op to one operand. Ops: NOT.
-type UnaryExpr struct {
-	Op string
-	E  Expr
-}
-
-// InExpr is "e IN (list...)" or its negation.
+// InExpr is "e IN (list...)".
 type InExpr struct {
 	E    Expr
 	List []Expr
-	Not  bool
-}
-
-// IsNullExpr is "e IS [NOT] NULL".
-type IsNullExpr struct {
-	E   Expr
-	Not bool
 }
 
 func (*Literal) expr()    {}
 func (*Param) expr()      {}
 func (*ColumnRef) expr()  {}
 func (*BinaryExpr) expr() {}
-func (*UnaryExpr) expr()  {}
 func (*InExpr) expr()     {}
-func (*IsNullExpr) expr() {}

@@ -120,7 +120,7 @@ func (db *DB) parseCached(sql string) (Statement, error) {
 		return nil, err
 	}
 	switch st.(type) {
-	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt, *DropIndexStmt:
+	case *CreateTableStmt, *CreateIndexStmt:
 		return st, nil
 	}
 	db.stmtMu.Lock()
@@ -243,22 +243,23 @@ func (db *DB) applyWALRecord(lsn uint64, stmts []redoStmt) error {
 	return nil
 }
 
-// Exec parses and runs a mutating or DDL statement.
+// Exec parses and runs a mutating or DDL statement; a SELECT is refused.
 func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 	st, err := db.parseCached(sql)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := db.checkFault(st); err != nil {
-		return Result{}, err
+	if _, ok := st.(*SelectStmt); ok {
+		return Result{}, errExecSelect
 	}
-	if sel, ok := st.(*SelectStmt); ok {
-		// Permit Exec of SELECT for convenience; discard rows.
-		_, err := db.querySelect(sql, sel, args)
+	if err := db.checkFault(st); err != nil {
 		return Result{}, err
 	}
 	return db.execOne(sql, st, args)
 }
+
+// errExecSelect refuses a SELECT passed to Exec, which would discard its rows.
+var errExecSelect = errors.New("sqldb: Exec requires a mutating or DDL statement; run a SELECT through Query")
 
 // querySelect runs a SELECT through the epoch-keyed plan cache against the
 // current committed root.
@@ -279,7 +280,7 @@ func (db *DB) execOne(sql string, st Statement, args []Value) (Result, error) {
 		tx.Rollback() //nolint:errcheck // the statement error takes precedence
 		return Result{}, err
 	}
-	tx.noteRedo(sql, st, args)
+	tx.noteRedo(sql, args)
 	return res, tx.Commit()
 }
 
@@ -302,7 +303,7 @@ func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 }
 
 // QueryNaive runs a SELECT with every cost-based planner decision disabled:
-// full scans and pure nested loops, never touching the plan cache. It exists
+// the nested executor over full scans, never touching the plan cache. It exists
 // as the reference evaluator for the differential planner-parity harness —
 // any query must return the same multiset of rows through Query and
 // QueryNaive — and is deliberately permanent API, not test scaffolding, so
@@ -324,46 +325,6 @@ func (db *DB) QueryNaive(sql string, args ...Value) (*Rows, error) {
 		return nil, err
 	}
 	return plan.run(args)
-}
-
-// Stmt is a prepared statement: parsed once, executable many times.
-type Stmt struct {
-	db  *DB
-	sql string
-	st  Statement
-}
-
-// Prepare parses sql for repeated execution.
-func (db *DB) Prepare(sql string) (*Stmt, error) {
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{db: db, sql: sql, st: st}, nil
-}
-
-// Exec runs a prepared mutating statement.
-func (s *Stmt) Exec(args ...Value) (Result, error) {
-	if err := s.db.checkFault(s.st); err != nil {
-		return Result{}, err
-	}
-	if sel, ok := s.st.(*SelectStmt); ok {
-		_, err := s.db.querySelect(s.sql, sel, args)
-		return Result{}, err
-	}
-	return s.db.execOne(s.sql, s.st, args)
-}
-
-// Query runs a prepared SELECT; like DB.Query it never blocks on writers.
-func (s *Stmt) Query(args ...Value) (*Rows, error) {
-	sel, ok := s.st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
-	}
-	if err := s.db.checkFault(s.st); err != nil {
-		return nil, err
-	}
-	return s.db.querySelect(s.sql, sel, args)
 }
 
 // Tx is a serializable read-write transaction. It holds the writer mutex
@@ -404,15 +365,12 @@ func (db *DB) Begin() *Tx {
 }
 
 // noteRedo records one successfully executed mutating statement for the
-// WAL. SELECTs are never logged; everything else — including statements
-// that matched zero rows — is, keeping replay a pure re-execution of the
-// committed statement stream. The args slice is cloned because callers may
-// reuse theirs.
-func (tx *Tx) noteRedo(sql string, st Statement, args []Value) {
+// WAL. Every one is logged — including statements that matched zero rows —
+// keeping replay a pure re-execution of the committed statement stream (a
+// SELECT never gets here: Exec refuses it). The args slice is cloned because
+// callers may reuse theirs.
+func (tx *Tx) noteRedo(sql string, args []Value) {
 	if tx.db.wal == nil {
-		return
-	}
-	if _, ok := st.(*SelectStmt); ok {
 		return
 	}
 	tx.redo = append(tx.redo, redoStmt{sql: sql, args: slices.Clone(args)})
@@ -466,7 +424,7 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 		return Result{}, err
 	}
 	switch st.(type) {
-	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt, *DropIndexStmt:
+	case *CreateTableStmt, *CreateIndexStmt:
 		return Result{}, fmt.Errorf("sqldb: DDL is not allowed inside a transaction")
 	}
 	if err := tx.db.checkFault(st); err != nil {
@@ -474,7 +432,7 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	}
 	res, err := tx.execStmt(st, args)
 	if err == nil {
-		tx.noteRedo(sql, st, args)
+		tx.noteRedo(sql, args)
 	}
 	return res, err
 }
@@ -567,29 +525,18 @@ func (tx *Tx) execStmt(st Statement, args []Value) (Result, error) {
 		return tx.createTable(s)
 	case *CreateIndexStmt:
 		return tx.createIndex(s)
-	case *DropTableStmt:
-		return tx.dropTable(s)
-	case *DropIndexStmt:
-		return tx.dropIndex(s)
 	case *InsertStmt:
 		return tx.execInsert(s, args)
 	case *UpdateStmt:
 		return tx.execUpdate(s, args)
 	case *DeleteStmt:
 		return tx.execDelete(s, args)
-	case *SelectStmt:
-		tx.flushWork()
-		_, err := tx.work.executeSelect(s, args)
-		return Result{}, err
 	}
-	return Result{}, fmt.Errorf("sqldb: unsupported statement %T", st)
+	return Result{}, errExecSelect
 }
 
 func (tx *Tx) createTable(s *CreateTableStmt) (Result, error) {
 	if _, exists := tx.work.tables[s.Name]; exists {
-		if s.IfNotExists {
-			return Result{}, nil
-		}
 		return Result{}, fmt.Errorf("sqldb: table %q already exists", s.Name)
 	}
 	t, err := newTable(s)
@@ -606,9 +553,6 @@ func (tx *Tx) createTable(s *CreateTableStmt) (Result, error) {
 
 func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 	if _, exists := tx.work.indexes[s.Name]; exists {
-		if s.IfNotExists {
-			return Result{}, nil
-		}
 		return Result{}, fmt.Errorf("sqldb: index %q already exists", s.Name)
 	}
 	t, err := tx.writable(s.Table)
@@ -623,9 +567,8 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 		}
 		cols[i] = p
 	}
-	ix := newIndex(s.Name, t, cols, s.Unique)
-	// Backfill existing rows through the bulk path; a UNIQUE violation among
-	// them surfaces from the sorted run.
+	ix := newIndex(s.Name, t, cols, false)
+	// Backfill existing rows through the bulk path.
 	entries := make([]indexEntry, 0, t.rows.Len())
 	t.rows.Ascend(func(rowid int64, row Row) bool {
 		entries = append(entries, entryOf(rowid, row))
@@ -636,41 +579,6 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	t.indexes = append(t.indexes, ix)
 	tx.work.indexes[s.Name] = ix
-	return Result{}, nil
-}
-
-func (tx *Tx) dropTable(s *DropTableStmt) (Result, error) {
-	t, ok := tx.work.tables[s.Name]
-	if !ok {
-		if s.IfExists {
-			return Result{}, nil
-		}
-		return Result{}, fmt.Errorf("sqldb: no such table %q", s.Name)
-	}
-	for _, ix := range t.indexes {
-		delete(tx.work.indexes, ix.name)
-	}
-	delete(tx.work.tables, s.Name)
-	delete(tx.owned, s.Name)
-	return Result{}, nil
-}
-
-func (tx *Tx) dropIndex(s *DropIndexStmt) (Result, error) {
-	ix, ok := tx.work.indexes[s.Name]
-	if !ok {
-		return Result{}, fmt.Errorf("sqldb: no such index %q", s.Name)
-	}
-	t, err := tx.writable(ix.table.name)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, other := range t.indexes {
-		if other.name == s.Name {
-			t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
-			break
-		}
-	}
-	delete(tx.work.indexes, s.Name)
 	return Result{}, nil
 }
 
@@ -693,34 +601,20 @@ func (tx *Tx) execInsert(s *InsertStmt, args []Value) (Result, error) {
 		// write path, and a separate values slice per row doubled its
 		// allocations.
 		row := make(Row, len(t.cols))
-		if s.Columns == nil {
-			if len(exprRow) != len(t.cols) {
-				return res, fmt.Errorf("sqldb: INSERT into %q has %d values, table has %d columns",
-					t.name, len(exprRow), len(t.cols))
+		if len(s.Columns) != len(exprRow) {
+			return res, fmt.Errorf("sqldb: INSERT into %q names %d columns but supplies %d values",
+				t.name, len(s.Columns), len(exprRow))
+		}
+		for i, n := range s.Columns {
+			p, err := t.columnPos(n)
+			if err != nil {
+				return res, err
 			}
-			for i, ex := range exprRow {
-				v, err := eval(ex, ev)
-				if err != nil {
-					return res, err
-				}
-				row[i] = v
+			v, err := eval(exprRow[i], ev)
+			if err != nil {
+				return res, err
 			}
-		} else {
-			if len(s.Columns) != len(exprRow) {
-				return res, fmt.Errorf("sqldb: INSERT into %q names %d columns but supplies %d values",
-					t.name, len(s.Columns), len(exprRow))
-			}
-			for i, n := range s.Columns {
-				p, err := t.columnPos(n)
-				if err != nil {
-					return res, err
-				}
-				v, err := eval(exprRow[i], ev)
-				if err != nil {
-					return res, err
-				}
-				row[p] = v
-			}
+			row[p] = v
 		}
 		if err := t.completeRow(row); err != nil {
 			return res, err
@@ -838,16 +732,6 @@ func (tx *Tx) execDelete(s *DeleteStmt, args []Value) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Tables lists the table names in the database (test/diagnostic helper).
-func (db *DB) Tables() []string {
-	root := db.root.Load()
-	names := make([]string, 0, len(root.tables))
-	for n := range root.tables {
-		names = append(names, n)
-	}
-	return names
 }
 
 // RowCount returns the number of rows in a table.

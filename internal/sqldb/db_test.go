@@ -41,7 +41,7 @@ func newTestDB(t *testing.T) *DB {
 func TestCreateTableAndInsert(t *testing.T) {
 	db := newTestDB(t)
 	res := mustExec(t, db,
-		"INSERT INTO files (name, size, valid) VALUES ('a.dat', 100, TRUE)")
+		"INSERT INTO files (name, size, valid) VALUES (?, 100, TRUE)", Text("a.dat"))
 	if res.RowsAffected != 1 {
 		t.Fatalf("RowsAffected = %d, want 1", res.RowsAffected)
 	}
@@ -49,34 +49,40 @@ func TestCreateTableAndInsert(t *testing.T) {
 		t.Fatalf("LastInsertID = %d, want 1", res.LastInsertID)
 	}
 	res = mustExec(t, db,
-		"INSERT INTO files (name, size) VALUES ('b.dat', 200), ('c.dat', 300)")
+		"INSERT INTO files (name, size) VALUES (?, 200), (?, 300)", Text("b.dat"), Text("c.dat"))
 	if res.RowsAffected != 2 || res.LastInsertID != 3 {
 		t.Fatalf("multi-insert got %+v", res)
 	}
 }
 
+// TestCreateTableIfNotExists: creating a table that exists is an error, and
+// the dialect has no IF NOT EXISTS to turn it into a no-op.
 func TestCreateTableIfNotExists(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.Exec("CREATE TABLE files (id INTEGER)"); err == nil {
-		t.Fatal("duplicate CREATE TABLE did not fail")
+	for _, ddl := range []string{"CREATE TABLE files (id INTEGER)", "CREATE TABLE IF NOT EXISTS files (id INTEGER)"} {
+		if _, err := db.Exec(ddl); err == nil {
+			t.Fatalf("%q did not fail", ddl)
+		}
 	}
-	mustExec(t, db, "CREATE TABLE IF NOT EXISTS files (id INTEGER)")
+	if n, _ := db.RowCount("files"); n != 0 {
+		t.Fatalf("files has %d rows", n)
+	}
 }
 
 func TestInsertTypeChecking(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.Exec("INSERT INTO files (name, size) VALUES ('x', 'not a number')"); err == nil {
+	if _, err := db.Exec("INSERT INTO files (name, size) VALUES (?, ?)", Text("x"), Text("not a number")); err == nil {
 		t.Fatal("type mismatch insert did not fail")
 	}
 	if _, err := db.Exec("INSERT INTO files (size) VALUES (1)"); err == nil {
 		t.Fatal("NOT NULL violation did not fail")
 	}
-	if _, err := db.Exec("INSERT INTO files (name, nosuch) VALUES ('x', 1)"); err == nil {
+	if _, err := db.Exec("INSERT INTO files (name, nosuch) VALUES (?, 1)", Text("x")); err == nil {
 		t.Fatal("unknown column did not fail")
 	}
 	// int -> float widening is allowed
-	mustExec(t, db, "INSERT INTO files (name, score) VALUES ('w', 3)")
-	rows := mustQuery(t, db, "SELECT score FROM files WHERE name = 'w'")
+	mustExec(t, db, "INSERT INTO files (name, score) VALUES (?, 3)", Text("w"))
+	rows := mustQuery(t, db, "SELECT score FROM files WHERE name = ?", Text("w"))
 	if rows.Data[0][0].T != TypeFloat || rows.Data[0][0].Float() != 3 {
 		t.Fatalf("widened value = %v", rows.Data[0][0])
 	}
@@ -84,8 +90,8 @@ func TestInsertTypeChecking(t *testing.T) {
 
 func TestUniqueConstraint(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name) VALUES ('dup')")
-	if _, err := db.Exec("INSERT INTO files (name) VALUES ('dup')"); err == nil {
+	mustExec(t, db, "INSERT INTO files (name) VALUES (?)", Text("dup"))
+	if _, err := db.Exec("INSERT INTO files (name) VALUES (?)", Text("dup")); err == nil {
 		t.Fatal("UNIQUE violation did not fail")
 	}
 	// After the failure the table must still be consistent.
@@ -93,7 +99,7 @@ func TestUniqueConstraint(t *testing.T) {
 	if rows.Data[0][0].Int() != 1 {
 		t.Fatalf("row count after failed insert = %v", rows.Data[0][0])
 	}
-	mustExec(t, db, "INSERT INTO files (name) VALUES ('ok')")
+	mustExec(t, db, "INSERT INTO files (name) VALUES (?)", Text("ok"))
 }
 
 func TestSelectWhereOperators(t *testing.T) {
@@ -104,28 +110,26 @@ func TestSelectWhereOperators(t *testing.T) {
 	}
 	cases := []struct {
 		where string
+		args  []Value
 		want  int
 	}{
-		{"size = 20", 1},
-		{"size != 20", 4},
-		{"size < 20", 2},
-		{"size <= 20", 3},
-		{"size > 20", 2},
-		{"size >= 20", 3},
-		{"size > 10 AND size < 40", 2},
-		{"size < 10 OR size > 30", 2},
-		{"NOT size = 20", 4},
-		{"name IN ('a', 'c', 'zzz')", 2},
-		{"name NOT IN ('a', 'c')", 3},
-		{"name LIKE 'a%'", 1},
-		{"name LIKE '%'", 5},
-		{"score IS NULL", 5},
-		{"score IS NOT NULL", 0},
-		{"20 = size", 1},
-		{"20 <= size", 3},
+		{"size = 20", nil, 1},
+		{"size != 20", nil, 4},
+		{"size < 20", nil, 2},
+		{"size <= 20", nil, 3},
+		{"size > 20", nil, 2},
+		{"size >= 20", nil, 3},
+		{"size > 10 AND size < 40", nil, 2},
+		{"size < 10 OR size > 30", nil, 2},
+		{"name IN (?, ?, ?)", []Value{Text("a"), Text("c"), Text("zzz")}, 2},
+		{"name LIKE ?", []Value{Text("a%")}, 1},
+		{"name LIKE ?", []Value{Text("%")}, 5},
+		{"score = ?", []Value{Null()}, 0},
+		{"20 = size", nil, 1},
+		{"20 <= size", nil, 3},
 	}
 	for _, c := range cases {
-		rows := mustQuery(t, db, "SELECT id FROM files WHERE "+c.where)
+		rows := mustQuery(t, db, "SELECT id FROM files WHERE "+c.where, c.args...)
 		if len(rows.Data) != c.want {
 			t.Errorf("WHERE %s returned %d rows, want %d", c.where, len(rows.Data), c.want)
 		}
@@ -134,7 +138,7 @@ func TestSelectWhereOperators(t *testing.T) {
 
 func TestSelectProjection(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('x', 7)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 7)", Text("x"))
 	rows := mustQuery(t, db, "SELECT name, size FROM files")
 	if len(rows.Columns) != 2 || rows.Columns[0] != "name" || rows.Columns[1] != "size" {
 		t.Fatalf("Columns = %v", rows.Columns)
@@ -142,13 +146,9 @@ func TestSelectProjection(t *testing.T) {
 	if rows.Data[0][0].S != "x" || rows.Data[0][1].Int() != 7 {
 		t.Fatalf("Data = %v", rows.Data)
 	}
-	star := mustQuery(t, db, "SELECT * FROM files")
-	if len(star.Columns) != 6 {
-		t.Fatalf("star Columns = %v", star.Columns)
-	}
-	aliased := mustQuery(t, db, "SELECT name AS n FROM files")
-	if aliased.Columns[0] != "n" {
-		t.Fatalf("alias column = %v", aliased.Columns)
+	expr := mustQuery(t, db, "SELECT files.size, size = 7 FROM files")
+	if expr.Columns[0] != "size" || expr.Columns[1] != "(size = 7)" || !expr.Data[0][1].Bool() {
+		t.Fatalf("expression columns = %v, data = %v", expr.Columns, expr.Data)
 	}
 }
 
@@ -173,13 +173,13 @@ func TestOrderByLimitOffset(t *testing.T) {
 	if len(rows.Data) != 2 || rows.Data[0][0].Int() != 9 || rows.Data[1][0].Int() != 7 {
 		t.Fatalf("ORDER BY DESC LIMIT = %v", rows.Data)
 	}
-	rows = mustQuery(t, db, "SELECT size FROM files ORDER BY size LIMIT 2 OFFSET 1")
-	if len(rows.Data) != 2 || rows.Data[0][0].Int() != 3 || rows.Data[1][0].Int() != 5 {
-		t.Fatalf("LIMIT OFFSET = %v", rows.Data)
+	rows = mustQuery(t, db, "SELECT size FROM files ORDER BY size LIMIT 10")
+	if len(rows.Data) != 5 {
+		t.Fatalf("LIMIT past the end = %v", rows.Data)
 	}
-	rows = mustQuery(t, db, "SELECT size FROM files ORDER BY size LIMIT 10 OFFSET 99")
-	if len(rows.Data) != 0 {
-		t.Fatalf("past-end OFFSET = %v", rows.Data)
+	// The catalog pages by key (name > ?), never by offset.
+	if _, err := db.Query("SELECT size FROM files ORDER BY size LIMIT 2 OFFSET 1"); err == nil {
+		t.Fatal("OFFSET accepted")
 	}
 }
 
@@ -188,13 +188,13 @@ func TestCountStar(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		mustExec(t, db, "INSERT INTO files (name) VALUES (?)", Text(strings.Repeat("a", i+1)))
 	}
-	rows := mustQuery(t, db, "SELECT COUNT(*) FROM files WHERE size IS NULL")
+	rows := mustQuery(t, db, "SELECT COUNT(*) FROM files")
 	if rows.Data[0][0].Int() != 4 {
 		t.Fatalf("COUNT(*) = %v", rows.Data[0][0])
 	}
-	rows = mustQuery(t, db, "SELECT COUNT(*) AS n FROM files WHERE name = 'a'")
-	if rows.Columns[0] != "n" || rows.Data[0][0].Int() != 1 {
-		t.Fatalf("COUNT AS = %v %v", rows.Columns, rows.Data)
+	rows = mustQuery(t, db, "SELECT COUNT(*) FROM files WHERE name = ?", Text("a"))
+	if rows.Columns[0] != "count" || rows.Data[0][0].Int() != 1 {
+		t.Fatalf("COUNT(*) WHERE = %v %v", rows.Columns, rows.Data)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestDistinctValues(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER, b TEXT)")
 	for _, v := range []int64{1, 2, 2, 3, 3, 3} {
-		mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, 'x')", Int(v))
+		mustExec(t, db, "INSERT INTO t (a, b) VALUES (?, ?)", Int(v), Text("x"))
 	}
 	rows := mustQuery(t, db, "SELECT DISTINCT a FROM t ORDER BY a")
 	if len(rows.Data) != 3 {
@@ -212,7 +212,7 @@ func TestDistinctValues(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('a', 1), ('b', 2), ('c', 3)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 1), (?, 2), (?, 3)", Text("a"), Text("b"), Text("c"))
 	res := mustExec(t, db, "UPDATE files SET size = 99, valid = TRUE WHERE size >= 2")
 	if res.RowsAffected != 2 {
 		t.Fatalf("RowsAffected = %d, want 2", res.RowsAffected)
@@ -222,12 +222,12 @@ func TestUpdate(t *testing.T) {
 		t.Fatalf("updated count = %v", rows.Data[0][0])
 	}
 	// Update through an indexed column keeps the index coherent.
-	mustExec(t, db, "UPDATE files SET name = 'renamed' WHERE name = 'a'")
-	rows = mustQuery(t, db, "SELECT size FROM files WHERE name = 'renamed'")
+	mustExec(t, db, "UPDATE files SET name = ? WHERE name = ?", Text("renamed"), Text("a"))
+	rows = mustQuery(t, db, "SELECT size FROM files WHERE name = ?", Text("renamed"))
 	if len(rows.Data) != 1 || rows.Data[0][0].Int() != 1 {
 		t.Fatalf("post-rename lookup = %v", rows.Data)
 	}
-	rows = mustQuery(t, db, "SELECT * FROM files WHERE name = 'a'")
+	rows = mustQuery(t, db, "SELECT id FROM files WHERE name = ?", Text("a"))
 	if len(rows.Data) != 0 {
 		t.Fatal("old index entry still visible")
 	}
@@ -235,12 +235,12 @@ func TestUpdate(t *testing.T) {
 
 func TestUpdateUniqueViolation(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name) VALUES ('a'), ('b')")
-	if _, err := db.Exec("UPDATE files SET name = 'a' WHERE name = 'b'"); err == nil {
+	mustExec(t, db, "INSERT INTO files (name) VALUES (?), (?)", Text("a"), Text("b"))
+	if _, err := db.Exec("UPDATE files SET name = ? WHERE name = ?", Text("a"), Text("b")); err == nil {
 		t.Fatal("UPDATE causing UNIQUE violation did not fail")
 	}
 	// b must be intact.
-	rows := mustQuery(t, db, "SELECT COUNT(*) FROM files WHERE name = 'b'")
+	rows := mustQuery(t, db, "SELECT COUNT(*) FROM files WHERE name = ?", Text("b"))
 	if rows.Data[0][0].Int() != 1 {
 		t.Fatal("row lost after failed update")
 	}
@@ -248,7 +248,7 @@ func TestUpdateUniqueViolation(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('a', 1), ('b', 2), ('c', 3)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 1), (?, 2), (?, 3)", Text("a"), Text("b"), Text("c"))
 	res := mustExec(t, db, "DELETE FROM files WHERE size > 1")
 	if res.RowsAffected != 2 {
 		t.Fatalf("RowsAffected = %d, want 2", res.RowsAffected)
@@ -258,8 +258,8 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("remaining = %v", rows.Data)
 	}
 	// Deleting and re-inserting the same unique value must work.
-	mustExec(t, db, "DELETE FROM files WHERE name = 'a'")
-	mustExec(t, db, "INSERT INTO files (name) VALUES ('a')")
+	mustExec(t, db, "DELETE FROM files WHERE name = ?", Text("a"))
+	mustExec(t, db, "INSERT INTO files (name) VALUES (?)", Text("a"))
 }
 
 func TestParameters(t *testing.T) {
@@ -274,19 +274,19 @@ func TestParameters(t *testing.T) {
 	if rows.Data[0][0].Time().Year() != 2003 {
 		t.Fatalf("datetime round trip = %v", rows.Data[0][0])
 	}
-	if _, err := db.Query("SELECT * FROM files WHERE name = ?"); err == nil {
+	if _, err := db.Query("SELECT id FROM files WHERE name = ?"); err == nil {
 		t.Fatal("missing parameter did not fail")
 	}
 }
 
 func TestDatetimeCoercionFromText(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, created) VALUES ('t', '2003-11-15 12:30:00')")
-	rows := mustQuery(t, db, "SELECT created FROM files WHERE name = 't'")
+	mustExec(t, db, "INSERT INTO files (name, created) VALUES (?, ?)", Text("t"), Text("2003-11-15 12:30:00"))
+	rows := mustQuery(t, db, "SELECT created FROM files WHERE name = ?", Text("t"))
 	if got := rows.Data[0][0].Time(); got.Month() != time.November || got.Hour() != 12 {
 		t.Fatalf("parsed datetime = %v", got)
 	}
-	if _, err := db.Exec("INSERT INTO files (name, created) VALUES ('u', 'not a date')"); err == nil {
+	if _, err := db.Exec("INSERT INTO files (name, created) VALUES (?, ?)", Text("u"), Text("not a date")); err == nil {
 		t.Fatal("bad datetime literal did not fail")
 	}
 }
@@ -296,29 +296,12 @@ func TestJoinInner(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE c (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT)")
 	mustExec(t, db, "CREATE TABLE f (id INTEGER PRIMARY KEY AUTOINCREMENT, cid INTEGER, name TEXT)")
 	mustExec(t, db, "CREATE INDEX f_cid ON f (cid)")
-	mustExec(t, db, "INSERT INTO c (name) VALUES ('col1'), ('col2')")
-	mustExec(t, db, "INSERT INTO f (cid, name) VALUES (1, 'a'), (1, 'b'), (2, 'c')")
+	mustExec(t, db, "INSERT INTO c (name) VALUES (?), (?)", Text("col1"), Text("col2"))
+	mustExec(t, db, "INSERT INTO f (cid, name) VALUES (1, ?), (1, ?), (2, ?)", Text("a"), Text("b"), Text("c"))
 	rows := mustQuery(t, db, `SELECT f.name, c.name FROM f JOIN c ON c.id = f.cid
-		WHERE c.name = 'col1' ORDER BY f.name`)
+		WHERE c.name = ? ORDER BY f.name`, Text("col1"))
 	if len(rows.Data) != 2 || rows.Data[0][0].S != "a" || rows.Data[1][0].S != "b" {
 		t.Fatalf("join result = %v", rows.Data)
-	}
-}
-
-func TestJoinLeft(t *testing.T) {
-	db := New()
-	mustExec(t, db, "CREATE TABLE a (id INTEGER PRIMARY KEY, v TEXT)")
-	mustExec(t, db, "CREATE TABLE b (id INTEGER PRIMARY KEY, aid INTEGER, w TEXT)")
-	mustExec(t, db, "INSERT INTO a (id, v) VALUES (1, 'one'), (2, 'two')")
-	mustExec(t, db, "INSERT INTO b (id, aid, w) VALUES (10, 1, 'x')")
-	rows := mustQuery(t, db,
-		"SELECT a.v, b.w FROM a LEFT JOIN b ON b.aid = a.id ORDER BY a.v")
-	if len(rows.Data) != 2 {
-		t.Fatalf("left join rows = %v", rows.Data)
-	}
-	// 'two' has no match; w must be NULL.
-	if rows.Data[1][0].S != "two" || !rows.Data[1][1].IsNull() {
-		t.Fatalf("unmatched left join row = %v", rows.Data[1])
 	}
 }
 
@@ -340,8 +323,8 @@ func TestJoinSelf(t *testing.T) {
 	}
 	rows := mustQuery(t, db, `SELECT a0.oid FROM attr a0
 		JOIN attr a1 ON a1.oid = a0.oid
-		WHERE a0.k = 'c' AND a0.v = 'rare' AND a1.k = 'a' AND a1.v = 'common'
-		ORDER BY a0.oid`)
+		WHERE a0.k = ? AND a0.v = ? AND a1.k = ? AND a1.v = ?
+		ORDER BY a0.oid`, Text("c"), Text("rare"), Text("a"), Text("common"))
 	if len(rows.Data) != 5 {
 		t.Fatalf("self-join returned %d rows, want 5: %v", len(rows.Data), rows.Data)
 	}
@@ -349,27 +332,27 @@ func TestJoinSelf(t *testing.T) {
 
 func TestExplainIndexSelection(t *testing.T) {
 	db := newTestDB(t)
-	plan, err := db.Explain("SELECT * FROM files WHERE name = 'x'")
+	plan, err := db.Explain("SELECT id FROM files WHERE name = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(plan, "index-eq") {
 		t.Fatalf("name equality plan = %s, want index-eq", plan)
 	}
-	plan, _ = db.Explain("SELECT * FROM files WHERE size = 3")
+	plan, _ = db.Explain("SELECT id FROM files WHERE size = 3")
 	if plan != "full-scan(files)" {
 		t.Fatalf("unindexed plan = %s", plan)
 	}
 	mustExec(t, db, "CREATE INDEX files_size ON files (size)")
-	plan, _ = db.Explain("SELECT * FROM files WHERE size = 3")
+	plan, _ = db.Explain("SELECT id FROM files WHERE size = 3")
 	if !strings.HasPrefix(plan, "index-eq") {
 		t.Fatalf("indexed plan = %s", plan)
 	}
-	plan, _ = db.Explain("SELECT * FROM files WHERE size > 3")
+	plan, _ = db.Explain("SELECT id FROM files WHERE size > 3")
 	if !strings.HasPrefix(plan, "index-range") {
 		t.Fatalf("range plan = %s", plan)
 	}
-	plan, _ = db.Explain("SELECT * FROM files WHERE size > 3 AND name = 'x'")
+	plan, _ = db.Explain("SELECT id FROM files WHERE size > 3 AND name = ?")
 	if !strings.HasPrefix(plan, "index-eq") {
 		t.Fatalf("mixed plan = %s, want equality to win", plan)
 	}
@@ -405,42 +388,28 @@ func TestCompositeIndexPrefix(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (a TEXT, b INTEGER, c TEXT)")
 	mustExec(t, db, "CREATE INDEX t_ab ON t (a, b)")
 	for i := 0; i < 30; i++ {
-		mustExec(t, db, "INSERT INTO t (a, b, c) VALUES (?, ?, 'z')",
-			Text(string(rune('a'+i%3))), Int(int64(i)))
+		mustExec(t, db, "INSERT INTO t (a, b, c) VALUES (?, ?, ?)",
+			Text(string(rune('a'+i%3))), Int(int64(i)), Text("z"))
 	}
-	rows := mustQuery(t, db, "SELECT c FROM t WHERE a = 'b' AND b = 10")
+	rows := mustQuery(t, db, "SELECT c FROM t WHERE a = ? AND b = 10", Text("b"))
 	if len(rows.Data) != 1 {
 		t.Fatalf("(a,b) lookup = %d rows", len(rows.Data))
 	}
 	// Prefix-only use of the composite index.
-	rows = mustQuery(t, db, "SELECT c FROM t WHERE a = 'b'")
+	rows = mustQuery(t, db, "SELECT c FROM t WHERE a = ?", Text("b"))
 	if len(rows.Data) != 10 {
 		t.Fatalf("prefix lookup = %d rows, want 10", len(rows.Data))
 	}
-	plan, _ := db.Explain("SELECT c FROM t WHERE a = 'b'")
+	plan, _ := db.Explain("SELECT c FROM t WHERE a = ?")
 	if !strings.HasPrefix(plan, "index-eq") {
 		t.Fatalf("prefix plan = %s", plan)
 	}
 }
 
-func TestDropTableAndIndex(t *testing.T) {
-	db := newTestDB(t)
-	mustExec(t, db, "CREATE INDEX files_size ON files (size)")
-	mustExec(t, db, "DROP INDEX files_size")
-	if _, err := db.Exec("DROP INDEX files_size"); err == nil {
-		t.Fatal("double DROP INDEX did not fail")
-	}
-	mustExec(t, db, "DROP TABLE files")
-	if _, err := db.Query("SELECT * FROM files"); err == nil {
-		t.Fatal("query after DROP TABLE did not fail")
-	}
-	mustExec(t, db, "DROP TABLE IF EXISTS files")
-}
-
 func TestTransactionCommit(t *testing.T) {
 	db := newTestDB(t)
 	tx := db.Begin()
-	if _, err := tx.Exec("INSERT INTO files (name) VALUES ('in-tx')"); err != nil {
+	if _, err := tx.Exec("INSERT INTO files (name) VALUES (?)", Text("in-tx")); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := tx.Query("SELECT COUNT(*) FROM files")
@@ -464,12 +433,12 @@ func TestTransactionCommit(t *testing.T) {
 
 func TestTransactionRollback(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('keep', 1)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 1)", Text("keep"))
 	tx := db.Begin()
-	tx.Exec("INSERT INTO files (name) VALUES ('tmp')")                //nolint:errcheck
-	tx.Exec("UPDATE files SET size = 999 WHERE name = 'keep'")        //nolint:errcheck
-	tx.Exec("DELETE FROM files WHERE name = 'keep'")                  //nolint:errcheck
-	tx.Exec("INSERT INTO files (name, size) VALUES ('another', 123)") //nolint:errcheck
+	tx.Exec("INSERT INTO files (name) VALUES (?)", Text("tmp"))                //nolint:errcheck
+	tx.Exec("UPDATE files SET size = 999 WHERE name = ?", Text("keep"))        //nolint:errcheck
+	tx.Exec("DELETE FROM files WHERE name = ?", Text("keep"))                  //nolint:errcheck
+	tx.Exec("INSERT INTO files (name, size) VALUES (?, 123)", Text("another")) //nolint:errcheck
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -478,11 +447,11 @@ func TestTransactionRollback(t *testing.T) {
 		t.Fatalf("post-rollback state = %v", rows.Data)
 	}
 	// Indexes must also be restored: lookup by name must work.
-	rows = mustQuery(t, db, "SELECT size FROM files WHERE name = 'keep'")
+	rows = mustQuery(t, db, "SELECT size FROM files WHERE name = ?", Text("keep"))
 	if len(rows.Data) != 1 {
 		t.Fatal("index entry lost across rollback")
 	}
-	rows = mustQuery(t, db, "SELECT size FROM files WHERE name = 'tmp'")
+	rows = mustQuery(t, db, "SELECT size FROM files WHERE name = ?", Text("tmp"))
 	if len(rows.Data) != 0 {
 		t.Fatal("rolled-back insert visible via index")
 	}
@@ -491,15 +460,15 @@ func TestTransactionRollback(t *testing.T) {
 func TestUpdateHelper(t *testing.T) {
 	db := newTestDB(t)
 	err := db.Update(func(tx *Tx) error {
-		_, err := tx.Exec("INSERT INTO files (name) VALUES ('u')")
+		_, err := tx.Exec("INSERT INTO files (name) VALUES (?)", Text("u"))
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	errBoom := db.Update(func(tx *Tx) error {
-		tx.Exec("INSERT INTO files (name) VALUES ('boom')") //nolint:errcheck
-		return ErrTxDone                                    // any error triggers rollback
+		tx.Exec("INSERT INTO files (name) VALUES (?)", Text("boom")) //nolint:errcheck
+		return ErrTxDone                                             // any error triggers rollback
 	})
 	if errBoom == nil {
 		t.Fatal("Update swallowed the error")
@@ -521,12 +490,12 @@ func TestDDLInsideTxRejected(t *testing.T) {
 
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('x', 0)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 0)", Text("x"))
 	done := make(chan error, 9)
 	for i := 0; i < 8; i++ {
 		go func() {
 			for j := 0; j < 200; j++ {
-				if _, err := db.Query("SELECT size FROM files WHERE name = 'x'"); err != nil {
+				if _, err := db.Query("SELECT size FROM files WHERE name = ?", Text("x")); err != nil {
 					done <- err
 					return
 				}
@@ -536,7 +505,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 	go func() {
 		for j := 0; j < 200; j++ {
-			if _, err := db.Exec("UPDATE files SET size = ? WHERE name = 'x'", Int(int64(j))); err != nil {
+			if _, err := db.Exec("UPDATE files SET size = ? WHERE name = ?", Int(int64(j)), Text("x")); err != nil {
 				done <- err
 				return
 			}
@@ -550,38 +519,43 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
+// TestPreparedStatements: the statement cache is the engine's prepared
+// statement, as the JDBC cache was the original server's — a text is parsed
+// once and every later Exec or Query of it, with any arguments, reuses the
+// parse.
 func TestPreparedStatements(t *testing.T) {
 	db := newTestDB(t)
-	ins, err := db.Prepare("INSERT INTO files (name, size) VALUES (?, ?)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const ins, sel = "INSERT INTO files (name, size) VALUES (?, ?)", "SELECT name FROM files WHERE size = ?"
 	for i := 0; i < 10; i++ {
-		if _, err := ins.Exec(Text(string(rune('a'+i))), Int(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		mustExec(t, db, ins, Text(string(rune('a'+i))), Int(int64(i)))
 	}
-	sel, err := db.Prepare("SELECT name FROM files WHERE size = ?")
-	if err != nil {
-		t.Fatal(err)
+	cached := func(sql string) Statement {
+		db.stmtMu.RLock()
+		defer db.stmtMu.RUnlock()
+		return db.stmtCache[sql]
 	}
-	rows, err := sel.Query(Int(7))
-	if err != nil {
-		t.Fatal(err)
+	parsed := cached(ins)
+	if parsed == nil {
+		t.Fatal("INSERT not cached")
 	}
-	if len(rows.Data) != 1 || rows.Data[0][0].S != "h" {
-		t.Fatalf("prepared query = %v", rows.Data)
+	mustExec(t, db, ins, Text("k"), Int(10))
+	if cached(ins) != parsed {
+		t.Fatal("a repeated INSERT was parsed again")
+	}
+	rows := mustQuery(t, db, sel, Int(7))
+	if len(rows.Data) != 1 || rows.Data[0][0].S != "h" || cached(sel) == nil {
+		t.Fatalf("cached query = %v", rows.Data)
 	}
 }
 
 func TestErrorMessages(t *testing.T) {
 	db := New()
 	for _, bad := range []string{
-		"SELEC * FROM t",
-		"SELECT * FROM",
-		"INSERT INTO t VALUES",
+		"SELEC a FROM t",
+		"SELECT a FROM",
+		"INSERT INTO t (a) VALUES",
 		"CREATE TABLE t (x NOTATYPE)",
-		"SELECT * FROM nosuch",
+		"SELECT a FROM nosuch",
 		"SELECT nosuchcol FROM t2",
 	} {
 		if _, err := db.Query(bad); err == nil {
@@ -596,5 +570,15 @@ func TestQueryRequiresSelect(t *testing.T) {
 	db := newTestDB(t)
 	if _, err := db.Query("DELETE FROM files"); err == nil {
 		t.Fatal("Query accepted DELETE")
+	}
+	// And the converse: Exec would discard a SELECT's rows, so it refuses it.
+	if _, err := db.Exec("SELECT id FROM files"); err == nil {
+		t.Fatal("Exec accepted SELECT")
+	}
+	if err := db.Update(func(tx *Tx) error {
+		_, err := tx.Exec("SELECT id FROM files")
+		return err
+	}); err == nil {
+		t.Fatal("Tx.Exec accepted SELECT")
 	}
 }

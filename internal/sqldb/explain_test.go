@@ -38,10 +38,10 @@ func TestExplainGoldens(t *testing.T) {
 		sql  string
 		want string
 	}{
-		{"eq prefix", "SELECT * FROM kv WHERE k = 'k0'", "index-eq(kv_kvo)"},
-		{"prefix range", "SELECT * FROM kv WHERE k = 'k0' AND v < 3", "index-range(kv_kvo)"},
-		{"in list", "SELECT * FROM kv WHERE k IN ('k0', 'k1')", "index-in(kv_kvo)"},
-		{"no leading column", "SELECT * FROM kv WHERE v = 1", "full-scan(kv)"},
+		{"eq prefix", "SELECT oid FROM kv WHERE k = ?", "index-eq(kv_kvo)"},
+		{"prefix range", "SELECT oid FROM kv WHERE k = ? AND v < 3", "index-range(kv_kvo)"},
+		{"in list", "SELECT oid FROM kv WHERE k IN (?, ?)", "index-in(kv_kvo)"},
+		{"no leading column", "SELECT oid FROM kv WHERE v = 1", "full-scan(kv)"},
 		{
 			// The Fig. 11 shape: attribute stages intersect on oid, and the
 			// object table — no local predicates, so its own access would be
@@ -50,22 +50,22 @@ func TestExplainGoldens(t *testing.T) {
 			`SELECT DISTINCT o.name FROM kv a0
 				JOIN obj o ON o.id = a0.oid
 				JOIN kv a1 ON a1.oid = a0.oid
-				WHERE a0.k = 'k0' AND a0.v = 2 AND a1.k = 'k1' AND a1.v = 2`,
+				WHERE a0.k = ? AND a0.v = 2 AND a1.k = ? AND a1.v = 2`,
 			"intersect[a0 index-eq(kv_kvo) & a1 index-eq(kv_kvo) & o key-probe(obj_id_key)]",
 		},
 		{
-			// LEFT JOIN disqualifies intersection; the nested executor keeps
-			// the join-key probe.
-			"left join stays nested",
-			"SELECT * FROM obj o LEFT JOIN kv a ON a.oid = o.id",
-			"nested[o full-scan(obj) -> a probe(kv_oid)]",
+			// A TEXT join key disqualifies intersection; the nested executor
+			// keeps the first stage's access path and scans the rest.
+			"non-integer key stays nested",
+			"SELECT a.oid FROM obj o JOIN kv a ON a.k = o.name WHERE o.id = ?",
+			"nested[o index-eq(obj_id_key) -> a scan(kv)]",
 		},
 		{
 			// A cross-stage residual (inequality) cannot be consumed by the
 			// key grouping but must not disqualify the intersection.
 			"intersection with residual",
 			`SELECT o.name FROM kv a0 JOIN obj o ON o.id = a0.oid
-				WHERE a0.k = 'k0' AND a0.v = 2 AND o.name >= 'o10'`,
+				WHERE a0.k = ? AND a0.v = 2 AND o.name >= ?`,
 			"intersect[a0 index-eq(kv_kvo) & o key-probe(obj_id_key)]",
 		},
 	}
@@ -87,7 +87,7 @@ func TestExplainPlanCacheEpoch(t *testing.T) {
 	t.Parallel()
 	db := New()
 	mustExec(t, db, "CREATE TABLE kv (oid INTEGER, k TEXT, v INTEGER)")
-	const q = "SELECT * FROM kv WHERE k = 'k0'"
+	const q = "SELECT oid FROM kv WHERE k = ?"
 	plan, err := db.Explain(q)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,13 @@ type env struct {
 	params   []Value
 }
 
+// binding is one table in scope. Its row is set before any expression that
+// reads it is evaluated: the planner places each conjunct at the first stage
+// that binds every table it names.
 type binding struct {
 	alias string
 	tbl   *table
-	row   Row // nil for the unmatched side of a LEFT JOIN
+	row   Row
 }
 
 func (e *env) lookup(ref *ColumnRef) (Value, error) {
@@ -26,9 +29,6 @@ func (e *env) lookup(ref *ColumnRef) (Value, error) {
 				p, err := b.tbl.columnPos(ref.Column)
 				if err != nil {
 					return Value{}, err
-				}
-				if b.row == nil {
-					return Null(), nil
 				}
 				return b.row[p], nil
 			}
@@ -49,18 +49,15 @@ func (e *env) lookup(ref *ColumnRef) (Value, error) {
 	if found < 0 {
 		return Value{}, fmt.Errorf("sqldb: unknown column %q", ref.Column)
 	}
-	if e.bindings[found].row == nil {
-		return Null(), nil
-	}
 	return e.bindings[found].row[pos], nil
 }
 
 // eval computes the value of expr under e.
 //
-// Comparison semantics: any comparison with a NULL operand is false (and its
-// negation true only through IS NULL / NOT of the whole comparison). This is
-// a documented simplification of SQL's three-valued logic; the MCS layer
-// never relies on UNKNOWN propagation.
+// Comparison semantics: any comparison with a NULL operand is false, and so
+// is an IN list member that is NULL. The dialect has no NOT and no IS NULL,
+// so a WHERE clause can never tell false from SQL's UNKNOWN: two-valued logic
+// selects the same rows.
 func eval(ex Expr, e *env) (Value, error) {
 	switch x := ex.(type) {
 	case *Literal:
@@ -75,15 +72,6 @@ func eval(ex Expr, e *env) (Value, error) {
 		return e.lookup(x)
 	case *BinaryExpr:
 		return evalBinary(x, e)
-	case *UnaryExpr:
-		v, err := eval(x.E, e)
-		if err != nil {
-			return Value{}, err
-		}
-		if x.Op == "NOT" {
-			return Bool(!truthy(v)), nil
-		}
-		return Value{}, fmt.Errorf("sqldb: unknown unary operator %q", x.Op)
 	case *InExpr:
 		v, err := eval(x.E, e)
 		if err != nil {
@@ -100,20 +88,7 @@ func eval(ex Expr, e *env) (Value, error) {
 				break
 			}
 		}
-		if x.Not {
-			hit = !hit
-		}
 		return Bool(hit), nil
-	case *IsNullExpr:
-		v, err := eval(x.E, e)
-		if err != nil {
-			return Value{}, err
-		}
-		isNull := v.IsNull()
-		if x.Not {
-			isNull = !isNull
-		}
-		return Bool(isNull), nil
 	}
 	return Value{}, fmt.Errorf("sqldb: cannot evaluate expression %T", ex)
 }
@@ -181,17 +156,9 @@ func evalBinary(x *BinaryExpr, e *env) (Value, error) {
 	return Value{}, fmt.Errorf("sqldb: unknown operator %q", x.Op)
 }
 
-// truthy reports whether v counts as true in a WHERE clause.
-func truthy(v Value) bool {
-	switch v.T {
-	case TypeBool, TypeInt:
-		return v.N != 0
-	case TypeFloat:
-		return v.Float() != 0
-	default:
-		return false
-	}
-}
+// truthy reports whether v counts as true in a WHERE clause: a true
+// comparison, or a nonzero BOOLEAN or INTEGER column.
+func truthy(v Value) bool { return (v.T == TypeBool || v.T == TypeInt) && v.N != 0 }
 
 // likeMatch implements SQL LIKE: % matches any run (including empty),
 // _ matches exactly one byte. Matching is case-sensitive, as in MySQL
@@ -238,9 +205,6 @@ func conjuncts(ex Expr) []Expr {
 func exprString(ex Expr) string {
 	switch x := ex.(type) {
 	case *Literal:
-		if x.Val.T == TypeText {
-			return "'" + strings.ReplaceAll(x.Val.S, "'", "''") + "'"
-		}
 		return x.Val.String()
 	case *Param:
 		return "?"
@@ -251,23 +215,12 @@ func exprString(ex Expr) string {
 		return x.Column
 	case *BinaryExpr:
 		return "(" + exprString(x.L) + " " + x.Op + " " + exprString(x.R) + ")"
-	case *UnaryExpr:
-		return x.Op + " " + exprString(x.E)
 	case *InExpr:
 		items := make([]string, len(x.List))
 		for i, it := range x.List {
 			items[i] = exprString(it)
 		}
-		not := ""
-		if x.Not {
-			not = " NOT"
-		}
-		return exprString(x.E) + not + " IN (" + strings.Join(items, ", ") + ")"
-	case *IsNullExpr:
-		if x.Not {
-			return exprString(x.E) + " IS NOT NULL"
-		}
-		return exprString(x.E) + " IS NULL"
+		return exprString(x.E) + " IN (" + strings.Join(items, ", ") + ")"
 	}
 	return fmt.Sprintf("%T", ex)
 }

@@ -16,21 +16,29 @@ import "sort"
 // products. Total cost is the sum of the per-stage probes plus the output
 // size — flat-ish in the number of attributes instead of multiplicative.
 //
-// Three further properties keep the constant factor flat:
+// Four further properties keep the constant factor flat:
 //
 //   - Covered stages. When a stage's local predicates are exactly the
-//     equality prefix of its chosen index and the join-key column is also
-//     an index column (the catalog's ua_attr_* indexes are shaped for
-//     this), the stage is answered from index entries alone — an entry
-//     points at its row, so the key is one load away, with no row-store
-//     lookup and no filter evaluation per scanned entry.
+//     equality prefix of its chosen index and the join-key column is the
+//     index column right after it (the catalog's ua_attr_* indexes are
+//     shaped for this), the stage is answered from index entries alone, in
+//     key order — an entry points at its row, so the key is one load away,
+//     with no row-store lookup, no filter evaluation per scanned entry and
+//     no sort.
 //   - Consumed key equalities. The cross-stage equalities between chosen
 //     key columns are enforced by the key grouping itself, which is exact:
-//     SQL `=` evaluates as Compare()==0 with NULL never matching, the
-//     grouping compares with the same Compare and skips NULL keys, and
-//     requiring one shared declared column type makes Compare transitive
-//     (mixed int/float comparison is not, near 2^53). They are therefore
-//     not re-evaluated per emitted tuple.
+//     every key column is declared INTEGER, so SQL `=` between two keys is
+//     int64 equality with NULL never matching, and the grouping compares
+//     the int64 payloads and skips NULL keys. (Mixed int/float comparison
+//     would not be transitive near 2^53; every join key the catalog issues
+//     is INTEGER, so intersection refuses any other key type and leaves
+//     such a join to the nested executor.) They are therefore not
+//     re-evaluated per emitted tuple.
+//   - Bare keys. The whole key pipeline — group folding, list
+//     intersection, group alignment — runs on int64s instead of 32-byte
+//     Values, which keeps the per-entry cost of wide covered scans at an
+//     integer compare and a pointer-free append (no GC write barriers:
+//     Value carries a string header, so []Value appends pay them).
 //   - Lazy row binding. Emission fetches rows only for stages whose
 //     columns the projection, ORDER BY or a residual conjunct actually
 //     reads; the attribute stages of a DISTINCT-name query contribute only
@@ -52,9 +60,11 @@ type istage struct {
 	locals []Expr
 	est    float64
 	// covered: access is a pure equality probe whose slots consume every
-	// local predicate, so scanned entries need no row fetch or filter pass.
-	// keyEntryPos is the key column's position among the index's columns
-	// (-1 when the index does not carry it); covered requires it.
+	// local predicate, and the key column is fixed by the probe or is the
+	// index column right after it, so scanned entries arrive key-ascending
+	// and need no row fetch, filter pass or sort. keyEntryPos is the key
+	// column's position among the index's columns (-1 when the index does
+	// not carry it).
 	covered     bool
 	keyEntryPos int
 	// probe, when set, replaces materialization: the stage is reached by
@@ -73,16 +83,6 @@ type intersectPlan struct {
 	// needed marks stages (statement order) whose rows emission must bind
 	// for the projection, ORDER BY or residuals.
 	needed []bool
-	// keyT is the shared declared type of the key columns. When it is one of
-	// the types Compare orders by the int64 payload alone (INTEGER, BOOLEAN,
-	// DATETIME — not FLOAT, whose IEEE bit pattern misorders negatives, and
-	// not TEXT), intKeys is set and the whole key pipeline — group folding,
-	// list intersection, group alignment — runs on bare int64s instead of
-	// 32-byte Values. That keeps the per-entry cost of wide covered scans at
-	// an integer compare and a pointer-free append (no GC write barriers:
-	// Value carries a string header, so []Value appends pay them).
-	keyT    Type
-	intKeys bool
 }
 
 // resolveCol maps a column reference to (stage, column); unqualified refs
@@ -134,21 +134,17 @@ func markRefs(ex Expr, stages []stagePlan, needed []bool) {
 	case *BinaryExpr:
 		markRefs(x.L, stages, needed)
 		markRefs(x.R, stages, needed)
-	case *UnaryExpr:
-		markRefs(x.E, stages, needed)
 	case *InExpr:
 		markRefs(x.E, stages, needed)
 		for _, it := range x.List {
 			markRefs(it, stages, needed)
 		}
-	case *IsNullExpr:
-		markRefs(x.E, stages, needed)
 	}
 }
 
 // localEq decomposes a conjunct into (column, constant-expression) if it is
-// a simple equality between a column of the stage and a row-free expression,
-// mirroring planSpec's slot collection.
+// a simple column-first equality between a column of the stage and a
+// row-free expression, mirroring planSpec's slot collection.
 func localEq(c Expr, alias string, tbl *table) (int, Expr, bool) {
 	b, ok := c.(*BinaryExpr)
 	if !ok || b.Op != "=" {
@@ -156,9 +152,6 @@ func localEq(c Expr, alias string, tbl *table) (int, Expr, bool) {
 	}
 	if p, ok := colOf(b.L, alias, tbl); ok && constExpr(b.R) {
 		return p, b.R, true
-	}
-	if p, ok := colOf(b.R, alias, tbl); ok && constExpr(b.L) {
-		return p, b.L, true
 	}
 	return 0, nil, false
 }
@@ -192,29 +185,14 @@ func specCovers(sp accessSpec, alias string, tbl *table, locals []Expr) bool {
 }
 
 // planIntersect decides whether the compiled plan qualifies for sorted-set
-// intersection and, if so, attaches the intersection plan. Requirements:
-// at least two stages, INNER joins only, and one equality class of join
-// keys that covers every stage with a single shared column type. Anything
-// else keeps the nested-loop executor.
-func (p *selectPlan) planIntersect(stats statsRegistry) {
+// intersection and, if so, attaches the intersection plan. conjs is every
+// WHERE and ON conjunct. Requirements: at least two stages and one equality
+// class of join keys that covers every stage, with every key column
+// declared INTEGER. Anything else keeps the nested executor.
+func (p *selectPlan) planIntersect(conjs []Expr, stats statsRegistry) {
 	stages := p.stages
 	if len(stages) < 2 {
 		return
-	}
-	for si := 1; si < len(stages); si++ {
-		if stages[si].join.Left || stages[si].join.On == nil {
-			return
-		}
-	}
-
-	// Gather every conjunct: WHERE plus all ON clauses (equivalent for
-	// INNER joins).
-	var conjs []Expr
-	if p.st.Where != nil {
-		conjs = append(conjs, conjuncts(p.st.Where)...)
-	}
-	for si := 1; si < len(stages); si++ {
-		conjs = append(conjs, conjuncts(stages[si].join.On)...)
 	}
 
 	// Union-find over (stage, column) nodes linked by cross-stage equality
@@ -293,9 +271,9 @@ func (p *selectPlan) planIntersect(stats statsRegistry) {
 		return
 	}
 
-	// Per-stage key column: the smallest class member for that stage. All
-	// key columns must share one declared type so that grouping by Compare
-	// is exact equality (see the package comment).
+	// Per-stage key column: the smallest class member for that stage. Every
+	// key column must be INTEGER, so that grouping by the int64 payload is
+	// exact equality (see the file comment).
 	keyCol := make([]int, len(stages))
 	for i := range keyCol {
 		keyCol[i] = -1
@@ -305,9 +283,8 @@ func (p *selectPlan) planIntersect(stats statsRegistry) {
 			keyCol[m[0]] = m[1]
 		}
 	}
-	keyType := stages[0].tbl.cols[keyCol[0]].Type
 	for si := range stages {
-		if stages[si].tbl.cols[keyCol[si]].Type != keyType {
+		if stages[si].tbl.cols[keyCol[si]].Type != TypeInt {
 			return
 		}
 	}
@@ -359,7 +336,7 @@ func (p *selectPlan) planIntersect(stats statsRegistry) {
 				}
 			}
 		}
-		is.covered = is.keyEntryPos >= 0 &&
+		is.covered = is.keyEntryPos >= 0 && is.keyEntryPos <= len(access.eqExprs) &&
 			specCovers(access, stages[si].ref.Alias, stages[si].tbl, locals[si])
 		order[si] = is
 	}
@@ -377,15 +354,8 @@ func (p *selectPlan) planIntersect(stats statsRegistry) {
 	// Stages whose rows emission must bind: anything the projection,
 	// ORDER BY or residuals read.
 	needed := make([]bool, len(stages))
-	for _, oc := range p.outs {
-		if oc.count {
-			continue
-		}
-		if oc.expr != nil {
-			markRefs(oc.expr, stages, needed)
-		} else {
-			needed[oc.bind] = true
-		}
+	for _, ex := range p.st.Items {
+		markRefs(ex, stages, needed)
 	}
 	for _, ob := range p.st.OrderBy {
 		markRefs(ob.Expr, stages, needed)
@@ -394,39 +364,24 @@ func (p *selectPlan) planIntersect(stats statsRegistry) {
 		markRefs(c, stages, needed)
 	}
 
-	p.inter = &intersectPlan{
-		order: order, residuals: residuals, needed: needed,
-		keyT:    keyType,
-		intKeys: keyType == TypeInt || keyType == TypeBool || keyType == TypeTime,
-	}
+	p.inter = &intersectPlan{order: order, residuals: residuals, needed: needed}
 }
 
 // stageGroups is one stage's materialized key→rowids mapping in flat sorted
 // form: keys ascend, and the i-th key's rowids live at
 // rowids[offs[i]:offs[i+1]]. Three slices total, however many groups — the
-// intersection of wide stages must not pay one allocation per key. Exactly
-// one of keys/ikeys is populated, per the plan's intKeys mode.
+// intersection of wide stages must not pay one allocation per key.
 type stageGroups struct {
-	keys   []Value // generic mode: ascend by Compare
-	ikeys  []int64 // int-key mode: the keys' N payloads, ascending
+	keys   []int64 // the INTEGER keys' payloads, ascending
 	offs   []int32 // group count + 1 once sealed
 	rowids []int64
 }
 
 // add appends a rowid, opening a new group when key differs from the last.
 // Callers must present keys in ascending order.
-func (g *stageGroups) add(key Value, rowid int64) {
-	if len(g.offs) == 0 || Compare(g.keys[len(g.keys)-1], key) != 0 {
+func (g *stageGroups) add(key, rowid int64) {
+	if len(g.offs) == 0 || g.keys[len(g.keys)-1] != key {
 		g.keys = append(g.keys, key)
-		g.offs = append(g.offs, int32(len(g.rowids)))
-	}
-	g.rowids = append(g.rowids, rowid)
-}
-
-// addInt is add for int-key mode.
-func (g *stageGroups) addInt(ik, rowid int64) {
-	if len(g.offs) == 0 || g.ikeys[len(g.ikeys)-1] != ik {
-		g.ikeys = append(g.ikeys, ik)
 		g.offs = append(g.offs, int32(len(g.rowids)))
 	}
 	g.rowids = append(g.rowids, rowid)
@@ -439,53 +394,32 @@ func (g *stageGroups) seal() {
 
 // makeGroups preallocates a stageGroups for n expected rowids (the planner's
 // cardinality estimate), so the hot covered scans append without regrowing.
-func makeGroups(n int, intKeys bool) stageGroups {
-	g := stageGroups{
+func makeGroups(n int) stageGroups {
+	return stageGroups{
+		keys:   make([]int64, 0, n),
 		offs:   make([]int32, 0, n+1),
 		rowids: make([]int64, 0, n),
 	}
-	if intKeys {
-		g.ikeys = make([]int64, 0, n)
-	} else {
-		g.keys = make([]Value, 0, n)
-	}
-	return g
 }
 
 // keyRowid pairs one candidate row's join key with its rowid during stage
 // materialization.
 type keyRowid struct {
-	key   Value
-	rowid int64
+	key, rowid int64
 }
 
 // groupPairs sorts (key, rowid) pairs and folds them into groups. Only the
-// paths that cannot read keys in index order pay this sort. In int-key mode
-// the sort compares N payloads directly — identical order to Compare for
-// those types.
-func groupPairs(pairs []keyRowid, intKeys bool) stageGroups {
+// paths that cannot read keys in index order pay this sort.
+func groupPairs(pairs []keyRowid) stageGroups {
+	sort.Slice(pairs, func(a, b int) bool {
+		if pairs[a].key != pairs[b].key {
+			return pairs[a].key < pairs[b].key
+		}
+		return pairs[a].rowid < pairs[b].rowid
+	})
 	var g stageGroups
-	if intKeys {
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].key.N != pairs[b].key.N {
-				return pairs[a].key.N < pairs[b].key.N
-			}
-			return pairs[a].rowid < pairs[b].rowid
-		})
-		for i := range pairs {
-			g.addInt(pairs[i].key.N, pairs[i].rowid)
-		}
-	} else {
-		sort.Slice(pairs, func(a, b int) bool {
-			c := Compare(pairs[a].key, pairs[b].key)
-			if c != 0 {
-				return c < 0
-			}
-			return pairs[a].rowid < pairs[b].rowid
-		})
-		for i := range pairs {
-			g.add(pairs[i].key, pairs[i].rowid)
-		}
+	for _, pr := range pairs {
+		g.add(pr.key, pr.rowid)
 	}
 	g.seal()
 	return g
@@ -493,26 +427,7 @@ func groupPairs(pairs []keyRowid, intKeys bool) stageGroups {
 
 // intersectKeys returns the sorted intersection of two ascending key lists,
 // reusing a's storage.
-func intersectKeys(a, b []Value) []Value {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := Compare(a[i], b[j]); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// intersectInts is intersectKeys for int-key mode.
-func intersectInts(a, b []int64) []int64 {
+func intersectKeys(a, b []int64) []int64 {
 	out := a[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -531,54 +446,26 @@ func intersectInts(a, b []int64) []int64 {
 }
 
 // materialize evaluates one stage on its own: scan the access path, keep
-// rows passing the local predicates, group by key. Covered stages read keys
-// straight out of index entries and skip the row fetch and filter pass —
-// unless bind degraded the probe (NULL or unevaluable slot), detected here
-// by comparing the bound prefix against the spec's slots. And when the key
-// column is the first index column after the equality prefix (the ua_attr_*
-// shape), the scan already yields keys in ascending order, so the groups
-// fold directly with no sort at all.
+// rows passing the local predicates, group by key. Covered stages (the
+// ua_attr_* shape) read keys straight out of index entries in ascending
+// order, so the groups fold directly with no row fetch, filter pass or sort
+// — unless bind degraded the probe (NULL or unevaluable slot), detected here
+// by comparing the bound prefix against the spec's slots. A NULL key can
+// never satisfy a join equality, so its row is skipped (NULL keys sort
+// first, so covered groups stay contiguous).
 func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 	ap := is.access.bind(ev.params)
 	if is.covered && ap.idx != nil && ap.inList == nil &&
 		ap.rangeLo == nil && ap.rangeHi == nil && len(ap.eqVals) == len(is.access.eqExprs) {
-		if is.keyEntryPos <= len(ap.eqVals) {
-			// Key column is fixed by the prefix or immediately follows it:
-			// entries arrive key-ascending (NULL keys sort first and are
-			// skipped, so groups stay contiguous).
-			g := makeGroups(int(is.est)+1, p.inter.intKeys)
-			if p.inter.intKeys {
-				is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
-					key := &row[is.keyCol]
-					if key.T == TypeNull {
-						return true // a NULL key can never satisfy a join equality
-					}
-					g.addInt(key.N, rowid)
-					return true
-				})
-			} else {
-				is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
-					key := row[is.keyCol]
-					if key.IsNull() {
-						return true
-					}
-					g.add(key, rowid)
-					return true
-				})
-			}
-			g.seal()
-			return g, nil
-		}
-		var pairs []keyRowid
+		g := makeGroups(int(is.est) + 1)
 		is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
-			key := row[is.keyCol]
-			if key.IsNull() {
-				return true
+			if key := &row[is.keyCol]; key.T != TypeNull {
+				g.add(key.N, rowid)
 			}
-			pairs = append(pairs, keyRowid{key: key, rowid: rowid})
 			return true
 		})
-		return groupPairs(pairs, p.inter.intKeys), nil
+		g.seal()
+		return g, nil
 	}
 	var pairs []keyRowid
 	var serr error
@@ -589,34 +476,27 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 			serr = err
 			return false
 		}
-		if !ok {
-			return true
+		if key := &row[is.keyCol]; ok && key.T != TypeNull {
+			pairs = append(pairs, keyRowid{key: key.N, rowid: rowid})
 		}
-		key := row[is.keyCol]
-		if key.IsNull() {
-			return true
-		}
-		pairs = append(pairs, keyRowid{key: key, rowid: rowid})
 		return true
 	})
 	ev.bindings[is.si].row = nil
 	if serr != nil {
 		return stageGroups{}, serr
 	}
-	return groupPairs(pairs, p.inter.intKeys), nil
+	return groupPairs(pairs), nil
 }
 
 // probeStage reaches a stage by probing its key index once per surviving
-// key instead of scanning its own access path. keyAt(i) for i < nk yields
-// the surviving keys in ascending order, so the groups are built in order.
-func (p *selectPlan) probeStage(is *istage, ev *env, nk int, keyAt func(int) Value) (stageGroups, error) {
-	ip := p.inter
-	g := makeGroups(nk, ip.intKeys)
+// key instead of scanning its own access path. keys ascend, so the groups
+// are built in order.
+func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups, error) {
+	g := makeGroups(len(keys))
 	probe := make([]Value, 1)
 	var perr error
-	for i := 0; i < nk; i++ {
-		key := keyAt(i)
-		probe[0] = key
+	for _, key := range keys {
+		probe[0] = Int(key)
 		is.probeIdx.scanEqual(probe, func(rowid int64, row Row) bool {
 			ev.bindings[is.si].row = row
 			ok, err := passesAll(is.locals, ev)
@@ -625,11 +505,7 @@ func (p *selectPlan) probeStage(is *istage, ev *env, nk int, keyAt func(int) Val
 				return false
 			}
 			if ok {
-				if ip.intKeys {
-					g.addInt(key.N, rowid)
-				} else {
-					g.add(key, rowid)
-				}
+				g.add(key, rowid)
 			}
 			return true
 		})
@@ -652,23 +528,17 @@ func (p *selectPlan) runIntersect(ev *env, emit func() bool) error {
 	ip := p.inter
 	ns := len(p.stages)
 	groups := make([]stageGroups, ns) // indexed by statement-order stage
-	var curV []Value                  // surviving keys, generic mode
-	var curI []int64                  // surviving keys, int-key mode
-	nKeys := 0
+	var cur []int64                   // surviving keys
 
 	for oi := range ip.order {
 		is := &ip.order[oi]
-		if oi > 0 && nKeys == 0 {
+		if oi > 0 && len(cur) == 0 {
 			return nil // some stage already came up empty
 		}
 		var g stageGroups
 		var err error
 		if oi > 0 && is.probe {
-			if ip.intKeys {
-				g, err = p.probeStage(is, ev, nKeys, func(i int) Value { return Value{T: ip.keyT, N: curI[i]} })
-			} else {
-				g, err = p.probeStage(is, ev, nKeys, func(i int) Value { return curV[i] })
-			}
+			g, err = p.probeStage(is, ev, cur)
 		} else {
 			g, err = p.materialize(is, ev)
 		}
@@ -676,23 +546,13 @@ func (p *selectPlan) runIntersect(ev *env, emit func() bool) error {
 			return err
 		}
 		groups[is.si] = g
-		if ip.intKeys {
-			if oi == 0 {
-				curI = append(curI[:0], g.ikeys...)
-			} else {
-				curI = intersectInts(curI, g.ikeys)
-			}
-			nKeys = len(curI)
+		if oi == 0 {
+			cur = append(cur[:0], g.keys...)
 		} else {
-			if oi == 0 {
-				curV = append(curV[:0], g.keys...)
-			} else {
-				curV = intersectKeys(curV, g.keys)
-			}
-			nKeys = len(curV)
+			cur = intersectKeys(cur, g.keys)
 		}
 	}
-	if nKeys == 0 {
+	if len(cur) == 0 {
 		return nil
 	}
 
@@ -702,28 +562,17 @@ func (p *selectPlan) runIntersect(ev *env, emit func() bool) error {
 	// sorted.
 	gidx := make([][]int32, ns)
 	for si := 0; si < ns; si++ {
-		idx := make([]int32, nKeys)
+		idx := make([]int32, len(cur))
+		keys := groups[si].keys
 		j := 0
-		if ip.intKeys {
-			keys := groups[si].ikeys
-			for ki, k := range curI {
-				for keys[j] != k {
-					j++
-				}
-				idx[ki] = int32(j)
+		for ki, k := range cur {
+			for keys[j] != k {
+				j++
 			}
-		} else {
-			keys := groups[si].keys
-			for ki := range curV {
-				for Compare(keys[j], curV[ki]) != 0 {
-					j++
-				}
-				idx[ki] = int32(j)
-			}
+			idx[ki] = int32(j)
 		}
 		gidx[si] = idx
 	}
-
 	// Emit cross products per surviving key, stages nested in statement
 	// order, with the residual conjuncts deciding each tuple. Rows are
 	// fetched only for stages the emission actually reads; the rest loop
@@ -754,7 +603,7 @@ func (p *selectPlan) runIntersect(ev *env, emit func() bool) error {
 		}
 		return true, nil
 	}
-	for ki := 0; ki < nKeys; ki++ {
+	for ki := range cur {
 		cont, err := rec(ki, 0)
 		if err != nil {
 			return err

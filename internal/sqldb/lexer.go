@@ -12,8 +12,7 @@ const (
 	tokEOF tokenKind = iota
 	tokIdent
 	tokKeyword
-	tokNumber
-	tokString
+	tokNumber // an unsigned integer
 	tokParam  // ?
 	tokSymbol // punctuation and operators
 )
@@ -24,17 +23,21 @@ type token struct {
 	pos  int
 }
 
+// keywords are the words of the dialect (see Parse), plus the words of SQL
+// forms it does not speak that would otherwise re-read as something it does:
+// LEFT and INNER as a table alias ahead of JOIN, AS, IS and OFFSET as an alias
+// or trailing input, FALSE as a column. Reserving them makes such a form a
+// parse error instead of a different statement.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true, "INTO": true,
 	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"TABLE": true, "INDEX": true, "UNIQUE": true, "ON": true, "DROP": true,
-	"AND": true, "OR": true, "NOT": true, "NULL": true, "TRUE": true, "FALSE": true,
+	"TABLE": true, "INDEX": true, "UNIQUE": true, "ON": true,
+	"AND": true, "OR": true, "NOT": true, "NULL": true, "TRUE": true,
 	"PRIMARY": true, "KEY": true, "AUTOINCREMENT": true, "INTEGER": true,
 	"FLOAT": true, "TEXT": true, "BOOLEAN": true, "DATETIME": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "AS": true, "IN": true,
-	"IS": true, "LIKE": true, "COUNT": true, "DISTINCT": true, "IF": true,
-	"EXISTS": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true, "OFFSET": true,
+	"JOIN": true, "IN": true, "LIKE": true, "COUNT": true, "DISTINCT": true,
+	"LEFT": true, "INNER": true, "AS": true, "IS": true, "OFFSET": true, "FALSE": true,
 }
 
 type lexer struct {
@@ -47,22 +50,24 @@ type lexer struct {
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	for {
-		l.skipSpace()
+		for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
+			l.pos++
+		}
 		if l.pos >= len(l.src) {
 			l.emit(tokEOF, "")
 			return l.toks, nil
 		}
 		c := l.src[l.pos]
 		switch {
-		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
 		case c == '?':
 			l.emit(tokParam, "?")
 			l.pos++
-		case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-			l.lexNumber()
+		case isDigit(c):
+			start := l.pos
+			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+				l.pos++
+			}
+			l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 		case isIdentStart(c):
 			l.lexWord()
 		default:
@@ -75,79 +80,6 @@ func lex(src string) ([]token, error) {
 
 func (l *lexer) emit(k tokenKind, text string) {
 	l.toks = append(l.toks, token{kind: k, text: text, pos: l.pos})
-}
-
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			// Line comment.
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-			continue
-		}
-		if !unicode.IsSpace(rune(c)) {
-			return
-		}
-		l.pos++
-	}
-}
-
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'') // doubled quote escape
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: sb.String(), pos: start})
-			return nil
-		}
-		sb.WriteByte(c)
-		l.pos++
-	}
-	return fmt.Errorf("sqldb: unterminated string literal at offset %d", start)
-}
-
-func (l *lexer) lexNumber() {
-	start := l.pos
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if isDigit(c) {
-			l.pos++
-			continue
-		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-			continue
-		}
-		if (c == 'e' || c == 'E') && l.pos > start {
-			// exponent: e[+-]?digits
-			save := l.pos
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-				l.pos++
-			}
-			if l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-				for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-					l.pos++
-				}
-				continue
-			}
-			l.pos = save
-		}
-		break
-	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 }
 
 func (l *lexer) lexWord() {
@@ -165,19 +97,14 @@ func (l *lexer) lexWord() {
 }
 
 func (l *lexer) lexSymbol() error {
-	two := ""
-	if l.pos+2 <= len(l.src) {
-		two = l.src[l.pos : l.pos+2]
-	}
-	switch two {
-	case "<=", ">=", "<>", "!=":
+	if two := l.src[l.pos:min(l.pos+2, len(l.src))]; two == "<=" || two == ">=" || two == "!=" {
 		l.emit(tokSymbol, two)
 		l.pos += 2
 		return nil
 	}
 	c := l.src[l.pos]
 	switch c {
-	case '(', ')', ',', '=', '<', '>', '*', '.', ';':
+	case '(', ')', ',', '=', '<', '>', '*', '.':
 		l.emit(tokSymbol, string(c))
 		l.pos++
 		return nil

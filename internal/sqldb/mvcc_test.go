@@ -12,11 +12,11 @@ import (
 // reads are wait-free against the last committed root.
 func TestQueryCompletesDuringOpenTx(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('a', 1)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 1)", Text("a"))
 
 	tx := db.Begin()
 	defer tx.Rollback() //nolint:errcheck
-	if _, err := tx.Exec("INSERT INTO files (name, size) VALUES ('b', 2)"); err != nil {
+	if _, err := tx.Exec("INSERT INTO files (name, size) VALUES (?, 2)", Text("b")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,7 +88,7 @@ func TestReadersSeeConsistentSnapshotMidTransaction(t *testing.T) {
 // movement, no epoch bump.
 func TestRollbackPublishesNothing(t *testing.T) {
 	db := newTestDB(t)
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('keep', 7)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 7)", Text("keep"))
 	epoch := db.Epoch()
 
 	tx := db.Begin()
@@ -98,10 +98,10 @@ func TestRollbackPublishesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tx.Exec("UPDATE files SET size = 99 WHERE name = 'keep'"); err != nil {
+	if _, err := tx.Exec("UPDATE files SET size = 99 WHERE name = ?", Text("keep")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Exec("DELETE FROM files WHERE name = 'keep'"); err != nil {
+	if _, err := tx.Exec("DELETE FROM files WHERE name = ?", Text("keep")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -111,7 +111,7 @@ func TestRollbackPublishesNothing(t *testing.T) {
 	if got := db.Epoch(); got != epoch {
 		t.Fatalf("rollback bumped epoch %d -> %d", epoch, got)
 	}
-	rows := mustQuery(t, db, "SELECT size FROM files WHERE name = 'keep'")
+	rows := mustQuery(t, db, "SELECT size FROM files WHERE name = ?", Text("keep"))
 	if len(rows.Data) != 1 || rows.Data[0][0].Int() != 7 {
 		t.Fatalf("rolled-back writes leaked: %v", rows.Data)
 	}
@@ -120,9 +120,9 @@ func TestRollbackPublishesNothing(t *testing.T) {
 	}
 	// The unique index must not retain ghost entries: names used by the
 	// rolled-back transaction are insertable again.
-	mustExec(t, db, "INSERT INTO files (name, size) VALUES ('gone00', 1)")
+	mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, 1)", Text("gone00"))
 	// Autoincrement did not advance past the rolled-back rows' ids.
-	res := mustExec(t, db, "INSERT INTO files (name) VALUES ('next')")
+	res := mustExec(t, db, "INSERT INTO files (name) VALUES (?)", Text("next"))
 	if res.LastInsertID != 3 {
 		t.Fatalf("autoinc after rollback = %d, want 3", res.LastInsertID)
 	}
@@ -144,7 +144,7 @@ func TestSnapshotDoesNotBlockWriters(t *testing.T) {
 	writerDone := make(chan error, 1)
 	go func() {
 		<-w.started
-		_, err := db.Exec("INSERT INTO files (name, size) VALUES ('during-dump', 1)")
+		_, err := db.Exec("INSERT INTO files (name, size) VALUES (?, 1)", Text("during-dump"))
 		close(committed)
 		writerDone <- err
 	}()
@@ -165,7 +165,7 @@ func TestSnapshotDoesNotBlockWriters(t *testing.T) {
 	if n, _ := db2.RowCount("files"); n != 3000 {
 		t.Fatalf("restored %d rows, want 3000", n)
 	}
-	rows := mustQuery(t, db2, "SELECT * FROM files WHERE name = 'during-dump'")
+	rows := mustQuery(t, db2, "SELECT id FROM files WHERE name = ?", Text("during-dump"))
 	if len(rows.Data) != 0 {
 		t.Fatal("snapshot includes a row committed after it was pinned")
 	}
@@ -205,11 +205,11 @@ func (w *slowWriter) Write(p []byte) (int, error) {
 func TestEpochAdvancesPerCommit(t *testing.T) {
 	db := newTestDB(t)
 	e0 := db.Epoch()
-	mustExec(t, db, "INSERT INTO files (name) VALUES ('a')")
+	mustExec(t, db, "INSERT INTO files (name) VALUES (?)", Text("a"))
 	if db.Epoch() != e0+1 {
 		t.Fatalf("epoch after write = %d, want %d", db.Epoch(), e0+1)
 	}
-	mustQuery(t, db, "SELECT * FROM files")
+	mustQuery(t, db, "SELECT id FROM files")
 	if db.Epoch() != e0+1 {
 		t.Fatal("read bumped epoch")
 	}
@@ -343,28 +343,21 @@ func TestPlannerUsesIndexForInList(t *testing.T) {
 		mustExec(t, db, "INSERT INTO files (name, size) VALUES (?, ?)",
 			Text(fmt.Sprintf("f%03d", i)), Int(int64(i)))
 	}
-	plan, err := db.Explain("SELECT id FROM files WHERE name IN ('f001', 'f050', 'f099')")
+	plan, err := db.Explain("SELECT id FROM files WHERE name IN (?, ?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan != "index-in(files_name_key)" {
 		t.Fatalf("plan = %q, want index-in(files_name_key)", plan)
 	}
-	rows := mustQuery(t, db, "SELECT name FROM files WHERE name IN ('f001', 'f050', 'f099', 'zzz') ORDER BY name")
+	rows := mustQuery(t, db, "SELECT name FROM files WHERE name IN (?, ?, ?, ?) ORDER BY name",
+		Text("f001"), Text("f050"), Text("f099"), Text("zzz"))
 	if len(rows.Data) != 3 {
 		t.Fatalf("IN query returned %d rows, want 3: %v", len(rows.Data), rows.Data)
 	}
 	// Duplicated list values must not duplicate result rows.
-	rows = mustQuery(t, db, "SELECT name FROM files WHERE name IN ('f007', 'f007')")
+	rows = mustQuery(t, db, "SELECT name FROM files WHERE name IN (?, ?)", Text("f007"), Text("f007"))
 	if len(rows.Data) != 1 {
 		t.Fatalf("duplicate IN values returned %d rows, want 1", len(rows.Data))
-	}
-	// Parameters work too.
-	plan, err = db.Explain("SELECT id FROM files WHERE name IN (?, ?)", Text("a"), Text("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan != "index-in(files_name_key)" {
-		t.Fatalf("param plan = %q, want index-in(files_name_key)", plan)
 	}
 }

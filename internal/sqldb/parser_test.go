@@ -1,70 +1,63 @@
 package sqldb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 func TestLexBasic(t *testing.T) {
-	toks, err := lex("SELECT a, b FROM t WHERE x = 'it''s' AND y >= 3.5 -- comment\n LIMIT 2")
+	toks, err := lex("SELECT a, b FROM t WHERE x = ? AND y >= 35 AND z != TRUE\n LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []tokenKind
-	var texts []string
+	var got []string
 	for _, tok := range toks {
-		kinds = append(kinds, tok.kind)
-		texts = append(texts, tok.text)
+		got = append(got, fmt.Sprintf("%d:%s", tok.kind, tok.text))
 	}
-	if texts[0] != "SELECT" || kinds[0] != tokKeyword {
-		t.Fatalf("first token = %v %q", kinds[0], texts[0])
-	}
-	// string literal with escaped quote
-	found := false
-	for i, k := range kinds {
-		if k == tokString {
-			if texts[i] != "it's" {
-				t.Fatalf("string literal = %q", texts[i])
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("string literal not lexed")
-	}
-	if kinds[len(kinds)-1] != tokEOF {
-		t.Fatal("missing EOF token")
+	want := fmt.Sprintf("%d:SELECT %d:a %d:, %d:b %d:FROM %d:t %d:WHERE %d:x %d:= %d:? %d:AND %d:y %d:>= %d:35 "+
+		"%d:AND %d:z %d:!= %d:TRUE %d:LIMIT %d:2 %d:",
+		tokKeyword, tokIdent, tokSymbol, tokIdent, tokKeyword, tokIdent, tokKeyword, tokIdent, tokSymbol, tokParam,
+		tokKeyword, tokIdent, tokSymbol, tokNumber, tokKeyword, tokIdent, tokSymbol, tokKeyword, tokKeyword, tokNumber, tokEOF)
+	if strings.Join(got, " ") != want {
+		t.Fatalf("tokens:\n  got  %s\n  want %s", strings.Join(got, " "), want)
 	}
 }
 
 func TestLexErrors(t *testing.T) {
-	if _, err := lex("SELECT 'unterminated"); err == nil {
-		t.Fatal("unterminated string did not fail")
-	}
-	if _, err := lex("SELECT @"); err == nil {
-		t.Fatal("bad character did not fail")
-	}
-}
-
-func TestLexNumbers(t *testing.T) {
-	toks, err := lex("1 2.5 .5 1e3 1.5e-2 3E+4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"1", "2.5", ".5", "1e3", "1.5e-2", "3E+4"}
-	for i, w := range want {
-		if toks[i].kind != tokNumber || toks[i].text != w {
-			t.Fatalf("token %d = %v %q, want number %q", i, toks[i].kind, toks[i].text, w)
+	// String literals and line comments are not part of the dialect: the
+	// catalog binds every value as a parameter.
+	for _, src := range []string{"SELECT @", "SELECT a FROM t WHERE b = 'x'", "SELECT a FROM t -- c", "SELECT a; "} {
+		if _, err := lex(src); err == nil {
+			t.Errorf("lex(%q) did not fail", src)
 		}
 	}
 }
 
+// TestLexNumbers: a number is a run of digits; a dot or an exponent ends it.
+func TestLexNumbers(t *testing.T) {
+	toks, err := lex("1 25 2.5 1e3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tok := range toks {
+		got = append(got, tok.text)
+	}
+	if want := "1 25 2 . 5 1 e3 "; strings.Join(got, " ") != want {
+		t.Fatalf("tokens %q, want %q", strings.Join(got, " "), want)
+	}
+	if toks[1].kind != tokNumber || toks[3].kind != tokSymbol || toks[6].kind != tokIdent {
+		t.Fatalf("token kinds: %+v", toks)
+	}
+}
+
 func TestParseSelectShape(t *testing.T) {
-	st, err := Parse(`SELECT DISTINCT f.name AS n, COUNT(*) FROM files f
+	st, err := Parse(`SELECT DISTINCT f.name, f.size FROM files f
 		JOIN attrs a ON a.fid = f.id
-		LEFT JOIN extra e ON e.fid = f.id
-		WHERE f.size > 10 AND a.k = 'x' OR NOT f.valid
-		ORDER BY f.name DESC, f.size LIMIT 5 OFFSET 2;`)
+		JOIN extra e ON e.fid = f.id
+		WHERE f.size > 10 AND a.k = ? OR f.valid = TRUE
+		ORDER BY f.name DESC, f.size LIMIT 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,39 +65,42 @@ func TestParseSelectShape(t *testing.T) {
 	if !sel.Distinct || len(sel.Items) != 2 || len(sel.Joins) != 2 {
 		t.Fatalf("parsed shape: %+v", sel)
 	}
-	if sel.Items[0].As != "n" || !sel.Items[1].Count {
+	if sel.Count || exprString(sel.Items[1]) != "f.size" {
 		t.Fatalf("items: %+v", sel.Items)
 	}
-	if !sel.Joins[1].Left || sel.Joins[0].Left {
-		t.Fatalf("join leftness: %+v", sel.Joins)
+	if sel.Joins[1].Table.Alias != "e" || exprString(sel.Joins[1].On) != "(e.fid = f.id)" {
+		t.Fatalf("joins: %+v", sel.Joins)
+	}
+	if got := exprString(sel.Where); got != "(((f.size > 10) AND (a.k = ?)) OR (f.valid = TRUE))" {
+		t.Fatalf("where: %s", got)
 	}
 	if len(sel.OrderBy) != 2 || !sel.OrderBy[0].Desc || sel.OrderBy[1].Desc {
 		t.Fatalf("order by: %+v", sel.OrderBy)
 	}
-	if sel.Limit != 5 || sel.Offset != 2 {
-		t.Fatalf("limit/offset: %d/%d", sel.Limit, sel.Offset)
+	if sel.Limit != 5 {
+		t.Fatalf("limit: %d", sel.Limit)
 	}
 }
 
 func TestParseTableAlias(t *testing.T) {
-	st, err := Parse("SELECT * FROM files AS f WHERE f.id = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.(*SelectStmt).From.Alias != "f" {
-		t.Fatal("AS alias not applied")
-	}
-	st, err = Parse("SELECT * FROM files f")
+	st, err := Parse("SELECT f.id FROM files f WHERE f.id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.(*SelectStmt).From.Alias != "f" {
 		t.Fatal("bare alias not applied")
 	}
+	st, err = Parse("SELECT id FROM files")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.(*SelectStmt).From.Alias != "files" {
+		t.Fatal("an unaliased table is not its own alias")
+	}
 }
 
 func TestParseParamNumbering(t *testing.T) {
-	st, err := Parse("SELECT * FROM t WHERE a = ? AND b = ? AND c IN (?, ?)")
+	st, err := Parse("SELECT a FROM t WHERE a = ? AND b = ? AND c IN (?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +119,6 @@ func TestParseParamNumbering(t *testing.T) {
 			for _, it := range x.List {
 				walk(it)
 			}
-		case *UnaryExpr:
-			walk(x.E)
 		}
 	}
 	walk(st.(*SelectStmt).Where)
@@ -139,7 +133,7 @@ func TestParseParamNumbering(t *testing.T) {
 }
 
 func TestParsePrecedence(t *testing.T) {
-	st, err := Parse("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3")
+	st, err := Parse("SELECT a FROM t WHERE a = 1 OR b = 2 AND c = 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +147,7 @@ func TestParsePrecedence(t *testing.T) {
 		t.Fatalf("right side = %s", exprString(or.R))
 	}
 	// Parenthesized override
-	st, _ = Parse("SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3")
+	st, _ = Parse("SELECT a FROM t WHERE (a = 1 OR b = 2) AND c = 3")
 	and2 := st.(*SelectStmt).Where.(*BinaryExpr)
 	if and2.Op != "AND" {
 		t.Fatalf("paren top op = %s", and2.Op)
@@ -164,15 +158,16 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"SELECT",
-		"SELECT * FROM t WHERE",
-		"SELECT * FROM t GARBAGE TRAILING",
+		"SELECT a FROM t WHERE",
+		"SELECT a FROM t GARBAGE TRAILING",
 		"INSERT INTO t (a VALUES (1)",
 		"CREATE UNIQUE TABLE t (a INTEGER)",
 		"UPDATE t SET WHERE a = 1",
 		"DELETE t WHERE a = 1",
 		"CREATE INDEX i ON t ()",
-		"SELECT * FROM t LIMIT xyz",
-		"SELECT * FROM t WHERE a LIKE",
+		"SELECT a FROM t LIMIT xyz",
+		"SELECT a FROM t WHERE a LIKE",
+		"SELECT a FROM t WHERE a = 99999999999999999999",
 		"CREATE TABLE t (a TEXT AUTOINCREMENT)",
 	}
 	for _, sql := range bad {
@@ -183,17 +178,17 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseErrorIncludesSQL(t *testing.T) {
-	_, err := Parse("SELECT * FROM t WHERE ???")
+	_, err := Parse("SELECT a FROM t WHERE ???")
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if !strings.Contains(err.Error(), "SELECT * FROM t") {
+	if !strings.Contains(err.Error(), "SELECT a FROM t") {
 		t.Fatalf("error lacks statement context: %v", err)
 	}
 }
 
 func TestParseInsertMultiRow(t *testing.T) {
-	st, err := Parse("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y'), (?, ?)")
+	st, err := Parse("INSERT INTO t (a, b) VALUES (1, TRUE), (2, ?), (?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +212,61 @@ func TestParseColumnConstraints(t *testing.T) {
 	}
 	if !ct.Columns[1].NotNull || !ct.Columns[1].Unique {
 		t.Fatalf("name constraints: %+v", ct.Columns[1])
+	}
+}
+
+// TestRemovedSyntaxRefused: the dialect is exactly what the catalog issues.
+// Every SQL form outside it — each of which an earlier version of the engine
+// accepted — is a parse error, so it can never run and return a result.
+func TestRemovedSyntaxRefused(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b TEXT)")
+	mustExec(t, db, "CREATE TABLE u (id INTEGER PRIMARY KEY, tid INTEGER)")
+	mustExec(t, db, "CREATE INDEX t_a ON t (a)")
+	mustExec(t, db, "INSERT INTO t (id, a, b) VALUES (1, 1, ?), (2, ?, ?)", Text("x"), Null(), Text("y"))
+	mustExec(t, db, "INSERT INTO u (id, tid) VALUES (1, 1)")
+	for _, sql := range []string{
+		"DROP TABLE t",
+		"DROP INDEX t_a",
+		"CREATE TABLE IF NOT EXISTS t (id INTEGER)",
+		"CREATE INDEX IF NOT EXISTS t_a ON t (a)",
+		"CREATE UNIQUE INDEX t_b ON t (b)",
+		"SELECT t.a FROM t LEFT JOIN u ON u.tid = t.id",
+		"SELECT t.a FROM t INNER JOIN u ON u.tid = t.id",
+		"SELECT a FROM t ORDER BY a LIMIT 1 OFFSET 1",
+		"SELECT * FROM t",
+		"SELECT a AS x FROM t",
+		"SELECT COUNT(*) AS n FROM t",
+		"SELECT a, COUNT(*) FROM t",
+		"SELECT a FROM t AS x",
+		"SELECT a FROM t WHERE NOT a = 1",
+		"SELECT a FROM t WHERE a NOT IN (1)",
+		"SELECT a FROM t WHERE b NOT LIKE ?",
+		"SELECT a FROM t WHERE a IS NULL",
+		"SELECT a FROM t WHERE a IS NOT NULL",
+		"SELECT a FROM t WHERE a <> 1",
+		"SELECT a FROM t WHERE b = 'x'",
+		"SELECT a FROM t WHERE a = 1.5",
+		"SELECT a FROM t WHERE a = NULL",
+		"SELECT a FROM t WHERE a = FALSE",
+		"SELECT a FROM t -- comment",
+		"SELECT a FROM t;",
+		"INSERT INTO t VALUES (3, 3, ?)",
+		"BEGIN",
+		"COMMIT",
+		"ROLLBACK",
+	} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("Parse(%q) accepted removed syntax", sql)
+		}
+		if rows, err := db.Query(sql); err == nil {
+			t.Errorf("Query(%q) returned %v", sql, rows.Data)
+		}
+		if _, err := db.Exec(sql, Text("x")); err == nil {
+			t.Errorf("Exec(%q) succeeded", sql)
+		}
+	}
+	if n, _ := db.RowCount("t"); n != 2 {
+		t.Fatalf("t has %d rows after the refused statements, want 2", n)
 	}
 }

@@ -2,14 +2,15 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Query planning is split compile/bind: compileSelect turns a parsed SELECT
 // into a selectPlan — a value-free description of how to execute it (which
-// index each stage probes, which expressions feed the probe, nested-loop
-// versus sorted-set intersection) — and run binds parameter values and
+// index the first stage probes, which expressions feed the probe, filtered
+// nested scans versus sorted-set intersection) — and run binds parameter values and
 // executes. Plans depend only on the statement shape and the root they were
 // compiled against, so the DB layer caches them keyed on the MVCC epoch
 // (see DB.plannedSelect): the PR 5 epoch machinery invalidates them for
@@ -44,23 +45,6 @@ type accessPath struct {
 	// column when eqVals is empty).
 	rangeLo, rangeHi       *Value
 	rangeLoInc, rangeHiInc bool
-
-	fullScan bool
-}
-
-func (ap accessPath) String() string {
-	switch {
-	case ap.idx != nil && ap.inList != nil:
-		return fmt.Sprintf("index-in(%s)", ap.idx.name)
-	case ap.idx != nil && (ap.rangeLo != nil || ap.rangeHi != nil):
-		return fmt.Sprintf("index-range(%s)", ap.idx.name)
-	case ap.idx != nil && ap.eqVals != nil:
-		return fmt.Sprintf("index-eq(%s)", ap.idx.name)
-	case ap.idx != nil:
-		return fmt.Sprintf("index-range(%s)", ap.idx.name)
-	default:
-		return fmt.Sprintf("full-scan(%s)", ap.tbl.name)
-	}
 }
 
 // scan invokes fn for each rowid selected by the path until fn returns false.
@@ -110,8 +94,6 @@ type accessSpec struct {
 	// loExpr/hiExpr bound a range on the column right after the eq prefix.
 	loExpr, hiExpr Expr
 	loInc, hiInc   bool
-
-	fullScan bool
 }
 
 func (sp accessSpec) String() string {
@@ -135,7 +117,7 @@ func (sp accessSpec) String() string {
 // re-run on every candidate row, keep the result exact.
 func (sp accessSpec) bind(params []Value) accessPath {
 	if sp.idx == nil {
-		return accessPath{tbl: sp.tbl, fullScan: true}
+		return accessPath{tbl: sp.tbl}
 	}
 	ev := &env{params: params}
 	vals := make([]Value, 0, len(sp.eqExprs))
@@ -143,7 +125,7 @@ func (sp accessSpec) bind(params []Value) accessPath {
 		v, err := eval(ex, ev)
 		if err != nil || v.IsNull() {
 			if len(vals) == 0 {
-				return accessPath{tbl: sp.tbl, fullScan: true}
+				return accessPath{tbl: sp.tbl}
 			}
 			return accessPath{tbl: sp.tbl, idx: sp.idx, eqVals: vals}
 		}
@@ -157,7 +139,7 @@ func (sp accessSpec) bind(params []Value) accessPath {
 				// Unevaluable item: drop the whole IN extension so the probe
 				// stays a superset of what the filter would accept.
 				if len(vals) == 0 {
-					return accessPath{tbl: sp.tbl, fullScan: true}
+					return accessPath{tbl: sp.tbl}
 				}
 				return accessPath{tbl: sp.tbl, idx: sp.idx, eqVals: vals}
 			}
@@ -191,7 +173,7 @@ func (sp accessSpec) bind(params []Value) accessPath {
 		}
 		if ap.rangeLo == nil && ap.rangeHi == nil {
 			if len(vals) == 0 {
-				return accessPath{tbl: sp.tbl, fullScan: true}
+				return accessPath{tbl: sp.tbl}
 			}
 			ap.eqVals = vals
 		}
@@ -219,8 +201,6 @@ func refsOnly(ex Expr, aliases map[string]*table) bool {
 		return false
 	case *BinaryExpr:
 		return refsOnly(x.L, aliases) && refsOnly(x.R, aliases)
-	case *UnaryExpr:
-		return refsOnly(x.E, aliases)
 	case *InExpr:
 		if !refsOnly(x.E, aliases) {
 			return false
@@ -231,8 +211,6 @@ func refsOnly(ex Expr, aliases map[string]*table) bool {
 			}
 		}
 		return true
-	case *IsNullExpr:
-		return refsOnly(x.E, aliases)
 	}
 	return false
 }
@@ -276,7 +254,7 @@ func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessS
 	lo := map[int]boundE{}
 	hi := map[int]boundE{}
 	for _, p := range preds {
-		if in, ok := p.(*InExpr); ok && !in.Not {
+		if in, ok := p.(*InExpr); ok {
 			c, ok := colOf(in.E, alias, tbl)
 			if !ok {
 				continue
@@ -299,29 +277,14 @@ func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessS
 		if !ok {
 			continue
 		}
-		var colPos int
-		var val Expr
-		var op string
-		if c, ok := colOf(b.L, alias, tbl); ok && constExpr(b.R) {
-			colPos, val, op = c, b.R, b.Op
-		} else if c, ok := colOf(b.R, alias, tbl); ok && constExpr(b.L) {
-			colPos, val = c, b.L
-			switch b.Op { // flip operator
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			default:
-				op = b.Op
-			}
-		} else {
+		// The catalog writes every sargable predicate column-first
+		// (`col op ?`); `? op col` is still evaluated, as a filter.
+		colPos, ok := colOf(b.L, alias, tbl)
+		if !ok || !constExpr(b.R) {
 			continue
 		}
-		switch op {
+		val := b.R
+		switch b.Op {
 		case "=":
 			if _, dup := eq[colPos]; !dup {
 				eq[colPos] = val
@@ -395,61 +358,45 @@ func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessS
 		}
 	}
 	if !have {
-		return accessSpec{tbl: tbl, fullScan: true}, rows
+		return accessSpec{tbl: tbl}, rows
 	}
 	return best, bestEst
 }
 
 // stagePlan is the per-stage execution info for a compiled SELECT pipeline.
 type stagePlan struct {
-	ref  TableRef
-	tbl  *table
-	join *JoinClause // nil for the FROM stage
+	ref TableRef
+	tbl *table
 
-	// filters are WHERE/ON conjuncts fully bound once this stage's table is
-	// in scope; applied immediately to keep intermediate row counts small.
+	// filters are the WHERE and ON conjuncts fully bound once this stage's
+	// table is in scope; applied immediately to keep intermediate row
+	// counts small.
 	filters []Expr
-
-	// For join stages: equality join on an indexed column of this table,
-	// probing with the value of probeExpr evaluated against outer bindings.
-	joinIdx   *index
-	probeExpr Expr
-
-	// Residual ON conjuncts (non-indexable); for LEFT JOIN these decide
-	// match/no-match, for INNER they are just filters.
-	onResidual []Expr
-
-	// access drives the FROM stage's scan (always a full scan in naive
-	// plans). Join stages are reached via joinIdx or a nested full scan.
-	access accessSpec
-}
-
-// outCol describes one projected output column.
-type outCol struct {
-	name string
-	// star expansion: binding index + column position; otherwise expr
-	bind, pos int
-	expr      Expr
-	count     bool
 }
 
 // selectPlan is a compiled SELECT: shape-only, value-free, immutable after
 // compilation and therefore safe to cache per epoch and execute from many
 // goroutines at once.
 type selectPlan struct {
-	st        *SelectStmt
-	stages    []stagePlan
-	outs      []outCol
-	countOnly bool
-	// inter, when non-nil, replaces nested-loop execution with sorted
-	// rowid-set intersection over the stages' join-key equivalence class.
+	st     *SelectStmt
+	stages []stagePlan
+	// columns names the output columns, one per st.Items entry.
+	columns []string
+	// access drives the first stage's scan in nested execution (always a
+	// full scan in naive plans); later stages scan their whole table.
+	access accessSpec
+	// inter, when non-nil, replaces nested execution with sorted rowid-set
+	// intersection over the stages' join-key equivalence class.
 	inter *intersectPlan
 }
 
-// compileSelect builds the execution plan for st against this root. With
-// naive set, every cost-based choice is disabled — full scans and pure
-// nested loops — which is the reference evaluator the planner-parity
-// harness diffs against.
+// compileSelect builds the execution plan for st against this root. Every
+// join is an inner join, so its ON conjuncts are placed exactly like WHERE
+// conjuncts: each at the first stage that binds every table it names. With
+// naive set the first stage is a full scan and intersection is never
+// considered — the same executor with every cost-based choice disabled,
+// which is the reference evaluator the planner-parity harness diffs
+// against.
 func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) {
 	fromTbl, ok := r.tables[st.From.Table]
 	if !ok {
@@ -457,8 +404,11 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 	}
 	stages := []stagePlan{{ref: st.From, tbl: fromTbl}}
 	aliasSet := map[string]*table{st.From.Alias: fromTbl}
-	for i := range st.Joins {
-		j := &st.Joins[i]
+	var conjs []Expr
+	if st.Where != nil {
+		conjs = conjuncts(st.Where)
+	}
+	for _, j := range st.Joins {
 		jt, ok := r.tables[j.Table.Table]
 		if !ok {
 			return nil, fmt.Errorf("sqldb: no such table %q", j.Table.Table)
@@ -467,112 +417,43 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 			return nil, fmt.Errorf("sqldb: duplicate table alias %q", j.Table.Alias)
 		}
 		aliasSet[j.Table.Alias] = jt
-		stages = append(stages, stagePlan{ref: j.Table, tbl: jt, join: j})
+		stages = append(stages, stagePlan{ref: j.Table, tbl: jt})
+		conjs = append(conjs, conjuncts(j.On)...)
 	}
 
-	// Classify WHERE conjuncts to the earliest stage where they are bound.
-	whereStage := make([][]Expr, len(stages))
-	var unbound []Expr
-	if st.Where != nil {
-		for _, c := range conjuncts(st.Where) {
-			placed := false
-			scope := map[string]*table{}
-			for si := range stages {
-				scope[stages[si].ref.Alias] = stages[si].tbl
-				if refsOnly(c, scope) {
-					whereStage[si] = append(whereStage[si], c)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				unbound = append(unbound, c)
+	for _, c := range conjs {
+		placed := false
+		scope := map[string]*table{}
+		for si := range stages {
+			scope[stages[si].ref.Alias] = stages[si].tbl
+			if refsOnly(c, scope) {
+				stages[si].filters = append(stages[si].filters, c)
+				placed = true
+				break
 			}
 		}
-	}
-	if len(unbound) > 0 {
-		return nil, fmt.Errorf("sqldb: unresolvable predicate %s", exprString(unbound[0]))
+		if !placed {
+			return nil, fmt.Errorf("sqldb: unresolvable predicate %s", exprString(c))
+		}
 	}
 
 	stats := statsRegistry{}
-
-	// Stage 0: access planning from its own conjuncts.
-	stages[0].filters = whereStage[0]
-	if naive {
-		stages[0].access = accessSpec{tbl: fromTbl, fullScan: true}
-	} else {
-		stages[0].access, _ = planSpec(fromTbl, st.From.Alias, whereStage[0], stats)
-	}
-
-	// Join stages: split ON conjuncts, look for an indexed equality probe.
-	for si := 1; si < len(stages); si++ {
-		sp := &stages[si]
-		sp.filters = whereStage[si]
-		outerScope := map[string]*table{}
-		for k := 0; k < si; k++ {
-			outerScope[stages[k].ref.Alias] = stages[k].tbl
-		}
-		for _, c := range conjuncts(sp.join.On) {
-			if sp.joinIdx == nil && !naive {
-				if b, ok := c.(*BinaryExpr); ok && b.Op == "=" {
-					// new.col = outer-expr
-					if p, ok := colOf(b.L, sp.ref.Alias, sp.tbl); ok && refsOnly(b.R, outerScope) {
-						if ix := sp.tbl.findIndex([]int{p}); ix != nil {
-							sp.joinIdx, sp.probeExpr = ix, b.R
-							continue
-						}
-					}
-					if p, ok := colOf(b.R, sp.ref.Alias, sp.tbl); ok && refsOnly(b.L, outerScope) {
-						if ix := sp.tbl.findIndex([]int{p}); ix != nil {
-							sp.joinIdx, sp.probeExpr = ix, b.L
-							continue
-						}
-					}
-				}
-			}
-			sp.onResidual = append(sp.onResidual, c)
-		}
-		// Equality predicates on this table alone can also help the probe
-		// path; they are already in filters. For LEFT JOIN, WHERE filters on
-		// the nullable side must run after the match decision; that ordering
-		// is preserved by the executor (filters run after onResidual).
+	p := &selectPlan{st: st, stages: stages, access: accessSpec{tbl: fromTbl}}
+	if !naive {
+		p.access, _ = planSpec(fromTbl, st.From.Alias, stages[0].filters, stats)
 	}
 
 	// Build the output schema.
-	p := &selectPlan{st: st, stages: stages}
-	for _, item := range st.Items {
-		switch {
-		case item.Star:
-			for bi := range stages {
-				for ci, cd := range stages[bi].tbl.cols {
-					name := cd.Name
-					if len(stages) > 1 {
-						name = stages[bi].ref.Alias + "." + cd.Name
-					}
-					p.outs = append(p.outs, outCol{name: name, bind: bi, pos: ci, expr: nil})
-				}
-			}
-		case item.Count:
-			name := item.As
-			if name == "" {
-				name = "count"
-			}
-			p.outs = append(p.outs, outCol{name: name, count: true})
-		default:
-			name := item.As
-			if name == "" {
-				name = exprString(item.Expr)
-				if ref, ok := item.Expr.(*ColumnRef); ok {
-					name = ref.Column
-				}
-			}
-			p.outs = append(p.outs, outCol{name: name, expr: item.Expr, bind: -1})
+	for _, ex := range st.Items {
+		name := exprString(ex)
+		if ref, ok := ex.(*ColumnRef); ok {
+			name = ref.Column
 		}
+		p.columns = append(p.columns, name)
 	}
-	p.countOnly = len(p.outs) == 1 && p.outs[0].count
 
 	if !naive {
-		p.planIntersect(stats)
+		p.planIntersect(conjs, stats)
 	}
 	return p, nil
 }
@@ -615,7 +496,7 @@ func (p *selectPlan) run(params []Value) (*Rows, error) {
 		if err := p.runIntersect(ev, emit); err != nil {
 			return nil, err
 		}
-	} else if err := p.runNested(ev, params, emit); err != nil {
+	} else if err := p.runNested(ev, emit); err != nil {
 		return nil, err
 	}
 
@@ -662,36 +543,21 @@ func (p *selectPlan) run(params []Value) (*Rows, error) {
 	}
 
 	// Projection.
-	res := &Rows{Columns: make([]string, len(p.outs))}
-	for i, oc := range p.outs {
-		res.Columns[i] = oc.name
+	if p.st.Count {
+		return &Rows{Columns: []string{"count"}, Data: [][]Value{{Int(int64(len(resultEnvRows)))}}}, nil
 	}
-	if p.countOnly {
-		res.Data = [][]Value{{Int(int64(len(resultEnvRows)))}}
-		return res, nil
-	}
+	res := &Rows{Columns: slices.Clone(p.columns)} // the plan is shared; the result is the caller's
 	for _, snap := range resultEnvRows {
 		for bi := range ev.bindings {
 			ev.bindings[bi].row = snap[bi]
 		}
-		out := make([]Value, len(p.outs))
-		for i, oc := range p.outs {
-			switch {
-			case oc.count:
-				out[i] = Int(int64(len(resultEnvRows)))
-			case oc.expr != nil:
-				v, err := eval(oc.expr, ev)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			default:
-				if snap[oc.bind] == nil {
-					out[i] = Null()
-				} else {
-					out[i] = snap[oc.bind][oc.pos]
-				}
+		out := make([]Value, len(p.st.Items))
+		for i, ex := range p.st.Items {
+			v, err := eval(ex, ev)
+			if err != nil {
+				return nil, err
 			}
+			out[i] = v
 		}
 		res.Data = append(res.Data, out)
 	}
@@ -709,120 +575,41 @@ func (p *selectPlan) run(params []Value) (*Rows, error) {
 		res.Data = uniq
 	}
 
-	// LIMIT / OFFSET.
-	if p.st.Offset > 0 {
-		if p.st.Offset >= len(res.Data) {
-			res.Data = nil
-		} else {
-			res.Data = res.Data[p.st.Offset:]
-		}
-	}
 	if p.st.Limit >= 0 && p.st.Limit < len(res.Data) {
 		res.Data = res.Data[:p.st.Limit]
 	}
 	return res, nil
 }
 
-// runNested is the nested-loop executor: recursive index-probe (or scan)
-// joins in statement order, with LEFT JOIN null-row handling.
-func (p *selectPlan) runNested(ev *env, params []Value, emit func() bool) error {
+// runNested is the nested executor: the first stage's access path, then a
+// full scan of each later stage's table, every stage's filters applied as
+// soon as its row is bound.
+func (p *selectPlan) runNested(ev *env, emit func() bool) error {
 	stages := p.stages
 	var execErr error
-	var run func(si int) bool // returns false to abort (error)
-	run = func(si int) bool {
-		if si == len(stages) {
+	var run func(si int, row Row) bool // returns false to stop (on error)
+	run = func(si int, row Row) bool {
+		ev.bindings[si].row = row
+		ok, err := passesAll(stages[si].filters, ev)
+		if err != nil {
+			execErr = err
+			return false
+		}
+		if !ok {
+			return true
+		}
+		if si+1 == len(stages) {
 			return emit()
 		}
-		sp := &stages[si]
-		tryRow := func(row Row) (matched bool, cont bool) {
-			ev.bindings[si].row = row
-			if len(sp.onResidual) > 0 {
-				ok, err := passesAll(sp.onResidual, ev)
-				if err != nil {
-					execErr = err
-					return false, false
-				}
-				if !ok {
-					return false, true
-				}
-			}
-			ok, err := passesAll(sp.filters, ev)
-			if err != nil {
-				execErr = err
-				return false, false
-			}
-			if !ok {
-				// ON matched but WHERE rejected: counts as a join match for
-				// LEFT JOIN purposes, just not emitted.
-				return true, true
-			}
-			return true, run(si + 1)
-		}
-		anyMatch := false
-		if si == 0 {
-			ap := sp.access.bind(params)
-			aborted := false
-			ap.scan(func(_ int64, row Row) bool {
-				_, cont := tryRow(row)
-				if !cont {
-					aborted = true
-				}
-				return cont
-			})
-			return !aborted
-		}
-		if sp.joinIdx != nil {
-			probe, err := eval(sp.probeExpr, ev)
-			if err != nil {
-				execErr = err
-				return false
-			}
-			aborted := false
-			if !probe.IsNull() {
-				sp.joinIdx.scanEqual([]Value{probe}, func(_ int64, row Row) bool {
-					m, cont := tryRow(row)
-					anyMatch = anyMatch || m
-					if !cont {
-						aborted = true
-					}
-					return cont
-				})
-			}
-			if aborted {
-				return false
-			}
-		} else {
-			aborted := false
-			sp.tbl.rows.Ascend(func(_ int64, row Row) bool {
-				m, cont := tryRow(row)
-				anyMatch = anyMatch || m
-				if !cont {
-					aborted = true
-				}
-				return cont
-			})
-			if aborted {
-				return false
-			}
-		}
-		if !anyMatch && sp.join.Left {
-			ev.bindings[si].row = nil
-			ok, err := passesAll(sp.filters, ev)
-			if err != nil {
-				execErr = err
-				return false
-			}
-			if ok {
-				return run(si + 1)
-			}
-		}
-		ev.bindings[si].row = nil
-		return true
+		cont := true
+		stages[si+1].tbl.rows.Ascend(func(_ int64, next Row) bool {
+			cont = run(si+1, next)
+			return cont
+		})
+		return cont
 	}
-	if !run(0) && execErr != nil {
-		return execErr
-	}
-	return nil
+	p.access.bind(ev.params).scan(func(_ int64, row Row) bool { return run(0, row) })
+	return execErr
 }
 
 // executeSelect compiles and runs a SELECT against one immutable root.
@@ -849,8 +636,8 @@ func rowKey(row []Value) string {
 
 // String renders the plan as one stable line — the EXPLAIN format asserted
 // by golden tests. Single-table plans render as the bare access path
-// ("index-eq(name)"); nested-loop joins render each stage in execution
-// order ("nested[a index-eq(i) -> b probe(j) -> c scan(t)]"); intersection
+// ("index-eq(name)"); nested joins render each stage in execution order
+// ("nested[a index-eq(i) -> b scan(t) -> c scan(u)]"); intersection
 // plans list the stages most-selective-first with the key-probe stages
 // marked ("intersect[a0 index-eq(i) & t key-probe(j)]").
 func (p *selectPlan) String() string {
@@ -874,7 +661,7 @@ func (p *selectPlan) String() string {
 		return b.String()
 	}
 	if len(p.stages) == 1 {
-		return p.stages[0].access.String()
+		return p.access.String()
 	}
 	var b strings.Builder
 	b.WriteString("nested[")
@@ -885,12 +672,9 @@ func (p *selectPlan) String() string {
 		sp := &p.stages[si]
 		b.WriteString(sp.ref.Alias)
 		b.WriteByte(' ')
-		switch {
-		case si == 0:
-			b.WriteString(sp.access.String())
-		case sp.joinIdx != nil:
-			b.WriteString("probe(" + sp.joinIdx.name + ")")
-		default:
+		if si == 0 {
+			b.WriteString(p.access.String())
+		} else {
 			b.WriteString("scan(" + sp.tbl.name + ")")
 		}
 	}
@@ -899,9 +683,8 @@ func (p *selectPlan) String() string {
 }
 
 // Explain returns the one-line plan rendering for a SELECT (see
-// selectPlan.String). Planning is value-free, so trailing args are accepted
-// for compatibility but do not influence the plan.
-func (db *DB) Explain(sql string, args ...Value) (string, error) {
+// selectPlan.String). Planning is value-free, so no arguments are needed.
+func (db *DB) Explain(sql string) (string, error) {
 	st, err := Parse(sql)
 	if err != nil {
 		return "", err

@@ -52,7 +52,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("unique constraint lost across snapshot")
 	}
 	// Autoincrement continues past the old values.
-	res, err := db2.Exec("INSERT INTO files (name) VALUES ('fresh')")
+	res, err := db2.Exec("INSERT INTO files (name) VALUES (?)", Text("fresh"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("autoinc after restore = %d, want 501", res.LastInsertID)
 	}
 	// Deleted row stays deleted.
-	rows = mustQuery(t, db2, "SELECT * FROM files WHERE size = 250")
+	rows = mustQuery(t, db2, "SELECT id FROM files WHERE size = 250")
 	if len(rows.Data) != 0 {
 		t.Fatal("deleted row resurrected")
 	}
@@ -79,8 +79,8 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 	if err := db2.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(db2.Tables()) != 0 {
-		t.Fatalf("tables = %v", db2.Tables())
+	if tables := db2.root.Load().tables; len(tables) != 0 {
+		t.Fatalf("tables = %v", tables)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestSnapshotGarbageRejected(t *testing.T) {
 func TestSnapshotNullsPreserved(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER, b TEXT)")
-	mustExec(t, db, "INSERT INTO t (a, b) VALUES (1, NULL), (NULL, 'x')")
+	mustExec(t, db, "INSERT INTO t (a, b) VALUES (1, ?), (?, ?)", Null(), Null(), Text("x"))
 	var buf bytes.Buffer
 	if err := db.Dump(&buf); err != nil {
 		t.Fatal(err)
@@ -115,13 +115,10 @@ func TestSnapshotNullsPreserved(t *testing.T) {
 	if err := db2.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rows := mustQuery(t, db2, "SELECT COUNT(*) FROM t WHERE b IS NULL")
-	if rows.Data[0][0].Int() != 1 {
-		t.Fatalf("null b count = %v", rows.Data[0][0])
-	}
-	rows = mustQuery(t, db2, "SELECT COUNT(*) FROM t WHERE a IS NULL")
-	if rows.Data[0][0].Int() != 1 {
-		t.Fatalf("null a count = %v", rows.Data[0][0])
+	rows := mustQuery(t, db2, "SELECT a, b FROM t")
+	if len(rows.Data) != 2 || rows.Data[0][0] != Int(1) || !rows.Data[0][1].IsNull() ||
+		!rows.Data[1][0].IsNull() || rows.Data[1][1] != Text("x") {
+		t.Fatalf("rows = %v, want [1 NULL] [NULL x]", rows.Data)
 	}
 }
 
@@ -220,9 +217,10 @@ func TestSnapshotFormatPinned(t *testing.T) {
 	mustExec(t, db, "CREATE INDEX a_at ON a (at, ok)")
 	mustExec(t, db, "CREATE TABLE b (v INTEGER)")
 	at := time.Date(2003, 11, 15, 9, 30, 0, 250_000_000, time.UTC)
-	mustExec(t, db, "INSERT INTO a (name, at, ok, x) VALUES (?, ?, ?, ?), (?, NULL, NULL, NULL), (?, ?, ?, ?)",
-		Text("one"), Time(at), Bool(true), Float(0.5), Text("two"), Text("three"), Time(at.Truncate(time.Second)), Bool(false), Float(-2))
-	mustExec(t, db, "DELETE FROM a WHERE name = 'two'")
+	mustExec(t, db, "INSERT INTO a (name, at, ok, x) VALUES (?, ?, ?, ?), (?, ?, ?, ?), (?, ?, ?, ?)",
+		Text("one"), Time(at), Bool(true), Float(0.5), Text("two"), Null(), Null(), Null(),
+		Text("three"), Time(at.Truncate(time.Second)), Bool(false), Float(-2))
+	mustExec(t, db, "DELETE FROM a WHERE name = ?", Text("two"))
 
 	var want snapStream
 	want.header(0)
@@ -497,7 +495,8 @@ func TestSnapshotRedumpIsByteIdentical(t *testing.T) {
 }
 
 // FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes, seeded with a whole
-// stream, the legacy fixture and one stream from each family of damage.
+// stream, a Dump of every value type, the opening of a gob-era snapshot and
+// one stream from each family of damage.
 // Whatever comes in, it must not panic; a refusal must leave the root alone;
 // and a stream it accepts must survive its own Dump → LoadSnapshot → Dump.
 func FuzzLoadSnapshot(f *testing.F) {
@@ -514,9 +513,21 @@ func FuzzLoadSnapshot(f *testing.F) {
 	flipped := bytes.Clone(whole)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	f.Add(readV2Fixture(f))
-	f.Add(legacyStream(f, TypeText, Type(14))) // gob streams with a cell, a column of unknown type
-	f.Add(legacyStream(f, Type(14), TypeNull))
+	f.Add(append(bytes.Clone(whole[:len(whole)-11]), whole[:len(whole)-11]...)) // the stream twice, untrailed
+	f.Add([]byte("8\x7f\x03\x01\x01\vgobSnapshot\x01\xff\x80\x00\x01\x03\x01"))
+	db := New()
+	if _, err := db.Exec("CREATE TABLE v (i INTEGER UNIQUE, f FLOAT, s TEXT, b BOOLEAN, at DATETIME)"); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO v (i, f, s, b, at) VALUES (?, ?, ?, TRUE, ?), (?, ?, ?, ?, ?)",
+		Int(-1), Float(-0.5), Text("é"), TimeMicros(1), Null(), Null(), Null(), Null(), Null()); err != nil {
+		f.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if err := db.Dump(&dump); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dump.Bytes())
 	f.Add([]byte("not a snapshot"))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		db := New()

@@ -1,10 +1,11 @@
 // Package sqldb is an embedded relational database engine.
 //
 // It stands in for the MySQL 4.1 backend of the original MCS deployment:
-// typed rows, B-tree secondary indexes, a SQL dialect large enough for the
-// MCS schema (CREATE TABLE/INDEX, INSERT, SELECT with joins, UPDATE, DELETE,
-// parameter placeholders), a planner that routes equality and range
-// predicates to indexes, and serializable transactions with rollback.
+// typed rows, B-tree secondary indexes, exactly the SQL dialect the catalog
+// issues (CREATE TABLE/INDEX, INSERT, SELECT with inner joins, UPDATE,
+// DELETE, parameter placeholders; see Parse), a planner that routes equality
+// and range predicates to indexes, and serializable transactions with
+// rollback.
 //
 // The engine is deliberately in-memory: the paper's scalability study
 // measures query/add throughput against a warm database, and MySQL's own
@@ -32,10 +33,6 @@ const (
 	TypeBool
 	TypeTime
 )
-
-// valid reports whether t is one of the types above — what an on-disk stream
-// may claim and the value codec can write.
-func (t Type) valid() bool { return t >= TypeNull && t <= TypeTime }
 
 // String returns the SQL spelling of the type.
 func (t Type) String() string {
@@ -136,10 +133,6 @@ func (v Value) Time() time.Time {
 	// normalizes a negative nanosecond remainder.
 	return time.Unix(v.N/perSec, (v.N%perSec)*timeUnit).UTC()
 }
-
-// UnixMicros returns the raw DATETIME payload (unix microseconds). Valid
-// only when T == TypeTime.
-func (v Value) UnixMicros() int64 { return v.N }
 
 // String renders the value as it would appear in a result set.
 func (v Value) String() string {
@@ -243,34 +236,6 @@ func Compare(a, b Value) int {
 		}
 	}
 	return 0
-}
-
-// Equal reports whether a and b compare equal. NULL never equals anything,
-// including NULL (SQL three-valued logic is applied by the evaluator; Equal
-// is the raw tuple-identity used by indexes, where NULL == NULL).
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
-// valuesEq reports Compare(*a, *b) == 0 through pointers, with same-type
-// fast paths cheap enough for per-entry use in index scans: every same-type
-// pair except FLOAT decides on one field compare (NULLs always carry N=0,
-// scalars order by N, TEXT by S — interned, so usually a pointer check).
-// Same-type FLOAT can only short-circuit the equal case: distinct bit
-// patterns may still compare equal (-0.0 vs 0.0), so inequality and every
-// cross-type pair fall back to the full comparator.
-func valuesEq(a, b *Value) bool {
-	if a.T == b.T {
-		switch a.T {
-		case TypeText:
-			return a.S == b.S
-		case TypeFloat:
-			if a.N == b.N {
-				return true
-			}
-		default:
-			return a.N == b.N
-		}
-	}
-	return Compare(*a, *b) == 0
 }
 
 // compareCells is Compare through pointers, for the index comparators:

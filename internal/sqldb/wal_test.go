@@ -45,15 +45,9 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	}
 
 	// Mixed statement shapes and value types, including one logged via a
-	// transaction, one via a prepared statement, and a zero-row UPDATE.
+	// transaction, one through the statement cache, and a zero-row UPDATE.
 	mustExec(t, db, "INSERT INTO kv (k, v) VALUES (?, ?)", Text("a"), Int(1))
-	st, err := db.Prepare("INSERT INTO kv (k, v) VALUES (?, ?)")
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	if _, err := st.Exec(Text("b"), Int(2)); err != nil {
-		t.Fatalf("Stmt.Exec: %v", err)
-	}
+	mustExec(t, db, "INSERT INTO kv (k, v) VALUES (?, ?)", Text("b"), Int(2))
 	if err := db.Update(func(tx *Tx) error {
 		if _, err := tx.Exec("UPDATE kv SET v = ? WHERE k = ?", Int(10), Text("a")); err != nil {
 			return err
@@ -437,7 +431,7 @@ func TestWALValueRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d stmts, lsn %d", len(stmts), lsn)
 	}
 	for i, v := range vals {
-		if !Equal(stmts[0].args[i], v) || stmts[0].args[i].T != v.T {
+		if Compare(stmts[0].args[i], v) != 0 || stmts[0].args[i].T != v.T {
 			t.Fatalf("arg %d: got %v (%v), want %v (%v)",
 				i, stmts[0].args[i], stmts[0].args[i].T, v, v.T)
 		}

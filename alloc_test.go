@@ -11,11 +11,14 @@ package mcs_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"mcs/internal/bench"
 	"mcs/internal/core"
+	"mcs/internal/sqldb"
 )
 
 // allocsPerAdd runs n adds via add and returns (bytes, allocations) per add,
@@ -263,6 +266,103 @@ func BenchmarkRestore(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(files)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
+}
+
+// replayCycles is BenchmarkReplay's log: ingest cycles of 23 records each
+// (one 100-file BatchWrite, 20 CreateFile, one SetAttribute, one DeleteFile,
+// as the benchmark's ingest workload issues them), ~2,500 records in all.
+const replayCycles = 109
+
+// replayFixture restores snap, appends replayCycles ingest cycles to a WAL
+// beside it and returns the log's bytes and record count.
+func replayFixture(b *testing.B, snap []byte) ([]byte, int) {
+	b.Helper()
+	cat, err := core.Restore(core.Options{}, bytes.NewReader(snap))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "fixture.wal")
+	w, _, err := cat.OpenWAL(path, sqldb.WALOptions{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := cat.LastLSN()
+	cfg := bench.DefaultConfig(benchFiles())
+	name := func(i int) string { return fmt.Sprintf("replay-%d", i) }
+	spec := func(i int) core.FileSpec {
+		return core.FileSpec{Name: name(i), DataType: "binary", Attributes: bench.FileAttributes(i, cfg.AttrsPerFile)}
+	}
+	next, oldest := 0, 0
+	for range replayCycles {
+		ops := make([]core.BatchOp, 100)
+		for j := range ops {
+			s := spec(next)
+			ops[j], next = core.BatchOp{CreateFile: &s}, next+1
+		}
+		if _, err := cat.BatchWrite(bench.LoaderDN, ops); err != nil {
+			b.Fatal(err)
+		}
+		for range 20 {
+			if _, err := cat.CreateFile(bench.LoaderDN, spec(next)); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		a := bench.FileAttributes(next, 1)[0]
+		if err := cat.SetAttribute(bench.LoaderDN, core.ObjectFile, name(oldest+next%100), a.Name, a.Value); err != nil {
+			b.Fatal(err)
+		}
+		if err := cat.DeleteFile(bench.LoaderDN, name(oldest), 0); err != nil {
+			b.Fatal(err)
+		}
+		oldest++
+	}
+	records := int(cat.LastLSN() - base)
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return log, records
+}
+
+// BenchmarkReplay times Catalog.OpenWAL replaying an ingest log of ~2,500
+// records over the restored benchmark dataset — the log-suffix half of
+// "snapshot + log suffix", which dominates the ingest workload's restart.
+// Only OpenWAL is timed; records/s is the replay rate.
+func BenchmarkReplay(b *testing.B) {
+	snap := datasetSnapshot(b, benchFiles())
+	log, records := replayFixture(b, snap)
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cat, err := core.Restore(core.Options{}, bytes.NewReader(snap))
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%d.wal", i))
+		if err := os.WriteFile(path, log, 0o600); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		w, stats, err := cat.OpenWAL(path, sqldb.WALOptions{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Applied != records {
+			b.Fatalf("replayed %d records, the fixture logged %d", stats.Applied, records)
+		}
+		b.StopTimer()
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkSnapshot times Catalog.Snapshot of the same dataset into a sink:

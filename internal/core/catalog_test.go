@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -461,7 +462,7 @@ func TestAllAttributeTypes(t *testing.T) {
 func TestRenderParseRoundTrip(t *testing.T) {
 	now := time.Date(2003, 11, 15, 10, 30, 45, 0, time.UTC)
 	vals := []AttrValue{
-		String("hello world"), Int(-42), Float(3.25),
+		String("hello world"), Int(-42), Float(3.25), Float(math.Inf(1)), Float(math.Inf(-1)),
 		Date(now), TimeOfDay(now), DateTime(now),
 	}
 	for _, v := range vals {
@@ -478,6 +479,13 @@ func TestRenderParseRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseAttrValue(AttrDate, "15/11/2003"); err == nil {
 		t.Fatal("bad date parse accepted")
+	}
+	// NaN is unordered: both wires and the CLI parse through here, so it
+	// is refused as invalid input at the one door.
+	for _, s := range []string{"NaN", "nan"} {
+		if _, err := ParseAttrValue(AttrFloat, s); !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("ParseAttrValue(float, %q) = %v, want ErrInvalidInput", s, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mcs/internal/sqldb"
@@ -129,6 +130,11 @@ func ParseAttrValue(t AttrType, s string) (AttrValue, error) {
 		var f float64
 		if _, err := fmt.Sscanf(s, "%g", &f); err != nil {
 			return AttrValue{}, fmt.Errorf("mcs: parse float attribute %q: %w", s, err)
+		}
+		if math.IsNaN(f) {
+			// NaN is unordered, and indexes and range predicates need
+			// every stored and probed float ordered.
+			return AttrValue{}, fmt.Errorf("%w: float attribute %q is NaN", ErrInvalidInput, s)
 		}
 		return Float(f), nil
 	case AttrDate:

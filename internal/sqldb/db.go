@@ -569,12 +569,12 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	ix := newIndex(s.Name, t, cols, false)
 	// Backfill existing rows through the bulk path.
-	entries := make([]indexEntry, 0, t.rows.Len())
+	rowids, rows := make([]int64, 0, t.rows.Len()), make([]Row, 0, t.rows.Len())
 	t.rows.Ascend(func(rowid int64, row Row) bool {
-		entries = append(entries, entryOf(rowid, row))
+		rowids, rows = append(rowids, rowid), append(rows, row)
 		return true
 	})
-	if err := ix.build(entries); err != nil {
+	if err := t.buildIndexes(rowids, rows, []*index{ix}); err != nil {
 		return Result{}, err
 	}
 	t.indexes = append(t.indexes, ix)

@@ -3,14 +3,16 @@ package sqldb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 )
 
 // Tests for the row-pointer index entry and the one bulk index-build path
-// (index.build) that CREATE INDEX backfill and LoadSnapshot share.
+// (table.buildIndexes) that CREATE INDEX backfill and LoadSnapshot share.
 
 // TestIndexEntrySize pins the layout the restored-heap budget rests on: an
 // entry is a row pointer and a rowid, whatever the index width.
@@ -319,4 +321,107 @@ func TestIndexBuildPathsAgree(t *testing.T) {
 		}
 		verifyStats(t, transactional, fmt.Sprintf("seed %d, transactional", seed))
 	}
+}
+
+// FuzzIndexBuild holds the bulk build's sort-record path to the comparator
+// it replaces: for random rows over every column type — NULLs, ±0, ±Inf,
+// the int64 extremes, duplicate text and text sharing long prefixes — and
+// random one- to four-column indexes, buildIndexes must give every index
+// the entry order slices.SortFunc(entries, ix.compare) gives, the distinct
+// counts distinctCounts finds in the built tree, and a UNIQUE violation
+// exactly where the sorted entries hold two equal NULL-free keys.
+func FuzzIndexBuild(f *testing.F) {
+	f.Add(int64(1), uint16(200), uint8(3))
+	f.Add(int64(2), uint16(1), uint8(1))
+	f.Add(int64(3), uint16(0), uint8(2))
+	f.Add(int64(4), uint16(700), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, nrows uint16, nindexes uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		cols := []ColumnDef{
+			{Name: "i", Type: TypeInt}, {Name: "f", Type: TypeFloat}, {Name: "s", Type: TypeText},
+			{Name: "b", Type: TypeBool}, {Name: "d", Type: TypeTime}, {Name: "p", Type: TypeText},
+		}
+		tbl, err := newTable(&CreateTableStmt{Name: "fz", Columns: cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		long := strings.Repeat("prefix/", 12)
+		texts := []string{"", "a", "ab", "b", long, long + "a", long + "a\x00", long + "b", long + long}
+		floats := []float64{math.Inf(-1), -math.MaxFloat64, -1.5, math.Copysign(0, -1), 0, 5e-324, 0.5, 2, math.Inf(1)}
+		ints := []int64{math.MinInt64, -1, 0, 1, 2, math.MaxInt64}
+		cell := func(typ Type) Value {
+			if rng.Intn(6) == 0 {
+				return Null()
+			}
+			switch typ {
+			case TypeInt:
+				return Int(ints[rng.Intn(len(ints))])
+			case TypeFloat:
+				return Float(floats[rng.Intn(len(floats))])
+			case TypeText:
+				return Text(texts[rng.Intn(len(texts))])
+			case TypeBool:
+				return Bool(rng.Intn(2) == 0)
+			}
+			return TimeMicros(ints[rng.Intn(len(ints))] / 2)
+		}
+		n := int(nrows % 1024)
+		rowids, rows := make([]int64, n), make([]Row, n)
+		next := int64(0)
+		for r := range rows {
+			next += 1 + rng.Int63n(3)
+			rowids[r], rows[r] = next, make(Row, len(cols))
+			for c := range cols {
+				rows[r][c] = cell(cols[c].Type)
+			}
+		}
+		var ixs []*index
+		for k := range int(nindexes%6) + 1 {
+			ixCols := make([]int, 1+rng.Intn(4))
+			for j := range ixCols {
+				ixCols[j] = rng.Intn(len(cols))
+			}
+			ixs = append(ixs, newIndex(fmt.Sprintf("fz_%d", k), tbl, ixCols, rng.Intn(4) == 0))
+		}
+
+		// The reference: the comparator sort, and UNIQUE read off its neighbours.
+		want := make([][]indexEntry, len(ixs))
+		dup := false
+		for k, ix := range ixs {
+			want[k] = make([]indexEntry, n)
+			for r := range rows {
+				want[k][r] = entryOf(rowids[r], rows[r])
+			}
+			slices.SortFunc(want[k], ix.compare)
+			for r := 1; r < n && ix.unique; r++ {
+				if ix.keyDiff(want[k][r-1], want[k][r]) == len(ix.cols) && !ix.nullKey(want[k][r]) {
+					dup = true
+				}
+			}
+		}
+
+		err = tbl.buildIndexes(rowids, rows, ixs)
+		if dup {
+			if err == nil || !strings.Contains(err.Error(), "UNIQUE constraint") {
+				t.Fatalf("build over a duplicate UNIQUE key: err = %v", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		for k, ix := range ixs {
+			var got []indexEntry
+			ix.tree.Ascend(func(e indexEntry, _ struct{}) bool {
+				got = append(got, e)
+				return true
+			})
+			if !slices.Equal(got, want[k]) {
+				t.Fatalf("%s over columns %v: built order differs from the comparator sort", ix.name, ix.cols)
+			}
+			if d := ix.distinctCounts(); !slices.Equal(ix.stats.distinct, d) {
+				t.Fatalf("%s over columns %v: distinct = %v, the tree holds %v", ix.name, ix.cols, ix.stats.distinct, d)
+			}
+		}
+	})
 }

@@ -8,9 +8,7 @@ import (
 	"io"
 	"maps"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"mcs/internal/btree"
 )
@@ -154,20 +152,22 @@ func appendTableDef(b []byte, t *table) []byte {
 // LoadSnapshot rebuilds a database from a Dump stream, read frame by frame
 // from r. It must be called on a database whose tables do not collide with
 // the snapshot's (typically a fresh one). Nothing in the stream is trusted:
-// a frame that is damaged, missing or out of place, a table whose rows
-// disagree in number with its definition, whose rowids do not strictly
-// ascend or pass nextRow, whose rows are cut short, hold a value of no known
-// type or break a UNIQUE index is an error naming the frame's offset, and any
-// error leaves the previous root untouched. A stream that does not open with
-// the framed header — a gob snapshot of generation 1 or 2, or not a snapshot
-// at all — is refused at offset 0.
+// a frame that is damaged, missing or out of place, a column declared NULL,
+// a table whose rows disagree in number with its definition, whose rowids
+// do not strictly ascend or pass nextRow, whose rows are cut short, hold a
+// value of no known type, a value not of its column's type, a NULL in a NOT
+// NULL column or a NaN, or break a UNIQUE index, is an error naming the
+// frame's offset, and any error leaves the previous root untouched. A stream
+// that does not open with the framed header — a gob snapshot of generation 1
+// or 2, or not a snapshot at all — is refused at offset 0.
 //
 // Indexes are not in the stream; they are rebuilt from the rows, in bulk:
-// the row store comes straight from the rowid-ordered rows, and each index
-// sorts one entry per row and builds its tree bottom-up (index.build), a
-// table's indexes side by side on as many goroutines as GOMAXPROCS allows.
-// A table's decoded rows are let go as soon as the table is built, so the
-// load never holds two full copies of the database.
+// the row store comes straight from the rowid-ordered rows, one pass reads
+// every index key column into sort words, and each index sorts its records
+// and builds its tree bottom-up (table.buildIndexes), a table's indexes side
+// by side on as many workers as GOMAXPROCS allows. A table's decoded rows
+// are let go as soon as the table is built, so the load never holds two full
+// copies of the database.
 func (db *DB) LoadSnapshot(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	// A framed stream opens: frame header, kind byte, magic. Peek's error
@@ -285,6 +285,9 @@ func readTableDef(d *decoder) *tableLoader {
 		for _, flag := range [...]*bool{&c.NotNull, &c.PrimaryKey, &c.AutoIncrement, &c.Unique} {
 			*flag = decodeWALValue(d).N != 0
 		}
+		if c.Type == TypeNull && d.err == nil {
+			d.fail("table %q: column %q is declared NULL", name, c.Name)
+		}
 	}
 	l := newTableLoader(name, cols)
 	for range d.count() {
@@ -357,10 +360,24 @@ func (l *tableLoader) addRows(d *decoder) {
 	}
 }
 
-// add appends one row.
+// add appends one row. Every cell must be NULL or of its column's declared
+// type, a NOT NULL column's cell must not be NULL, and no FLOAT may be NaN:
+// the write path holds stored rows to that (coerce, completeRow), and the
+// sort words of the index build order like the cells only under it.
 func (l *tableLoader) add(rowid int64, row Row) error {
 	if rowid <= l.last {
 		return fmt.Errorf("table %q: rowid %d follows %d, want strictly ascending", l.t.name, rowid, l.last)
+	}
+	for c := range row {
+		v, col := &row[c], &l.t.cols[c]
+		switch {
+		case v.T == TypeNull && col.NotNull:
+			return fmt.Errorf("table %q, rowid %d: NULL in NOT NULL column %q", l.t.name, rowid, col.Name)
+		case v.T != TypeNull && v.T != col.Type:
+			return fmt.Errorf("table %q, rowid %d: %s value in %s column %q", l.t.name, rowid, v.T, col.Type, col.Name)
+		case v.T == TypeFloat && math.IsNaN(v.Float()):
+			return fmt.Errorf("table %q, rowid %d: NaN in column %q", l.t.name, rowid, col.Name)
+		}
 	}
 	l.last, l.rowids, l.rows = rowid, append(l.rowids, rowid), append(l.rows, row)
 	return nil
@@ -377,31 +394,8 @@ func (l *tableLoader) build() (*table, error) {
 		return nil, fmt.Errorf("table %q: next rowid %d is below stored rowid %d", t.name, t.nextRow, rowids[n-1])
 	}
 	t.rows = btree.FromSorted(btree.DefaultDegree, rowidLess, rowids, rows)
-
-	// One goroutine per index, at most GOMAXPROCS at a time: each build is
-	// CPU-bound (a sort) and touches only its own index and the shared,
-	// read-only rows.
-	errs := make([]error, len(t.indexes))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, ix := range t.indexes {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			entries := make([]indexEntry, len(rows))
-			for j, row := range rows {
-				entries[j] = entryOf(rowids[j], row)
-			}
-			errs[i] = ix.build(entries)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("table %q: %w", t.name, err)
-		}
+	if err := t.buildIndexes(rowids, rows, t.indexes); err != nil {
+		return nil, fmt.Errorf("table %q: %w", t.name, err)
 	}
 	return t, nil
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +169,8 @@ func (s *snapStream) table(name string, cols []ColumnDef, indexes []snapIndex, n
 			body = append(body, walTagBool, 0)
 		case TypeTime:
 			body = append(body, walTagTimeSec, 0)
+		case TypeNull:
+			body = append(body, walTagNull)
 		}
 		for _, flag := range []bool{c.NotNull, c.PrimaryKey, c.AutoIncrement, c.Unique} {
 			body = append(body, walTagBool, 0)
@@ -271,10 +275,11 @@ func loadRefused(t *testing.T, stream []byte, want string) {
 // — not a panic, not a silent last-writer-wins — and leave the database
 // exactly as it was.
 func TestLoadSnapshotRejectsMalformedStreams(t *testing.T) {
-	cols := []ColumnDef{{Name: "id", Type: TypeInt}, {Name: "name", Type: TypeText}}
+	cols := []ColumnDef{{Name: "id", Type: TypeInt, NotNull: true}, {Name: "name", Type: TypeText}}
 	row := func(id int64, name string) []Value { return []Value{Int(id), Text(name)} }
 	// spec is one table of three rows; the cases bend one field each.
 	type spec struct {
+		cols    []ColumnDef
 		ixCols  []int
 		nextRow int64
 		count   uint64
@@ -282,7 +287,7 @@ func TestLoadSnapshotRejectsMalformedStreams(t *testing.T) {
 		rows    [][]Value
 	}
 	valid := func() spec {
-		return spec{ixCols: []int{1}, nextRow: 3, count: 3, deltas: []uint64{1, 1, 1},
+		return spec{cols: slices.Clone(cols), ixCols: []int{1}, nextRow: 3, count: 3, deltas: []uint64{1, 1, 1},
 			rows: [][]Value{row(1, "a"), row(2, "b"), row(3, "c")}}
 	}
 	build := func(sp spec) []byte {
@@ -291,7 +296,7 @@ func TestLoadSnapshotRejectsMalformedStreams(t *testing.T) {
 		// A good table ahead of the bad one: the error must discard it too.
 		s.table("g", cols, []snapIndex{{"g_name", []int{1}, true}}, 3, 0, 3)
 		s.rows([]uint64{1, 1, 1}, row(1, "a"), row(2, "b"), row(3, "c"))
-		s.table("t", cols, []snapIndex{{"t_name", sp.ixCols, true}}, sp.nextRow, 0, sp.count)
+		s.table("t", sp.cols, []snapIndex{{"t_name", sp.ixCols, true}}, sp.nextRow, 0, sp.count)
 		s.rows(sp.deltas, sp.rows...)
 		s.trailer(2, 3+uint64(len(sp.rows)))
 		return s.buf.Bytes()
@@ -310,6 +315,16 @@ func TestLoadSnapshotRejectsMalformedStreams(t *testing.T) {
 		{"UNIQUE violated", func(sp *spec) { sp.rows[2] = row(3, "a") }, `UNIQUE constraint "t_name"`},
 		{"index column out of range", func(sp *spec) { sp.ixCols = []int{2} }, "references column 2"},
 		{"index without columns", func(sp *spec) { sp.ixCols = nil }, "has no columns"},
+		// Every cell is NULL or of its column's type, which the index build's
+		// key words rely on.
+		{"TEXT in an INTEGER column", func(sp *spec) { sp.rows[2][0] = Text("3") }, `rowid 3: TEXT value in INTEGER column "id"`},
+		{"INTEGER in a TEXT column", func(sp *spec) { sp.rows[1][1] = Int(7) }, `rowid 2: INTEGER value in TEXT column "name"`},
+		{"NULL in a NOT NULL column", func(sp *spec) { sp.rows[0][0] = Null() }, `rowid 1: NULL in NOT NULL column "id"`},
+		{"column declared NULL", func(sp *spec) { sp.cols[1].Type = TypeNull }, `column "name" is declared NULL`},
+		{"NaN", func(sp *spec) {
+			sp.cols[1].Type = TypeFloat
+			sp.rows[0][1], sp.rows[1][1], sp.rows[2][1] = Float(1), Float(math.Inf(-1)), Float(math.NaN())
+		}, `rowid 3: NaN in column "name"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,8 +9,8 @@ package sqldb
 // batch costs at most two read-only tree probes (one before the group's ops
 // apply, one after) to detect a 0→N or N→0 transition. Row counts come
 // from the trees' own lengths. The bulk path — CREATE INDEX backfill and
-// snapshot restore, see index.build — counts them in the same pass over the
-// sorted run that checks UNIQUE, before the tree exists.
+// snapshot restore, see build.go — counts them from the runs of equal sort
+// words that also decide UNIQUE, before the tree exists.
 //
 // The planner never reads these fields (or the trees) directly: it consults
 // a statsRegistry snapshot taken at compile time, mirroring the

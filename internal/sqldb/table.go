@@ -185,34 +185,6 @@ func (ix *index) uniqueViolation() error {
 	return fmt.Errorf("sqldb: UNIQUE constraint %q violated on table %q", ix.name, ix.table.name)
 }
 
-// build replaces the tree and statistics of a new, empty index with the
-// given entries — one per table row, in any order. It is the one way an
-// index comes to hold rows it did not see inserted (CREATE INDEX backfill
-// and snapshot restore): sort once, find UNIQUE violations and count
-// distinct prefixes by comparing neighbours in the sorted run, then hand the
-// run to the tree's bottom-up constructor. It sorts entries in place; on
-// error the index is unchanged.
-func (ix *index) build(entries []indexEntry) error {
-	slices.SortFunc(entries, ix.compare)
-	nc := len(ix.cols)
-	distinct := make([]int, nc)
-	for i, e := range entries {
-		diff := 0
-		if i > 0 {
-			diff = ix.keyDiff(entries[i-1], e)
-		}
-		if diff == nc && ix.unique && !ix.nullKey(e) {
-			return ix.uniqueViolation()
-		}
-		for j := diff; j < nc; j++ {
-			distinct[j]++
-		}
-	}
-	ix.tree = btree.FromSorted[indexEntry, struct{}](indexDegree, entryLess(ix.cols), entries, nil)
-	ix.stats = indexStats{distinct: distinct}
-	return nil
-}
-
 // pendingNet returns the latest pending operation for the exact entry
 // (probe's key columns + rowid): +1 net-inserted, -1 net-deleted, 0 no
 // pending op.

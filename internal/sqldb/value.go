@@ -266,8 +266,13 @@ func compareCells(a, b *Value) int {
 	return Compare(*a, *b)
 }
 
-// coerce converts v to column type t where a lossless conversion exists.
+// coerce converts v to column type t where a lossless conversion exists. A
+// NaN is refused: Compare ties it with every number, so a stored NaN would
+// leave a FLOAT column without a total order for its indexes.
 func coerce(v Value, t Type) (Value, error) {
+	if v.T == TypeFloat && math.IsNaN(v.Float()) {
+		return Value{}, fmt.Errorf("sqldb: cannot store NaN")
+	}
 	if v.T == TypeNull || v.T == t {
 		return v, nil
 	}

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,6 +95,14 @@ func TestCoerce(t *testing.T) {
 	}
 	if v, err := coerce(Null(), TypeText); err != nil || !v.IsNull() {
 		t.Fatalf("null passthrough: %v %v", v, err)
+	}
+	// NaN would leave an indexed FLOAT column without a total order; the
+	// infinities are ordered and stored.
+	if _, err := coerce(Float(math.NaN()), TypeFloat); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("NaN: err = %v, want a refusal naming NaN", err)
+	}
+	if v, err := coerce(Float(math.Inf(-1)), TypeFloat); err != nil || !math.IsInf(v.Float(), -1) {
+		t.Fatalf("-Inf: %v %v", v, err)
 	}
 }
 

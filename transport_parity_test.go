@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -309,5 +310,44 @@ func TestTransportErrorParity(t *testing.T) {
 	}
 	if got[0].status == "" || got[0].body == "" {
 		t.Fatalf("transport error evidence empty: %+v", got[0])
+	}
+}
+
+// TestNaNFloatRefusedOnBothWires: a NaN float attribute is refused as
+// invalid input wherever a wire hands a value to the catalog — a stored
+// attribute, an attribute of a created file, a query predicate — and the
+// refusal maps to ErrInvalidInput over SOAP and JSON alike, while the
+// ordered infinities are stored and found.
+func TestNaNFloatRefusedOnBothWires(t *testing.T) {
+	for _, kind := range []TransportKind{TransportSOAP, TransportJSON} {
+		t.Run(string(kind), func(t *testing.T) {
+			_, url := startServer(t, ServerOptions{})
+			c := NewClient(url, testAlice, WithTransport(kind))
+			if _, err := c.DefineAttribute("ratio", AttrFloat, ""); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.CreateFile(FileSpec{Name: "f"}); err != nil {
+				t.Fatal(err)
+			}
+			nan := Float(math.NaN())
+			if err := c.SetAttribute(ObjectFile, "f", "ratio", nan); !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("SetAttribute(NaN) = %v, want ErrInvalidInput", err)
+			}
+			_, err := c.CreateFile(FileSpec{Name: "g", Attributes: []Attribute{{Name: "ratio", Value: nan}}})
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("CreateFile with a NaN attribute = %v, want ErrInvalidInput", err)
+			}
+			_, err = c.RunQuery(Query{Predicates: []Predicate{{Attribute: "ratio", Op: OpEq, Value: nan}}})
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("query on ratio = NaN: %v, want ErrInvalidInput", err)
+			}
+			if err := c.SetAttribute(ObjectFile, "f", "ratio", Float(math.Inf(1))); err != nil {
+				t.Fatalf("SetAttribute(+Inf): %v", err)
+			}
+			names, err := c.RunQuery(Query{Predicates: []Predicate{{Attribute: "ratio", Op: OpGt, Value: Float(1e308)}}})
+			if err != nil || len(names) != 1 || names[0] != "f" {
+				t.Fatalf("query on ratio > 1e308 = %v, %v, want [f]", names, err)
+			}
+		})
 	}
 }

@@ -24,7 +24,9 @@ import (
 //   - TEXT and FLOAT cells become the dense rank of the column's distinct
 //     values sorted by compareCells, so cells equal under compareCells (-0
 //     and +0) share a rank.
-//   - A NULL cell is flagged, not encoded: it orders before every value.
+//   - A NULL cell is flagged, not encoded: its row has no entry in an index
+//     over the column (see index), so the build drops the row before it
+//     sorts and never reads the word.
 //
 // The words order like the cells only because every stored cell is NULL or
 // of its column's declared type (coerce at the write doors, the snapshot
@@ -32,7 +34,7 @@ import (
 
 // keyColumn is one table column's sort words, by row position.
 type keyColumn struct {
-	words []uint64 // the cell's word; 0 for NULL
+	words []uint64 // the cell's word; meaningless for NULL
 	null  []bool   // the cell is NULL; nil when no cell of the column is
 }
 
@@ -42,26 +44,20 @@ type keyColumn struct {
 // orders them by rowid, as the index does. A position fits 32 bits: 2^32
 // rows would take the in-memory engine past 200 GB of row slices alone.
 type sortRec struct {
-	word    uint64
-	pos     uint32
-	nonNull bool
+	word uint64
+	pos  uint32
 }
 
-// sortRecs orders recs — which arrive in position order — by non-NULL
-// flag, then word, then position: an LSD radix sort over the bytes in which
-// the words differ, which keeps equal records in arrival order, then a
-// stable pass that moves the NULLs first. tmp has room for len(recs).
+// sortRecs orders recs — which arrive in position order — by word, then
+// position: an LSD radix sort over the bytes in which the words differ,
+// which keeps equal records in arrival order. tmp has room for len(recs).
 func sortRecs(recs, tmp []sortRec) {
 	if len(recs) < 2 {
 		return
 	}
 	var diff uint64
-	nulls := 0
 	for _, r := range recs {
 		diff |= r.word ^ recs[0].word
-		if !r.nonNull {
-			nulls++
-		}
 	}
 	src, dst := recs, tmp[:len(recs)]
 	for shift := 0; shift < 64; shift += 8 {
@@ -82,19 +78,6 @@ func sortRecs(recs, tmp []sortRec) {
 			at[b]++
 		}
 		src, dst = dst, src
-	}
-	if nulls > 0 && nulls < len(recs) {
-		i, j := 0, nulls
-		for _, r := range src {
-			if r.nonNull {
-				dst[j] = r
-				j++
-			} else {
-				dst[i] = r
-				i++
-			}
-		}
-		src = dst
 	}
 	if &src[0] != &recs[0] {
 		copy(recs, src)
@@ -184,15 +167,16 @@ func (t *table) extractKeys(rows []Row, cols []int) []keyColumn {
 		}
 	}
 	for _, c := range want {
-		if seen[c] != nil {
+		if len(vals[c]) > 0 {
 			keys[c].rank(vals[c])
 		}
 	}
 	return keys
 }
 
-// rank replaces each non-NULL word, an index into vals, by the dense rank of
-// that value among vals under compareCells.
+// rank replaces each word, an index into vals, by the dense rank of that
+// value among vals under compareCells. A NULL cell's word 0 becomes some
+// rank that nothing reads.
 func (k keyColumn) rank(vals []Value) {
 	order := make([]uint32, len(vals))
 	for i := range order {
@@ -207,29 +191,40 @@ func (k keyColumn) rank(vals []Value) {
 		}
 	}
 	for i, w := range k.words {
-		if k.null == nil || !k.null[i] {
-			k.words[i] = ranks[w]
-		}
+		k.words[i] = ranks[w]
 	}
 }
 
 // build replaces the tree and statistics of a new, empty index with one
-// entry per row of rows (rowids beside them, ascending), using the key words
-// keys holds for the index's columns. The records are sorted one key column
-// at a time, most significant first: a level sorts a run of rows that agree
-// on the columns before it, and recurses into each run of equal words. The
-// runs give the distinct-prefix counts and the UNIQUE check without another
-// comparison; the sorted records then place the entries, and the run goes to
-// the tree's bottom-up constructor. On error the index is unchanged.
+// entry per row of rows (rowids beside them, ascending) whose key cells are
+// all non-NULL, using the key words keys holds for the index's columns.
+// The records are sorted one key column at a time, most significant first:
+// a level sorts a run of rows that agree on the columns before it, and
+// recurses into each run of equal words. The runs give the distinct-prefix
+// counts and the UNIQUE check without another comparison; the sorted
+// records then place the entries, and the run goes to the tree's bottom-up
+// constructor. On error the index is unchanged.
 func (ix *index) build(rowids []int64, rows []Row, keys []keyColumn, buf *buildBuf) error {
-	n := len(rows)
-	recs := slices.Grow(buf.recs[:0], n)[:n]
-	buf.tmp = slices.Grow(buf.tmp[:0], n)
-	for i := range recs {
-		recs[i] = sortRec{pos: uint32(i)}
+	var nulls [][]bool
+	for _, c := range ix.cols {
+		if keys[c].null != nil {
+			nulls = append(nulls, keys[c].null)
+		}
 	}
+	recs := slices.Grow(buf.recs[:0], len(rows))
+rows:
+	for i := range rows {
+		for _, null := range nulls {
+			if null[i] {
+				continue rows
+			}
+		}
+		recs = append(recs, sortRec{pos: uint32(i)})
+	}
+	n := len(recs)
+	buf.tmp = slices.Grow(buf.tmp[:0], n)
 	distinct := make([]int, len(ix.cols))
-	if err := ix.sortLevel(recs, buf.tmp[:n], 0, false, keys, distinct); err != nil {
+	if err := ix.sortLevel(recs, buf.tmp[:n], 0, keys, distinct); err != nil {
 		return err
 	}
 	entries := slices.Grow(buf.entries[:0], n)[:n]
@@ -244,26 +239,23 @@ func (ix *index) build(rowids []int64, rows []Row, keys []keyColumn, buf *buildB
 
 // sortLevel sorts recs, rows that agree on key columns [0, lvl), by column
 // lvl and then position, and counts and descends into its runs of equal
-// words. null reports whether the shared prefix holds a NULL, which exempts
-// the rows from UNIQUE.
-func (ix *index) sortLevel(recs, tmp []sortRec, lvl int, null bool, keys []keyColumn, distinct []int) error {
-	col := &keys[ix.cols[lvl]]
+// words.
+func (ix *index) sortLevel(recs, tmp []sortRec, lvl int, keys []keyColumn, distinct []int) error {
+	words := keys[ix.cols[lvl]].words
 	for i := range recs {
-		r := &recs[i]
-		r.word, r.nonNull = col.words[r.pos], col.null == nil || !col.null[r.pos]
+		recs[i].word = words[recs[i].pos]
 	}
 	sortRecs(recs, tmp)
 	last := lvl == len(ix.cols)-1
 	for i := 0; i < len(recs); {
 		j := i + 1
-		for j < len(recs) && recs[j].word == recs[i].word && recs[j].nonNull == recs[i].nonNull {
+		for j < len(recs) && recs[j].word == recs[i].word {
 			j++
 		}
-		runNull := null || !recs[i].nonNull
 		distinct[lvl]++
 		switch {
 		case last:
-			if j-i > 1 && ix.unique && !runNull {
+			if j-i > 1 && ix.unique {
 				return ix.uniqueViolation()
 			}
 		case j-i == 1:
@@ -272,7 +264,7 @@ func (ix *index) sortLevel(recs, tmp []sortRec, lvl int, null bool, keys []keyCo
 				distinct[k]++
 			}
 		default:
-			if err := ix.sortLevel(recs[i:j], tmp[i:j], lvl+1, runNull, keys, distinct); err != nil {
+			if err := ix.sortLevel(recs[i:j], tmp[i:j], lvl+1, keys, distinct); err != nil {
 				return err
 			}
 		}

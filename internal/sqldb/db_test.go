@@ -385,7 +385,7 @@ func TestIndexRangeScanCorrectness(t *testing.T) {
 
 func TestCompositeIndexPrefix(t *testing.T) {
 	db := New()
-	mustExec(t, db, "CREATE TABLE t (a TEXT, b INTEGER, c TEXT)")
+	mustExec(t, db, "CREATE TABLE t (a TEXT NOT NULL, b INTEGER NOT NULL, c TEXT)")
 	mustExec(t, db, "CREATE INDEX t_ab ON t (a, b)")
 	for i := 0; i < 30; i++ {
 		mustExec(t, db, "INSERT INTO t (a, b, c) VALUES (?, ?, ?)",

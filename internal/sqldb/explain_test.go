@@ -10,15 +10,20 @@ import (
 // that flips an access path fails these goldens loudly instead of only
 // showing up as a slow benchmark. The schema mirrors the MCS EAV shape —
 // an object table with a rowid primary key and an attribute table with a
-// covering (key, type-discriminated value, object) index.
+// covering (key, type-discriminated value, object) index. The attribute
+// table's columns are NOT NULL, so its indexes serve any predicate shape;
+// doc's title is nullable, so its index serves only a stage that compares
+// title (index.serves).
 
 func setupExplainDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
 	mustExec(t, db, "CREATE TABLE obj (id INTEGER PRIMARY KEY, name TEXT)")
-	mustExec(t, db, "CREATE TABLE kv (oid INTEGER, k TEXT, v INTEGER)")
+	mustExec(t, db, "CREATE TABLE kv (oid INTEGER NOT NULL, k TEXT NOT NULL, v INTEGER NOT NULL)")
 	mustExec(t, db, "CREATE INDEX kv_oid ON kv (oid)")
 	mustExec(t, db, "CREATE INDEX kv_kvo ON kv (k, v, oid)")
+	mustExec(t, db, "CREATE TABLE doc (id INTEGER PRIMARY KEY, owner INTEGER NOT NULL, title TEXT)")
+	mustExec(t, db, "CREATE INDEX doc_owner_title ON doc (owner, title)")
 	for oid := 1; oid <= 40; oid++ {
 		mustExec(t, db, "INSERT INTO obj (id, name) VALUES (?, ?)",
 			Int(int64(oid)), Text(fmt.Sprintf("o%02d", oid)))
@@ -68,6 +73,27 @@ func TestExplainGoldens(t *testing.T) {
 				WHERE a0.k = ? AND a0.v = 2 AND o.name >= ?`,
 			"intersect[a0 index-eq(kv_kvo) & o key-probe(obj_id_key)]",
 		},
+		{
+			// doc_owner_title has no entry for a NULL title, so a probe on
+			// owner alone would miss rows the query returns.
+			"nullable key column unconstrained",
+			"SELECT id FROM doc WHERE owner = ?",
+			"full-scan(doc)",
+		},
+		{
+			// A comparison on title rejects every NULL title, so the index
+			// serves the stage even though the probe binds only owner.
+			"nullable key column compared",
+			"SELECT id FROM doc WHERE owner = ? AND title != ?",
+			"index-eq(doc_owner_title)",
+		},
+		{
+			// Under OR the comparison is not a conjunct: a NULL title may
+			// still pass the other branch.
+			"nullable key column compared under OR",
+			"SELECT id FROM doc WHERE owner = ? AND (title = ? OR id = ?)",
+			"full-scan(doc)",
+		},
 	}
 	for _, tc := range cases {
 		plan, err := db.Explain(tc.sql)
@@ -86,7 +112,7 @@ func TestExplainGoldens(t *testing.T) {
 func TestExplainPlanCacheEpoch(t *testing.T) {
 	t.Parallel()
 	db := New()
-	mustExec(t, db, "CREATE TABLE kv (oid INTEGER, k TEXT, v INTEGER)")
+	mustExec(t, db, "CREATE TABLE kv (oid INTEGER NOT NULL, k TEXT NOT NULL, v INTEGER NOT NULL)")
 	const q = "SELECT oid FROM kv WHERE k = ?"
 	plan, err := db.Explain(q)
 	if err != nil {

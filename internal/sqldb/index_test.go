@@ -73,16 +73,29 @@ func TestIndexProbesDoNotAllocate(t *testing.T) {
 	}
 }
 
+// keyedRows counts the rows of ix's table with no NULL key cell: the rows
+// the index holds an entry for.
+func keyedRows(ix *index) int {
+	n := 0
+	ix.table.rows.Ascend(func(rowid int64, row Row) bool {
+		if !ix.nullKey(entryOf(rowid, row)) {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
 // checkIndexesPointAtStoredRows asserts the retention invariant of one
-// committed root: every index holds exactly one entry per stored row, and
-// that entry points at the very slice the row store holds under its rowid —
-// never at a superseded version of the row.
+// committed root: every index holds exactly one entry per stored row with
+// no NULL key cell, and that entry points at the very slice the row store
+// holds under its rowid — never at a superseded version of the row.
 func checkIndexesPointAtStoredRows(t *testing.T, root *dbRoot, ctx string) {
 	t.Helper()
 	for _, tbl := range root.tables {
 		for _, ix := range tbl.indexes {
-			if ix.tree.Len() != tbl.rows.Len() {
-				t.Fatalf("%s: index %s holds %d entries for %d rows", ctx, ix.name, ix.tree.Len(), tbl.rows.Len())
+			if n := keyedRows(ix); ix.tree.Len() != n {
+				t.Fatalf("%s: index %s holds %d entries for %d rows with non-NULL keys", ctx, ix.name, ix.tree.Len(), n)
 			}
 			ix.tree.Ascend(func(e indexEntry, _ struct{}) bool {
 				row, ok := tbl.rows.Get(e.rowid)
@@ -157,6 +170,94 @@ func TestUpdateDoesNotRetainSupersededRows(t *testing.T) {
 	}
 }
 
+// TestNullKeysAreNotIndexed pins the index rule: an index holds one entry
+// per row whose key cells are all non-NULL. Indexes over a nullable column
+// are followed through every way a row enters, changes or leaves them —
+// insert, UPDATE from a value to NULL and from NULL to a value, DELETE,
+// CREATE INDEX backfill and snapshot restore — and after each the tree
+// holds exactly the rows with no NULL key cell, the stored distinct counts
+// equal a fresh count, and equality probes on the column answer as the
+// naive evaluator does.
+func TestNullKeysAreNotIndexed(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE n (id INTEGER PRIMARY KEY, g INTEGER NOT NULL, v INTEGER)")
+	mustExec(t, db, "CREATE INDEX n_v ON n (v)")
+	mustExec(t, db, "CREATE INDEX n_gv ON n (g, v)")
+	check := func(db *DB, ctx string) {
+		t.Helper()
+		checkIndexesPointAtStoredRows(t, db.root.Load(), ctx)
+		verifyStats(t, db, ctx)
+		nulls := mustQuery(t, db, "SELECT COUNT(*) FROM n").Data[0][0].Int() -
+			int64(keyedRows(db.root.Load().indexes["n_v"]))
+		if nulls == 0 {
+			t.Fatalf("%s: no row has a NULL v; the check is vacuous", ctx)
+		}
+		for _, q := range []struct {
+			sql  string
+			args []Value
+		}{
+			{"SELECT id FROM n WHERE v = ?", []Value{Int(2)}},
+			{"SELECT id FROM n WHERE v = ?", []Value{Int(7)}},
+			{"SELECT id FROM n WHERE g = ? AND v = ?", []Value{Int(1), Int(3)}},
+			{"SELECT id FROM n WHERE g = ? AND v >= ?", []Value{Int(2), Int(0)}},
+			// An intersection whose second stage has no local predicate:
+			// n_gv leads with the key column g but lacks the NULL-v rows,
+			// so it must not serve as the stage's key-probe index.
+			{"SELECT b.id FROM n a JOIN n b ON b.g = a.g WHERE a.id = ?", []Value{Int(5)}},
+		} {
+			checkParity(t, db, q.sql, q.args)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		v := Int(int64(i % 5))
+		if i%3 == 0 {
+			v = Null()
+		}
+		mustExec(t, db, "INSERT INTO n (id, g, v) VALUES (?, ?, ?)", Int(int64(i)), Int(int64(i%4)), v)
+	}
+	check(db, "insert")
+	mustExec(t, db, "UPDATE n SET v = ? WHERE g = ? AND v = ?", Null(), Int(1), Int(2))
+	check(db, "value to NULL")
+	for id := 0; id < 60; id += 6 {
+		mustExec(t, db, "UPDATE n SET v = ? WHERE id = ?", Int(7), Int(int64(id)))
+	}
+	check(db, "NULL to value")
+	if err := db.Update(func(tx *Tx) error {
+		for _, s := range []struct {
+			sql  string
+			args []Value
+		}{
+			{"INSERT INTO n (id, g, v) VALUES (?, ?, ?)", []Value{Int(100), Int(2), Null()}},
+			{"UPDATE n SET v = ? WHERE id = ?", []Value{Int(3), Int(100)}},
+			{"INSERT INTO n (id, g, v) VALUES (?, ?, ?)", []Value{Int(101), Int(1), Int(3)}},
+			{"UPDATE n SET v = ? WHERE id = ?", []Value{Null(), Int(101)}},
+		} {
+			if _, err := tx.Exec(s.sql, s.args...); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check(db, "insert and update in one transaction")
+	for _, id := range []int64{3, 4, 9, 10, 100, 101} {
+		mustExec(t, db, "DELETE FROM n WHERE id = ?", Int(id))
+	}
+	check(db, "delete")
+	mustExec(t, db, "CREATE INDEX n_vg ON n (v, g)")
+	check(db, "CREATE INDEX backfill")
+	var snap bytes.Buffer
+	if err := db.Dump(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := New()
+	if err := restored.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	check(restored, "snapshot restore")
+}
+
 // indexDump renders an index's entries in tree order as rowid plus key
 // column values: two indexes are the same index exactly when their dumps
 // are equal.
@@ -179,10 +280,11 @@ func indexDump(ix *index) string {
 // and indexes by CREATE INDEX backfill; Dump → LoadSnapshot — and requires
 // the three to be indistinguishable: identical entry order in every index,
 // identical stored distinct counts (each equal to a from-scratch count),
-// identical planner statistics, identical EXPLAIN output. The table has
-// NULLs in every indexed column, an INTEGER-valued FLOAT column (ints coerce
-// on the way in and compare across types on the way out), a UNIQUE index
-// whose NULL keys repeat, and three- and four-column indexes.
+// identical planner statistics, identical EXPLAIN output, and one entry per
+// row with non-NULL keys. The table has NULLs in every indexed column, an
+// INTEGER-valued FLOAT column (ints coerce on the way in and compare across
+// types on the way out), a UNIQUE index whose NULL keys repeat, and three-
+// and four-column indexes.
 func TestIndexBuildPathsAgree(t *testing.T) {
 	const createTable = "CREATE TABLE eq (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, c FLOAT, d INTEGER, u INTEGER UNIQUE)"
 	indexDDL := []string{
@@ -327,9 +429,10 @@ func TestIndexBuildPathsAgree(t *testing.T) {
 // it replaces: for random rows over every column type — NULLs, ±0, ±Inf,
 // the int64 extremes, duplicate text and text sharing long prefixes — and
 // random one- to four-column indexes, buildIndexes must give every index
-// the entry order slices.SortFunc(entries, ix.compare) gives, the distinct
-// counts distinctCounts finds in the built tree, and a UNIQUE violation
-// exactly where the sorted entries hold two equal NULL-free keys.
+// the entry order slices.SortFunc(entries, ix.compare) gives over the rows
+// with no NULL key cell, the distinct counts distinctCounts finds in the
+// built tree, and a UNIQUE violation exactly where the sorted entries hold
+// two equal keys.
 func FuzzIndexBuild(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(3))
 	f.Add(int64(2), uint16(1), uint8(1))
@@ -384,17 +487,19 @@ func FuzzIndexBuild(f *testing.F) {
 			ixs = append(ixs, newIndex(fmt.Sprintf("fz_%d", k), tbl, ixCols, rng.Intn(4) == 0))
 		}
 
-		// The reference: the comparator sort, and UNIQUE read off its neighbours.
+		// The reference: the comparator sort of the NULL-free keys, and
+		// UNIQUE read off its neighbours.
 		want := make([][]indexEntry, len(ixs))
 		dup := false
 		for k, ix := range ixs {
-			want[k] = make([]indexEntry, n)
 			for r := range rows {
-				want[k][r] = entryOf(rowids[r], rows[r])
+				if e := entryOf(rowids[r], rows[r]); !ix.nullKey(e) {
+					want[k] = append(want[k], e)
+				}
 			}
 			slices.SortFunc(want[k], ix.compare)
-			for r := 1; r < n && ix.unique; r++ {
-				if ix.keyDiff(want[k][r-1], want[k][r]) == len(ix.cols) && !ix.nullKey(want[k][r]) {
+			for r := 1; r < len(want[k]) && ix.unique; r++ {
+				if ix.keyDiff(want[k][r-1], want[k][r]) == len(ix.cols) {
 					dup = true
 				}
 			}

@@ -326,7 +326,7 @@ func (p *selectPlan) planIntersect(conjs []Expr, stats statsRegistry) {
 			locals:      locals[si],
 			est:         est,
 			keyEntryPos: -1,
-			probeIdx:    stages[si].tbl.findIndex([]int{keyCol[si]}),
+			probeIdx:    stages[si].tbl.findIndex(keyCol[si], stages[si].ref.Alias, locals[si]),
 		}
 		if access.idx != nil {
 			for pos, c := range access.idx.cols {
@@ -451,17 +451,15 @@ func intersectKeys(a, b []int64) []int64 {
 // order, so the groups fold directly with no row fetch, filter pass or sort
 // — unless bind degraded the probe (NULL or unevaluable slot), detected here
 // by comparing the bound prefix against the spec's slots. A NULL key can
-// never satisfy a join equality, so its row is skipped (NULL keys sort
-// first, so covered groups stay contiguous).
+// never satisfy a join equality, so its row is skipped; a covered index
+// carries the key column, so it holds no entry with a NULL key at all.
 func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 	ap := is.access.bind(ev.params)
 	if is.covered && ap.idx != nil && ap.inList == nil &&
 		ap.rangeLo == nil && ap.rangeHi == nil && len(ap.eqVals) == len(is.access.eqExprs) {
 		g := makeGroups(int(is.est) + 1)
 		is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
-			if key := &row[is.keyCol]; key.T != TypeNull {
-				g.add(key.N, rowid)
-			}
+			g.add(row[is.keyCol].N, rowid)
 			return true
 		})
 		g.seal()

@@ -19,9 +19,10 @@ import (
 // Access-path choices are safe to make symbolically because they are only
 // ever optimizations: every stage re-applies its full filter list to each
 // candidate row, so a probe merely has to return a superset of the matching
-// rows. When a probe expression binds to NULL (or fails to evaluate) at
-// execution time, bind degrades to a wider probe and the filters keep the
-// result exact.
+// rows. An index lacks the rows with a NULL key cell, so only an index that
+// serves the stage (index.serves) may be probed. When a probe expression
+// binds to NULL (or fails to evaluate) at execution time, bind degrades to a
+// wider probe and the filters keep the result exact.
 
 // Rows is a fully materialized result set.
 type Rows struct {
@@ -235,9 +236,56 @@ func colOf(ex Expr, alias string, tbl *table) (int, bool) {
 	return p, ok
 }
 
+// rejectsNull reports whether a row of tbl (bound as alias) that is NULL in
+// column c fails preds, the conjuncts of one stage: c is declared NOT NULL,
+// or it is a direct operand of a comparison or the tested side of an IN
+// among preds. eval makes every comparison with a NULL operand false and
+// the dialect has no IS NULL or NOT to turn that around, so such a row can
+// never pass.
+func rejectsNull(tbl *table, alias string, preds []Expr, c int) bool {
+	if tbl.cols[c].NotNull {
+		return true
+	}
+	is := func(ex Expr) bool {
+		p, ok := colOf(ex, alias, tbl)
+		return ok && p == c
+	}
+	for _, pr := range preds {
+		switch x := pr.(type) {
+		case *InExpr:
+			if is(x.E) {
+				return true
+			}
+		case *BinaryExpr:
+			switch x.Op {
+			case "=", "!=", "<", "<=", ">", ">=", "LIKE":
+				if is(x.L) || is(x.R) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// serves reports whether a probe of ix returns every row that can pass
+// preds, the conjuncts of a stage binding ix's table as alias. The index
+// has no entry for a row with a NULL key cell, so every key column from
+// position lead on must be one where such a row fails preds (rejectsNull);
+// the caller probes the first lead columns with non-NULL values.
+func (ix *index) serves(alias string, preds []Expr, lead int) bool {
+	for _, c := range ix.cols[lead:] {
+		if !rejectsNull(ix.table, alias, preds, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // planSpec chooses the access spec for tbl (bound as alias) from preds,
 // consulting st — never the table's trees — for cardinality. It returns the
-// spec and the estimated number of rows it yields. Any usable index beats a
+// spec and the estimated number of rows it yields. Only an index that serves
+// preds is a candidate (see index.serves). Any usable index beats a
 // full scan (a probe is far cheaper than a filtered scan row here, and the
 // filters re-run regardless); among index candidates the smallest estimate
 // wins, with ties going to the earliest candidate in a fixed enumeration
@@ -318,6 +366,9 @@ func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessS
 		}
 	}
 	for _, ix := range tbl.indexes {
+		if !ix.serves(alias, preds, 0) {
+			continue
+		}
 		var eqExprs []Expr
 		var eqCols []int
 		for _, c := range ix.cols {

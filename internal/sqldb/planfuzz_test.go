@@ -51,7 +51,11 @@ func parityDomains(rng *rand.Rand) []parityCol {
 }
 
 // buildParityDB creates 2–3 tables over the shared column palette with
-// random indexes and 5–45 rows each (about one value in eight NULL).
+// random indexes and 5–45 rows each. Each column of each table is declared
+// NOT NULL with probability ½; about one value in eight of the others is
+// NULL. Both sides of the planner's NULL rule (index.serves) are therefore
+// exercised: indexes over NOT NULL columns serve any predicate, indexes
+// over nullable ones only a stage that compares them.
 func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 	t.Helper()
 	db := New()
@@ -62,8 +66,12 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 		name := fmt.Sprintf("t%d", ti)
 		tables[ti] = name
 		ddl := fmt.Sprintf("CREATE TABLE %s (id INTEGER PRIMARY KEY", name)
-		for _, c := range cols {
+		notNull := make([]bool, len(cols))
+		for i, c := range cols {
 			ddl += fmt.Sprintf(", %s %s", c.name, c.typ)
+			if notNull[i] = rng.Intn(2) == 0; notNull[i] {
+				ddl += " NOT NULL"
+			}
 		}
 		ddl += ")"
 		if _, err := db.Exec(ddl); err != nil {
@@ -93,8 +101,8 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 			name, strings.Join(colNames, ", "), strings.Join(ph, ", "))
 		for r := 0; r < nrows; r++ {
 			args := []Value{Int(int64(r))}
-			for _, c := range cols {
-				if rng.Intn(8) == 0 {
+			for i, c := range cols {
+				if !notNull[i] && rng.Intn(8) == 0 {
 					args = append(args, Null())
 				} else {
 					args = append(args, c.domain[rng.Intn(len(c.domain))])

@@ -91,7 +91,8 @@ func (statsRegistry) distinct(ix *index, k int) float64 {
 }
 
 // eqRows estimates how many rows one equality probe on the leading k
-// columns of ix returns.
+// columns of ix returns, out of the rows the index holds: those with no
+// NULL key cell.
 func (s statsRegistry) eqRows(ix *index, k int) float64 {
 	n := float64(ix.tree.Len())
 	if n == 0 {

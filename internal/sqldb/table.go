@@ -68,6 +68,15 @@ type indexDelta struct {
 
 // index is one secondary (or primary) index over a table.
 //
+// An index holds one entry per row whose key cells are all non-NULL; a row
+// with a NULL in any key column has no entry. eval makes every comparison
+// with NULL false, so such a row fails any conjunct that compares the
+// column, and the planner uses an index only for a stage where each key
+// column is NOT NULL or so compared (index.serves): no probe misses a row
+// the stage can return. The rule spares the heap, the restore sort and the
+// per-write deltas of entries nothing could match, and UNIQUE's NULL
+// exemption follows from it: a NULL key has no entry to collide with.
+//
 // Mutations are not applied to the tree eagerly: insert and remove append
 // to pending, and flush applies the whole batch sorted by key — so a
 // transaction inserting many rows walks each index path once per leaf
@@ -165,8 +174,8 @@ func (ix *index) comparePrefix(e indexEntry, prefix []Value) int {
 	return 0
 }
 
-// nullKey reports whether any key column of e is NULL (such keys are exempt
-// from UNIQUE, as in SQL).
+// nullKey reports whether any key column of e is NULL: the index holds no
+// such entry.
 func (ix *index) nullKey(e indexEntry) bool {
 	for _, c := range ix.cols {
 		if e.col(c).IsNull() {
@@ -202,17 +211,14 @@ func (ix *index) pendingNet(probe indexEntry, rowid int64) int {
 }
 
 // checkUnique reports a constraint violation if another row already holds
-// the same full key values (NULLs exempt, as in SQL). It sees the net state
-// of the index — the tree overlaid with this transaction's pending deltas —
-// without forcing a flush.
+// the same full key values. A key with a NULL matches no entry, so NULLs
+// are exempt, as in SQL. It sees the net state of the index — the tree
+// overlaid with this transaction's pending deltas — without forcing a flush.
 func (ix *index) checkUnique(rowid int64, row Row) error {
 	if !ix.unique {
 		return nil
 	}
 	key := entryOf(rowid, row)
-	if ix.nullKey(key) {
-		return nil
-	}
 	nc := len(ix.cols)
 	dup := false
 	ix.scanWhile(func(e indexEntry) int { return ix.compareKey(e, key, nc) }, func(e indexEntry) bool {
@@ -242,12 +248,18 @@ func (ix *index) checkUnique(rowid int64, row Row) error {
 	return nil
 }
 
+// insert and remove queue the entry of row for the next flush; a row with a
+// NULL key cell has no entry, so they queue nothing for it.
 func (ix *index) insert(rowid int64, row Row) {
-	ix.push(indexDelta{key: entryOf(rowid, row)})
+	if e := entryOf(rowid, row); !ix.nullKey(e) {
+		ix.push(indexDelta{key: e})
+	}
 }
 
 func (ix *index) remove(rowid int64, row Row) {
-	ix.push(indexDelta{key: entryOf(rowid, row), del: true})
+	if e := entryOf(rowid, row); !ix.nullKey(e) {
+		ix.push(indexDelta{key: e, del: true})
+	}
 }
 
 func (ix *index) push(d indexDelta) {
@@ -561,22 +573,13 @@ func (t *table) update(rowid int64, newRow Row) (Row, error) {
 	return old, nil
 }
 
-// findIndex returns an index whose leading columns match cols exactly in
-// order, preferring the shortest such index.
-func (t *table) findIndex(cols []int) *index {
+// findIndex returns the shortest index led by column col that may serve a
+// stage with conjuncts preds (table bound as alias) when probed with a
+// non-NULL value of col alone, or nil.
+func (t *table) findIndex(col int, alias string, preds []Expr) *index {
 	var best *index
 	for _, ix := range t.indexes {
-		if len(ix.cols) < len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if ix.cols[i] != c {
-				match = false
-				break
-			}
-		}
-		if match && (best == nil || len(ix.cols) < len(best.cols)) {
+		if ix.cols[0] == col && (best == nil || len(ix.cols) < len(best.cols)) && ix.serves(alias, preds, 1) {
 			best = ix
 		}
 	}

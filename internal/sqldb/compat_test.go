@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,20 +73,29 @@ type legacyStmt struct {
 // as today.
 func appendLegacyWALRecord(t *testing.T, f *os.File, lsn uint64, sql string, args ...any) {
 	t.Helper()
-	appendLegacyWALRecordStmts(t, f, lsn, legacyStmt{sql, args})
+	appendLegacyWALRecordStmts(t, f, lsn, false, legacyStmt{sql, args})
 }
 
 // appendLegacyWALRecordStmts hand-frames a record of several statements the
 // way every version before statement back-references wrote it: each
-// statement's SQL text in full, however often it repeats.
-func appendLegacyWALRecordStmts(t *testing.T, f *os.File, lsn uint64, stmts ...legacyStmt) {
+// statement's SQL text in full, however often it repeats. With backrefs it
+// writes them the way the versions between back-references and the
+// per-file dictionary did: a text already used in the record is a zero
+// sqlLen followed by the index of the first statement that used it.
+func appendLegacyWALRecordStmts(t *testing.T, f *os.File, lsn uint64, backrefs bool, stmts ...legacyStmt) {
 	t.Helper()
 	payload := make([]byte, 8)
 	binary.BigEndian.PutUint64(payload, lsn)
 	payload = binary.AppendUvarint(payload, uint64(len(stmts)))
-	for _, s := range stmts {
-		payload = binary.AppendUvarint(payload, uint64(len(s.sql)))
-		payload = append(payload, s.sql...)
+	for i, s := range stmts {
+		ref := slices.IndexFunc(stmts[:i], func(p legacyStmt) bool { return p.sql == s.sql })
+		if backrefs && ref >= 0 {
+			payload = append(payload, 0)
+			payload = binary.AppendUvarint(payload, uint64(ref))
+		} else {
+			payload = binary.AppendUvarint(payload, uint64(len(s.sql)))
+			payload = append(payload, s.sql...)
+		}
 		payload = binary.AppendUvarint(payload, uint64(len(s.args)))
 		for _, a := range s.args {
 			switch v := a.(type) {
@@ -114,10 +124,10 @@ func appendLegacyWALRecordStmts(t *testing.T, f *os.File, lsn uint64, stmts ...l
 }
 
 // TestBootFromLegacyWALTail boots the engine from a framed snapshot and a
-// log tail hand-framed the way the first WAL format wrote it (seconds-only
-// DATETIME tag, statement texts in full, however often they repeat), and
-// verifies the records the snapshot covers are skipped and the rest decode
-// to today's Values.
+// log tail hand-framed the way older WAL formats wrote it (seconds-only
+// DATETIME tag; statement texts in full, however often they repeat, or
+// repeats as in-record back-references), and verifies the records the
+// snapshot covers are skipped and the rest decode to today's Values.
 func TestBootFromLegacyWALTail(t *testing.T) {
 	dir := t.TempDir()
 	born := time.Date(2003, 11, 15, 9, 30, 0, 0, time.UTC)
@@ -149,10 +159,22 @@ func TestBootFromLegacyWALTail(t *testing.T) {
 	appendLegacyWALRecord(t, f, covered+1, insert, "gamma", int64(2048), born.Add(time.Hour))
 	// A multi-statement commit as written before statement back-references
 	// existed: the same INSERT text three times in full.
-	appendLegacyWALRecordStmts(t, f, covered+2,
+	appendLegacyWALRecordStmts(t, f, covered+2, false,
 		legacyStmt{insert, []any{"batch-1", int64(1), born}},
 		legacyStmt{insert, []any{"batch-2", int64(2), born}},
 		legacyStmt{insert, []any{"batch-3", int64(3), born}})
+	// A multi-statement commit as written with in-record back-references
+	// (ref < i): statements 2 and 4 name statement 1's INSERT, statement 3
+	// names statement 0's UPDATE. By then the file's dictionary holds the
+	// INSERT as id 0 and this record's UPDATE as id 1, so a reference read
+	// as a dictionary id would swap the two texts.
+	const update = "UPDATE files SET size = ? WHERE name = ?"
+	appendLegacyWALRecordStmts(t, f, covered+3, true,
+		legacyStmt{update, []any{int64(5), "batch-3"}},
+		legacyStmt{insert, []any{"ref-1", int64(11), born}},
+		legacyStmt{insert, []any{"ref-2", int64(12), born}},
+		legacyStmt{update, []any{int64(13), "ref-1"}},
+		legacyStmt{insert, []any{"ref-3", int64(14), born}})
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +188,19 @@ func TestBootFromLegacyWALTail(t *testing.T) {
 	}
 	w, stats := openTestWAL(t, walPath, db, WALOptions{})
 	defer w.Close()
-	if stats.Records != 3 || stats.Applied != 2 {
-		t.Fatalf("replay stats = %+v, want 3 records / 2 applied", stats)
+	if stats.Records != 4 || stats.Applied != 3 {
+		t.Fatalf("replay stats = %+v, want 4 records / 3 applied", stats)
 	}
 
 	count := func(q string, args ...Value) int64 { return mustQuery(t, db, q, args...).Data[0][0].Int() }
-	if n := count("SELECT COUNT(*) FROM files"); n != 39+4 {
-		t.Fatalf("files = %d rows, want the snapshot's 39 and the log's 4", n)
+	if n := count("SELECT COUNT(*) FROM files"); n != 39+7 {
+		t.Fatalf("files = %d rows, want the snapshot's 39 and the log's 7", n)
 	}
-	if n := count("SELECT COUNT(*) FROM files WHERE size < 4 AND size > 0"); n != 3 {
-		t.Fatalf("old-format multi-statement record replayed %d of its 3 inserts", n)
+	for name, size := range map[string]int64{"batch-1": 1, "batch-2": 2, "batch-3": 5, "ref-1": 13, "ref-2": 12, "ref-3": 14} {
+		rows := mustQuery(t, db, "SELECT size FROM files WHERE name = ?", Text(name))
+		if len(rows.Data) != 1 || rows.Data[0][0] != Int(size) {
+			t.Fatalf("old-format multi-statement records left %s as %v, want size %d", name, rows.Data, size)
+		}
 	}
 	if n := count("SELECT COUNT(*) FROM files WHERE name IN (?, ?)", Text("lfn-17"), Text("shadow")); n != 0 {
 		t.Fatalf("a deleted or covered row came back (%d)", n)
@@ -189,13 +214,13 @@ func TestBootFromLegacyWALTail(t *testing.T) {
 		t.Fatalf("legacy WAL row decoded to %v", got)
 	}
 	// The autoincrement counter carries over: 40 ids in the snapshot (one
-	// covered insert never replayed), 4 from the log, so the next is 45.
+	// covered insert never replayed), 7 from the log, so the next is 48.
 	res, err := db.Exec("INSERT INTO files (name) VALUES (?)", Text("delta"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LastInsertID != 45 {
-		t.Fatalf("autoinc after boot = %d, want 45", res.LastInsertID)
+	if res.LastInsertID != 48 {
+		t.Fatalf("autoinc after boot = %d, want 48", res.LastInsertID)
 	}
 	// The unique index rebuilt from the snapshot's rows still enforces.
 	if _, err := db.Exec("INSERT INTO files (name) VALUES (?)", Text("lfn-05")); err == nil {
@@ -220,5 +245,65 @@ func TestGeneration1SnapshotRefused(t *testing.T) {
 		if len(db.root.Load().tables) != 0 {
 			t.Fatal("a refused stream left tables behind")
 		}
+	}
+}
+
+// TestWALRecordFormatPinned holds the encoder to the documented record
+// layout, byte for byte: a file whose dictionary already holds the DELETE
+// (id 0) logs a record that spells the INSERT in full (defining id 1),
+// refers to the DELETE and to the INSERT by id, and writes the repeated text
+// argument "a" as a tag-7 back-reference. The bytes decode back to the same
+// statements from the same dictionary, and a decoder without the dictionary
+// — as every build before the dictionary was — refuses them.
+func TestWALRecordFormatPinned(t *testing.T) {
+	const del, ins = "DELETE FROM kv WHERE k = ?", "INSERT INTO kv (k, v) VALUES (?, ?)"
+	stmts := []redoStmt{
+		{sql: ins, args: []Value{Text("a"), Int(1)}},
+		{sql: del, args: []Value{Text("a")}},
+		{sql: ins, args: []Value{Text("b"), Int(2)}},
+	}
+	golden := []byte{
+		0x00, 0x00, 0x00, 0x40, // payload length 64
+		0x4d, 0xae, 0x5b, 0x90, // CRC32 of the payload
+		0, 0, 0, 0, 0, 0, 0, 2, // LSN 2
+		3,    // three statements
+		0x23, // statement 0: a 35-byte literal, which defines id 1
+	}
+	golden = append(golden, ins...)
+	golden = append(golden,
+		2, walTagText, 1, 'a', walTagInt, 2, // "a" (text argument 0), 1
+		0, 1, // statement 1: 1 + id 0, the DELETE
+		1, walTagTextRef, 0, // text argument 0 again
+		0, 3, // statement 2: 2 + id 1, the INSERT
+		2, walTagText, 1, 'b', walTagInt, 4) // "b", 2
+
+	enc := walEncoder{}
+	enc.dict.define(del)
+	if got := enc.encode(nil, 2, stmts); !bytes.Equal(got, golden) {
+		t.Fatalf("encoded record\n% x\nwant\n% x", got, golden)
+	}
+	if !slices.Equal(enc.dict.texts, []string{del, ins}) {
+		t.Fatalf("dictionary after the record = %q", enc.dict.texts)
+	}
+	dict := walDict{}
+	dict.define(del)
+	lsn, got, err := decodeWALRecord(&dict, golden[frameHeaderSize:])
+	if err != nil || lsn != 2 || len(got) != len(stmts) {
+		t.Fatalf("decode: lsn %d, %d statements, err %v", lsn, len(got), err)
+	}
+	for i := range stmts {
+		if got[i].sql != stmts[i].sql || !slices.Equal(got[i].args, stmts[i].args) {
+			t.Fatalf("statement %d decoded to %q %v", i, got[i].sql, got[i].args)
+		}
+	}
+	if _, _, err := decodeWALRecord(&walDict{}, golden[frameHeaderSize:]); err == nil ||
+		!strings.Contains(err.Error(), "bad sql reference") {
+		t.Fatalf("decoding without the dictionary: err = %v, want a bad reference", err)
+	}
+	// A tag-7 index past the record's literal text arguments is refused.
+	bad := slices.Clone(golden[frameHeaderSize:])
+	bad[bytes.IndexByte(bad, walTagTextRef)+1] = 1
+	if _, _, err := decodeWALRecord(&dict, bad); err == nil || !strings.Contains(err.Error(), "bad text reference 1") {
+		t.Fatalf("an out-of-range text back-reference: err = %v", err)
 	}
 }

@@ -217,30 +217,64 @@ func (db *DB) AttachWAL(w *WAL) {
 	db.wmu.Unlock()
 }
 
-// applyWALRecord replays one recovered commit: its statements run in a
-// single transaction whose root is stamped with the record's LSN and
-// published without re-logging. Replay bypasses the fault hook — recovery
-// must not be failable by the chaos harness — and permits DDL, which the
-// public Tx API forbids but single-statement commits may have logged.
-func (db *DB) applyWALRecord(lsn uint64, stmts []redoStmt) error {
-	tx := db.Begin()
+// walReplayBatch is how many recovered records one replay transaction
+// applies. A record replayed alone paid most of its time flushing its own
+// transaction's index deltas; a batch pays that once.
+const walReplayBatch = 256
+
+// replayer applies recovered commits walReplayBatch records at a time: a
+// batch's statements run in one transaction, whose root is stamped with the
+// batch's last LSN and published without re-logging. Replay bypasses the
+// fault hook — recovery must not be failable by the chaos harness — and
+// permits DDL, which the public Tx API forbids but single-statement commits
+// may have logged.
+type replayer struct {
+	db *DB
+	tx *Tx // the open batch, nil between batches
+	n  int // records in it
+}
+
+// apply runs one record's statements in the open batch, starting one if
+// needed, and publishes the batch once it is full. A failing statement
+// rolls the whole batch back and names the record's LSN.
+func (rp *replayer) apply(lsn uint64, stmts []redoStmt) error {
+	if rp.tx == nil {
+		rp.tx = rp.db.Begin()
+	}
 	for _, s := range stmts {
-		st, err := db.parseCached(s.sql)
-		if err != nil {
-			tx.Rollback() //nolint:errcheck // the parse error takes precedence
-			return err
+		st, err := rp.db.parseCached(s.sql)
+		if err == nil {
+			_, err = rp.tx.execStmt(st, s.args)
 		}
-		if _, err := tx.execStmt(st, s.args); err != nil {
-			tx.Rollback() //nolint:errcheck // the statement error takes precedence
-			return err
+		if err != nil {
+			rp.abort()
+			return fmt.Errorf("replay lsn %d: %w", lsn, err)
 		}
 	}
-	tx.done = true
-	tx.flushWork() // replay bypasses Commit, which normally flushes
-	tx.work.lsn = lsn
-	db.root.Store(tx.work)
-	db.wmu.Unlock()
+	rp.tx.work.lsn = lsn
+	if rp.n++; rp.n == walReplayBatch {
+		rp.publish()
+	}
 	return nil
+}
+
+// publish flushes the open batch's index deltas and publishes its root.
+func (rp *replayer) publish() {
+	if tx := rp.tx; tx != nil {
+		tx.done = true
+		tx.flushWork() // replay bypasses Commit, which normally flushes
+		rp.db.root.Store(tx.work)
+		rp.db.wmu.Unlock()
+		rp.tx, rp.n = nil, 0
+	}
+}
+
+// abort discards the open batch, if any.
+func (rp *replayer) abort() {
+	if rp.tx != nil {
+		rp.tx.Rollback() //nolint:errcheck // the batch is open, so this cannot fail
+		rp.tx, rp.n = nil, 0
+	}
 }
 
 // Exec parses and runs a mutating or DDL statement; a SELECT is refused.

@@ -530,3 +530,56 @@ func FuzzIndexBuild(f *testing.F) {
 		}
 	})
 }
+
+// TestUniqueSeesPendingWrites: the UNIQUE check sees every earlier write of
+// its own transaction, whether or not the index has applied it yet. Inside
+// one transaction a duplicate insert fails, an UPDATE onto a key inserted
+// earlier fails, an UPDATE that keeps its own key succeeds, and a key that
+// was inserted, deleted and inserted again succeeds.
+func TestUniqueSeesPendingWrites(t *testing.T) {
+	db := newTestDB(t)
+	const ins = "INSERT INTO files (name, size) VALUES (?, ?)"
+	tx := db.Begin()
+	exec := func(sql string, args ...Value) error {
+		_, err := tx.Exec(sql, args...)
+		return err
+	}
+	isUnique := func(err error) bool { return err != nil && strings.Contains(err.Error(), "UNIQUE constraint") }
+	if err := exec(ins, Text("a"), Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec(ins, Text("a"), Int(2)); !isUnique(err) {
+		t.Fatalf("a duplicate of a key inserted in the same transaction: err = %v, want a UNIQUE violation", err)
+	}
+	if err := exec(ins, Text("b"), Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec("UPDATE files SET name = ? WHERE name = ?", Text("b"), Text("a")); !isUnique(err) {
+		t.Fatalf("an UPDATE onto a key inserted in the same transaction: err = %v, want a UNIQUE violation", err)
+	}
+	if err := exec("UPDATE files SET name = ?, size = ? WHERE name = ?", Text("a"), Int(4), Text("a")); err != nil {
+		t.Fatalf("an UPDATE that keeps its own key: %v", err)
+	}
+	for _, step := range []struct {
+		sql  string
+		args []Value
+	}{
+		{ins, []Value{Text("c"), Int(5)}},
+		{"DELETE FROM files WHERE name = ?", []Value{Text("c")}},
+		{ins, []Value{Text("c"), Int(6)}},
+	} {
+		if err := exec(step.sql, step.args...); err != nil {
+			t.Fatalf("insert, delete, insert of one key: %s: %v", step.sql, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rows := mustQuery(t, db, "SELECT name, size FROM files ORDER BY name")
+	if got := fmt.Sprint(rows.Data); got != "[[a 4] [b 3] [c 6]]" {
+		t.Fatalf("committed rows = %s", got)
+	}
+	if _, err := db.Exec(ins, Text("c"), Int(7)); !isUnique(err) {
+		t.Fatalf("a duplicate after commit: err = %v, want a UNIQUE violation", err)
+	}
+}

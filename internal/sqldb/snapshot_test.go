@@ -563,3 +563,15 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// TestLoadSnapshotRefusesTextBackReference: tag 7, the log record's text
+// back-reference, is not part of the snapshot's value layout. A row cell
+// carrying it is an unknown tag, refused like any other.
+func TestLoadSnapshotRefusesTextBackReference(t *testing.T) {
+	var s snapStream
+	s.header(1)
+	s.table("t", []ColumnDef{{Name: "a", Type: TypeText}, {Name: "b", Type: TypeText}}, nil, 1, 0, 1)
+	s.frame(3, []byte{1, walTagText, 1, 'x', walTagTextRef, 0})
+	s.trailer(1, 1)
+	loadRefused(t, s.buf.Bytes(), "unknown value tag 7")
+}

@@ -194,54 +194,22 @@ func (ix *index) uniqueViolation() error {
 	return fmt.Errorf("sqldb: UNIQUE constraint %q violated on table %q", ix.name, ix.table.name)
 }
 
-// pendingNet returns the latest pending operation for the exact entry
-// (probe's key columns + rowid): +1 net-inserted, -1 net-deleted, 0 no
-// pending op.
-func (ix *index) pendingNet(probe indexEntry, rowid int64) int {
-	for i := len(ix.pending) - 1; i >= 0; i-- {
-		d := &ix.pending[i]
-		if d.key.rowid == rowid && ix.keyDiff(d.key, probe) == len(ix.cols) {
-			if d.del {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
 // checkUnique reports a constraint violation if another row already holds
 // the same full key values. A key with a NULL matches no entry, so NULLs
-// are exempt, as in SQL. It sees the net state of the index — the tree
-// overlaid with this transaction's pending deltas — without forcing a flush.
+// are exempt, as in SQL. It flushes the index first, so the tree alone is
+// the transaction's net state and one descent answers.
 func (ix *index) checkUnique(rowid int64, row Row) error {
 	if !ix.unique {
 		return nil
 	}
 	key := entryOf(rowid, row)
+	ix.flush()
 	nc := len(ix.cols)
 	dup := false
 	ix.scanWhile(func(e indexEntry) int { return ix.compareKey(e, key, nc) }, func(e indexEntry) bool {
-		if e.rowid != rowid && ix.pendingNet(key, e.rowid) >= 0 {
-			dup = true
-			return false
-		}
-		return true
+		dup = e.rowid != rowid
+		return !dup
 	})
-	if !dup {
-		// Entries inserted earlier in this transaction exist only in pending.
-		for i := len(ix.pending) - 1; i >= 0; i-- {
-			d := &ix.pending[i]
-			if d.key.rowid == rowid || ix.keyDiff(d.key, key) != nc {
-				continue
-			}
-			// Only the latest pending op per entry decides its net state.
-			if ix.pendingNet(key, d.key.rowid) > 0 {
-				dup = true
-				break
-			}
-		}
-	}
 	if dup {
 		return ix.uniqueViolation()
 	}

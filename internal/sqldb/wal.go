@@ -25,15 +25,25 @@ import (
 //
 //	payload: lsn (8B big-endian)
 //	         nstmts (uvarint)
-//	         per statement: sqlLen (uvarint), sql bytes,
-//	                        nargs (uvarint), args (tagged values)
+//	         per statement: sql, nargs (uvarint), args
+//	sql:     sqlLen (uvarint) > 0, sql bytes       a literal text
+//	       | 0, ref (uvarint) < i                  statement ref's text (read only)
+//	       | 0, i + id (uvarint)                   the file's dictionary entry id
+//	arg:     a tagged value (encodeWALValue), or
+//	         tag 7, k (uvarint)                    the record's k-th literal text argument
+//
+// where i is the statement's position in the record. Each log file keeps a
+// statement dictionary: the first literal occurrence of a text in the file
+// defines its next id, so a file spells each statement text once. Repeated
+// text arguments inside one record become tag-7 back-references. See
+// DESIGN.md §6 "Log format" for why a torn tail cannot orphan a reference.
 //
 // The frame's CRC lets recovery detect a torn write — a record whose tail
 // never reached disk — and truncate it instead of failing. Records carry
 // strictly increasing log sequence numbers (LSNs)
 // assigned at commit; snapshots embed the LSN of the root they pinned, so
 // boot restores the snapshot and replays only the log suffix with larger
-// LSNs.
+// LSNs, walReplayBatch records to a transaction.
 //
 // Durability is amortized across concurrent committers by group commit: a
 // committer appends its record under the writer lock, publishes its root,
@@ -43,10 +53,10 @@ import (
 // fsync was in flight.
 //
 // A checkpoint (snapshot) rotates the log: the current file is sealed and
-// renamed to <path>.1, a fresh file takes new appends, and once a snapshot
-// covering the sealed file's last LSN has durably persisted the sealed file
-// is deleted. A crash between those steps leaves both generations on disk;
-// recovery replays <path>.1 then <path>.
+// renamed to <path>.1, a fresh file (with an empty dictionary) takes new
+// appends, and once a snapshot covering the sealed file's last LSN has
+// durably persisted the sealed file is deleted. A crash between those steps
+// leaves both generations on disk; recovery replays <path>.1 then <path>.
 
 // redoStmt is one logged mutation: the statement text and its bound
 // parameters, exactly as the committer executed them.
@@ -122,10 +132,11 @@ type WAL struct {
 	buf       []byte // appended but not yet written to the OS
 	size      int64  // bytes written to the OS (file offset of buf)
 	appendLSN uint64
-	curRecs   uint64 // records in the current generation file
-	prevMax   uint64 // last LSN in the sealed previous generation, if any
-	prevSeal  bool   // <path>.1 exists
-	broken    error  // sticky: the log could not be rewound after a failed append
+	curRecs   uint64     // records in the current generation file
+	prevMax   uint64     // last LSN in the sealed previous generation, if any
+	prevSeal  bool       // <path>.1 exists
+	broken    error      // sticky: the log could not be rewound after a failed append
+	enc       walEncoder // the current file's statement dictionary
 
 	// gc guards group-commit state; cond signals leader handoff and
 	// durable-LSN advances.
@@ -211,7 +222,7 @@ func OpenWAL(path string, db *DB, afterLSN uint64, opts WALOptions) (*WAL, Repla
 
 	if _, err := os.Stat(w.prevPath()); err == nil {
 		w.prevSeal = true
-		if err := replayFile(w.prevPath(), db, afterLSN, &stats, &last, nil); err != nil {
+		if err := replayFile(w.prevPath(), db, afterLSN, &stats, &last); err != nil {
 			return nil, stats, err
 		}
 		w.prevMax = last
@@ -223,8 +234,10 @@ func OpenWAL(path string, db *DB, afterLSN uint64, opts WALOptions) (*WAL, Repla
 	if err != nil {
 		return nil, stats, fmt.Errorf("sqldb: wal: %w", err)
 	}
-	var recs uint64
-	if err := replayInto(f, db, afterLSN, &stats, &last, &recs); err != nil {
+	// Replaying the current file also seeds the dictionary its next
+	// records extend, covered records included.
+	recs, err := replayInto(f, db, afterLSN, &stats, &last, &w.enc.dict)
+	if err != nil {
 		f.Close()
 		return nil, stats, err
 	}
@@ -241,83 +254,94 @@ func OpenWAL(path string, db *DB, afterLSN uint64, opts WALOptions) (*WAL, Repla
 }
 
 // replayFile opens one log generation read-write, replays it and closes it.
-func replayFile(path string, db *DB, afterLSN uint64, stats *ReplayStats, last *uint64, recs *uint64) error {
+func replayFile(path string, db *DB, afterLSN uint64, stats *ReplayStats, last *uint64) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("sqldb: wal: %w", err)
 	}
 	defer f.Close()
-	return replayInto(f, db, afterLSN, stats, last, recs)
+	_, err = replayInto(f, db, afterLSN, stats, last, &walDict{})
+	return err
 }
 
 // replayInto scans one log file, applies every whole record with LSN above
-// afterLSN, and truncates the file at the first torn, corrupt or
-// non-monotonic record. last carries the running LSN high-water mark across
-// generations; a record's LSN must exceed it.
-func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *uint64, recs *uint64) error {
+// afterLSN in batches (see replayer), and truncates the file at the first
+// torn, corrupt or non-monotonic record. last carries the running LSN
+// high-water mark across generations; a record's LSN must exceed it. dict
+// starts empty and ends as the file's dictionary after its last whole
+// record. It returns how many whole records the file kept.
+func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *uint64, dict *walDict) (uint64, error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("sqldb: wal: %w", err)
+		return 0, fmt.Errorf("sqldb: wal: %w", err)
 	}
 	fr := frameReader{r: bufio.NewReader(io.NewSectionReader(f, 0, fi.Size()))}
-	valid := int64(0)
+	rp := replayer{db: db}
+	defer rp.abort()
+	valid, recs := int64(0), uint64(0)
 	for {
 		payload, err := fr.next()
 		if err == io.EOF || errors.Is(err, errFrameDamaged) {
 			break // clean end, or a torn or scribbled record: cut here
 		}
 		if err != nil {
-			return fmt.Errorf("sqldb: wal: read: %w", err)
+			return 0, fmt.Errorf("sqldb: wal: read: %w", err)
 		}
-		lsn, stmts, err := decodeWALRecord(payload)
+		defined := len(dict.texts)
+		lsn, stmts, err := decodeWALRecord(dict, payload)
 		if err != nil {
 			// The CRC matched, so the bytes are what was written: this is a
 			// format error, not a torn write. Refuse to guess.
-			return fmt.Errorf("sqldb: wal: record at offset %d: %w", fr.off, err)
+			return 0, fmt.Errorf("sqldb: wal: record at offset %d: %w", fr.off, err)
 		}
 		if lsn <= *last && !(lsn <= afterLSN) {
-			break // LSN went backwards: treat the rest as garbage
+			dict.rollback(defined) // the cut takes its definitions with it
+			break                  // LSN went backwards: treat the rest as garbage
 		}
 		stats.Records++
 		if lsn > *last {
 			*last = lsn
 		}
 		if lsn > afterLSN {
-			if err := db.applyWALRecord(lsn, stmts); err != nil {
-				return fmt.Errorf("sqldb: wal: replay lsn %d: %w", lsn, err)
+			if err := rp.apply(lsn, stmts); err != nil {
+				return 0, fmt.Errorf("sqldb: wal: %w", err)
 			}
 			stats.Applied++
 		}
 		valid = fr.end
-		if recs != nil {
-			*recs++
-		}
+		recs++
 	}
+	rp.publish()
 	if valid < fi.Size() {
 		stats.TornBytes += fi.Size() - valid
 		if err := f.Truncate(valid); err != nil {
-			return fmt.Errorf("sqldb: wal: truncate torn tail: %w", err)
+			return 0, fmt.Errorf("sqldb: wal: truncate torn tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {
-			return fmt.Errorf("sqldb: wal: %w", err)
+			return 0, fmt.Errorf("sqldb: wal: %w", err)
 		}
 	}
-	return nil
+	return recs, nil
 }
 
 // append encodes and buffers one commit's record. Called with the database
-// writer lock held, so records land in the file in LSN order. The bytes are
-// buffered; group commit flushes them. A failed append rewinds the log to
-// the record's start so the file never carries a half-record while the
-// process lives (a crash mid-write is what the CRC is for).
+// writer lock held, so records land in the file in LSN order; the encode
+// runs under mu too, so a concurrent Rotate cannot split a record from the
+// dictionary it was encoded against. The bytes are buffered; group commit
+// flushes them. A failed append rewinds the log to the record's start and
+// forgets the dictionary entries the record defined, so the file never
+// carries a half-record while the process lives (a crash mid-write is what
+// the CRC is for).
 func (w *WAL) append(lsn uint64, stmts []redoStmt) error {
-	rec := encodeWALRecord(lsn, stmts)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
 		return w.broken
 	}
+	start, defined := len(w.buf), len(w.enc.dict.texts)
+	w.buf = w.enc.encode(w.buf, lsn, stmts)
 	if f := w.evalHook("append"); f != nil {
+		rec := w.buf[start:]
 		if f.ShortWrite > 0 && f.ShortWrite < len(rec) {
 			// Simulate a torn live write: push a prefix to the OS, then
 			// recover by rewinding the file to the record boundary.
@@ -328,10 +352,11 @@ func (w *WAL) append(lsn uint64, stmts []redoStmt) error {
 			}
 		}
 		if f.Err != nil {
+			w.buf = w.buf[:start]
+			w.enc.dict.rollback(defined)
 			return f.Err
 		}
 	}
-	w.buf = append(w.buf, rec...)
 	w.appendLSN = lsn
 	w.curRecs++
 	w.appends.Add(1)
@@ -471,6 +496,7 @@ func (w *WAL) Rotate() error {
 	}
 	w.f.Close()
 	w.f = nf
+	w.enc.dict = walDict{} // a new file spells its texts afresh
 	w.size = 0
 	w.prevSeal = true
 	w.prevMax = w.appendLSN
@@ -537,93 +563,160 @@ func syncWALDir(path string) error {
 
 // --- record encoding -------------------------------------------------------
 
-// walBackrefWindow bounds how many distinct statement texts one record
-// remembers for back-references. A commit repeats a handful of texts (a
-// createFile is one logical_file insert and N user_attribute inserts; a
-// 100-op batch repeats those a hundred times), so a short linear table finds
-// every repeat without allocating; texts past the window are written in full.
-const walBackrefWindow = 16
-
-// encodeWALRecord renders one commit as one sealed frame. A statement
-// whose SQL text already occurred in the record is written as a zero length
-// followed by the index of that earlier statement, not as the text again:
-// an empty statement is never logged (it cannot parse, so it cannot commit),
-// which makes length 0 free to mean "same text as statement i". The change
-// is additive, like walTagTimeMicro: logs written before it contain no zero
-// lengths and decode as they always did.
-func encodeWALRecord(lsn uint64, stmts []redoStmt) []byte {
-	rec := beginFrame(make([]byte, 0, 64*len(stmts)+24))
-	rec = binary.BigEndian.AppendUint64(rec, lsn)
-	rec = binary.AppendUvarint(rec, uint64(len(stmts)))
-	var firsts [walBackrefWindow]int // indexes of the first statement with each text
-	nfirsts := 0
-	for i, s := range stmts {
-		ref := -1
-		for _, f := range firsts[:nfirsts] {
-			if stmts[f].sql == s.sql {
-				ref = f
-				break
-			}
-		}
-		if ref >= 0 {
-			rec = binary.AppendUvarint(rec, 0)
-			rec = binary.AppendUvarint(rec, uint64(ref))
-		} else {
-			if nfirsts < len(firsts) {
-				firsts[nfirsts] = i
-				nfirsts++
-			}
-			rec = appendString(rec, s.sql)
-		}
-		rec = binary.AppendUvarint(rec, uint64(len(s.args)))
-		for _, v := range s.args {
-			rec = encodeWALValue(rec, v)
-		}
-	}
-	endFrame(rec, 0)
-	return rec
+// walDict is one log file's statement dictionary: the texts its records
+// defined, in the order their first literal occurrence defined them.
+type walDict struct {
+	ids   map[string]uint64
+	texts []string
 }
 
-// decodeWALRecord parses a CRC-verified payload back into its statements.
-func decodeWALRecord(payload []byte) (lsn uint64, stmts []redoStmt, err error) {
+// literal returns the text of a literal statement, defining it as the next
+// id if it is new. A text already defined comes
+// back as the dictionary's own copy, without allocating.
+func (d *walDict) literal(b []byte) string {
+	if id, ok := d.ids[string(b)]; ok {
+		return d.texts[id]
+	}
+	s := string(b)
+	d.define(s)
+	return s
+}
+
+func (d *walDict) define(s string) {
+	if d.ids == nil {
+		d.ids = make(map[string]uint64)
+	}
+	d.ids[s] = uint64(len(d.texts))
+	d.texts = append(d.texts, s)
+}
+
+// rollback forgets every definition after the first n.
+func (d *walDict) rollback(n int) {
+	for _, s := range d.texts[n:] {
+		delete(d.ids, s)
+	}
+	clear(d.texts[n:])
+	d.texts = d.texts[:n]
+}
+
+// walEncoder renders the records of one log file.
+type walEncoder struct {
+	dict walDict
+	// The current record's literal text arguments: index by text, and the
+	// texts in index order so the index can be emptied between records.
+	textIDs map[string]uint64
+	texts   []string
+}
+
+// encode appends one commit's record to b as one sealed frame. A statement
+// whose text is in the dictionary is written as a reference to it; any other
+// is written in full and defines the next id. A text argument equal to an
+// earlier literal text argument of the record is written as a tag-7
+// back-reference to it.
+func (e *walEncoder) encode(b []byte, lsn uint64, stmts []redoStmt) []byte {
+	start := len(b)
+	b = beginFrame(b)
+	b = binary.BigEndian.AppendUint64(b, lsn)
+	b = binary.AppendUvarint(b, uint64(len(stmts)))
+	if e.textIDs == nil {
+		e.textIDs = make(map[string]uint64)
+	}
+	for i, s := range stmts {
+		if id, ok := e.dict.ids[s.sql]; ok {
+			b = append(b, 0)
+			b = binary.AppendUvarint(b, uint64(i)+id)
+		} else {
+			e.dict.define(s.sql)
+			b = appendString(b, s.sql)
+		}
+		b = binary.AppendUvarint(b, uint64(len(s.args)))
+		for _, v := range s.args {
+			if v.T == TypeText {
+				if k, ok := e.textIDs[v.S]; ok {
+					b = append(b, walTagTextRef)
+					b = binary.AppendUvarint(b, k)
+					continue
+				}
+				e.textIDs[v.S] = uint64(len(e.texts))
+				e.texts = append(e.texts, v.S)
+			}
+			b = encodeWALValue(b, v)
+		}
+	}
+	for _, s := range e.texts {
+		delete(e.textIDs, s)
+	}
+	clear(e.texts)
+	e.texts = e.texts[:0]
+	endFrame(b, start)
+	return b
+}
+
+// decodeWALRecord parses a CRC-verified payload back into its statements,
+// resolving statement references against dict and adding the record's
+// definitions to it. A refused record leaves dict as it found it.
+func decodeWALRecord(dict *walDict, payload []byte) (lsn uint64, stmts []redoStmt, err error) {
 	if len(payload) < 8 {
 		return 0, nil, fmt.Errorf("payload too short")
 	}
 	lsn = binary.BigEndian.Uint64(payload)
+	defined := len(dict.texts)
 	d := decoder{b: payload[8:]}
+	var texts []string // the record's literal text arguments, in order
 	stmts = make([]redoStmt, 0, d.count())
 	for i := range cap(stmts) {
 		var sql string
 		if text := d.bytes(); len(text) > 0 {
-			sql = string(text)
+			sql = dict.literal(text)
 		} else if ref := d.uvarint(); ref < uint64(i) {
-			sql = stmts[ref].sql // back-reference to an earlier statement's text
+			sql = stmts[ref].sql // an earlier statement's text (logs before the dictionary)
+		} else if id := ref - uint64(i); id < uint64(len(dict.texts)) {
+			sql = dict.texts[id]
 		} else {
-			d.fail("bad sql back-reference")
+			d.fail("bad sql reference %d", ref)
 		}
 		args := make([]Value, d.count())
 		for j := range args {
-			args[j] = decodeWALValue(&d)
+			switch {
+			case len(d.b) > 0 && d.b[0] == walTagTextRef:
+				d.b = d.b[1:]
+				if k := d.uvarint(); k < uint64(len(texts)) {
+					args[j] = Text(texts[k])
+				} else {
+					d.fail("bad text reference %d", k)
+				}
+			case len(d.b) > 0 && d.b[0] == walTagText:
+				args[j] = decodeWALValue(&d)
+				texts = append(texts, args[j].S)
+			default:
+				args[j] = decodeWALValue(&d)
+			}
 		}
 		if d.err != nil {
+			dict.rollback(defined)
 			return 0, nil, fmt.Errorf("statement %d: %w", i, d.err)
 		}
 		stmts = append(stmts, redoStmt{sql: sql, args: args})
 	}
-	if d.err == nil && len(d.b) != 0 {
+	if len(d.b) != 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
-	return lsn, stmts, d.err
+	if d.err != nil {
+		dict.rollback(defined)
+		return 0, nil, d.err
+	}
+	return lsn, stmts, nil
 }
 
 // Typed-argument wire tags. These are a frozen on-disk contract — logs
 // written before the in-memory Value layout changed must keep replaying —
 // so they are named constants rather than casts of the (internal,
 // reorderable) Type enum, even though the numeric values coincide for the
-// original five. Tags 1–5 are the PR 6 format; walTagTimeMicro is additive:
-// the encoder only emits it for sub-second timestamps, which the seconds
-// tag cannot carry, so logs written by this version remain readable by the
-// old decoder unless they actually contain such a value.
+// original five. walTagTimeMicro carries sub-second timestamps, which the
+// seconds tag cannot. walTagTextRef is a back-reference to an earlier text
+// argument of the same log record; it exists only in the record decoder —
+// decodeWALValue, which is also the snapshot's frozen value layout, refuses
+// it like any unknown tag.
 const (
 	walTagNull      = 0
 	walTagInt       = 1
@@ -632,6 +725,7 @@ const (
 	walTagBool      = 4
 	walTagTimeSec   = 5 // varint unix seconds
 	walTagTimeMicro = 6 // varint unix microseconds
+	walTagTextRef   = 7 // uvarint index of an earlier literal text argument (log records only)
 )
 
 // encodeWALValue appends one tagged value: a tag byte then a tag-specific

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -266,14 +267,18 @@ func TestWALShortWriteRewindsLiveLog(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := db.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text("b"), Int(2)); !errors.Is(err, boom) {
+	// The failed record is the first to use the DELETE's text, so it
+	// defined a dictionary entry that never reached the file.
+	if _, err := db.Exec("DELETE FROM kv WHERE k = ?", Text("a")); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	w.SetFaultHook(nil)
 
-	// The torn prefix was rewound: the next commit lands on a clean
-	// boundary and the whole log replays.
+	// The torn prefix was rewound and the definition forgotten: the next
+	// commits land on a clean boundary, the DELETE spelled in full, and the
+	// whole log replays.
 	mustExec(t, db, "INSERT INTO kv (k, v) VALUES (?, ?)", Text("c"), Int(3))
+	mustExec(t, db, "DELETE FROM kv WHERE k = ?", Text("a"))
 	want := dumpBytes(t, db)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -286,11 +291,43 @@ func TestWALShortWriteRewindsLiveLog(t *testing.T) {
 	if stats.TornBytes != 0 {
 		t.Fatalf("TornBytes = %d after in-process rewind, want 0", stats.TornBytes)
 	}
-	if stats.Applied != 2 {
-		t.Fatalf("Applied = %d, want 2", stats.Applied)
+	if stats.Applied != 3 {
+		t.Fatalf("Applied = %d, want 3", stats.Applied)
 	}
 	if got := dumpBytes(t, db2); !bytes.Equal(got, want) {
 		t.Fatalf("replayed state differs")
+	}
+}
+
+// TestWALBackwardsLSNTakesItsDefinitions: a record cut away because its LSN
+// went backwards takes the dictionary entries it defined with it, so the
+// recovered writer spells the text again instead of referring to an entry
+// no longer in the file.
+func TestWALBackwardsLSNTakesItsDefinitions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.wal")
+	var enc walEncoder
+	log := enc.encode(nil, 1, []redoStmt{{sql: "INSERT INTO kv (k, v) VALUES (?, ?)", args: []Value{Text("a"), Int(1)}}})
+	log = enc.encode(log, 1, []redoStmt{{sql: "DELETE FROM kv WHERE k = ?", args: []Value{Text("a")}}})
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := New()
+	mustExec(t, db, "CREATE TABLE kv (k TEXT NOT NULL, v INTEGER NOT NULL)")
+	w, stats := openTestWAL(t, path, db, WALOptions{})
+	if stats.Applied != 1 || stats.TornBytes == 0 {
+		t.Fatalf("replay stats = %+v, want 1 applied and the backwards record cut", stats)
+	}
+	mustExec(t, db, "DELETE FROM kv WHERE k = ?", Text("a"))
+	want := dumpBytes(t, db)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := New()
+	mustExec(t, db2, "CREATE TABLE kv (k TEXT NOT NULL, v INTEGER NOT NULL)")
+	w2, stats2 := openTestWAL(t, path, db2, WALOptions{})
+	defer w2.Close()
+	if stats2.Applied != 2 || !bytes.Equal(dumpBytes(t, db2), want) {
+		t.Fatalf("second recovery: %+v, or its state differs", stats2)
 	}
 }
 
@@ -422,8 +459,8 @@ func TestWALValueRoundTrip(t *testing.T) {
 		Null(), Int(-42), Int(1 << 60), Float(3.25), Float(-0.0),
 		Text(""), Text("héllo\x00world"), Bool(true), Bool(false), Time(now),
 	}
-	rec := encodeWALRecord(7, []redoStmt{{sql: "INSERT INTO t VALUES (?)", args: vals}})
-	lsn, stmts, err := decodeWALRecord(rec[frameHeaderSize:])
+	rec := new(walEncoder).encode(nil, 7, []redoStmt{{sql: "INSERT INTO t VALUES (?)", args: vals}})
+	lsn, stmts, err := decodeWALRecord(&walDict{}, rec[frameHeaderSize:])
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -438,57 +475,121 @@ func TestWALValueRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALStatementBackReferences: a record writes each distinct SQL text
-// once and every repeat as a back-reference, decodes to exactly the
-// statements it was given, and rejects references that do not point at an
-// earlier statement.
+// TestWALStatementBackReferences: a log file spells each distinct SQL text
+// once, in the record that first uses it, and every later use as a
+// reference to the file's dictionary; a text argument repeated inside a
+// record is a tag-7 back-reference. The records decode, in file order, to
+// exactly the statements they were given, and references that point at
+// nothing are refused.
 func TestWALStatementBackReferences(t *testing.T) {
 	const insAttr = "INSERT INTO user_attribute (object_type, object_id, attr_id, sval) VALUES (?, ?, ?, ?)"
 	const insFile = "INSERT INTO logical_file (name, version) VALUES (?, ?)"
-	var stmts []redoStmt
-	for f := 0; f < 3; f++ {
-		stmts = append(stmts, redoStmt{sql: insFile, args: []Value{Text(fmt.Sprintf("f%d", f)), Int(1)}})
+	create := func(f int) []redoStmt {
+		stmts := []redoStmt{{sql: insFile, args: []Value{Text(fmt.Sprintf("f%d", f)), Int(1)}}}
 		for a := 0; a < 10; a++ {
-			stmts = append(stmts, redoStmt{sql: insAttr, args: []Value{Text("file"), Int(int64(f)), Int(int64(a)), Text("v")}})
+			stmts = append(stmts, redoStmt{sql: insAttr, args: []Value{Text("file"), Int(int64(f)), Int(int64(a)), Text("a value")}})
+		}
+		return stmts
+	}
+	records := [][]redoStmt{
+		append(create(0), create(1)...),
+		create(2),
+		{{sql: "DELETE FROM logical_file WHERE id = ?", args: []Value{Int(1)}}},
+	}
+	var enc walEncoder
+	var log []byte
+	for i, stmts := range records {
+		log = enc.encode(log, uint64(i+1), stmts)
+	}
+	for _, text := range []string{insAttr, insFile} {
+		if n := bytes.Count(log, []byte(text)); n != 1 {
+			t.Fatalf("%q appears %d times in the log, want 1", text, n)
 		}
 	}
-	// More distinct texts than the back-reference window remembers: the
-	// overflow is written in full, still round-trips, and can still repeat.
-	for i := 0; i < walBackrefWindow+4; i++ {
-		stmts = append(stmts, redoStmt{sql: fmt.Sprintf("DELETE FROM t%d WHERE id = ?", i), args: []Value{Int(int64(i))}})
+	// One literal "a value" per record that uses it; every repeat is a tag 7.
+	if n := bytes.Count(log, []byte("\x03\x07a value")); n != 2 {
+		t.Fatalf("the repeated text argument is spelled %d times, want once per record (2)", n)
 	}
-	stmts = append(stmts, stmts[len(stmts)-1], stmts[0])
 
-	rec := encodeWALRecord(11, stmts)
-	if n := bytes.Count(rec, []byte(insAttr)); n != 1 {
-		t.Fatalf("the attribute insert's text appears %d times in the record, want 1", n)
-	}
-	if n := bytes.Count(rec, []byte(insFile)); n != 1 {
-		t.Fatalf("the file insert's text appears %d times in the record, want 1", n)
-	}
-	lsn, got, err := decodeWALRecord(rec[frameHeaderSize:])
-	if err != nil || lsn != 11 {
-		t.Fatalf("decode: lsn %d, err %v", lsn, err)
-	}
-	if len(got) != len(stmts) {
-		t.Fatalf("decoded %d statements, want %d", len(got), len(stmts))
-	}
-	for i := range stmts {
-		if got[i].sql != stmts[i].sql || fmt.Sprint(got[i].args) != fmt.Sprint(stmts[i].args) {
-			t.Fatalf("statement %d decoded to %q %v, want %q %v", i, got[i].sql, got[i].args, stmts[i].sql, stmts[i].args)
+	var dict walDict
+	fr := frameReader{r: bytes.NewReader(log)}
+	for i, want := range records {
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		lsn, got, err := decodeWALRecord(&dict, payload)
+		if err != nil || lsn != uint64(i+1) {
+			t.Fatalf("record %d: lsn %d, err %v", i, lsn, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("record %d decoded %d statements, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].sql != want[j].sql || fmt.Sprint(got[j].args) != fmt.Sprint(want[j].args) {
+				t.Fatalf("record %d statement %d decoded to %q %v, want %q %v", i, j, got[j].sql, got[j].args, want[j].sql, want[j].args)
+			}
 		}
 	}
+	if len(dict.texts) != 3 || !slices.Equal(dict.texts, enc.dict.texts) {
+		t.Fatalf("the decoder's dictionary (%d texts) differs from the encoder's (%d)", len(dict.texts), len(enc.dict.texts))
+	}
 
-	// A reference to itself, to a later statement, or in the first statement
-	// is corruption, not a statement.
-	for _, ref := range []uint64{0, 1, 5} {
-		payload := make([]byte, 8)
-		payload = append(payload, 1) // one statement
-		payload = append(payload, 0) // sqlLen 0: back-reference
-		payload = append(payload, byte(ref))
-		payload = append(payload, 0) // no args
-		if _, _, err := decodeWALRecord(payload); err == nil {
-			t.Fatalf("back-reference %d from statement 0 decoded without error", ref)
+	// A record written before the dictionary names an earlier statement of
+	// its own (ref < i); one written since names a dictionary id (i + id).
+	// Both forms decode in one record, and neither is read as the other:
+	// here id 0 is b and id 1 is a, while statements 0 and 1 are a and b.
+	const delA, delB = "DELETE FROM a WHERE id = ?", "DELETE FROM b WHERE id = ?"
+	mixed := walDict{}
+	mixed.define(delB)
+	payload := append(make([]byte, 7), 9, 5) // LSN 9, five statements
+	stmt := func(sqlRef []byte, id byte) {
+		payload = append(payload, sqlRef...)
+		payload = append(payload, 1, walTagInt, id) // one INTEGER argument, zigzag-coded
+	}
+	stmt(append([]byte{byte(len(delA))}, delA...), 2) // literal: defines id 1
+	stmt(append([]byte{byte(len(delB))}, delB...), 4) // literal: already id 0
+	stmt([]byte{0, 0}, 6)                             // statement 0's text
+	stmt([]byte{0, 1}, 8)                             // statement 1's text
+	stmt([]byte{0, 4 + 1}, 10)                        // dictionary id 1
+	_, got, err := decodeWALRecord(&mixed, payload)
+	if err != nil {
+		t.Fatalf("a record mixing both reference forms: %v", err)
+	}
+	wantSQL := []string{delA, delB, delA, delB, delA}
+	for j, s := range got {
+		if s.sql != wantSQL[j] || len(s.args) != 1 || s.args[0] != Int(int64(j+1)) {
+			t.Fatalf("mixed record statement %d decoded to %q %v, want %q [%d]", j, s.sql, s.args, wantSQL[j], j+1)
+		}
+	}
+	if len(got) != len(wantSQL) || !slices.Equal(mixed.texts, []string{delB, delA}) {
+		t.Fatalf("mixed record: %d statements, dictionary %q", len(got), mixed.texts)
+	}
+
+	// Statement 0 of a record may name dictionary ids only: with two
+	// entries, reference 1 is the second and 2 is out of range; with none,
+	// every reference is. A refused record leaves the dictionary alone.
+	ref := func(dict *walDict, ref uint64) error {
+		payload := append(make([]byte, 8), 1, 0, byte(ref), 0) // one statement, sqlLen 0, ref, no args
+		_, _, err := decodeWALRecord(dict, payload)
+		return err
+	}
+	two := walDict{}
+	two.define("DELETE FROM a WHERE id = ?")
+	two.define("DELETE FROM b WHERE id = ?")
+	if err := ref(&two, 1); err != nil {
+		t.Fatalf("a reference to dictionary id 1 was refused: %v", err)
+	}
+	for _, tc := range []struct {
+		dict *walDict
+		ref  uint64
+	}{{&two, 2}, {&walDict{}, 0}, {&walDict{}, 1}, {&walDict{}, 5}} {
+		before := slices.Clone(tc.dict.texts)
+		if err := ref(tc.dict, tc.ref); err == nil {
+			t.Fatalf("reference %d with %d dictionary entries decoded without error", tc.ref, len(tc.dict.texts))
+		}
+		if !slices.Equal(before, tc.dict.texts) {
+			t.Fatal("a refused record changed the dictionary")
 		}
 	}
 }

@@ -36,8 +36,13 @@ func TestWALTornWriteCorpus(t *testing.T) {
 	w, _ := openTestWAL(t, path, db, WALOptions{})
 
 	// Commits of varying shapes so the final record's offsets sweep
-	// through length, CRC, LSN, statement text, statement back-references
-	// and every value type.
+	// through length, CRC, LSN, statement text, the log's three kinds of
+	// reference and every value type. The final record defines dictionary
+	// entries (the two DELETEs), refers to entries earlier records defined
+	// (the kv INSERT and the UPDATE) and repeats text arguments ("gamma"
+	// and "third", tag-7 back-references), so the cuts land inside each.
+	// Its long label keeps it at offsets 165–345, where it sat before the
+	// dictionary shortened it, so the cut subtests keep their names.
 	commits := [][]func(tx *Tx) error{
 		{func(tx *Tx) error {
 			_, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text("alpha"), Int(1))
@@ -57,15 +62,20 @@ func TestWALTornWriteCorpus(t *testing.T) {
 			_, err := tx.Exec("DELETE FROM kv WHERE k = ?", Text("alpha"))
 			return err
 		}, func(tx *Tx) error {
-			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("second — final record"))
+			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("second — the final record, cut at every offset"))
 			return err
 		}, func(tx *Tx) error {
-			// Repeats of earlier texts: the final record carries statement
-			// back-references, so the cuts also land inside those.
 			_, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text("gamma"), Int(4))
 			return err
 		}, func(tx *Tx) error {
+			_, err := tx.Exec("UPDATE kv SET v = ? WHERE k = ?", Int(5), Text("gamma"))
+			return err
+		}, func(tx *Tx) error {
 			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("third"))
+			return err
+		}, func(tx *Tx) error {
+			// A second definition, whose argument is a tag 7.
+			_, err := tx.Exec("DELETE FROM seq WHERE label = ?", Text("third"))
 			return err
 		}},
 	}
@@ -108,6 +118,13 @@ func TestWALTornWriteCorpus(t *testing.T) {
 	}
 	if int64(len(whole)) != sizes[len(sizes)-1] {
 		t.Fatalf("log size %d, recorded %d", len(whole), sizes[len(sizes)-1])
+	}
+
+	final := whole[sizes[len(sizes)-2]:]
+	if !bytes.Contains(final, []byte("DELETE FROM kv")) || bytes.Contains(final, []byte("INSERT INTO kv")) ||
+		bytes.Contains(final, []byte("UPDATE kv")) || bytes.Count(final, []byte("gamma")) != 1 ||
+		bytes.Count(final, []byte("third")) != 1 {
+		t.Fatal("the final record does not carry a definition, dictionary references and a text back-reference")
 	}
 
 	// Cut at every byte offset of the final record — from the last whole

@@ -34,7 +34,7 @@ check: fmt vet deps race planparity regress-test
 	@echo "check: ok"
 
 # The differential planner-parity suite: seeded random schemas, data and
-# SELECTs, the cost-based planner against the naive full-scan evaluator
+# SELECTs, the planner against the naive full-scan evaluator
 # (row multisets must match exactly), run twice under the race detector,
 # then a short randomized fuzzing pass over fresh seeds.
 planparity:

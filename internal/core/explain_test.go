@@ -7,10 +7,12 @@ import (
 )
 
 // EXPLAIN goldens for the catalog's own hot statements. These pin the
-// access paths of the three query shapes the paper's workload leans on —
-// the authz ancestor-chain ACL check, the multi-attribute (Fig. 11) query,
-// and the IN-list batch hydration — so a cardinality-stats or planner
-// regression flips a test, not just a benchmark curve.
+// access paths of the query shapes the paper's workload leans on — the
+// authz ancestor-chain ACL check, the multi-attribute (Fig. 11) query, the
+// IN-list batch hydration and a name lookup narrowed by an attribute — so a
+// planner change flips a test, not just a benchmark curve. Plans read the
+// schema and the statement, never the rows, so the catalogs here hold no
+// files; sqldb's TestPlanCensus pins every statement the catalog issues.
 
 // explainPlan compiles sql against the catalog's database and returns the
 // one-line plan rendering. Plans are value-free, so no arguments are bound.
@@ -23,27 +25,13 @@ func explainPlan(t *testing.T, c *Catalog, sql string) string {
 	return plan
 }
 
-// populateExplainCatalog creates enough files and attribute rows that the
-// stats registry has real cardinalities to rank indexes with.
-func populateExplainCatalog(t *testing.T, c *Catalog, attrs int) {
+// defineExplainAttrs defines string attributes x0 … x(n-1): compiling a
+// query resolves each predicate's attribute type.
+func defineExplainAttrs(t *testing.T, c *Catalog, n int) {
 	t.Helper()
-	for i := 0; i < attrs; i++ {
-		name := fmt.Sprintf("x%d", i)
-		if _, err := c.DefineAttribute(alice, name, AttrString, ""); err != nil {
+	for i := 0; i < n; i++ {
+		if _, err := c.DefineAttribute(alice, fmt.Sprintf("x%d", i), AttrString, ""); err != nil {
 			t.Fatal(err)
-		}
-	}
-	for f := 0; f < 30; f++ {
-		fname := fmt.Sprintf("ef%02d", f)
-		if _, err := c.CreateFile(alice, FileSpec{Name: fname, DataType: "raw"}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < attrs; i++ {
-			attr := fmt.Sprintf("x%d", i)
-			if err := c.SetAttribute(alice, ObjectFile, fname, attr,
-				String(fmt.Sprintf("g%d", f%5))); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }
@@ -51,8 +39,8 @@ func populateExplainCatalog(t *testing.T, c *Catalog, attrs int) {
 func TestExplainAuthzAncestorChain(t *testing.T) {
 	c := openCatalog(t)
 	// The batched ancestor-chain ACL check from authz.go: one IN-list probe
-	// across the whole collection chain. acl_object leads with object_type,
-	// so the probe is an equality prefix extended by the IN list.
+	// across the whole collection chain. acl_object binds object_type by =
+	// and object_id by the IN list, two columns against acl_principal's one.
 	plan := explainPlan(t, c,
 		"SELECT id FROM acl WHERE object_type = ? AND principal = ? AND permission = ? AND object_id IN (?, ?, ?)")
 	if plan != "index-in(acl_object)" {
@@ -62,16 +50,16 @@ func TestExplainAuthzAncestorChain(t *testing.T) {
 
 func TestExplainAttributeBatchHydration(t *testing.T) {
 	c := openCatalog(t)
-	populateExplainCatalog(t, c, 4)
 	// attributesBatch's statement (query.go): per-object attribute fetch for
 	// a page of query results, batched through one IN list on ua_object. The
-	// join to attribute_def intersects on attr_id; the def table is a handful
-	// of rows, so scanning it outright ranks ahead of the IN probe.
+	// join to attribute_def intersects on attr_id; attribute_def has no
+	// local predicate, so it goes last and is reached by key probes into its
+	// primary key.
 	plan := explainPlan(t, c,
 		"SELECT ua.object_id, ad.name, ad.attr_type, ua.sval, ua.ival, ua.fval, ua.tval "+
 			"FROM user_attribute ua JOIN attribute_def ad ON ad.id = ua.attr_id "+
 			"WHERE ua.object_type = ? AND ua.object_id IN (?, ?, ?)")
-	want := "intersect[ad full-scan(attribute_def) & ua index-in(ua_object)]"
+	want := "intersect[ua index-in(ua_object) & ad key-probe(attribute_def_id_key)]"
 	if plan != want {
 		t.Fatalf("attribute batch plan:\n  got  %s\n  want %s", plan, want)
 	}
@@ -79,7 +67,7 @@ func TestExplainAttributeBatchHydration(t *testing.T) {
 
 func TestExplainEightAttributeQuery(t *testing.T) {
 	c := openCatalog(t)
-	populateExplainCatalog(t, c, 8)
+	defineExplainAttrs(t, c, 8)
 	preds := make([]Predicate, 8)
 	for i := range preds {
 		preds[i] = Predicate{fmt.Sprintf("x%d", i), OpEq, String("g2")}
@@ -92,8 +80,8 @@ func TestExplainEightAttributeQuery(t *testing.T) {
 	plan := explainPlan(t, c, sql)
 	// All eight predicates are string-typed, so every attribute stage is a
 	// covered equality probe of ua_attr_s and the file table is reached by
-	// key probes — the flat Fig. 11 shape. Stage order among equal
-	// estimates is statement order (stable sort).
+	// key probes — the flat Fig. 11 shape. The attribute stages bind three
+	// columns each, so they keep statement order.
 	want := "intersect[" + strings.Repeat("a%d index-eq(ua_attr_s) & ", 8) +
 		"t key-probe(logical_file_id_key)]"
 	wantArgs := make([]interface{}, 8)
@@ -103,5 +91,31 @@ func TestExplainEightAttributeQuery(t *testing.T) {
 	want = fmt.Sprintf(want, wantArgs...)
 	if plan != want {
 		t.Fatalf("8-attribute plan:\n  got  %s\n  want %s", plan, want)
+	}
+}
+
+// TestExplainNameAndAttribute pins the plan's known cost. A static `name =`
+// predicate binds one column of lf_name, and the attribute stage binds three
+// of ua_attr_s, so the attribute stage runs first: the query materializes
+// the attribute's whole value run and then key-probes logical_file for each
+// object in it. Ranked by data, the name would go first and find one row;
+// at 20,000 files, with a two-valued attribute, this statement takes 2.2 ms
+// instead of 0.005 ms on 2 vCPUs (EXPERIMENTS.md, "Plans from the schema
+// alone"). A seekable intersection
+// that can start from the name wins it back without statistics.
+func TestExplainNameAndAttribute(t *testing.T) {
+	c := openCatalog(t)
+	defineExplainAttrs(t, c, 1)
+	sql, err := c.ExplainQuery(Query{Predicates: []Predicate{
+		{"name", OpEq, String("f1")},
+		{"x0", OpEq, String("g2")},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := explainPlan(t, c, sql)
+	want := "intersect[a0 index-eq(ua_attr_s) & t key-probe(logical_file_id_key)]"
+	if plan != want {
+		t.Fatalf("name + attribute plan:\n  got  %s\n  want %s", plan, want)
 	}
 }

@@ -18,12 +18,13 @@ import (
 // each user-defined attribute predicate becomes one join against the
 // user_attribute table, so an N-attribute "complex query" is an N-way
 // self-join. How that join executes is the engine's business, not this
-// package's: sqldb's cost-based planner turns the equi-join conjunction
-// into per-attribute probes of the (attr_id, object_type, value,
-// object_id) covering indexes combined by sorted-rowid intersection,
-// ordered most-selective-first from index cardinality stats — which is
-// what keeps Fig. 11 flat instead of cliff-shaped as N grows. ExplainQuery
-// exposes the generated SQL so tests can pin the chosen plan via EXPLAIN.
+// package's: sqldb's planner turns the equi-join conjunction into
+// per-attribute probes of the (attr_id, object_type, value, object_id)
+// covering indexes combined by sorted-rowid intersection, the stages
+// ordered by how many key columns each binds (a fixed rule over the
+// schema; ties keep predicate order) — which is what keeps Fig. 11 flat
+// instead of cliff-shaped as N grows. ExplainQuery exposes the generated
+// SQL so tests can pin the chosen plan via EXPLAIN.
 
 // targetTable returns the object table and alias for a query target.
 func targetTable(t ObjectType) (string, error) {

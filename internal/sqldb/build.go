@@ -195,15 +195,15 @@ func (k keyColumn) rank(vals []Value) {
 	}
 }
 
-// build replaces the tree and statistics of a new, empty index with one
-// entry per row of rows (rowids beside them, ascending) whose key cells are
-// all non-NULL, using the key words keys holds for the index's columns.
-// The records are sorted one key column at a time, most significant first:
-// a level sorts a run of rows that agree on the columns before it, and
-// recurses into each run of equal words. The runs give the distinct-prefix
-// counts and the UNIQUE check without another comparison; the sorted
-// records then place the entries, and the run goes to the tree's bottom-up
-// constructor. On error the index is unchanged.
+// build replaces the tree of a new, empty index with one entry per row of
+// rows (rowids beside them, ascending) whose key cells are all non-NULL,
+// using the key words keys holds for the index's columns. The records are
+// sorted one key column at a time, most significant first: a level sorts a
+// run of rows that agree on the columns before it, and recurses into each
+// run of equal words. The runs decide only UNIQUE: a run of equal full keys
+// is a violation, found without another comparison. The sorted records then
+// place the entries, and the run goes to the tree's bottom-up constructor.
+// On error the index is unchanged.
 func (ix *index) build(rowids []int64, rows []Row, keys []keyColumn, buf *buildBuf) error {
 	var nulls [][]bool
 	for _, c := range ix.cols {
@@ -223,8 +223,7 @@ rows:
 	}
 	n := len(recs)
 	buf.tmp = slices.Grow(buf.tmp[:0], n)
-	distinct := make([]int, len(ix.cols))
-	if err := ix.sortLevel(recs, buf.tmp[:n], 0, keys, distinct); err != nil {
+	if err := ix.sortLevel(recs, buf.tmp[:n], 0, keys); err != nil {
 		return err
 	}
 	entries := slices.Grow(buf.entries[:0], n)[:n]
@@ -232,39 +231,35 @@ rows:
 		entries[i] = entryOf(rowids[r.pos], rows[r.pos])
 	}
 	ix.tree = btree.FromSorted[indexEntry, struct{}](indexDegree, entryLess(ix.cols), entries, nil)
-	ix.stats = indexStats{distinct: distinct}
 	buf.recs, buf.entries = recs, entries
 	return nil
 }
 
 // sortLevel sorts recs, rows that agree on key columns [0, lvl), by column
-// lvl and then position, and counts and descends into its runs of equal
-// words.
-func (ix *index) sortLevel(recs, tmp []sortRec, lvl int, keys []keyColumn, distinct []int) error {
+// lvl and then position, and descends into its runs of equal words. At the
+// last column a run is a set of equal full keys, already in position order:
+// only a UNIQUE index reads it.
+func (ix *index) sortLevel(recs, tmp []sortRec, lvl int, keys []keyColumn) error {
 	words := keys[ix.cols[lvl]].words
 	for i := range recs {
 		recs[i].word = words[recs[i].pos]
 	}
 	sortRecs(recs, tmp)
-	last := lvl == len(ix.cols)-1
+	if lvl == len(ix.cols)-1 {
+		for i := 1; i < len(recs) && ix.unique; i++ {
+			if recs[i].word == recs[i-1].word {
+				return ix.uniqueViolation()
+			}
+		}
+		return nil
+	}
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for j < len(recs) && recs[j].word == recs[i].word {
 			j++
 		}
-		distinct[lvl]++
-		switch {
-		case last:
-			if j-i > 1 && ix.unique {
-				return ix.uniqueViolation()
-			}
-		case j-i == 1:
-			// One row is its own prefix group at every longer length.
-			for k := lvl + 1; k < len(distinct); k++ {
-				distinct[k]++
-			}
-		default:
-			if err := ix.sortLevel(recs[i:j], tmp[i:j], lvl+1, keys, distinct); err != nil {
+		if j-i > 1 {
+			if err := ix.sortLevel(recs[i:j], tmp[i:j], lvl+1, keys); err != nil {
 				return err
 			}
 		}

@@ -336,7 +336,7 @@ func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
 	return db.querySelect(sql, sel, args)
 }
 
-// QueryNaive runs a SELECT with every cost-based planner decision disabled:
+// QueryNaive runs a SELECT with every planner decision disabled:
 // the nested executor over full scans, never touching the plan cache. It exists
 // as the reference evaluator for the differential planner-parity harness —
 // any query must return the same multiset of rows through Query and
@@ -678,7 +678,7 @@ func matchingRowIDs(t *table, tableName string, where Expr, args []Value) ([]int
 			preds = append(preds, c)
 		}
 	}
-	sp, _ := planSpec(t, tableName, preds, statsRegistry{})
+	sp, _ := planSpec(t, tableName, preds)
 	ap := sp.bind(args)
 	var ids []int64
 	var scanErr error

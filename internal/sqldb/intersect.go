@@ -58,7 +58,6 @@ type istage struct {
 	// passing the local predicates, group by key.
 	access accessSpec
 	locals []Expr
-	est    float64
 	// covered: access is a pure equality probe whose slots consume every
 	// local predicate, and the key column is fixed by the probe or is the
 	// index column right after it, so scanned entries arrive key-ascending
@@ -73,8 +72,8 @@ type istage struct {
 	probeIdx *index
 }
 
-// intersectPlan executes the stages most-selective-first and emits the
-// surviving per-key cross products in statement order.
+// intersectPlan executes the stages in rank order (see planIntersect) and
+// emits the surviving per-key cross products in statement order.
 type intersectPlan struct {
 	order []istage
 	// residuals are cross-stage conjuncts other than the consumed key
@@ -189,7 +188,15 @@ func specCovers(sp accessSpec, alias string, tbl *table, locals []Expr) bool {
 // WHERE and ON conjunct. Requirements: at least two stages and one equality
 // class of join keys that covers every stage, with every key column
 // declared INTEGER. Anything else keeps the nested executor.
-func (p *selectPlan) planIntersect(conjs []Expr, stats statsRegistry) {
+//
+// Like planSpec, the plan reads the schema and the statement, never the
+// data. Stages run in descending planSpec rank — a stage bound by a unique
+// key first, full scans last — with ties in statement order. A stage after
+// the first is reached by key probes instead of its own access when its key
+// index (table.findIndex) is a one-column unique index, so each surviving
+// key costs one descent and finds at most one row, or when its own access
+// would be a full scan.
+func (p *selectPlan) planIntersect(conjs []Expr) {
 	stages := p.stages
 	if len(stages) < 2 {
 		return
@@ -317,14 +324,15 @@ func (p *selectPlan) planIntersect(conjs []Expr, stats statsRegistry) {
 	}
 
 	order := make([]istage, len(stages))
+	rank := make([]int, len(stages))
 	for si := range stages {
-		access, est := planSpec(stages[si].tbl, stages[si].ref.Alias, locals[si], stats)
+		var access accessSpec
+		access, rank[si] = planSpec(stages[si].tbl, stages[si].ref.Alias, locals[si])
 		is := istage{
 			si:          si,
 			keyCol:      keyCol[si],
 			access:      access,
 			locals:      locals[si],
-			est:         est,
 			keyEntryPos: -1,
 			probeIdx:    stages[si].tbl.findIndex(keyCol[si], stages[si].ref.Alias, locals[si]),
 		}
@@ -340,13 +348,10 @@ func (p *selectPlan) planIntersect(conjs []Expr, stats statsRegistry) {
 			specCovers(access, stages[si].ref.Alias, stages[si].tbl, locals[si])
 		order[si] = is
 	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].est < order[b].est })
-	// Stages after the first may be reached by key probes instead of their
-	// own scan when an index on the key column exists and probing the keys
-	// surviving so far is estimated cheaper than the stage's own access.
+	sort.SliceStable(order, func(a, b int) bool { return rank[order[a].si] > rank[order[b].si] })
 	for i := 1; i < len(order); i++ {
 		is := &order[i]
-		if is.probeIdx != nil && order[0].est*stats.eqRows(is.probeIdx, 1) < is.est {
+		if ix := is.probeIdx; ix != nil && (ix.unique && len(ix.cols) == 1 || is.access.idx == nil) {
 			is.probe = true
 		}
 	}
@@ -392,8 +397,7 @@ func (g *stageGroups) seal() {
 	g.offs = append(g.offs, int32(len(g.rowids)))
 }
 
-// makeGroups preallocates a stageGroups for n expected rowids (the planner's
-// cardinality estimate), so the hot covered scans append without regrowing.
+// makeGroups preallocates a stageGroups for n rowids, one per key.
 func makeGroups(n int) stageGroups {
 	return stageGroups{
 		keys:   make([]int64, 0, n),
@@ -457,7 +461,7 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 	ap := is.access.bind(ev.params)
 	if is.covered && ap.idx != nil && ap.inList == nil &&
 		ap.rangeLo == nil && ap.rangeHi == nil && len(ap.eqVals) == len(is.access.eqExprs) {
-		g := makeGroups(int(is.est) + 1)
+		var g stageGroups
 		is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
 			g.add(row[is.keyCol].N, rowid)
 			return true
@@ -518,7 +522,7 @@ func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups,
 }
 
 // runIntersect executes the intersection plan: materialize or probe each
-// stage in selectivity order, merge the sorted per-stage key lists, then
+// stage in plan order, merge the sorted per-stage key lists, then
 // emit the surviving cross products in statement order. Emission order is
 // deterministic — keys ascending, each stage's rowids in materialization
 // order — independent of the chosen stage order.

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -11,10 +12,11 @@ import (
 // into a selectPlan — a value-free description of how to execute it (which
 // index the first stage probes, which expressions feed the probe, filtered
 // nested scans versus sorted-set intersection) — and run binds parameter values and
-// executes. Plans depend only on the statement shape and the root they were
-// compiled against, so the DB layer caches them keyed on the MVCC epoch
-// (see DB.plannedSelect): the PR 5 epoch machinery invalidates them for
-// free on every commit.
+// executes. A plan's choices depend only on the statement and the schema
+// (planSpec reads no data), but it points at the table and index versions of
+// the root it was compiled against, so the DB layer caches plans keyed on
+// the MVCC epoch (see DB.plannedSelect): the epoch machinery invalidates
+// them for free on every commit.
 //
 // Access-path choices are safe to make symbolically because they are only
 // ever optimizations: every stage re-applies its full filter list to each
@@ -282,15 +284,26 @@ func (ix *index) serves(alias string, preds []Expr, lead int) bool {
 	return true
 }
 
-// planSpec chooses the access spec for tbl (bound as alias) from preds,
-// consulting st — never the table's trees — for cardinality. It returns the
-// spec and the estimated number of rows it yields. Only an index that serves
-// preds is a candidate (see index.serves). Any usable index beats a
-// full scan (a probe is far cheaper than a filtered scan row here, and the
-// filters re-run regardless); among index candidates the smallest estimate
-// wins, with ties going to the earliest candidate in a fixed enumeration
-// order so plans are deterministic.
-func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessSpec, float64) {
+// rankUnique is the rank of a unique index whose whole key is bound by `=`:
+// it yields at most one row, so it outranks any count of bound columns.
+const rankUnique = math.MaxInt
+
+// planSpec chooses the access spec for tbl (bound as alias) from preds and
+// returns it with its rank. The choice is a function of the schema and the
+// predicates alone — no row count or estimate enters it — so a plan never
+// changes as the data grows. Only an index that serves preds is a candidate
+// (see index.serves), and the rule is:
+//
+//  1. a unique index whose whole key is bound by `=` ranks rankUnique;
+//  2. any other candidate ranks by the key columns it binds: each column of
+//     its equality prefix, plus one for an IN list or a range on the column
+//     after the prefix;
+//  3. on a tie the first candidate enumerated wins: indexes in declaration
+//     order, and within one index IN before range before plain equality.
+//
+// A full scan ranks 0, below every index candidate: a probe is far cheaper
+// than a filtered scan row here, and the filters re-run regardless.
+func planSpec(tbl *table, alias string, preds []Expr) (accessSpec, int) {
 	// Collect per-column symbolic slots: the first equality expression, the
 	// first all-constant IN list, and range bounds.
 	eq := map[int]Expr{}
@@ -356,13 +369,10 @@ func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessS
 		}
 	}
 
-	rows := st.tableRows(tbl)
-	var best accessSpec
-	bestEst := 0.0
-	have := false
-	consider := func(sp accessSpec, est float64) {
-		if !have || est < bestEst {
-			best, bestEst, have = sp, est, true
+	best, bestRank := accessSpec{tbl: tbl}, 0
+	consider := func(sp accessSpec, rank int) {
+		if rank > bestRank {
+			best, bestRank = sp, rank
 		}
 	}
 	for _, ix := range tbl.indexes {
@@ -383,8 +393,7 @@ func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessS
 		if n < len(ix.cols) {
 			next := ix.cols[n]
 			if items, ok := inLists[next]; ok {
-				consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols, inExprs: items},
-					st.eqRows(ix, n+1)*float64(len(items)))
+				consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols, inExprs: items}, n+1)
 			}
 			l, hasLo := lo[next]
 			h, hasHi := hi[next]
@@ -396,22 +405,17 @@ func planSpec(tbl *table, alias string, preds []Expr, st statsRegistry) (accessS
 				if hasHi {
 					sp.hiExpr, sp.hiInc = h.ex, h.inc
 				}
-				base := rows
-				if n > 0 {
-					base = st.eqRows(ix, n)
-				}
-				// No histograms: assume a range keeps a third of its base.
-				consider(sp, base/3)
+				consider(sp, n+1)
 			}
 		}
-		if n > 0 {
-			consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}, st.eqRows(ix, n))
+		switch {
+		case n == len(ix.cols) && ix.unique:
+			consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}, rankUnique)
+		case n > 0:
+			consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}, n)
 		}
 	}
-	if !have {
-		return accessSpec{tbl: tbl}, rows
-	}
-	return best, bestEst
+	return best, bestRank
 }
 
 // stagePlan is the per-stage execution info for a compiled SELECT pipeline.
@@ -445,7 +449,7 @@ type selectPlan struct {
 // join is an inner join, so its ON conjuncts are placed exactly like WHERE
 // conjuncts: each at the first stage that binds every table it names. With
 // naive set the first stage is a full scan and intersection is never
-// considered — the same executor with every cost-based choice disabled,
+// considered — the same executor with every planner choice disabled,
 // which is the reference evaluator the planner-parity harness diffs
 // against.
 func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) {
@@ -488,10 +492,9 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 		}
 	}
 
-	stats := statsRegistry{}
 	p := &selectPlan{st: st, stages: stages, access: accessSpec{tbl: fromTbl}}
 	if !naive {
-		p.access, _ = planSpec(fromTbl, st.From.Alias, stages[0].filters, stats)
+		p.access, _ = planSpec(fromTbl, st.From.Alias, stages[0].filters)
 	}
 
 	// Build the output schema.
@@ -504,7 +507,7 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 	}
 
 	if !naive {
-		p.planIntersect(conjs, stats)
+		p.planIntersect(conjs)
 	}
 	return p, nil
 }
@@ -689,8 +692,8 @@ func rowKey(row []Value) string {
 // by golden tests. Single-table plans render as the bare access path
 // ("index-eq(name)"); nested joins render each stage in execution order
 // ("nested[a index-eq(i) -> b scan(t) -> c scan(u)]"); intersection
-// plans list the stages most-selective-first with the key-probe stages
-// marked ("intersect[a0 index-eq(i) & t key-probe(j)]").
+// plans list the stages in execution order (see planIntersect) with the
+// key-probe stages marked ("intersect[a0 index-eq(i) & t key-probe(j)]").
 func (p *selectPlan) String() string {
 	if p.inter != nil {
 		var b strings.Builder

@@ -9,27 +9,31 @@ import (
 )
 
 // Differential planner parity: every generated query runs twice — through
-// the cost-based planner (DB.Query: index selection, sorted-set
-// intersection, key probes, stats-driven ordering) and through the naive
-// evaluator (DB.QueryNaive: the nested executor over full scans) — and the
-// two row multisets must match exactly. The generator covers the planner's
-// decision surface in the catalog's dialect: indexed and unindexed columns,
-// INTEGER join keys (intersection) and TEXT and FLOAT join keys (which
-// intersection must refuse, leaving the join to the nested executor),
-// eq/ne/range/IN predicates, OR-disjunctions that defeat index selection,
-// NULL data and NULL parameters (bind-time probe degradation), DISTINCT,
-// COUNT(*) and ORDER BY. Every constant is a ? parameter, as in the
-// catalog. Ordering is never asserted — rows are compared as canonical
-// sorted multisets — because tie order between plans is unspecified.
+// the planner (DB.Query: index selection, sorted-set intersection, key
+// probes, rank-ordered stages) and through the naive evaluator
+// (DB.QueryNaive: the nested executor over full scans) — and the two row
+// multisets must match exactly. The generator covers the planner's decision
+// surface in the catalog's dialect: indexed and unindexed columns, a UNIQUE
+// column (a whole unique key bound by =, and key probes through its
+// one-column unique index), INTEGER join keys (intersection) and TEXT and
+// FLOAT join keys (which intersection must refuse, leaving the join to the
+// nested executor), eq/ne/range/IN predicates, OR-disjunctions that defeat
+// index selection, NULL data and NULL parameters (bind-time probe
+// degradation), DISTINCT, COUNT(*) and ORDER BY. Every constant is a ?
+// parameter, as in the catalog. Ordering is never asserted — rows are
+// compared as canonical sorted multisets — because tie order between plans
+// is unspecified.
 
 // parityCol is one generated column: its name, declared type, and a small
 // value domain the data and predicates both draw from (small domains force
 // collisions, which is what makes joins and predicates selective enough to
-// be interesting).
+// be interesting). A unique column is declared UNIQUE, and its rows hold
+// distinct values from its domain.
 type parityCol struct {
 	name   string
 	typ    Type
 	domain []Value
+	unique bool
 }
 
 func parityDomains(rng *rand.Rand) []parityCol {
@@ -47,6 +51,7 @@ func parityDomains(rng *rand.Rand) []parityCol {
 		{name: "v", typ: TypeText, domain: texts[:2+rng.Intn(4)]},
 		{name: "w", typ: TypeInt, domain: ints(10)},
 		{name: "f", typ: TypeFloat, domain: floats},
+		{name: "u", typ: TypeInt, domain: ints(48), unique: true},
 	}
 }
 
@@ -72,6 +77,9 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 			if notNull[i] = rng.Intn(2) == 0; notNull[i] {
 				ddl += " NOT NULL"
 			}
+			if c.unique {
+				ddl += " UNIQUE"
+			}
 		}
 		ddl += ")"
 		if _, err := db.Exec(ddl); err != nil {
@@ -90,6 +98,7 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 			}
 		}
 		nrows := 5 + rng.Intn(41)
+		perm := rng.Perm(nrows) // the unique columns' values, by row
 		colNames := make([]string, 0, len(cols)+1)
 		colNames = append(colNames, "id")
 		ph := []string{"?"}
@@ -102,9 +111,12 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 		for r := 0; r < nrows; r++ {
 			args := []Value{Int(int64(r))}
 			for i, c := range cols {
-				if !notNull[i] && rng.Intn(8) == 0 {
+				switch {
+				case !notNull[i] && rng.Intn(8) == 0:
 					args = append(args, Null())
-				} else {
+				case c.unique:
+					args = append(args, Int(int64(perm[r])))
+				default:
 					args = append(args, c.domain[rng.Intn(len(c.domain))])
 				}
 			}
@@ -123,9 +135,10 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 	var from strings.Builder
 	var params []Value
 	// Join keys come from the shared palette so any two stages can join on
-	// a same-named, same-typed column; k and w (INTEGER) exercise
-	// intersection, v (TEXT) and f (FLOAT) its refusal.
-	joinCols := []string{"k", "v", "w", "f"}
+	// a same-named, same-typed column; k, w and u (INTEGER) exercise
+	// intersection, u through its unique index, and v (TEXT) and f (FLOAT)
+	// its refusal.
+	joinCols := []string{"k", "v", "w", "f", "u"}
 	for si := 0; si < nstage; si++ {
 		aliases[si] = fmt.Sprintf("a%d", si)
 		tbl := tables[rng.Intn(len(tables))]

@@ -92,10 +92,6 @@ type index struct {
 	unique  bool
 	tree    *btree.Tree[indexEntry, struct{}]
 	pending []indexDelta
-
-	// stats holds the exact distinct counts the planner's statsRegistry
-	// reads; flush maintains them incrementally (see stats.go).
-	stats indexStats
 }
 
 func newIndex(name string, t *table, cols []int, unique bool) *index {
@@ -105,7 +101,6 @@ func newIndex(name string, t *table, cols []int, unique bool) *index {
 		cols:   cols,
 		unique: unique,
 		tree:   btree.NewDegree[indexEntry, struct{}](indexDegree, entryLess(cols)),
-		stats:  indexStats{distinct: make([]int, len(cols))},
 	}
 }
 
@@ -145,19 +140,6 @@ func compareEntries(cols []int, a, b indexEntry) int {
 }
 
 func (ix *index) compare(a, b indexEntry) int { return compareEntries(ix.cols, a, b) }
-
-// keyDiff returns the first key column (as a position in ix.cols) where a
-// and b differ, or len(ix.cols) when they agree on the whole key.
-func (ix *index) keyDiff(a, b indexEntry) int {
-	if a.row != b.row {
-		for i, c := range ix.cols {
-			if compareCells(a.col(c), b.col(c)) != 0 {
-				return i
-			}
-		}
-	}
-	return len(ix.cols)
-}
 
 // compareKey orders e's leading n key columns against key's.
 func (ix *index) compareKey(e, key indexEntry, n int) int {
@@ -239,18 +221,13 @@ func (ix *index) push(d indexDelta) {
 	ix.pending = append(ix.pending, d)
 }
 
-// flush applies pending deltas to the tree. Deltas are sorted by key so the
-// tree is walked leaf-by-leaf in order, and multiple ops on the same entry
-// coalesce to the last one — an insert+delete pair in the same transaction
-// never touches the tree at all, and an UPDATE that leaves the key columns
-// alone (delete of the old row's entry, insert of the new row's, equal
-// under the ordering) becomes one Set that swaps the entry's row pointer.
-//
-// Because the batch is sorted, deltas touching the same key prefix are
-// contiguous, which is what makes incremental distinct-count maintenance
-// cheap: for every prefix length, each distinct prefix group in the batch
-// pays at most two read-only tree probes — existence before its ops apply
-// and after — to detect the 0↔N transitions that move the counts.
+// flush applies pending deltas to the tree: it sorts them by entry, so the
+// tree is walked leaf by leaf in key order, coalesces the ops on one entry
+// (same key columns and rowid) to the last, and applies what is left. An
+// insert+delete pair in the same transaction never touches the tree, and an
+// UPDATE that leaves the key columns alone (delete of the old row's entry,
+// insert of the new row's, equal under the ordering) becomes one Set that
+// swaps the entry's row pointer.
 func (ix *index) flush() {
 	p := ix.pending
 	if len(p) == 0 {
@@ -259,47 +236,18 @@ func (ix *index) flush() {
 	if len(p) > 1 {
 		slices.SortStableFunc(p, func(a, b indexDelta) int { return ix.compare(a.key, b.key) })
 	}
-	nc := len(ix.cols)
-	// apply processes deltas p[lo:hi) that share their first lvl key
-	// columns: group them by column lvl, bracket each group with existence
-	// probes at prefix length lvl+1, and recurse. At the full key width it
-	// applies the tree ops, coalescing multiple ops on one exact entry
-	// (same key columns and rowid) to the last.
-	var apply func(lo, hi, lvl int)
-	apply = func(lo, hi, lvl int) {
-		if lvl == nc {
-			for k := lo; k < hi; {
-				m := k + 1
-				for m < hi && p[m].key.rowid == p[k].key.rowid {
-					m++
-				}
-				if last := p[m-1]; last.del {
-					ix.tree.Delete(last.key)
-				} else {
-					ix.tree.Set(last.key, struct{}{})
-				}
-				k = m
-			}
-			return
+	for k := 0; k < len(p); {
+		m := k + 1
+		for m < len(p) && ix.compare(p[m].key, p[k].key) == 0 {
+			m++
 		}
-		c := ix.cols[lvl]
-		for i := lo; i < hi; {
-			e := i + 1
-			for e < hi && compareCells(p[e].key.col(c), p[i].key.col(c)) == 0 {
-				e++
-			}
-			pre := ix.hasPrefix(p[i].key, lvl+1)
-			apply(i, e, lvl+1)
-			post := ix.hasPrefix(p[i].key, lvl+1)
-			if !pre && post {
-				ix.stats.distinct[lvl]++
-			} else if pre && !post {
-				ix.stats.distinct[lvl]--
-			}
-			i = e
+		if last := p[m-1]; last.del {
+			ix.tree.Delete(last.key)
+		} else {
+			ix.tree.Set(last.key, struct{}{})
 		}
+		k = m
 	}
-	apply(0, len(p), 0)
 	// Keep the backing array for the next batch in this transaction, but
 	// zero it so published roots don't pin dead rows.
 	for i := range p {
@@ -431,7 +379,6 @@ func (t *table) clone() *table {
 			cols:   ix.cols,
 			unique: ix.unique,
 			tree:   ix.tree.Clone(),
-			stats:  ix.stats.clone(),
 		}
 	}
 	return nt

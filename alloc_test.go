@@ -40,18 +40,20 @@ func allocsPerAdd(n int, add func(i int)) (bytesPer, allocsPer float64) {
 // ~95 KB / ~755 allocations against a 2k-file catalog (it was ~194 KB / ~855
 // with 88-byte index keys, ~900 KB / ~1900 before batched index maintenance),
 // an add inside a 100-op batch ~21 KB / ~140 (was ~58 KB / ~245), and a
-// restored catalog keeps ~4.1 KB of heap per file (it was ~5.0 KB while
-// indexes held NULL-keyed entries, ~31 KB before that). The add gates sit
-// at roughly 2× today's numbers: loose enough for tree-depth noise and
-// toolchain drift, tight enough that losing any one optimization trips
-// them. The restored-heap gate sits ~10 % above today's number, which it
-// repeats to the byte: a return of the NULL-keyed entries (+0.9 KB) trips it.
+// restored catalog keeps ~3.4 KB of heap per file (it was ~4.1 KB while each
+// table kept a unique index on its INTEGER PRIMARY KEY beside the row store
+// and five unread indexes stood, ~5.0 KB while indexes held NULL-keyed
+// entries, ~31 KB before that). The add gates sit at roughly 2× today's
+// numbers: loose enough for tree-depth noise and toolchain drift, tight
+// enough that losing any one optimization trips them. The restored-heap gate
+// sits ~10 % above today's number, which it repeats to the byte: a return of
+// the primary-key indexes (+0.3 KB) or of ua_oid (+0.3 KB) trips it.
 const (
 	singleAddByteBudget  = 200_000
 	singleAddAllocBudget = 1_600
 	batchAddByteBudget   = 45_000 // per add inside a 100-op batch
 	batchAddAllocBudget  = 330
-	restoredHeapBudget   = 4_500 // bytes live per file after core.Restore
+	restoredHeapBudget   = 3_750 // bytes live per file after core.Restore
 	// Catalog.Snapshot allocates its frame buffer and little else (~45 KB
 	// measured); the gob encoder it replaced allocated ~16 KB per file.
 	snapshotAllocBudget = 256 << 10 // bytes per Snapshot, whatever the catalog's size

@@ -40,7 +40,7 @@ func TestExplainAuthzAncestorChain(t *testing.T) {
 	c := openCatalog(t)
 	// The batched ancestor-chain ACL check from authz.go: one IN-list probe
 	// across the whole collection chain. acl_object binds object_type by =
-	// and object_id by the IN list, two columns against acl_principal's one.
+	// and object_id by the IN list.
 	plan := explainPlan(t, c,
 		"SELECT id FROM acl WHERE object_type = ? AND principal = ? AND permission = ? AND object_id IN (?, ?, ?)")
 	if plan != "index-in(acl_object)" {
@@ -59,7 +59,7 @@ func TestExplainAttributeBatchHydration(t *testing.T) {
 		"SELECT ua.object_id, ad.name, ad.attr_type, ua.sval, ua.ival, ua.fval, ua.tval "+
 			"FROM user_attribute ua JOIN attribute_def ad ON ad.id = ua.attr_id "+
 			"WHERE ua.object_type = ? AND ua.object_id IN (?, ?, ?)")
-	want := "intersect[ua index-in(ua_object) & ad key-probe(attribute_def_id_key)]"
+	want := "intersect[ua index-in(ua_object) & ad key-probe(rowid)]"
 	if plan != want {
 		t.Fatalf("attribute batch plan:\n  got  %s\n  want %s", plan, want)
 	}
@@ -83,7 +83,7 @@ func TestExplainEightAttributeQuery(t *testing.T) {
 	// key probes — the flat Fig. 11 shape. The attribute stages bind three
 	// columns each, so they keep statement order.
 	want := "intersect[" + strings.Repeat("a%d index-eq(ua_attr_s) & ", 8) +
-		"t key-probe(logical_file_id_key)]"
+		"t key-probe(rowid)]"
 	wantArgs := make([]interface{}, 8)
 	for i := range wantArgs {
 		wantArgs[i] = i
@@ -114,7 +114,7 @@ func TestExplainNameAndAttribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := explainPlan(t, c, sql)
-	want := "intersect[a0 index-eq(ua_attr_s) & t key-probe(logical_file_id_key)]"
+	want := "intersect[a0 index-eq(ua_attr_s) & t key-probe(rowid)]"
 	if plan != want {
 		t.Fatalf("name + attribute plan:\n  got  %s\n  want %s", plan, want)
 	}

@@ -10,7 +10,12 @@ import (
 // The index set mirrors the evaluation setup: "indexes on logical file
 // names, logical collection names and logical views … on the
 // database-assigned identifiers for these items and on (name,id) pairs",
-// plus per-type value indexes for user-defined attribute matching.
+// plus per-type value indexes for user-defined attribute matching. As in
+// MySQL's InnoDB, which the paper ran, every table is clustered on its
+// INTEGER PRIMARY KEY, the database-assigned identifier, and every index
+// entry carries it: lf_name and the UNIQUE name indexes are the (name, id)
+// pairs. Each index is read by some statement the catalog issues
+// (TestEveryCatalogIndexEarnsItsPlace).
 var ddl = []string{
 	`CREATE TABLE logical_file (
 		id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -29,7 +34,6 @@ var ddl = []string{
 		audited BOOLEAN NOT NULL
 	)`,
 	`CREATE INDEX lf_name ON logical_file (name, version)`,
-	`CREATE INDEX lf_name_id ON logical_file (name, id)`,
 	`CREATE INDEX lf_collection ON logical_file (collection_id)`,
 
 	`CREATE TABLE logical_collection (
@@ -43,7 +47,6 @@ var ddl = []string{
 		modified DATETIME,
 		audited BOOLEAN NOT NULL
 	)`,
-	`CREATE INDEX lc_name_id ON logical_collection (name, id)`,
 	`CREATE INDEX lc_parent ON logical_collection (parent_id)`,
 
 	`CREATE TABLE logical_view (
@@ -56,7 +59,6 @@ var ddl = []string{
 		modified DATETIME,
 		audited BOOLEAN NOT NULL
 	)`,
-	`CREATE INDEX lv_name_id ON logical_view (name, id)`,
 
 	`CREATE TABLE view_member (
 		id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -87,7 +89,6 @@ var ddl = []string{
 		tval DATETIME
 	)`,
 	`CREATE INDEX ua_object ON user_attribute (object_type, object_id)`,
-	`CREATE INDEX ua_oid ON user_attribute (object_id)`,
 	// The per-type value indexes carry object_type and object_id behind the
 	// probed columns so a multi-attribute query stage is fully covered: the
 	// planner's set-intersection executor answers "which objects have
@@ -109,7 +110,6 @@ var ddl = []string{
 		permission TEXT NOT NULL
 	)`,
 	`CREATE INDEX acl_object ON acl (object_type, object_id)`,
-	`CREATE INDEX acl_principal ON acl (principal)`,
 
 	`CREATE TABLE audit_log (
 		id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -183,6 +183,20 @@ var staticFileColumns = map[string]struct {
 	"valid":            {"valid", AttrInt}, // 0/1 via int predicate
 	"collectionId":     {"collection_id", AttrInt},
 }
+
+// declaredIndexes names every index ddl creates: the ones a restored
+// catalog keeps (see Restore).
+var declaredIndexes = func() []string {
+	var names []string
+	for _, stmt := range ddl {
+		if st, err := sqldb.Parse(stmt); err == nil {
+			if ci, ok := st.(*sqldb.CreateIndexStmt); ok {
+				names = append(names, ci.Name)
+			}
+		}
+	}
+	return names
+}()
 
 // applySchema creates all MCS tables and indexes in db.
 func applySchema(db *sqldb.DB) error {

@@ -17,7 +17,10 @@ func (c *Catalog) Snapshot(w io.Writer) error {
 
 // Restore opens a catalog from a stream written by Snapshot. Options are
 // applied as in Open, except that the schema and any bootstrap ACL rows
-// come from the snapshot rather than being re-created.
+// come from the snapshot rather than being re-created. An index the
+// snapshot holds but the schema no longer declares is dropped, so a
+// catalog restored from an older snapshot neither keeps nor maintains it,
+// and its next checkpoint writes it no more.
 func Restore(opts Options, r io.Reader) (*Catalog, error) {
 	if opts.EnforceAuthz && opts.Owner == "" {
 		return nil, fmt.Errorf("%w: authorization requires an owner DN", ErrInvalidInput)
@@ -35,6 +38,7 @@ func Restore(opts Options, r io.Reader) (*Catalog, error) {
 			return nil, fmt.Errorf("mcs: snapshot lacks table %q: %w", required, err)
 		}
 	}
+	db.DropIndexesExcept(declaredIndexes)
 	return &Catalog{db: db, opts: opts, authz: opts.EnforceAuthz}, nil
 }
 

@@ -17,11 +17,14 @@ import (
 // operation the service performs — creates, a batch, attribute writes,
 // deletes, grants, lookups, searches over 1, 3 and 10 attributes, two
 // pages, searches returning attributes and files, the statistics and the
-// discovery summary — and then every SELECT it issued is explained twice:
-// against an empty catalog and against the driven one. Plans are a function
-// of the schema and the statement alone (planSpec), so the two must agree,
-// and both must match testdata/plan_census.golden. A planner change that
-// moves any catalog plan fails here, naming the statement.
+// discovery summary, and once each the rarer kinds (driveCensusRest) — and
+// then every statement it issued is explained twice: against an empty
+// catalog and against the driven one. A SELECT is explained as it stands;
+// an UPDATE or DELETE as the SELECT of its WHERE, whose access path
+// matchingRowIDs plans the same way. Plans are a function of the schema and
+// the statement alone (planSpec), so the two must agree, and both must
+// match testdata/plan_census.golden. A planner change that moves any
+// catalog plan fails here, naming the statement.
 
 const (
 	censusOwner     = "/O=Grid/CN=census-owner"
@@ -112,6 +115,85 @@ func driveCensusCatalog(t *testing.T, cat *core.Catalog, lo, hi int) {
 	censusMust(t, cat.DeleteFile(censusPublisher, censusFile(hi-1).Name, 0, key("delete", hi-1)...))
 }
 
+// driveCensusRest runs, once, every operation kind driveCensusCatalog
+// leaves out: file updates, versions, invalidation and moves, collection
+// and view maintenance, annotations, provenance, the audit log, writers,
+// external catalogs, revocation, attribute removal and definitions, and
+// enough keyed writes to fill the replay cache and prune it.
+func driveCensusRest(t *testing.T, cat *core.Catalog) {
+	t.Helper()
+	o := censusOwner
+	spec := censusFile(0)
+	spec.Name, spec.Audited = "f-audited", true
+	_, err := cat.CreateFile(o, spec)
+	censusMust(t, err)
+	dataType := "text"
+	_, err = cat.UpdateFile(o, spec.Name, 0, core.FileUpdate{DataType: &dataType})
+	censusMust(t, err)
+	_, err = cat.FileVersions(o, spec.Name)
+	censusMust(t, err)
+	censusMust(t, cat.InvalidateFile(o, spec.Name, 0))
+	_, err = cat.CreateCollection(o, core.CollectionSpec{Name: "side"})
+	censusMust(t, err)
+	censusMust(t, cat.MoveFile(o, spec.Name, 0, "side"))
+	censusMust(t, cat.SetCollectionParent(o, "side", "top"))
+	_, err = cat.GetCollection(o, "side")
+	censusMust(t, err)
+	_, _, err = cat.CollectionContents(o, "top")
+	censusMust(t, err)
+	_, _, _, err = cat.CollectionContentsPage(o, "leaf", 16, "")
+	censusMust(t, err)
+	for _, pattern := range []string{"", "s%"} {
+		_, err = cat.ListCollections(o, pattern)
+		censusMust(t, err)
+	}
+	_, err = cat.CreateView(o, core.ViewSpec{Name: "picks"})
+	censusMust(t, err)
+	censusMust(t, cat.AddToView(o, "picks", core.ObjectFile, spec.Name))
+	_, err = cat.GetView(o, "picks")
+	censusMust(t, err)
+	_, err = cat.ViewContents(o, "picks")
+	censusMust(t, err)
+	_, err = cat.ExpandView(o, "picks")
+	censusMust(t, err)
+	censusMust(t, cat.RemoveFromView(o, "picks", core.ObjectFile, spec.Name))
+	censusMust(t, cat.AddToView(o, "picks", core.ObjectFile, spec.Name))
+	_, err = cat.Annotate(o, core.ObjectFile, spec.Name, "checked")
+	censusMust(t, err)
+	_, err = cat.Annotations(o, core.ObjectFile, spec.Name)
+	censusMust(t, err)
+	censusMust(t, cat.AddProvenance(o, spec.Name, 0, "derived"))
+	_, err = cat.Provenance(o, spec.Name, 0)
+	censusMust(t, err)
+	_, err = cat.AuditLog(o, core.ObjectFile, spec.Name)
+	censusMust(t, err)
+	censusMust(t, cat.RegisterWriter(o, core.Writer{DN: censusPublisher}))
+	_, err = cat.GetWriter(o, censusPublisher)
+	censusMust(t, err)
+	_, err = cat.RegisterExternalCatalog(o, core.ExternalCatalog{Name: "rls", Type: "relational"})
+	censusMust(t, err)
+	_, err = cat.ExternalCatalogs(o)
+	censusMust(t, err)
+	_, err = cat.Permissions(o, core.ObjectCollection, "top")
+	censusMust(t, err)
+	censusMust(t, cat.Revoke(o, core.ObjectCollection, "top", censusReader, core.PermRead))
+	censusMust(t, cat.UnsetAttribute(o, core.ObjectFile, spec.Name, censusAttr(1)))
+	_, err = cat.GetAttributeDef(censusAttr(1))
+	censusMust(t, err)
+	_, err = cat.ListAttributeDefs()
+	censusMust(t, err)
+	_, _, err = cat.QueryFilesPage(o, censusSearch(1), 16, "")
+	censusMust(t, err)
+	censusMust(t, cat.DeleteFile(o, spec.Name, 0))
+	censusMust(t, cat.DeleteView(o, "picks"))
+	censusMust(t, cat.DeleteCollection(o, "side"))
+	// The replay cache prunes once a keyed write takes it past its bound.
+	for i := 0; i <= core.ReplayCacheBound; i++ {
+		censusMust(t, cat.SetAttribute(o, core.ObjectCollection, "top", censusAttr(0), censusValue(0, i),
+			core.WithIdempotencyKey(fmt.Sprintf("fill-%d", i))))
+	}
+}
+
 func censusMust(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
@@ -163,15 +245,44 @@ func censusKey(sql string) string {
 	})
 }
 
-// explainAll explains every SELECT of texts against db, keyed by censusKey.
+// whereSelect returns the SELECT whose plan is the access path of a
+// statement's rows: the statement itself for a SELECT, the COUNT(*) of an
+// UPDATE's or DELETE's table under its WHERE, and "" for anything else.
+func whereSelect(t *testing.T, sql string) string {
+	t.Helper()
+	st, err := sqldb.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	var table string
+	switch s := st.(type) {
+	case *sqldb.SelectStmt:
+		return sql
+	case *sqldb.UpdateStmt:
+		table = s.Table
+	case *sqldb.DeleteStmt:
+		table = s.Table
+	default:
+		return ""
+	}
+	where := ""
+	if i := strings.Index(sql, " WHERE "); i >= 0 {
+		where = sql[i:]
+	}
+	return "SELECT COUNT(*) FROM " + table + where
+}
+
+// explainAll explains every SELECT, UPDATE and DELETE of texts against db
+// (see whereSelect), keyed by censusKey.
 func explainAll(t *testing.T, db *sqldb.DB, texts []string) map[string]string {
 	t.Helper()
 	plans := map[string]string{}
 	for _, sql := range texts {
-		if !strings.HasPrefix(sql, "SELECT ") {
+		sel := whereSelect(t, sql)
+		if sel == "" {
 			continue
 		}
-		plan, err := db.Explain(sql)
+		plan, err := db.Explain(sel)
 		if err != nil {
 			t.Fatalf("explain %q: %v", sql, err)
 		}
@@ -213,10 +324,19 @@ func parseCensus(t *testing.T, text string) map[string]string {
 	return plans
 }
 
-func TestPlanCensus(t *testing.T) {
+// drivenCensusCatalog is the census's subject: a catalog driven through
+// every operation kind, its files created over two ranges.
+func drivenCensusCatalog(t *testing.T) *core.Catalog {
+	t.Helper()
 	cat := openCensusCatalog(t)
 	driveCensusCatalog(t, cat, 0, 8)
 	driveCensusCatalog(t, cat, 8, 400)
+	driveCensusRest(t, cat)
+	return cat
+}
+
+func TestPlanCensus(t *testing.T) {
+	cat := drivenCensusCatalog(t)
 	texts := cat.DB().StmtTexts()
 
 	golden, err := os.ReadFile(censusGolden)
@@ -252,5 +372,38 @@ func TestPlanCensus(t *testing.T) {
 		if failed {
 			t.Logf("the census on %s:\n%s", size.name, formatCensus(got))
 		}
+	}
+}
+
+// indexRef matches an index a plan reads: its access path or its key probe.
+var indexRef = regexp.MustCompile(`(?:index-(?:eq|in|range)|key-probe)\(([^)]+)\)`)
+
+// TestEveryCatalogIndexEarnsItsPlace: an index costs heap, restore time and
+// a tree update on every write of its table, so each one the catalog keeps
+// must be read by some census plan — as the access path of a SELECT, or of
+// the WHERE of an UPDATE or DELETE, or as a key-probe index — or back a
+// UNIQUE constraint.
+func TestEveryCatalogIndexEarnsItsPlace(t *testing.T) {
+	cat := drivenCensusCatalog(t)
+	read := map[string]bool{}
+	for _, plan := range explainAll(t, cat.DB(), cat.DB().StmtTexts()) {
+		for _, m := range indexRef.FindAllStringSubmatch(plan, -1) {
+			read[m[1]] = true
+		}
+	}
+	indexes := cat.DB().Indexes()
+	if len(indexes) == 0 {
+		t.Fatal("the catalog has no indexes; the check is vacuous")
+	}
+	var idle []string
+	for name, unique := range indexes {
+		if !unique && !read[name] {
+			idle = append(idle, name)
+		}
+	}
+	sort.Strings(idle)
+	if len(idle) > 0 {
+		t.Errorf("no statement the catalog issues reads these indexes, and none backs a UNIQUE constraint: %s",
+			strings.Join(idle, ", "))
 	}
 }

@@ -616,6 +616,32 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 	return Result{}, nil
 }
 
+// DropIndexesExcept drops every index that CREATE INDEX made — every one
+// that does not enforce a UNIQUE constraint — whose name keep does not list.
+// The drops publish one new root and are not logged: a restored database
+// sheds indexes its schema no longer declares before replaying its log, and
+// again after every restart until a checkpoint writes the snapshot without
+// them.
+func (db *DB) DropIndexesExcept(keep []string) {
+	tx := db.Begin()
+	var drop []*index
+	for name, ix := range tx.work.indexes {
+		if !ix.unique && !slices.Contains(keep, name) {
+			drop = append(drop, ix)
+		}
+	}
+	if len(drop) == 0 {
+		tx.Rollback() //nolint:errcheck // the transaction is open
+		return
+	}
+	for _, ix := range drop {
+		t, _ := tx.writable(ix.table.name)
+		t.indexes = slices.DeleteFunc(t.indexes, func(x *index) bool { return x.name == ix.name })
+		delete(tx.work.indexes, ix.name)
+	}
+	tx.Commit() //nolint:errcheck // nothing is logged, so nothing can fail
+}
+
 func (tx *Tx) execInsert(s *InsertStmt, args []Value) (Result, error) {
 	t, err := tx.writable(s.Table)
 	if err != nil {

@@ -107,21 +107,30 @@ func TestExplainGoldens(t *testing.T) {
 			"index-in(r_ab)",
 		},
 
+		// An INTEGER PRIMARY KEY is the rowid: the row store is its index,
+		// a one-column unique one that enumerates before every other.
+		{"key equality", "SELECT name FROM obj WHERE id = ?", "rowid-eq(obj)"},
+		{"key IN list", "SELECT name FROM obj WHERE id IN (?, ?)", "rowid-in(obj)"},
+		{"key range", "SELECT name FROM obj WHERE id <= ?", "rowid-range(obj)"},
+		{"key ties go to the row store", "SELECT a FROM r WHERE u = ? AND id = ?", "rowid-eq(r)"},
+		{"a bound index prefix beats a key range", "SELECT id FROM r WHERE id > ? AND a = ? AND b = ?", "index-eq(r_ab)"},
+
 		// planIntersect's rule: stages by descending rank, ties in statement
-		// order, and a later stage key-probed when its key index is a
-		// one-column unique index or its own access would be a full scan.
+		// order, and a later stage key-probed when its key column is the
+		// rowid, its key index is a one-column unique index or its own
+		// access would be a full scan.
 		{
 			// The Fig. 11 shape: the attribute stages tie and keep statement
 			// order, and the object table — no local predicates, so its own
-			// access would be a full scan — goes last, reached by key probes
-			// into its PK index. a1's key index kv_oid is not unique and its
-			// own access is an index, so it is materialized.
+			// access would be a full scan — goes last, reached by key
+			// lookups in its row store. a1's key index kv_oid is not unique
+			// and its own access is an index, so it is materialized.
 			"EAV intersection with key probe",
 			`SELECT DISTINCT o.name FROM kv a0
 				JOIN obj o ON o.id = a0.oid
 				JOIN kv a1 ON a1.oid = a0.oid
 				WHERE a0.k = ? AND a0.v = 2 AND a1.k = ? AND a1.v = 2`,
-			"intersect[a0 index-eq(kv_kvo) & a1 index-eq(kv_kvo) & o key-probe(obj_id_key)]",
+			"intersect[a0 index-eq(kv_kvo) & a1 index-eq(kv_kvo) & o key-probe(rowid)]",
 		},
 		{
 			"more bound columns run first",
@@ -131,19 +140,26 @@ func TestExplainGoldens(t *testing.T) {
 		{
 			"a unique key stage runs first",
 			"SELECT a.oid FROM kv a JOIN obj o ON o.id = a.oid WHERE a.k = ? AND a.v = ? AND o.id = ?",
-			"intersect[o index-eq(obj_id_key) & a index-eq(kv_kvo)]",
+			"intersect[o rowid-eq(obj) & a index-eq(kv_kvo)]",
 		},
 		{
 			"full scans run last",
 			"SELECT a.k FROM obj o JOIN kv a ON a.oid = o.id WHERE a.k = ?",
-			"intersect[a index-eq(kv_kvo) & o key-probe(obj_id_key)]",
+			"intersect[a index-eq(kv_kvo) & o key-probe(rowid)]",
 		},
 		{
-			// o's own access would be index-eq(obj_name), but its key index
-			// is a one-column unique index: one descent per surviving key.
-			"key probe through a unique key index",
+			// o's own access would be index-eq(obj_name), but its key is the
+			// rowid: one row store lookup per surviving key.
+			"key probe by the rowid",
 			"SELECT o.name FROM kv a JOIN obj o ON o.id = a.oid WHERE a.k = ? AND a.v = ? AND o.name = ?",
-			"intersect[a index-eq(kv_kvo) & o key-probe(obj_id_key)]",
+			"intersect[a index-eq(kv_kvo) & o key-probe(rowid)]",
+		},
+		{
+			// r's own access would be index-eq(r_a), but its key index is a
+			// one-column unique index: one descent per surviving key.
+			"key probe through a unique key index",
+			"SELECT r.b FROM kv a JOIN r ON r.u = a.oid WHERE a.k = ? AND a.v = ? AND r.a = ?",
+			"intersect[a index-eq(kv_kvo) & r key-probe(r_u_key)]",
 		},
 		{
 			// kv_oid is not unique, but a's own access would be a full scan.
@@ -154,14 +170,14 @@ func TestExplainGoldens(t *testing.T) {
 		{
 			"the first stage is never probed",
 			"SELECT a.k FROM kv a JOIN obj o ON o.id = a.oid",
-			"intersect[a full-scan(kv) & o key-probe(obj_id_key)]",
+			"intersect[a full-scan(kv) & o key-probe(rowid)]",
 		},
 		{
 			// A TEXT join key disqualifies intersection; the nested executor
 			// keeps the first stage's access path and scans the rest.
 			"non-integer key stays nested",
 			"SELECT a.oid FROM obj o JOIN kv a ON a.k = o.name WHERE o.id = ?",
-			"nested[o index-eq(obj_id_key) -> a scan(kv)]",
+			"nested[o rowid-eq(obj) -> a scan(kv)]",
 		},
 		{
 			// A cross-stage residual (inequality) cannot be consumed by the
@@ -169,7 +185,7 @@ func TestExplainGoldens(t *testing.T) {
 			"intersection with residual",
 			`SELECT o.name FROM kv a0 JOIN obj o ON o.id = a0.oid
 				WHERE a0.k = ? AND a0.v = 2 AND o.name >= ?`,
-			"intersect[a0 index-eq(kv_kvo) & o key-probe(obj_id_key)]",
+			"intersect[a0 index-eq(kv_kvo) & o key-probe(rowid)]",
 		},
 		{
 			// doc_owner_title has no entry for a NULL title, so a probe on

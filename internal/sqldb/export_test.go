@@ -15,3 +15,13 @@ func (db *DB) StmtTexts() []string {
 	sort.Strings(texts)
 	return texts
 }
+
+// Indexes maps the name of each of db's indexes to whether it enforces a
+// UNIQUE constraint.
+func (db *DB) Indexes() map[string]bool {
+	out := map[string]bool{}
+	for name, ix := range db.root.Load().indexes {
+		out[name] = ix.unique
+	}
+	return out
+}

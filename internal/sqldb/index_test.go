@@ -26,7 +26,9 @@ func TestIndexEntrySize(t *testing.T) {
 // probe — equality prefix, prefix range and the UNIQUE check — run without
 // a single heap allocation, on a four-column index like the catalog's
 // ua_attr_* (the width whose keys used to spill) and, for the UNIQUE check,
-// on a column's UNIQUE index.
+// on a column's UNIQUE index; and so do the row store's probes by the
+// INTEGER PRIMARY KEY: an equality by INTEGER (a lookup) and by FLOAT (a
+// seek), a range, and an intersection stage's key probe.
 func TestIndexProbesDoNotAllocate(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE p (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, c INTEGER, d INTEGER UNIQUE)")
@@ -41,6 +43,7 @@ func TestIndexProbesDoNotAllocate(t *testing.T) {
 	fresh := Row{Int(1000), Int(3), Text("b3"), Int(3), Int(1000)}
 	prefix := []Value{Int(3), Text("b3")}
 	lo, hi := Int(2), Int(9)
+	key, fkey := Int(42), Float(42)
 	visited := 0
 	count := func(int64, Row) bool { visited++; return true }
 
@@ -55,6 +58,14 @@ func TestIndexProbesDoNotAllocate(t *testing.T) {
 		"checkUnique": func() {
 			if err := db.root.Load().indexes["p_d_key"].checkUnique(1000, fresh); err != nil {
 				t.Fatal(err)
+			}
+		},
+		"rowid-eq":        func() { tbl.scanRowids(&key, &key, true, true, count) },
+		"rowid-eq(float)": func() { tbl.scanRowids(&fkey, &fkey, true, true, count) },
+		"rowid-range":     func() { tbl.scanRowids(&lo, &hi, true, false, count) },
+		"key-probe(rowid)": func() {
+			if _, ok := tbl.rows.Get(key.N); !ok {
+				t.Fatal("key probe missed row 42")
 			}
 		},
 	}

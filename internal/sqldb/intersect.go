@@ -67,7 +67,9 @@ type istage struct {
 	covered     bool
 	keyEntryPos int
 	// probe, when set, replaces materialization: the stage is reached by
-	// probing probeIdx once per key surviving the stages ordered before it.
+	// probing probeIdx once per key surviving the stages ordered before it,
+	// or, when the key column is the table's INTEGER PRIMARY KEY (probeIdx
+	// nil), by looking each key up in the row store.
 	probe    bool
 	probeIdx *index
 }
@@ -193,9 +195,10 @@ func specCovers(sp accessSpec, alias string, tbl *table, locals []Expr) bool {
 // data. Stages run in descending planSpec rank — a stage bound by a unique
 // key first, full scans last — with ties in statement order. A stage after
 // the first is reached by key probes instead of its own access when its key
-// index (table.findIndex) is a one-column unique index, so each surviving
-// key costs one descent and finds at most one row, or when its own access
-// would be a full scan.
+// column is the table's INTEGER PRIMARY KEY or its key index
+// (table.findIndex) is a one-column unique index, so each surviving key
+// costs one descent and finds at most one row, or when its own access would
+// be a full scan.
 func (p *selectPlan) planIntersect(conjs []Expr) {
 	stages := p.stages
 	if len(stages) < 2 {
@@ -327,14 +330,17 @@ func (p *selectPlan) planIntersect(conjs []Expr) {
 	rank := make([]int, len(stages))
 	for si := range stages {
 		var access accessSpec
-		access, rank[si] = planSpec(stages[si].tbl, stages[si].ref.Alias, locals[si])
+		tbl := stages[si].tbl
+		access, rank[si] = planSpec(tbl, stages[si].ref.Alias, locals[si])
 		is := istage{
 			si:          si,
 			keyCol:      keyCol[si],
 			access:      access,
 			locals:      locals[si],
 			keyEntryPos: -1,
-			probeIdx:    stages[si].tbl.findIndex(keyCol[si], stages[si].ref.Alias, locals[si]),
+		}
+		if keyCol[si] != tbl.pk {
+			is.probeIdx = tbl.findIndex(keyCol[si], stages[si].ref.Alias, locals[si])
 		}
 		if access.idx != nil {
 			for pos, c := range access.idx.cols {
@@ -351,9 +357,9 @@ func (p *selectPlan) planIntersect(conjs []Expr) {
 	sort.SliceStable(order, func(a, b int) bool { return rank[order[a].si] > rank[order[b].si] })
 	for i := 1; i < len(order); i++ {
 		is := &order[i]
-		if ix := is.probeIdx; ix != nil && (ix.unique && len(ix.cols) == 1 || is.access.idx == nil) {
-			is.probe = true
-		}
+		ix := is.probeIdx
+		is.probe = is.keyCol == stages[is.si].tbl.pk ||
+			ix != nil && (ix.unique && len(ix.cols) == 1 || is.access.fullScan())
 	}
 
 	// Stages whose rows emission must bind: anything the projection,
@@ -490,16 +496,15 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 	return groupPairs(pairs), nil
 }
 
-// probeStage reaches a stage by probing its key index once per surviving
-// key instead of scanning its own access path. keys ascend, so the groups
-// are built in order.
+// probeStage reaches a stage by probing its key index, or its row store,
+// once per surviving key instead of scanning its own access path. keys
+// ascend, so the groups are built in order.
 func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups, error) {
 	g := makeGroups(len(keys))
 	probe := make([]Value, 1)
 	var perr error
 	for _, key := range keys {
-		probe[0] = Int(key)
-		is.probeIdx.scanEqual(probe, func(rowid int64, row Row) bool {
+		visit := func(rowid int64, row Row) bool {
 			ev.bindings[is.si].row = row
 			ok, err := passesAll(is.locals, ev)
 			if err != nil {
@@ -510,7 +515,15 @@ func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups,
 				g.add(key, rowid)
 			}
 			return true
-		})
+		}
+		if is.probeIdx == nil {
+			if row, ok := p.stages[is.si].tbl.rows.Get(key); ok {
+				visit(key, row)
+			}
+		} else {
+			probe[0] = Int(key)
+			is.probeIdx.scanEqual(probe, visit)
+		}
 		if perr != nil {
 			ev.bindings[is.si].row = nil
 			return stageGroups{}, perr

@@ -37,9 +37,9 @@ type Rows struct {
 type accessPath struct {
 	tbl *table
 
-	// Index equality scan: idx != nil and eqVals set. When inList is also
-	// set, the index is probed once per list value with the key
-	// (eqVals..., v) — the multi-point scan behind `col IN (...)`.
+	// Index equality scan: idx != nil (or rowid set) and eqVals set. When
+	// inList is also set, the index is probed once per list value with the
+	// key (eqVals..., v) — the multi-point scan behind `col IN (...)`.
 	idx    *index
 	eqVals []Value
 	inList []Value
@@ -48,12 +48,16 @@ type accessPath struct {
 	// column when eqVals is empty).
 	rangeLo, rangeHi       *Value
 	rangeLoInc, rangeHiInc bool
+
+	// rowid probes the row store by the table's INTEGER PRIMARY KEY
+	// instead of an index: eqVals holds at most the key itself.
+	rowid bool
 }
 
 // scan invokes fn for each rowid selected by the path until fn returns false.
 func (ap accessPath) scan(fn func(rowid int64, row Row) bool) {
 	switch {
-	case ap.idx != nil && ap.inList != nil:
+	case ap.inList != nil:
 		// One equality probe per IN value. The list is deduplicated at bind
 		// time, so every matching rowid is visited exactly once.
 		probe := make([]Value, len(ap.eqVals)+1)
@@ -61,7 +65,7 @@ func (ap accessPath) scan(fn func(rowid int64, row Row) bool) {
 		stop := false
 		for _, v := range ap.inList {
 			probe[len(ap.eqVals)] = v
-			ap.idx.scanEqual(probe, func(rowid int64, row Row) bool {
+			ap.scanEqual(probe, func(rowid int64, row Row) bool {
 				if !fn(rowid, row) {
 					stop = true
 					return false
@@ -72,20 +76,35 @@ func (ap accessPath) scan(fn func(rowid int64, row Row) bool) {
 				return
 			}
 		}
-	case ap.idx != nil && (ap.rangeLo != nil || ap.rangeHi != nil):
+	case ap.rowid && (ap.rangeLo != nil || ap.rangeHi != nil):
+		ap.tbl.scanRowids(ap.rangeLo, ap.rangeHi, ap.rangeLoInc, ap.rangeHiInc, fn)
+	case ap.rangeLo != nil || ap.rangeHi != nil:
 		ap.idx.scanPrefixRange(ap.eqVals, ap.rangeLo, ap.rangeHi, ap.rangeLoInc, ap.rangeHiInc, fn)
-	case ap.idx != nil && ap.eqVals != nil:
-		ap.idx.scanEqual(ap.eqVals, fn)
+	case ap.eqVals != nil:
+		ap.scanEqual(ap.eqVals, fn)
 	default:
 		ap.tbl.rows.Ascend(fn)
 	}
 }
 
+// scanEqual probes the path's index, or the row store by key, with the
+// values of probe.
+func (ap accessPath) scanEqual(probe []Value, fn func(rowid int64, row Row) bool) {
+	if ap.rowid {
+		ap.tbl.scanRowids(&probe[0], &probe[0], true, true, fn)
+		return
+	}
+	ap.idx.scanEqual(probe, fn)
+}
+
 // accessSpec is the symbolic (value-free) form of an access path: the chosen
-// index plus the expressions that will feed its probe slots at bind time.
+// index — or, with rowid set, the row store keyed by the table's INTEGER
+// PRIMARY KEY — plus the expressions that will feed its probe slots at bind
+// time.
 type accessSpec struct {
-	tbl *table
-	idx *index
+	tbl   *table
+	idx   *index
+	rowid bool
 
 	// eqExprs feed an equality probe on the leading index columns; eqCols
 	// holds the table column position each slot probes (parallel slice).
@@ -100,17 +119,27 @@ type accessSpec struct {
 }
 
 func (sp accessSpec) String() string {
+	kind, name := "index", ""
 	switch {
+	case sp.rowid:
+		kind, name = "rowid", sp.tbl.name
 	case sp.idx == nil:
 		return fmt.Sprintf("full-scan(%s)", sp.tbl.name)
-	case sp.inExprs != nil:
-		return fmt.Sprintf("index-in(%s)", sp.idx.name)
-	case sp.loExpr != nil || sp.hiExpr != nil:
-		return fmt.Sprintf("index-range(%s)", sp.idx.name)
 	default:
-		return fmt.Sprintf("index-eq(%s)", sp.idx.name)
+		name = sp.idx.name
+	}
+	switch {
+	case sp.inExprs != nil:
+		return fmt.Sprintf("%s-in(%s)", kind, name)
+	case sp.loExpr != nil || sp.hiExpr != nil:
+		return fmt.Sprintf("%s-range(%s)", kind, name)
+	default:
+		return fmt.Sprintf("%s-eq(%s)", kind, name)
 	}
 }
+
+// fullScan reports whether the spec reads the whole row store.
+func (sp accessSpec) fullScan() bool { return sp.idx == nil && !sp.rowid }
 
 // bind evaluates the spec's probe expressions against params and returns a
 // concrete access path. Binding never fails: a probe value that is NULL (it
@@ -119,7 +148,7 @@ func (sp accessSpec) String() string {
 // range bound, ultimately a full scan — and the stage filters, which always
 // re-run on every candidate row, keep the result exact.
 func (sp accessSpec) bind(params []Value) accessPath {
-	if sp.idx == nil {
+	if sp.fullScan() {
 		return accessPath{tbl: sp.tbl}
 	}
 	ev := &env{params: params}
@@ -160,10 +189,10 @@ func (sp accessSpec) bind(params []Value) accessPath {
 				list = append(list, v)
 			}
 		}
-		return accessPath{tbl: sp.tbl, idx: sp.idx, eqVals: vals, inList: list}
+		return accessPath{tbl: sp.tbl, idx: sp.idx, rowid: sp.rowid, eqVals: vals, inList: list}
 	}
 	if sp.loExpr != nil || sp.hiExpr != nil {
-		ap := accessPath{tbl: sp.tbl, idx: sp.idx, eqVals: vals}
+		ap := accessPath{tbl: sp.tbl, idx: sp.idx, rowid: sp.rowid, eqVals: vals}
 		if sp.loExpr != nil {
 			if v, err := eval(sp.loExpr, ev); err == nil && !v.IsNull() {
 				ap.rangeLo, ap.rangeLoInc = &v, sp.loInc
@@ -182,7 +211,7 @@ func (sp accessSpec) bind(params []Value) accessPath {
 		}
 		return ap
 	}
-	return accessPath{tbl: sp.tbl, idx: sp.idx, eqVals: vals}
+	return accessPath{tbl: sp.tbl, idx: sp.idx, rowid: sp.rowid, eqVals: vals}
 }
 
 // refsOnly reports whether every column reference in ex resolves within the
@@ -298,8 +327,10 @@ const rankUnique = math.MaxInt
 //  2. any other candidate ranks by the key columns it binds: each column of
 //     its equality prefix, plus one for an IN list or a range on the column
 //     after the prefix;
-//  3. on a tie the first candidate enumerated wins: indexes in declaration
-//     order, and within one index IN before range before plain equality.
+//  3. on a tie the first candidate enumerated wins: the row store of a table
+//     keyed by its INTEGER PRIMARY KEY (a one-column unique index that holds
+//     every row), then indexes in declaration order, and within one of them
+//     IN before range before plain equality.
 //
 // A full scan ranks 0, below every index candidate: a probe is far cheaper
 // than a filtered scan row here, and the filters re-run regardless.
@@ -375,6 +406,32 @@ func planSpec(tbl *table, alias string, preds []Expr) (accessSpec, int) {
 			best, bestRank = sp, rank
 		}
 	}
+	// extend considers sp extended by an IN list, then by a range, on
+	// column c, either ranking rank.
+	extend := func(sp accessSpec, c, rank int) {
+		if items, ok := inLists[c]; ok {
+			in := sp
+			in.inExprs = items
+			consider(in, rank)
+		}
+		l, hasLo := lo[c]
+		h, hasHi := hi[c]
+		if hasLo {
+			sp.loExpr, sp.loInc = l.ex, l.inc
+		}
+		if hasHi {
+			sp.hiExpr, sp.hiInc = h.ex, h.inc
+		}
+		if hasLo || hasHi {
+			consider(sp, rank)
+		}
+	}
+	if pk := tbl.pk; pk >= 0 {
+		extend(accessSpec{tbl: tbl, rowid: true}, pk, 1)
+		if ex, ok := eq[pk]; ok {
+			consider(accessSpec{tbl: tbl, rowid: true, eqExprs: []Expr{ex}, eqCols: []int{pk}}, rankUnique)
+		}
+	}
 	for _, ix := range tbl.indexes {
 		if !ix.serves(alias, preds, 0) {
 			continue
@@ -391,22 +448,7 @@ func planSpec(tbl *table, alias string, preds []Expr) (accessSpec, int) {
 		}
 		n := len(eqExprs)
 		if n < len(ix.cols) {
-			next := ix.cols[n]
-			if items, ok := inLists[next]; ok {
-				consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols, inExprs: items}, n+1)
-			}
-			l, hasLo := lo[next]
-			h, hasHi := hi[next]
-			if hasLo || hasHi {
-				sp := accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}
-				if hasLo {
-					sp.loExpr, sp.loInc = l.ex, l.inc
-				}
-				if hasHi {
-					sp.hiExpr, sp.hiInc = h.ex, h.inc
-				}
-				consider(sp, n+1)
-			}
+			extend(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}, ix.cols[n], n+1)
 		}
 		switch {
 		case n == len(ix.cols) && ix.unique:
@@ -705,9 +747,12 @@ func (p *selectPlan) String() string {
 			}
 			b.WriteString(p.stages[is.si].ref.Alias)
 			b.WriteByte(' ')
-			if is.probe {
+			switch {
+			case is.probe && is.probeIdx == nil:
+				b.WriteString("key-probe(rowid)")
+			case is.probe:
 				b.WriteString("key-probe(" + is.probeIdx.name + ")")
-			} else {
+			default:
 				b.WriteString(is.access.String())
 			}
 		}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,7 +16,9 @@ import (
 // multisets must match exactly. The generator covers the planner's decision
 // surface in the catalog's dialect: indexed and unindexed columns, a UNIQUE
 // column (a whole unique key bound by =, and key probes through its
-// one-column unique index), INTEGER join keys (intersection) and TEXT and
+// one-column unique index), the INTEGER PRIMARY KEY every table is keyed
+// by (=, IN and ranges on the row store, and key probes into it), INTEGER
+// join keys (intersection) and TEXT and
 // FLOAT join keys (which intersection must refuse, leaving the join to the
 // nested executor), eq/ne/range/IN predicates, OR-disjunctions that defeat
 // index selection, NULL data and NULL parameters (bind-time probe
@@ -36,14 +39,17 @@ type parityCol struct {
 	unique bool
 }
 
-func parityDomains(rng *rand.Rand) []parityCol {
-	ints := func(n int) []Value {
-		vs := make([]Value, n)
-		for i := range vs {
-			vs[i] = Int(int64(i))
-		}
-		return vs
+// parityInts is the INTEGER domain 0..n-1.
+func parityInts(n int) []Value {
+	vs := make([]Value, n)
+	for i := range vs {
+		vs[i] = Int(int64(i))
 	}
+	return vs
+}
+
+func parityDomains(rng *rand.Rand) []parityCol {
+	ints := parityInts
 	texts := []Value{Text("ash"), Text("birch"), Text("cedar"), Text("fir"), Text("oak")}
 	floats := []Value{Float(-1.5), Float(0), Float(0.5), Float(2), Float(10.25)}
 	return []parityCol{
@@ -56,7 +62,8 @@ func parityDomains(rng *rand.Rand) []parityCol {
 }
 
 // buildParityDB creates 2–3 tables over the shared column palette with
-// random indexes and 5–45 rows each. Each column of each table is declared
+// random indexes and 5–45 rows each, keyed by an INTEGER PRIMARY KEY id
+// that runs from 0. Each column of each table is declared
 // NOT NULL with probability ½; about one value in eight of the others is
 // NULL. Both sides of the planner's NULL rule (index.serves) are therefore
 // exercised: indexes over NOT NULL columns serve any predicate, indexes
@@ -134,11 +141,14 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 	aliases := make([]string, nstage)
 	var from strings.Builder
 	var params []Value
+	// Predicates and joins also reach every table's key, over a domain a
+	// little wider than its ids.
+	cols = append(slices.Clip(cols), parityCol{name: "id", typ: TypeInt, domain: parityInts(48)})
 	// Join keys come from the shared palette so any two stages can join on
-	// a same-named, same-typed column; k, w and u (INTEGER) exercise
-	// intersection, u through its unique index, and v (TEXT) and f (FLOAT)
-	// its refusal.
-	joinCols := []string{"k", "v", "w", "f", "u"}
+	// a same-named, same-typed column; k, w, u and id (INTEGER) exercise
+	// intersection, u through its unique index and id through the row
+	// store, and v (TEXT) and f (FLOAT) its refusal.
+	joinCols := []string{"k", "v", "w", "f", "u", "id"}
 	for si := 0; si < nstage; si++ {
 		aliases[si] = fmt.Sprintf("a%d", si)
 		tbl := tables[rng.Intn(len(tables))]

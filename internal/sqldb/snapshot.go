@@ -3,11 +3,13 @@ package sqldb
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"mcs/internal/btree"
@@ -28,7 +30,12 @@ import (
 //
 // A table frame is followed by that table's rows frames, each sealed once it
 // reaches snapshotFrameSize; the first delta of a frame counts from 0, so a
-// frame's first rowid is absolute. The trailer is last. The CRCs catch a
+// frame's first rowid is absolute. The stream's rowids ascend from 1. A table
+// keyed by its INTEGER PRIMARY KEY writes each row's key as its rowid when
+// every key is at least 1, and numbers its rows 1, 2, … otherwise; the
+// reader keys such a table by the key cells, whatever rowids the stream
+// holds (a stream written before the key was the rowid holds insert counts).
+// The trailer is last. The CRCs catch a
 // damaged frame; ascending rowids and the row count in the definition catch a
 // dropped, repeated or reordered rows frame; the trailer catches a dropped
 // table and a stream cut at a frame boundary.
@@ -94,14 +101,23 @@ func (db *DB) Dump(w io.Writer) error {
 	for _, name := range names {
 		t := root.tables[name]
 		rows += t.rows.Len()
+		first, _, _ := t.rows.Min()
+		numbered := first < 1 // keys below 1 (an empty table numbers nothing)
+		nextRow := t.nextRow  // at least every key (see table)
+		if numbered {
+			nextRow = max(nextRow, int64(t.rows.Len()))
+		}
 		sw.begin(snapFrameTable)
-		sw.buf = appendTableDef(sw.buf, t)
+		sw.buf = appendTableDef(sw.buf, t, nextRow)
 		sw.end()
-		var prev int64
+		var prev, n int64
 		t.rows.Ascend(func(rowid int64, row Row) bool {
 			if len(sw.buf) == 0 {
 				sw.begin(snapFrameRows)
 				prev = 0
+			}
+			if n++; numbered {
+				rowid = n
 			}
 			sw.buf = binary.AppendUvarint(sw.buf, uint64(rowid-prev))
 			prev = rowid
@@ -126,8 +142,9 @@ func (db *DB) Dump(w io.Writer) error {
 	return nil
 }
 
-// appendTableDef appends a table frame's body; readTableDef is its inverse.
-func appendTableDef(b []byte, t *table) []byte {
+// appendTableDef appends a table frame's body, with nextRow as the table's
+// next rowid; readTableDef is its inverse.
+func appendTableDef(b []byte, t *table, nextRow int64) []byte {
 	b = binary.AppendUvarint(appendString(b, t.name), uint64(len(t.cols)))
 	for _, c := range t.cols {
 		// A column's type is written as the zero value of that type: the
@@ -145,7 +162,7 @@ func appendTableDef(b []byte, t *table) []byte {
 			b = binary.AppendUvarint(b, uint64(c))
 		}
 	}
-	b = binary.AppendVarint(binary.AppendVarint(b, t.nextRow), t.autoInc)
+	b = binary.AppendVarint(binary.AppendVarint(b, nextRow), t.autoInc)
 	return binary.AppendUvarint(b, uint64(t.rows.Len()))
 }
 
@@ -160,6 +177,11 @@ func appendTableDef(b []byte, t *table) []byte {
 // frame's offset, and any error leaves the previous root untouched. A stream
 // that does not open with the framed header — a gob snapshot of generation 1
 // or 2, or not a snapshot at all — is refused at offset 0.
+//
+// A table with an INTEGER PRIMARY KEY is keyed by it (see table), and the
+// stream's one-column unique index on that column, which a stream written
+// before the key was the rowid defines, is not rebuilt: the row store
+// enforces the key. Rows whose keys repeat break its UNIQUE constraint.
 //
 // Indexes are not in the stream; they are rebuilt from the rows, in bulk:
 // the row store comes straight from the rowid-ordered rows, one pass reads
@@ -296,6 +318,9 @@ func readTableDef(d *decoder) *tableLoader {
 		for i := range pos {
 			pos[i] = int(min(d.uvarint(), math.MaxInt32))
 		}
+		if unique && len(pos) == 1 && pos[0] == l.t.pk {
+			continue // the row store is the key's index
+		}
 		if err := l.addIndex(name, pos, unique); err != nil {
 			d.fail("%w", err)
 		}
@@ -318,7 +343,7 @@ type tableLoader struct {
 }
 
 func newTableLoader(name string, cols []ColumnDef) *tableLoader {
-	t := &table{name: name, cols: cols, colPos: make(map[string]int, len(cols))}
+	t := &table{name: name, cols: cols, colPos: make(map[string]int, len(cols)), pk: rowidColumn(cols)}
 	for i, c := range cols {
 		t.colPos[c.Name] = i
 	}
@@ -371,7 +396,7 @@ func (l *tableLoader) add(rowid int64, row Row) error {
 	for c := range row {
 		v, col := &row[c], &l.t.cols[c]
 		switch {
-		case v.T == TypeNull && col.NotNull:
+		case v.T == TypeNull && (col.NotNull || c == l.t.pk):
 			return fmt.Errorf("table %q, rowid %d: NULL in NOT NULL column %q", l.t.name, rowid, col.Name)
 		case v.T != TypeNull && v.T != col.Type:
 			return fmt.Errorf("table %q, rowid %d: %s value in %s column %q", l.t.name, rowid, v.T, col.Type, col.Name)
@@ -390,12 +415,41 @@ func (l *tableLoader) build() (*table, error) {
 	if uint64(len(rows)) != l.want {
 		return nil, fmt.Errorf("table %q has %d rows, its definition promised %d", t.name, len(rows), l.want)
 	}
-	if n := len(rowids); n > 0 && t.nextRow < rowids[n-1] {
-		return nil, fmt.Errorf("table %q: next rowid %d is below stored rowid %d", t.name, t.nextRow, rowids[n-1])
+	if t.nextRow < l.last {
+		return nil, fmt.Errorf("table %q: next rowid %d is below stored rowid %d", t.name, t.nextRow, l.last)
+	}
+	if t.pk >= 0 {
+		if err := keyByPK(t, rowids, rows); err != nil {
+			return nil, err
+		}
 	}
 	t.rows = btree.FromSorted(btree.DefaultDegree, rowidLess, rowids, rows)
 	if err := t.buildIndexes(rowids, rows, t.indexes); err != nil {
 		return nil, fmt.Errorf("table %q: %w", t.name, err)
 	}
 	return t, nil
+}
+
+// keyByPK replaces the stream's rowids of a table keyed by its INTEGER
+// PRIMARY KEY with the rows' keys, sorting both slices by key when the
+// stream's order was another (a stream whose rowids counted inserts of
+// explicit ids), and refuses a repeated key. The table's nextRow rises to
+// its highest key, which a count of inserts may lie below.
+func keyByPK(t *table, rowids []int64, rows []Row) error {
+	byKey := func(a, b Row) int { return cmp.Compare(a[t.pk].N, b[t.pk].N) }
+	if !slices.IsSortedFunc(rows, byKey) {
+		slices.SortFunc(rows, byKey)
+	}
+	for i, row := range rows {
+		rowids[i] = row[t.pk].N
+	}
+	for i := 1; i < len(rowids); i++ {
+		if rowids[i] == rowids[i-1] {
+			return t.pkViolation()
+		}
+	}
+	if n := len(rowids); n > 0 {
+		t.nextRow = max(t.nextRow, rowids[n-1])
+	}
+	return nil
 }

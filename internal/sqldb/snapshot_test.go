@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -510,8 +511,10 @@ func TestSnapshotRedumpIsByteIdentical(t *testing.T) {
 }
 
 // FuzzLoadSnapshot feeds LoadSnapshot arbitrary bytes, seeded with a whole
-// stream, a Dump of every value type, the opening of a gob-era snapshot and
-// one stream from each family of damage.
+// stream, a Dump of every value type, a catalog snapshot written before the
+// INTEGER PRIMARY KEY was the rowid (testdata/parent_catalog.snap: _id_key
+// indexes, explicit ids out of rowid order), the opening of a gob-era
+// snapshot and one stream from each family of damage.
 // Whatever comes in, it must not panic; a refusal must leave the root alone;
 // and a stream it accepts must survive its own Dump → LoadSnapshot → Dump.
 func FuzzLoadSnapshot(f *testing.F) {
@@ -543,6 +546,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(dump.Bytes())
+	parent, err := os.ReadFile("testdata/parent_catalog.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
 	f.Add([]byte("not a snapshot"))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		db := New()

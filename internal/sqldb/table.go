@@ -172,8 +172,10 @@ func (ix *index) rowOf(e indexEntry) Row {
 	return unsafe.Slice(e.row, len(ix.table.cols))
 }
 
-func (ix *index) uniqueViolation() error {
-	return fmt.Errorf("sqldb: UNIQUE constraint %q violated on table %q", ix.name, ix.table.name)
+func (ix *index) uniqueViolation() error { return uniqueViolation(ix.name, ix.table.name) }
+
+func uniqueViolation(constraint, table string) error {
+	return fmt.Errorf("sqldb: UNIQUE constraint %q violated on table %q", constraint, table)
 }
 
 // checkUnique reports a constraint violation if another row already holds
@@ -324,14 +326,35 @@ func rowidLess(a, b int64) bool { return a < b }
 // table is the storage for one table: rows keyed by rowid plus its indexes.
 // Under MVCC a table version reachable from a committed root is immutable;
 // writers work on clones (see clone).
+//
+// A table with an INTEGER PRIMARY KEY column is clustered on it, as
+// SQLite's rowid alias and InnoDB's primary key are: the column's value is
+// the row's rowid, so the row store itself is the key's unique index and
+// `id = ?`, `id IN (...)`, id ranges and key probes on the column are row
+// store lookups (see table.scanRowids). pk is the column's position, or -1
+// when the table has none and rowids count inserts instead.
 type table struct {
 	name    string
 	cols    []ColumnDef
 	colPos  map[string]int
+	pk      int
 	rows    *btree.Tree[int64, Row]
 	indexes []*index
+	// nextRow is the highest rowid inserted: the last one assigned when pk
+	// is -1, the highest key inserted otherwise.
 	nextRow int64
 	autoInc int64
+}
+
+// rowidColumn returns the position of the first INTEGER PRIMARY KEY column
+// of cols, the one a table keys its rows by, or -1.
+func rowidColumn(cols []ColumnDef) int {
+	for i, c := range cols {
+		if c.PrimaryKey && c.Type == TypeInt {
+			return i
+		}
+	}
+	return -1
 }
 
 func newTable(st *CreateTableStmt) (*table, error) {
@@ -339,6 +362,7 @@ func newTable(st *CreateTableStmt) (*table, error) {
 		name:   st.Name,
 		cols:   st.Columns,
 		colPos: make(map[string]int, len(st.Columns)),
+		pk:     rowidColumn(st.Columns),
 		rows:   btree.New[int64, Row](rowidLess),
 	}
 	for i, c := range st.Columns {
@@ -348,12 +372,54 @@ func newTable(st *CreateTableStmt) (*table, error) {
 		t.colPos[c.Name] = i
 	}
 	for i, c := range st.Columns {
-		if c.PrimaryKey || c.Unique {
+		if (c.PrimaryKey || c.Unique) && i != t.pk {
 			t.indexes = append(t.indexes,
-				newIndex(fmt.Sprintf("%s_%s_key", st.Name, c.Name), t, []int{i}, true))
+				newIndex(keyConstraint(st.Name, c.Name), t, []int{i}, true))
 		}
 	}
 	return t, nil
+}
+
+// keyConstraint names the UNIQUE constraint of a PRIMARY KEY or UNIQUE
+// column: the name of its index, or of the row store's key for the rowid
+// column.
+func keyConstraint(table, col string) string { return table + "_" + col + "_key" }
+
+// pkViolation reports a second row with the same INTEGER PRIMARY KEY.
+func (t *table) pkViolation() error {
+	return uniqueViolation(keyConstraint(t.name, t.cols[t.pk].Name), t.name)
+}
+
+// scanRowids calls fn, in key order, for the rows of a table with an
+// INTEGER PRIMARY KEY whose key lies in the interval lo..hi (nil means
+// unbounded) with the given inclusivity, until fn returns false. A bound
+// compares against the key cell as the filters do (compareCells), so a
+// FLOAT or non-numeric bound selects exactly the rows a filter passes; that
+// order is monotone in the key, so the scan is one descent and a walk. An
+// INTEGER equality bound is a single lookup.
+func (t *table) scanRowids(lo, hi *Value, loInc, hiInc bool, fn func(rowid int64, row Row) bool) {
+	if lo != nil && lo == hi && lo.T == TypeInt {
+		if row, ok := t.rows.Get(lo.N); ok {
+			fn(lo.N, row)
+		}
+		return
+	}
+	t.rows.AscendFrom(func(k int64) bool {
+		if lo == nil {
+			return true
+		}
+		key := Int(k)
+		c := compareCells(&key, lo)
+		return c > 0 || c == 0 && loInc
+	}, func(k int64, row Row) bool {
+		if hi != nil {
+			c := compareCells(&row[t.pk], hi)
+			if c > 0 || c == 0 && !hiInc {
+				return false
+			}
+		}
+		return fn(k, row)
+	})
 }
 
 // clone returns a shadow version of the table for a writer: row and index
@@ -365,6 +431,7 @@ func (t *table) clone() *table {
 		name:    t.name,
 		cols:    t.cols,
 		colPos:  t.colPos,
+		pk:      t.pk,
 		rows:    t.rows.Clone(),
 		nextRow: t.nextRow,
 		autoInc: t.autoInc,
@@ -434,16 +501,22 @@ func (t *table) completeRow(row Row) error {
 	return nil
 }
 
-// insert stores row and updates indexes, returning the new rowid.
+// insert stores row and updates indexes, returning the new rowid: the
+// row's INTEGER PRIMARY KEY, or the next unused rowid.
 func (t *table) insert(row Row) (int64, error) {
-	t.nextRow++
-	rowid := t.nextRow
+	rowid := t.nextRow + 1
+	if t.pk >= 0 {
+		rowid = row[t.pk].N
+		if _, dup := t.rows.Get(rowid); dup {
+			return 0, t.pkViolation()
+		}
+	}
 	for _, ix := range t.indexes {
 		if err := ix.checkUnique(rowid, row); err != nil {
-			t.nextRow--
 			return 0, err
 		}
 	}
+	t.nextRow = max(t.nextRow, rowid)
 	t.rows.Set(rowid, row)
 	for _, ix := range t.indexes {
 		ix.insert(rowid, row)
@@ -464,26 +537,40 @@ func (t *table) delete(rowid int64) (Row, bool) {
 	return row, true
 }
 
-// update replaces the row at rowid, returning the previous row.
+// update replaces the row at rowid, returning the previous row. A new
+// INTEGER PRIMARY KEY value re-keys the row: it moves to the new rowid,
+// unless another row holds it.
 func (t *table) update(rowid int64, newRow Row) (Row, error) {
 	old, ok := t.rows.Get(rowid)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: update of missing rowid %d in %q", rowid, t.name)
 	}
+	newID := rowid
+	if t.pk >= 0 {
+		if newID = newRow[t.pk].N; newID != rowid {
+			if _, dup := t.rows.Get(newID); dup {
+				return nil, t.pkViolation()
+			}
+		}
+	}
 	for _, ix := range t.indexes {
 		ix.remove(rowid, old)
 	}
 	for _, ix := range t.indexes {
-		if err := ix.checkUnique(rowid, newRow); err != nil {
+		if err := ix.checkUnique(newID, newRow); err != nil {
 			for _, ix2 := range t.indexes {
 				ix2.insert(rowid, old)
 			}
 			return nil, err
 		}
 	}
-	t.rows.Set(rowid, newRow)
+	if newID != rowid {
+		t.rows.Delete(rowid)
+		t.nextRow = max(t.nextRow, newID)
+	}
+	t.rows.Set(newID, newRow)
 	for _, ix := range t.indexes {
-		ix.insert(rowid, newRow)
+		ix.insert(newID, newRow)
 	}
 	return old, nil
 }

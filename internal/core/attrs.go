@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"mcs/internal/sqldb"
@@ -21,7 +22,7 @@ func (c *Catalog) DefineAttribute(dn, name string, typ AttrType, description str
 	if _, ok := staticFileColumns[name]; ok {
 		return AttributeDef{}, fmt.Errorf("%w: %q shadows a predefined attribute", ErrInvalidInput, name)
 	}
-	if err := c.requireService(dn, PermCreate); err != nil {
+	if err := c.require(c.db, dn, serviceObject, PermCreate); err != nil {
 		return AttributeDef{}, err
 	}
 	var out AttributeDef
@@ -47,65 +48,65 @@ func (c *Catalog) DefineAttribute(dn, name string, typ AttrType, description str
 
 // GetAttributeDef looks up a user-defined attribute declaration by name.
 func (c *Catalog) GetAttributeDef(name string) (AttributeDef, error) {
-	return c.getAttributeDefQ(c.db, name)
-}
-
-// getAttributeDefQ is GetAttributeDef reading through q.
-func (c *Catalog) getAttributeDefQ(q querier, name string) (AttributeDef, error) {
-	rows, err := q.Query(
-		"SELECT id, name, type, description, creator, created FROM attribute_def WHERE name = ?",
-		sqldb.Text(name))
-	if err != nil {
-		return AttributeDef{}, err
-	}
-	if len(rows.Data) == 0 {
-		return AttributeDef{}, fmt.Errorf("%w: attribute %q", ErrNotFound, name)
-	}
-	r := rows.Data[0]
-	return AttributeDef{
-		ID: r[0].Int(), Name: r[1].S, Type: AttrType(r[2].S),
-		Description: r[3].S, Creator: r[4].S, Created: r[5].Time(),
-	}, nil
+	return c.attrDef(c.db, nil, name)
 }
 
 // ListAttributeDefs returns all user-defined attribute declarations, sorted
 // by name.
 func (c *Catalog) ListAttributeDefs() ([]AttributeDef, error) {
-	rows, err := c.db.Query(
-		"SELECT id, name, type, description, creator, created FROM attribute_def ORDER BY name")
+	dict, err := c.attrDict(c.db)
 	if err != nil {
 		return nil, err
 	}
-	defs := make([]AttributeDef, 0, len(rows.Data))
-	for _, r := range rows.Data {
-		defs = append(defs, AttributeDef{
-			ID: r[0].Int(), Name: r[1].S, Type: AttrType(r[2].S),
-			Description: r[3].S, Creator: r[4].S, Created: r[5].Time(),
-		})
+	defs := make([]AttributeDef, 0, len(dict))
+	for _, def := range dict {
+		defs = append(defs, def)
 	}
+	sort.Slice(defs, func(i, j int) bool { return defs[i].Name < defs[j].Name })
 	return defs, nil
 }
 
-// attrDef resolves an attribute definition through q, memoizing in cache
-// when one is supplied. BatchWrite passes a per-batch cache so a thousand
-// creates with the same ten attributes cost ten definition lookups, not ten
-// thousand.
-func (c *Catalog) attrDef(q querier, cache map[string]AttributeDef, name string) (AttributeDef, error) {
-	if cache != nil {
-		if def, ok := cache[name]; ok {
-			return def, nil
+// attrDict returns the attribute dictionary by name in one statement,
+// cached on attribute_def's epoch, so a query's predicates and a create's
+// attributes resolve without a statement each. Callers must treat the map
+// as read-only: cache hits share it.
+func (c *Catalog) attrDict(q querier) (map[string]AttributeDef, error) {
+	return cached(q, &c.dictCache, "attribute_def", struct{}{}, func() (map[string]AttributeDef, error) {
+		rows, err := q.Query("SELECT id, name, type, description, creator, created FROM attribute_def")
+		if err != nil {
+			return nil, err
 		}
-	}
-	def, err := c.getAttributeDefQ(q, name)
-	if err == nil && cache != nil {
-		cache[name] = def
-	}
-	return def, err
+		m := make(map[string]AttributeDef, len(rows.Data))
+		for _, r := range rows.Data {
+			m[r[1].S] = AttributeDef{
+				ID: r[0].Int(), Name: r[1].S, Type: AttrType(r[2].S),
+				Description: r[3].S, Creator: r[4].S, Created: r[5].Time(),
+			}
+		}
+		return m, nil
+	})
 }
 
-// resolveObject maps (type, name) to the object's ID, with a read check.
-func (c *Catalog) resolveObject(dn string, objType ObjectType, name string) (int64, error) {
-	return c.resolveMember(dn, objType, name)
+// attrDef resolves one attribute definition through the dictionary. memo,
+// when non-nil, keeps the first dictionary read for the rest of a batch, so
+// a thousand creates inside one transaction, which reads around the cache,
+// read the dictionary once.
+func (c *Catalog) attrDef(q querier, memo map[string]AttributeDef, name string) (AttributeDef, error) {
+	def, ok := memo[name]
+	if !ok {
+		dict, err := c.attrDict(q)
+		if err != nil {
+			return AttributeDef{}, err
+		}
+		if memo != nil {
+			maps.Copy(memo, dict)
+		}
+		def, ok = dict[name]
+	}
+	if !ok {
+		return AttributeDef{}, fmt.Errorf("%w: attribute %q", ErrNotFound, name)
+	}
+	return def, nil
 }
 
 // SetAttribute binds (or rebinds) a user-defined attribute value on an
@@ -128,22 +129,22 @@ func (c *Catalog) setAttributeTx(tx *sqldb.Tx, dn string, objType ObjectType, ob
 	if def.Type != v.Type {
 		return fmt.Errorf("%w: attribute %q is %s, value is %s", ErrInvalidInput, attrName, def.Type, v.Type)
 	}
-	id, err := c.resolveMemberQ(tx, dn, objType, objectName)
+	o, err := c.resolve(tx, dn, objType, objectName)
 	if err != nil {
 		return err
 	}
-	if err := c.requireObjectQ(tx, dn, objType, id, PermWrite); err != nil {
+	if err := c.require(tx, dn, o, PermWrite); err != nil {
 		return err
 	}
 	if _, err := tx.Exec(
 		"DELETE FROM user_attribute WHERE object_type = ? AND object_id = ? AND attr_id = ?",
-		sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Int(def.ID)); err != nil {
+		sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Int(def.ID)); err != nil {
 		return err
 	}
 	_, err = tx.Exec(fmt.Sprintf(
 		"INSERT INTO user_attribute (object_type, object_id, attr_id, %s) VALUES (?, ?, ?, ?)",
 		def.Type.storageColumn()),
-		sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Int(def.ID), v.sqlValue())
+		sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Int(def.ID), v.sqlValue())
 	return err
 }
 
@@ -154,17 +155,17 @@ func (c *Catalog) UnsetAttribute(dn string, objType ObjectType, objectName, attr
 	if err != nil {
 		return err
 	}
-	id, err := c.resolveObject(dn, objType, objectName)
+	o, err := c.resolve(c.db, dn, objType, objectName)
 	if err != nil {
 		return err
 	}
-	if err := c.requireObject(dn, objType, id, PermWrite); err != nil {
+	if err := c.require(c.db, dn, o, PermWrite); err != nil {
 		return err
 	}
 	return c.withReplay(op, "unsetAttribute", nil, func(tx *sqldb.Tx) error {
 		res, err := tx.Exec(
 			"DELETE FROM user_attribute WHERE object_type = ? AND object_id = ? AND attr_id = ?",
-			sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Int(def.ID))
+			sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Int(def.ID))
 		if err != nil {
 			return err
 		}
@@ -178,17 +179,17 @@ func (c *Catalog) UnsetAttribute(dn string, objType ObjectType, objectName, attr
 // GetAttributes returns every user-defined attribute bound to an object,
 // sorted by attribute name.
 func (c *Catalog) GetAttributes(dn string, objType ObjectType, objectName string) ([]Attribute, error) {
-	id, err := c.resolveObject(dn, objType, objectName)
+	o, err := c.resolve(c.db, dn, objType, objectName)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.requireObject(dn, objType, id, PermRead); err != nil {
+	if err := c.require(c.db, dn, o, PermRead); err != nil {
 		return nil, err
 	}
 	rows, err := c.db.Query(`SELECT d.name, d.type, ua.sval, ua.ival, ua.fval, ua.tval
 		FROM user_attribute ua JOIN attribute_def d ON d.id = ua.attr_id
 		WHERE ua.object_type = ? AND ua.object_id = ?`,
-		sqldb.Text(string(objType)), sqldb.Int(id))
+		sqldb.Text(string(objType)), sqldb.Int(o.id))
 	if err != nil {
 		return nil, err
 	}

@@ -25,20 +25,13 @@ func (c *Catalog) Grant(dn string, objType ObjectType, objectName, principal str
 	if !perm.Valid() {
 		return fmt.Errorf("%w: permission %q", ErrInvalidInput, perm)
 	}
-	var id int64
-	if objType != ObjectService {
-		var err error
-		id, err = c.resolveObject(dn, objType, objectName)
-		if err != nil {
-			return err
-		}
-	}
-	if err := c.requireObject(dn, objType, id, PermWrite); err != nil {
+	o, err := c.objectOrService(dn, objType, objectName, PermWrite)
+	if err != nil {
 		return err
 	}
 	dup, err := c.db.Query(
 		"SELECT id FROM acl WHERE object_type = ? AND object_id = ? AND principal = ? AND permission = ?",
-		sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Text(principal), sqldb.Text(string(perm)))
+		sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Text(principal), sqldb.Text(string(perm)))
 	if err != nil {
 		return err
 	}
@@ -47,45 +40,44 @@ func (c *Catalog) Grant(dn string, objType ObjectType, objectName, principal str
 	}
 	_, err = c.db.Exec(
 		"INSERT INTO acl (object_type, object_id, principal, permission) VALUES (?, ?, ?, ?)",
-		sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Text(principal), sqldb.Text(string(perm)))
+		sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Text(principal), sqldb.Text(string(perm)))
 	return err
 }
 
 // Revoke removes a granted permission.
 func (c *Catalog) Revoke(dn string, objType ObjectType, objectName, principal string, perm Permission) error {
-	var id int64
-	if objType != ObjectService {
-		var err error
-		id, err = c.resolveObject(dn, objType, objectName)
-		if err != nil {
-			return err
-		}
-	}
-	if err := c.requireObject(dn, objType, id, PermWrite); err != nil {
+	o, err := c.objectOrService(dn, objType, objectName, PermWrite)
+	if err != nil {
 		return err
 	}
-	_, err := c.db.Exec(
+	_, err = c.db.Exec(
 		"DELETE FROM acl WHERE object_type = ? AND object_id = ? AND principal = ? AND permission = ?",
-		sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Text(principal), sqldb.Text(string(perm)))
+		sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Text(principal), sqldb.Text(string(perm)))
 	return err
+}
+
+// objectOrService resolves the object a grant names — the service itself
+// when objType is ObjectService — and requires perm on it.
+func (c *Catalog) objectOrService(dn string, objType ObjectType, objectName string, perm Permission) (authObject, error) {
+	o := serviceObject
+	if objType != ObjectService {
+		var err error
+		if o, err = c.resolve(c.db, dn, objType, objectName); err != nil {
+			return authObject{}, err
+		}
+	}
+	return o, c.require(c.db, dn, o, perm)
 }
 
 // Permissions lists the explicit grants on one object.
 func (c *Catalog) Permissions(dn string, objType ObjectType, objectName string) (map[string][]Permission, error) {
-	var id int64
-	if objType != ObjectService {
-		var err error
-		id, err = c.resolveObject(dn, objType, objectName)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := c.requireObject(dn, objType, id, PermRead); err != nil {
+	o, err := c.objectOrService(dn, objType, objectName, PermRead)
+	if err != nil {
 		return nil, err
 	}
 	rows, err := c.db.Query(
 		"SELECT principal, permission FROM acl WHERE object_type = ? AND object_id = ?",
-		sqldb.Text(string(objType)), sqldb.Int(id))
+		sqldb.Text(string(objType)), sqldb.Int(o.id))
 	if err != nil {
 		return nil, err
 	}
@@ -96,179 +88,101 @@ func (c *Catalog) Permissions(dn string, objType ObjectType, objectName string) 
 	return out, nil
 }
 
-// hasDirectGrantQ checks the ACL table for one (object, principal, perm) row.
-func (c *Catalog) hasDirectGrantQ(q querier, objType ObjectType, id int64, dn string, perm Permission) (bool, error) {
-	rows, err := q.Query(
-		"SELECT id FROM acl WHERE object_type = ? AND object_id = ? AND principal = ? AND permission = ? LIMIT 1",
-		sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Text(dn), sqldb.Text(string(perm)))
+// authObject is what the access rule needs to know of an object: its type
+// and ID, its creator, and the collection above it — a file's collection, a
+// collection's parent, 0 for none and for views. Callers build it from the
+// object row they already hold, so a check costs no statement of its own.
+type authObject struct {
+	typ     ObjectType
+	id      int64
+	creator string
+	parent  int64
+}
+
+// serviceObject is the service itself, the target of service-level grants.
+var serviceObject = authObject{typ: ObjectService}
+
+func (f *File) ref() authObject {
+	return authObject{typ: ObjectFile, id: f.ID, creator: f.Creator, parent: f.CollectionID}
+}
+
+func (col *Collection) ref() authObject {
+	return authObject{typ: ObjectCollection, id: col.ID, creator: col.Creator, parent: col.ParentID}
+}
+
+func (v *View) ref() authObject {
+	return authObject{typ: ObjectView, id: v.ID, creator: v.Creator}
+}
+
+// grant is one acl row of a principal's.
+type grant struct {
+	typ  ObjectType
+	id   int64
+	perm Permission
+}
+
+// grantsOf returns dn's grants, cached on acl's epoch. Callers must treat
+// the set as read-only: cache hits share it.
+func (c *Catalog) grantsOf(q querier, dn string) (map[grant]bool, error) {
+	return cached(q, &c.grantCache, "acl", dn, func() (map[grant]bool, error) {
+		rows, err := q.Query("SELECT object_type, object_id, permission FROM acl WHERE principal = ?", sqldb.Text(dn))
+		if err != nil {
+			return nil, err
+		}
+		m := make(map[grant]bool, len(rows.Data))
+		for _, r := range rows.Data {
+			m[grant{ObjectType(r[0].S), r[1].Int(), Permission(r[2].S)}] = true
+		}
+		return m, nil
+	})
+}
+
+// allowed decides whether dn holds perm on o by the paper's rule, in this
+// order: the owner; a service-level grant; the object's creator; a grant on
+// the object; then, up the collection tree from o.parent, an ancestor's
+// creator or a grant on that ancestor. Views grant nothing to what they
+// hold, so a view's parent is always 0.
+func (c *Catalog) allowed(q querier, dn string, o authObject, perm Permission) (bool, error) {
+	if !c.authz || (dn == c.opts.Owner && c.opts.Owner != "") {
+		return true, nil
+	}
+	grants, err := c.grantsOf(q, dn)
 	if err != nil {
 		return false, err
 	}
-	return len(rows.Data) > 0, nil
-}
-
-// creatorOfQ returns the creator DN of an object.
-func (c *Catalog) creatorOfQ(q querier, objType ObjectType, id int64) (string, error) {
-	var table string
-	switch objType {
-	case ObjectFile:
-		table = "logical_file"
-	case ObjectCollection:
-		table = "logical_collection"
-	case ObjectView:
-		table = "logical_view"
-	default:
-		return "", nil
-	}
-	rows, err := q.Query("SELECT creator FROM "+table+" WHERE id = ?", sqldb.Int(id))
-	if err != nil || len(rows.Data) == 0 {
-		return "", err
-	}
-	return rows.Data[0][0].S, nil
-}
-
-// allowed computes the effective permission check for dn on an object.
-func (c *Catalog) allowed(dn string, objType ObjectType, id int64, perm Permission) (bool, error) {
-	return c.allowedQ(c.db, dn, objType, id, perm)
-}
-
-// allowedQ is allowed reading through q (the open transaction during batch
-// application, the database otherwise). Database-path decisions are
-// memoized per commit epoch: a grant, revoke or ownership change commits a
-// write, bumps the epoch and thereby drops every cached decision.
-func (c *Catalog) allowedQ(q querier, dn string, objType ObjectType, id int64, perm Permission) (bool, error) {
-	if !c.authz {
+	if grants[grant{ObjectService, 0, perm}] {
 		return true, nil
 	}
-	if dn == c.opts.Owner && c.opts.Owner != "" {
-		return true, nil
-	}
-	epoch, cacheable := c.cacheEpoch(q)
-	key := authzCacheKey{dn: dn, typ: objType, id: id, perm: perm}
-	if cacheable {
-		if ok, hit := c.authzCache.get(epoch, key); hit {
-			return ok, nil
-		}
-	}
-	ok, err := c.allowedUncachedQ(q, dn, objType, id, perm)
-	if err == nil && cacheable {
-		c.authzCache.put(epoch, key, ok)
-	}
-	return ok, err
-}
-
-// allowedUncachedQ evaluates the effective-permission rules against q.
-func (c *Catalog) allowedUncachedQ(q querier, dn string, objType ObjectType, id int64, perm Permission) (bool, error) {
-	// Service-level grants apply everywhere (the owner bootstrap rows).
-	if ok, err := c.hasDirectGrantQ(q, ObjectService, 0, dn, perm); err != nil || ok {
-		return ok, err
-	}
-	if objType == ObjectService {
+	if o.typ == ObjectService {
 		return false, nil
 	}
-	if creator, err := c.creatorOfQ(q, objType, id); err != nil {
-		return false, err
-	} else if creator == dn {
+	if o.creator == dn || grants[grant{o.typ, o.id, perm}] {
 		return true, nil
 	}
-	if ok, err := c.hasDirectGrantQ(q, objType, id, dn, perm); err != nil || ok {
-		return ok, err
-	}
-	// Union with the collection hierarchy for files and sub-collections.
-	var startCollection int64
-	switch objType {
-	case ObjectFile:
-		rows, err := q.Query("SELECT collection_id FROM logical_file WHERE id = ?", sqldb.Int(id))
-		if err != nil {
-			return false, err
-		}
-		if len(rows.Data) > 0 && !rows.Data[0][0].IsNull() {
-			startCollection = rows.Data[0][0].Int()
-		}
-	case ObjectCollection:
-		rows, err := q.Query("SELECT parent_id FROM logical_collection WHERE id = ?", sqldb.Int(id))
-		if err != nil {
-			return false, err
-		}
-		if len(rows.Data) > 0 && !rows.Data[0][0].IsNull() {
-			startCollection = rows.Data[0][0].Int()
-		}
-	}
-	if startCollection == 0 {
+	if o.parent == 0 {
 		return false, nil
 	}
-	chain, err := c.collectionChainQ(q, startCollection)
+	tree, err := c.collectionTree(q)
 	if err != nil {
 		return false, err
 	}
-	// One IN-list statement per check across the whole ancestor chain,
-	// instead of the former two statements per hierarchy level.
-	ids := make([]sqldb.Value, len(chain))
-	for i, cid := range chain {
-		ids[i] = sqldb.Int(cid)
-	}
-	crows, err := q.Query(
-		"SELECT creator FROM logical_collection WHERE id IN ("+placeholders(len(ids))+")", ids...)
-	if err != nil {
-		return false, err
-	}
-	for _, r := range crows.Data {
-		if r[0].S == dn {
-			return true, nil
-		}
-	}
-	args := append([]sqldb.Value{
-		sqldb.Text(string(ObjectCollection)), sqldb.Text(dn), sqldb.Text(string(perm)),
-	}, ids...)
-	grows, err := q.Query(
-		"SELECT id FROM acl WHERE object_type = ? AND principal = ? AND permission = ? AND object_id IN ("+
-			placeholders(len(ids))+") LIMIT 1", args...)
-	if err != nil {
-		return false, err
-	}
-	return len(grows.Data) > 0, nil
+	return tree.walkUp(o.parent, func(id int64) bool {
+		n, ok := tree[id]
+		return ok && n.creator == dn || grants[grant{ObjectCollection, id, perm}]
+	})
 }
 
-// requireService enforces a service-level permission.
-func (c *Catalog) requireService(dn string, perm Permission) error {
-	return c.requireServiceQ(c.db, dn, perm)
-}
-
-// requireServiceQ is requireService reading through q.
-func (c *Catalog) requireServiceQ(q querier, dn string, perm Permission) error {
-	ok, err := c.allowedQ(q, dn, ObjectService, 0, perm)
+// require fails with ErrDenied unless dn holds perm on o.
+func (c *Catalog) require(q querier, dn string, o authObject, perm Permission) error {
+	ok, err := c.allowed(q, dn, o, perm)
 	if err != nil {
 		return err
 	}
-	if !ok {
+	if ok {
+		return nil
+	}
+	if o.typ == ObjectService {
 		return fmt.Errorf("%w: %s needs service %s", ErrDenied, dn, perm)
 	}
-	return nil
-}
-
-// requireObject enforces a permission on a specific object.
-func (c *Catalog) requireObject(dn string, objType ObjectType, id int64, perm Permission) error {
-	return c.requireObjectQ(c.db, dn, objType, id, perm)
-}
-
-// requireObjectQ is requireObject reading through q.
-func (c *Catalog) requireObjectQ(q querier, dn string, objType ObjectType, id int64, perm Permission) error {
-	ok, err := c.allowedQ(q, dn, objType, id, perm)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %s needs %s on %s/%d", ErrDenied, dn, perm, objType, id)
-	}
-	return nil
-}
-
-// requireFile enforces a permission on an already-loaded file.
-func (c *Catalog) requireFile(dn string, f *File, perm Permission) error {
-	return c.requireObject(dn, ObjectFile, f.ID, perm)
-}
-
-// requireFileQ is requireFile reading through q.
-func (c *Catalog) requireFileQ(q querier, dn string, f *File, perm Permission) error {
-	return c.requireObjectQ(q, dn, ObjectFile, f.ID, perm)
+	return fmt.Errorf("%w: %s needs %s on %s/%d", ErrDenied, dn, perm, o.typ, o.id)
 }

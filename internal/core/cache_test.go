@@ -75,9 +75,9 @@ func TestAuthzChainStatementCountIsDepthIndependent(t *testing.T) {
 	}
 }
 
-// TestEpochCachesAnswerRepeatReads asserts that a repeated read at the same
-// commit epoch is answered entirely from the file and authorization caches:
-// zero statements reach the engine.
+// TestEpochCachesAnswerRepeatReads asserts that a repeated read with no
+// commit in between is answered entirely from the file, grant and tree
+// caches: zero statements reach the engine.
 func TestEpochCachesAnswerRepeatReads(t *testing.T) {
 	c, name := deepCatalog(t, 4)
 	if _, err := c.GetFile(bob, name, 1); err != nil { // warm the caches
@@ -97,9 +97,9 @@ func TestEpochCachesAnswerRepeatReads(t *testing.T) {
 	}
 }
 
-// TestEpochCachesInvalidatedByCommit asserts that cached decisions never
-// outlive the epoch they were computed at: a revoke (one committed write)
-// must be visible to the very next read.
+// TestEpochCachesInvalidatedByCommit asserts that cached grants never
+// outlive acl's epoch: a revoke (one committed write) must be visible to
+// the very next read.
 func TestEpochCachesInvalidatedByCommit(t *testing.T) {
 	c, name := deepCatalog(t, 4)
 	if _, err := c.GetFile(bob, name, 1); err != nil {
@@ -217,7 +217,7 @@ func TestQueryFilesStatementCountIsResultIndependent(t *testing.T) {
 
 // TestRunQueryAuthzFilterBatched: with authorization on, the post-query
 // visibility filter must not issue one resolve per matched name. The
-// per-name authorization decisions themselves are epoch-cached, so a
+// decisions are made in memory from the cached grants and tree, so a
 // repeated query costs only the resolve batch plus the match query.
 func TestRunQueryAuthzFilterBatched(t *testing.T) {
 	c := openAuthzCatalog(t)
@@ -246,9 +246,252 @@ func TestRunQueryAuthzFilterBatched(t *testing.T) {
 			t.Fatalf("visible on repeat = %d, want 12", len(again))
 		}
 	})
-	// Match query + one resolve chunk; every allowed() decision is a cache
-	// hit from the first run.
+	// Match query + one resolve chunk; the grants come from the cache the
+	// first run filled.
 	if stmts["select"] > 2 {
 		t.Fatalf("repeat authz-filtered query issued %d statements, want <= 2", stmts["select"])
+	}
+}
+
+const (
+	pinReader    = "/O=Grid/CN=pin-reader"
+	pinPublisher = "/O=Grid/CN=pin-publisher"
+	pinFiles     = 1200
+)
+
+// pinAttrs are the ten string attributes every pinned file carries;
+// attribute j takes j+2 values.
+func pinAttrs(i int) []Attribute {
+	attrs := make([]Attribute, 10)
+	for j := range attrs {
+		attrs[j] = Attribute{Name: fmt.Sprintf("p%02d", j), Value: String(fmt.Sprintf("v%d", i%(j+2)))}
+	}
+	return attrs
+}
+
+// pinCatalog builds the catalog the statement-count pins read: a chain of
+// depth collections under "top", eight leaves under the chain's end holding
+// pinFiles files with ten attributes each, a reader whose only grant is
+// read on "top", and a publisher holding service create and write on its
+// own sub-collection "pub" at the chain's end.
+func pinCatalog(t *testing.T, depth int) *Catalog {
+	t.Helper()
+	c := openAuthzCatalog(t)
+	for j := 0; j < 10; j++ {
+		if _, err := c.DefineAttribute(admin, fmt.Sprintf("p%02d", j), AttrString, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parent := "top"
+	if _, err := c.CreateCollection(admin, CollectionSpec{Name: parent}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < depth; i++ {
+		name := fmt.Sprintf("mid%d", i)
+		if _, err := c.CreateCollection(admin, CollectionSpec{Name: name, Parent: parent}); err != nil {
+			t.Fatal(err)
+		}
+		parent = name
+	}
+	for _, name := range []string{"pub", "leaf0", "leaf1", "leaf2", "leaf3", "leaf4", "leaf5", "leaf6", "leaf7"} {
+		if _, err := c.CreateCollection(admin, CollectionSpec{Name: name, Parent: parent}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range []struct {
+		typ       ObjectType
+		object    string
+		principal string
+		perm      Permission
+	}{
+		{ObjectCollection, "top", pinReader, PermRead},
+		{ObjectService, "", pinPublisher, PermCreate},
+		{ObjectCollection, "pub", pinPublisher, PermRead},
+		{ObjectCollection, "pub", pinPublisher, PermWrite},
+	} {
+		if err := c.Grant(admin, g.typ, g.object, g.principal, g.perm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ops := make([]BatchOp, pinFiles)
+	for i := range ops {
+		ops[i] = BatchOp{CreateFile: &FileSpec{
+			Name: fmt.Sprintf("pin-%04d", i), Collection: fmt.Sprintf("leaf%d", i%8), Attributes: pinAttrs(i),
+		}}
+	}
+	if _, err := c.BatchWrite(admin, ops); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// unrelatedCreate commits one createFile that changes no grant, no
+// collection and no attribute definition, the normal case between two
+// reads in a mixed workload.
+func unrelatedCreate(t *testing.T, c *Catalog, n int) {
+	t.Helper()
+	if _, err := c.CreateFile(pinPublisher, FileSpec{Name: fmt.Sprintf("unrelated-%d", n), Collection: "pub"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatementPinsAfterUnrelatedCommit pins what a read costs right after
+// a commit that changes none of the tables authorization reads: the grants,
+// the tree and the dictionary stay cached, so a lookup, a search and a page
+// cost their own statements and no authorization ones. A create reads
+// around the caches inside its transaction (cache.go): the publisher's
+// grants once per check (three), its collection, the dictionary once per
+// attribute (ten) and the latest version. None of the counts may grow with
+// the hierarchy's depth or the page's size.
+func TestStatementPinsAfterUnrelatedCommit(t *testing.T) {
+	search3 := Query{Predicates: []Predicate{
+		{"p00", OpEq, String("v0")}, {"p01", OpEq, String("v0")}, {"p02", OpEq, String("v0")},
+	}}
+	page := Query{Predicates: []Predicate{{"p00", OpEq, String("v0")}}}
+	type pin struct {
+		name string
+		max  int
+		run  func(c *Catalog) (rows int, err error)
+	}
+	pins := []pin{
+		{"lookup", 2, func(c *Catalog) (int, error) {
+			_, err := c.GetFile(pinReader, "pin-0007", 0)
+			return 1, err
+		}},
+		{"search3", 3, func(c *Catalog) (int, error) {
+			names, err := c.RunQuery(pinReader, search3)
+			return len(names), err
+		}},
+		{"page64", 3, func(c *Catalog) (int, error) {
+			names, _, err := c.RunQueryPage(pinReader, page, 64, "")
+			return len(names), err
+		}},
+		{"page512", 3, func(c *Catalog) (int, error) {
+			names, _, err := c.RunQueryPage(pinReader, page, 512, "")
+			return len(names), err
+		}},
+		{"create10", 15, func(c *Catalog) (int, error) {
+			_, err := c.CreateFile(pinPublisher, FileSpec{Name: "pinned-create", Collection: "pub", Attributes: pinAttrs(3)})
+			return 1, err
+		}},
+	}
+	wantRows := map[string]int{"lookup": 1, "search3": (pinFiles + 11) / 12, "page64": 64, "page512": pinFiles / 2, "create10": 1}
+	counts := map[string][]int{}
+	for _, depth := range []int{1, 14} {
+		c := pinCatalog(t, depth)
+		for i, p := range pins {
+			if _, err := p.run(c); err != nil && p.name != "create10" { // warm the caches
+				t.Fatal(err)
+			}
+			if p.name == "create10" {
+				if err := c.DeleteFile(pinPublisher, "pinned-create", 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unrelatedCreate(t, c, i)
+			var rows int
+			var err error
+			stmts := countStatements(c, func() { rows, err = p.run(c) })
+			if err != nil {
+				t.Fatalf("depth %d, %s: %v", depth, p.name, err)
+			}
+			if want := min(wantRows[p.name], 512); rows != want {
+				t.Fatalf("depth %d, %s: %d rows, want %d", depth, p.name, rows, want)
+			}
+			if stmts["select"] > p.max {
+				t.Errorf("depth %d, %s after an unrelated createFile: %d SELECTs, want <= %d",
+					depth, p.name, stmts["select"], p.max)
+			}
+			counts[p.name] = append(counts[p.name], stmts["select"])
+		}
+	}
+	t.Logf("SELECTs at depth 1 and 14: %v", counts)
+	for name, n := range counts {
+		if n[0] != n[1] {
+			t.Errorf("%s: SELECTs grow with hierarchy depth: %d at depth 1, %d at depth 14", name, n[0], n[1])
+		}
+	}
+	if counts["page64"][0] != counts["page512"][0] {
+		t.Errorf("page SELECTs grow with page size: %d for 64 rows, %d for 512", counts["page64"][0], counts["page512"][0])
+	}
+}
+
+// TestTreeCacheSeesSetCollectionParent: moving a collection out from under
+// the granted root is visible to the very next read, and so is moving it
+// back.
+func TestTreeCacheSeesSetCollectionParent(t *testing.T) {
+	c, name := deepCatalog(t, 4) // bob reads through a grant on c0
+	if _, err := c.GetFile(bob, name, 1); err != nil {
+		t.Fatal(err) // the tree is now cached
+	}
+	if err := c.SetCollectionParent(admin, "c2", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetFile(bob, name, 1); !errors.Is(err, ErrDenied) {
+		t.Fatalf("read after moving the chain out from under the grant = %v, want ErrDenied", err)
+	}
+	if err := c.SetCollectionParent(admin, "c2", "c1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetFile(bob, name, 1); err != nil {
+		t.Fatalf("read after moving it back: %v", err)
+	}
+}
+
+// TestQueryFilesPageLoadsVersionsInOneBatch: QueryFilesPage loads the page's
+// versions with one IN-list batch, so its statement count does not grow
+// with the page's size.
+func TestQueryFilesPageLoadsVersionsInOneBatch(t *testing.T) {
+	c := pinCatalog(t, 1)
+	q := Query{Predicates: []Predicate{{"p00", OpEq, String("v0")}}}
+	counts := make([]int, 0, 2)
+	for i, size := range []int{16, 256} {
+		if _, _, err := c.QueryFilesPage(pinReader, q, size, ""); err != nil { // warm the caches
+			t.Fatal(err)
+		}
+		unrelatedCreate(t, c, i)
+		stmts := countStatements(c, func() {
+			files, _, err := c.QueryFilesPage(pinReader, q, size, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != size {
+				t.Fatalf("page of %d: %d files", size, len(files))
+			}
+		})
+		counts = append(counts, stmts["select"])
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("statement count grows with page size: 16 -> %d, 256 -> %d", counts[0], counts[1])
+	}
+}
+
+// TestQueryFilesPageFailsOnEngineError: an engine error while loading the
+// page's versions fails the call; it does not return a shorter page.
+func TestQueryFilesPageFailsOnEngineError(t *testing.T) {
+	c := pinCatalog(t, 1)
+	q := Query{Predicates: []Predicate{{"p00", OpEq, String("v0")}}}
+	// With the caches warm, the call's statements are the match, the
+	// resolve and, last, the versions load.
+	if _, _, err := c.QueryFilesPage(pinReader, q, 32, ""); err != nil {
+		t.Fatal(err)
+	}
+	n := countStatements(c, func() {
+		if _, _, err := c.QueryFilesPage(pinReader, q, 32, ""); err != nil {
+			t.Fatal(err)
+		}
+	})["select"]
+	injected := errors.New("injected engine error")
+	var seen atomic.Int64
+	c.db.SetFaultHook(func(verb string) error {
+		if verb == "select" && seen.Add(1) == int64(n) {
+			return injected
+		}
+		return nil
+	})
+	defer c.db.SetFaultHook(nil)
+	files, _, err := c.QueryFilesPage(pinReader, q, 32, "")
+	if !errors.Is(err, injected) {
+		t.Fatalf("QueryFilesPage with a failing versions load = %d files, %v; want the injected error", len(files), err)
 	}
 }

@@ -45,9 +45,11 @@ type Catalog struct {
 	// replayHits counts mutations answered from the replay cache instead
 	// of re-applied (see withReplay).
 	replayHits atomic.Int64
-	// Epoch-versioned read caches, invalidated by commit epoch (cache.go).
-	hierCache  epochCache[struct{}, map[int64]int64]
-	authzCache epochCache[authzCacheKey, bool]
+	// Read caches, each tagged with the epoch of the table it reads
+	// (cache.go).
+	grantCache epochCache[string, map[grant]bool]
+	treeCache  epochCache[struct{}, collTree]
+	dictCache  epochCache[struct{}, map[string]AttributeDef]
 	fileCache  epochCache[fileCacheKey, File]
 }
 
@@ -119,7 +121,7 @@ func (c *Catalog) createFileTx(tx *sqldb.Tx, dn string, spec FileSpec, op opSett
 	if spec.Name == "" {
 		return File{}, fmt.Errorf("%w: file name required", ErrInvalidInput)
 	}
-	if err := c.requireServiceQ(tx, dn, PermCreate); err != nil {
+	if err := c.require(tx, dn, serviceObject, PermCreate); err != nil {
 		return File{}, err
 	}
 	var collectionID int64
@@ -128,7 +130,7 @@ func (c *Catalog) createFileTx(tx *sqldb.Tx, dn string, spec FileSpec, op opSett
 		if err != nil {
 			return File{}, fmt.Errorf("collection %q: %w", spec.Collection, err)
 		}
-		if err := c.requireObjectQ(tx, dn, ObjectCollection, col.ID, PermWrite); err != nil {
+		if err := c.require(tx, dn, col.ref(), PermWrite); err != nil {
 			return File{}, err
 		}
 		collectionID = col.ID
@@ -254,67 +256,48 @@ func (c *Catalog) GetFile(dn, name string, version int) (File, error) {
 	return c.getFileQ(c.db, dn, name, version)
 }
 
-// getFileQ is GetFile reading through q. Database reads memoize the lookup
-// in the epoch-versioned file cache; the authorization check always runs
-// (it has its own cache) so a hit never widens access.
+// getFileQ is GetFile reading through q. The lookup is cached on
+// logical_file's epoch; the authorization check always runs, so a hit never
+// widens access.
 func (c *Catalog) getFileQ(q querier, dn, name string, version int) (File, error) {
-	epoch, cacheable := c.cacheEpoch(q)
-	key := fileCacheKey{name: name, version: version}
-	if cacheable {
-		if f, ok := c.fileCache.get(epoch, key); ok {
-			if err := c.requireFileQ(q, dn, &f, PermRead); err != nil {
-				return File{}, err
-			}
-			return f, nil
+	f, err := cached(q, &c.fileCache, "logical_file", fileCacheKey{name: name, version: version}, func() (File, error) {
+		var rows *sqldb.Rows
+		var err error
+		if version == 0 {
+			rows, err = q.Query("SELECT "+fileColumns+" FROM logical_file WHERE name = ?",
+				sqldb.Text(name))
+		} else {
+			rows, err = q.Query("SELECT "+fileColumns+" FROM logical_file WHERE name = ? AND version = ?",
+				sqldb.Text(name), sqldb.Int(int64(version)))
 		}
-	}
-	var rows *sqldb.Rows
-	var err error
-	if version == 0 {
-		rows, err = q.Query("SELECT "+fileColumns+" FROM logical_file WHERE name = ?",
-			sqldb.Text(name))
-	} else {
-		rows, err = q.Query("SELECT "+fileColumns+" FROM logical_file WHERE name = ? AND version = ?",
-			sqldb.Text(name), sqldb.Int(int64(version)))
-	}
+		if err != nil {
+			return File{}, err
+		}
+		if len(rows.Data) == 0 {
+			return File{}, fmt.Errorf("%w: file %q", ErrNotFound, name)
+		}
+		if version == 0 && len(rows.Data) > 1 {
+			return File{}, fmt.Errorf("%w: file %q has %d versions", ErrAmbiguousFile, name, len(rows.Data))
+		}
+		return scanFile(rows.Data[0]), nil
+	})
 	if err != nil {
 		return File{}, err
 	}
-	if len(rows.Data) == 0 {
-		return File{}, fmt.Errorf("%w: file %q", ErrNotFound, name)
-	}
-	if version == 0 && len(rows.Data) > 1 {
-		return File{}, fmt.Errorf("%w: file %q has %d versions", ErrAmbiguousFile, name, len(rows.Data))
-	}
-	f := scanFile(rows.Data[0])
-	if cacheable {
-		c.fileCache.put(epoch, key, f)
-	}
-	if err := c.requireFileQ(q, dn, &f, PermRead); err != nil {
+	if err := c.require(q, dn, f.ref(), PermRead); err != nil {
 		return File{}, err
 	}
 	return f, nil
 }
 
 // FileVersions lists all versions of a logical file name, oldest first.
+// Versions dn may not read are left out; none left is ErrNotFound.
 func (c *Catalog) FileVersions(dn, name string) ([]File, error) {
-	rows, err := c.db.Query("SELECT "+fileColumns+" FROM logical_file WHERE name = ? ORDER BY version",
-		sqldb.Text(name))
-	if err != nil {
-		return nil, err
+	files, err := c.versionsOf(dn, []string{name})
+	if err == nil && len(files) == 0 {
+		err = fmt.Errorf("%w: file %q", ErrNotFound, name)
 	}
-	files := make([]File, 0, len(rows.Data))
-	for _, row := range rows.Data {
-		f := scanFile(row)
-		if err := c.requireFile(dn, &f, PermRead); err != nil {
-			continue // unreadable versions are filtered, not fatal
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("%w: file %q", ErrNotFound, name)
-	}
-	return files, nil
+	return files, err
 }
 
 // FileUpdate holds the modifiable static attributes of a logical file.
@@ -348,7 +331,7 @@ func (c *Catalog) updateFileTx(tx *sqldb.Tx, dn, name string, version int, upd F
 	if err != nil {
 		return File{}, err
 	}
-	if err := c.requireFileQ(tx, dn, &f, PermWrite); err != nil {
+	if err := c.require(tx, dn, f.ref(), PermWrite); err != nil {
 		return File{}, err
 	}
 	set := ""
@@ -426,7 +409,7 @@ func (c *Catalog) deleteFileTx(tx *sqldb.Tx, dn, name string, version int, op op
 	if err != nil {
 		return 0, err
 	}
-	if err := c.requireFileQ(tx, dn, &f, PermDelete); err != nil {
+	if err := c.require(tx, dn, f.ref(), PermDelete); err != nil {
 		return 0, err
 	}
 	id := sqldb.Int(f.ID)
@@ -463,7 +446,7 @@ func (c *Catalog) MoveFile(dn, name string, version int, collection string, opts
 	if err != nil {
 		return err
 	}
-	if err := c.requireFile(dn, &f, PermWrite); err != nil {
+	if err := c.require(c.db, dn, f.ref(), PermWrite); err != nil {
 		return err
 	}
 	var newID int64
@@ -472,7 +455,7 @@ func (c *Catalog) MoveFile(dn, name string, version int, collection string, opts
 		if err != nil {
 			return err
 		}
-		if err := c.requireObject(dn, ObjectCollection, col.ID, PermWrite); err != nil {
+		if err := c.require(c.db, dn, col.ref(), PermWrite); err != nil {
 			return err
 		}
 		newID = col.ID

@@ -42,7 +42,7 @@ func (c *Catalog) CreateCollection(dn string, spec CollectionSpec, opts ...OpOpt
 	if spec.Name == "" {
 		return Collection{}, fmt.Errorf("%w: collection name required", ErrInvalidInput)
 	}
-	if err := c.requireService(dn, PermCreate); err != nil {
+	if err := c.require(c.db, dn, serviceObject, PermCreate); err != nil {
 		return Collection{}, err
 	}
 	var parentID int64
@@ -51,7 +51,7 @@ func (c *Catalog) CreateCollection(dn string, spec CollectionSpec, opts ...OpOpt
 		if err != nil {
 			return Collection{}, fmt.Errorf("parent %q: %w", spec.Parent, err)
 		}
-		if err := c.requireObject(dn, ObjectCollection, parent.ID, PermWrite); err != nil {
+		if err := c.require(c.db, dn, parent.ref(), PermWrite); err != nil {
 			return Collection{}, err
 		}
 		parentID = parent.ID
@@ -125,7 +125,7 @@ func (c *Catalog) getCollectionQ(q querier, dn, name string) (Collection, error)
 		return Collection{}, fmt.Errorf("%w: collection %q", ErrNotFound, name)
 	}
 	col := scanCollection(rows.Data[0])
-	if err := c.requireObjectQ(q, dn, ObjectCollection, col.ID, PermRead); err != nil {
+	if err := c.require(q, dn, col.ref(), PermRead); err != nil {
 		return Collection{}, err
 	}
 	return col, nil
@@ -157,61 +157,51 @@ func (c *Catalog) CollectionContents(dn, name string) (files []File, subs []Coll
 	return files, subs, nil
 }
 
-// collectionChain returns the IDs of the collection and all its ancestors,
-// guarding against malformed parent cycles.
-func (c *Catalog) collectionChain(id int64) ([]int64, error) {
-	return c.collectionChainQ(c.db, id)
+// collNode is one collection in the cached tree.
+type collNode struct {
+	parent  int64 // 0 for a root
+	creator string
 }
 
-// collectionChainQ is collectionChain reading through q. The old
-// implementation issued one SELECT per hierarchy level; the walk now runs
-// in memory over the parent map, fetched in a single statement (and served
-// from the epoch-versioned hierarchy cache on the database read path), so
-// statement count no longer grows with hierarchy depth.
-func (c *Catalog) collectionChainQ(q querier, id int64) ([]int64, error) {
-	parents, err := c.collectionParentsQ(q)
-	if err != nil {
-		return nil, err
-	}
-	var chain []int64
-	seen := map[int64]bool{}
-	for id != 0 {
-		if seen[id] {
-			return nil, fmt.Errorf("%w: collection hierarchy", ErrCycle)
+// collTree maps every collection ID to its node.
+type collTree map[int64]collNode
+
+// collectionTree returns the whole collection tree in one statement, cached
+// on logical_collection's epoch, so an authorization walk costs no statement
+// per level. Callers must treat the tree as read-only: cache hits share it.
+func (c *Catalog) collectionTree(q querier) (collTree, error) {
+	return cached(q, &c.treeCache, "logical_collection", struct{}{}, func() (collTree, error) {
+		rows, err := q.Query("SELECT id, parent_id, creator FROM logical_collection")
+		if err != nil {
+			return nil, err
 		}
-		seen[id] = true
-		chain = append(chain, id)
-		id = parents[id] // 0 when the parent is NULL or id is dangling
-	}
-	return chain, nil
+		t := make(collTree, len(rows.Data))
+		for _, r := range rows.Data {
+			n := collNode{creator: r[2].S}
+			if !r[1].IsNull() {
+				n.parent = r[1].Int()
+			}
+			t[r[0].Int()] = n
+		}
+		return t, nil
+	})
 }
 
-// collectionParentsQ returns the collection id -> parent id map (0 for
-// roots) in one statement, cached per commit epoch for database reads.
-// Callers must treat the returned map as read-only: cache hits share it.
-func (c *Catalog) collectionParentsQ(q querier) (map[int64]int64, error) {
-	epoch, cacheable := c.cacheEpoch(q)
-	if cacheable {
-		if m, ok := c.hierCache.get(epoch, struct{}{}); ok {
-			return m, nil
+// walkUp calls fn with id and then each collection above it, nearest first,
+// until fn returns true, and reports whether it did. A dangling ID ends the
+// walk after fn has seen it. A walk longer than the tree has collections
+// has met a parent cycle and fails with ErrCycle.
+func (t collTree) walkUp(id int64, fn func(id int64) bool) (bool, error) {
+	for steps := 0; id != 0; steps++ {
+		if steps > len(t) {
+			return false, fmt.Errorf("%w: collection hierarchy", ErrCycle)
 		}
-	}
-	rows, err := q.Query("SELECT id, parent_id FROM logical_collection")
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[int64]int64, len(rows.Data))
-	for _, r := range rows.Data {
-		if r[1].IsNull() {
-			m[r[0].Int()] = 0
-		} else {
-			m[r[0].Int()] = r[1].Int()
+		if fn(id) {
+			return true, nil
 		}
+		id = t[id].parent
 	}
-	if cacheable {
-		c.hierCache.put(epoch, struct{}{}, m)
-	}
-	return m, nil
+	return false, nil
 }
 
 // SetCollectionParent re-parents a collection ("" makes it a root),
@@ -221,7 +211,7 @@ func (c *Catalog) SetCollectionParent(dn, name, parent string) error {
 	if err != nil {
 		return err
 	}
-	if err := c.requireObject(dn, ObjectCollection, col.ID, PermWrite); err != nil {
+	if err := c.require(c.db, dn, col.ref(), PermWrite); err != nil {
 		return err
 	}
 	var parentID int64
@@ -230,14 +220,14 @@ func (c *Catalog) SetCollectionParent(dn, name, parent string) error {
 		if err != nil {
 			return err
 		}
-		chain, err := c.collectionChain(p.ID)
+		tree, err := c.collectionTree(c.db)
 		if err != nil {
 			return err
 		}
-		for _, ancestor := range chain {
-			if ancestor == col.ID {
-				return fmt.Errorf("%w: %q is an ancestor of %q", ErrCycle, name, parent)
-			}
+		if under, err := tree.walkUp(p.ID, func(id int64) bool { return id == col.ID }); err != nil {
+			return err
+		} else if under {
+			return fmt.Errorf("%w: %q is an ancestor of %q", ErrCycle, name, parent)
 		}
 		parentID = p.ID
 	}
@@ -256,7 +246,7 @@ func (c *Catalog) DeleteCollection(dn, name string, opts ...OpOption) error {
 	if err != nil {
 		return err
 	}
-	if err := c.requireObject(dn, ObjectCollection, col.ID, PermDelete); err != nil {
+	if err := c.require(c.db, dn, col.ref(), PermDelete); err != nil {
 		return err
 	}
 	nfiles, err := c.db.Query("SELECT COUNT(*) FROM logical_file WHERE collection_id = ?", sqldb.Int(col.ID))

@@ -8,11 +8,12 @@ import (
 
 // EXPLAIN goldens for the catalog's own hot statements. These pin the
 // access paths of the query shapes the paper's workload leans on — the
-// authz ancestor-chain ACL check, the multi-attribute (Fig. 11) query, the
-// IN-list batch hydration and a name lookup narrowed by an attribute — so a
-// planner change flips a test, not just a benchmark curve. Plans read the
-// schema and the statement, never the rows, so the catalogs here hold no
-// files; sqldb's TestPlanCensus pins every statement the catalog issues.
+// authorization grants and tree loads, the multi-attribute (Fig. 11)
+// query, the IN-list batch hydration and a name lookup narrowed by an
+// attribute — so a planner change flips a test, not just a benchmark curve.
+// Plans read the schema and the statement, never the rows, so the catalogs
+// here hold no files; sqldb's TestPlanCensus pins every statement the
+// catalog issues.
 
 // explainPlan compiles sql against the catalog's database and returns the
 // one-line plan rendering. Plans are value-free, so no arguments are bound.
@@ -36,15 +37,20 @@ func defineExplainAttrs(t *testing.T, c *Catalog, n int) {
 	}
 }
 
-func TestExplainAuthzAncestorChain(t *testing.T) {
+func TestExplainAuthzGrantsAndTree(t *testing.T) {
 	c := openCatalog(t)
-	// The batched ancestor-chain ACL check from authz.go: one IN-list probe
-	// across the whole collection chain. acl_object binds object_type by =
-	// and object_id by the IN list.
-	plan := explainPlan(t, c,
-		"SELECT id FROM acl WHERE object_type = ? AND principal = ? AND permission = ? AND object_id IN (?, ?, ?)")
-	if plan != "index-in(acl_object)" {
-		t.Fatalf("authz chain plan = %s", plan)
+	// The two statements authorization issues (authz.go, collections.go),
+	// each once per change of its table and never per object: a DN's
+	// grants, and the whole collection tree. Both scan their table, which
+	// holds tens of rows where the catalog holds thousands of files; the
+	// grants statement has no index on principal, and needs none.
+	for _, pin := range []struct{ sql, want string }{
+		{"SELECT object_type, object_id, permission FROM acl WHERE principal = ?", "full-scan(acl)"},
+		{"SELECT id, parent_id, creator FROM logical_collection", "full-scan(logical_collection)"},
+	} {
+		if plan := explainPlan(t, c, pin.sql); plan != pin.want {
+			t.Fatalf("%s:\n  got  %s\n  want %s", pin.sql, plan, pin.want)
+		}
 	}
 }
 

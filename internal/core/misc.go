@@ -27,17 +27,17 @@ func (c *Catalog) auditTx(tx *sqldb.Tx, objType ObjectType, id int64, action, dn
 
 // AuditLog returns the audit records for one object, oldest first.
 func (c *Catalog) AuditLog(dn string, objType ObjectType, objectName string) ([]AuditRecord, error) {
-	id, err := c.resolveObject(dn, objType, objectName)
+	o, err := c.resolve(c.db, dn, objType, objectName)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.requireObject(dn, objType, id, PermRead); err != nil {
+	if err := c.require(c.db, dn, o, PermRead); err != nil {
 		return nil, err
 	}
 	rows, err := c.db.Query(
 		`SELECT id, object_type, object_id, action, dn, detail, request_id, at FROM audit_log
 		 WHERE object_type = ? AND object_id = ? ORDER BY id`,
-		sqldb.Text(string(objType)), sqldb.Int(id))
+		sqldb.Text(string(objType)), sqldb.Int(o.id))
 	if err == nil {
 		recs := make([]AuditRecord, 0, len(rows.Data))
 		for _, r := range rows.Data {
@@ -52,7 +52,7 @@ func (c *Catalog) AuditLog(dn string, objType ObjectType, objectName string) ([]
 	rows, err = c.db.Query(
 		`SELECT id, object_type, object_id, action, dn, detail, at FROM audit_log
 		 WHERE object_type = ? AND object_id = ? ORDER BY id`,
-		sqldb.Text(string(objType)), sqldb.Int(id))
+		sqldb.Text(string(objType)), sqldb.Int(o.id))
 	if err != nil {
 		return nil, err
 	}
@@ -86,46 +86,46 @@ func (c *Catalog) annotateTx(tx *sqldb.Tx, dn string, objType ObjectType, object
 	if text == "" {
 		return Annotation{}, fmt.Errorf("%w: empty annotation", ErrInvalidInput)
 	}
-	id, err := c.resolveMemberQ(tx, dn, objType, objectName)
+	o, err := c.resolve(tx, dn, objType, objectName)
 	if err != nil {
 		return Annotation{}, err
 	}
-	if err := c.requireObjectQ(tx, dn, objType, id, PermAnnotate); err != nil {
+	if err := c.require(tx, dn, o, PermAnnotate); err != nil {
 		return Annotation{}, err
 	}
 	now := c.now()
 	res, err := tx.Exec(
 		"INSERT INTO annotation (object_type, object_id, annotation, dn, at) VALUES (?, ?, ?, ?, ?)",
-		sqldb.Text(string(objType)), sqldb.Int(id), sqldb.Text(text), sqldb.Text(dn), now)
+		sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Text(text), sqldb.Text(dn), now)
 	if err != nil {
 		return Annotation{}, err
 	}
 	return Annotation{
-		ID: res.LastInsertID, Object: objType, ObjectID: id,
+		ID: res.LastInsertID, Object: objType, ObjectID: o.id,
 		Text: text, Creator: dn, CreatedAt: now.Time(),
 	}, nil
 }
 
 // Annotations lists the annotations on an object, oldest first.
 func (c *Catalog) Annotations(dn string, objType ObjectType, objectName string) ([]Annotation, error) {
-	id, err := c.resolveObject(dn, objType, objectName)
+	o, err := c.resolve(c.db, dn, objType, objectName)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.requireObject(dn, objType, id, PermRead); err != nil {
+	if err := c.require(c.db, dn, o, PermRead); err != nil {
 		return nil, err
 	}
 	rows, err := c.db.Query(
 		`SELECT id, annotation, dn, at FROM annotation
 		 WHERE object_type = ? AND object_id = ? ORDER BY id`,
-		sqldb.Text(string(objType)), sqldb.Int(id))
+		sqldb.Text(string(objType)), sqldb.Int(o.id))
 	if err != nil {
 		return nil, err
 	}
 	anns := make([]Annotation, 0, len(rows.Data))
 	for _, r := range rows.Data {
 		anns = append(anns, Annotation{
-			ID: r[0].Int(), Object: objType, ObjectID: id,
+			ID: r[0].Int(), Object: objType, ObjectID: o.id,
 			Text: r[1].S, Creator: r[2].S, CreatedAt: r[3].Time(),
 		})
 	}
@@ -139,7 +139,7 @@ func (c *Catalog) AddProvenance(dn, fileName string, version int, description st
 	if err != nil {
 		return err
 	}
-	if err := c.requireFile(dn, &f, PermWrite); err != nil {
+	if err := c.require(c.db, dn, f.ref(), PermWrite); err != nil {
 		return err
 	}
 	return c.withReplay(op, "addProvenance", nil, func(tx *sqldb.Tx) error {
@@ -209,7 +209,7 @@ func (c *Catalog) RegisterExternalCatalog(dn string, ec ExternalCatalog, opts ..
 	if ec.Name == "" {
 		return ExternalCatalog{}, fmt.Errorf("%w: external catalog name required", ErrInvalidInput)
 	}
-	if err := c.requireService(dn, PermCreate); err != nil {
+	if err := c.require(c.db, dn, serviceObject, PermCreate); err != nil {
 		return ExternalCatalog{}, err
 	}
 	err := c.withReplay(op, "registerExternalCatalog", &ec, func(tx *sqldb.Tx) error {

@@ -48,17 +48,9 @@ func (c *Catalog) RunQueryPage(dn string, q Query, pageSize int, token string) (
 	if err != nil {
 		return nil, "", err
 	}
-	sql, args, err := c.compileQueryEx(q, after, pageSize)
+	names, err := c.matchNames(q, after, pageSize)
 	if err != nil {
 		return nil, "", err
-	}
-	rows, err := c.db.Query(sql, args...)
-	if err != nil {
-		return nil, "", err
-	}
-	names := make([]string, 0, len(rows.Data))
-	for _, r := range rows.Data {
-		names = append(names, r[0].S)
 	}
 	// The cursor advances over what was scanned, not what survives the
 	// authorization filter below — otherwise a page of invisible names
@@ -67,28 +59,11 @@ func (c *Catalog) RunQueryPage(dn string, q Query, pageSize int, token string) (
 	if len(names) == pageSize {
 		next = encodePageToken(names[len(names)-1])
 	}
-	if !c.authz {
-		return names, next, nil
+	names, _, err = c.readable(dn, q.Target, names)
+	if err != nil {
+		return nil, "", err
 	}
-	target := q.Target
-	if target == "" {
-		target = ObjectFile
-	}
-	visible := names[:0]
-	for _, name := range names {
-		id, err := c.resolveObject(dn, target, name)
-		if err != nil {
-			continue
-		}
-		ok, err := c.allowed(dn, target, id, PermRead)
-		if err != nil {
-			return nil, "", err
-		}
-		if ok {
-			visible = append(visible, name)
-		}
-	}
-	return visible, next, nil
+	return names, next, nil
 }
 
 // QueryFilesPage is QueryFiles with bounded results: one page of matching
@@ -99,13 +74,9 @@ func (c *Catalog) QueryFilesPage(dn string, q Query, pageSize int, token string)
 	if err != nil {
 		return nil, "", err
 	}
-	files := make([]File, 0, len(names))
-	for _, name := range names {
-		vs, err := c.FileVersions(dn, name)
-		if err != nil {
-			continue
-		}
-		files = append(files, vs...)
+	files, err := c.versionsOf(dn, names)
+	if err != nil {
+		return nil, "", err
 	}
 	return files, next, nil
 }

@@ -88,16 +88,11 @@ func sqlOp(op Op) (string, error) {
 	return "", fmt.Errorf("%w: operator %q", ErrInvalidInput, op)
 }
 
-// compileQuery translates a Query into SQL and its parameters.
-func (c *Catalog) compileQuery(q Query) (string, []sqldb.Value, error) {
-	return c.compileQueryEx(q, "", 0)
-}
-
-// compileQueryEx is compileQuery with an optional pagination window: when
-// pageSize > 0 the result is restricted to names strictly after `after`,
-// ordered by name, at most pageSize rows — the stateless cursor behind
-// RunQueryPage.
-func (c *Catalog) compileQueryEx(q Query, after string, pageSize int) (string, []sqldb.Value, error) {
+// compileQuery translates a Query into SQL and its parameters, with an
+// optional pagination window: when pageSize > 0 the result is restricted to
+// names strictly after `after`, ordered by name, at most pageSize rows —
+// the stateless cursor behind RunQueryPage.
+func (c *Catalog) compileQuery(q Query, after string, pageSize int) (string, []sqldb.Value, error) {
 	target := q.Target
 	if target == "" {
 		target = ObjectFile
@@ -192,7 +187,18 @@ func (c *Catalog) compileQueryEx(q Query, after string, pageSize int) (string, [
 // logical names. With authorization enabled, names the caller may not read
 // are filtered from the result.
 func (c *Catalog) RunQuery(dn string, q Query) ([]string, error) {
-	sql, args, err := c.compileQuery(q)
+	names, err := c.matchNames(q, "", 0)
+	if err != nil {
+		return nil, err
+	}
+	names, _, err = c.readable(dn, q.Target, names)
+	return names, err
+}
+
+// matchNames runs q, compiled with compileQuery's pagination window, and
+// returns the matched names.
+func (c *Catalog) matchNames(q Query, after string, pageSize int) ([]string, error) {
+	sql, args, err := c.compileQuery(q, after, pageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -204,42 +210,36 @@ func (c *Catalog) RunQuery(dn string, q Query) ([]string, error) {
 	for _, r := range rows.Data {
 		names = append(names, r[0].S)
 	}
+	return names, nil
+}
+
+// readable keeps the matched names dn may read, and returns the object each
+// kept name resolved to. With authorization off it keeps every name and
+// returns no objects. A name that resolves to no object (it vanished since
+// the match) or to several (a file name with multiple versions, which needs
+// an explicit version) is dropped.
+func (c *Catalog) readable(dn string, target ObjectType, names []string) ([]string, map[string][]authObject, error) {
 	if !c.authz {
-		return names, nil
+		return names, nil, nil
 	}
-	target := q.Target
-	if target == "" {
-		target = ObjectFile
-	}
-	table, err := targetTable(target)
+	objs, err := c.resolveNames(target, names)
 	if err != nil {
-		return nil, err
-	}
-	// Resolve every matched name with IN-list batches instead of one lookup
-	// per name; the per-object permission checks that follow are memoized in
-	// the epoch-versioned authorization cache.
-	idsByName, err := c.objectIDsByName(table, names)
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	visible := names[:0]
 	for _, name := range names {
-		ids := idsByName[name]
-		// Zero ids: the name vanished since the match. Several ids: a file
-		// name with multiple versions, unresolvable without an explicit
-		// version. Both were skipped by the per-name path too.
-		if len(ids) != 1 {
+		if len(objs[name]) != 1 {
 			continue
 		}
-		ok, err := c.allowed(dn, target, ids[0], PermRead)
+		ok, err := c.allowed(c.db, dn, objs[name][0], PermRead)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if ok {
 			visible = append(visible, name)
 		}
 	}
-	return visible, nil
+	return visible, objs, nil
 }
 
 // inChunkMax caps the width of one IN-list batch statement.
@@ -288,22 +288,42 @@ func placeholders(n int) string {
 	return sb.String()
 }
 
-// objectIDsByName maps each name to its object IDs in table. Multi-version
-// file names map to several IDs; absent names are absent from the map.
-func (c *Catalog) objectIDsByName(table string, names []string) (map[string][]int64, error) {
-	out := make(map[string][]int64, len(names))
-	err := inChunks(names, func(chunk []string) error {
+// resolveNames maps each name to its objects in target's table — ID,
+// creator and the collection above it — with one IN-list statement per
+// chunk. A multi-version file name maps to several objects; an absent name
+// is absent from the map.
+func (c *Catalog) resolveNames(target ObjectType, names []string) (map[string][]authObject, error) {
+	table, err := targetTable(target)
+	if err != nil {
+		return nil, err
+	}
+	if target == "" {
+		target = ObjectFile
+	}
+	cols := "name, id, creator"
+	switch target {
+	case ObjectFile:
+		cols += ", collection_id"
+	case ObjectCollection:
+		cols += ", parent_id"
+	}
+	out := make(map[string][]authObject, len(names))
+	err = inChunks(names, func(chunk []string) error {
 		args := make([]sqldb.Value, len(chunk))
 		for i, n := range chunk {
 			args[i] = sqldb.Text(n)
 		}
 		rows, err := c.db.Query(
-			"SELECT name, id FROM "+table+" WHERE name IN ("+placeholders(len(chunk))+")", args...)
+			"SELECT "+cols+" FROM "+table+" WHERE name IN ("+placeholders(len(chunk))+")", args...)
 		if err != nil {
 			return err
 		}
 		for _, r := range rows.Data {
-			out[r[0].S] = append(out[r[0].S], r[1].Int())
+			o := authObject{typ: target, id: r[1].Int(), creator: r[2].S}
+			if len(r) > 3 && !r[3].IsNull() {
+				o.parent = r[3].Int()
+			}
+			out[r[0].S] = append(out[r[0].S], o)
 		}
 		return nil
 	})
@@ -362,7 +382,11 @@ type QueryResult struct {
 // the named user-defined attributes of every match. Attributes a match does
 // not carry are simply absent from its result.
 func (c *Catalog) RunQueryAttrs(dn string, q Query, returnAttrs []string) ([]QueryResult, error) {
-	names, err := c.RunQuery(dn, q)
+	names, err := c.matchNames(q, "", 0)
+	if err != nil {
+		return nil, err
+	}
+	names, objs, err := c.readable(dn, q.Target, names)
 	if err != nil {
 		return nil, err
 	}
@@ -384,31 +408,25 @@ func (c *Catalog) RunQueryAttrs(dn string, q Query, returnAttrs []string) ([]Que
 		}
 		return out, nil
 	}
-	// Hydrate all matches with two IN-list batches (resolve names, then
-	// fetch attributes) instead of one GetAttributes round per name. The
-	// per-name semantics are preserved: an unresolvable or unreadable name
-	// fails the call exactly as GetAttributes did.
-	table, err := targetTable(target)
-	if err != nil {
-		return nil, err
-	}
-	idsByName, err := c.objectIDsByName(table, names)
-	if err != nil {
-		return nil, err
+	// Hydrate all matches with IN-list batches instead of one GetAttributes
+	// round per name. With authorization on, readable already resolved
+	// every kept name to one object dn may read; with it off, resolve here,
+	// and an unresolvable name fails the call exactly as GetAttributes did.
+	if objs == nil {
+		if objs, err = c.resolveNames(target, names); err != nil {
+			return nil, err
+		}
 	}
 	ids := make([]int64, 0, len(names))
 	for _, name := range names {
-		resolved := idsByName[name]
+		resolved := objs[name]
 		if len(resolved) == 0 {
 			return nil, fmt.Errorf("%w: %s %q", ErrNotFound, target, name)
 		}
 		if len(resolved) > 1 {
 			return nil, fmt.Errorf("%w: file %q has %d versions", ErrAmbiguousFile, name, len(resolved))
 		}
-		if err := c.requireObject(dn, target, resolved[0], PermRead); err != nil {
-			return nil, err
-		}
-		ids = append(ids, resolved[0])
+		ids = append(ids, resolved[0].id)
 	}
 	attrsByID, err := c.attributesBatch(target, ids)
 	if err != nil {
@@ -434,9 +452,13 @@ func (c *Catalog) QueryFiles(dn string, q Query) ([]File, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Load every version of every match in IN-list batches, then regroup
-	// per name (versions ascending) with the same per-version read
-	// filtering FileVersions applies.
+	return c.versionsOf(dn, names)
+}
+
+// versionsOf loads every version of every name in IN-list batches and
+// returns those dn may read, grouped by name in the order given, versions
+// ascending.
+func (c *Catalog) versionsOf(dn string, names []string) ([]File, error) {
 	uniq := make([]string, 0, len(names))
 	seenName := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -446,7 +468,7 @@ func (c *Catalog) QueryFiles(dn string, q Query) ([]File, error) {
 		}
 	}
 	byName := make(map[string][]File, len(uniq))
-	err = inChunks(uniq, func(chunk []string) error {
+	err := inChunks(uniq, func(chunk []string) error {
 		args := make([]sqldb.Value, len(chunk))
 		for i, n := range chunk {
 			args[i] = sqldb.Text(n)
@@ -465,14 +487,17 @@ func (c *Catalog) QueryFiles(dn string, q Query) ([]File, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, vs := range byName {
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Version < vs[j].Version })
-	}
 	files := make([]File, 0, len(names))
 	for _, name := range names {
-		for _, f := range byName[name] {
-			if ok, err := c.allowed(dn, ObjectFile, f.ID, PermRead); err == nil && ok {
-				files = append(files, f)
+		vs := byName[name]
+		sort.Slice(vs, func(i, j int) bool { return vs[i].Version < vs[j].Version })
+		for i := range vs {
+			ok, err := c.allowed(c.db, dn, vs[i].ref(), PermRead)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				files = append(files, vs[i])
 			}
 		}
 	}
@@ -482,6 +507,6 @@ func (c *Catalog) QueryFiles(dn string, q Query) ([]File, error) {
 // ExplainQuery exposes the compiled SQL of a query (diagnostics, tests and
 // the ablation benchmarks).
 func (c *Catalog) ExplainQuery(q Query) (string, error) {
-	sql, _, err := c.compileQuery(q)
+	sql, _, err := c.compileQuery(q, "", 0)
 	return sql, err
 }

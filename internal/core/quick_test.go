@@ -137,12 +137,16 @@ func TestQuickCollectionChainNeverCycles(t *testing.T) {
 			c.SetCollectionParent(alice, child, parent) //nolint:errcheck
 		}
 		// Invariant: walking up from any collection terminates.
+		tree, err := c.collectionTree(c.db)
+		if err != nil {
+			return false
+		}
 		for _, name := range names {
 			col, err := c.GetCollection(alice, name)
 			if err != nil {
 				return false
 			}
-			if _, err := c.collectionChain(col.ID); err != nil {
+			if _, err := tree.walkUp(col.ID, func(int64) bool { return false }); err != nil {
 				return false
 			}
 		}

@@ -37,7 +37,7 @@ func (c *Catalog) CreateView(dn string, spec ViewSpec, opts ...OpOption) (View, 
 	if spec.Name == "" {
 		return View{}, fmt.Errorf("%w: view name required", ErrInvalidInput)
 	}
-	if err := c.requireService(dn, PermCreate); err != nil {
+	if err := c.require(c.db, dn, serviceObject, PermCreate); err != nil {
 		return View{}, err
 	}
 	var out View
@@ -90,35 +90,23 @@ func (c *Catalog) getViewQ(q querier, dn, name string) (View, error) {
 	return scanView(rows.Data[0]), nil
 }
 
-// resolveMember maps an (objectType, name) pair to the member's numeric ID.
-// Views may aggregate files, collections and other views.
-func (c *Catalog) resolveMember(dn string, objType ObjectType, name string) (int64, error) {
-	return c.resolveMemberQ(c.db, dn, objType, name)
-}
-
-// resolveMemberQ is resolveMember reading through q.
-func (c *Catalog) resolveMemberQ(q querier, dn string, objType ObjectType, name string) (int64, error) {
+// resolve maps an (objectType, name) pair to the object, reading through q.
+// Files and collections are read-checked on the way, as GetFile and
+// GetCollection do; views, like GetView, are not. Views may aggregate files,
+// collections and other views.
+func (c *Catalog) resolve(q querier, dn string, objType ObjectType, name string) (authObject, error) {
 	switch objType {
 	case ObjectFile:
 		f, err := c.getFileQ(q, dn, name, 0)
-		if err != nil {
-			return 0, err
-		}
-		return f.ID, nil
+		return f.ref(), err
 	case ObjectCollection:
 		col, err := c.getCollectionQ(q, dn, name)
-		if err != nil {
-			return 0, err
-		}
-		return col.ID, nil
+		return col.ref(), err
 	case ObjectView:
 		v, err := c.getViewQ(q, dn, name)
-		if err != nil {
-			return 0, err
-		}
-		return v.ID, nil
+		return v.ref(), err
 	}
-	return 0, fmt.Errorf("%w: object type %q cannot join a view", ErrInvalidInput, objType)
+	return authObject{}, fmt.Errorf("%w: object type %q cannot join a view", ErrInvalidInput, objType)
 }
 
 // viewReaches reports whether the view graph starting at fromID reaches
@@ -150,15 +138,15 @@ func (c *Catalog) AddToView(dn, viewName string, objType ObjectType, memberName 
 	if err != nil {
 		return err
 	}
-	if err := c.requireObject(dn, ObjectView, v.ID, PermWrite); err != nil {
+	if err := c.require(c.db, dn, v.ref(), PermWrite); err != nil {
 		return err
 	}
-	memberID, err := c.resolveMember(dn, objType, memberName)
+	member, err := c.resolve(c.db, dn, objType, memberName)
 	if err != nil {
 		return err
 	}
 	if objType == ObjectView {
-		reaches, err := c.viewReaches(memberID, v.ID)
+		reaches, err := c.viewReaches(member.id, v.ID)
 		if err != nil {
 			return err
 		}
@@ -172,7 +160,7 @@ func (c *Catalog) AddToView(dn, viewName string, objType ObjectType, memberName 
 	return c.withReplay(op, "addToView", nil, func(tx *sqldb.Tx) error {
 		dup, err := tx.Query(
 			"SELECT id FROM view_member WHERE view_id = ? AND object_type = ? AND object_id = ?",
-			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(memberID))
+			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(member.id))
 		if err != nil {
 			return err
 		}
@@ -181,7 +169,7 @@ func (c *Catalog) AddToView(dn, viewName string, objType ObjectType, memberName 
 		}
 		if _, err := tx.Exec(
 			"INSERT INTO view_member (view_id, object_type, object_id) VALUES (?, ?, ?)",
-			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(memberID)); err != nil {
+			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(member.id)); err != nil {
 			return err
 		}
 		if v.Audited {
@@ -199,17 +187,17 @@ func (c *Catalog) RemoveFromView(dn, viewName string, objType ObjectType, member
 	if err != nil {
 		return err
 	}
-	if err := c.requireObject(dn, ObjectView, v.ID, PermWrite); err != nil {
+	if err := c.require(c.db, dn, v.ref(), PermWrite); err != nil {
 		return err
 	}
-	memberID, err := c.resolveMember(dn, objType, memberName)
+	member, err := c.resolve(c.db, dn, objType, memberName)
 	if err != nil {
 		return err
 	}
 	return c.withReplay(op, "removeFromView", nil, func(tx *sqldb.Tx) error {
 		res, err := tx.Exec(
 			"DELETE FROM view_member WHERE view_id = ? AND object_type = ? AND object_id = ?",
-			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(memberID))
+			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(member.id))
 		if err != nil {
 			return err
 		}
@@ -331,7 +319,7 @@ func (c *Catalog) DeleteView(dn, name string, opts ...OpOption) error {
 	if err != nil {
 		return err
 	}
-	if err := c.requireObject(dn, ObjectView, v.ID, PermDelete); err != nil {
+	if err := c.require(c.db, dn, v.ref(), PermDelete); err != nil {
 		return err
 	}
 	return c.withReplay(op, "deleteView", nil, func(tx *sqldb.Tx) error {

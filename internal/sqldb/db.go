@@ -202,6 +202,19 @@ func New() *DB {
 // while Epoch() keeps returning the same value.
 func (db *DB) Epoch() uint64 { return db.root.Load().epoch }
 
+// TableEpoch returns the epoch of the commit that last changed the named
+// table's rows or schema — a DML statement that changed a row, DDL, or a
+// snapshot load; a statement that changes no row leaves it alone. Data
+// derived from one table stays valid while its TableEpoch stands, whatever
+// commits elsewhere. The second result is false for no such table.
+func (db *DB) TableEpoch(name string) (uint64, bool) {
+	t, ok := db.root.Load().tables[name]
+	if !ok {
+		return 0, false
+	}
+	return t.epoch, true
+}
+
 // LastLSN returns the log sequence number of the last logged commit in the
 // current root: 0 until a WAL is attached (or on a root restored from a
 // pre-WAL snapshot), then increasing by one per mutating commit.
@@ -410,6 +423,9 @@ func (tx *Tx) noteRedo(sql string, args []Value) {
 	tx.redo = append(tx.redo, redoStmt{sql: sql, args: slices.Clone(args)})
 }
 
+// changed stamps t, a table the transaction owns, as changed by it.
+func (tx *Tx) changed(t *table) { t.epoch = tx.work.epoch }
+
 // LSN returns the log sequence number Commit assigned to the transaction:
 // 0 if it was not logged (no WAL attached, or nothing to log), valid only
 // after Commit returns.
@@ -577,6 +593,7 @@ func (tx *Tx) createTable(s *CreateTableStmt) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	tx.changed(t)
 	tx.work.tables[s.Name] = t
 	for _, ix := range t.indexes {
 		tx.work.indexes[ix.name] = ix
@@ -613,6 +630,7 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	t.indexes = append(t.indexes, ix)
 	tx.work.indexes[s.Name] = ix
+	tx.changed(t)
 	return Result{}, nil
 }
 
@@ -638,6 +656,7 @@ func (db *DB) DropIndexesExcept(keep []string) {
 		t, _ := tx.writable(ix.table.name)
 		t.indexes = slices.DeleteFunc(t.indexes, func(x *index) bool { return x.name == ix.name })
 		delete(tx.work.indexes, ix.name)
+		tx.changed(t)
 	}
 	tx.Commit() //nolint:errcheck // nothing is logged, so nothing can fail
 }
@@ -679,6 +698,7 @@ func (tx *Tx) execInsert(s *InsertStmt, args []Value) (Result, error) {
 		if err := t.completeRow(row); err != nil {
 			return res, err
 		}
+		tx.changed(t)
 		if _, err := t.insert(row); err != nil {
 			return res, err
 		}
@@ -739,6 +759,9 @@ func (tx *Tx) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if len(ids) > 0 {
+		tx.changed(t)
+	}
 	ev := &env{params: args, bindings: []binding{{alias: s.Table, tbl: t}}}
 	var res Result
 	for _, rowid := range ids {
@@ -784,6 +807,9 @@ func (tx *Tx) execDelete(s *DeleteStmt, args []Value) (Result, error) {
 	ids, err := matchingRowIDs(t, s.Table, s.Where, args)
 	if err != nil {
 		return Result{}, err
+	}
+	if len(ids) > 0 {
+		tx.changed(t)
 	}
 	var res Result
 	for _, rowid := range ids {

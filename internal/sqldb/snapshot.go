@@ -220,6 +220,7 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 			}
 			work.indexes[ix.name] = ix
 		}
+		t.epoch = work.epoch
 		work.tables[t.name] = t
 	}
 	// Publish the rebuilt state atomically; an error above leaves the

@@ -344,6 +344,9 @@ type table struct {
 	// is -1, the highest key inserted otherwise.
 	nextRow int64
 	autoInc int64
+	// epoch is the root epoch that last changed the table's rows or schema
+	// (see DB.TableEpoch); a clone keeps it until the clone is changed.
+	epoch uint64
 }
 
 // rowidColumn returns the position of the first INTEGER PRIMARY KEY column
@@ -435,6 +438,7 @@ func (t *table) clone() *table {
 		rows:    t.rows.Clone(),
 		nextRow: t.nextRow,
 		autoInc: t.autoInc,
+		epoch:   t.epoch,
 	}
 	nt.indexes = make([]*index, len(t.indexes))
 	for i, ix := range t.indexes {

@@ -27,20 +27,14 @@ type DB struct {
 	// DDL and snapshot loads). Readers never take it.
 	wmu sync.Mutex
 
-	// stmtCache memoizes parsed statements by SQL text, the counterpart of
-	// the JDBC prepared-statement cache in the original MCS server. DDL is
-	// never cached (it is rare and self-invalidating).
+	// stmtCache holds the engine's prepared statements, the counterpart of
+	// the JDBC prepared-statement cache in the original MCS server: by SQL
+	// text, the parsed statement and, for a SELECT, its plan. A plan serves
+	// every root of the schema generation it was compiled for (dbRoot.schema)
+	// and every parameter binding; a schema change makes its next use
+	// recompile it. DDL is never cached (it is rare and runs once).
 	stmtMu    sync.RWMutex
-	stmtCache map[string]Statement
-
-	// planCache memoizes compiled SELECT plans by SQL text, each entry
-	// stamped with the epoch of the root it was compiled against. Epochs are
-	// unique per published root, so a stale plan can never be served: any
-	// commit, DDL statement or snapshot load bumps the epoch and the next
-	// lookup recompiles. Entries are value-free (see compileSelect), so one
-	// cached plan serves every parameter binding and every goroutine.
-	planMu    sync.RWMutex
-	planCache map[string]planCacheEntry
+	stmtCache map[string]cachedStmt
 
 	// faultHook, when set, runs once per statement with the statement's
 	// verb ("select", "insert", "update", "delete", "ddl") before any lock
@@ -58,10 +52,16 @@ type DB struct {
 }
 
 // dbRoot is one immutable committed version of the whole database: the
-// table set, the global index namespace, the epoch that names it, and the
-// LSN of the last logged commit it contains.
+// table set, the global index namespace, the epoch that names it, its schema
+// generation, and the LSN of the last logged commit it contains.
+//
+// The schema generation is the epoch of the commit that last changed the
+// schema (CREATE TABLE or INDEX, DropIndexesExcept, a snapshot load): roots
+// of one generation share tables, columns and index slots, all a plan reads.
+// Tx refuses DDL, so a shadow root a query runs on keeps its base's.
 type dbRoot struct {
 	epoch   uint64
+	schema  uint64
 	lsn     uint64
 	tables  map[string]*table
 	indexes map[string]*index
@@ -102,37 +102,81 @@ func stmtVerb(st Statement) string {
 	}
 }
 
-// maxCachedStatements bounds the parse cache; at the limit one arbitrary
-// entry is evicted per insert (statement texts in MCS are a small fixed
-// set, so eviction never triggers in practice).
+// maxCachedStatements bounds the statement cache; at the limit one
+// arbitrary entry is evicted per insert (statement texts in MCS are a small
+// fixed set, so eviction never triggers in practice).
 const maxCachedStatements = 4096
 
-// parseCached returns the parsed form of sql, caching non-DDL statements.
-func (db *DB) parseCached(sql string) (Statement, error) {
+// cachedStmt is one statement cache entry: the parsed statement and, once a
+// SELECT has been planned, its plan.
+type cachedStmt struct {
+	st   Statement
+	plan *selectPlan
+}
+
+// prepare returns the cache entry for sql, parsing it on a miss and caching
+// it unless it is DDL.
+func (db *DB) prepare(sql string) (cachedStmt, error) {
 	db.stmtMu.RLock()
-	st, ok := db.stmtCache[sql]
+	e, ok := db.stmtCache[sql]
 	db.stmtMu.RUnlock()
 	if ok {
-		return st, nil
+		return e, nil
 	}
 	st, err := Parse(sql)
 	if err != nil {
-		return nil, err
+		return cachedStmt{}, err
 	}
+	e = cachedStmt{st: st}
 	switch st.(type) {
 	case *CreateTableStmt, *CreateIndexStmt:
-		return st, nil
+		return e, nil
 	}
+	db.cache(sql, e)
+	return e, nil
+}
+
+// cache stores e under sql, evicting one arbitrary entry when a new text
+// would take the cache past its bound.
+func (db *DB) cache(sql string, e cachedStmt) {
 	db.stmtMu.Lock()
-	if len(db.stmtCache) >= maxCachedStatements {
+	if _, ok := db.stmtCache[sql]; !ok && len(db.stmtCache) >= maxCachedStatements {
 		for k := range db.stmtCache {
 			delete(db.stmtCache, k)
 			break
 		}
 	}
-	db.stmtCache[sql] = st
+	db.stmtCache[sql] = e
 	db.stmtMu.Unlock()
-	return st, nil
+}
+
+// planFor returns the plan of e, the cache entry of the SELECT sql, for
+// root's schema generation: the cached one, or one compiled against root
+// and cached in its place.
+func (db *DB) planFor(sql string, e cachedStmt, root *dbRoot) (*selectPlan, error) {
+	if e.plan != nil && e.plan.schema == root.schema {
+		return e.plan, nil
+	}
+	plan, err := root.compileSelect(e.st.(*SelectStmt), false)
+	if err != nil {
+		return nil, err
+	}
+	e.plan = plan
+	db.cache(sql, e)
+	return plan, nil
+}
+
+// prepareSelect returns the cache entry of the SELECT sql after consulting
+// the fault hook.
+func (db *DB) prepareSelect(sql string) (cachedStmt, error) {
+	e, err := db.prepare(sql)
+	if err != nil {
+		return cachedStmt{}, err
+	}
+	if _, ok := e.st.(*SelectStmt); !ok {
+		return cachedStmt{}, fmt.Errorf("sqldb: Query requires a SELECT statement")
+	}
+	return e, db.checkFault(e.st)
 }
 
 // Result reports the outcome of a mutating statement.
@@ -147,48 +191,9 @@ type Result struct {
 // ErrTxDone is returned when using a transaction after Commit or Rollback.
 var ErrTxDone = errors.New("sqldb: transaction has already been committed or rolled back")
 
-// planCacheEntry pairs a compiled plan with the epoch it is valid for.
-type planCacheEntry struct {
-	epoch uint64
-	plan  *selectPlan
-}
-
-// maxCachedPlans bounds the plan cache the same way maxCachedStatements
-// bounds the parse cache.
-const maxCachedPlans = 4096
-
-// plannedSelect returns the compiled plan for sel against root, consulting
-// the epoch-keyed cache. Hits are two map reads under an RLock; misses
-// compile once and publish for every later query on the same root.
-func (db *DB) plannedSelect(sql string, sel *SelectStmt, root *dbRoot) (*selectPlan, error) {
-	db.planMu.RLock()
-	e, ok := db.planCache[sql]
-	db.planMu.RUnlock()
-	if ok && e.epoch == root.epoch {
-		return e.plan, nil
-	}
-	plan, err := root.compileSelect(sel, false)
-	if err != nil {
-		return nil, err
-	}
-	db.planMu.Lock()
-	if len(db.planCache) >= maxCachedPlans {
-		for k := range db.planCache {
-			delete(db.planCache, k)
-			break
-		}
-	}
-	db.planCache[sql] = planCacheEntry{epoch: root.epoch, plan: plan}
-	db.planMu.Unlock()
-	return plan, nil
-}
-
 // New returns an empty database.
 func New() *DB {
-	db := &DB{
-		stmtCache: make(map[string]Statement),
-		planCache: make(map[string]planCacheEntry),
-	}
+	db := &DB{stmtCache: make(map[string]cachedStmt)}
 	db.root.Store(&dbRoot{
 		tables:  make(map[string]*table),
 		indexes: make(map[string]*index),
@@ -255,9 +260,9 @@ func (rp *replayer) apply(lsn uint64, stmts []redoStmt) error {
 		rp.tx = rp.db.Begin()
 	}
 	for _, s := range stmts {
-		st, err := rp.db.parseCached(s.sql)
+		e, err := rp.db.prepare(s.sql)
 		if err == nil {
-			_, err = rp.tx.execStmt(st, s.args)
+			_, err = rp.tx.execStmt(e.st, s.args)
 		}
 		if err != nil {
 			rp.abort()
@@ -292,32 +297,21 @@ func (rp *replayer) abort() {
 
 // Exec parses and runs a mutating or DDL statement; a SELECT is refused.
 func (db *DB) Exec(sql string, args ...Value) (Result, error) {
-	st, err := db.parseCached(sql)
+	e, err := db.prepare(sql)
 	if err != nil {
 		return Result{}, err
 	}
-	if _, ok := st.(*SelectStmt); ok {
+	if _, ok := e.st.(*SelectStmt); ok {
 		return Result{}, errExecSelect
 	}
-	if err := db.checkFault(st); err != nil {
+	if err := db.checkFault(e.st); err != nil {
 		return Result{}, err
 	}
-	return db.execOne(sql, st, args)
+	return db.execOne(sql, e.st, args)
 }
 
 // errExecSelect refuses a SELECT passed to Exec, which would discard its rows.
 var errExecSelect = errors.New("sqldb: Exec requires a mutating or DDL statement; run a SELECT through Query")
-
-// querySelect runs a SELECT through the epoch-keyed plan cache against the
-// current committed root.
-func (db *DB) querySelect(sql string, sel *SelectStmt, args []Value) (*Rows, error) {
-	root := db.root.Load()
-	plan, err := db.plannedSelect(sql, sel, root)
-	if err != nil {
-		return nil, err
-	}
-	return plan.run(args)
-}
 
 // execOne runs a single non-SELECT statement as its own transaction.
 func (db *DB) execOne(sql string, st Statement, args []Value) (Result, error) {
@@ -335,43 +329,35 @@ func (db *DB) execOne(sql string, st Statement, args []Value) (Result, error) {
 // It is wait-free with respect to writers: the current committed root is
 // read with a single atomic load and never changes under the query.
 func (db *DB) Query(sql string, args ...Value) (*Rows, error) {
-	st, err := db.parseCached(sql)
+	e, err := db.prepareSelect(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
-	}
-	if err := db.checkFault(st); err != nil {
+	root := db.root.Load()
+	plan, err := db.planFor(sql, e, root)
+	if err != nil {
 		return nil, err
 	}
-	return db.querySelect(sql, sel, args)
+	return plan.run(root, args)
 }
 
 // QueryNaive runs a SELECT with every planner decision disabled:
-// the nested executor over full scans, never touching the plan cache. It exists
-// as the reference evaluator for the differential planner-parity harness —
-// any query must return the same multiset of rows through Query and
-// QueryNaive — and is deliberately permanent API, not test scaffolding, so
-// the oracle cannot silently rot.
+// the nested executor over full scans, compiled on every call and never
+// cached. It exists as the reference evaluator for the differential
+// planner-parity harness — any query must return the same multiset of rows
+// through Query and QueryNaive — and is deliberately permanent API, not test
+// scaffolding, so the oracle cannot silently rot.
 func (db *DB) QueryNaive(sql string, args ...Value) (*Rows, error) {
-	st, err := db.parseCached(sql)
+	e, err := db.prepareSelect(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
-	}
-	if err := db.checkFault(st); err != nil {
-		return nil, err
-	}
-	plan, err := db.root.Load().compileSelect(sel, true)
+	root := db.root.Load()
+	plan, err := root.compileSelect(e.st.(*SelectStmt), true)
 	if err != nil {
 		return nil, err
 	}
-	return plan.run(args)
+	return plan.run(root, args)
 }
 
 // Tx is a serializable read-write transaction. It holds the writer mutex
@@ -403,6 +389,7 @@ func (db *DB) Begin() *Tx {
 		db: db,
 		work: &dbRoot{
 			epoch:   base.epoch + 1,
+			schema:  base.schema,
 			lsn:     base.lsn,
 			tables:  maps.Clone(base.tables),
 			indexes: maps.Clone(base.indexes),
@@ -425,6 +412,9 @@ func (tx *Tx) noteRedo(sql string, args []Value) {
 
 // changed stamps t, a table the transaction owns, as changed by it.
 func (tx *Tx) changed(t *table) { t.epoch = tx.work.epoch }
+
+// schemaChanged starts a new schema generation in the shadow root.
+func (tx *Tx) schemaChanged() { tx.work.schema = tx.work.epoch }
 
 // LSN returns the log sequence number Commit assigned to the transaction:
 // 0 if it was not logged (no WAL attached, or nothing to log), valid only
@@ -469,42 +459,40 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	if tx.done {
 		return Result{}, ErrTxDone
 	}
-	st, err := tx.db.parseCached(sql)
+	e, err := tx.db.prepare(sql)
 	if err != nil {
 		return Result{}, err
 	}
-	switch st.(type) {
+	switch e.st.(type) {
 	case *CreateTableStmt, *CreateIndexStmt:
 		return Result{}, fmt.Errorf("sqldb: DDL is not allowed inside a transaction")
 	}
-	if err := tx.db.checkFault(st); err != nil {
+	if err := tx.db.checkFault(e.st); err != nil {
 		return Result{}, err
 	}
-	res, err := tx.execStmt(st, args)
+	res, err := tx.execStmt(e.st, args)
 	if err == nil {
 		tx.noteRedo(sql, args)
 	}
 	return res, err
 }
 
-// Query runs a SELECT inside the transaction, seeing its uncommitted writes.
+// Query runs a SELECT inside the transaction, seeing its uncommitted writes:
+// the statement cache's plan, run against the shadow root.
 func (tx *Tx) Query(sql string, args ...Value) (*Rows, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	st, err := tx.db.parseCached(sql)
+	e, err := tx.db.prepareSelect(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
-	}
-	if err := tx.db.checkFault(st); err != nil {
+	tx.flushWork()
+	plan, err := tx.db.planFor(sql, e, tx.work)
+	if err != nil {
 		return nil, err
 	}
-	tx.flushWork()
-	return tx.work.executeSelect(sel, args)
+	return plan.run(tx.work, args)
 }
 
 // Commit atomically publishes the transaction's shadow root as the new
@@ -594,6 +582,7 @@ func (tx *Tx) createTable(s *CreateTableStmt) (Result, error) {
 		return Result{}, err
 	}
 	tx.changed(t)
+	tx.schemaChanged()
 	tx.work.tables[s.Name] = t
 	for _, ix := range t.indexes {
 		tx.work.indexes[ix.name] = ix
@@ -631,6 +620,7 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 	t.indexes = append(t.indexes, ix)
 	tx.work.indexes[s.Name] = ix
 	tx.changed(t)
+	tx.schemaChanged()
 	return Result{}, nil
 }
 
@@ -658,6 +648,7 @@ func (db *DB) DropIndexesExcept(keep []string) {
 		delete(tx.work.indexes, ix.name)
 		tx.changed(t)
 	}
+	tx.schemaChanged()
 	tx.Commit() //nolint:errcheck // nothing is logged, so nothing can fail
 }
 
@@ -716,7 +707,7 @@ func matchingRowIDs(t *table, tableName string, where Expr, args []Value) ([]int
 	ev := &env{params: args, bindings: []binding{{alias: tableName, tbl: t}}}
 	var preds []Expr
 	if where != nil {
-		scope := map[string]*table{tableName: t}
+		scope := map[string]*tableDef{tableName: t.tableDef}
 		for _, c := range conjuncts(where) {
 			if !refsOnly(c, scope) {
 				return nil, fmt.Errorf("sqldb: unresolvable predicate %s", exprString(c))
@@ -725,7 +716,7 @@ func matchingRowIDs(t *table, tableName string, where Expr, args []Value) ([]int
 		}
 	}
 	sp, _ := planSpec(t, tableName, preds)
-	ap := sp.bind(args)
+	ap := sp.bind(t, args)
 	var ids []int64
 	var scanErr error
 	ap.scan(func(rowid int64, row Row) bool {

@@ -522,29 +522,34 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 // TestPreparedStatements: the statement cache is the engine's prepared
 // statement, as the JDBC cache was the original server's — a text is parsed
 // once and every later Exec or Query of it, with any arguments, reuses the
-// parse.
+// parse, and a SELECT's entry holds its plan.
 func TestPreparedStatements(t *testing.T) {
 	db := newTestDB(t)
 	const ins, sel = "INSERT INTO files (name, size) VALUES (?, ?)", "SELECT name FROM files WHERE size = ?"
 	for i := 0; i < 10; i++ {
 		mustExec(t, db, ins, Text(string(rune('a'+i))), Int(int64(i)))
 	}
-	cached := func(sql string) Statement {
+	cached := func(sql string) cachedStmt {
 		db.stmtMu.RLock()
 		defer db.stmtMu.RUnlock()
 		return db.stmtCache[sql]
 	}
-	parsed := cached(ins)
+	parsed := cached(ins).st
 	if parsed == nil {
 		t.Fatal("INSERT not cached")
 	}
 	mustExec(t, db, ins, Text("k"), Int(10))
-	if cached(ins) != parsed {
+	if cached(ins).st != parsed {
 		t.Fatal("a repeated INSERT was parsed again")
 	}
 	rows := mustQuery(t, db, sel, Int(7))
-	if len(rows.Data) != 1 || rows.Data[0][0].S != "h" || cached(sel) == nil {
+	planned := cached(sel)
+	if len(rows.Data) != 1 || rows.Data[0][0].S != "h" || planned.plan == nil {
 		t.Fatalf("cached query = %v", rows.Data)
+	}
+	mustQuery(t, db, sel, Int(8))
+	if again := cached(sel); again.st != planned.st || again.plan != planned.plan {
+		t.Fatal("a repeated SELECT was parsed or planned again")
 	}
 }
 

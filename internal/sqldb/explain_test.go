@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -223,27 +225,99 @@ func TestExplainGoldens(t *testing.T) {
 	}
 }
 
-// TestExplainPlanCacheEpoch pins the contract the EXPLAIN surface and plan
-// cache share: plans are cached per MVCC epoch, so a schema change, which
-// advances the epoch, must recompile — and can flip — the plan.
-func TestExplainPlanCacheEpoch(t *testing.T) {
+// cachedPlan returns the plan the statement cache holds for sql, or nil.
+func cachedPlan(db *DB, sql string) *selectPlan {
+	db.stmtMu.RLock()
+	defer db.stmtMu.RUnlock()
+	return db.stmtCache[sql].plan
+}
+
+// TestExplainPlanCacheSchema pins the rule the EXPLAIN surface and the
+// statement cache share: a plan is cached per schema generation, so a
+// data-only commit keeps it and a schema change — CREATE INDEX,
+// DropIndexesExcept, a snapshot load — recompiles, and can flip, it. Query,
+// Tx.Query and Explain all read the one cached plan.
+func TestExplainPlanCacheSchema(t *testing.T) {
 	t.Parallel()
 	db := New()
 	mustExec(t, db, "CREATE TABLE kv (oid INTEGER NOT NULL, k TEXT NOT NULL, v INTEGER NOT NULL)")
-	const q = "SELECT oid FROM kv WHERE k = ?"
-	plan, err := db.Explain(q)
-	if err != nil {
-		t.Fatal(err)
+	const q, ins = "SELECT oid FROM kv WHERE k = ?", "INSERT INTO kv (oid, k, v) VALUES (?, ?, ?)"
+	oids := func(rows *Rows) []int64 {
+		var out []int64
+		for _, r := range rows.Data {
+			out = append(out, r[0].Int())
+		}
+		slices.Sort(out)
+		return out
 	}
-	if plan != "full-scan(kv)" {
-		t.Fatalf("pre-index plan = %s", plan)
+	check := func(ctx, wantPlan string, want ...int64) *selectPlan {
+		t.Helper()
+		if got := oids(mustQuery(t, db, q, Text("a"))); !slices.Equal(got, want) {
+			t.Fatalf("%s: rows %v, want %v", ctx, got, want)
+		}
+		p := cachedPlan(db, q)
+		if plan, err := db.Explain(q); err != nil || plan != wantPlan {
+			t.Fatalf("%s: plan %s (%v), want %s", ctx, plan, err, wantPlan)
+		}
+		if cachedPlan(db, q) != p {
+			t.Fatalf("%s: Explain compiled a plan of its own", ctx)
+		}
+		return p
 	}
+
+	// (a) A commit that changes the rows the plan reads keeps the plan.
+	p := check("empty", "full-scan(kv)")
+	mustExec(t, db, ins, Int(1), Text("a"), Int(1))
+	if check("after an insert", "full-scan(kv)", 1) != p {
+		t.Fatal("a data-only commit recompiled the plan")
+	}
+
+	// (b) CREATE INDEX recompiles, and flips, it.
 	mustExec(t, db, "CREATE INDEX kv_kvo ON kv (k, v, oid)")
-	plan, err = db.Explain(q)
+	p = check("after CREATE INDEX", "index-eq(kv_kvo)", 1)
+
+	// (c) So do DropIndexesExcept and a snapshot load, even of other tables.
+	db.DropIndexesExcept(nil)
+	if check("after DropIndexesExcept", "full-scan(kv)", 1) == p {
+		t.Fatal("DropIndexesExcept kept the plan")
+	}
+	mustExec(t, db, "CREATE INDEX kv_k ON kv (k)")
+	p = check("after a second CREATE INDEX", "index-eq(kv_k)", 1)
+	src := New()
+	mustExec(t, src, "CREATE TABLE other (id INTEGER PRIMARY KEY)")
+	var snap bytes.Buffer
+	if err := src.Dump(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if check("after LoadSnapshot", "index-eq(kv_k)", 1) == p {
+		t.Fatal("a snapshot load kept the plan")
+	}
+
+	// (d) A transaction runs the cached plan against its shadow root and
+	// sees its own insert through the index probe; a rollback leaves the
+	// cache serving committed rows.
+	p = cachedPlan(db, q)
+	tx := db.Begin()
+	if _, err := tx.Exec(ins, Int(2), Text("a"), Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := tx.Query(q, Text("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan != "index-eq(kv_kvo)" {
-		t.Fatalf("post-index plan = %s (stale cached plan?)", plan)
+	if got := oids(rows); !slices.Equal(got, []int64{1, 2}) {
+		t.Fatalf("transaction rows %v, want [1 2]", got)
+	}
+	if cachedPlan(db, q) != p {
+		t.Fatal("Tx.Query compiled a plan of its own")
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if check("after a rollback", "index-eq(kv_k)", 1) != p {
+		t.Fatal("a rollback recompiled the plan")
 	}
 }

@@ -2,7 +2,7 @@ package sqldb
 
 import "sort"
 
-// StmtTexts returns the SQL texts in db's parse cache, sorted: every
+// StmtTexts returns the SQL texts in db's statement cache, sorted: every
 // non-DDL statement db has run since it was created, unless the cache has
 // evicted it.
 func (db *DB) StmtTexts() []string {

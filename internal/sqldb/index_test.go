@@ -79,11 +79,11 @@ func TestIndexProbesDoNotAllocate(t *testing.T) {
 	}
 }
 
-// keyedRows counts the rows of ix's table with no NULL key cell: the rows
-// the index holds an entry for.
-func keyedRows(ix *index) int {
+// keyedRows counts the rows of tbl, ix's table, with no NULL key cell: the
+// rows the index holds an entry for.
+func keyedRows(tbl *table, ix *index) int {
 	n := 0
-	ix.table.rows.Ascend(func(rowid int64, row Row) bool {
+	tbl.rows.Ascend(func(rowid int64, row Row) bool {
 		if !ix.nullKey(entryOf(rowid, row)) {
 			n++
 		}
@@ -100,7 +100,7 @@ func checkIndexesPointAtStoredRows(t *testing.T, root *dbRoot, ctx string) {
 	t.Helper()
 	for _, tbl := range root.tables {
 		for _, ix := range tbl.indexes {
-			if n := keyedRows(ix); ix.tree.Len() != n {
+			if n := keyedRows(tbl, ix); ix.tree.Len() != n {
 				t.Fatalf("%s: index %s holds %d entries for %d rows with non-NULL keys", ctx, ix.name, ix.tree.Len(), n)
 			}
 			ix.tree.Ascend(func(e indexEntry, _ struct{}) bool {
@@ -190,9 +190,10 @@ func TestNullKeysAreNotIndexed(t *testing.T) {
 	mustExec(t, db, "CREATE INDEX n_gv ON n (g, v)")
 	check := func(db *DB, ctx string) {
 		t.Helper()
-		checkIndexesPointAtStoredRows(t, db.root.Load(), ctx)
+		root := db.root.Load()
+		checkIndexesPointAtStoredRows(t, root, ctx)
 		nulls := mustQuery(t, db, "SELECT COUNT(*) FROM n").Data[0][0].Int() -
-			int64(keyedRows(db.root.Load().indexes["n_v"]))
+			int64(keyedRows(root.tables["n"], root.indexes["n_v"]))
 		if nulls == 0 {
 			t.Fatalf("%s: no row has a NULL v; the check is vacuous", ctx)
 		}

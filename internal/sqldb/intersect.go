@@ -67,11 +67,13 @@ type istage struct {
 	covered     bool
 	keyEntryPos int
 	// probe, when set, replaces materialization: the stage is reached by
-	// probing probeIdx once per key surviving the stages ordered before it,
-	// or, when the key column is the table's INTEGER PRIMARY KEY (probeIdx
-	// nil), by looking each key up in the row store.
-	probe    bool
-	probeIdx *index
+	// probing probeIdx, the index at probeSlot, once per key surviving the
+	// stages ordered before it, or, when the key column is the table's
+	// INTEGER PRIMARY KEY (probeIdx nil), by looking each key up in the row
+	// store.
+	probe     bool
+	probeIdx  *indexDef
+	probeSlot int
 }
 
 // intersectPlan executes the stages in rank order (see planIntersect) and
@@ -146,7 +148,7 @@ func markRefs(ex Expr, stages []stagePlan, needed []bool) {
 // localEq decomposes a conjunct into (column, constant-expression) if it is
 // a simple column-first equality between a column of the stage and a
 // row-free expression, mirroring planSpec's slot collection.
-func localEq(c Expr, alias string, tbl *table) (int, Expr, bool) {
+func localEq(c Expr, alias string, tbl *tableDef) (int, Expr, bool) {
 	b, ok := c.(*BinaryExpr)
 	if !ok || b.Op != "=" {
 		return 0, nil, false
@@ -162,7 +164,7 @@ func localEq(c Expr, alias string, tbl *table) (int, Expr, bool) {
 // pair is one of the spec's slots. Expression identity is pointer identity —
 // planSpec stores the conjuncts' own AST nodes — so a second equality on the
 // same column with a different expression correctly fails the check.
-func specCovers(sp accessSpec, alias string, tbl *table, locals []Expr) bool {
+func specCovers(sp accessSpec, alias string, tbl *tableDef, locals []Expr) bool {
 	if sp.idx == nil || sp.inExprs != nil || sp.loExpr != nil || sp.hiExpr != nil {
 		return false
 	}
@@ -186,10 +188,11 @@ func specCovers(sp accessSpec, alias string, tbl *table, locals []Expr) bool {
 }
 
 // planIntersect decides whether the compiled plan qualifies for sorted-set
-// intersection and, if so, attaches the intersection plan. conjs is every
-// WHERE and ON conjunct. Requirements: at least two stages and one equality
-// class of join keys that covers every stage, with every key column
-// declared INTEGER. Anything else keeps the nested executor.
+// intersection and, if so, attaches the intersection plan. tabs holds the
+// stages' table versions compiled against, conjs every WHERE and ON
+// conjunct. Requirements: at least two stages and one equality class of
+// join keys that covers every stage, with every key column declared
+// INTEGER. Anything else keeps the nested executor.
 //
 // Like planSpec, the plan reads the schema and the statement, never the
 // data. Stages run in descending planSpec rank — a stage bound by a unique
@@ -199,7 +202,7 @@ func specCovers(sp accessSpec, alias string, tbl *table, locals []Expr) bool {
 // (table.findIndex) is a one-column unique index, so each surviving key
 // costs one descent and finds at most one row, or when its own access would
 // be a full scan.
-func (p *selectPlan) planIntersect(conjs []Expr) {
+func (p *selectPlan) planIntersect(tabs []*table, conjs []Expr) {
 	stages := p.stages
 	if len(stages) < 2 {
 		return
@@ -307,7 +310,7 @@ func (p *selectPlan) planIntersect(conjs []Expr) {
 	for _, c := range conjs {
 		placed := false
 		for si := range stages {
-			if refsOnly(c, map[string]*table{stages[si].ref.Alias: stages[si].tbl}) {
+			if refsOnly(c, map[string]*tableDef{stages[si].ref.Alias: stages[si].tbl}) {
 				locals[si] = append(locals[si], c)
 				placed = true
 				break
@@ -330,7 +333,7 @@ func (p *selectPlan) planIntersect(conjs []Expr) {
 	rank := make([]int, len(stages))
 	for si := range stages {
 		var access accessSpec
-		tbl := stages[si].tbl
+		tbl := tabs[si]
 		access, rank[si] = planSpec(tbl, stages[si].ref.Alias, locals[si])
 		is := istage{
 			si:          si,
@@ -340,7 +343,9 @@ func (p *selectPlan) planIntersect(conjs []Expr) {
 			keyEntryPos: -1,
 		}
 		if keyCol[si] != tbl.pk {
-			is.probeIdx = tbl.findIndex(keyCol[si], stages[si].ref.Alias, locals[si])
+			if slot := tbl.findIndex(keyCol[si], stages[si].ref.Alias, locals[si]); slot >= 0 {
+				is.probeIdx, is.probeSlot = tbl.indexes[slot].indexDef, slot
+			}
 		}
 		if access.idx != nil {
 			for pos, c := range access.idx.cols {
@@ -464,11 +469,11 @@ func intersectKeys(a, b []int64) []int64 {
 // never satisfy a join equality, so its row is skipped; a covered index
 // carries the key column, so it holds no entry with a NULL key at all.
 func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
-	ap := is.access.bind(ev.params)
+	ap := is.access.bind(ev.bindings[is.si].tbl, ev.params)
 	if is.covered && ap.idx != nil && ap.inList == nil &&
 		ap.rangeLo == nil && ap.rangeHi == nil && len(ap.eqVals) == len(is.access.eqExprs) {
 		var g stageGroups
-		is.access.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
+		ap.idx.scanEqual(ap.eqVals, func(rowid int64, row Row) bool {
 			g.add(row[is.keyCol].N, rowid)
 			return true
 		})
@@ -501,6 +506,11 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 // ascend, so the groups are built in order.
 func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups, error) {
 	g := makeGroups(len(keys))
+	t := ev.bindings[is.si].tbl
+	var ix *index
+	if is.probeIdx != nil {
+		ix = t.indexes[is.probeSlot]
+	}
 	probe := make([]Value, 1)
 	var perr error
 	for _, key := range keys {
@@ -516,13 +526,13 @@ func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups,
 			}
 			return true
 		}
-		if is.probeIdx == nil {
-			if row, ok := p.stages[is.si].tbl.rows.Get(key); ok {
+		if ix == nil {
+			if row, ok := t.rows.Get(key); ok {
 				visit(key, row)
 			}
 		} else {
 			probe[0] = Int(key)
-			is.probeIdx.scanEqual(probe, visit)
+			ix.scanEqual(probe, visit)
 		}
 		if perr != nil {
 			ev.bindings[is.si].row = nil
@@ -608,7 +618,7 @@ func (p *selectPlan) runIntersect(ev *env, emit func() bool) error {
 		gi := gidx[si][ki]
 		for _, rowid := range g.rowids[g.offs[gi]:g.offs[gi+1]] {
 			if ip.needed[si] {
-				row, _ := p.stages[si].tbl.rows.Get(rowid)
+				row, _ := ev.bindings[si].tbl.rows.Get(rowid)
 				ev.bindings[si].row = row
 			}
 			cont, err := rec(ki, si+1)

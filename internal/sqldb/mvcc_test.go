@@ -301,7 +301,8 @@ func TestConcurrentReadersWriterAndDumper(t *testing.T) {
 }
 
 // stmtCache eviction: at the cap, inserting a new statement evicts exactly
-// one arbitrary entry instead of dropping the whole cache.
+// one arbitrary entry instead of dropping the whole cache. Plans live in the
+// entries, under the same bound.
 func TestStmtCacheEvictsSingleEntry(t *testing.T) {
 	db := newTestDB(t)
 	fill := func(n int) {
@@ -325,13 +326,13 @@ func TestStmtCacheEvictsSingleEntry(t *testing.T) {
 	}
 	db.stmtMu.RLock()
 	n = len(db.stmtCache)
-	_, kept := db.stmtCache["SELECT id FROM files WHERE size = 99999999"]
+	e, kept := db.stmtCache["SELECT id FROM files WHERE size = 99999999"]
 	db.stmtMu.RUnlock()
 	if n != maxCachedStatements {
 		t.Fatalf("cache holds %d statements after overflow, want %d (single eviction)", n, maxCachedStatements)
 	}
-	if !kept {
-		t.Fatal("new statement not cached after eviction")
+	if !kept || e.plan == nil {
+		t.Fatal("new statement or its plan not cached after eviction")
 	}
 }
 

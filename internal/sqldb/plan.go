@@ -11,12 +11,12 @@ import (
 // Query planning is split compile/bind: compileSelect turns a parsed SELECT
 // into a selectPlan — a value-free description of how to execute it (which
 // index the first stage probes, which expressions feed the probe, filtered
-// nested scans versus sorted-set intersection) — and run binds parameter values and
-// executes. A plan's choices depend only on the statement and the schema
-// (planSpec reads no data), but it points at the table and index versions of
-// the root it was compiled against, so the DB layer caches plans keyed on
-// the MVCC epoch (see DB.plannedSelect): the epoch machinery invalidates
-// them for free on every commit.
+// nested scans versus sorted-set intersection) — and run binds parameter
+// values and executes it against a root. A plan reads only the statement and
+// the schema (planSpec reads no data) and holds only definitions, never table
+// or index versions: run finds each stage's table by name in the root it is
+// given, and each index by its slot, so one plan serves every root of its
+// schema generation (dbRoot.schema) and outlives data-only commits.
 //
 // Access-path choices are safe to make symbolically because they are only
 // ever optimizations: every stage re-applies its full filter list to each
@@ -100,10 +100,12 @@ func (ap accessPath) scanEqual(probe []Value, fn func(rowid int64, row Row) bool
 // accessSpec is the symbolic (value-free) form of an access path: the chosen
 // index — or, with rowid set, the row store keyed by the table's INTEGER
 // PRIMARY KEY — plus the expressions that will feed its probe slots at bind
-// time.
+// time. slot is idx's position in the table's index list, which every
+// version of the table shares within one schema generation.
 type accessSpec struct {
-	tbl   *table
-	idx   *index
+	tbl   *tableDef
+	idx   *indexDef
+	slot  int
 	rowid bool
 
 	// eqExprs feed an equality probe on the leading index columns; eqCols
@@ -142,14 +144,18 @@ func (sp accessSpec) String() string {
 func (sp accessSpec) fullScan() bool { return sp.idx == nil && !sp.rowid }
 
 // bind evaluates the spec's probe expressions against params and returns a
-// concrete access path. Binding never fails: a probe value that is NULL (it
-// can never equal a stored value) or unevaluable degrades the path to a
-// wider probe — truncated equality prefix, dropped IN extension, dropped
+// concrete access path over t, a version of the spec's table. Binding never
+// fails: a probe value that is NULL (it can never equal a stored value) or
+// unevaluable degrades the path to a wider probe — truncated equality prefix, dropped IN extension, dropped
 // range bound, ultimately a full scan — and the stage filters, which always
 // re-run on every candidate row, keep the result exact.
-func (sp accessSpec) bind(params []Value) accessPath {
+func (sp accessSpec) bind(t *table, params []Value) accessPath {
 	if sp.fullScan() {
-		return accessPath{tbl: sp.tbl}
+		return accessPath{tbl: t}
+	}
+	var ix *index
+	if sp.idx != nil {
+		ix = t.indexes[sp.slot]
 	}
 	ev := &env{params: params}
 	vals := make([]Value, 0, len(sp.eqExprs))
@@ -157,9 +163,9 @@ func (sp accessSpec) bind(params []Value) accessPath {
 		v, err := eval(ex, ev)
 		if err != nil || v.IsNull() {
 			if len(vals) == 0 {
-				return accessPath{tbl: sp.tbl}
+				return accessPath{tbl: t}
 			}
-			return accessPath{tbl: sp.tbl, idx: sp.idx, eqVals: vals}
+			return accessPath{tbl: t, idx: ix, eqVals: vals}
 		}
 		vals = append(vals, v)
 	}
@@ -171,9 +177,9 @@ func (sp accessSpec) bind(params []Value) accessPath {
 				// Unevaluable item: drop the whole IN extension so the probe
 				// stays a superset of what the filter would accept.
 				if len(vals) == 0 {
-					return accessPath{tbl: sp.tbl}
+					return accessPath{tbl: t}
 				}
-				return accessPath{tbl: sp.tbl, idx: sp.idx, eqVals: vals}
+				return accessPath{tbl: t, idx: ix, eqVals: vals}
 			}
 			if v.IsNull() {
 				continue // a NULL item matches nothing
@@ -189,10 +195,10 @@ func (sp accessSpec) bind(params []Value) accessPath {
 				list = append(list, v)
 			}
 		}
-		return accessPath{tbl: sp.tbl, idx: sp.idx, rowid: sp.rowid, eqVals: vals, inList: list}
+		return accessPath{tbl: t, idx: ix, rowid: sp.rowid, eqVals: vals, inList: list}
 	}
 	if sp.loExpr != nil || sp.hiExpr != nil {
-		ap := accessPath{tbl: sp.tbl, idx: sp.idx, rowid: sp.rowid, eqVals: vals}
+		ap := accessPath{tbl: t, idx: ix, rowid: sp.rowid, eqVals: vals}
 		if sp.loExpr != nil {
 			if v, err := eval(sp.loExpr, ev); err == nil && !v.IsNull() {
 				ap.rangeLo, ap.rangeLoInc = &v, sp.loInc
@@ -205,18 +211,18 @@ func (sp accessSpec) bind(params []Value) accessPath {
 		}
 		if ap.rangeLo == nil && ap.rangeHi == nil {
 			if len(vals) == 0 {
-				return accessPath{tbl: sp.tbl}
+				return accessPath{tbl: t}
 			}
 			ap.eqVals = vals
 		}
 		return ap
 	}
-	return accessPath{tbl: sp.tbl, idx: sp.idx, rowid: sp.rowid, eqVals: vals}
+	return accessPath{tbl: t, idx: ix, rowid: sp.rowid, eqVals: vals}
 }
 
 // refsOnly reports whether every column reference in ex resolves within the
 // aliases set (alias -> table). Unqualified refs match any alias's columns.
-func refsOnly(ex Expr, aliases map[string]*table) bool {
+func refsOnly(ex Expr, aliases map[string]*tableDef) bool {
 	switch x := ex.(type) {
 	case *Literal, *Param, nil:
 		return true
@@ -250,12 +256,12 @@ func refsOnly(ex Expr, aliases map[string]*table) bool {
 // constExpr reports whether ex can be evaluated without any row bound
 // (literals and parameters only).
 func constExpr(ex Expr) bool {
-	return refsOnly(ex, map[string]*table{})
+	return refsOnly(ex, map[string]*tableDef{})
 }
 
 // colOf returns the column position if ex is a reference to a column of the
 // table bound under alias.
-func colOf(ex Expr, alias string, tbl *table) (int, bool) {
+func colOf(ex Expr, alias string, tbl *tableDef) (int, bool) {
 	ref, ok := ex.(*ColumnRef)
 	if !ok {
 		return 0, false
@@ -273,7 +279,7 @@ func colOf(ex Expr, alias string, tbl *table) (int, bool) {
 // among preds. eval makes every comparison with a NULL operand false and
 // the dialect has no IS NULL or NOT to turn that around, so such a row can
 // never pass.
-func rejectsNull(tbl *table, alias string, preds []Expr, c int) bool {
+func rejectsNull(tbl *tableDef, alias string, preds []Expr, c int) bool {
 	if tbl.cols[c].NotNull {
 		return true
 	}
@@ -304,7 +310,7 @@ func rejectsNull(tbl *table, alias string, preds []Expr, c int) bool {
 // has no entry for a row with a NULL key cell, so every key column from
 // position lead on must be one where such a row fails preds (rejectsNull);
 // the caller probes the first lead columns with non-NULL values.
-func (ix *index) serves(alias string, preds []Expr, lead int) bool {
+func (ix *indexDef) serves(alias string, preds []Expr, lead int) bool {
 	for _, c := range ix.cols[lead:] {
 		if !rejectsNull(ix.table, alias, preds, c) {
 			return false
@@ -334,7 +340,8 @@ const rankUnique = math.MaxInt
 //
 // A full scan ranks 0, below every index candidate: a probe is far cheaper
 // than a filtered scan row here, and the filters re-run regardless.
-func planSpec(tbl *table, alias string, preds []Expr) (accessSpec, int) {
+func planSpec(t *table, alias string, preds []Expr) (accessSpec, int) {
+	tbl := t.tableDef
 	// Collect per-column symbolic slots: the first equality expression, the
 	// first all-constant IN list, and range bounds.
 	eq := map[int]Expr{}
@@ -432,7 +439,7 @@ func planSpec(tbl *table, alias string, preds []Expr) (accessSpec, int) {
 			consider(accessSpec{tbl: tbl, rowid: true, eqExprs: []Expr{ex}, eqCols: []int{pk}}, rankUnique)
 		}
 	}
-	for _, ix := range tbl.indexes {
+	for slot, ix := range t.indexes {
 		if !ix.serves(alias, preds, 0) {
 			continue
 		}
@@ -447,14 +454,15 @@ func planSpec(tbl *table, alias string, preds []Expr) (accessSpec, int) {
 			eqCols = append(eqCols, c)
 		}
 		n := len(eqExprs)
+		sp := accessSpec{tbl: tbl, idx: ix.indexDef, slot: slot, eqExprs: eqExprs, eqCols: eqCols}
 		if n < len(ix.cols) {
-			extend(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}, ix.cols[n], n+1)
+			extend(sp, ix.cols[n], n+1)
 		}
 		switch {
 		case n == len(ix.cols) && ix.unique:
-			consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}, rankUnique)
+			consider(sp, rankUnique)
 		case n > 0:
-			consider(accessSpec{tbl: tbl, idx: ix, eqExprs: eqExprs, eqCols: eqCols}, n)
+			consider(sp, n)
 		}
 	}
 	return best, bestRank
@@ -463,7 +471,7 @@ func planSpec(tbl *table, alias string, preds []Expr) (accessSpec, int) {
 // stagePlan is the per-stage execution info for a compiled SELECT pipeline.
 type stagePlan struct {
 	ref TableRef
-	tbl *table
+	tbl *tableDef
 
 	// filters are the WHERE and ON conjuncts fully bound once this stage's
 	// table is in scope; applied immediately to keep intermediate row
@@ -472,10 +480,11 @@ type stagePlan struct {
 }
 
 // selectPlan is a compiled SELECT: shape-only, value-free, immutable after
-// compilation and therefore safe to cache per epoch and execute from many
-// goroutines at once.
+// compilation and therefore safe to cache and execute from many goroutines
+// at once, against any root of the schema generation it was compiled for.
 type selectPlan struct {
 	st     *SelectStmt
+	schema uint64 // the dbRoot.schema compiled against
 	stages []stagePlan
 	// columns names the output columns, one per st.Items entry.
 	columns []string
@@ -499,8 +508,9 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 	if !ok {
 		return nil, fmt.Errorf("sqldb: no such table %q", st.From.Table)
 	}
-	stages := []stagePlan{{ref: st.From, tbl: fromTbl}}
-	aliasSet := map[string]*table{st.From.Alias: fromTbl}
+	tabs := []*table{fromTbl}
+	stages := []stagePlan{{ref: st.From, tbl: fromTbl.tableDef}}
+	aliasSet := map[string]*tableDef{st.From.Alias: fromTbl.tableDef}
 	var conjs []Expr
 	if st.Where != nil {
 		conjs = conjuncts(st.Where)
@@ -513,14 +523,15 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 		if _, dup := aliasSet[j.Table.Alias]; dup {
 			return nil, fmt.Errorf("sqldb: duplicate table alias %q", j.Table.Alias)
 		}
-		aliasSet[j.Table.Alias] = jt
-		stages = append(stages, stagePlan{ref: j.Table, tbl: jt})
+		aliasSet[j.Table.Alias] = jt.tableDef
+		tabs = append(tabs, jt)
+		stages = append(stages, stagePlan{ref: j.Table, tbl: jt.tableDef})
 		conjs = append(conjs, conjuncts(j.On)...)
 	}
 
 	for _, c := range conjs {
 		placed := false
-		scope := map[string]*table{}
+		scope := map[string]*tableDef{}
 		for si := range stages {
 			scope[stages[si].ref.Alias] = stages[si].tbl
 			if refsOnly(c, scope) {
@@ -534,7 +545,7 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 		}
 	}
 
-	p := &selectPlan{st: st, stages: stages, access: accessSpec{tbl: fromTbl}}
+	p := &selectPlan{st: st, schema: r.schema, stages: stages, access: accessSpec{tbl: fromTbl.tableDef}}
 	if !naive {
 		p.access, _ = planSpec(fromTbl, st.From.Alias, stages[0].filters)
 	}
@@ -549,7 +560,7 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 	}
 
 	if !naive {
-		p.planIntersect(conjs)
+		p.planIntersect(tabs, conjs)
 	}
 	return p, nil
 }
@@ -569,13 +580,14 @@ func passesAll(filters []Expr, ev *env) (bool, error) {
 	return true, nil
 }
 
-// run executes the compiled plan with the given parameter values. The plan
-// itself is read-only; all per-execution state lives here.
-func (p *selectPlan) run(params []Value) (*Rows, error) {
+// run executes the compiled plan against r, a root of its schema generation,
+// with the given parameter values. The plan itself is read-only; all
+// per-execution state lives here, each stage's table version in its binding.
+func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 	stages := p.stages
 	ev := &env{params: params, bindings: make([]binding, len(stages))}
 	for i := range stages {
-		ev.bindings[i] = binding{alias: stages[i].ref.Alias, tbl: stages[i].tbl}
+		ev.bindings[i] = binding{alias: stages[i].ref.Alias, tbl: r.tables[stages[i].ref.Table]}
 	}
 
 	var resultEnvRows [][]Row // snapshot of binding rows per result tuple
@@ -698,26 +710,14 @@ func (p *selectPlan) runNested(ev *env, emit func() bool) error {
 			return emit()
 		}
 		cont := true
-		stages[si+1].tbl.rows.Ascend(func(_ int64, next Row) bool {
+		ev.bindings[si+1].tbl.rows.Ascend(func(_ int64, next Row) bool {
 			cont = run(si+1, next)
 			return cont
 		})
 		return cont
 	}
-	p.access.bind(ev.params).scan(func(_ int64, row Row) bool { return run(0, row) })
+	p.access.bind(ev.bindings[0].tbl, ev.params).scan(func(_ int64, row Row) bool { return run(0, row) })
 	return execErr
-}
-
-// executeSelect compiles and runs a SELECT against one immutable root.
-// Transactions use it directly (their shadow roots are private, so caching
-// would be pointless); DB-level queries go through the epoch-keyed plan
-// cache instead.
-func (r *dbRoot) executeSelect(st *SelectStmt, params []Value) (*Rows, error) {
-	plan, err := r.compileSelect(st, false)
-	if err != nil {
-		return nil, err
-	}
-	return plan.run(params)
 }
 
 // rowKey builds a collision-safe string key for DISTINCT.
@@ -781,19 +781,18 @@ func (p *selectPlan) String() string {
 	return b.String()
 }
 
-// Explain returns the one-line plan rendering for a SELECT (see
-// selectPlan.String). Planning is value-free, so no arguments are needed.
+// Explain returns the one-line rendering (see selectPlan.String) of the
+// plan Query runs for a SELECT: the statement cache's. Planning is
+// value-free, so no arguments are needed.
 func (db *DB) Explain(sql string) (string, error) {
-	st, err := Parse(sql)
+	e, err := db.prepare(sql)
 	if err != nil {
 		return "", err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
+	if _, ok := e.st.(*SelectStmt); !ok {
 		return "", fmt.Errorf("sqldb: EXPLAIN supports only SELECT")
 	}
-	root := db.root.Load()
-	plan, err := db.plannedSelect(sql, sel, root)
+	plan, err := db.planFor(sql, e, db.root.Load())
 	if err != nil {
 		return "", err
 	}

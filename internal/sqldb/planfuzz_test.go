@@ -285,14 +285,89 @@ func mustExplain(db *DB, q string, params []Value) string {
 	return plan
 }
 
-// parityRound drives one seeded scenario: build a random database, then
-// check a batch of random queries against it.
+// parityWrites applies a seeded batch of inserts, updates and deletes to
+// the tables of buildParityDB inside tx. Every statement succeeds: inserted
+// rows take fresh ids and unique values, updates leave id and u alone, and
+// no written cell is NULL. *next counts the rows inserted so far.
+func parityWrites(t testing.TB, tx *Tx, rng *rand.Rand, tables []string, cols []parityCol, next *int) {
+	t.Helper()
+	pick := func(c parityCol) Value { return c.domain[rng.Intn(len(c.domain))] }
+	settable := slices.DeleteFunc(slices.Clone(cols), func(c parityCol) bool { return c.unique })
+	for i := 2 + rng.Intn(6); i > 0; i-- {
+		tbl := tables[rng.Intn(len(tables))]
+		c := cols[rng.Intn(len(cols))]
+		var err error
+		switch rng.Intn(3) {
+		case 0:
+			*next++
+			names, ph := []string{"id"}, []string{"?"}
+			args := []Value{Int(int64(1000 + *next))}
+			for _, col := range cols {
+				names, ph = append(names, col.name), append(ph, "?")
+				if col.unique {
+					args = append(args, Int(int64(1000+*next)))
+				} else {
+					args = append(args, pick(col))
+				}
+			}
+			_, err = tx.Exec(fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
+				tbl, strings.Join(names, ", "), strings.Join(ph, ", ")), args...)
+		case 1:
+			set := settable[rng.Intn(len(settable))]
+			_, err = tx.Exec(fmt.Sprintf("UPDATE %s SET %s = ? WHERE %s = ?", tbl, set.name, c.name), pick(set), pick(c))
+		default:
+			_, err = tx.Exec(fmt.Sprintf("DELETE FROM %s WHERE %s = ?", tbl, c.name), pick(c))
+		}
+		if err != nil {
+			t.Fatalf("parity write: %v", err)
+		}
+	}
+}
+
+// parityRound drives one seeded scenario: build a random database, check a
+// batch of random queries against it, then again across commits, which
+// keep every cached plan. One commit applies a batch of writes before every
+// query re-runs; then each query runs inside a transaction holding pending
+// writes, and its rows must match the naive evaluator on the root that
+// transaction commits.
 func parityRound(t testing.TB, seed int64, queries int) {
 	rng := rand.New(rand.NewSource(seed))
 	db, tables, cols := buildParityDB(t, rng)
-	for i := 0; i < queries; i++ {
+	type query struct {
+		sql    string
+		params []Value
+	}
+	qs := make([]query, queries)
+	for i := range qs {
 		q, params := parityQuery(rng, tables, cols)
+		qs[i] = query{q, params}
 		checkParity(t, db, q, params)
+	}
+	next := 0
+	tx := db.Begin()
+	parityWrites(t, tx, rng, tables, cols, &next)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		checkParity(t, db, q.sql, q.params)
+	}
+	for _, q := range qs {
+		tx := db.Begin()
+		parityWrites(t, tx, rng, tables, cols, &next)
+		rows, err := tx.Query(q.sql, q.params...)
+		if cerr := tx.Commit(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		naive, nerr := db.QueryNaive(q.sql, q.params...)
+		if (err == nil) != (nerr == nil) {
+			t.Fatalf("evaluators disagree on error for %q in a transaction (params %v): planner=%v naive=%v",
+				q.sql, q.params, err, nerr)
+		}
+		if err == nil && !slices.Equal(rowMultiset(rows), rowMultiset(naive)) {
+			t.Fatalf("rows differ for %q in a transaction (params %v):\n  planner %v\n  naive   %v\nplan: %s",
+				q.sql, q.params, rowMultiset(rows), rowMultiset(naive), mustExplain(db, q.sql, q.params))
+		}
 	}
 }
 

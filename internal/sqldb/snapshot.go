@@ -206,6 +206,7 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 	base := db.root.Load()
 	work := &dbRoot{
 		epoch:   base.epoch + 1,
+		schema:  base.epoch + 1,
 		lsn:     max(base.lsn, lsn),
 		tables:  maps.Clone(base.tables),
 		indexes: maps.Clone(base.indexes),
@@ -344,7 +345,7 @@ type tableLoader struct {
 }
 
 func newTableLoader(name string, cols []ColumnDef) *tableLoader {
-	t := &table{name: name, cols: cols, colPos: make(map[string]int, len(cols)), pk: rowidColumn(cols)}
+	t := &table{tableDef: &tableDef{name: name, cols: cols, colPos: make(map[string]int, len(cols)), pk: rowidColumn(cols)}}
 	for i, c := range cols {
 		t.colPos[c.Name] = i
 	}

@@ -86,21 +86,24 @@ type indexDelta struct {
 // deltas: the transaction layer flushes before every index-backed scan and
 // before publishing a root.
 type index struct {
-	name    string
-	table   *table
-	cols    []int // positions in the table's column list
-	unique  bool
+	*indexDef
 	tree    *btree.Tree[indexEntry, struct{}]
 	pending []indexDelta
 }
 
+// indexDef is what an index is, as against what it holds: immutable, and
+// shared by every version of the index, so a cached plan may keep it.
+type indexDef struct {
+	name   string
+	table  *tableDef
+	cols   []int // positions in the table's column list
+	unique bool
+}
+
 func newIndex(name string, t *table, cols []int, unique bool) *index {
 	return &index{
-		name:   name,
-		table:  t,
-		cols:   cols,
-		unique: unique,
-		tree:   btree.NewDegree[indexEntry, struct{}](indexDegree, entryLess(cols)),
+		indexDef: &indexDef{name: name, table: t.tableDef, cols: cols, unique: unique},
+		tree:     btree.NewDegree[indexEntry, struct{}](indexDegree, entryLess(cols)),
 	}
 }
 
@@ -326,18 +329,8 @@ func rowidLess(a, b int64) bool { return a < b }
 // table is the storage for one table: rows keyed by rowid plus its indexes.
 // Under MVCC a table version reachable from a committed root is immutable;
 // writers work on clones (see clone).
-//
-// A table with an INTEGER PRIMARY KEY column is clustered on it, as
-// SQLite's rowid alias and InnoDB's primary key are: the column's value is
-// the row's rowid, so the row store itself is the key's unique index and
-// `id = ?`, `id IN (...)`, id ranges and key probes on the column are row
-// store lookups (see table.scanRowids). pk is the column's position, or -1
-// when the table has none and rowids count inserts instead.
 type table struct {
-	name    string
-	cols    []ColumnDef
-	colPos  map[string]int
-	pk      int
+	*tableDef
 	rows    *btree.Tree[int64, Row]
 	indexes []*index
 	// nextRow is the highest rowid inserted: the last one assigned when pk
@@ -347,6 +340,22 @@ type table struct {
 	// epoch is the root epoch that last changed the table's rows or schema
 	// (see DB.TableEpoch); a clone keeps it until the clone is changed.
 	epoch uint64
+}
+
+// tableDef is a table's name and columns: immutable after CREATE TABLE and
+// shared by every version of the table, so a cached plan may keep it.
+//
+// A table with an INTEGER PRIMARY KEY column is clustered on it, as
+// SQLite's rowid alias and InnoDB's primary key are: the column's value is
+// the row's rowid, so the row store itself is the key's unique index and
+// `id = ?`, `id IN (...)`, id ranges and key probes on the column are row
+// store lookups (see table.scanRowids). pk is the column's position, or -1
+// when the table has none and rowids count inserts instead.
+type tableDef struct {
+	name   string
+	cols   []ColumnDef
+	colPos map[string]int
+	pk     int
 }
 
 // rowidColumn returns the position of the first INTEGER PRIMARY KEY column
@@ -362,11 +371,8 @@ func rowidColumn(cols []ColumnDef) int {
 
 func newTable(st *CreateTableStmt) (*table, error) {
 	t := &table{
-		name:   st.Name,
-		cols:   st.Columns,
-		colPos: make(map[string]int, len(st.Columns)),
-		pk:     rowidColumn(st.Columns),
-		rows:   btree.New[int64, Row](rowidLess),
+		tableDef: &tableDef{name: st.Name, cols: st.Columns, colPos: make(map[string]int, len(st.Columns)), pk: rowidColumn(st.Columns)},
+		rows:     btree.New[int64, Row](rowidLess),
 	}
 	for i, c := range st.Columns {
 		if _, dup := t.colPos[c.Name]; dup {
@@ -428,29 +434,20 @@ func (t *table) scanRowids(lo, hi *Value, loInc, hiInc bool, fn func(rowid int64
 // clone returns a shadow version of the table for a writer: row and index
 // trees are O(1) copy-on-write clones sharing nodes with the original, and
 // the index slice is copied so DDL on the clone leaves the original intact.
-// Column metadata is shared — it is immutable after creation.
+// The table's and indexes' definitions are shared.
 func (t *table) clone() *table {
 	nt := &table{
-		name:    t.name,
-		cols:    t.cols,
-		colPos:  t.colPos,
-		pk:      t.pk,
-		rows:    t.rows.Clone(),
-		nextRow: t.nextRow,
-		autoInc: t.autoInc,
-		epoch:   t.epoch,
+		tableDef: t.tableDef,
+		rows:     t.rows.Clone(),
+		nextRow:  t.nextRow,
+		autoInc:  t.autoInc,
+		epoch:    t.epoch,
 	}
 	nt.indexes = make([]*index, len(t.indexes))
 	for i, ix := range t.indexes {
 		// Committed roots are always flushed (the transaction layer flushes
 		// before publishing), so the clone starts with no pending deltas.
-		nt.indexes[i] = &index{
-			name:   ix.name,
-			table:  nt,
-			cols:   ix.cols,
-			unique: ix.unique,
-			tree:   ix.tree.Clone(),
-		}
+		nt.indexes[i] = &index{indexDef: ix.indexDef, tree: ix.tree.Clone()}
 	}
 	return nt
 }
@@ -465,7 +462,7 @@ func (t *table) flushIndexes() {
 }
 
 // columnPos resolves a column name to its position.
-func (t *table) columnPos(name string) (int, error) {
+func (t *tableDef) columnPos(name string) (int, error) {
 	if p, ok := t.colPos[name]; ok {
 		return p, nil
 	}
@@ -579,14 +576,14 @@ func (t *table) update(rowid int64, newRow Row) (Row, error) {
 	return old, nil
 }
 
-// findIndex returns the shortest index led by column col that may serve a
-// stage with conjuncts preds (table bound as alias) when probed with a
-// non-NULL value of col alone, or nil.
-func (t *table) findIndex(col int, alias string, preds []Expr) *index {
-	var best *index
-	for _, ix := range t.indexes {
-		if ix.cols[0] == col && (best == nil || len(ix.cols) < len(best.cols)) && ix.serves(alias, preds, 1) {
-			best = ix
+// findIndex returns the slot of the shortest index led by column col that
+// may serve a stage with conjuncts preds (table bound as alias) when probed
+// with a non-NULL value of col alone, or -1.
+func (t *table) findIndex(col int, alias string, preds []Expr) int {
+	best := -1
+	for i, ix := range t.indexes {
+		if ix.cols[0] == col && (best < 0 || len(ix.cols) < len(t.indexes[best].cols)) && ix.serves(alias, preds, 1) {
+			best = i
 		}
 	}
 	return best

@@ -73,8 +73,8 @@ func (c *Client) BatchWriteCtx(ctx context.Context, ops []BatchOp) ([]BatchResul
 		}
 		req.Ops = append(req.Ops, wo)
 	}
-	var resp mcswire.BatchWriteResponse
-	if err := c.call(ctx, "batchWrite", req, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.BatchWrite, req)
+	if err != nil {
 		return nil, err
 	}
 	results := make([]BatchResult, 0, len(resp.Results))
@@ -104,8 +104,8 @@ func (c *Client) BatchWriteQuietCtx(ctx context.Context, ops []BatchOp) (int, er
 		}
 		req.Ops = append(req.Ops, wo)
 	}
-	var resp mcswire.BatchWriteResponse
-	if err := c.call(ctx, "batchWrite", req, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.BatchWrite, req)
+	if err != nil {
 		return 0, err
 	}
 	return resp.Count, nil
@@ -122,17 +122,11 @@ func (c *Client) RunQueryPage(q Query, pageSize int, token string) ([]string, st
 // token when authorization filtering hides names, so iterate until the
 // token is "" rather than until a short page.
 func (c *Client) RunQueryPageCtx(ctx context.Context, q Query, pageSize int, token string) ([]string, string, error) {
-	req := &mcswire.QueryPageRequest{
+	resp, err := call(ctx, c, mcswire.QueryPage, &mcswire.QueryPageRequest{
 		Caller: c.dn, Target: string(q.Target), PageSize: pageSize, Token: token,
-	}
-	for _, p := range q.Predicates {
-		req.Predicates = append(req.Predicates, mcswire.WirePredicate{
-			Attribute: p.Attribute, Op: string(p.Op),
-			Type: string(p.Value.Type), Value: p.Value.Render(),
-		})
-	}
-	var resp mcswire.QueryPageResponse
-	if err := c.call(ctx, "queryPage", req, &resp); err != nil {
+		Predicates: mcswire.PredicatesToWire(q.Predicates),
+	})
+	if err != nil {
 		return nil, "", err
 	}
 	return resp.Names, resp.Next, nil
@@ -170,11 +164,10 @@ func (c *Client) CollectionContentsPage(name string, pageSize int, token string)
 // collection (sub-collections first, then files) plus a continuation token;
 // "" means the listing is complete.
 func (c *Client) CollectionContentsPageCtx(ctx context.Context, name string, pageSize int, token string) ([]File, []Collection, string, error) {
-	req := &mcswire.CollectionContentsPageRequest{
+	resp, err := call(ctx, c, mcswire.CollectionContentsPage, &mcswire.CollectionContentsPageRequest{
 		Caller: c.dn, Name: name, PageSize: pageSize, Token: token,
-	}
-	var resp mcswire.CollectionContentsPageResponse
-	if err := c.call(ctx, "collectionContentsPage", req, &resp); err != nil {
+	})
+	if err != nil {
 		return nil, nil, "", err
 	}
 	files := make([]File, 0, len(resp.Files))

@@ -28,10 +28,12 @@ import (
 //
 // Every operation has two forms: a plain method (GetFile) that runs with
 // context.Background, and a context-aware variant (GetFileCtx) whose
-// deadline and cancellation are honored by the HTTP transport. Each call
-// carries a request correlation ID in the X-MCS-Request-ID header
-// (generated per call); the server echoes it, attaches it to audit records
-// and quotes it in its slow-operation log.
+// deadline and cancellation are honored by the HTTP transport. Both go
+// through one typed call per operation, named by its internal/mcswire
+// descriptor, over the one built-in wire client; the wire (WithTransport)
+// only swaps that client's codec. Each call carries a request correlation
+// ID in the X-MCS-Request-ID header (generated per call); the server echoes
+// it, attaches it to audit records and quotes it in its slow-operation log.
 //
 // Errors returned by the service preserve their identity across the wire:
 // a failed call can be matched with errors.Is against the package sentinels
@@ -44,9 +46,8 @@ type Client struct {
 	// wire is the one built-in wire client; WithTransport swaps only its
 	// codec, so every other option applies whichever wire is (or later
 	// becomes) selected.
-	wire      *mcswire.Client
-	transport Transport
-	kind      TransportKind
+	wire *mcswire.Client
+	kind TransportKind
 	// dn is the identity declared on unauthenticated deployments. When a
 	// GSI credential is attached with WithCredential, the server derives
 	// the identity from the credential instead.
@@ -89,20 +90,24 @@ func WithAssertion(encoded string) ClientOption {
 	return func(c *Client) { c.wire.Header.Set(gsi.AssertionHeader, encoded) }
 }
 
+// TransportKind selects one of the built-in wire encodings.
+type TransportKind string
+
+const (
+	// TransportSOAP is the paper-faithful SOAP/HTTP wire (the default).
+	TransportSOAP TransportKind = "soap"
+	// TransportJSON is the compact JSON/HTTP wire (/api/v1/<op>): the same
+	// operations, error identities and retry semantics with cheaper
+	// encoding, plus NDJSON streaming for large results.
+	TransportJSON TransportKind = "json"
+)
+
 // WithTransport selects the wire encoding: TransportSOAP (the default, and
 // the paper-faithful one) or TransportJSON (the compact /api/v1 wire). The
 // two carry identical semantics — every operation, error sentinel, request
 // correlation ID and idempotent-retry guarantee works the same over either.
 func WithTransport(kind TransportKind) ClientOption {
 	return func(c *Client) { c.setTransport(kind) }
-}
-
-// WithCustomTransport installs a caller-provided Transport implementation —
-// for tests, proxies or alternative encodings. The retry layer still pins
-// request IDs and idempotency keys through the extra-headers argument, so a
-// semantics-preserving transport keeps exactly-once retries.
-func WithCustomTransport(t Transport) ClientOption {
-	return func(c *Client) { c.transport, c.kind = t, "" }
 }
 
 // WithHTTPClient substitutes the *http.Client the wire client uses —
@@ -171,23 +176,23 @@ func NewClient(endpoint, dn string, opts ...ClientOption) *Client {
 func (c *Client) setTransport(kind TransportKind) {
 	switch kind {
 	case TransportJSON:
-		c.wire.Codec, c.transport, c.kind = jsonwire.Codec{}, c.wire, TransportJSON
+		c.wire.Codec, c.kind = jsonwire.Codec{}, TransportJSON
 	default:
-		c.wire.Codec, c.transport, c.kind = soap.Codec{}, unaryTransport{c.wire}, TransportSOAP
+		c.wire.Codec, c.kind = soap.Codec{}, TransportSOAP
 	}
 }
 
-// TransportName reports which wire the client is using: TransportSOAP,
-// TransportJSON, or "" for a custom Transport.
+// TransportName reports which wire the client is using: TransportSOAP or
+// TransportJSON.
 func (c *Client) TransportName() TransportKind { return c.kind }
 
-// call performs one logical call: a single wire round trip, or a retry
-// loop when WithRetry is configured.
-func (c *Client) call(ctx context.Context, action string, req, resp any) error {
+// call performs one logical call of op: a single wire round trip, or a
+// retry loop when WithRetry is configured.
+func call[Req, Resp any](ctx context.Context, c *Client, op mcswire.Op[Req, Resp], req *Req) (*Resp, error) {
 	if c.retryAttempts <= 1 {
-		return c.transport.Call(ctx, action, nil, req, resp)
+		return callOnce(ctx, c, op, nil, req)
 	}
-	return c.callRetry(ctx, action, req, resp)
+	return callRetry(ctx, c, op, req)
 }
 
 // Ping checks liveness with context.Background.
@@ -196,8 +201,8 @@ func (c *Client) Ping() (string, error) { return c.PingCtx(context.Background())
 // PingCtx checks liveness and returns the DN the server sees for this
 // client.
 func (c *Client) PingCtx(ctx context.Context) (string, error) {
-	var resp mcswire.PingResponse
-	if err := c.call(ctx, "ping", &mcswire.PingRequest{}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.Ping, &mcswire.PingRequest{})
+	if err != nil {
 		return "", err
 	}
 	return resp.DN, nil
@@ -214,13 +219,10 @@ func (c *Client) CreateFileCtx(ctx context.Context, spec FileSpec) (File, error)
 		Caller: c.dn, Name: spec.Name, Version: spec.Version, DataType: spec.DataType,
 		Collection: spec.Collection, ContainerID: spec.ContainerID,
 		ContainerService: spec.ContainerService, MasterCopy: spec.MasterCopy,
-		Audited: spec.Audited, Provenance: spec.Provenance,
+		Audited: spec.Audited, Provenance: spec.Provenance, Attributes: mcswire.AttrsToWire(spec.Attributes),
 	}
-	for _, a := range spec.Attributes {
-		req.Attributes = append(req.Attributes, mcswire.FromCore(a))
-	}
-	var resp mcswire.CreateFileResponse
-	if err := c.call(ctx, "createFile", req, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.CreateFile, req)
+	if err != nil {
 		return File{}, err
 	}
 	return mcswire.FileFromWire(resp.File), nil
@@ -234,8 +236,7 @@ func (c *Client) GetFile(name string, version int) (File, error) {
 // GetFileCtx fetches static file metadata; version 0 selects the sole
 // version.
 func (c *Client) GetFileCtx(ctx context.Context, name string, version int) (File, error) {
-	var resp mcswire.GetFileResponse
-	err := c.call(ctx, "getFile", &mcswire.GetFileRequest{Caller: c.dn, Name: name, Version: version}, &resp)
+	resp, err := call(ctx, c, mcswire.GetFile, &mcswire.GetFileRequest{Caller: c.dn, Name: name, Version: version})
 	if err != nil {
 		return File{}, err
 	}
@@ -249,8 +250,8 @@ func (c *Client) FileVersions(name string) ([]File, error) {
 
 // FileVersionsCtx lists every version of a logical name, oldest first.
 func (c *Client) FileVersionsCtx(ctx context.Context, name string) ([]File, error) {
-	var resp mcswire.FileVersionsResponse
-	if err := c.call(ctx, "fileVersions", &mcswire.FileVersionsRequest{Caller: c.dn, Name: name}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.FileVersions, &mcswire.FileVersionsRequest{Caller: c.dn, Name: name})
+	if err != nil {
 		return nil, err
 	}
 	files := make([]File, 0, len(resp.Files))
@@ -283,8 +284,8 @@ func (c *Client) UpdateFileCtx(ctx context.Context, name string, version int, up
 	if upd.MasterCopy != nil {
 		req.SetMasterCopy, req.MasterCopy = true, *upd.MasterCopy
 	}
-	var resp mcswire.UpdateFileResponse
-	if err := c.call(ctx, "updateFile", req, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.UpdateFile, req)
+	if err != nil {
 		return File{}, err
 	}
 	return mcswire.FileFromWire(resp.File), nil
@@ -309,8 +310,8 @@ func (c *Client) DeleteFile(name string, version int) error {
 
 // DeleteFileCtx removes a logical file and its dependent metadata.
 func (c *Client) DeleteFileCtx(ctx context.Context, name string, version int) error {
-	var resp mcswire.DeleteFileResponse
-	return c.call(ctx, "deleteFile", &mcswire.DeleteFileRequest{Caller: c.dn, Name: name, Version: version}, &resp)
+	_, err := call(ctx, c, mcswire.DeleteFile, &mcswire.DeleteFileRequest{Caller: c.dn, Name: name, Version: version})
+	return err
 }
 
 // MoveFile reassigns a file's collection with context.Background.
@@ -320,10 +321,10 @@ func (c *Client) MoveFile(name string, version int, collection string) error {
 
 // MoveFileCtx reassigns a file's logical collection ("" removes it).
 func (c *Client) MoveFileCtx(ctx context.Context, name string, version int, collection string) error {
-	var resp mcswire.MoveFileResponse
-	return c.call(ctx, "moveFile", &mcswire.MoveFileRequest{
+	_, err := call(ctx, c, mcswire.MoveFile, &mcswire.MoveFileRequest{
 		Caller: c.dn, Name: name, Version: version, Collection: collection,
-	}, &resp)
+	})
+	return err
 }
 
 // CreateCollection registers a collection with context.Background.
@@ -335,13 +336,10 @@ func (c *Client) CreateCollection(spec CollectionSpec) (Collection, error) {
 func (c *Client) CreateCollectionCtx(ctx context.Context, spec CollectionSpec) (Collection, error) {
 	req := &mcswire.CreateCollectionRequest{
 		Caller: c.dn, Name: spec.Name, Description: spec.Description,
-		Parent: spec.Parent, Audited: spec.Audited,
+		Parent: spec.Parent, Audited: spec.Audited, Attributes: mcswire.AttrsToWire(spec.Attributes),
 	}
-	for _, a := range spec.Attributes {
-		req.Attributes = append(req.Attributes, mcswire.FromCore(a))
-	}
-	var resp mcswire.CreateCollectionResponse
-	if err := c.call(ctx, "createCollection", req, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.CreateCollection, req)
+	if err != nil {
 		return Collection{}, err
 	}
 	return mcswire.CollectionFromWire(resp.Collection), nil
@@ -354,8 +352,8 @@ func (c *Client) GetCollection(name string) (Collection, error) {
 
 // GetCollectionCtx fetches collection metadata by name.
 func (c *Client) GetCollectionCtx(ctx context.Context, name string) (Collection, error) {
-	var resp mcswire.GetCollectionResponse
-	if err := c.call(ctx, "getCollection", &mcswire.GetCollectionRequest{Caller: c.dn, Name: name}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.GetCollection, &mcswire.GetCollectionRequest{Caller: c.dn, Name: name})
+	if err != nil {
 		return Collection{}, err
 	}
 	return mcswire.CollectionFromWire(resp.Collection), nil
@@ -369,8 +367,8 @@ func (c *Client) CollectionContents(name string) ([]File, []Collection, error) {
 // CollectionContentsCtx lists a collection's direct files and
 // sub-collections.
 func (c *Client) CollectionContentsCtx(ctx context.Context, name string) ([]File, []Collection, error) {
-	var resp mcswire.CollectionContentsResponse
-	if err := c.call(ctx, "collectionContents", &mcswire.CollectionContentsRequest{Caller: c.dn, Name: name}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.CollectionContents, &mcswire.CollectionContentsRequest{Caller: c.dn, Name: name})
+	if err != nil {
 		return nil, nil, err
 	}
 	files := make([]File, 0, len(resp.Files))
@@ -391,8 +389,8 @@ func (c *Client) DeleteCollection(name string) error {
 
 // DeleteCollectionCtx removes an empty collection.
 func (c *Client) DeleteCollectionCtx(ctx context.Context, name string) error {
-	var resp mcswire.DeleteCollectionResponse
-	return c.call(ctx, "deleteCollection", &mcswire.DeleteCollectionRequest{Caller: c.dn, Name: name}, &resp)
+	_, err := call(ctx, c, mcswire.DeleteCollection, &mcswire.DeleteCollectionRequest{Caller: c.dn, Name: name})
+	return err
 }
 
 // ListCollections lists collection names with context.Background.
@@ -402,8 +400,8 @@ func (c *Client) ListCollections(pattern string) ([]string, error) {
 
 // ListCollectionsCtx lists collection names, optionally LIKE-filtered.
 func (c *Client) ListCollectionsCtx(ctx context.Context, pattern string) ([]string, error) {
-	var resp mcswire.ListCollectionsResponse
-	if err := c.call(ctx, "listCollections", &mcswire.ListCollectionsRequest{Caller: c.dn, Pattern: pattern}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.ListCollections, &mcswire.ListCollectionsRequest{Caller: c.dn, Pattern: pattern})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Names, nil
@@ -416,14 +414,11 @@ func (c *Client) CreateView(spec ViewSpec) (View, error) {
 
 // CreateViewCtx registers a logical view.
 func (c *Client) CreateViewCtx(ctx context.Context, spec ViewSpec) (View, error) {
-	req := &mcswire.CreateViewRequest{
+	resp, err := call(ctx, c, mcswire.CreateView, &mcswire.CreateViewRequest{
 		Caller: c.dn, Name: spec.Name, Description: spec.Description, Audited: spec.Audited,
-	}
-	for _, a := range spec.Attributes {
-		req.Attributes = append(req.Attributes, mcswire.FromCore(a))
-	}
-	var resp mcswire.CreateViewResponse
-	if err := c.call(ctx, "createView", req, &resp); err != nil {
+		Attributes: mcswire.AttrsToWire(spec.Attributes),
+	})
+	if err != nil {
 		return View{}, err
 	}
 	return View{
@@ -440,10 +435,10 @@ func (c *Client) AddToView(view string, objType ObjectType, member string) error
 
 // AddToViewCtx aggregates an object into a view.
 func (c *Client) AddToViewCtx(ctx context.Context, view string, objType ObjectType, member string) error {
-	var resp mcswire.AddToViewResponse
-	return c.call(ctx, "addToView", &mcswire.AddToViewRequest{
+	_, err := call(ctx, c, mcswire.AddToView, &mcswire.AddToViewRequest{
 		Caller: c.dn, View: view, ObjectType: string(objType), Member: member,
-	}, &resp)
+	})
+	return err
 }
 
 // RemoveFromView removes a view member with context.Background.
@@ -453,10 +448,10 @@ func (c *Client) RemoveFromView(view string, objType ObjectType, member string) 
 
 // RemoveFromViewCtx removes a member from a view.
 func (c *Client) RemoveFromViewCtx(ctx context.Context, view string, objType ObjectType, member string) error {
-	var resp mcswire.RemoveFromViewResponse
-	return c.call(ctx, "removeFromView", &mcswire.RemoveFromViewRequest{
+	_, err := call(ctx, c, mcswire.RemoveFromView, &mcswire.RemoveFromViewRequest{
 		Caller: c.dn, View: view, ObjectType: string(objType), Member: member,
-	}, &resp)
+	})
+	return err
 }
 
 // ViewContents lists a view's members with context.Background.
@@ -466,8 +461,8 @@ func (c *Client) ViewContents(name string) ([]ViewMember, error) {
 
 // ViewContentsCtx lists a view's direct members.
 func (c *Client) ViewContentsCtx(ctx context.Context, name string) ([]ViewMember, error) {
-	var resp mcswire.ViewContentsResponse
-	if err := c.call(ctx, "viewContents", &mcswire.ViewContentsRequest{Caller: c.dn, Name: name}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.ViewContents, &mcswire.ViewContentsRequest{Caller: c.dn, Name: name})
+	if err != nil {
 		return nil, err
 	}
 	members := make([]ViewMember, 0, len(resp.Members))
@@ -484,8 +479,8 @@ func (c *Client) ExpandView(name string) ([]string, error) {
 
 // ExpandViewCtx recursively resolves a view to logical file names.
 func (c *Client) ExpandViewCtx(ctx context.Context, name string) ([]string, error) {
-	var resp mcswire.ExpandViewResponse
-	if err := c.call(ctx, "expandView", &mcswire.ExpandViewRequest{Caller: c.dn, Name: name}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.ExpandView, &mcswire.ExpandViewRequest{Caller: c.dn, Name: name})
+	if err != nil {
 		return nil, err
 	}
 	return resp.Names, nil
@@ -498,8 +493,8 @@ func (c *Client) DeleteView(name string) error {
 
 // DeleteViewCtx removes a view (not its members).
 func (c *Client) DeleteViewCtx(ctx context.Context, name string) error {
-	var resp mcswire.DeleteViewResponse
-	return c.call(ctx, "deleteView", &mcswire.DeleteViewRequest{Caller: c.dn, Name: name}, &resp)
+	_, err := call(ctx, c, mcswire.DeleteView, &mcswire.DeleteViewRequest{Caller: c.dn, Name: name})
+	return err
 }
 
 // DefineAttribute declares an attribute with context.Background.
@@ -509,10 +504,9 @@ func (c *Client) DefineAttribute(name string, typ AttrType, description string) 
 
 // DefineAttributeCtx declares a user-defined attribute.
 func (c *Client) DefineAttributeCtx(ctx context.Context, name string, typ AttrType, description string) (AttributeDef, error) {
-	var resp mcswire.DefineAttributeResponse
-	err := c.call(ctx, "defineAttribute", &mcswire.DefineAttributeRequest{
+	resp, err := call(ctx, c, mcswire.DefineAttribute, &mcswire.DefineAttributeRequest{
 		Caller: c.dn, Name: name, Type: string(typ), Description: description,
-	}, &resp)
+	})
 	if err != nil {
 		return AttributeDef{}, err
 	}
@@ -526,8 +520,8 @@ func (c *Client) ListAttributeDefs() ([]AttributeDef, error) {
 
 // ListAttributeDefsCtx lists every declared user-defined attribute.
 func (c *Client) ListAttributeDefsCtx(ctx context.Context) ([]AttributeDef, error) {
-	var resp mcswire.ListAttributeDefsResponse
-	if err := c.call(ctx, "listAttributeDefs", &mcswire.ListAttributeDefsRequest{Caller: c.dn}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.ListAttributeDefs, &mcswire.ListAttributeDefsRequest{Caller: c.dn})
+	if err != nil {
 		return nil, err
 	}
 	defs := make([]AttributeDef, 0, len(resp.Defs))
@@ -544,11 +538,11 @@ func (c *Client) SetAttribute(objType ObjectType, object, attr string, v AttrVal
 
 // SetAttributeCtx binds a user-defined attribute value on an object.
 func (c *Client) SetAttributeCtx(ctx context.Context, objType ObjectType, object, attr string, v AttrValue) error {
-	var resp mcswire.SetAttributeResponse
-	return c.call(ctx, "setAttribute", &mcswire.SetAttributeRequest{
+	_, err := call(ctx, c, mcswire.SetAttribute, &mcswire.SetAttributeRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object,
 		Attribute: mcswire.FromCore(Attribute{Name: attr, Value: v}),
-	}, &resp)
+	})
+	return err
 }
 
 // UnsetAttribute removes an attribute binding with context.Background.
@@ -558,10 +552,10 @@ func (c *Client) UnsetAttribute(objType ObjectType, object, attr string) error {
 
 // UnsetAttributeCtx removes a user-defined attribute from an object.
 func (c *Client) UnsetAttributeCtx(ctx context.Context, objType ObjectType, object, attr string) error {
-	var resp mcswire.UnsetAttributeResponse
-	return c.call(ctx, "unsetAttribute", &mcswire.UnsetAttributeRequest{
+	_, err := call(ctx, c, mcswire.UnsetAttribute, &mcswire.UnsetAttributeRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object, Attribute: attr,
-	}, &resp)
+	})
+	return err
 }
 
 // GetAttributes lists an object's attributes with context.Background.
@@ -571,22 +565,13 @@ func (c *Client) GetAttributes(objType ObjectType, object string) ([]Attribute, 
 
 // GetAttributesCtx lists an object's user-defined attributes.
 func (c *Client) GetAttributesCtx(ctx context.Context, objType ObjectType, object string) ([]Attribute, error) {
-	var resp mcswire.GetAttributesResponse
-	err := c.call(ctx, "getAttributes", &mcswire.GetAttributesRequest{
+	resp, err := call(ctx, c, mcswire.GetAttributes, &mcswire.GetAttributesRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object,
-	}, &resp)
+	})
 	if err != nil {
 		return nil, err
 	}
-	attrs := make([]Attribute, 0, len(resp.Attributes))
-	for _, wa := range resp.Attributes {
-		a, err := wa.ToCore()
-		if err != nil {
-			return nil, err
-		}
-		attrs = append(attrs, a)
-	}
-	return attrs, nil
+	return mcswire.AttrsFromWire(resp.Attributes)
 }
 
 // RunQuery executes a discovery query with context.Background.
@@ -597,18 +582,19 @@ func (c *Client) RunQuery(q Query) ([]string, error) {
 // RunQueryCtx executes an attribute-based discovery query, returning
 // matching logical names.
 func (c *Client) RunQueryCtx(ctx context.Context, q Query) ([]string, error) {
-	req := &mcswire.QueryRequest{Caller: c.dn, Target: string(q.Target), Limit: q.Limit}
-	for _, p := range q.Predicates {
-		req.Predicates = append(req.Predicates, mcswire.WirePredicate{
-			Attribute: p.Attribute, Op: string(p.Op),
-			Type: string(p.Value.Type), Value: p.Value.Render(),
-		})
-	}
-	var resp mcswire.QueryResponse
-	if err := c.call(ctx, "query", req, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.Query, queryToWire(c.dn, q))
+	if err != nil {
 		return nil, err
 	}
 	return resp.Names, nil
+}
+
+// queryToWire builds the query request for q on behalf of dn.
+func queryToWire(dn string, q Query) *mcswire.QueryRequest {
+	return &mcswire.QueryRequest{
+		Caller: dn, Target: string(q.Target), Limit: q.Limit,
+		Predicates: mcswire.PredicatesToWire(q.Predicates),
+	}
 }
 
 // RunQueryStream streams query matches with context.Background.
@@ -623,15 +609,8 @@ func (c *Client) RunQueryStream(q Query, row func(name string) error) error {
 // the bounded-memory contract at one round trip per page. A non-nil error
 // from row aborts the stream and is returned.
 func (c *Client) RunQueryStreamCtx(ctx context.Context, q Query, row func(name string) error) error {
-	if st, ok := c.transport.(StreamTransport); ok {
-		req := &mcswire.QueryRequest{Caller: c.dn, Target: string(q.Target), Limit: q.Limit}
-		for _, p := range q.Predicates {
-			req.Predicates = append(req.Predicates, mcswire.WirePredicate{
-				Attribute: p.Attribute, Op: string(p.Op),
-				Type: string(p.Value.Type), Value: p.Value.Render(),
-			})
-		}
-		return st.Stream(ctx, "query", nil, req,
+	if _, ok := c.wire.Codec.(mcswire.StreamCodec); ok {
+		return c.wire.Stream(ctx, mcswire.Query.Name, nil, queryToWire(c.dn, q),
 			func() any { return new(mcswire.QueryRow) },
 			func(r any) error { return row(r.(*mcswire.QueryRow).Name) })
 	}
@@ -666,28 +645,20 @@ func (c *Client) RunQueryAttrs(q Query, returnAttrs []string) ([]QueryResult, er
 // RunQueryAttrsCtx executes a discovery query and also returns the values
 // of the named user-defined attributes for every match.
 func (c *Client) RunQueryAttrsCtx(ctx context.Context, q Query, returnAttrs []string) ([]QueryResult, error) {
-	req := &mcswire.QueryAttrsRequest{
+	resp, err := call(ctx, c, mcswire.QueryAttrs, &mcswire.QueryAttrsRequest{
 		Caller: c.dn, Target: string(q.Target), Limit: q.Limit, Return: returnAttrs,
-	}
-	for _, p := range q.Predicates {
-		req.Predicates = append(req.Predicates, mcswire.WirePredicate{
-			Attribute: p.Attribute, Op: string(p.Op),
-			Type: string(p.Value.Type), Value: p.Value.Render(),
-		})
-	}
-	var resp mcswire.QueryAttrsResponse
-	if err := c.call(ctx, "queryAttrs", req, &resp); err != nil {
+		Predicates: mcswire.PredicatesToWire(q.Predicates),
+	})
+	if err != nil {
 		return nil, err
 	}
 	results := make([]QueryResult, 0, len(resp.Results))
 	for _, wr := range resp.Results {
 		r := QueryResult{Name: wr.Name}
-		for _, wa := range wr.Attributes {
-			a, err := wa.ToCore()
-			if err != nil {
+		if len(wr.Attributes) > 0 { // a match with no values keeps nil, as the catalog returns it
+			if r.Attributes, err = mcswire.AttrsFromWire(wr.Attributes); err != nil {
 				return nil, err
 			}
-			r.Attributes = append(r.Attributes, a)
 		}
 		results = append(results, r)
 	}
@@ -701,11 +672,13 @@ func (c *Client) Annotate(objType ObjectType, object, text string) (int64, error
 
 // AnnotateCtx attaches a free-text note to an object.
 func (c *Client) AnnotateCtx(ctx context.Context, objType ObjectType, object, text string) (int64, error) {
-	var resp mcswire.AnnotateResponse
-	err := c.call(ctx, "annotate", &mcswire.AnnotateRequest{
+	resp, err := call(ctx, c, mcswire.Annotate, &mcswire.AnnotateRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object, Text: text,
-	}, &resp)
-	return resp.ID, err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return resp.ID, nil
 }
 
 // Annotations lists an object's notes with context.Background.
@@ -715,10 +688,9 @@ func (c *Client) Annotations(objType ObjectType, object string) ([]Annotation, e
 
 // AnnotationsCtx lists the notes on an object, oldest first.
 func (c *Client) AnnotationsCtx(ctx context.Context, objType ObjectType, object string) ([]Annotation, error) {
-	var resp mcswire.GetAnnotationsResponse
-	err := c.call(ctx, "getAnnotations", &mcswire.GetAnnotationsRequest{
+	resp, err := call(ctx, c, mcswire.GetAnnotations, &mcswire.GetAnnotationsRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object,
-	}, &resp)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -736,10 +708,10 @@ func (c *Client) AddProvenance(name string, version int, description string) err
 
 // AddProvenanceCtx appends a transformation-history record to a file.
 func (c *Client) AddProvenanceCtx(ctx context.Context, name string, version int, description string) error {
-	var resp mcswire.AddProvenanceResponse
-	return c.call(ctx, "addProvenance", &mcswire.AddProvenanceRequest{
+	_, err := call(ctx, c, mcswire.AddProvenance, &mcswire.AddProvenanceRequest{
 		Caller: c.dn, Name: name, Version: version, Description: description,
-	}, &resp)
+	})
+	return err
 }
 
 // Provenance returns a file's history with context.Background.
@@ -749,10 +721,9 @@ func (c *Client) Provenance(name string, version int) ([]ProvenanceRecord, error
 
 // ProvenanceCtx returns a file's transformation history, oldest first.
 func (c *Client) ProvenanceCtx(ctx context.Context, name string, version int) ([]ProvenanceRecord, error) {
-	var resp mcswire.GetProvenanceResponse
-	err := c.call(ctx, "getProvenance", &mcswire.GetProvenanceRequest{
+	resp, err := call(ctx, c, mcswire.GetProvenance, &mcswire.GetProvenanceRequest{
 		Caller: c.dn, Name: name, Version: version,
-	}, &resp)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -772,10 +743,9 @@ func (c *Client) AuditLog(objType ObjectType, object string) ([]AuditRecord, err
 // written through the web service carry the request correlation ID of the
 // call that caused them.
 func (c *Client) AuditLogCtx(ctx context.Context, objType ObjectType, object string) ([]AuditRecord, error) {
-	var resp mcswire.AuditLogResponse
-	err := c.call(ctx, "auditLog", &mcswire.AuditLogRequest{
+	resp, err := call(ctx, c, mcswire.AuditLog, &mcswire.AuditLogRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object,
-	}, &resp)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -797,11 +767,11 @@ func (c *Client) Grant(objType ObjectType, object, principal string, perm Permis
 // GrantCtx gives principal a permission on an object ("" + ObjectService
 // for service-level rights).
 func (c *Client) GrantCtx(ctx context.Context, objType ObjectType, object, principal string, perm Permission) error {
-	var resp mcswire.GrantResponse
-	return c.call(ctx, "grant", &mcswire.GrantRequest{
+	_, err := call(ctx, c, mcswire.Grant, &mcswire.GrantRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object,
 		Principal: principal, Permission: string(perm),
-	}, &resp)
+	})
+	return err
 }
 
 // Revoke removes a permission with context.Background.
@@ -811,11 +781,11 @@ func (c *Client) Revoke(objType ObjectType, object, principal string, perm Permi
 
 // RevokeCtx removes a granted permission.
 func (c *Client) RevokeCtx(ctx context.Context, objType ObjectType, object, principal string, perm Permission) error {
-	var resp mcswire.RevokeResponse
-	return c.call(ctx, "revoke", &mcswire.RevokeRequest{
+	_, err := call(ctx, c, mcswire.Revoke, &mcswire.RevokeRequest{
 		Caller: c.dn, ObjectType: string(objType), Object: object,
 		Principal: principal, Permission: string(perm),
-	}, &resp)
+	})
+	return err
 }
 
 // RegisterWriter stores a writer record with context.Background.
@@ -825,11 +795,11 @@ func (c *Client) RegisterWriter(w Writer) error {
 
 // RegisterWriterCtx stores a metadata-writer contact record.
 func (c *Client) RegisterWriterCtx(ctx context.Context, w Writer) error {
-	var resp mcswire.RegisterWriterResponse
-	return c.call(ctx, "registerWriter", &mcswire.RegisterWriterRequest{
+	_, err := call(ctx, c, mcswire.RegisterWriter, &mcswire.RegisterWriterRequest{
 		Caller: c.dn, DN: w.DN, Description: w.Description, Institution: w.Institution,
 		Address: w.Address, Phone: w.Phone, Email: w.Email,
-	}, &resp)
+	})
+	return err
 }
 
 // GetWriter fetches a writer record with context.Background.
@@ -839,8 +809,8 @@ func (c *Client) GetWriter(dn string) (Writer, error) {
 
 // GetWriterCtx fetches a writer contact record by DN.
 func (c *Client) GetWriterCtx(ctx context.Context, dn string) (Writer, error) {
-	var resp mcswire.GetWriterResponse
-	if err := c.call(ctx, "getWriter", &mcswire.GetWriterRequest{Caller: c.dn, DN: dn}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.GetWriter, &mcswire.GetWriterRequest{Caller: c.dn, DN: dn})
+	if err != nil {
 		return Writer{}, err
 	}
 	return Writer{DN: resp.DN, Description: resp.Description, Institution: resp.Institution,
@@ -855,11 +825,13 @@ func (c *Client) RegisterExternalCatalog(ec ExternalCatalog) (int64, error) {
 
 // RegisterExternalCatalogCtx records a pointer to another metadata catalog.
 func (c *Client) RegisterExternalCatalogCtx(ctx context.Context, ec ExternalCatalog) (int64, error) {
-	var resp mcswire.RegisterExternalCatalogResponse
-	err := c.call(ctx, "registerExternalCatalog", &mcswire.RegisterExternalCatalogRequest{
+	resp, err := call(ctx, c, mcswire.RegisterExternalCatalog, &mcswire.RegisterExternalCatalogRequest{
 		Caller: c.dn, Name: ec.Name, Type: ec.Type, Host: ec.Host, IP: ec.IP, Description: ec.Description,
-	}, &resp)
-	return resp.ID, err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return resp.ID, nil
 }
 
 // ListExternalCatalogs lists external catalogs with context.Background.
@@ -869,8 +841,8 @@ func (c *Client) ListExternalCatalogs() ([]ExternalCatalog, error) {
 
 // ListExternalCatalogsCtx lists the registered external catalogs.
 func (c *Client) ListExternalCatalogsCtx(ctx context.Context) ([]ExternalCatalog, error) {
-	var resp mcswire.ListExternalCatalogsResponse
-	if err := c.call(ctx, "listExternalCatalogs", &mcswire.ListExternalCatalogsRequest{Caller: c.dn}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.ListExternalCatalogs, &mcswire.ListExternalCatalogsRequest{Caller: c.dn})
+	if err != nil {
 		return nil, err
 	}
 	list := make([]ExternalCatalog, 0, len(resp.Catalogs))
@@ -887,8 +859,8 @@ func (c *Client) Stats() (Stats, error) { return c.StatsCtx(context.Background()
 
 // StatsCtx returns catalog row counts.
 func (c *Client) StatsCtx(ctx context.Context) (Stats, error) {
-	var resp mcswire.StatsResponse
-	if err := c.call(ctx, "stats", &mcswire.StatsRequest{Caller: c.dn}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.Stats, &mcswire.StatsRequest{Caller: c.dn})
+	if err != nil {
 		return Stats{}, err
 	}
 	return Stats{
@@ -919,8 +891,8 @@ func (c *Client) FetchDiscoverySummary(fp float64) (DiscoverySummary, error) {
 
 // FetchDiscoverySummaryCtx fetches the catalog's discovery summary.
 func (c *Client) FetchDiscoverySummaryCtx(ctx context.Context, fp float64) (DiscoverySummary, error) {
-	var resp mcswire.DiscoverySummaryResponse
-	if err := c.call(ctx, "discoverySummary", &mcswire.DiscoverySummaryRequest{Caller: c.dn, FP: fp}, &resp); err != nil {
+	resp, err := call(ctx, c, mcswire.DiscoverySummary, &mcswire.DiscoverySummaryRequest{Caller: c.dn, FP: fp})
+	if err != nil {
 		return DiscoverySummary{}, err
 	}
 	return DiscoverySummary{Attrs: resp.Attrs, Pairs: resp.Pairs, Objects: resp.Objects}, nil

@@ -108,10 +108,7 @@ func BatchOpToWire(op core.BatchOp) (WireBatchOp, error) {
 			Name: s.Name, Version: s.Version, DataType: s.DataType,
 			Collection: s.Collection, ContainerID: s.ContainerID,
 			ContainerService: s.ContainerService, MasterCopy: s.MasterCopy,
-			Audited: s.Audited, Provenance: s.Provenance,
-		}
-		for _, a := range s.Attributes {
-			w.Attributes = append(w.Attributes, FromCore(a))
+			Audited: s.Audited, Provenance: s.Provenance, Attributes: AttrsToWire(s.Attributes),
 		}
 		return WireBatchOp{Create: w}, nil
 	case op.UpdateFile != nil:
@@ -154,20 +151,16 @@ func BatchOpFromWire(w WireBatchOp) (core.BatchOp, error) {
 	switch {
 	case w.Create != nil:
 		c := w.Create
-		spec := core.FileSpec{
+		attrs, err := AttrsFromWire(c.Attributes)
+		if err != nil {
+			return core.BatchOp{}, err
+		}
+		return core.BatchOp{CreateFile: &core.FileSpec{
 			Name: c.Name, Version: c.Version, DataType: c.DataType,
 			Collection: c.Collection, ContainerID: c.ContainerID,
 			ContainerService: c.ContainerService, MasterCopy: c.MasterCopy,
-			Audited: c.Audited, Provenance: c.Provenance,
-		}
-		for _, wa := range c.Attributes {
-			a, err := wa.ToCore()
-			if err != nil {
-				return core.BatchOp{}, err
-			}
-			spec.Attributes = append(spec.Attributes, a)
-		}
-		return core.BatchOp{CreateFile: &spec}, nil
+			Audited: c.Audited, Provenance: c.Provenance, Attributes: attrs,
+		}}, nil
 	case w.Update != nil:
 		u := w.Update
 		upd := core.BatchFileUpdate{Name: u.Name, Version: u.Version}

@@ -12,8 +12,8 @@ import (
 )
 
 // Client issues operations to one endpoint: the single outbound path of the
-// typed mcs.Client (either wire) and of the shard router's forwards. It
-// satisfies mcs.Transport, and mcs.StreamTransport when its Codec streams.
+// typed mcs.Client (either wire) and of the shard router's forwards. Call
+// and Stream take the operation's name from its Op.
 type Client struct {
 	Endpoint string
 	HTTP     *http.Client
@@ -64,17 +64,17 @@ func (c *Client) identify(h http.Header, key bool) {
 }
 
 // PinCall returns the extra headers a retry layer repeats verbatim on every
-// attempt of one logical call: its correlation ID and, for mutating
-// actions, an idempotency key, so the server recognizes replays and the
-// audit log shows one request.
-func (c *Client) PinCall(action string) http.Header {
+// attempt of one logical call: its correlation ID and, for a mutating
+// operation (Op.Mutating), an idempotency key, so the server recognizes
+// replays and the audit log shows one request.
+func (c *Client) PinCall(mutating bool) http.Header {
 	hdr := make(http.Header, 2)
 	if name := c.RequestIDHeader; name != "" {
 		if id := c.Header.Get(name); id != "" {
 			hdr.Set(name, id) // the caller pinned one for every call
 		}
 	}
-	c.identify(hdr, MutatingOps[action])
+	c.identify(hdr, mutating)
 	return hdr
 }
 

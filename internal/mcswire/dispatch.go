@@ -31,15 +31,16 @@ type Ctx struct {
 }
 
 // Handler is one catalog operation in the transport-neutral dispatch table:
-// a request factory plus a type-erased call. A Codec owns decoding (XML or
-// JSON) into the fresh request and encoding of the returned response;
-// everything between — authorization, the core call, error identity — is
-// shared and therefore provably identical across transports.
+// a request factory plus a type-erased call, built from the operation's Op
+// by Handle or HandleStream. A Codec owns decoding (XML or JSON) into the
+// fresh request and encoding of the returned response; everything between
+// — authorization, the core call, error identity — is shared and therefore
+// provably identical across transports.
 type Handler struct {
 	// Name is the operation name (SOAP body element / /api/v1/<name> path).
 	Name string
-	// Mutating marks operations that change catalog state; mutating calls
-	// carry idempotency keys so retries apply exactly once.
+	// Mutating is the descriptor's Op.Mutating: the operation changes
+	// catalog state, and its calls carry idempotency keys.
 	Mutating bool
 	// New returns a pointer to a fresh request struct for the decoder.
 	New func() any

@@ -51,14 +51,13 @@ type echoResponse struct {
 	N       int      `xml:"n" json:"n"`
 }
 
-// echoTable serves one operation, "echo", through fn.
+// echoOp is the one operation the pipeline tests serve.
+var echoOp = mcswire.Op[echoRequest, echoResponse]{Name: "echo"}
+
+// echoTable serves echoOp through fn.
 func echoTable(fn func(ctx *mcswire.Ctx, req *echoRequest) (*echoResponse, error)) *mcswire.Table {
 	t := mcswire.NewTable()
-	t.Register(mcswire.Handler{
-		Name: "echo",
-		New:  func() any { return new(echoRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) { return fn(ctx, req.(*echoRequest)) },
-	})
+	mcswire.Handle(t, echoOp, fn)
 	return t
 }
 
@@ -205,10 +204,10 @@ func TestRequestIDGeneratedAndEchoed(t *testing.T) {
 		}
 		// ...and a retry layer's pinned headers repeat the same ID, adding
 		// an idempotency key only for mutating actions.
-		if pin := c.PinCall("getFile"); pin.Get(obs.RequestIDHeader) != "my-trace-42" || pin.Get(obs.IdempotencyKeyHeader) != "" {
+		if pin := c.PinCall(mcswire.GetFile.Mutating); pin.Get(obs.RequestIDHeader) != "my-trace-42" || pin.Get(obs.IdempotencyKeyHeader) != "" {
 			t.Fatalf("PinCall(getFile) = %v", pin)
 		}
-		if pin := c.PinCall("createFile"); pin.Get(obs.IdempotencyKeyHeader) == "" {
+		if pin := c.PinCall(mcswire.CreateFile.Mutating); pin.Get(obs.IdempotencyKeyHeader) == "" {
 			t.Fatalf("PinCall(createFile) = %v", pin)
 		}
 

@@ -63,31 +63,3 @@ func SentinelForCode(code string) error {
 	}
 	return nil
 }
-
-// MutatingOps lists the operations that change catalog state. Retried
-// mutations carry an idempotency key so the server applies them exactly
-// once no matter how many attempts reach it; read-only operations are
-// trivially safe to repeat and need no key. The router consults the same
-// table to know which forwarded calls must carry the client's key through.
-var MutatingOps = map[string]bool{
-	"createFile":              true,
-	"updateFile":              true,
-	"deleteFile":              true,
-	"moveFile":                true,
-	"batchWrite":              true,
-	"createCollection":        true,
-	"deleteCollection":        true,
-	"createView":              true,
-	"addToView":               true,
-	"removeFromView":          true,
-	"deleteView":              true,
-	"defineAttribute":         true,
-	"setAttribute":            true,
-	"unsetAttribute":          true,
-	"annotate":                true,
-	"addProvenance":           true,
-	"grant":                   true,
-	"revoke":                  true,
-	"registerWriter":          true,
-	"registerExternalCatalog": true,
-}

@@ -66,6 +66,49 @@ func QueryFromWire(target string, limit int, preds []WirePredicate) (core.Query,
 	return q, nil
 }
 
+// AttrsToWire converts typed attributes to their wire form; none gives nil.
+func AttrsToWire(attrs []core.Attribute) []WireAttr {
+	if len(attrs) == 0 {
+		return nil
+	}
+	out := make([]WireAttr, len(attrs))
+	for i, a := range attrs {
+		out[i] = FromCore(a)
+	}
+	return out
+}
+
+// AttrsFromWire converts wire attributes to their typed form, failing on the
+// first value that does not parse as its declared type; none gives an empty,
+// non-nil slice.
+func AttrsFromWire(ws []WireAttr) ([]core.Attribute, error) {
+	out := make([]core.Attribute, len(ws))
+	for i, w := range ws {
+		a, err := w.ToCore()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = a
+	}
+	return out, nil
+}
+
+// PredicatesToWire converts query predicates to their wire form, the inverse
+// of QueryFromWire's parse; none gives nil.
+func PredicatesToWire(preds []core.Predicate) []WirePredicate {
+	if len(preds) == 0 {
+		return nil
+	}
+	out := make([]WirePredicate, len(preds))
+	for i, p := range preds {
+		out[i] = WirePredicate{
+			Attribute: p.Attribute, Op: string(p.Op),
+			Type: string(p.Value.Type), Value: p.Value.Render(),
+		}
+	}
+	return out
+}
+
 // WireFile is the wire form of a logical file's static metadata.
 type WireFile struct {
 	ID               int64     `xml:"id" json:"id"`

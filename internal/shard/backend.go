@@ -63,7 +63,7 @@ func (b *backend) freshSummary(now time.Time, ttl time.Duration) (*federation.Su
 func (b *backend) refreshSummary(ctx context.Context, fp float64, now func() time.Time) error {
 	b.dirty.Store(false)
 	var resp mcswire.DiscoverySummaryResponse
-	err := b.client.Call(ctx, "discoverySummary", nil, &mcswire.DiscoverySummaryRequest{FP: fp}, &resp)
+	err := b.client.Call(ctx, mcswire.DiscoverySummary.Name, nil, &mcswire.DiscoverySummaryRequest{FP: fp}, &resp)
 	var sum *federation.Summary
 	if err == nil {
 		if sum, err = federation.Decode(&resp); err != nil {

@@ -263,7 +263,7 @@ func (r *Router) mapBackendError(b *backend, err error) error {
 // broadcast ops (each shard keeps its own replay cache). A CAS capability
 // assertion passes through too: the shard, not the router, holds the
 // community key and decides what the assertion grants.
-func forwardHeaders(ctx *mcswire.Ctx, op, idemSuffix string) http.Header {
+func forwardHeaders(ctx *mcswire.Ctx, mutating bool, idemSuffix string) http.Header {
 	hdr := make(http.Header, 3)
 	if ctx.RequestID != "" {
 		hdr.Set(obs.RequestIDHeader, ctx.RequestID)
@@ -271,7 +271,7 @@ func forwardHeaders(ctx *mcswire.Ctx, op, idemSuffix string) http.Header {
 	if a := ctx.Header.Get(gsi.AssertionHeader); a != "" {
 		hdr.Set(gsi.AssertionHeader, a)
 	}
-	if mcswire.MutatingOps[op] && ctx.IdempotencyKey != "" {
+	if mutating && ctx.IdempotencyKey != "" {
 		hdr.Set(obs.IdempotencyKeyHeader, ctx.IdempotencyKey+idemSuffix)
 	}
 	return hdr
@@ -327,18 +327,18 @@ func (r *Router) forwardStream(ctx context.Context, b *backend, op string, hdr h
 	return r.mapBackendError(b, err)
 }
 
-// call forwards one typed request to one backend and decodes the reply.
-func call[Resp any](r *Router, ctx *mcswire.Ctx, b *backend, op string, req any, idemSuffix string) (*Resp, error) {
+// call forwards one typed request of op to one backend and decodes the
+// reply.
+func call[Req, Resp any](r *Router, ctx *mcswire.Ctx, b *backend, op mcswire.Op[Req, Resp], req *Req, idemSuffix string) (*Resp, error) {
 	injectCaller(req, ctx.DN)
-	mutating := mcswire.MutatingOps[op]
-	if mutating {
+	if op.Mutating {
 		// Marked before the forward so a concurrent scatter can never screen
 		// this shard out while the write is in flight...
 		b.dirty.Store(true)
 	}
 	resp := new(Resp)
-	err := r.forward(ctx.Context, b, op, forwardHeaders(ctx, op, idemSuffix), req, resp)
-	if mutating {
+	err := r.forward(ctx.Context, b, op.Name, forwardHeaders(ctx, op.Mutating, idemSuffix), req, resp)
+	if op.Mutating {
 		// ...and re-marked after it returns, in case a summary refresh that
 		// sampled the shard before this write committed cleared the flag
 		// mid-flight.
@@ -352,19 +352,13 @@ func call[Resp any](r *Router, ctx *mcswire.Ctx, b *backend, op string, req any,
 
 // route1 registers op as a single-shard forward: key extracts the logical
 // name whose prefix picks the owning shard.
-func route1[Req, Resp any](r *Router, op string, key func(*Req) string) {
-	r.table.Register(mcswire.Handler{
-		Name:     op,
-		Mutating: mcswire.MutatingOps[op],
-		New:      func() any { return new(Req) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			tr := req.(*Req)
-			b, err := r.owner(key(tr))
-			if err != nil {
-				return nil, err
-			}
-			return call[Resp](r, ctx, b, op, tr, "")
-		},
+func route1[Req, Resp any](r *Router, op mcswire.Op[Req, Resp], key func(*Req) string) {
+	mcswire.Handle(r.table, op, func(ctx *mcswire.Ctx, req *Req) (*Resp, error) {
+		b, err := r.owner(key(req))
+		if err != nil {
+			return nil, err
+		}
+		return call(r, ctx, b, op, req, "")
 	})
 }
 
@@ -373,21 +367,16 @@ func route1[Req, Resp any](r *Router, op string, key func(*Req) string) {
 // external-catalog registrations, global grants) replicate to every shard so
 // each shard remains a self-consistent catalog. Each shard sees a distinct
 // derived idempotency key; the first shard's response answers the client.
-func broadcast[Req, Resp any](r *Router, op string) {
-	r.table.Register(mcswire.Handler{
-		Name:     op,
-		Mutating: mcswire.MutatingOps[op],
-		New:      func() any { return new(Req) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			return broadcastCall[Req, Resp](r, ctx, op, req.(*Req))
-		},
+func broadcast[Req, Resp any](r *Router, op mcswire.Op[Req, Resp]) {
+	mcswire.Handle(r.table, op, func(ctx *mcswire.Ctx, req *Req) (*Resp, error) {
+		return broadcastCall(r, ctx, op, req)
 	})
 }
 
-func broadcastCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op string, req *Req) (*Resp, error) {
+func broadcastCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op mcswire.Op[Req, Resp], req *Req) (*Resp, error) {
 	var first *Resp
 	for i, b := range r.backends {
-		resp, err := call[Resp](r, ctx, b, op, req, fmt.Sprintf("#%d", i))
+		resp, err := call(r, ctx, b, op, req, fmt.Sprintf("#%d", i))
 		if err != nil {
 			// Surviving shards already applied the mutation; the derived
 			// idempotency keys make the client's retry of the whole
@@ -403,14 +392,9 @@ func broadcastCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op string, req *R
 
 // pinned registers op as a forward to the first shard: read-only lookups of
 // broadcast-replicated state, identical on every shard by construction.
-func pinned[Req, Resp any](r *Router, op string) {
-	r.table.Register(mcswire.Handler{
-		Name:     op,
-		Mutating: mcswire.MutatingOps[op],
-		New:      func() any { return new(Req) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			return call[Resp](r, ctx, r.backends[0], op, req.(*Req), "")
-		},
+func pinned[Req, Resp any](r *Router, op mcswire.Op[Req, Resp]) {
+	mcswire.Handle(r.table, op, func(ctx *mcswire.Ctx, req *Req) (*Resp, error) {
+		return call(r, ctx, r.backends[0], op, req, "")
 	})
 }
 
@@ -422,217 +406,150 @@ func pinned[Req, Resp any](r *Router, op string) {
 // the aggregating index that pulls summaries, not a catalog that has one.
 func (r *Router) buildTable() {
 	// Liveness is answered locally: the router itself is the probed service.
-	r.table.Register(mcswire.Handler{
-		Name: "ping",
-		New:  func() any { return new(mcswire.PingRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			return &mcswire.PingResponse{DN: ctx.DN}, nil
-		},
+	mcswire.Handle(r.table, mcswire.Ping, func(ctx *mcswire.Ctx, _ *mcswire.PingRequest) (*mcswire.PingResponse, error) {
+		return &mcswire.PingResponse{DN: ctx.DN}, nil
 	})
 
 	// Files route by their logical name; createFile routes by its collection
 	// when one is named so the file always lands on its collection's shard.
 	// Deployments name files under the same prefix as their collection (the
 	// convention the shard map encodes), so both keys agree.
-	route1[mcswire.CreateFileRequest, mcswire.CreateFileResponse](r, "createFile",
-		func(q *mcswire.CreateFileRequest) string {
-			if q.Collection != "" {
-				return q.Collection
-			}
-			return q.Name
-		})
-	route1[mcswire.GetFileRequest, mcswire.GetFileResponse](r, "getFile",
-		func(q *mcswire.GetFileRequest) string { return q.Name })
-	route1[mcswire.FileVersionsRequest, mcswire.FileVersionsResponse](r, "fileVersions",
-		func(q *mcswire.FileVersionsRequest) string { return q.Name })
-	route1[mcswire.UpdateFileRequest, mcswire.UpdateFileResponse](r, "updateFile",
-		func(q *mcswire.UpdateFileRequest) string { return q.Name })
-	route1[mcswire.DeleteFileRequest, mcswire.DeleteFileResponse](r, "deleteFile",
-		func(q *mcswire.DeleteFileRequest) string { return q.Name })
-	route1[mcswire.AddProvenanceRequest, mcswire.AddProvenanceResponse](r, "addProvenance",
-		func(q *mcswire.AddProvenanceRequest) string { return q.Name })
-	route1[mcswire.GetProvenanceRequest, mcswire.GetProvenanceResponse](r, "getProvenance",
-		func(q *mcswire.GetProvenanceRequest) string { return q.Name })
+	route1(r, mcswire.CreateFile, func(q *mcswire.CreateFileRequest) string {
+		if q.Collection != "" {
+			return q.Collection
+		}
+		return q.Name
+	})
+	route1(r, mcswire.GetFile, func(q *mcswire.GetFileRequest) string { return q.Name })
+	route1(r, mcswire.FileVersions, func(q *mcswire.FileVersionsRequest) string { return q.Name })
+	route1(r, mcswire.UpdateFile, func(q *mcswire.UpdateFileRequest) string { return q.Name })
+	route1(r, mcswire.DeleteFile, func(q *mcswire.DeleteFileRequest) string { return q.Name })
+	route1(r, mcswire.AddProvenance, func(q *mcswire.AddProvenanceRequest) string { return q.Name })
+	route1(r, mcswire.GetProvenance, func(q *mcswire.GetProvenanceRequest) string { return q.Name })
 
 	// moveFile is single-shard only: collections are the transaction scope,
 	// and a cross-shard move would need a distributed transaction this
 	// design deliberately avoids.
-	r.table.Register(mcswire.Handler{
-		Name:     "moveFile",
-		Mutating: true,
-		New:      func() any { return new(mcswire.MoveFileRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.MoveFileRequest)
-			b, err := r.owner(q.Name)
+	mcswire.Handle(r.table, mcswire.MoveFile, func(ctx *mcswire.Ctx, q *mcswire.MoveFileRequest) (*mcswire.MoveFileResponse, error) {
+		b, err := r.owner(q.Name)
+		if err != nil {
+			return nil, err
+		}
+		if q.Collection != "" {
+			dst, err := r.owner(q.Collection)
 			if err != nil {
 				return nil, err
 			}
-			if q.Collection != "" {
-				dst, err := r.owner(q.Collection)
-				if err != nil {
-					return nil, err
-				}
-				if dst != b {
-					return nil, fmt.Errorf("%w: cross-shard move: file %q is on %s but collection %q is on %s",
-						core.ErrInvalidInput, q.Name, b.name, q.Collection, dst.name)
-				}
+			if dst != b {
+				return nil, fmt.Errorf("%w: cross-shard move: file %q is on %s but collection %q is on %s",
+					core.ErrInvalidInput, q.Name, b.name, q.Collection, dst.name)
 			}
-			return call[mcswire.MoveFileResponse](r, ctx, b, "moveFile", q, "")
-		},
+		}
+		return call(r, ctx, b, mcswire.MoveFile, q, "")
 	})
 
 	// batchWrite keeps its all-or-nothing contract by requiring every op in
 	// the batch to route to one shard; the whole batch then forwards as-is.
-	r.table.Register(mcswire.Handler{
-		Name:     "batchWrite",
-		Mutating: true,
-		New:      func() any { return new(mcswire.BatchWriteRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.BatchWriteRequest)
-			var b *backend
-			for i, op := range q.Ops {
-				key, err := batchOpKey(op)
-				if err != nil {
-					return nil, fmt.Errorf("%w: batch op %d: %v", core.ErrInvalidInput, i, err)
-				}
-				owner, err := r.owner(key)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					b = owner
-				} else if owner != b {
-					return nil, fmt.Errorf("%w: batch spans shards: op %d (%q) routes to %s, earlier ops to %s — split the batch per shard",
-						core.ErrInvalidInput, i, key, owner.name, b.name)
-				}
+	mcswire.Handle(r.table, mcswire.BatchWrite, func(ctx *mcswire.Ctx, q *mcswire.BatchWriteRequest) (*mcswire.BatchWriteResponse, error) {
+		var b *backend
+		for i, op := range q.Ops {
+			key, err := batchOpKey(op)
+			if err != nil {
+				return nil, fmt.Errorf("%w: batch op %d: %v", core.ErrInvalidInput, i, err)
+			}
+			owner, err := r.owner(key)
+			if err != nil {
+				return nil, err
 			}
 			if b == nil {
-				b = r.backends[0] // empty batch: any shard validates it
+				b = owner
+			} else if owner != b {
+				return nil, fmt.Errorf("%w: batch spans shards: op %d (%q) routes to %s, earlier ops to %s — split the batch per shard",
+					core.ErrInvalidInput, i, key, owner.name, b.name)
 			}
-			return call[mcswire.BatchWriteResponse](r, ctx, b, "batchWrite", q, "")
-		},
+		}
+		if b == nil {
+			b = r.backends[0] // empty batch: any shard validates it
+		}
+		return call(r, ctx, b, mcswire.BatchWrite, q, "")
 	})
 
 	// Collections route by name; contents listings are single-shard because
 	// a collection subtree never spans shards.
-	route1[mcswire.CreateCollectionRequest, mcswire.CreateCollectionResponse](r, "createCollection",
-		func(q *mcswire.CreateCollectionRequest) string { return q.Name })
-	route1[mcswire.GetCollectionRequest, mcswire.GetCollectionResponse](r, "getCollection",
-		func(q *mcswire.GetCollectionRequest) string { return q.Name })
-	route1[mcswire.DeleteCollectionRequest, mcswire.DeleteCollectionResponse](r, "deleteCollection",
-		func(q *mcswire.DeleteCollectionRequest) string { return q.Name })
-	route1[mcswire.CollectionContentsPageRequest, mcswire.CollectionContentsPageResponse](r, "collectionContentsPage",
-		func(q *mcswire.CollectionContentsPageRequest) string { return q.Name })
+	route1(r, mcswire.CreateCollection, func(q *mcswire.CreateCollectionRequest) string { return q.Name })
+	route1(r, mcswire.GetCollection, func(q *mcswire.GetCollectionRequest) string { return q.Name })
+	route1(r, mcswire.DeleteCollection, func(q *mcswire.DeleteCollectionRequest) string { return q.Name })
+	route1(r, mcswire.CollectionContentsPage, func(q *mcswire.CollectionContentsPageRequest) string { return q.Name })
 	r.registerCollectionContents()
 
 	// Views route by view name and are single-shard; deployments name a view
 	// under the prefix of the objects it aggregates.
-	route1[mcswire.CreateViewRequest, mcswire.CreateViewResponse](r, "createView",
-		func(q *mcswire.CreateViewRequest) string { return q.Name })
-	route1[mcswire.DeleteViewRequest, mcswire.DeleteViewResponse](r, "deleteView",
-		func(q *mcswire.DeleteViewRequest) string { return q.Name })
-	route1[mcswire.ViewContentsRequest, mcswire.ViewContentsResponse](r, "viewContents",
-		func(q *mcswire.ViewContentsRequest) string { return q.Name })
-	route1[mcswire.ExpandViewRequest, mcswire.ExpandViewResponse](r, "expandView",
-		func(q *mcswire.ExpandViewRequest) string { return q.Name })
-	route1[mcswire.AddToViewRequest, mcswire.AddToViewResponse](r, "addToView",
-		func(q *mcswire.AddToViewRequest) string { return q.View })
-	route1[mcswire.RemoveFromViewRequest, mcswire.RemoveFromViewResponse](r, "removeFromView",
-		func(q *mcswire.RemoveFromViewRequest) string { return q.View })
+	route1(r, mcswire.CreateView, func(q *mcswire.CreateViewRequest) string { return q.Name })
+	route1(r, mcswire.DeleteView, func(q *mcswire.DeleteViewRequest) string { return q.Name })
+	route1(r, mcswire.ViewContents, func(q *mcswire.ViewContentsRequest) string { return q.Name })
+	route1(r, mcswire.ExpandView, func(q *mcswire.ExpandViewRequest) string { return q.Name })
+	route1(r, mcswire.AddToView, func(q *mcswire.AddToViewRequest) string { return q.View })
+	route1(r, mcswire.RemoveFromView, func(q *mcswire.RemoveFromViewRequest) string { return q.View })
 
 	// Attribute bindings, annotations and audit trails live with the object.
-	route1[mcswire.SetAttributeRequest, mcswire.SetAttributeResponse](r, "setAttribute",
-		func(q *mcswire.SetAttributeRequest) string { return q.Object })
-	route1[mcswire.UnsetAttributeRequest, mcswire.UnsetAttributeResponse](r, "unsetAttribute",
-		func(q *mcswire.UnsetAttributeRequest) string { return q.Object })
-	route1[mcswire.GetAttributesRequest, mcswire.GetAttributesResponse](r, "getAttributes",
-		func(q *mcswire.GetAttributesRequest) string { return q.Object })
-	route1[mcswire.AnnotateRequest, mcswire.AnnotateResponse](r, "annotate",
-		func(q *mcswire.AnnotateRequest) string { return q.Object })
-	route1[mcswire.GetAnnotationsRequest, mcswire.GetAnnotationsResponse](r, "getAnnotations",
-		func(q *mcswire.GetAnnotationsRequest) string { return q.Object })
-	route1[mcswire.AuditLogRequest, mcswire.AuditLogResponse](r, "auditLog",
-		func(q *mcswire.AuditLogRequest) string { return q.Object })
+	route1(r, mcswire.SetAttribute, func(q *mcswire.SetAttributeRequest) string { return q.Object })
+	route1(r, mcswire.UnsetAttribute, func(q *mcswire.UnsetAttributeRequest) string { return q.Object })
+	route1(r, mcswire.GetAttributes, func(q *mcswire.GetAttributesRequest) string { return q.Object })
+	route1(r, mcswire.Annotate, func(q *mcswire.AnnotateRequest) string { return q.Object })
+	route1(r, mcswire.GetAnnotations, func(q *mcswire.GetAnnotationsRequest) string { return q.Object })
+	route1(r, mcswire.AuditLog, func(q *mcswire.AuditLogRequest) string { return q.Object })
 
 	// Object-scoped grants route with the object; global grants (Object "")
 	// are namespace-wide policy and broadcast like other global mutations.
-	r.registerGrantRevoke()
+	objectScoped(r, mcswire.Grant, func(q *mcswire.GrantRequest) string { return q.Object })
+	objectScoped(r, mcswire.Revoke, func(q *mcswire.RevokeRequest) string { return q.Object })
 
 	// Global-namespace mutations broadcast; their read-backs pin to the
 	// first shard (replicated state is identical everywhere).
-	broadcast[mcswire.DefineAttributeRequest, mcswire.DefineAttributeResponse](r, "defineAttribute")
-	broadcast[mcswire.RegisterWriterRequest, mcswire.RegisterWriterResponse](r, "registerWriter")
-	broadcast[mcswire.RegisterExternalCatalogRequest, mcswire.RegisterExternalCatalogResponse](r, "registerExternalCatalog")
-	pinned[mcswire.ListAttributeDefsRequest, mcswire.ListAttributeDefsResponse](r, "listAttributeDefs")
-	pinned[mcswire.GetWriterRequest, mcswire.GetWriterResponse](r, "getWriter")
-	pinned[mcswire.ListExternalCatalogsRequest, mcswire.ListExternalCatalogsResponse](r, "listExternalCatalogs")
+	broadcast(r, mcswire.DefineAttribute)
+	broadcast(r, mcswire.RegisterWriter)
+	broadcast(r, mcswire.RegisterExternalCatalog)
+	pinned(r, mcswire.ListAttributeDefs)
+	pinned(r, mcswire.GetWriter)
+	pinned(r, mcswire.ListExternalCatalogs)
 
 	// Cross-shard reads scatter-gather.
 	r.registerScatterOps()
 }
 
-// registerGrantRevoke mounts grant and revoke: keyed by object when one is
-// named, broadcast when the grant is global.
-func (r *Router) registerGrantRevoke() {
-	r.table.Register(mcswire.Handler{
-		Name:     "grant",
-		Mutating: true,
-		New:      func() any { return new(mcswire.GrantRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.GrantRequest)
-			if q.Object == "" {
-				return broadcastCall[mcswire.GrantRequest, mcswire.GrantResponse](r, ctx, "grant", q)
-			}
-			b, err := r.owner(q.Object)
-			if err != nil {
-				return nil, err
-			}
-			return call[mcswire.GrantResponse](r, ctx, b, "grant", q, "")
-		},
-	})
-	r.table.Register(mcswire.Handler{
-		Name:     "revoke",
-		Mutating: true,
-		New:      func() any { return new(mcswire.RevokeRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.RevokeRequest)
-			if q.Object == "" {
-				return broadcastCall[mcswire.RevokeRequest, mcswire.RevokeResponse](r, ctx, "revoke", q)
-			}
-			b, err := r.owner(q.Object)
-			if err != nil {
-				return nil, err
-			}
-			return call[mcswire.RevokeResponse](r, ctx, b, "revoke", q, "")
-		},
+// objectScoped registers op (grant or revoke) keyed by its object when one
+// is named, broadcast when it is global. object reads the request's object.
+func objectScoped[Req, Resp any](r *Router, op mcswire.Op[Req, Resp], object func(*Req) string) {
+	mcswire.Handle(r.table, op, func(ctx *mcswire.Ctx, req *Req) (*Resp, error) {
+		if object(req) == "" {
+			return broadcastCall(r, ctx, op, req)
+		}
+		b, err := r.owner(object(req))
+		if err != nil {
+			return nil, err
+		}
+		return call(r, ctx, b, op, req, "")
 	})
 }
 
 // registerCollectionContents mounts collectionContents with both the unary
 // and the streamed (NDJSON passthrough) paths.
 func (r *Router) registerCollectionContents() {
-	r.table.Register(mcswire.Handler{
-		Name: "collectionContents",
-		New:  func() any { return new(mcswire.CollectionContentsRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.CollectionContentsRequest)
-			b, err := r.owner(q.Name)
-			if err != nil {
-				return nil, err
-			}
-			return call[mcswire.CollectionContentsResponse](r, ctx, b, "collectionContents", q, "")
-		},
-		Stream: func(ctx *mcswire.Ctx, req any, emit func(row any) error) error {
-			q := req.(*mcswire.CollectionContentsRequest)
-			b, err := r.owner(q.Name)
-			if err != nil {
-				return err
-			}
-			injectCaller(q, ctx.DN)
-			return r.forwardStream(ctx.Context, b, "collectionContents",
-				forwardHeaders(ctx, "collectionContents", ""), q,
-				func() any { return new(mcswire.ContentsRow) }, emit)
-		},
+	op := mcswire.CollectionContents
+	mcswire.HandleStream(r.table, op, func(ctx *mcswire.Ctx, q *mcswire.CollectionContentsRequest) (*mcswire.CollectionContentsResponse, error) {
+		b, err := r.owner(q.Name)
+		if err != nil {
+			return nil, err
+		}
+		return call(r, ctx, b, op, q, "")
+	}, func(ctx *mcswire.Ctx, q *mcswire.CollectionContentsRequest, emit func(row any) error) error {
+		b, err := r.owner(q.Name)
+		if err != nil {
+			return err
+		}
+		injectCaller(q, ctx.DN)
+		return r.forwardStream(ctx.Context, b, op.Name, forwardHeaders(ctx, op.Mutating, ""), q,
+			func() any { return new(mcswire.ContentsRow) }, emit)
 	})
 }
 
@@ -715,7 +632,7 @@ func (r *Router) probeShards(ctx context.Context) []string {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 			defer cancel()
-			errs[i] = b.client.Call(ctx, "ping", nil, &mcswire.PingRequest{}, &mcswire.PingResponse{})
+			errs[i] = b.client.Call(ctx, mcswire.Ping.Name, nil, &mcswire.PingRequest{}, &mcswire.PingResponse{})
 		}(i, b)
 	}
 	wg.Wait()

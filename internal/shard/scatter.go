@@ -98,9 +98,9 @@ func (r *Router) gather(cands []candidate, errs []error) error {
 // scatterCall is the common unary scatter body: inject the authenticated
 // caller once, fan out concurrently, account bloom false positives via
 // empty, then gather errors. resps[i]/errs[i] belong to cands[i].
-func scatterCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op string, req *Req, cands []candidate, empty func(*Resp) bool) ([]*Resp, error) {
+func scatterCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op mcswire.Op[Req, Resp], req *Req, cands []candidate, empty func(*Resp) bool) ([]*Resp, error) {
 	injectCaller(req, ctx.DN)
-	hdr := forwardHeaders(ctx, op, "")
+	hdr := forwardHeaders(ctx, op.Mutating, "")
 	resps := make([]*Resp, len(cands))
 	errs := make([]error, len(cands))
 	var wg sync.WaitGroup
@@ -109,7 +109,7 @@ func scatterCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op string, req *Req
 		go func(i int, c candidate) {
 			defer wg.Done()
 			resps[i] = new(Resp)
-			errs[i] = r.forward(ctx.Context, c.b, op, hdr, req, resps[i])
+			errs[i] = r.forward(ctx.Context, c.b, op.Name, hdr, req, resps[i])
 		}(i, c)
 	}
 	wg.Wait()
@@ -128,116 +128,79 @@ func scatterCall[Req, Resp any](r *Router, ctx *mcswire.Ctx, op string, req *Req
 // registerScatterOps mounts the cross-shard reads: query (unary + streamed),
 // queryAttrs, queryPage, listCollections and stats.
 func (r *Router) registerScatterOps() {
-	r.table.Register(mcswire.Handler{
-		Name: "query",
-		New:  func() any { return new(mcswire.QueryRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.QueryRequest)
-			cands := r.screenQuery(q.Target, q.Predicates)
-			resps, err := scatterCall[mcswire.QueryRequest, mcswire.QueryResponse](
-				r, ctx, "query", q, cands,
-				func(resp *mcswire.QueryResponse) bool { return len(resp.Names) == 0 })
-			if err != nil {
-				return nil, err
-			}
-			// Shards are disjoint, so the union has no duplicates; each shard
-			// applied Limit locally, so the union is a superset of the global
-			// top-Limit and truncating the sorted union is exact.
-			var names []string
-			for _, resp := range resps {
-				names = append(names, resp.Names...)
-			}
-			sort.Strings(names)
-			if q.Limit > 0 && len(names) > q.Limit {
-				names = names[:q.Limit]
-			}
-			return &mcswire.QueryResponse{Names: names}, nil
-		},
-		Stream: func(ctx *mcswire.Ctx, req any, emit func(row any) error) error {
-			return r.streamQuery(ctx, req.(*mcswire.QueryRequest), emit)
-		},
-	})
+	mcswire.HandleStream(r.table, mcswire.Query, func(ctx *mcswire.Ctx, q *mcswire.QueryRequest) (*mcswire.QueryResponse, error) {
+		resps, err := scatterCall(r, ctx, mcswire.Query, q, r.screenQuery(q.Target, q.Predicates),
+			func(resp *mcswire.QueryResponse) bool { return len(resp.Names) == 0 })
+		if err != nil {
+			return nil, err
+		}
+		// Shards are disjoint, so the union has no duplicates; each shard
+		// applied Limit locally, so the union is a superset of the global
+		// top-Limit and truncating the sorted union is exact.
+		var names []string
+		for _, resp := range resps {
+			names = append(names, resp.Names...)
+		}
+		sort.Strings(names)
+		if q.Limit > 0 && len(names) > q.Limit {
+			names = names[:q.Limit]
+		}
+		return &mcswire.QueryResponse{Names: names}, nil
+	}, r.streamQuery)
 
-	r.table.Register(mcswire.Handler{
-		Name: "queryAttrs",
-		New:  func() any { return new(mcswire.QueryAttrsRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.QueryAttrsRequest)
-			cands := r.screenQuery(q.Target, q.Predicates)
-			resps, err := scatterCall[mcswire.QueryAttrsRequest, mcswire.QueryAttrsResponse](
-				r, ctx, "queryAttrs", q, cands,
-				func(resp *mcswire.QueryAttrsResponse) bool { return len(resp.Results) == 0 })
-			if err != nil {
-				return nil, err
-			}
-			var results []mcswire.WireQueryResult
-			for _, resp := range resps {
-				results = append(results, resp.Results...)
-			}
-			sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
-			if q.Limit > 0 && len(results) > q.Limit {
-				results = results[:q.Limit]
-			}
-			return &mcswire.QueryAttrsResponse{Results: results}, nil
-		},
+	mcswire.Handle(r.table, mcswire.QueryAttrs, func(ctx *mcswire.Ctx, q *mcswire.QueryAttrsRequest) (*mcswire.QueryAttrsResponse, error) {
+		resps, err := scatterCall(r, ctx, mcswire.QueryAttrs, q, r.screenQuery(q.Target, q.Predicates),
+			func(resp *mcswire.QueryAttrsResponse) bool { return len(resp.Results) == 0 })
+		if err != nil {
+			return nil, err
+		}
+		var results []mcswire.WireQueryResult
+		for _, resp := range resps {
+			results = append(results, resp.Results...)
+		}
+		sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
+		if q.Limit > 0 && len(results) > q.Limit {
+			results = results[:q.Limit]
+		}
+		return &mcswire.QueryAttrsResponse{Results: results}, nil
 	})
 
 	// listCollections scatters unscreened: its LIKE pattern is opaque to
 	// bloom summaries (which index attribute pairs, not name shapes).
-	r.table.Register(mcswire.Handler{
-		Name: "listCollections",
-		New:  func() any { return new(mcswire.ListCollectionsRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.ListCollectionsRequest)
-			cands := r.allCandidates()
-			resps, err := scatterCall[mcswire.ListCollectionsRequest, mcswire.ListCollectionsResponse](
-				r, ctx, "listCollections", q, cands,
-				func(resp *mcswire.ListCollectionsResponse) bool { return len(resp.Names) == 0 })
-			if err != nil {
-				return nil, err
-			}
-			var names []string
-			for _, resp := range resps {
-				names = append(names, resp.Names...)
-			}
-			sort.Strings(names)
-			return &mcswire.ListCollectionsResponse{Names: names}, nil
-		},
+	mcswire.Handle(r.table, mcswire.ListCollections, func(ctx *mcswire.Ctx, q *mcswire.ListCollectionsRequest) (*mcswire.ListCollectionsResponse, error) {
+		resps, err := scatterCall(r, ctx, mcswire.ListCollections, q, r.allCandidates(),
+			func(resp *mcswire.ListCollectionsResponse) bool { return len(resp.Names) == 0 })
+		if err != nil {
+			return nil, err
+		}
+		var names []string
+		for _, resp := range resps {
+			names = append(names, resp.Names...)
+		}
+		sort.Strings(names)
+		return &mcswire.ListCollectionsResponse{Names: names}, nil
 	})
 
 	// stats sums per-shard row counts, except AttrDefs: attribute
 	// definitions are broadcast-replicated to every shard, so the first
 	// shard's count is the deployment's count — summing would multiply it.
-	r.table.Register(mcswire.Handler{
-		Name: "stats",
-		New:  func() any { return new(mcswire.StatsRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			q := req.(*mcswire.StatsRequest)
-			cands := r.allCandidates()
-			resps, err := scatterCall[mcswire.StatsRequest, mcswire.StatsResponse](
-				r, ctx, "stats", q, cands,
-				func(*mcswire.StatsResponse) bool { return false })
-			if err != nil {
-				return nil, err
-			}
-			out := &mcswire.StatsResponse{AttrDefs: resps[0].AttrDefs}
-			for _, resp := range resps {
-				out.Files += resp.Files
-				out.Collections += resp.Collections
-				out.Views += resp.Views
-				out.Attributes += resp.Attributes
-			}
-			return out, nil
-		},
+	mcswire.Handle(r.table, mcswire.Stats, func(ctx *mcswire.Ctx, q *mcswire.StatsRequest) (*mcswire.StatsResponse, error) {
+		resps, err := scatterCall(r, ctx, mcswire.Stats, q, r.allCandidates(),
+			func(*mcswire.StatsResponse) bool { return false })
+		if err != nil {
+			return nil, err
+		}
+		out := &mcswire.StatsResponse{AttrDefs: resps[0].AttrDefs}
+		for _, resp := range resps {
+			out.Files += resp.Files
+			out.Collections += resp.Collections
+			out.Views += resp.Views
+			out.Attributes += resp.Attributes
+		}
+		return out, nil
 	})
 
-	r.table.Register(mcswire.Handler{
-		Name: "queryPage",
-		New:  func() any { return new(mcswire.QueryPageRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			return r.queryPage(ctx, req.(*mcswire.QueryPageRequest))
-		},
-	})
+	mcswire.Handle(r.table, mcswire.QueryPage, r.queryPage)
 }
 
 // allCandidates returns every backend, unscreened.
@@ -296,7 +259,7 @@ func (r *Router) queryPage(ctx *mcswire.Ctx, q *mcswire.QueryPageRequest) (*mcsw
 		b := r.backends[tok.Shard]
 		fwd := *q
 		fwd.Token = tok.Inner
-		resp, err := call[mcswire.QueryPageResponse](r, ctx, b, "queryPage", &fwd, "")
+		resp, err := call(r, ctx, b, mcswire.QueryPage, &fwd, "")
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +291,7 @@ func (r *Router) queryPage(ctx *mcswire.Ctx, q *mcswire.QueryPageRequest) (*mcsw
 func (r *Router) streamQuery(ctx *mcswire.Ctx, q *mcswire.QueryRequest, emit func(row any) error) error {
 	cands := r.screenQuery(q.Target, q.Predicates)
 	injectCaller(q, ctx.DN)
-	hdr := forwardHeaders(ctx, "query", "")
+	hdr := forwardHeaders(ctx, mcswire.Query.Mutating, "")
 
 	// Stream without a limit shard-side: the global limit can only be
 	// applied after the merge (any one shard might hold all the winners).
@@ -348,7 +311,7 @@ func (r *Router) streamQuery(ctx *mcswire.Ctx, q *mcswire.QueryRequest, emit fun
 		go func(i int, c candidate) {
 			defer wg.Done()
 			defer close(chans[i])
-			err := r.forwardStream(cctx, c.b, "query", hdr, &fwd,
+			err := r.forwardStream(cctx, c.b, mcswire.Query.Name, hdr, &fwd,
 				func() any { return new(mcswire.QueryRow) },
 				func(row any) error {
 					select {

@@ -6,18 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"net/http"
-	"reflect"
 	"time"
 
 	"mcs/internal/mcswire"
 )
-
-// mutatingActions lists the operations that change catalog state. Retried
-// mutations carry an idempotency key so the server applies them exactly
-// once no matter how many attempts reach it; read-only operations are
-// trivially safe to repeat and need no key. The table lives in
-// internal/mcswire so the shard router shares it.
-var mutatingActions = mcswire.MutatingOps
 
 // Retryable reports whether err is worth retrying: the server said it was
 // temporarily unavailable (ErrUnavailable) or the call failed without a
@@ -42,44 +34,37 @@ func (c *Client) RetryStats() RetryStats {
 	return RetryStats{Attempts: c.attempts.Load(), Retries: c.retries.Load()}
 }
 
-// callRetry runs one logical call as up to c.retryAttempts attempts. The
-// request correlation ID and (for mutating actions) the idempotency key are
-// pinned once and repeated verbatim on every attempt, so the server can
+// callRetry runs one logical call of op as up to c.retryAttempts attempts.
+// The request correlation ID and (for a mutating op) the idempotency key
+// are pinned once and repeated verbatim on every attempt, so the server can
 // recognize replays and the audit log shows one logical request.
-func (c *Client) callRetry(ctx context.Context, action string, req, resp any) error {
-	hdr := c.wire.PinCall(action)
+func callRetry[Req, Resp any](ctx context.Context, c *Client, op mcswire.Op[Req, Resp], req *Req) (*Resp, error) {
+	hdr := c.wire.PinCall(op.Mutating)
 	for attempt := 1; ; attempt++ {
 		c.attempts.Add(1)
-		err := c.callOnce(ctx, action, hdr, req, resp, attempt > 1)
+		resp, err := callOnce(ctx, c, op, hdr, req)
 		if err == nil || attempt >= c.retryAttempts || ctx.Err() != nil || !Retryable(err) {
-			return err
+			return resp, err
 		}
 		c.retries.Add(1)
 		if c.sleep(ctx, c.backoffFor(attempt)) != nil {
 			// The caller's context died while we were backing off; the last
 			// attempt's error describes the failure better than ctx.Err alone.
-			return err
+			return nil, err
 		}
 	}
 }
 
-// callOnce performs a single attempt. Retry attempts decode into a fresh
-// response struct — wire decoding can append to slices, and a failed attempt
-// can partially fill resp before erroring — and copy it over resp only on
-// success, so the caller never sees doubled slice elements or fields left
-// over from a dead attempt.
-func (c *Client) callOnce(ctx context.Context, action string, hdr http.Header, req, resp any, fresh bool) error {
-	target := resp
-	rv := reflect.ValueOf(resp)
-	useFresh := fresh && resp != nil && rv.Kind() == reflect.Pointer && !rv.IsNil()
-	if useFresh {
-		target = reflect.New(rv.Elem().Type()).Interface()
+// callOnce performs a single attempt, decoding into a fresh response: wire
+// decoding can append to slices, and a failed attempt can partially fill
+// its response before erroring, so no attempt sees doubled slice elements
+// or fields left over from a dead one, and a failed attempt's is dropped.
+func callOnce[Req, Resp any](ctx context.Context, c *Client, op mcswire.Op[Req, Resp], hdr http.Header, req *Req) (*Resp, error) {
+	resp := new(Resp)
+	if err := c.wire.Call(ctx, op.Name, hdr, req, resp); err != nil {
+		return nil, err
 	}
-	err := c.transport.Call(ctx, action, hdr, req, target)
-	if err == nil && useFresh {
-		rv.Elem().Set(reflect.ValueOf(target).Elem())
-	}
-	return err
+	return resp, nil
 }
 
 // backoffFor returns the pause before the next attempt: exponential in the

@@ -590,28 +590,13 @@ func (s *Server) serveStatz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handle registers one typed operation handler in the dispatch table,
-// type-erasing it for the pipeline. Mutating comes from the same
-// mutatingActions map the client retry layer consults, so both ends of the
-// wire agree — from one source — on which calls carry idempotency keys.
-func handle[Req, Resp any](t *mcswire.Table, name string, fn func(ctx *mcswire.Ctx, req *Req) (*Resp, error)) {
-	t.Register(mcswire.Handler{
-		Name:     name,
-		Mutating: mutatingActions[name],
-		New:      func() any { return new(Req) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			return fn(ctx, req.(*Req))
-		},
-	})
-}
-
 // streamPageSize bounds how many result rows a streamed operation holds in
 // memory at once: the server walks the catalog page by page and writes rows
 // out as they surface, so response size never drives server memory.
 const streamPageSize = 512
 
 // register builds the transport-neutral dispatch table: every catalog
-// operation, registered exactly once.
+// operation, registered exactly once under its mcswire descriptor.
 func (s *Server) register() {
 	cat := s.catalog
 	t := mcswire.NewTable()
@@ -627,18 +612,14 @@ func (s *Server) register() {
 		}
 	}
 
-	handle(t, "ping", func(ctx *mcswire.Ctx, req *mcswire.PingRequest) (*mcswire.PingResponse, error) {
+	mcswire.Handle(t, mcswire.Ping, func(ctx *mcswire.Ctx, req *mcswire.PingRequest) (*mcswire.PingResponse, error) {
 		return &mcswire.PingResponse{DN: ctx.DN}, nil
 	})
 
-	handle(t, "createFile", func(ctx *mcswire.Ctx, req *mcswire.CreateFileRequest) (*mcswire.CreateFileResponse, error) {
-		attrs := make([]Attribute, 0, len(req.Attributes))
-		for _, wa := range req.Attributes {
-			a, err := wa.ToCore()
-			if err != nil {
-				return nil, err
-			}
-			attrs = append(attrs, a)
+	mcswire.Handle(t, mcswire.CreateFile, func(ctx *mcswire.Ctx, req *mcswire.CreateFileRequest) (*mcswire.CreateFileResponse, error) {
+		attrs, err := mcswire.AttrsFromWire(req.Attributes)
+		if err != nil {
+			return nil, err
 		}
 		f, err := cat.CreateFile(s.caller(ctx, req.Caller, gsi.RightCreate, req.Name), FileSpec{
 			Name: req.Name, Version: req.Version, DataType: req.DataType,
@@ -652,7 +633,7 @@ func (s *Server) register() {
 		return &mcswire.CreateFileResponse{File: mcswire.FileToWire(f)}, nil
 	})
 
-	handle(t, "getFile", func(ctx *mcswire.Ctx, req *mcswire.GetFileRequest) (*mcswire.GetFileResponse, error) {
+	mcswire.Handle(t, mcswire.GetFile, func(ctx *mcswire.Ctx, req *mcswire.GetFileRequest) (*mcswire.GetFileResponse, error) {
 		f, err := cat.GetFile(s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name, req.Version)
 		if err != nil {
 			return nil, err
@@ -660,7 +641,7 @@ func (s *Server) register() {
 		return &mcswire.GetFileResponse{File: mcswire.FileToWire(f)}, nil
 	})
 
-	handle(t, "fileVersions", func(ctx *mcswire.Ctx, req *mcswire.FileVersionsRequest) (*mcswire.FileVersionsResponse, error) {
+	mcswire.Handle(t, mcswire.FileVersions, func(ctx *mcswire.Ctx, req *mcswire.FileVersionsRequest) (*mcswire.FileVersionsResponse, error) {
 		fs, err := cat.FileVersions(s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name)
 		if err != nil {
 			return nil, err
@@ -672,7 +653,7 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "updateFile", func(ctx *mcswire.Ctx, req *mcswire.UpdateFileRequest) (*mcswire.UpdateFileResponse, error) {
+	mcswire.Handle(t, mcswire.UpdateFile, func(ctx *mcswire.Ctx, req *mcswire.UpdateFileRequest) (*mcswire.UpdateFileResponse, error) {
 		var upd FileUpdate
 		if req.SetDataType {
 			upd.DataType = &req.DataType
@@ -697,7 +678,7 @@ func (s *Server) register() {
 		return &mcswire.UpdateFileResponse{File: mcswire.FileToWire(f)}, nil
 	})
 
-	handle(t, "deleteFile", func(ctx *mcswire.Ctx, req *mcswire.DeleteFileRequest) (*mcswire.DeleteFileResponse, error) {
+	mcswire.Handle(t, mcswire.DeleteFile, func(ctx *mcswire.Ctx, req *mcswire.DeleteFileRequest) (*mcswire.DeleteFileResponse, error) {
 		if err := cat.DeleteFile(s.caller(ctx, req.Caller, gsi.RightDelete, req.Name), req.Name, req.Version,
 			opOpts(ctx)...); err != nil {
 			return nil, err
@@ -705,14 +686,14 @@ func (s *Server) register() {
 		return &mcswire.DeleteFileResponse{OK: true}, nil
 	})
 
-	handle(t, "moveFile", func(ctx *mcswire.Ctx, req *mcswire.MoveFileRequest) (*mcswire.MoveFileResponse, error) {
+	mcswire.Handle(t, mcswire.MoveFile, func(ctx *mcswire.Ctx, req *mcswire.MoveFileRequest) (*mcswire.MoveFileResponse, error) {
 		if err := cat.MoveFile(s.caller(ctx, req.Caller, gsi.RightWrite, req.Name), req.Name, req.Version, req.Collection, opOpts(ctx)...); err != nil {
 			return nil, err
 		}
 		return &mcswire.MoveFileResponse{OK: true}, nil
 	})
 
-	handle(t, "batchWrite", func(ctx *mcswire.Ctx, req *mcswire.BatchWriteRequest) (*mcswire.BatchWriteResponse, error) {
+	mcswire.Handle(t, mcswire.BatchWrite, func(ctx *mcswire.Ctx, req *mcswire.BatchWriteRequest) (*mcswire.BatchWriteResponse, error) {
 		ops := make([]BatchOp, 0, len(req.Ops))
 		for i, wo := range req.Ops {
 			op, err := mcswire.BatchOpFromWire(wo)
@@ -740,14 +721,10 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "createCollection", func(ctx *mcswire.Ctx, req *mcswire.CreateCollectionRequest) (*mcswire.CreateCollectionResponse, error) {
-		attrs := make([]Attribute, 0, len(req.Attributes))
-		for _, wa := range req.Attributes {
-			a, err := wa.ToCore()
-			if err != nil {
-				return nil, err
-			}
-			attrs = append(attrs, a)
+	mcswire.Handle(t, mcswire.CreateCollection, func(ctx *mcswire.Ctx, req *mcswire.CreateCollectionRequest) (*mcswire.CreateCollectionResponse, error) {
+		attrs, err := mcswire.AttrsFromWire(req.Attributes)
+		if err != nil {
+			return nil, err
 		}
 		col, err := cat.CreateCollection(s.caller(ctx, req.Caller, gsi.RightCreate, req.Name), CollectionSpec{
 			Name: req.Name, Description: req.Description, Parent: req.Parent,
@@ -759,7 +736,7 @@ func (s *Server) register() {
 		return &mcswire.CreateCollectionResponse{Collection: mcswire.CollectionToWire(col)}, nil
 	})
 
-	handle(t, "getCollection", func(ctx *mcswire.Ctx, req *mcswire.GetCollectionRequest) (*mcswire.GetCollectionResponse, error) {
+	mcswire.Handle(t, mcswire.GetCollection, func(ctx *mcswire.Ctx, req *mcswire.GetCollectionRequest) (*mcswire.GetCollectionResponse, error) {
 		col, err := cat.GetCollection(s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name)
 		if err != nil {
 			return nil, err
@@ -769,54 +746,47 @@ func (s *Server) register() {
 
 	// collectionContents also streams: large collections page through the
 	// catalog and emit one member per row instead of one giant reply.
-	t.Register(mcswire.Handler{
-		Name: "collectionContents",
-		New:  func() any { return new(mcswire.CollectionContentsRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			r := req.(*mcswire.CollectionContentsRequest)
-			files, subs, err := cat.CollectionContents(s.caller(ctx, r.Caller, gsi.RightRead, r.Name), r.Name)
+	mcswire.HandleStream(t, mcswire.CollectionContents, func(ctx *mcswire.Ctx, req *mcswire.CollectionContentsRequest) (*mcswire.CollectionContentsResponse, error) {
+		files, subs, err := cat.CollectionContents(s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name)
+		if err != nil {
+			return nil, err
+		}
+		resp := &mcswire.CollectionContentsResponse{}
+		for _, f := range files {
+			resp.Files = append(resp.Files, mcswire.FileToWire(f))
+		}
+		for _, c := range subs {
+			resp.SubCollections = append(resp.SubCollections, mcswire.CollectionToWire(c))
+		}
+		return resp, nil
+	}, func(ctx *mcswire.Ctx, req *mcswire.CollectionContentsRequest, emit func(row any) error) error {
+		who := s.caller(ctx, req.Caller, gsi.RightRead, req.Name)
+		token := ""
+		for {
+			files, subs, next, err := cat.CollectionContentsPage(who, req.Name, streamPageSize, token)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			resp := &mcswire.CollectionContentsResponse{}
 			for _, f := range files {
-				resp.Files = append(resp.Files, mcswire.FileToWire(f))
-			}
-			for _, c := range subs {
-				resp.SubCollections = append(resp.SubCollections, mcswire.CollectionToWire(c))
-			}
-			return resp, nil
-		},
-		Stream: func(ctx *mcswire.Ctx, req any, emit func(row any) error) error {
-			r := req.(*mcswire.CollectionContentsRequest)
-			who := s.caller(ctx, r.Caller, gsi.RightRead, r.Name)
-			token := ""
-			for {
-				files, subs, next, err := cat.CollectionContentsPage(who, r.Name, streamPageSize, token)
-				if err != nil {
+				wf := mcswire.FileToWire(f)
+				if err := emit(mcswire.ContentsRow{File: &wf}); err != nil {
 					return err
 				}
-				for _, f := range files {
-					wf := mcswire.FileToWire(f)
-					if err := emit(mcswire.ContentsRow{File: &wf}); err != nil {
-						return err
-					}
-				}
-				for _, c := range subs {
-					wc := mcswire.CollectionToWire(c)
-					if err := emit(mcswire.ContentsRow{Collection: &wc}); err != nil {
-						return err
-					}
-				}
-				if next == "" {
-					return nil
-				}
-				token = next
 			}
-		},
+			for _, c := range subs {
+				wc := mcswire.CollectionToWire(c)
+				if err := emit(mcswire.ContentsRow{Collection: &wc}); err != nil {
+					return err
+				}
+			}
+			if next == "" {
+				return nil
+			}
+			token = next
+		}
 	})
 
-	handle(t, "collectionContentsPage", func(ctx *mcswire.Ctx, req *mcswire.CollectionContentsPageRequest) (*mcswire.CollectionContentsPageResponse, error) {
+	mcswire.Handle(t, mcswire.CollectionContentsPage, func(ctx *mcswire.Ctx, req *mcswire.CollectionContentsPageRequest) (*mcswire.CollectionContentsPageResponse, error) {
 		files, subs, next, err := cat.CollectionContentsPage(
 			s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name, req.PageSize, req.Token)
 		if err != nil {
@@ -833,7 +803,7 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "deleteCollection", func(ctx *mcswire.Ctx, req *mcswire.DeleteCollectionRequest) (*mcswire.DeleteCollectionResponse, error) {
+	mcswire.Handle(t, mcswire.DeleteCollection, func(ctx *mcswire.Ctx, req *mcswire.DeleteCollectionRequest) (*mcswire.DeleteCollectionResponse, error) {
 		if err := cat.DeleteCollection(s.caller(ctx, req.Caller, gsi.RightDelete, req.Name), req.Name,
 			opOpts(ctx)...); err != nil {
 			return nil, err
@@ -841,7 +811,7 @@ func (s *Server) register() {
 		return &mcswire.DeleteCollectionResponse{OK: true}, nil
 	})
 
-	handle(t, "listCollections", func(ctx *mcswire.Ctx, req *mcswire.ListCollectionsRequest) (*mcswire.ListCollectionsResponse, error) {
+	mcswire.Handle(t, mcswire.ListCollections, func(ctx *mcswire.Ctx, req *mcswire.ListCollectionsRequest) (*mcswire.ListCollectionsResponse, error) {
 		names, err := cat.ListCollections(s.caller(ctx, req.Caller, gsi.RightRead, ""), req.Pattern)
 		if err != nil {
 			return nil, err
@@ -849,14 +819,10 @@ func (s *Server) register() {
 		return &mcswire.ListCollectionsResponse{Names: names}, nil
 	})
 
-	handle(t, "createView", func(ctx *mcswire.Ctx, req *mcswire.CreateViewRequest) (*mcswire.CreateViewResponse, error) {
-		attrs := make([]Attribute, 0, len(req.Attributes))
-		for _, wa := range req.Attributes {
-			a, err := wa.ToCore()
-			if err != nil {
-				return nil, err
-			}
-			attrs = append(attrs, a)
+	mcswire.Handle(t, mcswire.CreateView, func(ctx *mcswire.Ctx, req *mcswire.CreateViewRequest) (*mcswire.CreateViewResponse, error) {
+		attrs, err := mcswire.AttrsFromWire(req.Attributes)
+		if err != nil {
+			return nil, err
 		}
 		v, err := cat.CreateView(s.caller(ctx, req.Caller, gsi.RightCreate, req.Name), ViewSpec{
 			Name: req.Name, Description: req.Description, Audited: req.Audited, Attributes: attrs,
@@ -867,7 +833,7 @@ func (s *Server) register() {
 		return &mcswire.CreateViewResponse{View: mcswire.ViewToWire(v)}, nil
 	})
 
-	handle(t, "addToView", func(ctx *mcswire.Ctx, req *mcswire.AddToViewRequest) (*mcswire.AddToViewResponse, error) {
+	mcswire.Handle(t, mcswire.AddToView, func(ctx *mcswire.Ctx, req *mcswire.AddToViewRequest) (*mcswire.AddToViewResponse, error) {
 		if err := cat.AddToView(s.caller(ctx, req.Caller, gsi.RightWrite, req.View), req.View, ObjectType(req.ObjectType), req.Member,
 			opOpts(ctx)...); err != nil {
 			return nil, err
@@ -875,14 +841,14 @@ func (s *Server) register() {
 		return &mcswire.AddToViewResponse{OK: true}, nil
 	})
 
-	handle(t, "removeFromView", func(ctx *mcswire.Ctx, req *mcswire.RemoveFromViewRequest) (*mcswire.RemoveFromViewResponse, error) {
+	mcswire.Handle(t, mcswire.RemoveFromView, func(ctx *mcswire.Ctx, req *mcswire.RemoveFromViewRequest) (*mcswire.RemoveFromViewResponse, error) {
 		if err := cat.RemoveFromView(s.caller(ctx, req.Caller, gsi.RightWrite, req.View), req.View, ObjectType(req.ObjectType), req.Member, opOpts(ctx)...); err != nil {
 			return nil, err
 		}
 		return &mcswire.RemoveFromViewResponse{OK: true}, nil
 	})
 
-	handle(t, "viewContents", func(ctx *mcswire.Ctx, req *mcswire.ViewContentsRequest) (*mcswire.ViewContentsResponse, error) {
+	mcswire.Handle(t, mcswire.ViewContents, func(ctx *mcswire.Ctx, req *mcswire.ViewContentsRequest) (*mcswire.ViewContentsResponse, error) {
 		members, err := cat.ViewContents(s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name)
 		if err != nil {
 			return nil, err
@@ -896,7 +862,7 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "expandView", func(ctx *mcswire.Ctx, req *mcswire.ExpandViewRequest) (*mcswire.ExpandViewResponse, error) {
+	mcswire.Handle(t, mcswire.ExpandView, func(ctx *mcswire.Ctx, req *mcswire.ExpandViewRequest) (*mcswire.ExpandViewResponse, error) {
 		names, err := cat.ExpandView(s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name)
 		if err != nil {
 			return nil, err
@@ -904,7 +870,7 @@ func (s *Server) register() {
 		return &mcswire.ExpandViewResponse{Names: names}, nil
 	})
 
-	handle(t, "deleteView", func(ctx *mcswire.Ctx, req *mcswire.DeleteViewRequest) (*mcswire.DeleteViewResponse, error) {
+	mcswire.Handle(t, mcswire.DeleteView, func(ctx *mcswire.Ctx, req *mcswire.DeleteViewRequest) (*mcswire.DeleteViewResponse, error) {
 		if err := cat.DeleteView(s.caller(ctx, req.Caller, gsi.RightDelete, req.Name), req.Name,
 			opOpts(ctx)...); err != nil {
 			return nil, err
@@ -912,7 +878,7 @@ func (s *Server) register() {
 		return &mcswire.DeleteViewResponse{OK: true}, nil
 	})
 
-	handle(t, "defineAttribute", func(ctx *mcswire.Ctx, req *mcswire.DefineAttributeRequest) (*mcswire.DefineAttributeResponse, error) {
+	mcswire.Handle(t, mcswire.DefineAttribute, func(ctx *mcswire.Ctx, req *mcswire.DefineAttributeRequest) (*mcswire.DefineAttributeResponse, error) {
 		def, err := cat.DefineAttribute(s.caller(ctx, req.Caller, gsi.RightCreate, req.Name), req.Name, AttrType(req.Type), req.Description, opOpts(ctx)...)
 		if err != nil {
 			return nil, err
@@ -922,7 +888,7 @@ func (s *Server) register() {
 		}, nil
 	})
 
-	handle(t, "listAttributeDefs", func(ctx *mcswire.Ctx, req *mcswire.ListAttributeDefsRequest) (*mcswire.ListAttributeDefsResponse, error) {
+	mcswire.Handle(t, mcswire.ListAttributeDefs, func(ctx *mcswire.Ctx, req *mcswire.ListAttributeDefsRequest) (*mcswire.ListAttributeDefsResponse, error) {
 		defs, err := cat.ListAttributeDefs()
 		if err != nil {
 			return nil, err
@@ -936,7 +902,7 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "setAttribute", func(ctx *mcswire.Ctx, req *mcswire.SetAttributeRequest) (*mcswire.SetAttributeResponse, error) {
+	mcswire.Handle(t, mcswire.SetAttribute, func(ctx *mcswire.Ctx, req *mcswire.SetAttributeRequest) (*mcswire.SetAttributeResponse, error) {
 		a, err := req.Attribute.ToCore()
 		if err != nil {
 			return nil, err
@@ -947,74 +913,63 @@ func (s *Server) register() {
 		return &mcswire.SetAttributeResponse{OK: true}, nil
 	})
 
-	handle(t, "unsetAttribute", func(ctx *mcswire.Ctx, req *mcswire.UnsetAttributeRequest) (*mcswire.UnsetAttributeResponse, error) {
+	mcswire.Handle(t, mcswire.UnsetAttribute, func(ctx *mcswire.Ctx, req *mcswire.UnsetAttributeRequest) (*mcswire.UnsetAttributeResponse, error) {
 		if err := cat.UnsetAttribute(s.caller(ctx, req.Caller, gsi.RightWrite, req.Object), ObjectType(req.ObjectType), req.Object, req.Attribute, opOpts(ctx)...); err != nil {
 			return nil, err
 		}
 		return &mcswire.UnsetAttributeResponse{OK: true}, nil
 	})
 
-	handle(t, "getAttributes", func(ctx *mcswire.Ctx, req *mcswire.GetAttributesRequest) (*mcswire.GetAttributesResponse, error) {
+	mcswire.Handle(t, mcswire.GetAttributes, func(ctx *mcswire.Ctx, req *mcswire.GetAttributesRequest) (*mcswire.GetAttributesResponse, error) {
 		attrs, err := cat.GetAttributes(s.caller(ctx, req.Caller, gsi.RightRead, req.Object), ObjectType(req.ObjectType), req.Object)
 		if err != nil {
 			return nil, err
 		}
-		resp := &mcswire.GetAttributesResponse{}
-		for _, a := range attrs {
-			resp.Attributes = append(resp.Attributes, mcswire.FromCore(a))
-		}
-		return resp, nil
+		return &mcswire.GetAttributesResponse{Attributes: mcswire.AttrsToWire(attrs)}, nil
 	})
 
 	// query carries a Stream implementation beside the unary call: over a
 	// streaming transport the server pages through the catalog and emits one
 	// row per match, so neither side ever materializes the full result.
-	t.Register(mcswire.Handler{
-		Name: "query",
-		New:  func() any { return new(mcswire.QueryRequest) },
-		Call: func(ctx *mcswire.Ctx, req any) (any, error) {
-			r := req.(*mcswire.QueryRequest)
-			q, err := mcswire.QueryFromWire(r.Target, r.Limit, r.Predicates)
-			if err != nil {
-				return nil, err
-			}
-			names, err := cat.RunQuery(s.caller(ctx, r.Caller, gsi.RightRead, ""), q)
-			if err != nil {
-				return nil, err
-			}
-			return &mcswire.QueryResponse{Names: names}, nil
-		},
-		Stream: func(ctx *mcswire.Ctx, req any, emit func(row any) error) error {
-			r := req.(*mcswire.QueryRequest)
-			q, err := mcswire.QueryFromWire(r.Target, 0, r.Predicates)
+	mcswire.HandleStream(t, mcswire.Query, func(ctx *mcswire.Ctx, req *mcswire.QueryRequest) (*mcswire.QueryResponse, error) {
+		q, err := mcswire.QueryFromWire(req.Target, req.Limit, req.Predicates)
+		if err != nil {
+			return nil, err
+		}
+		names, err := cat.RunQuery(s.caller(ctx, req.Caller, gsi.RightRead, ""), q)
+		if err != nil {
+			return nil, err
+		}
+		return &mcswire.QueryResponse{Names: names}, nil
+	}, func(ctx *mcswire.Ctx, req *mcswire.QueryRequest, emit func(row any) error) error {
+		q, err := mcswire.QueryFromWire(req.Target, 0, req.Predicates)
+		if err != nil {
+			return err
+		}
+		who := s.caller(ctx, req.Caller, gsi.RightRead, "")
+		sent, token := 0, ""
+		for {
+			names, next, err := cat.RunQueryPage(who, q, streamPageSize, token)
 			if err != nil {
 				return err
 			}
-			who := s.caller(ctx, r.Caller, gsi.RightRead, "")
-			sent, token := 0, ""
-			for {
-				names, next, err := cat.RunQueryPage(who, q, streamPageSize, token)
-				if err != nil {
-					return err
-				}
-				for _, n := range names {
-					if r.Limit > 0 && sent >= r.Limit {
-						return nil
-					}
-					if err := emit(mcswire.QueryRow{Name: n}); err != nil {
-						return err
-					}
-					sent++
-				}
-				if next == "" {
+			for _, n := range names {
+				if req.Limit > 0 && sent >= req.Limit {
 					return nil
 				}
-				token = next
+				if err := emit(mcswire.QueryRow{Name: n}); err != nil {
+					return err
+				}
+				sent++
 			}
-		},
+			if next == "" {
+				return nil
+			}
+			token = next
+		}
 	})
 
-	handle(t, "queryPage", func(ctx *mcswire.Ctx, req *mcswire.QueryPageRequest) (*mcswire.QueryPageResponse, error) {
+	mcswire.Handle(t, mcswire.QueryPage, func(ctx *mcswire.Ctx, req *mcswire.QueryPageRequest) (*mcswire.QueryPageResponse, error) {
 		q, err := mcswire.QueryFromWire(req.Target, 0, req.Predicates)
 		if err != nil {
 			return nil, err
@@ -1027,7 +982,7 @@ func (s *Server) register() {
 		return &mcswire.QueryPageResponse{Names: names, Next: next}, nil
 	})
 
-	handle(t, "queryAttrs", func(ctx *mcswire.Ctx, req *mcswire.QueryAttrsRequest) (*mcswire.QueryAttrsResponse, error) {
+	mcswire.Handle(t, mcswire.QueryAttrs, func(ctx *mcswire.Ctx, req *mcswire.QueryAttrsRequest) (*mcswire.QueryAttrsResponse, error) {
 		q, err := mcswire.QueryFromWire(req.Target, req.Limit, req.Predicates)
 		if err != nil {
 			return nil, err
@@ -1038,16 +993,14 @@ func (s *Server) register() {
 		}
 		resp := &mcswire.QueryAttrsResponse{}
 		for _, r := range results {
-			wr := mcswire.WireQueryResult{Name: r.Name}
-			for _, a := range r.Attributes {
-				wr.Attributes = append(wr.Attributes, mcswire.FromCore(a))
-			}
-			resp.Results = append(resp.Results, wr)
+			resp.Results = append(resp.Results, mcswire.WireQueryResult{
+				Name: r.Name, Attributes: mcswire.AttrsToWire(r.Attributes),
+			})
 		}
 		return resp, nil
 	})
 
-	handle(t, "annotate", func(ctx *mcswire.Ctx, req *mcswire.AnnotateRequest) (*mcswire.AnnotateResponse, error) {
+	mcswire.Handle(t, mcswire.Annotate, func(ctx *mcswire.Ctx, req *mcswire.AnnotateRequest) (*mcswire.AnnotateResponse, error) {
 		a, err := cat.Annotate(s.caller(ctx, req.Caller, gsi.RightAnnotate, req.Object), ObjectType(req.ObjectType), req.Object, req.Text, opOpts(ctx)...)
 		if err != nil {
 			return nil, err
@@ -1055,7 +1008,7 @@ func (s *Server) register() {
 		return &mcswire.AnnotateResponse{ID: a.ID}, nil
 	})
 
-	handle(t, "getAnnotations", func(ctx *mcswire.Ctx, req *mcswire.GetAnnotationsRequest) (*mcswire.GetAnnotationsResponse, error) {
+	mcswire.Handle(t, mcswire.GetAnnotations, func(ctx *mcswire.Ctx, req *mcswire.GetAnnotationsRequest) (*mcswire.GetAnnotationsResponse, error) {
 		anns, err := cat.Annotations(s.caller(ctx, req.Caller, gsi.RightRead, req.Object), ObjectType(req.ObjectType), req.Object)
 		if err != nil {
 			return nil, err
@@ -1069,14 +1022,14 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "addProvenance", func(ctx *mcswire.Ctx, req *mcswire.AddProvenanceRequest) (*mcswire.AddProvenanceResponse, error) {
+	mcswire.Handle(t, mcswire.AddProvenance, func(ctx *mcswire.Ctx, req *mcswire.AddProvenanceRequest) (*mcswire.AddProvenanceResponse, error) {
 		if err := cat.AddProvenance(s.caller(ctx, req.Caller, gsi.RightWrite, req.Name), req.Name, req.Version, req.Description, opOpts(ctx)...); err != nil {
 			return nil, err
 		}
 		return &mcswire.AddProvenanceResponse{OK: true}, nil
 	})
 
-	handle(t, "getProvenance", func(ctx *mcswire.Ctx, req *mcswire.GetProvenanceRequest) (*mcswire.GetProvenanceResponse, error) {
+	mcswire.Handle(t, mcswire.GetProvenance, func(ctx *mcswire.Ctx, req *mcswire.GetProvenanceRequest) (*mcswire.GetProvenanceResponse, error) {
 		recs, err := cat.Provenance(s.caller(ctx, req.Caller, gsi.RightRead, req.Name), req.Name, req.Version)
 		if err != nil {
 			return nil, err
@@ -1090,7 +1043,7 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "auditLog", func(ctx *mcswire.Ctx, req *mcswire.AuditLogRequest) (*mcswire.AuditLogResponse, error) {
+	mcswire.Handle(t, mcswire.AuditLog, func(ctx *mcswire.Ctx, req *mcswire.AuditLogRequest) (*mcswire.AuditLogResponse, error) {
 		recs, err := cat.AuditLog(s.caller(ctx, req.Caller, gsi.RightRead, req.Object), ObjectType(req.ObjectType), req.Object)
 		if err != nil {
 			return nil, err
@@ -1105,7 +1058,7 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "grant", func(ctx *mcswire.Ctx, req *mcswire.GrantRequest) (*mcswire.GrantResponse, error) {
+	mcswire.Handle(t, mcswire.Grant, func(ctx *mcswire.Ctx, req *mcswire.GrantRequest) (*mcswire.GrantResponse, error) {
 		err := cat.Grant(s.caller(ctx, req.Caller, gsi.RightWrite, req.Object), ObjectType(req.ObjectType), req.Object,
 			req.Principal, Permission(req.Permission))
 		if err != nil {
@@ -1114,7 +1067,7 @@ func (s *Server) register() {
 		return &mcswire.GrantResponse{OK: true}, nil
 	})
 
-	handle(t, "revoke", func(ctx *mcswire.Ctx, req *mcswire.RevokeRequest) (*mcswire.RevokeResponse, error) {
+	mcswire.Handle(t, mcswire.Revoke, func(ctx *mcswire.Ctx, req *mcswire.RevokeRequest) (*mcswire.RevokeResponse, error) {
 		err := cat.Revoke(s.caller(ctx, req.Caller, gsi.RightWrite, req.Object), ObjectType(req.ObjectType), req.Object,
 			req.Principal, Permission(req.Permission))
 		if err != nil {
@@ -1123,7 +1076,7 @@ func (s *Server) register() {
 		return &mcswire.RevokeResponse{OK: true}, nil
 	})
 
-	handle(t, "registerWriter", func(ctx *mcswire.Ctx, req *mcswire.RegisterWriterRequest) (*mcswire.RegisterWriterResponse, error) {
+	mcswire.Handle(t, mcswire.RegisterWriter, func(ctx *mcswire.Ctx, req *mcswire.RegisterWriterRequest) (*mcswire.RegisterWriterResponse, error) {
 		err := cat.RegisterWriter(s.caller(ctx, req.Caller, gsi.RightWrite, ""), Writer{
 			DN: req.DN, Description: req.Description, Institution: req.Institution,
 			Address: req.Address, Phone: req.Phone, Email: req.Email,
@@ -1134,7 +1087,7 @@ func (s *Server) register() {
 		return &mcswire.RegisterWriterResponse{OK: true}, nil
 	})
 
-	handle(t, "getWriter", func(ctx *mcswire.Ctx, req *mcswire.GetWriterRequest) (*mcswire.GetWriterResponse, error) {
+	mcswire.Handle(t, mcswire.GetWriter, func(ctx *mcswire.Ctx, req *mcswire.GetWriterRequest) (*mcswire.GetWriterResponse, error) {
 		w, err := cat.GetWriter(s.caller(ctx, req.Caller, gsi.RightRead, ""), req.DN)
 		if err != nil {
 			return nil, err
@@ -1145,7 +1098,7 @@ func (s *Server) register() {
 		}, nil
 	})
 
-	handle(t, "registerExternalCatalog", func(ctx *mcswire.Ctx, req *mcswire.RegisterExternalCatalogRequest) (*mcswire.RegisterExternalCatalogResponse, error) {
+	mcswire.Handle(t, mcswire.RegisterExternalCatalog, func(ctx *mcswire.Ctx, req *mcswire.RegisterExternalCatalogRequest) (*mcswire.RegisterExternalCatalogResponse, error) {
 		ec, err := cat.RegisterExternalCatalog(s.caller(ctx, req.Caller, gsi.RightCreate, req.Name), ExternalCatalog{
 			Name: req.Name, Type: req.Type, Host: req.Host, IP: req.IP, Description: req.Description,
 		}, opOpts(ctx)...)
@@ -1155,7 +1108,7 @@ func (s *Server) register() {
 		return &mcswire.RegisterExternalCatalogResponse{ID: ec.ID}, nil
 	})
 
-	handle(t, "listExternalCatalogs", func(ctx *mcswire.Ctx, req *mcswire.ListExternalCatalogsRequest) (*mcswire.ListExternalCatalogsResponse, error) {
+	mcswire.Handle(t, mcswire.ListExternalCatalogs, func(ctx *mcswire.Ctx, req *mcswire.ListExternalCatalogsRequest) (*mcswire.ListExternalCatalogsResponse, error) {
 		list, err := cat.ExternalCatalogs(s.caller(ctx, req.Caller, gsi.RightRead, ""))
 		if err != nil {
 			return nil, err
@@ -1170,7 +1123,7 @@ func (s *Server) register() {
 		return resp, nil
 	})
 
-	handle(t, "stats", func(ctx *mcswire.Ctx, req *mcswire.StatsRequest) (*mcswire.StatsResponse, error) {
+	mcswire.Handle(t, mcswire.Stats, func(ctx *mcswire.Ctx, req *mcswire.StatsRequest) (*mcswire.StatsResponse, error) {
 		st, err := cat.Stats()
 		if err != nil {
 			return nil, err
@@ -1183,7 +1136,7 @@ func (s *Server) register() {
 
 	// discoverySummary checks no rights: its bloom filter tells any caller
 	// whether an (attribute, value) binding exists here (DESIGN.md §8).
-	handle(t, "discoverySummary", func(ctx *mcswire.Ctx, req *mcswire.DiscoverySummaryRequest) (*mcswire.DiscoverySummaryResponse, error) {
+	mcswire.Handle(t, mcswire.DiscoverySummary, func(ctx *mcswire.Ctx, req *mcswire.DiscoverySummaryRequest) (*mcswire.DiscoverySummaryResponse, error) {
 		sum, err := federation.Summarize(cat, req.FP)
 		if err != nil {
 			return nil, err

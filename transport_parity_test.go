@@ -1,6 +1,8 @@
 package mcs
 
 import (
+	"bytes"
+	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"mcs/internal/mcswire"
+	"mcs/internal/shard"
 )
 
 // fixedClock pins catalog timestamps so two servers running the same script
@@ -202,26 +205,99 @@ func TestTransportParityAllOps(t *testing.T) {
 	}
 }
 
-// TestTransportMutatingTableParity pins the dispatch table's Mutating flags
-// to the client's mutatingActions map: the two ends of the wire must agree
-// on which operations carry idempotency keys.
-func TestTransportMutatingTableParity(t *testing.T) {
+// opInfo is what TestOpDescriptorsConsistent reads off one descriptor.
+type opInfo struct {
+	mutating   bool
+	req        reflect.Type // *Req
+	reqElem    string       // the request's XML element
+	respElem   string       // the response's XML element
+	declaredAs string       // the descriptor's Name
+}
+
+func describeOp[Req, Resp any](op mcswire.Op[Req, Resp]) opInfo {
+	return opInfo{
+		mutating: op.Mutating, req: reflect.TypeOf(new(Req)),
+		reqElem: xmlElement(new(Req)), respElem: xmlElement(new(Resp)), declaredAs: op.Name,
+	}
+}
+
+// xmlElement returns the local name of the element v marshals to.
+func xmlElement(v any) string {
+	raw, err := xml.Marshal(v)
+	if err != nil {
+		return "marshal: " + err.Error()
+	}
+	tok, err := xml.NewDecoder(bytes.NewReader(raw)).Token()
+	if se, ok := tok.(xml.StartElement); ok && err == nil {
+		return se.Name.Local
+	}
+	return fmt.Sprintf("no element in %q", raw)
+}
+
+// TestOpDescriptorsConsistent holds every handler in the server's and the
+// router's dispatch tables to the descriptor of its operation: the request
+// type is the descriptor's, its XML element is the operation's name and the
+// response's is name+"Response", and the handler's Mutating bit is the
+// descriptor's, so the server, the router and the client's retry layer
+// agree by construction on which calls carry idempotency keys. Every
+// descriptor must be served.
+func TestOpDescriptorsConsistent(t *testing.T) {
+	ops := map[string]opInfo{}
+	for _, d := range []opInfo{
+		describeOp(mcswire.Ping),
+		describeOp(mcswire.CreateFile), describeOp(mcswire.GetFile), describeOp(mcswire.FileVersions),
+		describeOp(mcswire.UpdateFile), describeOp(mcswire.DeleteFile), describeOp(mcswire.MoveFile),
+		describeOp(mcswire.BatchWrite),
+		describeOp(mcswire.CreateCollection), describeOp(mcswire.GetCollection),
+		describeOp(mcswire.CollectionContents), describeOp(mcswire.CollectionContentsPage),
+		describeOp(mcswire.DeleteCollection), describeOp(mcswire.ListCollections),
+		describeOp(mcswire.CreateView), describeOp(mcswire.AddToView), describeOp(mcswire.RemoveFromView),
+		describeOp(mcswire.ViewContents), describeOp(mcswire.ExpandView), describeOp(mcswire.DeleteView),
+		describeOp(mcswire.DefineAttribute), describeOp(mcswire.ListAttributeDefs),
+		describeOp(mcswire.SetAttribute), describeOp(mcswire.UnsetAttribute), describeOp(mcswire.GetAttributes),
+		describeOp(mcswire.Query), describeOp(mcswire.QueryPage), describeOp(mcswire.QueryAttrs),
+		describeOp(mcswire.Annotate), describeOp(mcswire.GetAnnotations), describeOp(mcswire.AddProvenance),
+		describeOp(mcswire.GetProvenance), describeOp(mcswire.AuditLog),
+		describeOp(mcswire.Grant), describeOp(mcswire.Revoke),
+		describeOp(mcswire.RegisterWriter), describeOp(mcswire.GetWriter),
+		describeOp(mcswire.RegisterExternalCatalog), describeOp(mcswire.ListExternalCatalogs),
+		describeOp(mcswire.Stats), describeOp(mcswire.DiscoverySummary),
+	} {
+		if _, dup := ops[d.declaredAs]; dup {
+			t.Errorf("two descriptors named %q", d.declaredAs)
+		}
+		ops[d.declaredAs] = d
+	}
+
 	srv, _ := startServer(t, ServerOptions{})
-	ops := srv.Table().Ops()
-	for _, op := range ops {
-		if got, want := srv.Table().Lookup(op).Mutating, mutatingActions[op]; got != want {
-			t.Errorf("table.Lookup(%q).Mutating = %v, mutatingActions = %v", op, got, want)
+	sharded := startSharded(t, shard.Options{})
+	served := map[string]bool{}
+	for _, tbl := range []struct {
+		who   string
+		table *mcswire.Table
+	}{{"server", srv.Table()}, {"router", sharded.router.Table()}} {
+		for _, name := range tbl.table.Ops() {
+			h := tbl.table.Lookup(name)
+			d, ok := ops[name]
+			switch {
+			case !ok:
+				t.Errorf("%s serves %q, which no descriptor declares", tbl.who, name)
+				continue
+			case reflect.TypeOf(h.New()) != d.req:
+				t.Errorf("%s %q decodes into %T, descriptor declares %v", tbl.who, name, h.New(), d.req)
+			case d.reqElem != name:
+				t.Errorf("%s %q: request element is %q", tbl.who, name, d.reqElem)
+			case d.respElem != name+"Response":
+				t.Errorf("%s %q: response element is %q", tbl.who, name, d.respElem)
+			case h.Mutating != d.mutating:
+				t.Errorf("%s %q: handler Mutating = %v, descriptor = %v", tbl.who, name, h.Mutating, d.mutating)
+			}
+			served[name] = true
 		}
 	}
-	// Every client-side mutating action must exist server-side; a typo'd
-	// entry would silently drop idempotency keys.
-	reg := map[string]bool{}
-	for _, op := range ops {
-		reg[op] = true
-	}
-	for op := range mutatingActions {
-		if !reg[op] {
-			t.Errorf("mutatingActions lists %q, which is not a registered operation", op)
+	for name := range ops {
+		if !served[name] {
+			t.Errorf("descriptor %q is served by neither table", name)
 		}
 	}
 }

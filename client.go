@@ -13,8 +13,9 @@ import (
 	"mcs/internal/soap"
 )
 
-// Client is a typed MCS client over SOAP/HTTP: the equivalent of the Java
-// client library generated from the service's WSDL in the original system.
+// Client is a typed MCS client over SOAP/HTTP or the compact JSON wire: the
+// equivalent of the Java client library generated from the service's WSDL
+// in the original system.
 //
 // Each Client owns an independent HTTP connection pool, so one Client models
 // one "client host" in the scalability experiments. A Client is safe for

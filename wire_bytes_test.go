@@ -32,9 +32,8 @@ import (
 // error before the first row), the operation listing, the WSDL and the
 // /metrics series names.
 //
-// A deliberate wire change rewrites the goldens with
-//
-//	MCS_WIRE_UPDATE=1 go test -run TestWireBytesPinned .
+// On a mismatch the new recording is written beside the golden as
+// <name>.got; a deliberate wire change copies it over the golden.
 func TestWireBytesPinned(t *testing.T) {
 	for _, router := range []bool{false, true} {
 		for _, kind := range []TransportKind{TransportSOAP, TransportJSON} {
@@ -45,22 +44,18 @@ func TestWireBytesPinned(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				got := recordWireScript(t, kind, router)
 				path := filepath.Join("testdata", "wire", name+".golden")
-				if os.Getenv("MCS_WIRE_UPDATE") != "" {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
+				want, err := os.ReadFile(path)
+				if err == nil && bytes.Equal(got, want) {
 					return
 				}
-				want, err := os.ReadFile(path)
+				if werr := os.WriteFile(path+".got", got, 0o644); werr != nil {
+					t.Error(werr)
+				}
 				if err != nil {
-					t.Fatalf("%v (MCS_WIRE_UPDATE=1 writes it)", err)
+					t.Fatalf("%v (this run's recording is in %s.got)", err, path)
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("wire bytes differ from %s:\n%s", path, firstDiff(want, got))
-				}
+				t.Fatalf("wire bytes differ from %s (this run's recording is in %s.got):\n%s",
+					path, path, firstDiff(want, got))
 			})
 		}
 	}

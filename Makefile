@@ -57,7 +57,7 @@ figures:
 	$(GO) run ./cmd/mcsbench -fig all
 
 # The write-ahead-log crash suite: the torn-write corpus (recovery from a
-# hard cut at every byte offset of the final record), the batched replay
+# hard cut at every byte offset of the final record), the replay
 # held to the live catalog's dump, the record format pin, the kill-and-
 # replay chaos leg (a retried mutation straddling a crash stays exactly-once),
 # the checkpoint-failure regression, the daemon-level crash recovery, and —

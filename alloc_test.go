@@ -273,14 +273,14 @@ func BenchmarkRestore(b *testing.B) {
 	b.ReportMetric(float64(files)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
 }
 
-// replayCycles is BenchmarkReplay's log: ingest cycles of 23 records each
+// replayCycles is the ingest fixture's length: cycles of 23 records each
 // (one 100-file BatchWrite, 20 CreateFile, one SetAttribute, one DeleteFile,
 // as the benchmark's ingest workload issues them), ~2,500 records in all.
 const replayCycles = 109
 
-// replayFixture restores snap, appends replayCycles ingest cycles to a WAL
-// beside it and returns the log's bytes and record count.
-func replayFixture(b *testing.B, snap []byte) ([]byte, int) {
+// replayLog restores snap, opens a WAL beside it, runs write against the
+// catalog and returns the log's bytes and how many records write committed.
+func replayLog(b *testing.B, snap []byte, write func(cat *core.Catalog)) ([]byte, int) {
 	b.Helper()
 	cat, err := core.Restore(core.Options{}, bytes.NewReader(snap))
 	if err != nil {
@@ -292,36 +292,7 @@ func replayFixture(b *testing.B, snap []byte) ([]byte, int) {
 		b.Fatal(err)
 	}
 	base := cat.LastLSN()
-	cfg := bench.DefaultConfig(benchFiles())
-	name := func(i int) string { return fmt.Sprintf("replay-%d", i) }
-	spec := func(i int) core.FileSpec {
-		return core.FileSpec{Name: name(i), DataType: "binary", Attributes: bench.FileAttributes(i, cfg.AttrsPerFile)}
-	}
-	next, oldest := 0, 0
-	for range replayCycles {
-		ops := make([]core.BatchOp, 100)
-		for j := range ops {
-			s := spec(next)
-			ops[j], next = core.BatchOp{CreateFile: &s}, next+1
-		}
-		if _, err := cat.BatchWrite(bench.LoaderDN, ops); err != nil {
-			b.Fatal(err)
-		}
-		for range 20 {
-			if _, err := cat.CreateFile(bench.LoaderDN, spec(next)); err != nil {
-				b.Fatal(err)
-			}
-			next++
-		}
-		a := bench.FileAttributes(next, 1)[0]
-		if err := cat.SetAttribute(bench.LoaderDN, core.ObjectFile, name(oldest+next%100), a.Name, a.Value); err != nil {
-			b.Fatal(err)
-		}
-		if err := cat.DeleteFile(bench.LoaderDN, name(oldest), 0); err != nil {
-			b.Fatal(err)
-		}
-		oldest++
-	}
+	write(cat)
 	records := int(cat.LastLSN() - base)
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
@@ -333,41 +304,129 @@ func replayFixture(b *testing.B, snap []byte) ([]byte, int) {
 	return log, records
 }
 
-// BenchmarkReplay times Catalog.OpenWAL replaying an ingest log of ~2,500
-// records over the restored benchmark dataset — the log-suffix half of
-// "snapshot + log suffix", which dominates the ingest workload's restart.
-// Only OpenWAL is timed; records/s is the replay rate.
+// replayName and replaySpec are the fixtures' files.
+func replayName(i int) string { return fmt.Sprintf("replay-%d", i) }
+
+func replaySpec(i int) core.FileSpec {
+	return core.FileSpec{Name: replayName(i), DataType: "binary", Attributes: bench.FileAttributes(i, bench.DefaultConfig(1).AttrsPerFile)}
+}
+
+// ingestLog writes replayCycles ingest cycles.
+func ingestLog(b *testing.B) func(cat *core.Catalog) {
+	return func(cat *core.Catalog) {
+		next, oldest := 0, 0
+		for range replayCycles {
+			ops := make([]core.BatchOp, 100)
+			for j := range ops {
+				s := replaySpec(next)
+				ops[j], next = core.BatchOp{CreateFile: &s}, next+1
+			}
+			if _, err := cat.BatchWrite(bench.LoaderDN, ops); err != nil {
+				b.Fatal(err)
+			}
+			for range 20 {
+				if _, err := cat.CreateFile(bench.LoaderDN, replaySpec(next)); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			a := bench.FileAttributes(next, 1)[0]
+			if err := cat.SetAttribute(bench.LoaderDN, core.ObjectFile, replayName(oldest+next%100), a.Name, a.Value); err != nil {
+				b.Fatal(err)
+			}
+			if err := cat.DeleteFile(bench.LoaderDN, replayName(oldest), 0); err != nil {
+				b.Fatal(err)
+			}
+			oldest++
+		}
+	}
+}
+
+// mixedLog writes the mixed workload's write stream until it has committed
+// records records: createFile with ten attributes, setAttribute on the
+// newest file and deleteFile of the oldest, at 50/30/20 %, each call under
+// an idempotency key as a retrying client sends it, so every record also
+// carries its replay-cache row and, past ReplayCacheBound keys, the prune.
+func mixedLog(b *testing.B, records int) func(cat *core.Catalog) {
+	return func(cat *core.Catalog) {
+		base := cat.LastLSN()
+		next, oldest := 0, 0
+		for i := 0; cat.LastLSN()-base < uint64(records); i++ {
+			key := core.WithIdempotencyKey(fmt.Sprintf("replay-mixed-%d", i))
+			var err error
+			switch i % 10 {
+			case 0, 2, 4, 6, 8:
+				_, err = cat.CreateFile(bench.LoaderDN, replaySpec(next), key)
+				next++
+			case 1, 5, 9:
+				a := bench.FileAttributes(next+i, 3)[2]
+				err = cat.SetAttribute(bench.LoaderDN, core.ObjectFile, replayName(next-1), a.Name, a.Value, key)
+			default:
+				err = cat.DeleteFile(bench.LoaderDN, replayName(oldest), 0, key)
+				oldest++
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkReplay times Catalog.OpenWAL replaying a log over the restored
+// benchmark dataset — the log-suffix half of "snapshot + log suffix". The
+// ingest fixture (~2,500 records) is what dominates the ingest workload's
+// restart; the mixed fixtures are the write stream of the mixed workloads at
+// the record count a 10 s window logs (1,900) and at 2.7 times it (5,000),
+// what a doubled read rate would leave behind. Only OpenWAL is timed;
+// records/s is the replay rate, B/record the log's size, tables-rebuilt how
+// many tables rebuilt their indexes rather than flushed their deltas.
 func BenchmarkReplay(b *testing.B) {
 	snap := datasetSnapshot(b, benchFiles())
-	log, records := replayFixture(b, snap)
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cat, err := core.Restore(core.Options{}, bytes.NewReader(snap))
-		if err != nil {
-			b.Fatal(err)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("%d.wal", i))
-		if err := os.WriteFile(path, log, 0o600); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		w, stats, err := cat.OpenWAL(path, sqldb.WALOptions{NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Applied != records {
-			b.Fatalf("replayed %d records, the fixture logged %d", stats.Applied, records)
-		}
-		b.StopTimer()
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
+	for _, fx := range []struct {
+		name  string
+		write func(cat *core.Catalog)
+	}{
+		{"ingest", ingestLog(b)},
+		{"mixed-1900", mixedLog(b, 1900)},
+		{"mixed-5000", mixedLog(b, 5000)},
+	} {
+		b.Run(fx.name, func(b *testing.B) {
+			log, records := replayLog(b, snap, fx.write)
+			dir := b.TempDir()
+			rebuilt := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cat, err := core.Restore(core.Options{}, bytes.NewReader(snap))
+				if err != nil {
+					b.Fatal(err)
+				}
+				path := filepath.Join(dir, fmt.Sprintf("%d.wal", i))
+				if err := os.WriteFile(path, log, 0o600); err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC() // the restore's garbage is not the replay's to collect
+				b.StartTimer()
+				w, stats, err := cat.OpenWAL(path, sqldb.WALOptions{NoSync: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Applied != records {
+					b.Fatalf("replayed %d records, the fixture logged %d", stats.Applied, records)
+				}
+				rebuilt = stats.Rebuilt
+				b.StopTimer()
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(len(log))/float64(records), "B/record")
+			b.ReportMetric(float64(rebuilt), "tables-rebuilt")
+		})
 	}
-	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkSnapshot times Catalog.Snapshot of the same dataset into a sink:

@@ -1,12 +1,15 @@
 package mcs
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"mcs/internal/shard"
 )
 
 // httpPost sends a raw SOAP envelope and returns the response body.
@@ -124,5 +127,32 @@ func TestFaultMessagesAreInformative(t *testing.T) {
 	err = c.DeleteCollection("ghost")
 	if err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDuplicateNameIsExistsOnEveryWire: creating a collection or a view
+// under a name already in use answers Server.Exists, so errors.Is(err,
+// ErrExists) holds over SOAP and JSON, against one server and through the
+// router over two shards.
+func TestDuplicateNameIsExistsOnEveryWire(t *testing.T) {
+	_, direct := startServer(t, ServerOptions{})
+	routed := startSharded(t, shard.Options{}).url
+	for _, url := range []string{direct, routed} {
+		for _, kind := range []TransportKind{TransportSOAP, TransportJSON} {
+			c := NewClient(url, testAlice, WithTransport(kind))
+			name := "s1-dup-" + string(kind)
+			if _, err := c.CreateCollection(CollectionSpec{Name: name}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.CreateCollection(CollectionSpec{Name: name}); !errors.Is(err, ErrExists) {
+				t.Errorf("%s %s: duplicate collection: err = %v, want ErrExists", url, kind, err)
+			}
+			if _, err := c.CreateView(ViewSpec{Name: name}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.CreateView(ViewSpec{Name: name}); !errors.Is(err, ErrExists) {
+				t.Errorf("%s %s: duplicate view: err = %v, want ErrExists", url, kind, err)
+			}
+		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -273,11 +274,16 @@ func run(cfg config, stop <-chan os.Signal, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
+	// stopCheckpoints ends the periodic checkpoints and waits out one in
+	// flight, so the final checkpoint never races one for the temp file.
+	stopCheckpoints := func() {}
 	if cfg.snapshot != "" && cfg.snapshotEvery > 0 {
 		ticker := time.NewTicker(cfg.snapshotEvery)
-		tickerDone := make(chan struct{})
-		defer close(tickerDone)
+		tickerDone, tickerStopped := make(chan struct{}), make(chan struct{})
+		stopCheckpoints = sync.OnceFunc(func() { close(tickerDone); <-tickerStopped })
+		defer stopCheckpoints()
 		go func() {
+			defer close(tickerStopped)
 			defer ticker.Stop()
 			for {
 				select {
@@ -316,6 +322,7 @@ func run(cfg config, stop <-chan os.Signal, ready chan<- net.Addr) error {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("mcsd: drain: %v", err)
 	}
+	stopCheckpoints()
 	if cfg.snapshot != "" {
 		if err := checkpoint(catalog, wal, cfg.snapshot, srv); err != nil {
 			return fmt.Errorf("final snapshot: %w", err)

@@ -683,3 +683,35 @@ func TestExternalCatalogs(t *testing.T) {
 		t.Fatalf("dup err = %v", err)
 	}
 }
+
+// TestDuplicateCollectionIsExists: a second collection under a name in use
+// is ErrExists, and the first stays as it was.
+func TestDuplicateCollectionIsExists(t *testing.T) {
+	c := openCatalog(t)
+	first, err := c.CreateCollection(alice, CollectionSpec{Name: "runs", Description: "first"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateCollection(bob, CollectionSpec{Name: "runs", Description: "second"}); !errors.Is(err, ErrExists) {
+		t.Fatalf("duplicate collection: err = %v, want ErrExists", err)
+	}
+	if got, err := c.GetCollection(alice, "runs"); err != nil || got.ID != first.ID || got.Description != "first" {
+		t.Fatalf("the collection after the refused duplicate = %+v, %v", got, err)
+	}
+}
+
+// TestDuplicateViewIsExists: a second view under a name in use is
+// ErrExists, and the first stays as it was.
+func TestDuplicateViewIsExists(t *testing.T) {
+	c := openCatalog(t)
+	first, err := c.CreateView(alice, ViewSpec{Name: "best", Description: "first"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateView(bob, ViewSpec{Name: "best", Description: "second"}); !errors.Is(err, ErrExists) {
+		t.Fatalf("duplicate view: err = %v, want ErrExists", err)
+	}
+	if got, err := c.GetView(alice, "best"); err != nil || got.ID != first.ID || got.Description != "first" {
+		t.Fatalf("the view after the refused duplicate = %+v, %v", got, err)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"mcs/internal/sqldb"
@@ -81,6 +82,9 @@ func (c *Catalog) CreateCollection(dn string, spec CollectionSpec, opts ...OpOpt
 			VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
 			sqldb.Text(spec.Name), sqldb.Text(spec.Description), nullableID(parentID),
 			sqldb.Text(dn), sqldb.Text(dn), now, now, sqldb.Bool(spec.Audited))
+		if errors.Is(err, sqldb.ErrUniqueViolation) {
+			return fmt.Errorf("%w: collection %q", ErrExists, spec.Name)
+		}
 		if err != nil {
 			return err
 		}

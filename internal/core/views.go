@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"mcs/internal/sqldb"
@@ -48,6 +49,9 @@ func (c *Catalog) CreateView(dn string, spec ViewSpec, opts ...OpOption) (View, 
 			VALUES (?, ?, ?, ?, ?, ?, ?)`,
 			sqldb.Text(spec.Name), sqldb.Text(spec.Description),
 			sqldb.Text(dn), sqldb.Text(dn), now, now, sqldb.Bool(spec.Audited))
+		if errors.Is(err, sqldb.ErrUniqueViolation) {
+			return fmt.Errorf("%w: view %q", ErrExists, spec.Name)
+		}
 		if err != nil {
 			return err
 		}

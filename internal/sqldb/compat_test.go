@@ -279,7 +279,7 @@ func TestWALRecordFormatPinned(t *testing.T) {
 
 	enc := walEncoder{}
 	enc.dict.define(del)
-	if got := enc.encode(nil, 2, stmts); !bytes.Equal(got, golden) {
+	if got := enc.encode(nil, 2, walRecord{stmts: stmts}); !bytes.Equal(got, golden) {
 		t.Fatalf("encoded record\n% x\nwant\n% x", got, golden)
 	}
 	if !slices.Equal(enc.dict.texts, []string{del, ins}) {
@@ -287,8 +287,9 @@ func TestWALRecordFormatPinned(t *testing.T) {
 	}
 	dict := walDict{}
 	dict.define(del)
-	lsn, got, err := decodeWALRecord(&dict, golden[frameHeaderSize:])
-	if err != nil || lsn != 2 || len(got) != len(stmts) {
+	lsn, rec, err := decodeWALRecord(&dict, golden[frameHeaderSize:], nil)
+	got := rec.stmts
+	if err != nil || lsn != 2 || len(got) != len(stmts) || len(rec.rows) != 0 {
 		t.Fatalf("decode: lsn %d, %d statements, err %v", lsn, len(got), err)
 	}
 	for i := range stmts {
@@ -296,14 +297,83 @@ func TestWALRecordFormatPinned(t *testing.T) {
 			t.Fatalf("statement %d decoded to %q %v", i, got[i].sql, got[i].args)
 		}
 	}
-	if _, _, err := decodeWALRecord(&walDict{}, golden[frameHeaderSize:]); err == nil ||
+	if _, _, err := decodeWALRecord(&walDict{}, golden[frameHeaderSize:], nil); err == nil ||
 		!strings.Contains(err.Error(), "bad sql reference") {
 		t.Fatalf("decoding without the dictionary: err = %v, want a bad reference", err)
 	}
 	// A tag-7 index past the record's literal text arguments is refused.
 	bad := slices.Clone(golden[frameHeaderSize:])
 	bad[bytes.IndexByte(bad, walTagTextRef)+1] = 1
-	if _, _, err := decodeWALRecord(&dict, bad); err == nil || !strings.Contains(err.Error(), "bad text reference 1") {
+	if _, _, err := decodeWALRecord(&dict, bad, nil); err == nil || !strings.Contains(err.Error(), "bad text reference 1") {
 		t.Fatalf("an out-of-range text back-reference: err = %v", err)
+	}
+}
+
+// TestWALRowChangeFormatPinned holds the encoder to the documented layout
+// of row changes, byte for byte: a file whose dictionary already holds the
+// table kv (id 0) logs a record that names t in full (defining id 1) for a
+// run of two inserts, whose INTEGER PRIMARY KEY cells it leaves out and
+// whose rowids it writes as differences, then kv by id for an update, with
+// the repeated text "a" a tag-7 back-reference, and t by id for a delete.
+// The bytes decode back to the same changes, the rowid cells left out.
+func TestWALRowChangeFormatPinned(t *testing.T) {
+	rows := []rowChange{
+		{table: "t", op: rowInsert, rowid: 7, row: Row{Int(7), Text("a"), Int(1)}, skip: 0},
+		{table: "t", op: rowInsert, rowid: 8, row: Row{Int(8), Text("a"), Int(2)}, skip: 0},
+		{table: "kv", op: rowUpdate, rowid: 3, row: Row{Text("a"), Int(5)}, skip: -1},
+		{table: "t", op: rowDelete, rowid: 7, skip: 0},
+	}
+	payload := []byte{
+		0, 0, 0, 0, 0, 0, 0, 5, // LSN 5
+		0,         // no statements
+		0, 1, 't', // run 1: the literal table name t, which defines id 1
+		2<<2 | 0, 2, // two cells, insert; two changes
+		14, walTagText, 1, 'a', walTagInt, 2, // rowid 0 + 7; "a" (text value 0), 1
+		2, walTagTextRef, 0, walTagInt, 4, // rowid 7 + 1; "a" again, 2
+		1,           // run 2: id 0 + 1, kv
+		2<<2 | 1, 1, // two cells, update; one change
+		6, walTagTextRef, 0, walTagInt, 10, // rowid 0 + 3; "a", 5
+		2,           // run 3: id 1 + 1, t
+		0<<2 | 2, 1, // no cells, delete; one change
+		1, // rowid 8 - 1
+	}
+	golden := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	golden = binary.BigEndian.AppendUint32(golden, crc32.ChecksumIEEE(payload))
+	golden = append(golden, payload...)
+
+	enc := walEncoder{}
+	enc.dict.define("kv")
+	if got := enc.encode(nil, 5, walRecord{rows: rows}); !bytes.Equal(got, golden) {
+		t.Fatalf("encoded record\n% x\nwant\n% x", got, golden)
+	}
+	if !slices.Equal(enc.dict.texts, []string{"kv", "t"}) {
+		t.Fatalf("dictionary after the record = %q", enc.dict.texts)
+	}
+	dict := walDict{}
+	dict.define("kv")
+	lsn, rec, err := decodeWALRecord(&dict, payload, nil)
+	if err != nil || lsn != 5 || len(rec.stmts) != 0 || len(rec.rows) != len(rows) {
+		t.Fatalf("decode: lsn %d, %+v, err %v", lsn, rec, err)
+	}
+	for i, want := range rows {
+		cells := want.row
+		if want.skip >= 0 && cells != nil {
+			cells = slices.Delete(slices.Clone(cells), want.skip, want.skip+1)
+		}
+		if got := rec.rows[i]; got.table != want.table || got.op != want.op || got.rowid != want.rowid || !slices.Equal(got.row, cells) {
+			t.Fatalf("row change %d decoded to %+v, want %s %d rowid %d cells %v", i, got, want.table, want.op, want.rowid, cells)
+		}
+	}
+	// A table id past the dictionary, and a delete that carries cells, are
+	// refused.
+	bad := slices.Clone(payload)
+	bad[bytes.IndexByte(bad, 2<<2|1)-1] = 9
+	if _, _, err := decodeWALRecord(&dict, bad, nil); err == nil || !strings.Contains(err.Error(), "bad table reference 9") {
+		t.Fatalf("an out-of-range table reference: err = %v", err)
+	}
+	bad = slices.Clone(payload)
+	bad[len(bad)-3] = 1<<2 | 2
+	if _, _, err := decodeWALRecord(&dict, bad, nil); err == nil || !strings.Contains(err.Error(), "bad row change kind") {
+		t.Fatalf("a delete with a cell: err = %v", err)
 	}
 }

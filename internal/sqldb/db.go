@@ -44,7 +44,7 @@ type DB struct {
 	hookMu    sync.RWMutex
 	faultHook func(verb string) error
 
-	// wal, when attached, receives every commit's redo statements before
+	// wal, when attached, receives what every commit changed before
 	// the root is published, and the commit blocks until a group-commit
 	// fsync covers its LSN. Written once at boot under wmu (AttachWAL);
 	// read only with wmu held (every writer path holds it).
@@ -222,76 +222,159 @@ func (db *DB) TableEpoch(name string) (uint64, bool) {
 
 // LastLSN returns the log sequence number of the last logged commit in the
 // current root: 0 until a WAL is attached (or on a root restored from a
-// pre-WAL snapshot), then increasing by one per mutating commit.
+// pre-WAL snapshot), then increasing by one per logged commit.
 func (db *DB) LastLSN() uint64 { return db.root.Load().lsn }
 
 // AttachWAL installs a write-ahead log opened (and replayed) by OpenWAL.
-// Every subsequent mutating commit appends its statements to w and blocks
-// until a group-commit fsync covers it. Attach before accepting traffic;
-// commits already in flight when the attach lands are not logged.
+// Every subsequent commit that changes a row or the schema appends its
+// record to w and blocks until a group-commit fsync covers it. Attach before
+// accepting traffic; commits already in flight when the attach lands are not
+// logged.
 func (db *DB) AttachWAL(w *WAL) {
 	db.wmu.Lock()
 	db.wal = w
 	db.wmu.Unlock()
 }
 
-// walReplayBatch is how many recovered records one replay transaction
-// applies. A record replayed alone paid most of its time flushing its own
-// transaction's index deltas; a batch pays that once.
-const walReplayBatch = 256
-
-// replayer applies recovered commits walReplayBatch records at a time: a
-// batch's statements run in one transaction, whose root is stamped with the
-// batch's last LSN and published without re-logging. Replay bypasses the
-// fault hook — recovery must not be failable by the chaos harness — and
-// permits DDL, which the public Tx API forbids but single-statement commits
-// may have logged.
+// replayer applies recovered commits, every record of the log in one
+// transaction, whose root is stamped with the last record's LSN and
+// published without re-logging when the log ends. Replay bypasses the fault
+// hook — recovery must not be failable by the chaos harness — and permits
+// DDL, which the public Tx API forbids but single-statement commits may have
+// logged.
+//
+// A row change goes straight to the row store, and its index deltas queue
+// on the indexes as a write's do; nothing flushes them, because a row
+// change evaluates no WHERE clause. Once a table's queued deltas cost more
+// to flush than rebuilding its indexes would (table.rebuildCheaper), the
+// table drops them and queues no more: its indexes will be rebuilt. A
+// statement entry (DDL, or DML from a log an older build wrote) first
+// brings every index up to date, then runs as a live statement does, and
+// so does the end of the log (see catchUp).
 type replayer struct {
-	db *DB
-	tx *Tx // the open batch, nil between batches
-	n  int // records in it
+	db      *DB
+	tx      *Tx             // the replay transaction, nil until the first applied record
+	stale   map[*table]bool // tables whose indexes are to be rebuilt
+	rebuilt int             // tables rebuilt so far
 }
 
-// apply runs one record's statements in the open batch, starting one if
-// needed, and publishes the batch once it is full. A failing statement
-// rolls the whole batch back and names the record's LSN.
-func (rp *replayer) apply(lsn uint64, stmts []redoStmt) error {
+// apply runs one record's entries in the replay transaction, starting it if
+// needed. A failing entry rolls the whole replay back and names the
+// record's LSN.
+func (rp *replayer) apply(lsn uint64, rec walRecord) error {
 	if rp.tx == nil {
-		rp.tx = rp.db.Begin()
+		rp.tx, rp.stale = rp.db.Begin(), make(map[*table]bool)
 	}
-	for _, s := range stmts {
-		e, err := rp.db.prepare(s.sql)
-		if err == nil {
-			_, err = rp.tx.execStmt(e.st, s.args)
-		}
+	var err error
+	if len(rec.stmts) > 0 {
+		err = rp.catchUp()
+	}
+	for _, st := range rec.stmts {
 		if err != nil {
-			rp.abort()
-			return fmt.Errorf("replay lsn %d: %w", lsn, err)
+			break
 		}
+		var e cachedStmt
+		if e, err = rp.db.prepare(st.sql); err == nil {
+			_, err = rp.tx.execStmt(e.st, st.args)
+		}
+	}
+	for i := 0; i < len(rec.rows) && err == nil; i++ {
+		err = rp.applyRow(&rec.rows[i])
+	}
+	if err != nil {
+		rp.abort()
+		return fmt.Errorf("replay lsn %d: %w", lsn, err)
 	}
 	rp.tx.work.lsn = lsn
-	if rp.n++; rp.n == walReplayBatch {
-		rp.publish()
+	return nil
+}
+
+// applyRow applies one logged row change to the transaction's copy of its
+// table: the row store changes now, and the index deltas queue unless the
+// table's indexes are to be rebuilt.
+func (rp *replayer) applyRow(c *rowChange) error {
+	t, err := rp.tx.writable(c.table)
+	if err != nil {
+		return err
+	}
+	rp.tx.changed(t)
+	row := c.row
+	if c.op != rowDelete {
+		if t.pk >= 0 {
+			if len(row) != len(t.cols)-1 || cap(row) < len(t.cols) {
+				return fmt.Errorf("sqldb: a row of %d cells for table %q", len(row), t.name)
+			}
+			row = row[:len(t.cols)]
+			copy(row[t.pk+1:], row[t.pk:])
+			row[t.pk] = Int(c.rowid)
+		} else if len(row) != len(t.cols) {
+			return fmt.Errorf("sqldb: a row of %d cells for table %q", len(row), t.name)
+		}
+	}
+	old, err := t.put(c.op, c.rowid, row)
+	if err != nil || rp.stale[t] {
+		return err
+	}
+	for _, ix := range t.indexes {
+		if old != nil {
+			ix.remove(c.rowid, old)
+		}
+		if row != nil {
+			ix.insert(c.rowid, row)
+		}
+	}
+	if t.rebuildCheaper() {
+		t.dropPending()
+		rp.stale[t] = true
 	}
 	return nil
 }
 
-// publish flushes the open batch's index deltas and publishes its root.
-func (rp *replayer) publish() {
-	if tx := rp.tx; tx != nil {
-		tx.done = true
-		tx.flushWork() // replay bypasses Commit, which normally flushes
-		rp.db.root.Store(tx.work)
-		rp.db.wmu.Unlock()
-		rp.tx, rp.n = nil, 0
+// catchUp brings the indexes of every table replay changed up to date: a
+// table whose queued deltas are few against what its indexes hold flushes
+// them, sorted and coalesced; one with many, or marked stale, rebuilds its
+// indexes from the row store.
+func (rp *replayer) catchUp() error {
+	for name := range rp.tx.owned {
+		t := rp.tx.work.tables[name]
+		if !rp.stale[t] && !t.rebuildCheaper() {
+			t.flushIndexes()
+			continue
+		}
+		t.dropPending()
+		rowids, rows := t.allRows()
+		if err := t.buildIndexes(rowids, rows, t.indexes); err != nil {
+			return err
+		}
+		rp.rebuilt++
 	}
+	clear(rp.stale)
+	return nil
 }
 
-// abort discards the open batch, if any.
+// publish brings every index up to date and publishes the replay's root.
+// It returns how many tables it rebuilt over the whole replay.
+func (rp *replayer) publish() (int, error) {
+	if rp.tx == nil {
+		return 0, nil
+	}
+	if err := rp.catchUp(); err != nil {
+		rp.abort()
+		return 0, fmt.Errorf("sqldb: wal: replay: %w", err)
+	}
+	tx := rp.tx
+	tx.done = true
+	rp.db.root.Store(tx.work)
+	rp.db.wmu.Unlock()
+	rp.tx = nil
+	return rp.rebuilt, nil
+}
+
+// abort discards the replay transaction, if any.
 func (rp *replayer) abort() {
 	if rp.tx != nil {
-		rp.tx.Rollback() //nolint:errcheck // the batch is open, so this cannot fail
-		rp.tx, rp.n = nil, 0
+		rp.tx.Rollback() //nolint:errcheck // the transaction is open, so this cannot fail
+		rp.tx = nil
 	}
 }
 
@@ -313,7 +396,8 @@ func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 // errExecSelect refuses a SELECT passed to Exec, which would discard its rows.
 var errExecSelect = errors.New("sqldb: Exec requires a mutating or DDL statement; run a SELECT through Query")
 
-// execOne runs a single non-SELECT statement as its own transaction.
+// execOne runs a single non-SELECT statement as its own transaction. DDL
+// logs its statement; DML logs the rows it changed as it runs.
 func (db *DB) execOne(sql string, st Statement, args []Value) (Result, error) {
 	tx := db.Begin()
 	res, err := tx.execStmt(st, args)
@@ -321,7 +405,12 @@ func (db *DB) execOne(sql string, st Statement, args []Value) (Result, error) {
 		tx.Rollback() //nolint:errcheck // the statement error takes precedence
 		return Result{}, err
 	}
-	tx.noteRedo(sql, args)
+	switch st.(type) {
+	case *CreateTableStmt, *CreateIndexStmt:
+		if db.wal != nil {
+			tx.redo.stmts = append(tx.redo.stmts, redoStmt{sql: sql, args: slices.Clone(args)})
+		}
+	}
 	return res, tx.Commit()
 }
 
@@ -374,10 +463,10 @@ type Tx struct {
 	// owned marks tables already cloned into work (safe to mutate).
 	owned map[string]bool
 	done  bool
-	// redo accumulates the transaction's mutating statements for the WAL
-	// (only while one is attached); lsn is assigned at Commit if the
-	// transaction was logged.
-	redo []redoStmt
+	// redo accumulates what the transaction changed for the WAL (only while
+	// one is attached); lsn is assigned at Commit if the transaction was
+	// logged.
+	redo walRecord
 	lsn  uint64
 }
 
@@ -398,16 +487,13 @@ func (db *DB) Begin() *Tx {
 	}
 }
 
-// noteRedo records one successfully executed mutating statement for the
-// WAL. Every one is logged — including statements that matched zero rows —
-// keeping replay a pure re-execution of the committed statement stream (a
-// SELECT never gets here: Exec refuses it). The args slice is cloned because
-// callers may reuse theirs.
-func (tx *Tx) noteRedo(sql string, args []Value) {
-	if tx.db.wal == nil {
-		return
+// logRow records for the WAL, while one is attached, a row a statement of
+// the transaction changed: row, now stored at rowid of t, or rowid's
+// deletion (row nil). A stored row is immutable, so the record shares it.
+func (tx *Tx) logRow(t *table, op byte, rowid int64, row Row) {
+	if tx.db.wal != nil {
+		tx.redo.rows = append(tx.redo.rows, rowChange{table: t.name, op: op, rowid: rowid, row: row, skip: t.pk})
 	}
-	tx.redo = append(tx.redo, redoStmt{sql: sql, args: slices.Clone(args)})
 }
 
 // changed stamps t, a table the transaction owns, as changed by it.
@@ -423,9 +509,9 @@ func (tx *Tx) LSN() uint64 { return tx.lsn }
 
 // flushWork applies the pending index deltas of every table this
 // transaction has cloned. Index maintenance is deferred per table (see
-// index.flush); this runs before any statement that scans an index inside
-// the transaction and before the shadow root is published, so no root ever
-// becomes visible with unapplied deltas.
+// index.flush); a statement that scans an index inside the transaction
+// flushes the tables it reads first, and this runs before the shadow root
+// is published, so no root ever becomes visible with unapplied deltas.
 func (tx *Tx) flushWork() {
 	for name := range tx.owned {
 		if t, ok := tx.work.tables[name]; ok {
@@ -470,15 +556,13 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	if err := tx.db.checkFault(e.st); err != nil {
 		return Result{}, err
 	}
-	res, err := tx.execStmt(e.st, args)
-	if err == nil {
-		tx.noteRedo(sql, args)
-	}
-	return res, err
+	return tx.execStmt(e.st, args)
 }
 
 // Query runs a SELECT inside the transaction, seeing its uncommitted writes:
-// the statement cache's plan, run against the shadow root.
+// the statement cache's plan, run against the shadow root once the tables
+// the plan reads have flushed their pending index deltas. The deltas of
+// every other table stay queued for a later flush.
 func (tx *Tx) Query(sql string, args ...Value) (*Rows, error) {
 	if tx.done {
 		return nil, ErrTxDone
@@ -487,10 +571,14 @@ func (tx *Tx) Query(sql string, args ...Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx.flushWork()
 	plan, err := tx.db.planFor(sql, e, tx.work)
 	if err != nil {
 		return nil, err
+	}
+	for _, st := range plan.stages {
+		if tx.owned[st.ref.Table] {
+			tx.work.tables[st.ref.Table].flushIndexes()
+		}
 	}
 	return plan.run(tx.work, args)
 }
@@ -510,7 +598,7 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	tx.flushWork()
 	w := tx.db.wal
-	if w != nil && len(tx.redo) > 0 {
+	if w != nil && (len(tx.redo.stmts) > 0 || len(tx.redo.rows) > 0) {
 		lsn := tx.work.lsn + 1
 		if err := w.append(lsn, tx.redo); err != nil {
 			tx.work = nil
@@ -609,11 +697,7 @@ func (tx *Tx) createIndex(s *CreateIndexStmt) (Result, error) {
 	}
 	ix := newIndex(s.Name, t, cols, false)
 	// Backfill existing rows through the bulk path.
-	rowids, rows := make([]int64, 0, t.rows.Len()), make([]Row, 0, t.rows.Len())
-	t.rows.Ascend(func(rowid int64, row Row) bool {
-		rowids, rows = append(rowids, rowid), append(rows, row)
-		return true
-	})
+	rowids, rows := t.allRows()
 	if err := t.buildIndexes(rowids, rows, []*index{ix}); err != nil {
 		return Result{}, err
 	}
@@ -690,9 +774,11 @@ func (tx *Tx) execInsert(s *InsertStmt, args []Value) (Result, error) {
 			return res, err
 		}
 		tx.changed(t)
-		if _, err := t.insert(row); err != nil {
+		rowid, err := t.insert(row)
+		if err != nil {
 			return res, err
 		}
+		tx.logRow(t, rowInsert, rowid, row)
 		res.RowsAffected++
 		if autoCol >= 0 {
 			res.LastInsertID = row[autoCol].Int()
@@ -781,9 +867,14 @@ func (tx *Tx) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 			}
 			newRow[p] = cv
 		}
-		if _, err := t.update(rowid, newRow); err != nil {
+		newID, err := t.update(rowid, newRow)
+		if err != nil {
 			return res, err
 		}
+		if newID != rowid {
+			tx.logRow(t, rowDelete, rowid, nil)
+		}
+		tx.logRow(t, rowUpdate, newID, newRow)
 		res.RowsAffected++
 	}
 	return res, nil
@@ -805,6 +896,7 @@ func (tx *Tx) execDelete(s *DeleteStmt, args []Value) (Result, error) {
 	var res Result
 	for _, rowid := range ids {
 		if _, ok := t.delete(rowid); ok {
+			tx.logRow(t, rowDelete, rowid, nil)
 			res.RowsAffected++
 		}
 	}

@@ -587,3 +587,49 @@ func TestQueryRequiresSelect(t *testing.T) {
 		t.Fatal("Tx.Exec accepted SELECT")
 	}
 }
+
+// TestTxQueryFlushesOnlyItsTables: a query inside a transaction flushes the
+// pending index deltas of the tables its plan reads and leaves every other
+// table's queued, so a write that reads one table between inserts into
+// another applies those inserts once, at commit.
+func TestTxQueryFlushesOnlyItsTables(t *testing.T) {
+	db := New()
+	for _, table := range []string{"a", "b"} {
+		mustExec(t, db, "CREATE TABLE "+table+" (id INTEGER PRIMARY KEY, k TEXT NOT NULL)")
+		mustExec(t, db, "CREATE INDEX "+table+"_k ON "+table+" (k)")
+	}
+	tx := db.Begin()
+	pending := func(table string) int {
+		n := 0
+		for _, ix := range tx.work.tables[table].indexes {
+			n += len(ix.pending)
+		}
+		return n
+	}
+	query := func(sql string, args ...Value) int {
+		t.Helper()
+		rows, err := tx.Query(sql, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows.Data)
+	}
+	for _, sql := range []string{"INSERT INTO a (id, k) VALUES (?, ?)", "INSERT INTO b (id, k) VALUES (?, ?)"} {
+		if _, err := tx.Exec(sql, Int(1), Text("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := query("SELECT id FROM a WHERE k = ?", Text("x")); n != 1 || pending("a") != 0 || pending("b") == 0 {
+		t.Fatalf("a query of a: %d rows; pending deltas a %d, b %d; want 1 row, none on a, b's still queued",
+			n, pending("a"), pending("b"))
+	}
+	if n := query("SELECT a.id FROM a JOIN b ON b.id = a.id WHERE b.k = ?", Text("x")); n != 1 || pending("b") != 0 {
+		t.Fatalf("a join of a and b: %d rows, %d deltas still queued on b", n, pending("b"))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if rows := mustQuery(t, db, "SELECT id FROM b WHERE k = ?", Text("x")); len(rows.Data) != 1 {
+		t.Fatalf("the committed b: %v", rows.Data)
+	}
+}

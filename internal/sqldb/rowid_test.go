@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -205,5 +206,25 @@ func TestRowidLastInsertID(t *testing.T) {
 		if got := mustExec(t, db, tc.sql, tc.args...).LastInsertID; got != tc.want {
 			t.Fatalf("%s %v: LastInsertID = %d, want %d", tc.sql, tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestRowidColumnRefusesNull: the INTEGER PRIMARY KEY is the rowid, so it is
+// never NULL (PRIMARY KEY implies NOT NULL): an insert that leaves it NULL
+// without AUTOINCREMENT and an update that sets it NULL are refused, as the
+// snapshot loader refuses a NULL there, and the log can leave the cell out
+// of every row it records.
+func TestRowidColumnRefusesNull(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE p (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, db, "INSERT INTO p (id, v) VALUES (?, ?)", Int(1), Int(1))
+	if _, err := db.Exec("INSERT INTO p (v) VALUES (?)", Int(2)); err == nil || !strings.Contains(err.Error(), "NOT NULL") {
+		t.Fatalf("an insert without an id: err = %v, want a NOT NULL refusal", err)
+	}
+	if _, err := db.Exec("UPDATE p SET id = ? WHERE v = ?", Null(), Int(1)); err == nil || !strings.Contains(err.Error(), "NOT NULL") {
+		t.Fatalf("an update of the id to NULL: err = %v, want a NOT NULL refusal", err)
+	}
+	if rows := mustQuery(t, db, "SELECT id, v FROM p WHERE v = ?", Int(1)).Data; len(rows) != 1 || rows[0][0] != Int(1) {
+		t.Fatalf("the row after both refusals: %v", rows)
 	}
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -177,8 +178,13 @@ func (ix *index) rowOf(e indexEntry) Row {
 
 func (ix *index) uniqueViolation() error { return uniqueViolation(ix.name, ix.table.name) }
 
+// ErrUniqueViolation is wrapped by the error of a write refused because it
+// would give two rows one key under a UNIQUE constraint or INTEGER PRIMARY
+// KEY.
+var ErrUniqueViolation = errors.New("sqldb: UNIQUE constraint")
+
 func uniqueViolation(constraint, table string) error {
-	return fmt.Errorf("sqldb: UNIQUE constraint %q violated on table %q", constraint, table)
+	return fmt.Errorf("%w %q violated on table %q", ErrUniqueViolation, constraint, table)
 }
 
 // checkUnique reports a constraint violation if another row already holds
@@ -538,19 +544,19 @@ func (t *table) delete(rowid int64) (Row, bool) {
 	return row, true
 }
 
-// update replaces the row at rowid, returning the previous row. A new
-// INTEGER PRIMARY KEY value re-keys the row: it moves to the new rowid,
-// unless another row holds it.
-func (t *table) update(rowid int64, newRow Row) (Row, error) {
+// update replaces the row at rowid, returning the rowid it is stored at
+// now. A new INTEGER PRIMARY KEY value re-keys the row: it moves to the new
+// rowid, unless another row holds it.
+func (t *table) update(rowid int64, newRow Row) (int64, error) {
 	old, ok := t.rows.Get(rowid)
 	if !ok {
-		return nil, fmt.Errorf("sqldb: update of missing rowid %d in %q", rowid, t.name)
+		return 0, fmt.Errorf("sqldb: update of missing rowid %d in %q", rowid, t.name)
 	}
 	newID := rowid
 	if t.pk >= 0 {
 		if newID = newRow[t.pk].N; newID != rowid {
 			if _, dup := t.rows.Get(newID); dup {
-				return nil, t.pkViolation()
+				return 0, t.pkViolation()
 			}
 		}
 	}
@@ -562,7 +568,7 @@ func (t *table) update(rowid int64, newRow Row) (Row, error) {
 			for _, ix2 := range t.indexes {
 				ix2.insert(rowid, old)
 			}
-			return nil, err
+			return 0, err
 		}
 	}
 	if newID != rowid {
@@ -573,7 +579,91 @@ func (t *table) update(rowid int64, newRow Row) (Row, error) {
 	for _, ix := range t.indexes {
 		ix.insert(newID, newRow)
 	}
+	return newID, nil
+}
+
+// put applies a replayed change to the row store alone: row, which a
+// logged insert or update (op) stored at rowid, or rowid's deletion (row
+// nil). It returns the row replaced or deleted, nil for none. The log was
+// checked when it was written, so no constraint is. An insert raises the
+// rowid and AUTOINCREMENT counters as the live insert did; an update raises
+// the rowid counter only, as a live update that re-keys a row does.
+func (t *table) put(op byte, rowid int64, row Row) (Row, error) {
+	if op == rowInsert {
+		for i, c := range t.cols {
+			if c.AutoIncrement && row[i].T == TypeInt && row[i].N > t.autoInc {
+				t.autoInc = row[i].N
+			}
+		}
+		t.nextRow = max(t.nextRow, rowid)
+		if t.rows.Set(rowid, row) {
+			return nil, fmt.Errorf("sqldb: insert of existing rowid %d in %q", rowid, t.name)
+		}
+		return nil, nil
+	}
+	old, found := t.rows.Get(rowid)
+	switch {
+	case op == rowDelete && !found:
+		return nil, fmt.Errorf("sqldb: delete of missing rowid %d in %q", rowid, t.name)
+	case op == rowDelete:
+		t.rows.Delete(rowid)
+		return old, nil
+	}
+	t.nextRow = max(t.nextRow, rowid)
+	t.rows.Set(rowid, row)
 	return old, nil
+}
+
+// allRows returns the table's rows and their rowids in rowid order, the
+// input of the bulk index build.
+func (t *table) allRows() ([]int64, []Row) {
+	rowids, rows := make([]int64, 0, t.rows.Len()), make([]Row, 0, t.rows.Len())
+	t.rows.Ascend(func(rowid int64, row Row) bool {
+		rowids, rows = append(rowids, rowid), append(rows, row)
+		return true
+	})
+	return rowids, rows
+}
+
+// The replay rule. Replay queues the index deltas of a table's row changes
+// and then either flushes them or drops them and rebuilds the table's
+// indexes from its rows, whichever costs less at these per-entry costs:
+//
+//   - a flushed delta is a sort record and one B-tree Set or Delete into a
+//     tree of the table's size, about flushNsPerDelta;
+//   - a rebuilt entry is its share of the key words, a radix-sort record
+//     and a slot in the bottom-up tree (build.go), about buildNsPerEntry,
+//     and a rebuild pays for every entry the indexes will hold, not only
+//     the changed ones.
+//
+// Measured on 2 vCPUs at the end of replaying BenchmarkReplay's logs over
+// 10,000 files: user_attribute flushed 29k–264k deltas at 0.7–1.5 µs each
+// and rebuilt 212k–460k entries at 0.14–0.32 µs each (EXPERIMENTS.md, "Log
+// row changes, not statements"). So a table rebuilds once its deltas pass
+// about a quarter of its entries.
+const (
+	flushNsPerDelta = 1000
+	buildNsPerEntry = 200
+)
+
+// rebuildCheaper reports whether rebuilding t's indexes costs less than
+// flushing their queued deltas.
+func (t *table) rebuildCheaper() bool {
+	pending, entries := 0, 0
+	for _, ix := range t.indexes {
+		pending += len(ix.pending)
+		entries += ix.tree.Len()
+	}
+	return pending*flushNsPerDelta > (entries+pending)*buildNsPerEntry
+}
+
+// dropPending forgets every index's queued deltas: the indexes are to be
+// rebuilt from the row store.
+func (t *table) dropPending() {
+	for _, ix := range t.indexes {
+		clear(ix.pending)
+		ix.pending = nil
+	}
 }
 
 // findIndex returns the slot of the shortest index led by column col that

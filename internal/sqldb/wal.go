@@ -18,24 +18,37 @@ import (
 //
 // Snapshots give the engine restart durability at snapshot granularity: a
 // crash loses every commit since the last dump. The WAL closes that gap to
-// per-commit durability. Each committed transaction serializes its redo
-// statements — the same logical statement stream the MVCC writer applied —
-// into one self-contained record, one frame (frame.go) appended to an
-// append-only log file:
+// per-commit durability. Each committed transaction serializes what it
+// changed into one self-contained record, one frame (frame.go) appended to
+// an append-only log file. A DML statement logs the rows it changed, not
+// its text: an insert or update logs the row as stored, a delete only the
+// rowid, and a statement that changed no row logs nothing. DDL logs its
+// statement text.
 //
-//	payload: lsn (8B big-endian)
-//	         nstmts (uvarint)
-//	         per statement: sql, nargs (uvarint), args
-//	sql:     sqlLen (uvarint) > 0, sql bytes       a literal text
-//	       | 0, ref (uvarint) < i                  statement ref's text (read only)
-//	       | 0, i + id (uvarint)                   the file's dictionary entry id
-//	arg:     a tagged value (encodeWALValue), or
-//	         tag 7, k (uvarint)                    the record's k-th literal text argument
+//	payload:   lsn (8B big-endian)
+//	           nstmts (uvarint), statements
+//	           runs of row changes, to the end of the payload
+//	statement: sql, nargs (uvarint), args
+//	sql:       sqlLen (uvarint) > 0, sql bytes     a literal text
+//	         | 0, ref (uvarint) < i                statement ref's text (read only)
+//	         | 0, i + id (uvarint)                 the file's dictionary entry id
+//	run:       table, kind (uvarint), n (uvarint) > 0, n changes
+//	table:     0, len (uvarint) > 0, name bytes    a literal table name
+//	         | id + 1 (uvarint)                    the file's dictionary entry id
+//	kind:      cells << 2 | op                     op 0 insert, 1 update, 2 delete (cells 0)
+//	change:    rowid delta (varint), cells values
+//	arg, value: a tagged value (encodeWALValue), or
+//	           tag 7, k (uvarint)                  the record's k-th literal text value
 //
-// where i is the statement's position in the record. Each log file keeps a
-// statement dictionary: the first literal occurrence of a text in the file
-// defines its next id, so a file spells each statement text once. Repeated
-// text arguments inside one record become tag-7 back-references. See
+// where i is the statement's position in the record. A run is changes of
+// one kind to one table. An insert or update writes every cell of the row
+// but its INTEGER PRIMARY KEY, which is the rowid. A rowid is written as its
+// difference from the last rowid of the same table earlier in the record
+// (from 0 for the table's first). Each log file keeps a dictionary: the
+// first literal occurrence of a statement text or table name in the file
+// defines its next id, so a file spells each once. Repeated text values
+// inside one record become tag-7 back-references. A log an older build
+// wrote holds DML statements and no runs; replay still runs those. See
 // DESIGN.md §6 "Log format" for why a torn tail cannot orphan a reference.
 //
 // The frame's CRC lets recovery detect a torn write — a record whose tail
@@ -43,7 +56,7 @@ import (
 // strictly increasing log sequence numbers (LSNs)
 // assigned at commit; snapshots embed the LSN of the root they pinned, so
 // boot restores the snapshot and replays only the log suffix with larger
-// LSNs, walReplayBatch records to a transaction.
+// LSNs, as one transaction (see replayer).
 //
 // Durability is amortized across concurrent committers by group commit: a
 // committer appends its record under the writer lock, publishes its root,
@@ -58,11 +71,46 @@ import (
 // durably persisted the sealed file is deleted. A crash between those steps
 // leaves both generations on disk; recovery replays <path>.1 then <path>.
 
-// redoStmt is one logged mutation: the statement text and its bound
-// parameters, exactly as the committer executed them.
+// walRecord is one commit's log entries: its statements, then its row
+// changes.
+type walRecord struct {
+	stmts []redoStmt
+	rows  []rowChange
+}
+
+// redoStmt is one logged statement: the text and its bound parameters,
+// exactly as the committer executed them.
 type redoStmt struct {
 	sql  string
 	args []Value
+}
+
+// Row change ops, the low two bits of a run's kind.
+const (
+	rowInsert = 0
+	rowUpdate = 1
+	rowDelete = 2
+)
+
+// rowChange is one row a statement changed: row is now stored at rowid of
+// table (rowInsert, rowUpdate), or rowid is gone (rowDelete, row nil). The
+// log leaves out the row's cell at position skip, the INTEGER PRIMARY KEY
+// that equals the rowid; a decoded change holds the cells the log carried,
+// with skip -1.
+type rowChange struct {
+	table string
+	op    byte
+	rowid int64
+	row   Row
+	skip  int
+}
+
+// cells is how many cells of the change the log carries.
+func (c *rowChange) cells() int {
+	if c.skip >= 0 && c.row != nil {
+		return len(c.row) - 1
+	}
+	return len(c.row)
 }
 
 // WALOptions configures a write-ahead log.
@@ -115,11 +163,15 @@ type ReplayStats struct {
 	// TornBytes is how many trailing bytes were truncated as torn or
 	// corrupt (never fatal; the log is cut back to the last whole record).
 	TornBytes int64
+	// Rebuilt is how many of the tables replay changed had their indexes
+	// rebuilt from the row store at the end of the log instead of brought up
+	// to date by their queued changes (see replayer.publish).
+	Rebuilt int
 }
 
 // WAL is an append-only redo log with group commit. Open one with OpenWAL
 // and install it on a database with DB.AttachWAL; every subsequent commit
-// appends its statements and blocks until an fsync covers it.
+// appends what it changed and blocks until an fsync covers it.
 type WAL struct {
 	path string
 	opts WALOptions
@@ -136,7 +188,7 @@ type WAL struct {
 	prevMax   uint64     // last LSN in the sealed previous generation, if any
 	prevSeal  bool       // <path>.1 exists
 	broken    error      // sticky: the log could not be rewound after a failed append
-	enc       walEncoder // the current file's statement dictionary
+	enc       walEncoder // the current file's dictionary
 
 	// gc guards group-commit state; cond signals leader handoff and
 	// durable-LSN advances.
@@ -210,7 +262,8 @@ func (w *WAL) DurableLSN() uint64 {
 // embedded in the snapshot the database was restored from, or 0 for a fresh
 // database. A torn or CRC-corrupt tail is truncated, never fatal: the log
 // is cut back to its last whole record and recovery proceeds. Both
-// generations are replayed when a checkpoint was interrupted mid-rotation.
+// generations are replayed when a checkpoint was interrupted mid-rotation,
+// into one transaction that publishes one root at the end (see replayer).
 //
 // The returned WAL is positioned for appends; install it with DB.AttachWAL
 // before accepting writes. Replay bypasses the database fault hook.
@@ -219,10 +272,12 @@ func OpenWAL(path string, db *DB, afterLSN uint64, opts WALOptions) (*WAL, Repla
 	w.cond = sync.NewCond(&w.gc)
 	var stats ReplayStats
 	last := afterLSN
+	rp := replayer{db: db}
+	defer rp.abort()
 
 	if _, err := os.Stat(w.prevPath()); err == nil {
 		w.prevSeal = true
-		if err := replayFile(w.prevPath(), db, afterLSN, &stats, &last); err != nil {
+		if err := replayFile(w.prevPath(), &rp, afterLSN, &stats, &last); err != nil {
 			return nil, stats, err
 		}
 		w.prevMax = last
@@ -236,7 +291,10 @@ func OpenWAL(path string, db *DB, afterLSN uint64, opts WALOptions) (*WAL, Repla
 	}
 	// Replaying the current file also seeds the dictionary its next
 	// records extend, covered records included.
-	recs, err := replayInto(f, db, afterLSN, &stats, &last, &w.enc.dict)
+	recs, err := replayInto(f, &rp, afterLSN, &stats, &last, &w.enc.dict)
+	if err == nil {
+		stats.Rebuilt, err = rp.publish()
+	}
 	if err != nil {
 		f.Close()
 		return nil, stats, err
@@ -254,31 +312,30 @@ func OpenWAL(path string, db *DB, afterLSN uint64, opts WALOptions) (*WAL, Repla
 }
 
 // replayFile opens one log generation read-write, replays it and closes it.
-func replayFile(path string, db *DB, afterLSN uint64, stats *ReplayStats, last *uint64) error {
+func replayFile(path string, rp *replayer, afterLSN uint64, stats *ReplayStats, last *uint64) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("sqldb: wal: %w", err)
 	}
 	defer f.Close()
-	_, err = replayInto(f, db, afterLSN, stats, last, &walDict{})
+	_, err = replayInto(f, rp, afterLSN, stats, last, &walDict{})
 	return err
 }
 
 // replayInto scans one log file, applies every whole record with LSN above
-// afterLSN in batches (see replayer), and truncates the file at the first
-// torn, corrupt or non-monotonic record. last carries the running LSN
-// high-water mark across generations; a record's LSN must exceed it. dict
-// starts empty and ends as the file's dictionary after its last whole
-// record. It returns how many whole records the file kept.
-func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *uint64, dict *walDict) (uint64, error) {
+// afterLSN through rp, and truncates the file at the first torn, corrupt or
+// non-monotonic record. last carries the running LSN high-water mark across
+// generations; a record's LSN must exceed it. dict starts empty and ends as
+// the file's dictionary after its last whole record. It returns how many
+// whole records the file kept.
+func replayInto(f *os.File, rp *replayer, afterLSN uint64, stats *ReplayStats, last *uint64, dict *walDict) (uint64, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("sqldb: wal: %w", err)
 	}
 	fr := frameReader{r: bufio.NewReader(io.NewSectionReader(f, 0, fi.Size()))}
-	rp := replayer{db: db}
-	defer rp.abort()
 	valid, recs := int64(0), uint64(0)
+	var rows []rowChange // the row changes' buffer, reused record to record
 	for {
 		payload, err := fr.next()
 		if err == io.EOF || errors.Is(err, errFrameDamaged) {
@@ -288,7 +345,7 @@ func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *u
 			return 0, fmt.Errorf("sqldb: wal: read: %w", err)
 		}
 		defined := len(dict.texts)
-		lsn, stmts, err := decodeWALRecord(dict, payload)
+		lsn, rec, err := decodeWALRecord(dict, payload, rows)
 		if err != nil {
 			// The CRC matched, so the bytes are what was written: this is a
 			// format error, not a torn write. Refuse to guess.
@@ -298,12 +355,13 @@ func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *u
 			dict.rollback(defined) // the cut takes its definitions with it
 			break                  // LSN went backwards: treat the rest as garbage
 		}
+		rows = rec.rows
 		stats.Records++
 		if lsn > *last {
 			*last = lsn
 		}
 		if lsn > afterLSN {
-			if err := rp.apply(lsn, stmts); err != nil {
+			if err := rp.apply(lsn, rec); err != nil {
 				return 0, fmt.Errorf("sqldb: wal: %w", err)
 			}
 			stats.Applied++
@@ -311,7 +369,6 @@ func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *u
 		valid = fr.end
 		recs++
 	}
-	rp.publish()
 	if valid < fi.Size() {
 		stats.TornBytes += fi.Size() - valid
 		if err := f.Truncate(valid); err != nil {
@@ -332,14 +389,14 @@ func replayInto(f *os.File, db *DB, afterLSN uint64, stats *ReplayStats, last *u
 // forgets the dictionary entries the record defined, so the file never
 // carries a half-record while the process lives (a crash mid-write is what
 // the CRC is for).
-func (w *WAL) append(lsn uint64, stmts []redoStmt) error {
+func (w *WAL) append(lsn uint64, rec walRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
 		return w.broken
 	}
 	start, defined := len(w.buf), len(w.enc.dict.texts)
-	w.buf = w.enc.encode(w.buf, lsn, stmts)
+	w.buf = w.enc.encode(w.buf, lsn, rec)
 	if f := w.evalHook("append"); f != nil {
 		rec := w.buf[start:]
 		if f.ShortWrite > 0 && f.ShortWrite < len(rec) {
@@ -563,16 +620,17 @@ func syncWALDir(path string) error {
 
 // --- record encoding -------------------------------------------------------
 
-// walDict is one log file's statement dictionary: the texts its records
-// defined, in the order their first literal occurrence defined them.
+// walDict is one log file's dictionary: the statement texts and table
+// names its records defined, in the order their first literal occurrence
+// defined them.
 type walDict struct {
 	ids   map[string]uint64
 	texts []string
 }
 
-// literal returns the text of a literal statement, defining it as the next
-// id if it is new. A text already defined comes
-// back as the dictionary's own copy, without allocating.
+// literal returns a literal statement text or table name, defining it as
+// the next id if it is new. A text already defined comes back as the
+// dictionary's own copy, without allocating.
 func (d *walDict) literal(b []byte) string {
 	if id, ok := d.ids[string(b)]; ok {
 		return d.texts[id]
@@ -602,26 +660,48 @@ func (d *walDict) rollback(n int) {
 // walEncoder renders the records of one log file.
 type walEncoder struct {
 	dict walDict
-	// The current record's literal text arguments: index by text, and the
+	// The current record's literal text values: index by text, and the
 	// texts in index order so the index can be emptied between records.
 	textIDs map[string]uint64
 	texts   []string
+	last    lastRowids
+}
+
+// lastRowids holds, per table, the last rowid a record's changes named: the
+// base its next rowid delta counts from. A record names a few tables, so a
+// scan beats a map.
+type lastRowids []lastRowid
+
+type lastRowid struct {
+	table string
+	rowid int64
+}
+
+// at returns table's last rowid, 0 until the record names the table.
+func (l *lastRowids) at(table string) *int64 {
+	for i := range *l {
+		if (*l)[i].table == table {
+			return &(*l)[i].rowid
+		}
+	}
+	*l = append(*l, lastRowid{table: table})
+	return &(*l)[len(*l)-1].rowid
 }
 
 // encode appends one commit's record to b as one sealed frame. A statement
-// whose text is in the dictionary is written as a reference to it; any other
-// is written in full and defines the next id. A text argument equal to an
-// earlier literal text argument of the record is written as a tag-7
+// text or table name in the dictionary is written as a reference to it;
+// any other is written in full and defines the next id. A text value equal
+// to an earlier literal text value of the record is written as a tag-7
 // back-reference to it.
-func (e *walEncoder) encode(b []byte, lsn uint64, stmts []redoStmt) []byte {
+func (e *walEncoder) encode(b []byte, lsn uint64, rec walRecord) []byte {
 	start := len(b)
 	b = beginFrame(b)
 	b = binary.BigEndian.AppendUint64(b, lsn)
-	b = binary.AppendUvarint(b, uint64(len(stmts)))
+	b = binary.AppendUvarint(b, uint64(len(rec.stmts)))
 	if e.textIDs == nil {
 		e.textIDs = make(map[string]uint64)
 	}
-	for i, s := range stmts {
+	for i, s := range rec.stmts {
 		if id, ok := e.dict.ids[s.sql]; ok {
 			b = append(b, 0)
 			b = binary.AppendUvarint(b, uint64(i)+id)
@@ -631,39 +711,75 @@ func (e *walEncoder) encode(b []byte, lsn uint64, stmts []redoStmt) []byte {
 		}
 		b = binary.AppendUvarint(b, uint64(len(s.args)))
 		for _, v := range s.args {
-			if v.T == TypeText {
-				if k, ok := e.textIDs[v.S]; ok {
-					b = append(b, walTagTextRef)
-					b = binary.AppendUvarint(b, k)
-					continue
-				}
-				e.textIDs[v.S] = uint64(len(e.texts))
-				e.texts = append(e.texts, v.S)
-			}
-			b = encodeWALValue(b, v)
+			b = e.value(b, v)
 		}
+	}
+	rows := rec.rows
+	for i := 0; i < len(rows); {
+		c := &rows[i]
+		n := c.cells()
+		j := i + 1
+		for j < len(rows) && rows[j].table == c.table && rows[j].op == c.op && rows[j].cells() == n {
+			j++
+		}
+		if id, ok := e.dict.ids[c.table]; ok {
+			b = binary.AppendUvarint(b, id+1)
+		} else {
+			e.dict.define(c.table)
+			b = appendString(append(b, 0), c.table)
+		}
+		b = binary.AppendUvarint(b, uint64(n)<<2|uint64(c.op))
+		b = binary.AppendUvarint(b, uint64(j-i))
+		for k := i; k < j; k++ {
+			c := &rows[k]
+			last := e.last.at(c.table)
+			b = binary.AppendVarint(b, c.rowid-*last)
+			*last = c.rowid
+			for p, v := range c.row {
+				if p != c.skip {
+					b = e.value(b, v)
+				}
+			}
+		}
+		i = j
 	}
 	for _, s := range e.texts {
 		delete(e.textIDs, s)
 	}
 	clear(e.texts)
-	e.texts = e.texts[:0]
+	e.texts, e.last = e.texts[:0], e.last[:0]
 	endFrame(b, start)
 	return b
 }
 
-// decodeWALRecord parses a CRC-verified payload back into its statements,
-// resolving statement references against dict and adding the record's
-// definitions to it. A refused record leaves dict as it found it.
-func decodeWALRecord(dict *walDict, payload []byte) (lsn uint64, stmts []redoStmt, err error) {
+// value appends v; a text value already in the record goes as a tag-7
+// back-reference.
+func (e *walEncoder) value(b []byte, v Value) []byte {
+	if v.T == TypeText {
+		if k, ok := e.textIDs[v.S]; ok {
+			b = append(b, walTagTextRef)
+			return binary.AppendUvarint(b, k)
+		}
+		e.textIDs[v.S] = uint64(len(e.texts))
+		e.texts = append(e.texts, v.S)
+	}
+	return encodeWALValue(b, v)
+}
+
+// decodeWALRecord parses a CRC-verified payload back into its entries,
+// resolving references against dict and adding the record's definitions to
+// it. A refused record leaves dict as it found it. The row changes are
+// appended to rows, a buffer the caller may reuse once it is done with the
+// record. A decoded row change holds the cells the log carried, in a row
+// with room for one more: the rowid cell replay puts back.
+func decodeWALRecord(dict *walDict, payload []byte, rows []rowChange) (lsn uint64, rec walRecord, err error) {
 	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("payload too short")
+		return 0, walRecord{}, fmt.Errorf("payload too short")
 	}
 	lsn = binary.BigEndian.Uint64(payload)
 	defined := len(dict.texts)
-	d := decoder{b: payload[8:]}
-	var texts []string // the record's literal text arguments, in order
-	stmts = make([]redoStmt, 0, d.count())
+	d := recordDecoder{decoder: decoder{b: payload[8:]}}
+	stmts := make([]redoStmt, 0, d.count())
 	for i := range cap(stmts) {
 		var sql string
 		if text := d.bytes(); len(text) > 0 {
@@ -677,35 +793,92 @@ func decodeWALRecord(dict *walDict, payload []byte) (lsn uint64, stmts []redoStm
 		}
 		args := make([]Value, d.count())
 		for j := range args {
-			switch {
-			case len(d.b) > 0 && d.b[0] == walTagTextRef:
-				d.b = d.b[1:]
-				if k := d.uvarint(); k < uint64(len(texts)) {
-					args[j] = Text(texts[k])
-				} else {
-					d.fail("bad text reference %d", k)
-				}
-			case len(d.b) > 0 && d.b[0] == walTagText:
-				args[j] = decodeWALValue(&d)
-				texts = append(texts, args[j].S)
-			default:
-				args[j] = decodeWALValue(&d)
-			}
+			args[j] = d.value()
 		}
 		if d.err != nil {
 			dict.rollback(defined)
-			return 0, nil, fmt.Errorf("statement %d: %w", i, d.err)
+			return 0, walRecord{}, fmt.Errorf("statement %d: %w", i, d.err)
 		}
 		stmts = append(stmts, redoStmt{sql: sql, args: args})
 	}
-	if len(d.b) != 0 {
-		d.fail("%d trailing bytes", len(d.b))
+	rows = rows[:0]
+	var last lastRowids
+	for len(d.b) > 0 {
+		var table string
+		if k := d.uvarint(); k > 0 {
+			if k-1 < uint64(len(dict.texts)) {
+				table = dict.texts[k-1]
+			} else {
+				d.fail("bad table reference %d", k)
+			}
+		} else if name := d.bytes(); len(name) > 0 {
+			table = dict.literal(name)
+		} else {
+			d.fail("empty table name")
+		}
+		kind := d.uvarint()
+		op, cells := byte(kind&3), kind>>2
+		if op > rowDelete || op == rowDelete && cells != 0 {
+			d.fail("bad row change kind %d", kind)
+		}
+		n := d.count()
+		if n == 0 {
+			d.fail("empty run")
+		} else if cells+1 > uint64(len(d.b)/n) {
+			// Every change takes a byte for its rowid and one per cell.
+			d.fail("%d changes of %d cells exceed the %d bytes left", n, cells, len(d.b))
+		}
+		for range n {
+			if d.err != nil {
+				break
+			}
+			rowid := last.at(table)
+			*rowid += d.varint()
+			c := rowChange{table: table, op: op, rowid: *rowid, skip: -1}
+			if op != rowDelete {
+				c.row = make(Row, cells, cells+1)
+				for k := range c.row {
+					c.row[k] = d.value()
+				}
+			}
+			rows = append(rows, c)
+		}
+		if d.err != nil {
+			dict.rollback(defined)
+			return 0, walRecord{}, fmt.Errorf("row change %d: %w", len(rows), d.err)
+		}
 	}
 	if d.err != nil {
 		dict.rollback(defined)
-		return 0, nil, d.err
+		return 0, walRecord{}, d.err
 	}
-	return lsn, stmts, nil
+	return lsn, walRecord{stmts: stmts, rows: rows}, nil
+}
+
+// recordDecoder decodes one log record's values, resolving tag-7
+// back-references against the record's literal text values.
+type recordDecoder struct {
+	decoder
+	texts []string // the record's literal text values, in order
+}
+
+func (d *recordDecoder) value() Value {
+	switch {
+	case len(d.b) > 0 && d.b[0] == walTagTextRef:
+		d.b = d.b[1:]
+		k := d.uvarint()
+		if k < uint64(len(d.texts)) {
+			return Text(d.texts[k])
+		}
+		d.fail("bad text reference %d", k)
+		return Null()
+	case len(d.b) > 0 && d.b[0] == walTagText:
+		v := decodeWALValue(&d.decoder)
+		d.texts = append(d.texts, v.S)
+		return v
+	default:
+		return decodeWALValue(&d.decoder)
+	}
 }
 
 // Typed-argument wire tags. These are a frozen on-disk contract — logs

@@ -46,7 +46,8 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	}
 
 	// Mixed statement shapes and value types, including one logged via a
-	// transaction, one through the statement cache, and a zero-row UPDATE.
+	// transaction, one through the statement cache, and a zero-row UPDATE,
+	// which changes nothing and so logs nothing.
 	mustExec(t, db, "INSERT INTO kv (k, v) VALUES (?, ?)", Text("a"), Int(1))
 	mustExec(t, db, "INSERT INTO kv (k, v) VALUES (?, ?)", Text("b"), Int(2))
 	if err := db.Update(func(tx *Tx) error {
@@ -60,8 +61,8 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	}
 	mustExec(t, db, "UPDATE kv SET v = ? WHERE k = ?", Int(99), Text("missing"))
 
-	if got := db.LastLSN(); got != 4 {
-		t.Fatalf("LastLSN = %d, want 4", got)
+	if got := db.LastLSN(); got != 3 {
+		t.Fatalf("LastLSN = %d, want 3", got)
 	}
 	want := dumpBytes(t, db)
 	if err := w.Close(); err != nil {
@@ -74,14 +75,14 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	mustExec(t, db2, "CREATE TABLE kv (k TEXT NOT NULL, v INTEGER NOT NULL)")
 	w2, stats2 := openTestWAL(t, path, db2, WALOptions{})
 	defer w2.Close()
-	if stats2.Applied != 4 || stats2.LastLSN != 4 {
-		t.Fatalf("replay stats = %+v, want 4 applied through lsn 4", stats2)
+	if stats2.Applied != 3 || stats2.LastLSN != 3 {
+		t.Fatalf("replay stats = %+v, want 3 applied through lsn 3", stats2)
 	}
 	if got := dumpBytes(t, db2); !bytes.Equal(got, want) {
 		t.Fatalf("replayed state differs from committed state")
 	}
-	if db2.LastLSN() != 4 {
-		t.Fatalf("LastLSN after replay = %d, want 4", db2.LastLSN())
+	if db2.LastLSN() != 3 {
+		t.Fatalf("LastLSN after replay = %d, want 3", db2.LastLSN())
 	}
 }
 
@@ -251,9 +252,12 @@ func TestWALAppendFailureAbortsCommit(t *testing.T) {
 func TestWALShortWriteRewindsLiveLog(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.wal")
+	ddl := []string{"CREATE TABLE kv (k TEXT NOT NULL, v INTEGER NOT NULL)", "CREATE TABLE tags (name TEXT NOT NULL)"}
 
 	db := New()
-	mustExec(t, db, "CREATE TABLE kv (k TEXT NOT NULL, v INTEGER NOT NULL)")
+	for _, sql := range ddl {
+		mustExec(t, db, sql)
+	}
 	w, _ := openTestWAL(t, path, db, WALOptions{})
 	mustExec(t, db, "INSERT INTO kv (k, v) VALUES (?, ?)", Text("a"), Int(1))
 	if err := w.waitDurable(1); err != nil {
@@ -267,25 +271,30 @@ func TestWALShortWriteRewindsLiveLog(t *testing.T) {
 		}
 		return nil
 	})
-	// The failed record is the first to use the DELETE's text, so it
-	// defined a dictionary entry that never reached the file.
-	if _, err := db.Exec("DELETE FROM kv WHERE k = ?", Text("a")); !errors.Is(err, boom) {
+	// The failed record is the first to name tags, so it defined a
+	// dictionary entry that never reached the file.
+	if _, err := db.Exec("INSERT INTO tags (name) VALUES (?)", Text("x")); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	w.SetFaultHook(nil)
 
 	// The torn prefix was rewound and the definition forgotten: the next
-	// commits land on a clean boundary, the DELETE spelled in full, and the
-	// whole log replays.
+	// commits land on a clean boundary, tags spelled in full, and the whole
+	// log replays.
 	mustExec(t, db, "INSERT INTO kv (k, v) VALUES (?, ?)", Text("c"), Int(3))
-	mustExec(t, db, "DELETE FROM kv WHERE k = ?", Text("a"))
+	mustExec(t, db, "INSERT INTO tags (name) VALUES (?)", Text("y"))
 	want := dumpBytes(t, db)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	if log, err := os.ReadFile(path); err != nil || bytes.Count(log, []byte("tags")) != 1 {
+		t.Fatalf("the log spells tags %d times (%v), want once", bytes.Count(log, []byte("tags")), err)
+	}
 
 	db2 := New()
-	mustExec(t, db2, "CREATE TABLE kv (k TEXT NOT NULL, v INTEGER NOT NULL)")
+	for _, sql := range ddl {
+		mustExec(t, db2, sql)
+	}
 	w2, stats := openTestWAL(t, path, db2, WALOptions{})
 	defer w2.Close()
 	if stats.TornBytes != 0 {
@@ -306,8 +315,8 @@ func TestWALShortWriteRewindsLiveLog(t *testing.T) {
 func TestWALBackwardsLSNTakesItsDefinitions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.wal")
 	var enc walEncoder
-	log := enc.encode(nil, 1, []redoStmt{{sql: "INSERT INTO kv (k, v) VALUES (?, ?)", args: []Value{Text("a"), Int(1)}}})
-	log = enc.encode(log, 1, []redoStmt{{sql: "DELETE FROM kv WHERE k = ?", args: []Value{Text("a")}}})
+	log := enc.encode(nil, 1, walRecord{stmts: []redoStmt{{sql: "INSERT INTO kv (k, v) VALUES (?, ?)", args: []Value{Text("a"), Int(1)}}}})
+	log = enc.encode(log, 1, walRecord{stmts: []redoStmt{{sql: "DELETE FROM kv WHERE k = ?", args: []Value{Text("a")}}}})
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +468,9 @@ func TestWALValueRoundTrip(t *testing.T) {
 		Null(), Int(-42), Int(1 << 60), Float(3.25), Float(-0.0),
 		Text(""), Text("héllo\x00world"), Bool(true), Bool(false), Time(now),
 	}
-	rec := new(walEncoder).encode(nil, 7, []redoStmt{{sql: "INSERT INTO t VALUES (?)", args: vals}})
-	lsn, stmts, err := decodeWALRecord(&walDict{}, rec[frameHeaderSize:])
+	rec := new(walEncoder).encode(nil, 7, walRecord{stmts: []redoStmt{{sql: "INSERT INTO t VALUES (?)", args: vals}}})
+	lsn, dec, err := decodeWALRecord(&walDict{}, rec[frameHeaderSize:], nil)
+	stmts := dec.stmts
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -499,7 +509,7 @@ func TestWALStatementBackReferences(t *testing.T) {
 	var enc walEncoder
 	var log []byte
 	for i, stmts := range records {
-		log = enc.encode(log, uint64(i+1), stmts)
+		log = enc.encode(log, uint64(i+1), walRecord{stmts: stmts})
 	}
 	for _, text := range []string{insAttr, insFile} {
 		if n := bytes.Count(log, []byte(text)); n != 1 {
@@ -518,7 +528,8 @@ func TestWALStatementBackReferences(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		lsn, got, err := decodeWALRecord(&dict, payload)
+		lsn, rec, err := decodeWALRecord(&dict, payload, nil)
+		got := rec.stmts
 		if err != nil || lsn != uint64(i+1) {
 			t.Fatalf("record %d: lsn %d, err %v", i, lsn, err)
 		}
@@ -552,7 +563,8 @@ func TestWALStatementBackReferences(t *testing.T) {
 	stmt([]byte{0, 0}, 6)                             // statement 0's text
 	stmt([]byte{0, 1}, 8)                             // statement 1's text
 	stmt([]byte{0, 4 + 1}, 10)                        // dictionary id 1
-	_, got, err := decodeWALRecord(&mixed, payload)
+	_, rec, err := decodeWALRecord(&mixed, payload, nil)
+	got := rec.stmts
 	if err != nil {
 		t.Fatalf("a record mixing both reference forms: %v", err)
 	}
@@ -571,7 +583,7 @@ func TestWALStatementBackReferences(t *testing.T) {
 	// every reference is. A refused record leaves the dictionary alone.
 	ref := func(dict *walDict, ref uint64) error {
 		payload := append(make([]byte, 8), 1, 0, byte(ref), 0) // one statement, sqlLen 0, ref, no args
-		_, _, err := decodeWALRecord(dict, payload)
+		_, _, err := decodeWALRecord(dict, payload, nil)
 		return err
 	}
 	two := walDict{}
@@ -591,5 +603,219 @@ func TestWALStatementBackReferences(t *testing.T) {
 		if !slices.Equal(before, tc.dict.texts) {
 			t.Fatal("a refused record changed the dictionary")
 		}
+	}
+}
+
+// replayed boots a fresh database from snap (a Dump, or nil for an empty
+// database), runs ddl on it, replays the log at path into it and closes
+// the log again, leaving no log attached.
+func replayed(t *testing.T, snap []byte, path string, ddl ...string) (*DB, ReplayStats) {
+	t.Helper()
+	db := New()
+	if snap != nil {
+		if err := db.LoadSnapshot(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range ddl {
+		mustExec(t, db, sql)
+	}
+	w, stats := openTestWAL(t, path, db, WALOptions{NoSync: true})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db.AttachWAL(nil)
+	return db, stats
+}
+
+// probe is a query and its one parameter.
+type probe struct {
+	sql string
+	arg Value
+}
+
+// sameAnswers requires db and db2 to answer each probe alike.
+func sameAnswers(t *testing.T, db, db2 *DB, probes ...probe) {
+	t.Helper()
+	for _, p := range probes {
+		want, got := mustQuery(t, db, p.sql, p.arg), mustQuery(t, db2, p.sql, p.arg)
+		if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
+			t.Fatalf("%s [%v]: replayed %v, live %v", p.sql, p.arg, got.Data, want.Data)
+		}
+	}
+}
+
+// TestWALReplayInterleavesDDL: a log whose DDL statement entries fall
+// between row changes — a table created and filled, an index created over
+// its rows, a second table and its indexes, then updates and deletes of
+// indexed columns in both — replays to the live database, and every index
+// answers as the live one does. DDL is logged as its statement and DML as
+// the rows it changed, never as its text. A DML statement entry, as an
+// older build logged it, after enough row changes that its table's queued
+// deltas were dropped for a rebuild, finds its row through the rebuilt
+// index.
+func TestWALReplayInterleavesDDL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.wal")
+	db := New()
+	w, _ := openTestWAL(t, path, db, WALOptions{NoSync: true})
+	mustExec(t, db, "CREATE TABLE a (id INTEGER PRIMARY KEY AUTOINCREMENT, k TEXT NOT NULL UNIQUE, v INTEGER)")
+	for i := range 50 {
+		mustExec(t, db, "INSERT INTO a (k, v) VALUES (?, ?)", Text(fmt.Sprintf("k%02d", i)), Int(int64(i%7)))
+	}
+	mustExec(t, db, "CREATE INDEX a_v ON a (v)")
+	mustExec(t, db, "CREATE TABLE b (id INTEGER PRIMARY KEY, a_id INTEGER NOT NULL, note TEXT)")
+	mustExec(t, db, "CREATE INDEX b_a ON b (a_id)")
+	if err := db.Update(func(tx *Tx) error {
+		for i := range 30 {
+			if _, err := tx.Exec("INSERT INTO b (id, a_id, note) VALUES (?, ?, ?)", Int(int64(100+i)), Int(int64(1+i%10)), Text(fmt.Sprintf("n%d", i%4))); err != nil {
+				return err
+			}
+		}
+		if _, err := tx.Exec("UPDATE a SET v = ? WHERE v = ?", Int(70), Int(3)); err != nil {
+			return err
+		}
+		_, err := tx.Exec("DELETE FROM a WHERE k = ?", Text("k05"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE INDEX b_note ON b (note)")
+	mustExec(t, db, "UPDATE b SET a_id = ?, note = ? WHERE a_id = ?", Int(9), Text("moved"), Int(2))
+	mustExec(t, db, "UPDATE a SET k = ? WHERE k = ?", Text("k99"), Text("k01"))
+	for v := range 7 {
+		mustExec(t, db, "UPDATE a SET v = ? WHERE v = ?", Int(int64(10+v)), Int(int64(v)))
+	}
+	want := dumpBytes(t, db)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db.AttachWAL(nil)
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range []string{"CREATE TABLE a", "CREATE INDEX a_v", "CREATE TABLE b", "CREATE INDEX b_a", "CREATE INDEX b_note"} {
+		if !bytes.Contains(log, []byte(ddl)) {
+			t.Fatalf("the log does not carry %q as a statement", ddl)
+		}
+	}
+	for _, dml := range []string{"INSERT", "UPDATE", "DELETE"} {
+		if bytes.Contains(log, []byte(dml)) {
+			t.Fatalf("the log carries a %s statement's text", dml)
+		}
+	}
+
+	db2, stats := replayed(t, nil, path)
+	if stats.Applied != int(db.LastLSN()) || !bytes.Equal(dumpBytes(t, db2), want) {
+		t.Fatalf("replayed %d of %d records to a state that differs from the live one", stats.Applied, db.LastLSN())
+	}
+
+	// The statement entry: the live database runs it unlogged, the log gets
+	// it appended as an older build wrote it.
+	legacy := redoStmt{sql: "UPDATE a SET v = ? WHERE k = ?", args: []Value{Int(77), Text("k99")}}
+	mustExec(t, db, legacy.sql, legacy.args...)
+	if err := os.WriteFile(path, new(walEncoder).encode(log, db.LastLSN()+1, walRecord{stmts: []redoStmt{legacy}}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2, stats = replayed(t, nil, path)
+	if stats.Applied != int(db.LastLSN())+1 {
+		t.Fatalf("replayed %d of %d records", stats.Applied, db.LastLSN()+1)
+	}
+	sameAnswers(t, db, db2, probe{"SELECT id, v FROM a WHERE v = ? ORDER BY id", Int(77)},
+		probe{"SELECT id, k, v FROM a WHERE id > ? ORDER BY id", Int(0)},
+		probe{"SELECT id, a_id, note FROM b WHERE id > ? ORDER BY id", Int(0)},
+		probe{"SELECT id, k FROM a WHERE v = ? ORDER BY id", Int(70)}, probe{"SELECT id FROM a WHERE v = ?", Int(3)},
+		probe{"SELECT id, v FROM a WHERE k = ?", Text("k99")}, probe{"SELECT id FROM a WHERE k = ?", Text("k01")},
+		probe{"SELECT id FROM a WHERE k = ?", Text("k05")},
+		probe{"SELECT id, note FROM b WHERE a_id = ? ORDER BY id", Int(9)}, probe{"SELECT id FROM b WHERE a_id = ?", Int(2)},
+		probe{"SELECT id FROM b WHERE note = ? ORDER BY id", Text("moved")}, probe{"SELECT id FROM b WHERE note = ? ORDER BY id", Text("n1")})
+}
+
+// TestWALReplayIndexedUpdates replays updates of indexed columns, a re-keyed
+// INTEGER PRIMARY KEY and deletes onto a restored table, on both ends of
+// the replay rule: a log small against the table flushes the queued index
+// deltas, one large against it rebuilds the indexes from the row store.
+// Either way the state and every index's answers are the live ones.
+func TestWALReplayIndexedUpdates(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		updates     int
+		wantRebuilt int
+	}{{"flush", 5, 0}, {"rebuild", 300, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state.wal")
+			db := New()
+			mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, k TEXT NOT NULL UNIQUE, v INTEGER)")
+			mustExec(t, db, "CREATE INDEX t_v ON t (v)")
+			for i := range 400 {
+				mustExec(t, db, "INSERT INTO t (id, k, v) VALUES (?, ?, ?)", Int(int64(i)), Text(fmt.Sprintf("k%03d", i)), Int(int64(i%10)))
+			}
+			snap := dumpBytes(t, db)
+			w, _ := openTestWAL(t, path, db, WALOptions{NoSync: true})
+			for i := range tc.updates {
+				mustExec(t, db, "UPDATE t SET v = ?, k = ? WHERE id = ?", Int(int64(100+i)), Text(fmt.Sprintf("u%03d", i)), Int(int64(i)))
+			}
+			mustExec(t, db, "UPDATE t SET id = ? WHERE id = ?", Int(1000), Int(399))
+			mustExec(t, db, "DELETE FROM t WHERE id = ?", Int(398))
+			want := dumpBytes(t, db)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, stats := replayed(t, snap, path)
+			if stats.Rebuilt != tc.wantRebuilt {
+				t.Fatalf("replay rebuilt %d tables, want %d", stats.Rebuilt, tc.wantRebuilt)
+			}
+			if !bytes.Equal(dumpBytes(t, db2), want) {
+				t.Fatal("the replayed state differs from the live one")
+			}
+			sameAnswers(t, db, db2,
+				probe{"SELECT id FROM t WHERE v = ?", Int(100)}, probe{"SELECT id FROM t WHERE v = ? ORDER BY id", Int(0)},
+				probe{"SELECT id FROM t WHERE v = ? ORDER BY id", Int(9)}, probe{"SELECT id, v FROM t WHERE k = ?", Text("u000")},
+				probe{"SELECT id FROM t WHERE k = ?", Text("k000")}, probe{"SELECT k FROM t WHERE id = ?", Int(1000)},
+				probe{"SELECT k FROM t WHERE id = ?", Int(399)}, probe{"SELECT id FROM t WHERE k = ?", Text("k398")})
+		})
+	}
+}
+
+// TestWALReplayAutoIncrementAfterDeletes: the counters a replay leaves
+// behind are the live ones, deletes of the highest ids included, so the
+// next insert after a restart takes the id it would have taken without
+// one: for an INTEGER PRIMARY KEY AUTOINCREMENT, for an AUTOINCREMENT
+// column beside counted rowids, and for an explicit id above the counter.
+func TestWALReplayAutoIncrementAfterDeletes(t *testing.T) {
+	ddl := []string{
+		"CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT NOT NULL)",
+		"CREATE TABLE s (n INTEGER AUTOINCREMENT, label TEXT)",
+	}
+	path := filepath.Join(t.TempDir(), "state.wal")
+	db := New()
+	for _, sql := range ddl {
+		mustExec(t, db, sql)
+	}
+	w, _ := openTestWAL(t, path, db, WALOptions{NoSync: true})
+	for i := range 5 {
+		mustExec(t, db, "INSERT INTO t (name) VALUES (?)", Text(fmt.Sprintf("t%d", i)))
+		mustExec(t, db, "INSERT INTO s (label) VALUES (?)", Text(fmt.Sprintf("s%d", i)))
+	}
+	mustExec(t, db, "INSERT INTO t (id, name) VALUES (?, ?)", Int(40), Text("explicit"))
+	mustExec(t, db, "DELETE FROM t WHERE id >= ?", Int(4))
+	mustExec(t, db, "DELETE FROM s WHERE n >= ?", Int(4))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db.AttachWAL(nil)
+	db2, _ := replayed(t, nil, path, ddl...)
+	for _, d := range []*DB{db, db2} {
+		res := mustExec(t, d, "INSERT INTO t (name) VALUES (?)", Text("after"))
+		if res.LastInsertID != 41 {
+			t.Fatalf("the next t id = %d, want 41", res.LastInsertID)
+		}
+		res = mustExec(t, d, "INSERT INTO s (label) VALUES (?)", Text("after"))
+		if res.LastInsertID != 6 {
+			t.Fatalf("the next s counter = %d, want 6", res.LastInsertID)
+		}
+	}
+	if !bytes.Equal(dumpBytes(t, db2), dumpBytes(t, db)) {
+		t.Fatal("after one more insert each, the replayed database differs from the live one")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -36,20 +37,22 @@ func TestWALTornWriteCorpus(t *testing.T) {
 	w, _ := openTestWAL(t, path, db, WALOptions{})
 
 	// Commits of varying shapes so the final record's offsets sweep
-	// through length, CRC, LSN, statement text, the log's three kinds of
-	// reference and every value type. The final record defines dictionary
-	// entries (the two DELETEs), refers to entries earlier records defined
-	// (the kv INSERT and the UPDATE) and repeats text arguments ("gamma"
-	// and "third", tag-7 back-references), so the cuts land inside each.
-	// Its long label keeps it at offsets 165–345, where it sat before the
-	// dictionary shortened it, so the cut subtests keep their names.
+	// through length, CRC, LSN, the runs of row changes, the log's kinds of
+	// reference and its value types. The final record changes rows of both
+	// tables by insert, update and delete; it names seq for the first time,
+	// which defines a dictionary entry, refers to kv, which the earlier
+	// records defined, and repeats a text value ("gamma", a tag-7
+	// back-reference), so the cuts land inside each. The two padded texts
+	// keep it at offsets 165–345, where it sat when the log recorded
+	// statements, so the cut subtests keep their names.
+	pad := func(s string, n int) string { return s + strings.Repeat(".", n-len(s)) }
 	commits := [][]func(tx *Tx) error{
 		{func(tx *Tx) error {
 			_, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text("alpha"), Int(1))
 			return err
 		}},
 		{func(tx *Tx) error {
-			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("first"))
+			_, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text(pad("first — padded to the length that keeps the final record in place", 94)), Int(7))
 			return err
 		}, func(tx *Tx) error {
 			_, err := tx.Exec("UPDATE kv SET v = ? WHERE k = ?", Int(2), Text("alpha"))
@@ -62,7 +65,7 @@ func TestWALTornWriteCorpus(t *testing.T) {
 			_, err := tx.Exec("DELETE FROM kv WHERE k = ?", Text("alpha"))
 			return err
 		}, func(tx *Tx) error {
-			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("second — the final record, cut at every offset"))
+			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text(pad("second — the final record, cut at every offset", 97)))
 			return err
 		}, func(tx *Tx) error {
 			_, err := tx.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", Text("gamma"), Int(4))
@@ -74,7 +77,6 @@ func TestWALTornWriteCorpus(t *testing.T) {
 			_, err := tx.Exec("INSERT INTO seq (label) VALUES (?)", Text("third"))
 			return err
 		}, func(tx *Tx) error {
-			// A second definition, whose argument is a tag 7.
 			_, err := tx.Exec("DELETE FROM seq WHERE label = ?", Text("third"))
 			return err
 		}},
@@ -121,10 +123,11 @@ func TestWALTornWriteCorpus(t *testing.T) {
 	}
 
 	final := whole[sizes[len(sizes)-2]:]
-	if !bytes.Contains(final, []byte("DELETE FROM kv")) || bytes.Contains(final, []byte("INSERT INTO kv")) ||
-		bytes.Contains(final, []byte("UPDATE kv")) || bytes.Count(final, []byte("gamma")) != 1 ||
-		bytes.Count(final, []byte("third")) != 1 {
-		t.Fatal("the final record does not carry a definition, dictionary references and a text back-reference")
+	if !bytes.Contains(final, []byte("\x00\x03seq")) || bytes.Contains(final, []byte("kv")) ||
+		bytes.Count(final, []byte("gamma")) != 1 || bytes.Count(final, []byte("third")) != 1 ||
+		sizes[len(sizes)-2] != 165 || len(whole) != 345 {
+		t.Fatalf("the final record (offsets %d–%d) does not carry a definition, a dictionary reference and a text back-reference at 165–345",
+			sizes[len(sizes)-2], len(whole))
 	}
 
 	// Cut at every byte offset of the final record — from the last whole

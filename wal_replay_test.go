@@ -15,11 +15,14 @@ import (
 // TestWALReplayMatchesLive drives a catalog through the live API with its
 // log attached — ingest cycles, a mixed stream of reads and writes, a DDL
 // statement, and a rotation in the middle, so the log spans two files and
-// two statement dictionaries — then restores the snapshot taken before the
-// log was opened and replays the files. The replayed catalog must dump to
-// exactly the bytes of the live one: at the end of the log, with the log cut
-// at a replay-batch boundary, and with the log cut inside the DDL record,
-// which defines a dictionary entry.
+// two dictionaries — then restores a snapshot and replays the files. The
+// replayed catalog must dump to exactly the bytes of the live one: from the
+// snapshot taken before the log was opened, at the end of the log (a log
+// large against the catalog, whose tables rebuild their indexes), with the
+// log cut at a record boundary mid-stream, and with the log cut inside the
+// DDL record, which defines a dictionary entry; and from the snapshot taken
+// at the rotation, with a dozen records of the second file (a log small
+// against the catalog, whose tables flush their queued index deltas).
 func TestWALReplayMatchesLive(t *testing.T) {
 	cfg := bench.DefaultConfig(60)
 	cat, err := bench.Load(cfg)
@@ -121,9 +124,19 @@ func TestWALReplayMatchesLive(t *testing.T) {
 	mixed(80)
 	must(w.Rotate())
 
-	// The second file, which starts a fresh dictionary: more than one replay
-	// batch of records with a DDL statement inside, which defines an entry.
-	rotated := cat.LastLSN()
+	// The second file, which starts a fresh dictionary: a few hundred records
+	// with a DDL statement inside, which defines an entry.
+	rotated, atRotation := cat.LastLSN(), dump()
+	var early, atBatch []byte
+	var earlyEnd, batchEnd int64
+	watch = func() {
+		if early == nil && cat.LastLSN() == rotated+12 {
+			early, earlyEnd = dump(), size()
+		}
+		if atBatch == nil && cat.LastLSN() == rotated+256 {
+			atBatch, batchEnd = dump(), size()
+		}
+	}
 	mixed(150)
 	beforeDDL, ddlStart, lastBeforeDDL := dump(), size(), fmt.Sprintf("live-%d", next)
 	_, err = cat.DB().Exec("CREATE TABLE wal_probe (k TEXT NOT NULL UNIQUE, v INTEGER)")
@@ -131,23 +144,16 @@ func TestWALReplayMatchesLive(t *testing.T) {
 	ddlEnd := size()
 	_, err = cat.DB().Exec("INSERT INTO wal_probe (k, v) VALUES (?, ?)", sqldb.Text("probe"), sqldb.Int(1))
 	must(err)
-	var atBatch []byte
-	var batchEnd int64
-	watch = func() {
-		if atBatch == nil && cat.LastLSN() == rotated+256 {
-			atBatch, batchEnd = dump(), size()
-		}
-	}
 	mixed(440)
-	if atBatch == nil {
-		t.Fatal("no op of the mixed stream ended at the replay-batch boundary")
+	if early == nil || atBatch == nil {
+		t.Fatal("no op of the mixed stream ended at the record boundaries the cuts take")
 	}
 	final, finalSize := dump(), size()
 	must(w.Close())
 
-	// restoreCut restores the pre-log snapshot into a new catalog and replays
+	// restoreCut restores snapshot from into a new catalog and replays
 	// copies of both log files, the current one cut to its first cut bytes.
-	restoreCut := func(t *testing.T, cut int64) (*core.Catalog, *sqldb.WAL, sqldb.ReplayStats, string) {
+	restoreCut := func(t *testing.T, from []byte, cut int64) (*core.Catalog, *sqldb.WAL, sqldb.ReplayStats, string) {
 		must := mustT(t)
 		rpath := filepath.Join(t.TempDir(), "cat.snap.wal")
 		sealed, err := os.ReadFile(path + ".1")
@@ -156,7 +162,7 @@ func TestWALReplayMatchesLive(t *testing.T) {
 		must(err)
 		must(os.WriteFile(rpath+".1", sealed, 0o644))
 		must(os.WriteFile(rpath, current[:cut], 0o644))
-		cat2, err := core.Restore(core.Options{}, bytes.NewReader(snap.Bytes()))
+		cat2, err := core.Restore(core.Options{}, bytes.NewReader(from))
 		must(err)
 		w2, stats, err := cat2.OpenWAL(rpath, sqldb.WALOptions{NoSync: true})
 		must(err)
@@ -168,19 +174,25 @@ func TestWALReplayMatchesLive(t *testing.T) {
 		return buf.Bytes()
 	}
 	for _, tc := range []struct {
-		name string
-		cut  int64
-		want []byte
+		name    string
+		from    []byte
+		cut     int64
+		want    []byte
+		rebuilt bool // some table rebuilt its indexes rather than flushed
 	}{
-		{"whole", finalSize, final},
-		{"batch-boundary", batchEnd, atBatch},
-		{"before-ddl", ddlStart, beforeDDL},
+		{"whole", snap.Bytes(), finalSize, final, true},
+		{"batch-boundary", snap.Bytes(), batchEnd, atBatch, true},
+		{"before-ddl", snap.Bytes(), ddlStart, beforeDDL, true},
+		{"flush", atRotation, earlyEnd, early, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cat2, w2, stats, _ := restoreCut(t, tc.cut)
+			cat2, w2, stats, _ := restoreCut(t, tc.from, tc.cut)
 			defer w2.Close()
 			if stats.TornBytes != 0 {
 				t.Fatalf("a cut on a record boundary left %d torn bytes", stats.TornBytes)
+			}
+			if rebuilt := stats.Rebuilt > 0; rebuilt != tc.rebuilt {
+				t.Fatalf("replaying %d records rebuilt %d tables", stats.Applied, stats.Rebuilt)
 			}
 			if got := dumpOf(t, cat2); !bytes.Equal(got, tc.want) {
 				t.Fatalf("the replayed catalog (LSN %d) dumps %d bytes that differ from the live catalog's %d",
@@ -193,7 +205,7 @@ func TestWALReplayMatchesLive(t *testing.T) {
 	t.Run("inside-ddl", func(t *testing.T) {
 		must := mustT(t)
 		cut := (ddlStart + ddlEnd) / 2
-		cat2, w2, stats, rpath := restoreCut(t, cut)
+		cat2, w2, stats, rpath := restoreCut(t, snap.Bytes(), cut)
 		if stats.TornBytes != cut-ddlStart {
 			t.Fatalf("TornBytes = %d, want %d", stats.TornBytes, cut-ddlStart)
 		}
@@ -202,9 +214,9 @@ func TestWALReplayMatchesLive(t *testing.T) {
 		}
 		// The recovered log takes new records against the dictionary it
 		// was seeded with, and a second recovery reads them back. The
-		// setAttribute goes first: its texts are not the file's first
-		// definitions, so a writer that started a fresh dictionary would
-		// number them differently from the decoder.
+		// setAttribute goes first: its table is not the file's first
+		// definition, so a writer that started a fresh dictionary would
+		// number it differently from the decoder.
 		a := bench.FileAttributes(next+3, 2)[1]
 		must(cat2.SetAttribute(bench.LoaderDN, core.ObjectFile, lastBeforeDDL, a.Name, a.Value))
 		_, err := cat2.CreateFile(bench.LoaderDN, spec())

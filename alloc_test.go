@@ -429,6 +429,35 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryPage times one 512-row RunQueryPage as the loader DN over
+// 10,000 files, for a conjunction of k = 1, 3 and 10 attribute equalities
+// that 200 of them match: the engine's DISTINCT, ORDER BY and LIMIT over an
+// intersection plan, then the page's name resolve. allocs/op is the page's
+// garbage.
+func BenchmarkQueryPage(b *testing.B) {
+	const files, matches = 10000, 200
+	cat, err := bench.Load(bench.DefaultConfig(files))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{1, 3, 10} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			q := core.Query{Predicates: bench.Predicates(k, 7)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				names, next, err := cat.RunQueryPage(bench.LoaderDN, q, 512, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(names) != matches || next != "" {
+					b.Fatalf("page of %d names (next %q), want all %d matches", len(names), next, matches)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSnapshot times Catalog.Snapshot of the same dataset into a sink:
 // MB/s of stream written, files/s, and — the point of the framed stream —
 // B/op that does not grow with the catalog.

@@ -495,6 +495,49 @@ func TestChaosNoRetrySentinels(t *testing.T) {
 	}
 }
 
+// TestChaosEngineFaultIsNotExists injects one engine fault into the INSERT
+// of each operation that maps a duplicate name to ErrExists. The fault must
+// reach the caller as the transient verdict an engine fault has
+// (ErrUnavailable, retryable), never as ErrExists, which would tell it the
+// name is taken; and the same call, retried under its idempotency key,
+// succeeds.
+func TestChaosEngineFaultIsNotExists(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(c *Client) error
+	}{
+		{"defineAttribute", func(c *Client) error {
+			_, err := c.DefineAttribute("band", AttrString, "")
+			return err
+		}},
+		{"registerExternalCatalog", func(c *Client) error {
+			_, err := c.RegisterExternalCatalog(ExternalCatalog{Name: "peer", Host: "peer.example.org"})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two faults: one for the call without retries, one for the
+			// first attempt of the call with them.
+			inj := NewFaultInjector(1, FaultRule{Site: FaultSiteDB, Op: "insert", Kind: FaultKindError, Times: 2})
+			_, url := startServer(t, ServerOptions{FaultInjector: inj})
+			err := tc.call(NewClient(url, testAlice))
+			if errors.Is(err, ErrExists) {
+				t.Fatalf("an engine fault reads as a duplicate: %v", err)
+			}
+			if !errors.Is(err, ErrUnavailable) || !Retryable(err) {
+				t.Fatalf("error = %v, want a retryable ErrUnavailable", err)
+			}
+			c := NewClient(url, testAlice, WithRetry(2), WithBackoff(time.Millisecond, time.Millisecond))
+			if err := tc.call(c); err != nil {
+				t.Fatalf("retried call: %v", err)
+			}
+			if st := c.RetryStats(); st.Attempts != 2 {
+				t.Fatalf("retry stats = %+v, want the faulted attempt and one retry", st)
+			}
+		})
+	}
+}
+
 // TestChaosSoak hammers a probabilistically faulty server with concurrent
 // batch writers and paginating readers, then turns injection off and checks
 // convergence: every batch a writer saw succeed exists exactly once, and a

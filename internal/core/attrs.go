@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"sort"
@@ -31,8 +32,11 @@ func (c *Catalog) DefineAttribute(dn, name string, typ AttrType, description str
 		res, err := tx.Exec(
 			"INSERT INTO attribute_def (name, type, description, creator, created) VALUES (?, ?, ?, ?, ?)",
 			sqldb.Text(name), sqldb.Text(string(typ)), sqldb.Text(description), sqldb.Text(dn), now)
-		if err != nil {
+		if errors.Is(err, sqldb.ErrUniqueViolation) {
 			return fmt.Errorf("%w: attribute %q", ErrExists, name)
+		}
+		if err != nil {
+			return err
 		}
 		out = AttributeDef{
 			ID: res.LastInsertID, Name: name, Type: typ,

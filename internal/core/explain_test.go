@@ -62,7 +62,7 @@ func TestExplainAttributeBatchHydration(t *testing.T) {
 	// local predicate, so it goes last and is reached by key probes into its
 	// primary key.
 	plan := explainPlan(t, c,
-		"SELECT ua.object_id, ad.name, ad.attr_type, ua.sval, ua.ival, ua.fval, ua.tval "+
+		"SELECT ua.object_id, ad.name, ad.type, ua.sval, ua.ival, ua.fval, ua.tval "+
 			"FROM user_attribute ua JOIN attribute_def ad ON ad.id = ua.attr_id "+
 			"WHERE ua.object_type = ? AND ua.object_id IN (?, ?, ?)")
 	want := "intersect[ua index-in(ua_object) & ad key-probe(rowid)]"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"mcs/internal/sqldb"
@@ -217,8 +218,11 @@ func (c *Catalog) RegisterExternalCatalog(dn string, ec ExternalCatalog, opts ..
 			"INSERT INTO external_catalog (name, type, host, ip, description) VALUES (?, ?, ?, ?, ?)",
 			sqldb.Text(ec.Name), sqldb.Text(ec.Type), sqldb.Text(ec.Host),
 			sqldb.Text(ec.IP), sqldb.Text(ec.Description))
-		if err != nil {
+		if errors.Is(err, sqldb.ErrUniqueViolation) {
 			return fmt.Errorf("%w: external catalog %q", ErrExists, ec.Name)
+		}
+		if err != nil {
+			return err
 		}
 		ec.ID = res.LastInsertID
 		return nil

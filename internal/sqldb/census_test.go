@@ -20,10 +20,10 @@ import (
 // discovery summary, and once each the rarer kinds (driveCensusRest) — and
 // then every statement it issued is explained twice: against an empty
 // catalog and against the driven one. A SELECT is explained as it stands;
-// an UPDATE or DELETE as the SELECT of its WHERE, whose access path
-// matchingRowIDs plans the same way. Plans are a function of the schema and
-// the statement alone (planSpec), so the two must agree, and both must
-// match testdata/plan_census.golden. A planner change that moves any
+// an UPDATE or DELETE as the SELECT of its WHERE, which is the statement
+// it compiles to. Plans are a function of the schema and the statement
+// alone (planSpec), so the two must agree, and both must match
+// testdata/plan_census.golden. A planner change that moves any
 // catalog plan fails here, naming the statement.
 
 const (

@@ -29,7 +29,7 @@ type DB struct {
 
 	// stmtCache holds the engine's prepared statements, the counterpart of
 	// the JDBC prepared-statement cache in the original MCS server: by SQL
-	// text, the parsed statement and, for a SELECT, its plan. A plan serves
+	// text, the parsed statement and, once it has run, its plan. A plan serves
 	// every root of the schema generation it was compiled for (dbRoot.schema)
 	// and every parameter binding; a schema change makes its next use
 	// recompile it. DDL is never cached (it is rare and runs once).
@@ -107,8 +107,8 @@ func stmtVerb(st Statement) string {
 // fixed set, so eviction never triggers in practice).
 const maxCachedStatements = 4096
 
-// cachedStmt is one statement cache entry: the parsed statement and, once a
-// SELECT has been planned, its plan.
+// cachedStmt is one statement cache entry: the parsed statement and, once it
+// has been planned, its plan.
 type cachedStmt struct {
 	st   Statement
 	plan *selectPlan
@@ -150,19 +150,24 @@ func (db *DB) cache(sql string, e cachedStmt) {
 	db.stmtMu.Unlock()
 }
 
-// planFor returns the plan of e, the cache entry of the SELECT sql, for
+// planFor returns the plan of e, the cache entry of the statement sql, for
 // root's schema generation: the cached one, or one compiled against root
-// and cached in its place.
+// and cached in its place. A root whose own transaction changed the schema
+// (a replay's) is not published yet and may never be, and then the number
+// of its generation comes round again for another schema, so its plans are
+// not cached.
 func (db *DB) planFor(sql string, e cachedStmt, root *dbRoot) (*selectPlan, error) {
 	if e.plan != nil && e.plan.schema == root.schema {
 		return e.plan, nil
 	}
-	plan, err := root.compileSelect(e.st.(*SelectStmt), false)
+	plan, err := root.compile(e.st)
 	if err != nil {
 		return nil, err
 	}
-	e.plan = plan
-	db.cache(sql, e)
+	if root.schema != root.epoch || root == db.root.Load() {
+		e.plan = plan
+		db.cache(sql, e)
+	}
 	return plan, nil
 }
 
@@ -275,7 +280,7 @@ func (rp *replayer) apply(lsn uint64, rec walRecord) error {
 		}
 		var e cachedStmt
 		if e, err = rp.db.prepare(st.sql); err == nil {
-			_, err = rp.tx.execStmt(e.st, st.args)
+			_, err = rp.tx.execStmt(st.sql, e, st.args)
 		}
 	}
 	for i := 0; i < len(rec.rows) && err == nil; i++ {
@@ -390,7 +395,7 @@ func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 	if err := db.checkFault(e.st); err != nil {
 		return Result{}, err
 	}
-	return db.execOne(sql, e.st, args)
+	return db.execOne(sql, e, args)
 }
 
 // errExecSelect refuses a SELECT passed to Exec, which would discard its rows.
@@ -398,14 +403,14 @@ var errExecSelect = errors.New("sqldb: Exec requires a mutating or DDL statement
 
 // execOne runs a single non-SELECT statement as its own transaction. DDL
 // logs its statement; DML logs the rows it changed as it runs.
-func (db *DB) execOne(sql string, st Statement, args []Value) (Result, error) {
+func (db *DB) execOne(sql string, e cachedStmt, args []Value) (Result, error) {
 	tx := db.Begin()
-	res, err := tx.execStmt(st, args)
+	res, err := tx.execStmt(sql, e, args)
 	if err != nil {
 		tx.Rollback() //nolint:errcheck // the statement error takes precedence
 		return Result{}, err
 	}
-	switch st.(type) {
+	switch e.st.(type) {
 	case *CreateTableStmt, *CreateIndexStmt:
 		if db.wal != nil {
 			tx.redo.stmts = append(tx.redo.stmts, redoStmt{sql: sql, args: slices.Clone(args)})
@@ -556,7 +561,7 @@ func (tx *Tx) Exec(sql string, args ...Value) (Result, error) {
 	if err := tx.db.checkFault(e.st); err != nil {
 		return Result{}, err
 	}
-	return tx.execStmt(e.st, args)
+	return tx.execStmt(sql, e, args)
 }
 
 // Query runs a SELECT inside the transaction, seeing its uncommitted writes:
@@ -644,21 +649,53 @@ func (db *DB) Update(fn func(tx *Tx) error) error {
 	return tx.Commit()
 }
 
-// execStmt dispatches a non-SELECT statement against the shadow root.
-func (tx *Tx) execStmt(st Statement, args []Value) (Result, error) {
-	switch s := st.(type) {
+// execStmt runs e, the cache entry of the non-SELECT statement sql, against
+// the shadow root: DDL as it stands, DML through its plan.
+func (tx *Tx) execStmt(sql string, e cachedStmt, args []Value) (Result, error) {
+	switch s := e.st.(type) {
 	case *CreateTableStmt:
 		return tx.createTable(s)
 	case *CreateIndexStmt:
 		return tx.createIndex(s)
-	case *InsertStmt:
-		return tx.execInsert(s, args)
-	case *UpdateStmt:
-		return tx.execUpdate(s, args)
-	case *DeleteStmt:
-		return tx.execDelete(s, args)
+	case *SelectStmt:
+		return Result{}, errExecSelect
 	}
-	return Result{}, errExecSelect
+	p, err := tx.db.planFor(sql, e, tx.work)
+	if err != nil {
+		return Result{}, err
+	}
+	t, err := tx.writable(p.stages[0].ref.Table)
+	if err != nil {
+		return Result{}, err
+	}
+	if _, ok := e.st.(*InsertStmt); ok {
+		return tx.execInsert(t, p, args)
+	}
+	// An UPDATE or DELETE changes the rows its plan finds, and the plan may
+	// probe the table's indexes.
+	t.flushIndexes()
+	ev := &env{tabs: []*table{t}, rows: make([]Row, 1), params: args}
+	var ids []int64
+	if err := p.runNested(ev, func(rowid int64) bool {
+		ids = append(ids, rowid)
+		return true
+	}); err != nil {
+		return Result{}, err
+	}
+	if len(ids) > 0 {
+		tx.changed(t)
+	}
+	if _, ok := e.st.(*UpdateStmt); ok {
+		return tx.execUpdate(t, p, ev, ids)
+	}
+	var res Result
+	for _, rowid := range ids {
+		if _, ok := t.delete(rowid); ok {
+			tx.logRow(t, rowDelete, rowid, nil)
+			res.RowsAffected++
+		}
+	}
+	return res, nil
 }
 
 func (tx *Tx) createTable(s *CreateTableStmt) (Result, error) {
@@ -736,11 +773,8 @@ func (db *DB) DropIndexesExcept(keep []string) {
 	tx.Commit() //nolint:errcheck // nothing is logged, so nothing can fail
 }
 
-func (tx *Tx) execInsert(s *InsertStmt, args []Value) (Result, error) {
-	t, err := tx.writable(s.Table)
-	if err != nil {
-		return Result{}, err
-	}
+// execInsert stores the VALUES rows of p, an INSERT's plan, in t.
+func (tx *Tx) execInsert(t *table, p *selectPlan, args []Value) (Result, error) {
 	ev := &env{params: args}
 	var res Result
 	autoCol := -1
@@ -750,25 +784,17 @@ func (tx *Tx) execInsert(s *InsertStmt, args []Value) (Result, error) {
 			break
 		}
 	}
-	for _, exprRow := range s.Rows {
+	for _, vals := range p.vals {
 		// Evaluate directly into the full-width row: inserts are the hottest
 		// write path, and a separate values slice per row doubled its
 		// allocations.
 		row := make(Row, len(t.cols))
-		if len(s.Columns) != len(exprRow) {
-			return res, fmt.Errorf("sqldb: INSERT into %q names %d columns but supplies %d values",
-				t.name, len(s.Columns), len(exprRow))
-		}
-		for i, n := range s.Columns {
-			p, err := t.columnPos(n)
+		for i, pos := range p.cols {
+			v, err := eval(vals[i], ev)
 			if err != nil {
 				return res, err
 			}
-			v, err := eval(exprRow[i], ev)
-			if err != nil {
-				return res, err
-			}
-			row[p] = v
+			row[pos] = v
 		}
 		if err := t.completeRow(row); err != nil {
 			return res, err
@@ -787,85 +813,32 @@ func (tx *Tx) execInsert(s *InsertStmt, args []Value) (Result, error) {
 	return res, nil
 }
 
-// matchingRowIDs evaluates where against each row of t (index-accelerated)
-// and returns the matching rowids.
-func matchingRowIDs(t *table, tableName string, where Expr, args []Value) ([]int64, error) {
-	ev := &env{params: args, bindings: []binding{{alias: tableName, tbl: t}}}
-	var preds []Expr
-	if where != nil {
-		scope := map[string]*tableDef{tableName: t.tableDef}
-		for _, c := range conjuncts(where) {
-			if !refsOnly(c, scope) {
-				return nil, fmt.Errorf("sqldb: unresolvable predicate %s", exprString(c))
-			}
-			preds = append(preds, c)
-		}
-	}
-	sp, _ := planSpec(t, tableName, preds)
-	ap := sp.bind(t, args)
-	var ids []int64
-	var scanErr error
-	ap.scan(func(rowid int64, row Row) bool {
-		ev.bindings[0].row = row
-		for _, p := range preds {
-			v, err := eval(p, ev)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
-		ids = append(ids, rowid)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return ids, nil
-}
-
-func (tx *Tx) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
-	t, err := tx.writable(s.Table)
-	if err != nil {
-		return Result{}, err
-	}
-	t.flushIndexes() // matchingRowIDs may probe this table's indexes
-	ids, err := matchingRowIDs(t, s.Table, s.Where, args)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(ids) > 0 {
-		tx.changed(t)
-	}
-	ev := &env{params: args, bindings: []binding{{alias: s.Table, tbl: t}}}
+// execUpdate applies the assignments of p, an UPDATE's plan, to the rows
+// ids of t, evaluating them under ev with each old row bound.
+func (tx *Tx) execUpdate(t *table, p *selectPlan, ev *env, ids []int64) (Result, error) {
 	var res Result
 	for _, rowid := range ids {
 		old, _ := t.rows.Get(rowid)
-		ev.bindings[0].row = old
+		ev.rows[0] = old
 		newRow := old.clone()
-		for _, as := range s.Set {
-			p, err := t.columnPos(as.Column)
+		for i, pos := range p.cols {
+			v, err := eval(p.vals[0][i], ev)
 			if err != nil {
 				return res, err
 			}
-			v, err := eval(as.Value, ev)
-			if err != nil {
-				return res, err
-			}
+			col := &t.cols[pos]
 			if v.IsNull() {
-				if t.cols[p].NotNull {
-					return res, fmt.Errorf("sqldb: NOT NULL constraint on %s.%s", t.name, as.Column)
+				if col.NotNull {
+					return res, fmt.Errorf("sqldb: NOT NULL constraint on %s.%s", t.name, col.Name)
 				}
-				newRow[p] = v
+				newRow[pos] = v
 				continue
 			}
-			cv, err := coerce(v, t.cols[p].Type)
+			cv, err := coerce(v, col.Type)
 			if err != nil {
-				return res, fmt.Errorf("%w (column %s.%s)", err, t.name, as.Column)
+				return res, fmt.Errorf("%w (column %s.%s)", err, t.name, col.Name)
 			}
-			newRow[p] = cv
+			newRow[pos] = cv
 		}
 		newID, err := t.update(rowid, newRow)
 		if err != nil {
@@ -876,29 +849,6 @@ func (tx *Tx) execUpdate(s *UpdateStmt, args []Value) (Result, error) {
 		}
 		tx.logRow(t, rowUpdate, newID, newRow)
 		res.RowsAffected++
-	}
-	return res, nil
-}
-
-func (tx *Tx) execDelete(s *DeleteStmt, args []Value) (Result, error) {
-	t, err := tx.writable(s.Table)
-	if err != nil {
-		return Result{}, err
-	}
-	t.flushIndexes() // matchingRowIDs may probe this table's indexes
-	ids, err := matchingRowIDs(t, s.Table, s.Where, args)
-	if err != nil {
-		return Result{}, err
-	}
-	if len(ids) > 0 {
-		tx.changed(t)
-	}
-	var res Result
-	for _, rowid := range ids {
-		if _, ok := t.delete(rowid); ok {
-			tx.logRow(t, rowDelete, rowid, nil)
-			res.RowsAffected++
-		}
 	}
 	return res, nil
 }

@@ -2,54 +2,116 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
-// env resolves column references during expression evaluation. For
-// single-table statements there is one binding; joins add one per table.
+// env is one execution's state for expression evaluation: each stage's
+// table version and the row bound at it, and the parameter values. A stage's
+// row is set before any expression that reads it is evaluated: the planner
+// places each conjunct at the last stage it reads.
 type env struct {
-	bindings []binding
-	params   []Value
+	tabs   []*table
+	rows   []Row
+	params []Value
 }
 
-// binding is one table in scope. Its row is set before any expression that
-// reads it is evaluated: the planner places each conjunct at the first stage
-// that binds every table it names.
-type binding struct {
-	alias string
-	tbl   *table
-	row   Row
+// boundCol is a column reference resolved when its statement compiled: the
+// stage (binding) whose table holds the column, and the column's position.
+type boundCol struct{ bind, pos int }
+
+func (*boundCol) expr() {}
+
+// resolve binds ref to the stage its alias names or, unqualified, to the one
+// stage whose table has the column. It is the only lookup of a column name
+// in a query or DML statement; the plan keeps the result for its schema
+// generation, whose tables keep their columns (the dialect has no ALTER or
+// DROP TABLE). In conj, a WHERE or ON conjunct, a name no stage binds makes
+// the conjunct unresolvable.
+func resolve(ref *ColumnRef, stages []stagePlan, conj Expr) (*boundCol, error) {
+	var b *boundCol
+	for si, st := range stages {
+		if ref.Table != "" {
+			if st.ref.Alias != ref.Table {
+				continue
+			}
+			p, err := st.tbl.columnPos(ref.Column)
+			if err != nil {
+				return nil, err
+			}
+			return &boundCol{si, p}, nil
+		}
+		if p, ok := st.tbl.colPos[ref.Column]; ok {
+			if b != nil {
+				return nil, fmt.Errorf("sqldb: ambiguous column %q", ref.Column)
+			}
+			b = &boundCol{si, p}
+		}
+	}
+	switch {
+	case b != nil:
+		return b, nil
+	case conj != nil:
+		return nil, fmt.Errorf("sqldb: unresolvable predicate %s", exprString(conj))
+	case ref.Table != "":
+		return nil, fmt.Errorf("sqldb: unknown table alias %q", ref.Table)
+	}
+	return nil, fmt.Errorf("sqldb: unknown column %q", ref.Column)
 }
 
-func (e *env) lookup(ref *ColumnRef) (Value, error) {
-	if ref.Table != "" {
-		for i := range e.bindings {
-			b := &e.bindings[i]
-			if b.alias == ref.Table {
-				p, err := b.tbl.columnPos(ref.Column)
-				if err != nil {
-					return Value{}, err
-				}
-				return b.row[p], nil
-			}
+// bindExpr returns a copy of ex with every column reference resolved against
+// stages. The parsed statement is shared by every plan compiled from it, so
+// nothing in it changes.
+func bindExpr(ex Expr, stages []stagePlan, conj Expr) (Expr, error) {
+	var err error
+	switch x := ex.(type) {
+	case *ColumnRef:
+		return resolve(x, stages, conj)
+	case *BinaryExpr:
+		b := &BinaryExpr{Op: x.Op}
+		if b.L, err = bindExpr(x.L, stages, conj); err == nil {
+			b.R, err = bindExpr(x.R, stages, conj)
 		}
-		return Value{}, fmt.Errorf("sqldb: unknown table alias %q", ref.Table)
+		return b, err
+	case *InExpr:
+		in := &InExpr{List: make([]Expr, len(x.List))}
+		in.E, err = bindExpr(x.E, stages, conj)
+		for i := 0; i < len(x.List) && err == nil; i++ {
+			in.List[i], err = bindExpr(x.List[i], stages, conj)
+		}
+		return in, err
 	}
-	// Unqualified: must be unambiguous across bindings.
-	found := -1
-	pos := 0
-	for i := range e.bindings {
-		if p, ok := e.bindings[i].tbl.colPos[ref.Column]; ok {
-			if found >= 0 {
-				return Value{}, fmt.Errorf("sqldb: ambiguous column %q", ref.Column)
-			}
-			found, pos = i, p
+	return ex, nil
+}
+
+// eachCol calls fn for every column reference in ex, a bound expression.
+func eachCol(ex Expr, fn func(c *boundCol)) {
+	switch x := ex.(type) {
+	case *boundCol:
+		fn(x)
+	case *BinaryExpr:
+		eachCol(x.L, fn)
+		eachCol(x.R, fn)
+	case *InExpr:
+		eachCol(x.E, fn)
+		for _, it := range x.List {
+			eachCol(it, fn)
 		}
 	}
-	if found < 0 {
-		return Value{}, fmt.Errorf("sqldb: unknown column %q", ref.Column)
-	}
-	return e.bindings[found].row[pos], nil
+}
+
+// stageSpan returns the first and last stage whose columns ex, a bound
+// expression, reads; last is -1 for a constant (literals and parameters
+// only), which constExpr reports.
+func stageSpan(ex Expr) (first, last int) {
+	first, last = math.MaxInt, -1
+	eachCol(ex, func(c *boundCol) { first, last = min(first, c.bind), max(last, c.bind) })
+	return first, last
+}
+
+func constExpr(ex Expr) bool {
+	_, last := stageSpan(ex)
+	return last < 0
 }
 
 // eval computes the value of expr under e.
@@ -68,8 +130,8 @@ func eval(ex Expr, e *env) (Value, error) {
 				x.Index+1, len(e.params))
 		}
 		return e.params[x.Index], nil
-	case *ColumnRef:
-		return e.lookup(x)
+	case *boundCol:
+		return e.rows[x.bind][x.pos], nil
 	case *BinaryExpr:
 		return evalBinary(x, e)
 	case *InExpr:

@@ -1,6 +1,9 @@
 package sqldb
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Sorted rowid-set intersection: the execution strategy that replaces
 // nested-loop self-joins for the EAV attribute queries behind Fig. 11.
@@ -88,99 +91,38 @@ type intersectPlan struct {
 	needed []bool
 }
 
-// resolveCol maps a column reference to (stage, column); unqualified refs
-// must be unambiguous across the stages' tables.
-func resolveCol(ex Expr, stages []stagePlan) (int, int, bool) {
-	ref, ok := ex.(*ColumnRef)
-	if !ok {
-		return 0, 0, false
+// keyEq returns the two columns an equality conjunct between columns of two
+// different stages compares, as (stage, column) pairs.
+func keyEq(c Expr) (l, r [2]int, ok bool) {
+	b, isBin := c.(*BinaryExpr)
+	if !isBin || b.Op != "=" {
+		return l, r, false
 	}
-	if ref.Table != "" {
-		for si := range stages {
-			if stages[si].ref.Alias == ref.Table {
-				if c, ok := stages[si].tbl.colPos[ref.Column]; ok {
-					return si, c, true
-				}
-				return 0, 0, false
-			}
-		}
-		return 0, 0, false
+	lc, lok := b.L.(*boundCol)
+	rc, rok := b.R.(*boundCol)
+	if !lok || !rok || lc.bind == rc.bind {
+		return l, r, false
 	}
-	found, col := -1, 0
-	for si := range stages {
-		if c, ok := stages[si].tbl.colPos[ref.Column]; ok {
-			if found >= 0 {
-				return 0, 0, false // ambiguous
-			}
-			found, col = si, c
-		}
-	}
-	return found, col, found >= 0
-}
-
-// markRefs sets needed[si] for every stage a column of ex may refer to.
-// Unqualified names mark every stage carrying such a column (conservative).
-func markRefs(ex Expr, stages []stagePlan, needed []bool) {
-	switch x := ex.(type) {
-	case *ColumnRef:
-		for si := range stages {
-			if x.Table != "" {
-				if stages[si].ref.Alias == x.Table {
-					needed[si] = true
-				}
-				continue
-			}
-			if _, ok := stages[si].tbl.colPos[x.Column]; ok {
-				needed[si] = true
-			}
-		}
-	case *BinaryExpr:
-		markRefs(x.L, stages, needed)
-		markRefs(x.R, stages, needed)
-	case *InExpr:
-		markRefs(x.E, stages, needed)
-		for _, it := range x.List {
-			markRefs(it, stages, needed)
-		}
-	}
-}
-
-// localEq decomposes a conjunct into (column, constant-expression) if it is
-// a simple column-first equality between a column of the stage and a
-// row-free expression, mirroring planSpec's slot collection.
-func localEq(c Expr, alias string, tbl *tableDef) (int, Expr, bool) {
-	b, ok := c.(*BinaryExpr)
-	if !ok || b.Op != "=" {
-		return 0, nil, false
-	}
-	if p, ok := colOf(b.L, alias, tbl); ok && constExpr(b.R) {
-		return p, b.R, true
-	}
-	return 0, nil, false
+	return [2]int{lc.bind, lc.pos}, [2]int{rc.bind, rc.pos}, true
 }
 
 // specCovers reports whether the spec's equality slots consume every local
-// predicate: each local must be a simple equality whose (column, expression)
-// pair is one of the spec's slots. Expression identity is pointer identity —
-// planSpec stores the conjuncts' own AST nodes — so a second equality on the
-// same column with a different expression correctly fails the check.
-func specCovers(sp accessSpec, alias string, tbl *tableDef, locals []Expr) bool {
+// predicate: each local must be a column-first equality whose (column,
+// expression) pair is one of the spec's slots. Expression identity is
+// pointer identity — planSpec stores the bound conjuncts' own nodes — so a
+// second equality on the same column with a different expression correctly
+// fails the check.
+func specCovers(sp accessSpec, si int, locals []Expr) bool {
 	if sp.idx == nil || sp.inExprs != nil || sp.loExpr != nil || sp.hiExpr != nil {
 		return false
 	}
 	for _, c := range locals {
-		col, val, ok := localEq(c, alias, tbl)
-		if !ok {
+		b, ok := c.(*BinaryExpr)
+		if !ok || b.Op != "=" {
 			return false
 		}
-		found := false
-		for i := range sp.eqCols {
-			if sp.eqCols[i] == col && sp.eqExprs[i] == val {
-				found = true
-				break
-			}
-		}
-		if !found {
+		col, ok := colOf(b.L, si)
+		if i := slices.Index(sp.eqExprs, b.R); !ok || i < 0 || sp.eqCols[i] != col {
 			return false
 		}
 	}
@@ -229,14 +171,8 @@ func (p *selectPlan) planIntersect(tabs []*table, conjs []Expr) {
 		}
 	}
 	for _, c := range conjs {
-		b, ok := c.(*BinaryExpr)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		ls, lc, lok := resolveCol(b.L, stages)
-		rs, rc, rok := resolveCol(b.R, stages)
-		if lok && rok && ls != rs {
-			union(node{ls, lc}, node{rs, rc})
+		if l, r, ok := keyEq(c); ok {
+			union(l, r)
 		}
 	}
 	if len(parent) == 0 {
@@ -302,29 +238,20 @@ func (p *selectPlan) planIntersect(tabs []*table, conjs []Expr) {
 		}
 	}
 
-	// Classify every conjunct: local to exactly one stage's scope, consumed
-	// (an equality between two chosen key columns — enforced exactly by the
-	// key grouping), or a cross-stage residual re-checked at emit time.
+	// Classify every conjunct: local to the one stage it reads (a constant
+	// one to the first), consumed (an equality between two chosen key
+	// columns — enforced exactly by the key grouping), or a cross-stage
+	// residual re-checked at emit time.
 	locals := make([][]Expr, len(stages))
 	var residuals []Expr
 	for _, c := range conjs {
-		placed := false
-		for si := range stages {
-			if refsOnly(c, map[string]*tableDef{stages[si].ref.Alias: stages[si].tbl}) {
-				locals[si] = append(locals[si], c)
-				placed = true
-				break
-			}
-		}
-		if placed {
+		if first, last := stageSpan(c); first >= last {
+			si := max(last, 0)
+			locals[si] = append(locals[si], c)
 			continue
 		}
-		if b, ok := c.(*BinaryExpr); ok && b.Op == "=" {
-			ls, lc, lok := resolveCol(b.L, stages)
-			rs, rc, rok := resolveCol(b.R, stages)
-			if lok && rok && ls != rs && lc == keyCol[ls] && rc == keyCol[rs] {
-				continue // consumed by the key grouping
-			}
+		if l, r, ok := keyEq(c); ok && l[1] == keyCol[l[0]] && r[1] == keyCol[r[0]] {
+			continue // consumed by the key grouping
 		}
 		residuals = append(residuals, c)
 	}
@@ -334,7 +261,7 @@ func (p *selectPlan) planIntersect(tabs []*table, conjs []Expr) {
 	for si := range stages {
 		var access accessSpec
 		tbl := tabs[si]
-		access, rank[si] = planSpec(tbl, stages[si].ref.Alias, locals[si])
+		access, rank[si] = planSpec(tbl, si, locals[si])
 		is := istage{
 			si:          si,
 			keyCol:      keyCol[si],
@@ -343,7 +270,7 @@ func (p *selectPlan) planIntersect(tabs []*table, conjs []Expr) {
 			keyEntryPos: -1,
 		}
 		if keyCol[si] != tbl.pk {
-			if slot := tbl.findIndex(keyCol[si], stages[si].ref.Alias, locals[si]); slot >= 0 {
+			if slot := tbl.findIndex(keyCol[si], si, locals[si]); slot >= 0 {
 				is.probeIdx, is.probeSlot = tbl.indexes[slot].indexDef, slot
 			}
 		}
@@ -356,7 +283,7 @@ func (p *selectPlan) planIntersect(tabs []*table, conjs []Expr) {
 			}
 		}
 		is.covered = is.keyEntryPos >= 0 && is.keyEntryPos <= len(access.eqExprs) &&
-			specCovers(access, stages[si].ref.Alias, stages[si].tbl, locals[si])
+			specCovers(access, si, locals[si])
 		order[si] = is
 	}
 	sort.SliceStable(order, func(a, b int) bool { return rank[order[a].si] > rank[order[b].si] })
@@ -370,14 +297,8 @@ func (p *selectPlan) planIntersect(tabs []*table, conjs []Expr) {
 	// Stages whose rows emission must bind: anything the projection,
 	// ORDER BY or residuals read.
 	needed := make([]bool, len(stages))
-	for _, ex := range p.st.Items {
-		markRefs(ex, stages, needed)
-	}
-	for _, ob := range p.st.OrderBy {
-		markRefs(ob.Expr, stages, needed)
-	}
-	for _, c := range residuals {
-		markRefs(c, stages, needed)
+	for _, ex := range slices.Concat(p.items, p.order, residuals) {
+		eachCol(ex, func(c *boundCol) { needed[c.bind] = true })
 	}
 
 	p.inter = &intersectPlan{order: order, residuals: residuals, needed: needed}
@@ -469,7 +390,7 @@ func intersectKeys(a, b []int64) []int64 {
 // never satisfy a join equality, so its row is skipped; a covered index
 // carries the key column, so it holds no entry with a NULL key at all.
 func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
-	ap := is.access.bind(ev.bindings[is.si].tbl, ev.params)
+	ap := is.access.bind(ev.tabs[is.si], ev.params)
 	if is.covered && ap.idx != nil && ap.inList == nil &&
 		ap.rangeLo == nil && ap.rangeHi == nil && len(ap.eqVals) == len(is.access.eqExprs) {
 		var g stageGroups
@@ -483,7 +404,7 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 	var pairs []keyRowid
 	var serr error
 	ap.scan(func(rowid int64, row Row) bool {
-		ev.bindings[is.si].row = row
+		ev.rows[is.si] = row
 		ok, err := passesAll(is.locals, ev)
 		if err != nil {
 			serr = err
@@ -494,7 +415,7 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 		}
 		return true
 	})
-	ev.bindings[is.si].row = nil
+	ev.rows[is.si] = nil
 	if serr != nil {
 		return stageGroups{}, serr
 	}
@@ -506,7 +427,7 @@ func (p *selectPlan) materialize(is *istage, ev *env) (stageGroups, error) {
 // ascend, so the groups are built in order.
 func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups, error) {
 	g := makeGroups(len(keys))
-	t := ev.bindings[is.si].tbl
+	t := ev.tabs[is.si]
 	var ix *index
 	if is.probeIdx != nil {
 		ix = t.indexes[is.probeSlot]
@@ -515,7 +436,7 @@ func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups,
 	var perr error
 	for _, key := range keys {
 		visit := func(rowid int64, row Row) bool {
-			ev.bindings[is.si].row = row
+			ev.rows[is.si] = row
 			ok, err := passesAll(is.locals, ev)
 			if err != nil {
 				perr = err
@@ -535,12 +456,12 @@ func (p *selectPlan) probeStage(is *istage, ev *env, keys []int64) (stageGroups,
 			ix.scanEqual(probe, visit)
 		}
 		if perr != nil {
-			ev.bindings[is.si].row = nil
+			ev.rows[is.si] = nil
 			return stageGroups{}, perr
 		}
 	}
 	g.seal()
-	ev.bindings[is.si].row = nil
+	ev.rows[is.si] = nil
 	return g, nil
 }
 
@@ -618,8 +539,7 @@ func (p *selectPlan) runIntersect(ev *env, emit func() bool) error {
 		gi := gidx[si][ki]
 		for _, rowid := range g.rowids[g.offs[gi]:g.offs[gi+1]] {
 			if ip.needed[si] {
-				row, _ := ev.bindings[si].tbl.rows.Get(rowid)
-				ev.bindings[si].row = row
+				ev.rows[si], _ = ev.tabs[si].rows.Get(rowid)
 			}
 			cont, err := rec(ki, si+1)
 			if err != nil || !cont {
@@ -637,8 +557,6 @@ func (p *selectPlan) runIntersect(ev *env, emit func() bool) error {
 			break
 		}
 	}
-	for si := 0; si < ns; si++ {
-		ev.bindings[si].row = nil
-	}
+	clear(ev.rows)
 	return nil
 }

@@ -136,6 +136,53 @@ func TestAmbiguousColumnRejected(t *testing.T) {
 	if _, err := db.Query("SELECT d.id FROM dept d JOIN dept d ON d.id = d.id"); err == nil {
 		t.Fatal("duplicate alias accepted")
 	}
+	// Names resolve when the statement compiles, so the join is refused
+	// over empty tables too, where no row ever reaches the projection.
+	empty := New()
+	mustExec(t, empty, "CREATE TABLE dept (id INTEGER PRIMARY KEY, name TEXT)")
+	mustExec(t, empty, "CREATE TABLE emp (id INTEGER PRIMARY KEY, did INTEGER, name TEXT)")
+	for _, q := range []string{
+		"SELECT name FROM dept d JOIN emp e ON e.did = d.id",
+		"SELECT d.id FROM dept d JOIN emp e ON e.did = d.id WHERE name = ?",
+	} {
+		_, err := empty.Query(q, Text("x"))
+		if want := `sqldb: ambiguous column "name"`; err == nil || err.Error() != want {
+			t.Fatalf("%s over empty tables: err = %v, want %s", q, err, want)
+		}
+	}
+}
+
+// TestNameErrorsAtCompile holds each unresolvable column name to the error
+// it gave when names were looked up row by row, now that it comes when the
+// statement compiles: before any row is read, so also where no row would
+// ever have reached the name.
+func TestNameErrorsAtCompile(t *testing.T) {
+	t.Parallel()
+	db := New()
+	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER)")
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT nosuch FROM t", `sqldb: unknown column "nosuch"`},
+		{"SELECT t.nosuch FROM t", `sqldb: no column "nosuch" in table "t"`},
+		{"SELECT x.a FROM t", `sqldb: unknown table alias "x"`},
+		{"SELECT a FROM t ORDER BY nosuch", `sqldb: unknown column "nosuch"`},
+		{"SELECT a FROM t WHERE t.nosuch = ?", `sqldb: no column "nosuch" in table "t"`},
+		{"SELECT a FROM t WHERE nosuch = ?", `sqldb: unresolvable predicate (nosuch = ?)`},
+		{"SELECT a FROM t WHERE x.a = ?", `sqldb: unresolvable predicate (x.a = ?)`},
+	} {
+		if _, err := db.Query(tc.sql, Int(1)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.sql, err, tc.want)
+		}
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"UPDATE t SET nosuch = 1 WHERE id = ?", `sqldb: no column "nosuch" in table "t"`},
+		{"UPDATE t SET a = nosuch WHERE id = ?", `sqldb: unknown column "nosuch"`},
+		{"DELETE FROM t WHERE nosuch = ?", `sqldb: unresolvable predicate (nosuch = ?)`},
+		{"INSERT INTO t (id, nosuch) VALUES (?, 1)", `sqldb: no column "nosuch" in table "t"`},
+	} {
+		if _, err := db.Exec(tc.sql, Int(1)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.sql, err, tc.want)
+		}
+	}
 }
 
 func TestDatetimeRangePlan(t *testing.T) {

@@ -2,9 +2,9 @@ package sqldb
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -157,15 +157,19 @@ func (sp accessSpec) bind(t *table, params []Value) accessPath {
 	if sp.idx != nil {
 		ix = t.indexes[sp.slot]
 	}
+	// prefix is the path degraded to an equality probe on the values bound.
+	prefix := func(vals []Value) accessPath {
+		if len(vals) == 0 {
+			return accessPath{tbl: t}
+		}
+		return accessPath{tbl: t, idx: ix, eqVals: vals}
+	}
 	ev := &env{params: params}
 	vals := make([]Value, 0, len(sp.eqExprs))
 	for _, ex := range sp.eqExprs {
 		v, err := eval(ex, ev)
 		if err != nil || v.IsNull() {
-			if len(vals) == 0 {
-				return accessPath{tbl: t}
-			}
-			return accessPath{tbl: t, idx: ix, eqVals: vals}
+			return prefix(vals)
 		}
 		vals = append(vals, v)
 	}
@@ -176,22 +180,10 @@ func (sp accessSpec) bind(t *table, params []Value) accessPath {
 			if err != nil {
 				// Unevaluable item: drop the whole IN extension so the probe
 				// stays a superset of what the filter would accept.
-				if len(vals) == 0 {
-					return accessPath{tbl: t}
-				}
-				return accessPath{tbl: t, idx: ix, eqVals: vals}
+				return prefix(vals)
 			}
-			if v.IsNull() {
-				continue // a NULL item matches nothing
-			}
-			dup := false
-			for _, u := range list {
-				if Compare(u, v) == 0 {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			// A NULL item matches nothing.
+			if !v.IsNull() && !slices.ContainsFunc(list, func(u Value) bool { return Compare(u, v) == 0 }) {
 				list = append(list, v)
 			}
 		}
@@ -210,81 +202,35 @@ func (sp accessSpec) bind(t *table, params []Value) accessPath {
 			}
 		}
 		if ap.rangeLo == nil && ap.rangeHi == nil {
-			if len(vals) == 0 {
-				return accessPath{tbl: t}
-			}
-			ap.eqVals = vals
+			return prefix(vals)
 		}
 		return ap
 	}
 	return accessPath{tbl: t, idx: ix, rowid: sp.rowid, eqVals: vals}
 }
 
-// refsOnly reports whether every column reference in ex resolves within the
-// aliases set (alias -> table). Unqualified refs match any alias's columns.
-func refsOnly(ex Expr, aliases map[string]*tableDef) bool {
-	switch x := ex.(type) {
-	case *Literal, *Param, nil:
-		return true
-	case *ColumnRef:
-		if x.Table != "" {
-			_, ok := aliases[x.Table]
-			return ok
-		}
-		for _, t := range aliases {
-			if _, ok := t.colPos[x.Column]; ok {
-				return true
-			}
-		}
-		return false
-	case *BinaryExpr:
-		return refsOnly(x.L, aliases) && refsOnly(x.R, aliases)
-	case *InExpr:
-		if !refsOnly(x.E, aliases) {
-			return false
-		}
-		for _, it := range x.List {
-			if !refsOnly(it, aliases) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// constExpr reports whether ex can be evaluated without any row bound
-// (literals and parameters only).
-func constExpr(ex Expr) bool {
-	return refsOnly(ex, map[string]*tableDef{})
-}
-
-// colOf returns the column position if ex is a reference to a column of the
-// table bound under alias.
-func colOf(ex Expr, alias string, tbl *tableDef) (int, bool) {
-	ref, ok := ex.(*ColumnRef)
-	if !ok {
+// colOf returns the column position if ex, a bound expression, is a
+// reference to a column of stage si.
+func colOf(ex Expr, si int) (int, bool) {
+	c, ok := ex.(*boundCol)
+	if !ok || c.bind != si {
 		return 0, false
 	}
-	if ref.Table != "" && ref.Table != alias {
-		return 0, false
-	}
-	p, ok := tbl.colPos[ref.Column]
-	return p, ok
+	return c.pos, true
 }
 
-// rejectsNull reports whether a row of tbl (bound as alias) that is NULL in
-// column c fails preds, the conjuncts of one stage: c is declared NOT NULL,
-// or it is a direct operand of a comparison or the tested side of an IN
-// among preds. eval makes every comparison with a NULL operand false and
-// the dialect has no IS NULL or NOT to turn that around, so such a row can
-// never pass.
-func rejectsNull(tbl *tableDef, alias string, preds []Expr, c int) bool {
+// rejectsNull reports whether a row of tbl, the table of stage si, that is
+// NULL in column c fails preds, the conjuncts of that stage: c is declared
+// NOT NULL, or it is a direct operand of a comparison or the tested side of
+// an IN among preds. eval makes every comparison with a NULL operand false
+// and the dialect has no IS NULL or NOT to turn that around, so such a row
+// can never pass.
+func rejectsNull(tbl *tableDef, si int, preds []Expr, c int) bool {
 	if tbl.cols[c].NotNull {
 		return true
 	}
 	is := func(ex Expr) bool {
-		p, ok := colOf(ex, alias, tbl)
+		p, ok := colOf(ex, si)
 		return ok && p == c
 	}
 	for _, pr := range preds {
@@ -306,13 +252,13 @@ func rejectsNull(tbl *tableDef, alias string, preds []Expr, c int) bool {
 }
 
 // serves reports whether a probe of ix returns every row that can pass
-// preds, the conjuncts of a stage binding ix's table as alias. The index
-// has no entry for a row with a NULL key cell, so every key column from
+// preds, the conjuncts of stage si, which binds ix's table. The index has
+// no entry for a row with a NULL key cell, so every key column from
 // position lead on must be one where such a row fails preds (rejectsNull);
 // the caller probes the first lead columns with non-NULL values.
-func (ix *indexDef) serves(alias string, preds []Expr, lead int) bool {
+func (ix *indexDef) serves(si int, preds []Expr, lead int) bool {
 	for _, c := range ix.cols[lead:] {
-		if !rejectsNull(ix.table, alias, preds, c) {
+		if !rejectsNull(ix.table, si, preds, c) {
 			return false
 		}
 	}
@@ -323,11 +269,12 @@ func (ix *indexDef) serves(alias string, preds []Expr, lead int) bool {
 // it yields at most one row, so it outranks any count of bound columns.
 const rankUnique = math.MaxInt
 
-// planSpec chooses the access spec for tbl (bound as alias) from preds and
-// returns it with its rank. The choice is a function of the schema and the
-// predicates alone — no row count or estimate enters it — so a plan never
-// changes as the data grows. Only an index that serves preds is a candidate
-// (see index.serves), and the rule is:
+// planSpec chooses the access spec for t, the table of stage si, from preds,
+// that stage's bound conjuncts, and returns it with its rank. The choice is
+// a function of the schema and the predicates alone — no row count or
+// estimate enters it — so a plan never changes as the data grows. Only an
+// index that serves preds is a candidate (see index.serves), and the rule
+// is:
 //
 //  1. a unique index whose whole key is bound by `=` ranks rankUnique;
 //  2. any other candidate ranks by the key columns it binds: each column of
@@ -340,7 +287,7 @@ const rankUnique = math.MaxInt
 //
 // A full scan ranks 0, below every index candidate: a probe is far cheaper
 // than a filtered scan row here, and the filters re-run regardless.
-func planSpec(t *table, alias string, preds []Expr) (accessSpec, int) {
+func planSpec(t *table, si int, preds []Expr) (accessSpec, int) {
 	tbl := t.tableDef
 	// Collect per-column symbolic slots: the first equality expression, the
 	// first all-constant IN list, and range bounds.
@@ -354,7 +301,7 @@ func planSpec(t *table, alias string, preds []Expr) (accessSpec, int) {
 	hi := map[int]boundE{}
 	for _, p := range preds {
 		if in, ok := p.(*InExpr); ok {
-			c, ok := colOf(in.E, alias, tbl)
+			c, ok := colOf(in.E, si)
 			if !ok {
 				continue
 			}
@@ -378,7 +325,7 @@ func planSpec(t *table, alias string, preds []Expr) (accessSpec, int) {
 		}
 		// The catalog writes every sargable predicate column-first
 		// (`col op ?`); `? op col` is still evaluated, as a filter.
-		colPos, ok := colOf(b.L, alias, tbl)
+		colPos, ok := colOf(b.L, si)
 		if !ok || !constExpr(b.R) {
 			continue
 		}
@@ -440,7 +387,7 @@ func planSpec(t *table, alias string, preds []Expr) (accessSpec, int) {
 		}
 	}
 	for slot, ix := range t.indexes {
-		if !ix.serves(alias, preds, 0) {
+		if !ix.serves(si, preds, 0) {
 			continue
 		}
 		var eqExprs []Expr
@@ -473,36 +420,111 @@ type stagePlan struct {
 	ref TableRef
 	tbl *tableDef
 
-	// filters are the WHERE and ON conjuncts fully bound once this stage's
-	// table is in scope; applied immediately to keep intermediate row
-	// counts small.
+	// filters are the WHERE and ON conjuncts, bound, that read no later
+	// stage; applied as soon as this stage's row is bound to keep
+	// intermediate row counts small.
 	filters []Expr
 }
 
-// selectPlan is a compiled SELECT: shape-only, value-free, immutable after
-// compilation and therefore safe to cache and execute from many goroutines
-// at once, against any root of the schema generation it was compiled for.
+// selectPlan is a compiled statement: shape-only, value-free, immutable
+// after compilation and therefore safe to cache and execute from many
+// goroutines at once, against any root of the schema generation it was
+// compiled for. Every column name in it is resolved to a slot (boundCol).
+// A SELECT compiles to one; an UPDATE or DELETE to the plan of the SELECT
+// of its WHERE, whose rows are the ones it changes; an INSERT to a plan
+// that is never run, with only its table as stage.
 type selectPlan struct {
 	st     *SelectStmt
 	schema uint64 // the dbRoot.schema compiled against
 	stages []stagePlan
-	// columns names the output columns, one per st.Items entry.
+	// columns names the output columns, one per st.Items entry; items and
+	// order are st.Items and st.OrderBy's expressions, bound.
 	columns []string
+	items   []Expr
+	order   []Expr
 	// access drives the first stage's scan in nested execution (always a
 	// full scan in naive plans); later stages scan their whole table.
 	access accessSpec
 	// inter, when non-nil, replaces nested execution with sorted rowid-set
 	// intersection over the stages' join-key equivalence class.
 	inter *intersectPlan
+	// cols and vals are an INSERT's or UPDATE's writes: the value of
+	// vals[r][i] goes to column position cols[i], for each VALUES row r (an
+	// UPDATE has one).
+	cols []int
+	vals [][]Expr
+}
+
+// compile builds the plan of st, any statement but DDL, against this root.
+func (r *dbRoot) compile(st Statement) (*selectPlan, error) {
+	switch s := st.(type) {
+	case *SelectStmt:
+		return r.compileSelect(s, false)
+	case *DeleteStmt:
+		return r.compileSelect(selectWhere(s.Table, s.Where), false)
+	case *UpdateStmt:
+		p, err := r.compileSelect(selectWhere(s.Table, s.Where), false)
+		if err != nil {
+			return nil, err
+		}
+		cols, vals := make([]string, len(s.Set)), make([]Expr, len(s.Set))
+		for i, as := range s.Set {
+			cols[i], vals[i] = as.Column, as.Value
+		}
+		return p, p.bindWrites(cols, [][]Expr{vals}, p.stages)
+	case *InsertStmt:
+		p, err := r.compileSelect(selectWhere(s.Table, nil), true)
+		if err != nil {
+			return nil, err
+		}
+		return p, p.bindWrites(s.Columns, s.Rows, nil) // VALUES see no row
+	}
+	return nil, fmt.Errorf("sqldb: cannot compile %T", st)
+}
+
+// bindWrites resolves cols, the columns an INSERT or UPDATE writes, in the
+// plan's table, and binds each row of the values it writes there against
+// scope.
+func (p *selectPlan) bindWrites(cols []string, rows [][]Expr, scope []stagePlan) error {
+	table := p.stages[0].ref.Table
+	for _, name := range cols {
+		c, err := resolve(&ColumnRef{Table: table, Column: name}, p.stages, nil)
+		if err != nil {
+			return err
+		}
+		p.cols = append(p.cols, c.pos)
+	}
+	for _, row := range rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("sqldb: INSERT into %q names %d columns but supplies %d values",
+				table, len(cols), len(row))
+		}
+		vals := make([]Expr, len(row))
+		for i, ex := range row {
+			var err error
+			if vals[i], err = bindExpr(ex, scope, nil); err != nil {
+				return err
+			}
+		}
+		p.vals = append(p.vals, vals)
+	}
+	return nil
+}
+
+// selectWhere is the SELECT of the rows of table that where (nil for all)
+// selects: the statement an UPDATE or DELETE plans as, and, with no WHERE,
+// the one stage an INSERT's plan names.
+func selectWhere(table string, where Expr) *SelectStmt {
+	return &SelectStmt{From: TableRef{Table: table, Alias: table}, Where: where, Limit: -1}
 }
 
 // compileSelect builds the execution plan for st against this root. Every
 // join is an inner join, so its ON conjuncts are placed exactly like WHERE
-// conjuncts: each at the first stage that binds every table it names. With
-// naive set the first stage is a full scan and intersection is never
-// considered — the same executor with every planner choice disabled,
-// which is the reference evaluator the planner-parity harness diffs
-// against.
+// conjuncts: each at the last stage it reads, which is the first stage that
+// binds every table it names. With naive set the first stage is a full scan
+// and intersection is never considered — the same executor with every
+// planner choice disabled, which is the reference evaluator the
+// planner-parity harness diffs against.
 func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) {
 	fromTbl, ok := r.tables[st.From.Table]
 	if !ok {
@@ -510,7 +532,6 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 	}
 	tabs := []*table{fromTbl}
 	stages := []stagePlan{{ref: st.From, tbl: fromTbl.tableDef}}
-	aliasSet := map[string]*tableDef{st.From.Alias: fromTbl.tableDef}
 	var conjs []Expr
 	if st.Where != nil {
 		conjs = conjuncts(st.Where)
@@ -520,46 +541,49 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 		if !ok {
 			return nil, fmt.Errorf("sqldb: no such table %q", j.Table.Table)
 		}
-		if _, dup := aliasSet[j.Table.Alias]; dup {
-			return nil, fmt.Errorf("sqldb: duplicate table alias %q", j.Table.Alias)
+		for si := range stages {
+			if stages[si].ref.Alias == j.Table.Alias {
+				return nil, fmt.Errorf("sqldb: duplicate table alias %q", j.Table.Alias)
+			}
 		}
-		aliasSet[j.Table.Alias] = jt.tableDef
 		tabs = append(tabs, jt)
 		stages = append(stages, stagePlan{ref: j.Table, tbl: jt.tableDef})
 		conjs = append(conjs, conjuncts(j.On)...)
 	}
 
-	for _, c := range conjs {
-		placed := false
-		scope := map[string]*tableDef{}
-		for si := range stages {
-			scope[stages[si].ref.Alias] = stages[si].tbl
-			if refsOnly(c, scope) {
-				stages[si].filters = append(stages[si].filters, c)
-				placed = true
-				break
-			}
+	for i, c := range conjs {
+		b, err := bindExpr(c, stages, c)
+		if err != nil {
+			return nil, err
 		}
-		if !placed {
-			return nil, fmt.Errorf("sqldb: unresolvable predicate %s", exprString(c))
-		}
+		conjs[i] = b
+		_, last := stageSpan(b)
+		si := max(last, 0)
+		stages[si].filters = append(stages[si].filters, b)
 	}
 
 	p := &selectPlan{st: st, schema: r.schema, stages: stages, access: accessSpec{tbl: fromTbl.tableDef}}
-	if !naive {
-		p.access, _ = planSpec(fromTbl, st.From.Alias, stages[0].filters)
-	}
-
-	// Build the output schema.
 	for _, ex := range st.Items {
+		b, err := bindExpr(ex, stages, nil)
+		if err != nil {
+			return nil, err
+		}
+		p.items = append(p.items, b)
 		name := exprString(ex)
 		if ref, ok := ex.(*ColumnRef); ok {
 			name = ref.Column
 		}
 		p.columns = append(p.columns, name)
 	}
-
+	for _, ob := range st.OrderBy {
+		b, err := bindExpr(ob.Expr, stages, nil)
+		if err != nil {
+			return nil, err
+		}
+		p.order = append(p.order, b)
+	}
 	if !naive {
+		p.access, _ = planSpec(fromTbl, 0, stages[0].filters)
 		p.planIntersect(tabs, conjs)
 	}
 	return p, nil
@@ -582,122 +606,147 @@ func passesAll(filters []Expr, ev *env) (bool, error) {
 
 // run executes the compiled plan against r, a root of its schema generation,
 // with the given parameter values. The plan itself is read-only; all
-// per-execution state lives here, each stage's table version in its binding.
+// per-execution state lives here, each stage's table version in the env.
+//
+// Rows are matched, then ordered, then projected one by one in that order:
+// DISTINCT drops a projected row equal to one already kept (see rowSet),
+// and projection stops once LIMIT rows are kept.
 func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 	stages := p.stages
-	ev := &env{params: params, bindings: make([]binding, len(stages))}
+	ev := &env{params: params, tabs: make([]*table, len(stages)), rows: make([]Row, len(stages))}
 	for i := range stages {
-		ev.bindings[i] = binding{alias: stages[i].ref.Alias, tbl: r.tables[stages[i].ref.Table]}
+		ev.tabs[i] = r.tables[stages[i].ref.Table]
 	}
 
-	var resultEnvRows [][]Row // snapshot of binding rows per result tuple
-	emit := func() bool {
-		snap := make([]Row, len(stages))
-		for i := range ev.bindings {
-			snap[i] = ev.bindings[i].row
-		}
-		resultEnvRows = append(resultEnvRows, snap)
+	var matched [][]Row // the stages' rows, per result tuple
+	keep := func() bool {
+		matched = append(matched, slices.Clone(ev.rows))
 		return true
 	}
-
+	var err error
 	if p.inter != nil {
-		if err := p.runIntersect(ev, emit); err != nil {
-			return nil, err
-		}
-	} else if err := p.runNested(ev, emit); err != nil {
+		err = p.runIntersect(ev, keep)
+	} else {
+		err = p.runNested(ev, func(int64) bool { return keep() })
+	}
+	if err != nil {
 		return nil, err
 	}
 
-	// ORDER BY over the materialized env rows.
-	if len(p.st.OrderBy) > 0 {
-		keys := make([][]Value, len(resultEnvRows))
-		for i, snap := range resultEnvRows {
-			for bi := range ev.bindings {
-				ev.bindings[bi].row = snap[bi]
-			}
-			ks := make([]Value, len(p.st.OrderBy))
-			for ki, ob := range p.st.OrderBy {
-				v, err := eval(ob.Expr, ev)
-				if err != nil {
+	if len(p.order) > 0 {
+		type keyed struct {
+			rows []Row
+			keys []Value
+		}
+		ks := make([]keyed, len(matched))
+		for i, rows := range matched {
+			ev.rows = rows
+			ks[i] = keyed{rows, make([]Value, len(p.order))}
+			for ki, ex := range p.order {
+				if ks[i].keys[ki], err = eval(ex, ev); err != nil {
 					return nil, err
 				}
-				ks[ki] = v
 			}
-			keys[i] = ks
 		}
-		order := make([]int, len(resultEnvRows))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ka, kb := keys[order[a]], keys[order[b]]
-			for ki := range p.st.OrderBy {
-				c := Compare(ka[ki], kb[ki])
-				if c == 0 {
-					continue
+		slices.SortStableFunc(ks, func(a, b keyed) int {
+			for ki, ob := range p.st.OrderBy {
+				c := Compare(a.keys[ki], b.keys[ki])
+				if ob.Desc {
+					c = -c
 				}
-				if p.st.OrderBy[ki].Desc {
-					return c > 0
+				if c != 0 {
+					return c
 				}
-				return c < 0
 			}
-			return false
+			return 0
 		})
-		sorted := make([][]Row, len(resultEnvRows))
-		for i, o := range order {
-			sorted[i] = resultEnvRows[o]
+		for i := range ks {
+			matched[i] = ks[i].rows
 		}
-		resultEnvRows = sorted
 	}
 
-	// Projection.
 	if p.st.Count {
-		return &Rows{Columns: []string{"count"}, Data: [][]Value{{Int(int64(len(resultEnvRows)))}}}, nil
+		return &Rows{Columns: []string{"count"}, Data: [][]Value{{Int(int64(len(matched)))}}}, nil
 	}
 	res := &Rows{Columns: slices.Clone(p.columns)} // the plan is shared; the result is the caller's
-	for _, snap := range resultEnvRows {
-		for bi := range ev.bindings {
-			ev.bindings[bi].row = snap[bi]
+	var seen *rowSet
+	if p.st.Distinct {
+		seen = newRowSet()
+	}
+	var out []Value
+	for _, rows := range matched {
+		if p.st.Limit >= 0 && len(res.Data) == p.st.Limit {
+			break
 		}
-		out := make([]Value, len(p.st.Items))
-		for i, ex := range p.st.Items {
+		ev.rows = rows
+		if out == nil {
+			out = make([]Value, len(p.items))
+		}
+		for i, ex := range p.items {
 			v, err := eval(ex, ev)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = v
 		}
-		res.Data = append(res.Data, out)
-	}
-
-	if p.st.Distinct {
-		seen := map[string]bool{}
-		uniq := res.Data[:0]
-		for _, row := range res.Data {
-			key := rowKey(row)
-			if !seen[key] {
-				seen[key] = true
-				uniq = append(uniq, row)
-			}
+		if seen != nil && !seen.add(out) {
+			continue // out is free for the next row
 		}
-		res.Data = uniq
-	}
-
-	if p.st.Limit >= 0 && p.st.Limit < len(res.Data) {
-		res.Data = res.Data[:p.st.Limit]
+		res.Data = append(res.Data, out)
+		out = nil
 	}
 	return res, nil
 }
 
+// rowSet is the set of projected rows DISTINCT has kept. Value is
+// ==-comparable — type tag, payload word and text — so a one-column row is
+// its own map key; a wider row is filed under a hash of its cells, and rows
+// that share a hash are compared cell by cell. Two rows are equal exactly
+// when every cell is ==: +0 and -0 differ (their payloads do), so do
+// INTEGER 1 and FLOAT 1 (their tags do), NULLs are equal, and so are two
+// copies of one text.
+type rowSet struct {
+	one  map[Value]struct{}
+	wide map[uint64][][]Value
+	seed maphash.Seed
+}
+
+func newRowSet() *rowSet {
+	return &rowSet{one: map[Value]struct{}{}, wide: map[uint64][][]Value{}, seed: maphash.MakeSeed()}
+}
+
+// add reports whether row is new to the set, adding it; the set keeps row.
+func (s *rowSet) add(row []Value) bool {
+	if len(row) == 1 {
+		if _, dup := s.one[row[0]]; dup {
+			return false
+		}
+		s.one[row[0]] = struct{}{}
+		return true
+	}
+	var h uint64
+	for _, v := range row {
+		h = h*0x9e3779b97f4a7c15 + (uint64(v.T)<<56 ^ uint64(v.N) ^ maphash.String(s.seed, v.S))
+	}
+	for _, kept := range s.wide[h] {
+		if slices.Equal(kept, row) {
+			return false
+		}
+	}
+	s.wide[h] = append(s.wide[h], row)
+	return true
+}
+
 // runNested is the nested executor: the first stage's access path, then a
 // full scan of each later stage's table, every stage's filters applied as
-// soon as its row is bound.
-func (p *selectPlan) runNested(ev *env, emit func() bool) error {
+// soon as its row is bound. emit receives the rowid of the last stage's
+// row.
+func (p *selectPlan) runNested(ev *env, emit func(rowid int64) bool) error {
 	stages := p.stages
 	var execErr error
-	var run func(si int, row Row) bool // returns false to stop (on error)
-	run = func(si int, row Row) bool {
-		ev.bindings[si].row = row
+	var run func(si int, rowid int64, row Row) bool // returns false to stop (on error)
+	run = func(si int, rowid int64, row Row) bool {
+		ev.rows[si] = row
 		ok, err := passesAll(stages[si].filters, ev)
 		if err != nil {
 			execErr = err
@@ -707,27 +756,17 @@ func (p *selectPlan) runNested(ev *env, emit func() bool) error {
 			return true
 		}
 		if si+1 == len(stages) {
-			return emit()
+			return emit(rowid)
 		}
 		cont := true
-		ev.bindings[si+1].tbl.rows.Ascend(func(_ int64, next Row) bool {
-			cont = run(si+1, next)
+		ev.tabs[si+1].rows.Ascend(func(id int64, next Row) bool {
+			cont = run(si+1, id, next)
 			return cont
 		})
 		return cont
 	}
-	p.access.bind(ev.bindings[0].tbl, ev.params).scan(func(_ int64, row Row) bool { return run(0, row) })
+	p.access.bind(ev.tabs[0], ev.params).scan(func(id int64, row Row) bool { return run(0, id, row) })
 	return execErr
-}
-
-// rowKey builds a collision-safe string key for DISTINCT.
-func rowKey(row []Value) string {
-	key := ""
-	for _, v := range row {
-		s := v.String()
-		key += fmt.Sprintf("%d:%d:%s|", v.T, len(s), s)
-	}
-	return key
 }
 
 // String renders the plan as one stable line — the EXPLAIN format asserted

@@ -148,3 +148,30 @@ func TestPlanParityAcrossCreateIndex(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestAbortedReplayLeavesNoPlan: a replay that creates a table and then
+// runs a logged UPDATE on it compiles that UPDATE against a schema
+// generation it never publishes. When the replay aborts, the next DDL
+// commit takes the same generation number for another layout, so a plan
+// cached from the replay would write by stale positions.
+func TestAbortedReplayLeavesNoPlan(t *testing.T) {
+	t.Parallel()
+	db := New()
+	const update = "UPDATE x SET b = ? WHERE a = ?"
+	rp := replayer{db: db}
+	if err := rp.apply(1, walRecord{stmts: []redoStmt{
+		{sql: "CREATE TABLE x (a INTEGER, b INTEGER)"},
+		{sql: update, args: []Value{Int(2), Int(1)}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	rp.abort()
+
+	mustExec(t, db, "CREATE TABLE x (b INTEGER, a INTEGER)")
+	mustExec(t, db, "INSERT INTO x (a, b) VALUES (1, 0)")
+	mustExec(t, db, update, Int(7), Int(1))
+	rows := mustQuery(t, db, "SELECT a, b FROM x")
+	if got := rows.Data[0]; got[0] != Int(1) || got[1] != Int(7) {
+		t.Fatalf("(a, b) = %v after the update, want (1, 7)", got)
+	}
+}

@@ -135,12 +135,23 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 	return db, tables, cols
 }
 
-// parityQuery generates one SELECT plus its parameters.
+// parityQuery generates one SELECT plus its parameters. A single-stage
+// query sometimes has no alias and names its columns unqualified; a query
+// that projects columns sometimes is DISTINCT, ordered by every stage's id
+// and cut by a LIMIT, an order in which no two result rows tie, so both
+// evaluators must keep the same rows.
 func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []Value) {
 	nstage := 1 + rng.Intn(3)
 	aliases := make([]string, nstage)
 	var from strings.Builder
 	var params []Value
+	bare := nstage == 1 && rng.Intn(3) == 0
+	col := func(alias, name string) string {
+		if bare {
+			return name
+		}
+		return alias + "." + name
+	}
 	// Predicates and joins also reach every table's key, over a domain a
 	// little wider than its ids.
 	cols = append(slices.Clip(cols), parityCol{name: "id", typ: TypeInt, domain: parityInts(48)})
@@ -153,7 +164,10 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 		aliases[si] = fmt.Sprintf("a%d", si)
 		tbl := tables[rng.Intn(len(tables))]
 		if si == 0 {
-			fmt.Fprintf(&from, "%s %s", tbl, aliases[si])
+			from.WriteString(tbl)
+			if !bare {
+				from.WriteString(" " + aliases[si])
+			}
 			continue
 		}
 		on := joinCols[rng.Intn(len(joinCols))]
@@ -175,13 +189,13 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 		c := cols[rng.Intn(len(cols))]
 		switch rng.Intn(6) {
 		case 0:
-			return fmt.Sprintf("%s.%s < %s", a, c.name, constOf(c))
+			return fmt.Sprintf("%s < %s", col(a, c.name), constOf(c))
 		case 1:
-			return fmt.Sprintf("%s.%s >= %s", a, c.name, constOf(c))
+			return fmt.Sprintf("%s >= %s", col(a, c.name), constOf(c))
 		case 2:
-			return fmt.Sprintf("%s.%s IN (%s, %s)", a, c.name, constOf(c), constOf(c))
+			return fmt.Sprintf("%s IN (%s, %s)", col(a, c.name), constOf(c), constOf(c))
 		case 3:
-			return fmt.Sprintf("%s.%s != %s", a, c.name, constOf(c))
+			return fmt.Sprintf("%s != %s", col(a, c.name), constOf(c))
 		case 4:
 			// Cross-stage equality on possibly different columns of one
 			// type: feeds the key-equality classes and the residual path.
@@ -192,9 +206,9 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 					c2 = cand
 				}
 			}
-			return fmt.Sprintf("%s.%s = %s.%s", a, c.name, b, c2.name)
+			return fmt.Sprintf("%s = %s", col(a, c.name), col(b, c2.name))
 		default:
-			return fmt.Sprintf("%s.%s = %s", a, c.name, constOf(c))
+			return fmt.Sprintf("%s = %s", col(a, c.name), constOf(c))
 		}
 	}
 	var where []string
@@ -219,14 +233,22 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 		for i := 0; i <= rng.Intn(3); i++ {
 			a := aliases[rng.Intn(nstage)]
 			c := cols[rng.Intn(len(cols))]
-			outs = append(outs, a+"."+c.name)
+			outs = append(outs, col(a, c.name))
 		}
-		sel += strings.Join(outs, ", ")
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			a := aliases[rng.Intn(nstage)]
 			c := cols[rng.Intn(len(cols))]
-			orderBy = fmt.Sprintf(" ORDER BY %s.%s", a, c.name)
+			orderBy = " ORDER BY " + col(a, c.name)
+		case 1:
+			ids := make([]string, nstage)
+			for si, a := range aliases {
+				ids[si] = col(a, "id")
+			}
+			sel = "SELECT DISTINCT "
+			orderBy = fmt.Sprintf(" ORDER BY %s LIMIT %d", strings.Join(ids, ", "), 1+rng.Intn(6))
 		}
+		sel += strings.Join(outs, ", ")
 	}
 	q := sel + " FROM " + from.String()
 	if len(where) > 0 {

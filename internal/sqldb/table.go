@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -62,9 +63,13 @@ func (e indexEntry) col(c int) *Value {
 const indexDegree = 8
 
 // indexDelta is one deferred index mutation: an entry to set or delete.
+// seq is its place in the pending batch, which orders the deltas on one
+// entry for flush; it sits in what would be padding, so a delta stays 24
+// bytes.
 type indexDelta struct {
 	key indexEntry
 	del bool
+	seq uint32
 }
 
 // index is one secondary (or primary) index over a table.
@@ -229,23 +234,30 @@ func (ix *index) push(d indexDelta) {
 		// backing array is kept (zeroed) across flushes within a transaction.
 		ix.pending = make([]indexDelta, 0, 16)
 	}
+	d.seq = uint32(len(ix.pending))
 	ix.pending = append(ix.pending, d)
 }
 
-// flush applies pending deltas to the tree: it sorts them by entry, so the
-// tree is walked leaf by leaf in key order, coalesces the ops on one entry
-// (same key columns and rowid) to the last, and applies what is left. An
-// insert+delete pair in the same transaction never touches the tree, and an
-// UPDATE that leaves the key columns alone (delete of the old row's entry,
-// insert of the new row's, equal under the ordering) becomes one Set that
-// swaps the entry's row pointer.
+// flush applies pending deltas to the tree: it sorts them by entry, and the
+// deltas on one entry (same key columns and rowid) in the order they were
+// queued, so the tree is walked leaf by leaf in key order; it coalesces the
+// ops on one entry to the last, and applies what is left. An insert+delete
+// pair in the same transaction never touches the tree, and an UPDATE that
+// leaves the key columns alone (delete of the old row's entry, insert of
+// the new row's, equal under the ordering) becomes one Set that swaps the
+// entry's row pointer.
 func (ix *index) flush() {
 	p := ix.pending
 	if len(p) == 0 {
 		return
 	}
 	if len(p) > 1 {
-		slices.SortStableFunc(p, func(a, b indexDelta) int { return ix.compare(a.key, b.key) })
+		slices.SortFunc(p, func(a, b indexDelta) int {
+			if c := ix.compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
 	}
 	for k := 0; k < len(p); {
 		m := k + 1
@@ -667,12 +679,12 @@ func (t *table) dropPending() {
 }
 
 // findIndex returns the slot of the shortest index led by column col that
-// may serve a stage with conjuncts preds (table bound as alias) when probed
-// with a non-NULL value of col alone, or -1.
-func (t *table) findIndex(col int, alias string, preds []Expr) int {
+// may serve stage si, which binds t and has conjuncts preds, when probed with
+// a non-NULL value of col alone, or -1.
+func (t *table) findIndex(col, si int, preds []Expr) int {
 	best := -1
 	for i, ix := range t.indexes {
-		if ix.cols[0] == col && (best < 0 || len(ix.cols) < len(t.indexes[best].cols)) && ix.serves(alias, preds, 1) {
+		if ix.cols[0] == col && (best < 0 || len(ix.cols) < len(t.indexes[best].cols)) && ix.serves(si, preds, 1) {
 			best = i
 		}
 	}

@@ -311,9 +311,20 @@ func replaySpec(i int) core.FileSpec {
 	return core.FileSpec{Name: replayName(i), DataType: "binary", Attributes: bench.FileAttributes(i, bench.DefaultConfig(1).AttrsPerFile)}
 }
 
-// ingestLog writes replayCycles ingest cycles.
-func ingestLog(b *testing.B) func(cat *core.Catalog) {
+// ingestLog writes replayCycles ingest cycles. keyed sends every call under
+// a fresh idempotency key, as the benchmark's retrying loader does, so each
+// record also carries its replay-cache row (the batch's holds 100 replies)
+// and, past ReplayCacheBound keys, the prune.
+func ingestLog(b *testing.B, keyed bool) func(cat *core.Catalog) {
 	return func(cat *core.Catalog) {
+		calls := 0
+		key := func() []core.OpOption {
+			if !keyed {
+				return nil
+			}
+			calls++
+			return []core.OpOption{core.WithIdempotencyKey(fmt.Sprintf("replay-ingest-%d", calls))}
+		}
 		next, oldest := 0, 0
 		for range replayCycles {
 			ops := make([]core.BatchOp, 100)
@@ -321,20 +332,20 @@ func ingestLog(b *testing.B) func(cat *core.Catalog) {
 				s := replaySpec(next)
 				ops[j], next = core.BatchOp{CreateFile: &s}, next+1
 			}
-			if _, err := cat.BatchWrite(bench.LoaderDN, ops); err != nil {
+			if _, err := cat.BatchWrite(bench.LoaderDN, ops, key()...); err != nil {
 				b.Fatal(err)
 			}
 			for range 20 {
-				if _, err := cat.CreateFile(bench.LoaderDN, replaySpec(next)); err != nil {
+				if _, err := cat.CreateFile(bench.LoaderDN, replaySpec(next), key()...); err != nil {
 					b.Fatal(err)
 				}
 				next++
 			}
 			a := bench.FileAttributes(next, 1)[0]
-			if err := cat.SetAttribute(bench.LoaderDN, core.ObjectFile, replayName(oldest+next%100), a.Name, a.Value); err != nil {
+			if err := cat.SetAttribute(bench.LoaderDN, core.ObjectFile, replayName(oldest+next%100), a.Name, a.Value, key()...); err != nil {
 				b.Fatal(err)
 			}
-			if err := cat.DeleteFile(bench.LoaderDN, replayName(oldest), 0); err != nil {
+			if err := cat.DeleteFile(bench.LoaderDN, replayName(oldest), 0, key()...); err != nil {
 				b.Fatal(err)
 			}
 			oldest++
@@ -375,18 +386,21 @@ func mixedLog(b *testing.B, records int) func(cat *core.Catalog) {
 // BenchmarkReplay times Catalog.OpenWAL replaying a log over the restored
 // benchmark dataset — the log-suffix half of "snapshot + log suffix". The
 // ingest fixture (~2,500 records) is what dominates the ingest workload's
-// restart; the mixed fixtures are the write stream of the mixed workloads at
-// the record count a 10 s window logs (1,900) and at 2.7 times it (5,000),
-// what a doubled read rate would leave behind. Only OpenWAL is timed;
-// records/s is the replay rate, B/record the log's size, tables-rebuilt how
-// many tables rebuilt their indexes rather than flushed their deltas.
+// restart; ingest-keyed is the same stream with a key per call, as the
+// benchmark's loader sends it. The mixed fixtures are the write stream of
+// the mixed workloads at the record count a 10 s window logs (1,900) and at
+// 2.7 times it (5,000), what a doubled read rate would leave behind. Only
+// OpenWAL is timed; records/s is the replay rate, B/record the log's size,
+// tables-rebuilt how many tables rebuilt their indexes rather than flushed
+// their deltas.
 func BenchmarkReplay(b *testing.B) {
 	snap := datasetSnapshot(b, benchFiles())
 	for _, fx := range []struct {
 		name  string
 		write func(cat *core.Catalog)
 	}{
-		{"ingest", ingestLog(b)},
+		{"ingest", ingestLog(b, false)},
+		{"ingest-keyed", ingestLog(b, true)},
 		{"mixed-1900", mixedLog(b, 1900)},
 		{"mixed-5000", mixedLog(b, 5000)},
 	} {

@@ -27,7 +27,7 @@ func (c *Catalog) DefineAttribute(dn, name string, typ AttrType, description str
 		return AttributeDef{}, err
 	}
 	var out AttributeDef
-	err := c.withReplay(op, "defineAttribute", &out, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "defineAttribute", []any{dn, name, typ, description}, &out, func(tx *sqldb.Tx) error {
 		now := c.now()
 		res, err := tx.Exec(
 			"INSERT INTO attribute_def (name, type, description, creator, created) VALUES (?, ?, ?, ?, ?)",
@@ -118,7 +118,7 @@ func (c *Catalog) attrDef(q querier, memo map[string]AttributeDef, name string) 
 // overwrites the previous value.
 func (c *Catalog) SetAttribute(dn string, objType ObjectType, objectName, attrName string, v AttrValue, opts ...OpOption) error {
 	op := applyOpOptions(opts)
-	return c.withReplay(op, "setAttribute", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "setAttribute", []any{dn, objType, objectName, attrName, v}, nil, func(tx *sqldb.Tx) error {
 		return c.setAttributeTx(tx, dn, objType, objectName, attrName, v, nil)
 	})
 }
@@ -166,7 +166,7 @@ func (c *Catalog) UnsetAttribute(dn string, objType ObjectType, objectName, attr
 	if err := c.require(c.db, dn, o, PermWrite); err != nil {
 		return err
 	}
-	return c.withReplay(op, "unsetAttribute", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "unsetAttribute", []any{dn, objType, objectName, attrName}, nil, func(tx *sqldb.Tx) error {
 		res, err := tx.Exec(
 			"DELETE FROM user_attribute WHERE object_type = ? AND object_id = ? AND attr_id = ?",
 			sqldb.Text(string(objType)), sqldb.Int(o.id), sqldb.Int(def.ID))

@@ -100,7 +100,7 @@ func (c *Catalog) BatchWrite(dn string, ops []BatchOp, opts ...OpOption) ([]Batc
 	op := applyOpOptions(opts)
 	defs := make(map[string]AttributeDef)
 	results := make([]BatchResult, 0, len(ops))
-	err := c.withReplay(op, "batchWrite", &results, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "batchWrite", []any{dn, ops}, &results, func(tx *sqldb.Tx) error {
 		for i, b := range ops {
 			res, err := c.applyBatchOp(tx, dn, b, op, defs)
 			if err != nil {

@@ -103,7 +103,7 @@ type FileSpec struct {
 func (c *Catalog) CreateFile(dn string, spec FileSpec, opts ...OpOption) (File, error) {
 	op := applyOpOptions(opts)
 	var out File
-	err := c.withReplay(op, "createFile", &out, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "createFile", []any{dn, spec}, &out, func(tx *sqldb.Tx) error {
 		var err error
 		out, err = c.createFileTx(tx, dn, spec, op, nil)
 		return err
@@ -314,7 +314,7 @@ type FileUpdate struct {
 func (c *Catalog) UpdateFile(dn, name string, version int, upd FileUpdate, opts ...OpOption) (File, error) {
 	op := applyOpOptions(opts)
 	var out File
-	err := c.withReplay(op, "updateFile", &out, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "updateFile", []any{dn, name, version, upd}, &out, func(tx *sqldb.Tx) error {
 		var err error
 		out, err = c.updateFileTx(tx, dn, name, version, upd, op)
 		return err
@@ -396,7 +396,7 @@ func (c *Catalog) InvalidateFile(dn, name string, version int) error {
 // memberships.
 func (c *Catalog) DeleteFile(dn, name string, version int, opts ...OpOption) error {
 	op := applyOpOptions(opts)
-	return c.withReplay(op, "deleteFile", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "deleteFile", []any{dn, name, version}, nil, func(tx *sqldb.Tx) error {
 		_, err := c.deleteFileTx(tx, dn, name, version, op)
 		return err
 	})
@@ -460,7 +460,7 @@ func (c *Catalog) MoveFile(dn, name string, version int, collection string, opts
 		}
 		newID = col.ID
 	}
-	return c.withReplay(op, "moveFile", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "moveFile", []any{dn, name, version, collection}, nil, func(tx *sqldb.Tx) error {
 		_, err := tx.Exec("UPDATE logical_file SET collection_id = ?, last_modifier = ?, modified = ? WHERE id = ?",
 			nullableID(newID), sqldb.Text(dn), c.now(), sqldb.Int(f.ID))
 		return err

@@ -75,7 +75,7 @@ func (c *Catalog) CreateCollection(dn string, spec CollectionSpec, opts ...OpOpt
 		attrs = append(attrs, resolved{def.ID, def.Type.storageColumn(), a.Value.sqlValue()})
 	}
 	var out Collection
-	err := c.withReplay(op, "createCollection", &out, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "createCollection", []any{dn, spec}, &out, func(tx *sqldb.Tx) error {
 		now := c.now()
 		res, err := tx.Exec(`INSERT INTO logical_collection
 			(name, description, parent_id, creator, last_modifier, created, modified, audited)
@@ -243,7 +243,7 @@ func (c *Catalog) SetCollectionParent(dn, name, parent string) error {
 // DeleteCollection removes an empty logical collection.
 func (c *Catalog) DeleteCollection(dn, name string, opts ...OpOption) error {
 	op := applyOpOptions(opts)
-	if hit, err := c.replayedEarly(op, "deleteCollection", nil); hit || err != nil {
+	if hit, err := c.replayedEarly(op, "deleteCollection", []any{dn, name}); hit || err != nil {
 		return err
 	}
 	col, err := c.GetCollection(dn, name)
@@ -265,7 +265,7 @@ func (c *Catalog) DeleteCollection(dn, name string, opts ...OpOption) error {
 		return fmt.Errorf("%w: %q has %d files and %d sub-collections",
 			ErrNotEmpty, name, nfiles.Data[0][0].Int(), nsubs.Data[0][0].Int())
 	}
-	return c.withReplay(op, "deleteCollection", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "deleteCollection", []any{dn, name}, nil, func(tx *sqldb.Tx) error {
 		id := sqldb.Int(col.ID)
 		ct := sqldb.Text(string(ObjectCollection))
 		if _, err := tx.Exec("DELETE FROM logical_collection WHERE id = ?", id); err != nil {

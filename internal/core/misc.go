@@ -71,7 +71,7 @@ func (c *Catalog) AuditLog(dn string, objType ObjectType, objectName string) ([]
 func (c *Catalog) Annotate(dn string, objType ObjectType, objectName, text string, opts ...OpOption) (Annotation, error) {
 	op := applyOpOptions(opts)
 	var out Annotation
-	err := c.withReplay(op, "annotate", &out, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "annotate", []any{dn, objType, objectName, text}, &out, func(tx *sqldb.Tx) error {
 		var err error
 		out, err = c.annotateTx(tx, dn, objType, objectName, text)
 		return err
@@ -143,7 +143,7 @@ func (c *Catalog) AddProvenance(dn, fileName string, version int, description st
 	if err := c.require(c.db, dn, f.ref(), PermWrite); err != nil {
 		return err
 	}
-	return c.withReplay(op, "addProvenance", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "addProvenance", []any{dn, fileName, version, description}, nil, func(tx *sqldb.Tx) error {
 		_, err := tx.Exec("INSERT INTO provenance (file_id, description, at) VALUES (?, ?, ?)",
 			sqldb.Int(f.ID), sqldb.Text(description), c.now())
 		return err
@@ -176,7 +176,7 @@ func (c *Catalog) RegisterWriter(dn string, w Writer, opts ...OpOption) error {
 	if w.DN == "" {
 		return fmt.Errorf("%w: writer DN required", ErrInvalidInput)
 	}
-	return c.withReplay(op, "registerWriter", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "registerWriter", []any{dn, w}, nil, func(tx *sqldb.Tx) error {
 		if _, err := tx.Exec("DELETE FROM writer WHERE dn = ?", sqldb.Text(w.DN)); err != nil {
 			return err
 		}
@@ -213,7 +213,7 @@ func (c *Catalog) RegisterExternalCatalog(dn string, ec ExternalCatalog, opts ..
 	if err := c.require(c.db, dn, serviceObject, PermCreate); err != nil {
 		return ExternalCatalog{}, err
 	}
-	err := c.withReplay(op, "registerExternalCatalog", &ec, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "registerExternalCatalog", []any{dn, ec}, &ec, func(tx *sqldb.Tx) error {
 		res, err := tx.Exec(
 			"INSERT INTO external_catalog (name, type, host, ip, description) VALUES (?, ?, ?, ?, ?)",
 			sqldb.Text(ec.Name), sqldb.Text(ec.Type), sqldb.Text(ec.Host),

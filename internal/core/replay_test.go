@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"mcs/internal/sqldb"
 )
@@ -73,7 +76,7 @@ func TestReplayCacheBounded(t *testing.T) {
 	for i := 0; i < ReplayCacheBound+extra; i++ {
 		key := fmt.Sprintf("k-%05d", i)
 		err := c.db.Update(func(tx *sqldb.Tx) error {
-			return c.replayPutTx(tx, key, "test", nil)
+			return c.replayPutTx(tx, key, "test", 0, nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -126,4 +129,69 @@ func TestReplayCacheSurvivesSnapshot(t *testing.T) {
 	if vs, _ := restored.FileVersions(dn, "snap.dat"); len(vs) != 1 {
 		t.Fatalf("versions after restore = %d, want 1", len(vs))
 	}
+}
+
+// replyFixtures are values of every reply type withReplay records, with
+// zero, repeated-text, nil and non-nil parts.
+func replyFixtures() []any {
+	at := sqldb.Time(time.Date(2003, 11, 15, 9, 0, 5, 0, time.UTC)).Time()
+	f := File{ID: 7, Name: "lfn", Version: 2, DataType: "binary", Valid: true, CollectionID: -3,
+		MasterCopy: "gsiftp://h/lfn", Creator: "/CN=a", LastModifier: "/CN=a", Created: at, Modified: at.Add(time.Microsecond)}
+	return []any{
+		&f,
+		&File{},
+		&[]BatchResult{
+			{Action: "createFile", File: &f, ID: 7, Version: 2},
+			{Action: "deleteFile"},
+			{Action: "createFile", File: &File{Name: "createFile", Creator: "/CN=a"}, ID: 1 << 40},
+		},
+		&[]BatchResult{},
+		new([]BatchResult),
+		&AttributeDef{ID: 1, Name: "a", Type: AttrDateTime, Description: "d", Creator: "/CN=a", Created: at},
+		&Annotation{ID: 2, Object: ObjectFile, ObjectID: 7, Text: "note", Creator: "/CN=b", CreatedAt: at},
+		&ExternalCatalog{ID: 3, Name: "x", Type: "xml", Host: "h", IP: "10.0.0.1", Description: "h"},
+		&Collection{ID: 4, Name: "c", ParentID: 1, Creator: "/CN=a", LastModifier: "/CN=b", Created: at, Audited: true},
+		&View{ID: 5, Name: "v", Creator: "/CN=a", LastModifier: "/CN=a", Modified: at},
+	}
+}
+
+// Every reply decodes from its record to a value deeply equal to the one
+// recorded, so a retried call's reply, and its bytes on either wire, are
+// the first call's.
+func TestReplayRecordRoundTrip(t *testing.T) {
+	for _, want := range replyFixtures() {
+		const sum = 0x0123456789abcdef
+		rec := replayRecord(sum, want)
+		got := reflect.New(reflect.TypeOf(want).Elem())
+		if err := readReplay("k", rec, sum, got.Interface()); err != nil {
+			t.Fatalf("%T: %v", want, err)
+		}
+		if !reflect.DeepEqual(got.Interface(), want) {
+			t.Errorf("%T: decoded\n  %+v\nrecorded\n  %+v", want, got.Elem(), reflect.ValueOf(want).Elem())
+		}
+		for n := 1; n < len(rec); n++ { // an empty record is an older build's of no reply
+			if err := readReplay("k", rec[:n], sum, reflect.New(reflect.TypeOf(want).Elem()).Interface()); !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("%T cut to %d of %d bytes: %v, want ErrInvalidInput", want, n, len(rec), err)
+			}
+		}
+	}
+}
+
+// FuzzReplayRecord: whatever a replay_cache row holds, decoding it as a
+// batch reply either succeeds or is ErrInvalidInput; it never panics.
+func FuzzReplayRecord(f *testing.F) {
+	fixtures := replyFixtures()
+	batch := fixtures[2].(*[]BatchResult)
+	js, err := json.Marshal(batch)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(js))
+	f.Add(replayRecord(1, batch))
+	f.Fuzz(func(t *testing.T, blob string) {
+		var out []BatchResult
+		if err := readReplay("k", blob, 1, &out); err != nil && !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("decode error %v is not ErrInvalidInput", err)
+		}
+	})
 }

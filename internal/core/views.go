@@ -42,7 +42,7 @@ func (c *Catalog) CreateView(dn string, spec ViewSpec, opts ...OpOption) (View, 
 		return View{}, err
 	}
 	var out View
-	err := c.withReplay(op, "createView", &out, func(tx *sqldb.Tx) error {
+	err := c.withReplay(op, "createView", []any{dn, spec}, &out, func(tx *sqldb.Tx) error {
 		now := c.now()
 		res, err := tx.Exec(`INSERT INTO logical_view
 			(name, description, creator, last_modifier, created, modified, audited)
@@ -161,7 +161,7 @@ func (c *Catalog) AddToView(dn, viewName string, objType ObjectType, memberName 
 	// The duplicate check runs inside the transaction, after the replay
 	// lookup: a retried addToView whose first attempt committed must be
 	// answered from the replay cache, not rejected as ErrExists.
-	return c.withReplay(op, "addToView", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "addToView", []any{dn, viewName, objType, memberName}, nil, func(tx *sqldb.Tx) error {
 		dup, err := tx.Query(
 			"SELECT id FROM view_member WHERE view_id = ? AND object_type = ? AND object_id = ?",
 			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(member.id))
@@ -198,7 +198,7 @@ func (c *Catalog) RemoveFromView(dn, viewName string, objType ObjectType, member
 	if err != nil {
 		return err
 	}
-	return c.withReplay(op, "removeFromView", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "removeFromView", []any{dn, viewName, objType, memberName}, nil, func(tx *sqldb.Tx) error {
 		res, err := tx.Exec(
 			"DELETE FROM view_member WHERE view_id = ? AND object_type = ? AND object_id = ?",
 			sqldb.Int(v.ID), sqldb.Text(string(objType)), sqldb.Int(member.id))
@@ -316,7 +316,7 @@ func (c *Catalog) ExpandView(dn, viewName string) ([]string, error) {
 // DeleteView removes a view and its membership records (not its members).
 func (c *Catalog) DeleteView(dn, name string, opts ...OpOption) error {
 	op := applyOpOptions(opts)
-	if hit, err := c.replayedEarly(op, "deleteView", nil); hit || err != nil {
+	if hit, err := c.replayedEarly(op, "deleteView", []any{dn, name}); hit || err != nil {
 		return err
 	}
 	v, err := c.GetView(dn, name)
@@ -326,7 +326,7 @@ func (c *Catalog) DeleteView(dn, name string, opts ...OpOption) error {
 	if err := c.require(c.db, dn, v.ref(), PermDelete); err != nil {
 		return err
 	}
-	return c.withReplay(op, "deleteView", nil, func(tx *sqldb.Tx) error {
+	return c.withReplay(op, "deleteView", []any{dn, name}, nil, func(tx *sqldb.Tx) error {
 		id := sqldb.Int(v.ID)
 		vt := sqldb.Text(string(ObjectView))
 		if _, err := tx.Exec("DELETE FROM logical_view WHERE id = ?", id); err != nil {

@@ -2,6 +2,7 @@ package sqldb_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -152,5 +153,49 @@ func TestParentSnapshotRestores(t *testing.T) {
 	if !bytes.Equal(replayed.Bytes(), final.Bytes()) {
 		t.Fatalf("the parent's log replays to a %d-byte dump; its final snapshot restores to %d other bytes",
 			replayed.Len(), final.Len())
+	}
+}
+
+// TestParentSnapshotStaysWritable: after the parent's snapshot and log,
+// whose replay_cache declares at NOT NULL and holds JSON replies, a keyed
+// write commits and its retry is answered from its record, and a retry of a
+// key the parent recorded gets the parent's reply.
+func TestParentSnapshotStaysWritable(t *testing.T) {
+	cat, err := core.Restore(core.Options{}, bytes.NewReader(readTestdata(t, "parent_catalog.snap")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(t.TempDir(), "parent_catalog.wal")
+	if err := os.WriteFile(wal, readTestdata(t, "parent_catalog.wal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := cat.OpenWAL(wal, sqldb.WALOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	const dn = "/O=Grid/CN=compat"
+	key := core.WithIdempotencyKey("after-parent")
+	spec := core.FileSpec{Name: "lfn-new", DataType: "binary"}
+	made, err := cat.CreateFile(dn, spec, key)
+	if err != nil {
+		t.Fatalf("keyed write over the parent's files: %v", err)
+	}
+	if again, err := cat.CreateFile(dn, spec, key); err != nil || again != made {
+		t.Fatalf("its retry = %+v, %v; want %+v", again, err, made)
+	}
+
+	rows, err := cat.DB().Query("SELECT result FROM replay_cache WHERE idem_key = ?", sqldb.Text("create-0"))
+	if err != nil || len(rows.Data) != 1 || !strings.HasPrefix(rows.Data[0][0].S, "{") {
+		t.Fatalf("the parent's record of create-0: %v, %v", rows, err)
+	}
+	var want core.File
+	if err := json.Unmarshal([]byte(rows.Data[0][0].S), &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cat.CreateFile(dn, core.FileSpec{Name: "lfn-0", DataType: "binary"}, core.WithIdempotencyKey("create-0"))
+	if err != nil || got != want {
+		t.Fatalf("retry of the parent's create-0 = %+v, %v; want its reply %+v", got, err, want)
 	}
 }

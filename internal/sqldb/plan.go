@@ -442,6 +442,9 @@ type selectPlan struct {
 	columns []string
 	items   []Expr
 	order   []Expr
+	// reads lists, ascending, the stages items or order read: the only rows
+	// a matched tuple keeps until projection.
+	reads []int
 	// access drives the first stage's scan in nested execution (always a
 	// full scan in naive plans); later stages scan their whole table.
 	access accessSpec
@@ -582,6 +585,15 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 		}
 		p.order = append(p.order, b)
 	}
+	read := make([]bool, len(stages))
+	for _, ex := range slices.Concat(p.items, p.order) {
+		eachCol(ex, func(c *boundCol) { read[c.bind] = true })
+	}
+	for si := range read {
+		if read[si] {
+			p.reads = append(p.reads, si)
+		}
+	}
 	if !naive {
 		p.access, _ = planSpec(fromTbl, 0, stages[0].filters)
 		p.planIntersect(tabs, conjs)
@@ -618,10 +630,21 @@ func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 		ev.tabs[i] = r.tables[stages[i].ref.Table]
 	}
 
-	var matched [][]Row // the stages' rows, per result tuple
+	// Matched tuple t keeps its rows of the stages in p.reads, at
+	// kept[t*w:(t+1)*w]; bind puts them back in ev for eval.
+	var kept []Row
+	n, w := 0, len(p.reads)
 	keep := func() bool {
-		matched = append(matched, slices.Clone(ev.rows))
+		for _, si := range p.reads {
+			kept = append(kept, ev.rows[si])
+		}
+		n++
 		return true
+	}
+	bind := func(t int) {
+		for j, si := range p.reads {
+			ev.rows[si] = kept[t*w+j]
+		}
 	}
 	var err error
 	if p.inter != nil {
@@ -633,22 +656,26 @@ func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 		return nil, err
 	}
 
+	// sorted holds the tuples in ORDER BY order; without one they project
+	// in match order.
+	type keyed struct {
+		t    int
+		keys []Value
+	}
+	var sorted []keyed
 	if len(p.order) > 0 {
-		type keyed struct {
-			rows []Row
-			keys []Value
-		}
-		ks := make([]keyed, len(matched))
-		for i, rows := range matched {
-			ev.rows = rows
-			ks[i] = keyed{rows, make([]Value, len(p.order))}
+		sorted = make([]keyed, n)
+		keys := make([]Value, n*len(p.order))
+		for t := range sorted {
+			bind(t)
+			sorted[t] = keyed{t, keys[t*len(p.order) : (t+1)*len(p.order)]}
 			for ki, ex := range p.order {
-				if ks[i].keys[ki], err = eval(ex, ev); err != nil {
+				if sorted[t].keys[ki], err = eval(ex, ev); err != nil {
 					return nil, err
 				}
 			}
 		}
-		slices.SortStableFunc(ks, func(a, b keyed) int {
+		slices.SortStableFunc(sorted, func(a, b keyed) int {
 			for ki, ob := range p.st.OrderBy {
 				c := Compare(a.keys[ki], b.keys[ki])
 				if ob.Desc {
@@ -660,13 +687,10 @@ func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 			}
 			return 0
 		})
-		for i := range ks {
-			matched[i] = ks[i].rows
-		}
 	}
 
 	if p.st.Count {
-		return &Rows{Columns: []string{"count"}, Data: [][]Value{{Int(int64(len(matched)))}}}, nil
+		return &Rows{Columns: []string{"count"}, Data: [][]Value{{Int(int64(n))}}}, nil
 	}
 	res := &Rows{Columns: slices.Clone(p.columns)} // the plan is shared; the result is the caller's
 	var seen *rowSet
@@ -674,20 +698,24 @@ func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 		seen = newRowSet()
 	}
 	var out []Value
-	for _, rows := range matched {
+	for i := range n {
 		if p.st.Limit >= 0 && len(res.Data) == p.st.Limit {
 			break
 		}
-		ev.rows = rows
+		t := i
+		if sorted != nil {
+			t = sorted[i].t
+		}
+		bind(t)
 		if out == nil {
 			out = make([]Value, len(p.items))
 		}
-		for i, ex := range p.items {
+		for j, ex := range p.items {
 			v, err := eval(ex, ev)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			out[j] = v
 		}
 		if seen != nil && !seen.add(out) {
 			continue // out is free for the next row

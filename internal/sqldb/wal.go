@@ -972,6 +972,19 @@ func decodeWALValue(d *decoder) Value {
 	}
 }
 
+// AppendValue appends v to b in the tagged layout the log and the snapshot
+// store values in, for a caller that packs several values into one cell.
+func AppendValue(b []byte, v Value) []byte { return encodeWALValue(b, v) }
+
+// ReadValue decodes the value AppendValue wrote at the front of b and
+// returns it with the rest of b. A truncated value or an unknown tag is an
+// error.
+func ReadValue(b []byte) (Value, []byte, error) {
+	d := decoder{b: b}
+	v := decodeWALValue(&d)
+	return v, d.b, d.err
+}
+
 // decoder walks one CRC-verified payload. The first malformed field sets err
 // and empties what is left, so a caller decodes a whole structure and checks
 // once; every later read returns a zero.

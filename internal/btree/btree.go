@@ -596,3 +596,183 @@ func (t *Tree[K, V]) Max() (K, V, bool) {
 	it := t.max(t.root)
 	return it.key, it.val, true
 }
+
+// Cursor is a position in a tree that only moves forward. It keeps the path
+// from the root to its item, so Seek steps on from where it stands: it climbs
+// only as far as the nearest ancestor whose remaining items can hold the
+// target and descends from there, never from the root again, which makes a
+// run of ascending seeks cost about one walk of the span they cover. The tree
+// must not be mutated while a cursor is in use; sqldb only opens cursors on
+// committed or flushed versions.
+type Cursor[K, V any] struct {
+	t    *Tree[K, V]
+	path []cursorFrame[K, V] // root first; the last frame holds the current item
+	done bool                // past the end
+}
+
+// cursorFrame is one node on a cursor's path. In the last frame i is the
+// current item; in an ancestor it is the child the path goes through, so
+// items[i], when i < len(items), is the next item once that child is done.
+type cursorFrame[K, V any] struct {
+	n *node[K, V]
+	i int
+}
+
+// Cursor returns an unpositioned cursor over t: the first Seek or Next
+// places it.
+func (t *Tree[K, V]) Cursor() Cursor[K, V] {
+	h := 1
+	for n := t.root; !n.leaf(); n = n.children[0] {
+		h++
+	}
+	return Cursor[K, V]{t: t, path: make([]cursorFrame[K, V], 0, h)}
+}
+
+// Reset unpositions the cursor, so the next Seek descends from the root and
+// may land before where the cursor stood.
+func (c *Cursor[K, V]) Reset() {
+	c.path, c.done = c.path[:0], false
+}
+
+// Key and Value return the current item's; call them only after a Seek or
+// Next that reported true.
+func (c *Cursor[K, V]) Key() K {
+	f := &c.path[len(c.path)-1]
+	return f.n.items[f.i].key
+}
+
+func (c *Cursor[K, V]) Value() V {
+	f := &c.path[len(c.path)-1]
+	return f.n.items[f.i].val
+}
+
+// Seek moves to the first item, at or after the current one, for which
+// atOrAfter reports true, and reports whether there is one; past the last
+// item the cursor stays at the end. atOrAfter must be monotone in key order,
+// as for AscendFrom. A cursor already on a matching item stays put, so a
+// target behind the cursor does not move it.
+func (c *Cursor[K, V]) Seek(atOrAfter func(key K) bool) bool {
+	if c.done {
+		return false
+	}
+	if len(c.path) == 0 {
+		return c.descend(c.t.root, atOrAfter) || c.end()
+	}
+	if atOrAfter(c.Key()) {
+		return true
+	}
+	for {
+		// The current item misses, and so does everything before it. What
+		// follows it in this node: child i+1, item i+1, …, the last child.
+		top := len(c.path) - 1 // descend may move the path: index, not pointer
+		n, from := c.path[top].n, c.path[top].i+1
+		m := from + lowerBound(n.items[from:], atOrAfter)
+		if !n.leaf() && (m < len(n.items) || c.boundHolds(atOrAfter)) {
+			c.path[top].i = m
+			if c.descend(n.children[m], atOrAfter) {
+				return true
+			}
+		}
+		if m < len(n.items) {
+			c.path[top].i = m
+			return true
+		}
+		// Nothing here: climb to the nearest ancestor with an item pending.
+		if !c.climb() {
+			return c.end()
+		}
+		if atOrAfter(c.Key()) {
+			return true
+		}
+	}
+}
+
+// Next moves to the item after the current one, or to the first item of an
+// unpositioned cursor, and reports whether there is one.
+func (c *Cursor[K, V]) Next() bool {
+	if c.done {
+		return false
+	}
+	if len(c.path) == 0 {
+		return c.descend(c.t.root, func(K) bool { return true }) || c.end()
+	}
+	top := &c.path[len(c.path)-1]
+	top.i++
+	if !top.n.leaf() {
+		for n := top.n.children[top.i]; ; n = n.children[0] {
+			c.path = append(c.path, cursorFrame[K, V]{n, 0})
+			if n.leaf() {
+				return true
+			}
+		}
+	}
+	if top.i < len(top.n.items) || c.climb() {
+		return true
+	}
+	return c.end()
+}
+
+// descend pushes the path from n down to the first item of n's subtree for
+// which atOrAfter holds. When the subtree has none it leaves the path as it
+// found it and reports false.
+func (c *Cursor[K, V]) descend(n *node[K, V], atOrAfter func(K) bool) bool {
+	base := len(c.path)
+	for {
+		i := lowerBound(n.items, atOrAfter)
+		c.path = append(c.path, cursorFrame[K, V]{n, i})
+		if n.leaf() {
+			break
+		}
+		n = n.children[i]
+	}
+	for len(c.path) > base {
+		if f := &c.path[len(c.path)-1]; f.i < len(f.n.items) {
+			return true
+		}
+		c.path = c.path[:len(c.path)-1]
+	}
+	return false
+}
+
+// climb pops the last frame and every ancestor whose children are all done,
+// leaving the cursor on the first pending ancestor item; false at the end.
+func (c *Cursor[K, V]) climb() bool {
+	for c.path = c.path[:len(c.path)-1]; len(c.path) > 0; c.path = c.path[:len(c.path)-1] {
+		if f := &c.path[len(c.path)-1]; f.i < len(f.n.items) {
+			return true
+		}
+	}
+	return false
+}
+
+// boundHolds reports whether atOrAfter holds for the item that follows the
+// last frame's whole subtree (the nearest pending ancestor item), or there is
+// none: only then can that subtree's last child hold the target.
+func (c *Cursor[K, V]) boundHolds(atOrAfter func(K) bool) bool {
+	for j := len(c.path) - 2; j >= 0; j-- {
+		if f := &c.path[j]; f.i < len(f.n.items) {
+			return atOrAfter(f.n.items[f.i].key)
+		}
+	}
+	return true
+}
+
+func (c *Cursor[K, V]) end() bool {
+	c.path, c.done = c.path[:0], true
+	return false
+}
+
+// lowerBound returns the index of the first item for which atOrAfter holds,
+// len(items) if none.
+func lowerBound[K, V any](items []item[K, V], atOrAfter func(K) bool) int {
+	lo, hi := 0, len(items)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if atOrAfter(items[mid].key) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}

@@ -58,14 +58,14 @@ func TestExplainAttributeBatchHydration(t *testing.T) {
 	c := openCatalog(t)
 	// attributesBatch's statement (query.go): per-object attribute fetch for
 	// a page of query results, batched through one IN list on ua_object. The
-	// join to attribute_def intersects on attr_id; attribute_def has no
-	// local predicate, so it goes last and is reached by key probes into its
-	// primary key.
+	// join to attribute_def intersects on attr_id: the IN list's rows are
+	// sorted by it, and attribute_def, with no local predicate, seeks its
+	// row store.
 	plan := explainPlan(t, c,
 		"SELECT ua.object_id, ad.name, ad.type, ua.sval, ua.ival, ua.fval, ua.tval "+
 			"FROM user_attribute ua JOIN attribute_def ad ON ad.id = ua.attr_id "+
 			"WHERE ua.object_type = ? AND ua.object_id IN (?, ?, ?)")
-	want := "intersect[ua index-in(ua_object) & ad key-probe(rowid)]"
+	want := "intersect[ua sort(index-in(ua_object)) & ad seek(rowid)]"
 	if plan != want {
 		t.Fatalf("attribute batch plan:\n  got  %s\n  want %s", plan, want)
 	}
@@ -85,14 +85,13 @@ func TestExplainEightAttributeQuery(t *testing.T) {
 	}
 	plan := explainPlan(t, c, sql)
 	// All eight predicates are string-typed, so every attribute stage is a
-	// covered equality probe of ua_attr_s and the file table is reached by
-	// key probes — the flat Fig. 11 shape. The attribute stages bind three
-	// columns each, so they keep statement order.
-	want := "intersect[" + strings.Repeat("a%d index-eq(ua_attr_s) & ", 8) +
-		"t key-probe(rowid)]"
-	wantArgs := make([]interface{}, 8)
+	// cursor over a covered run of ua_attr_s, and the file table seeks its
+	// row store — the flat Fig. 11 shape.
+	want := "intersect[a0 seek(ua_attr_s) & t seek(rowid)" +
+		strings.Repeat(" & a%d seek(ua_attr_s)", 7) + "]"
+	wantArgs := make([]interface{}, 7)
 	for i := range wantArgs {
-		wantArgs[i] = i
+		wantArgs[i] = i + 1
 	}
 	want = fmt.Sprintf(want, wantArgs...)
 	if plan != want {
@@ -100,15 +99,11 @@ func TestExplainEightAttributeQuery(t *testing.T) {
 	}
 }
 
-// TestExplainNameAndAttribute pins the plan's known cost. A static `name =`
-// predicate binds one column of lf_name, and the attribute stage binds three
-// of ua_attr_s, so the attribute stage runs first: the query materializes
-// the attribute's whole value run and then key-probes logical_file for each
-// object in it. Ranked by data, the name would go first and find one row;
-// at 20,000 files, with a two-valued attribute, this statement takes 2.2 ms
-// instead of 0.005 ms on 2 vCPUs (EXPERIMENTS.md, "Plans from the schema
-// alone"). A seekable intersection
-// that can start from the name wins it back without statistics.
+// TestExplainNameAndAttribute pins the plan that makes a static `name =`
+// predicate cheap without statistics: the name's one row of lf_name is
+// sorted into a one-key array, and the attribute's cursor seeks that key
+// alone instead of walking its whole value run (2.2 ms at 20,000 files when
+// the run was materialized, EXPERIMENTS.md "Plans from the schema alone").
 func TestExplainNameAndAttribute(t *testing.T) {
 	c := openCatalog(t)
 	defineExplainAttrs(t, c, 1)
@@ -120,7 +115,7 @@ func TestExplainNameAndAttribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := explainPlan(t, c, sql)
-	want := "intersect[a0 index-eq(ua_attr_s) & t key-probe(rowid)]"
+	want := "intersect[a0 seek(ua_attr_s) & t sort(index-eq(lf_name))]"
 	if plan != want {
 		t.Fatalf("name + attribute plan:\n  got  %s\n  want %s", plan, want)
 	}

@@ -94,8 +94,8 @@ type buildBuf struct {
 
 // buildIndexes fills the new, empty indexes ixs of t from rows, the
 // table's rows with their rowids in ascending rowid order. It extracts the
-// key columns of all of them in one pass over the rows, then builds the
-// indexes side by side on at most GOMAXPROCS workers. It returns the first
+// key columns of all of them, then builds the indexes, each step side by
+// side on at most GOMAXPROCS workers. It returns the first
 // index's error; the callers then drop every index of ixs.
 func (t *table) buildIndexes(rowids []int64, rows []Row, ixs []*index) error {
 	var cols []int
@@ -103,16 +103,25 @@ func (t *table) buildIndexes(rowids []int64, rows []Row, ixs []*index) error {
 		cols = append(cols, ix.cols...)
 	}
 	keys := t.extractKeys(rows, cols)
-	errs := make([]error, len(ixs))
+	return parallel(len(ixs), func(i int, buf *buildBuf) error {
+		return ixs[i].build(rowids, rows, keys, buf)
+	})
+}
+
+// parallel runs job(i) for every i below n on at most GOMAXPROCS workers,
+// each taking the next undone i and passing its own scratch buffer, and
+// returns the error of the lowest failing i.
+func parallel(n int, job func(i int, buf *buildBuf) error) error {
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(len(ixs), runtime.GOMAXPROCS(0)) {
+	for range min(n, runtime.GOMAXPROCS(0)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var buf buildBuf
-			for i := int(next.Add(1) - 1); i < len(ixs); i = int(next.Add(1) - 1) {
-				errs[i] = ixs[i].build(rowids, rows, keys, &buf)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = job(i, &buf)
 			}
 		}()
 	}
@@ -126,52 +135,97 @@ func (t *table) buildIndexes(rowids []int64, rows []Row, ixs []*index) error {
 }
 
 // extractKeys returns the sort words of the given columns over rows, by
-// table column position; a column not asked for is left empty.
+// table column position; a column not asked for is left empty. Rows are
+// scattered over the heap, so each is read once, for all the columns: the
+// rows are cut into chunks of at least keyChunk rows, one job each, and the
+// jobs run side by side (parallel). A chunk numbers a TEXT or FLOAT
+// column's distinct values in the order it meets them; the numbers then
+// count on from the chunks before, and one rank per column swaps them for
+// ranks.
 func (t *table) extractKeys(rows []Row, cols []int) []keyColumn {
 	keys := make([]keyColumn, len(t.cols))
-	// A TEXT or FLOAT column first numbers its distinct values in the order
-	// they are met (seen, vals), then swaps the numbers for ranks.
-	seen := make([]map[Value]uint32, len(t.cols))
-	vals := make([][]Value, len(t.cols))
 	var want []int
 	for _, c := range cols {
-		if keys[c].words != nil {
-			continue
-		}
-		keys[c].words = make([]uint64, len(rows))
-		want = append(want, c)
-		if typ := t.cols[c].Type; typ == TypeText || typ == TypeFloat {
-			seen[c] = make(map[Value]uint32)
+		if keys[c].words == nil {
+			keys[c].words = make([]uint64, len(rows))
+			if !t.cols[c].NotNull {
+				keys[c].null = make([]bool, len(rows))
+			}
+			want = append(want, c)
 		}
 	}
-	for i, row := range rows {
-		for _, c := range want {
-			v, k := &row[c], &keys[c]
-			switch {
-			case v.T == TypeNull:
-				if k.null == nil {
-					k.null = make([]bool, len(rows))
-				}
-				k.null[i] = true
-			case seen[c] != nil:
-				id, ok := seen[c][*v]
-				if !ok {
-					id = uint32(len(vals[c]))
-					seen[c][*v] = id
-					vals[c] = append(vals[c], *v)
-				}
-				k.words[i] = uint64(id)
-			default:
-				k.words[i] = uint64(v.N) ^ 1<<63
+	n := max(1, min(runtime.GOMAXPROCS(0), len(rows)/keyChunk))
+	// vals[ci][j] holds chunk ci's distinct values of column want[j], nulls
+	// whether it met a NULL there.
+	vals := make([][][]Value, n)
+	nulls := make([][]bool, n)
+	parallel(n, func(ci int, _ *buildBuf) error {
+		lo, hi := ci*len(rows)/n, (ci+1)*len(rows)/n
+		vals[ci], nulls[ci] = make([][]Value, len(want)), make([]bool, len(want))
+		texts, floats := make([]map[string]uint32, len(want)), make([]map[int64]uint32, len(want))
+		for j, c := range want {
+			switch t.cols[c].Type {
+			case TypeText:
+				texts[j] = make(map[string]uint32)
+			case TypeFloat:
+				floats[j] = make(map[int64]uint32)
 			}
 		}
-	}
-	for _, c := range want {
-		if len(vals[c]) > 0 {
-			keys[c].rank(vals[c])
+		for i := lo; i < hi; i++ {
+			row := rows[i]
+			for j, c := range want {
+				k := &keys[c]
+				switch v := &row[c]; {
+				case v.T == TypeNull:
+					k.null[i], nulls[ci][j] = true, true
+				case texts[j] != nil:
+					k.words[i] = number(texts[j], v.S, v, &vals[ci][j])
+				case floats[j] != nil:
+					k.words[i] = number(floats[j], v.N, v, &vals[ci][j])
+				default:
+					k.words[i] = uint64(v.N) ^ 1<<63
+				}
+			}
 		}
-	}
+		return nil
+	})
+	parallel(len(want), func(j int, _ *buildBuf) error {
+		k := &keys[want[j]]
+		if !slices.ContainsFunc(nulls, func(saw []bool) bool { return saw[j] }) {
+			k.null = nil
+		}
+		var all []Value
+		for ci := range n {
+			if off := uint64(len(all)); off > 0 {
+				for i := ci * len(rows) / n; i < (ci+1)*len(rows)/n; i++ {
+					if k.null == nil || !k.null[i] {
+						k.words[i] += off
+					}
+				}
+			}
+			all = append(all, vals[ci][j]...)
+		}
+		if len(all) > 0 {
+			k.rank(all)
+		}
+		return nil
+	})
 	return keys
+}
+
+// keyChunk is the fewest rows extractKeys gives a job of its own.
+const keyChunk = 4096
+
+// number returns the number seen gave v, whose key is key, giving it the
+// next one, and appending v to vals, if v is new.
+func number[K comparable](seen map[K]uint32, key K, v *Value, vals *[]Value) uint64 {
+	id, ok := seen[key]
+	if !ok {
+		id = uint32(len(*vals))
+		seen[key] = id
+		*vals = append(*vals, *v)
+	}
+	return uint64(id)
 }
 
 // rank replaces each word, an index into vals, by the dense rank of that

@@ -375,13 +375,14 @@ func TestPlanCensus(t *testing.T) {
 	}
 }
 
-// indexRef matches an index a plan reads: its access path or its key probe.
-var indexRef = regexp.MustCompile(`(?:index-(?:eq|in|range)|key-probe)\(([^)]+)\)`)
+// indexRef matches an index a plan reads: its access path, the index an
+// intersection cursor seeks or the index a page is driven by.
+var indexRef = regexp.MustCompile(`(?:index-(?:eq|in|range)|seek|order)\(([^)]+)\)`)
 
 // TestEveryCatalogIndexEarnsItsPlace: an index costs heap, restore time and
 // a tree update on every write of its table, so each one the catalog keeps
 // must be read by some census plan — as the access path of a SELECT, or of
-// the WHERE of an UPDATE or DELETE, or as a key-probe index — or back a
+// the WHERE of an UPDATE or DELETE, or as an intersection's cursor — or back a
 // UNIQUE constraint.
 func TestEveryCatalogIndexEarnsItsPlace(t *testing.T) {
 	cat := drivenCensusCatalog(t)

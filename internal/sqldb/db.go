@@ -338,23 +338,36 @@ func (rp *replayer) applyRow(c *rowChange) error {
 // catchUp brings the indexes of every table replay changed up to date: a
 // table whose queued deltas are few against what its indexes hold flushes
 // them, sorted and coalesced; one with many, or marked stale, rebuilds its
-// indexes from the row store.
+// indexes from the row store. Each flush of one index and each rebuild of
+// one table is a job of its own, and the jobs run side by side on at most
+// GOMAXPROCS workers (parallel): no two touch the same tree.
 func (rp *replayer) catchUp() error {
+	var flush []*index
+	var rebuild []*table
 	for name := range rp.tx.owned {
 		t := rp.tx.work.tables[name]
 		if !rp.stale[t] && !t.rebuildCheaper() {
-			t.flushIndexes()
+			for _, ix := range t.indexes {
+				if len(ix.pending) > 0 {
+					flush = append(flush, ix)
+				}
+			}
 			continue
 		}
 		t.dropPending()
-		rowids, rows := t.allRows()
-		if err := t.buildIndexes(rowids, rows, t.indexes); err != nil {
-			return err
-		}
-		rp.rebuilt++
+		rebuild = append(rebuild, t)
 	}
 	clear(rp.stale)
-	return nil
+	rp.rebuilt += len(rebuild)
+	return parallel(len(rebuild)+len(flush), func(i int, _ *buildBuf) error {
+		if i < len(rebuild) {
+			t := rebuild[i]
+			rowids, rows := t.allRows()
+			return t.buildIndexes(rowids, rows, t.indexes)
+		}
+		flush[i-len(rebuild)].flush()
+		return nil
+	})
 }
 
 // publish brings every index up to date and publishes the replay's root.

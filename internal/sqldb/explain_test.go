@@ -117,62 +117,79 @@ func TestExplainGoldens(t *testing.T) {
 		{"key ties go to the row store", "SELECT a FROM r WHERE u = ? AND id = ?", "rowid-eq(r)"},
 		{"a bound index prefix beats a key range", "SELECT id FROM r WHERE id > ? AND a = ? AND b = ?", "index-eq(r_ab)"},
 
-		// planIntersect's rule: stages by descending rank, ties in statement
-		// order, and a later stage key-probed when its key column is the
-		// rowid, its key index is a one-column unique index or its own
-		// access would be a full scan.
+		// planIntersect's rule (classify): every stage is a cursor over its
+		// keys, listed in statement order. An equality run of an index that
+		// is ordered by the key column seeks; a stage keyed by its table's
+		// rowid with no selective access of its own seeks the row store; a
+		// stage with no access of its own seeks the index its key column
+		// leads; anything else is scanned once and sorted.
 		{
-			// The Fig. 11 shape: the attribute stages tie and keep statement
-			// order, and the object table — no local predicates, so its own
-			// access would be a full scan — goes last, reached by key
-			// lookups in its row store. a1's key index kv_oid is not unique
-			// and its own access is an index, so it is materialized.
-			"EAV intersection with key probe",
+			// The Fig. 11 shape: the attribute stages are covered runs of
+			// kv_kvo, and the object table, with no predicate of its own,
+			// seeks its row store.
+			"EAV intersection of cursors",
 			`SELECT DISTINCT o.name FROM kv a0
 				JOIN obj o ON o.id = a0.oid
 				JOIN kv a1 ON a1.oid = a0.oid
 				WHERE a0.k = ? AND a0.v = 2 AND a1.k = ? AND a1.v = 2`,
-			"intersect[a0 index-eq(kv_kvo) & a1 index-eq(kv_kvo) & o key-probe(rowid)]",
+			"intersect[a0 seek(kv_kvo) & o seek(rowid) & a1 seek(kv_kvo)]",
 		},
 		{
-			"more bound columns run first",
+			// a0's run of kv_kvo binds k alone, so it is ordered by v first.
+			"a run not ordered by the key is sorted",
 			"SELECT a0.oid FROM kv a0 JOIN kv a1 ON a1.oid = a0.oid WHERE a0.k = ? AND a1.k = ? AND a1.v = ?",
-			"intersect[a1 index-eq(kv_kvo) & a0 index-eq(kv_kvo)]",
+			"intersect[a0 sort(index-eq(kv_kvo)) & a1 seek(kv_kvo)]",
 		},
 		{
-			"a unique key stage runs first",
+			"a rowid equality is sorted",
 			"SELECT a.oid FROM kv a JOIN obj o ON o.id = a.oid WHERE a.k = ? AND a.v = ? AND o.id = ?",
-			"intersect[o rowid-eq(obj) & a index-eq(kv_kvo)]",
+			"intersect[a seek(kv_kvo) & o sort(rowid-eq(obj))]",
 		},
 		{
-			"full scans run last",
+			"the row store seeks",
 			"SELECT a.k FROM obj o JOIN kv a ON a.oid = o.id WHERE a.k = ?",
-			"intersect[a index-eq(kv_kvo) & o key-probe(rowid)]",
+			"intersect[o seek(rowid) & a sort(index-eq(kv_kvo))]",
 		},
 		{
-			// o's own access would be index-eq(obj_name), but its key is the
-			// rowid: one row store lookup per surviving key.
-			"key probe by the rowid",
+			// o's key is the rowid, but its own access is an equality: the
+			// few rows it finds are sorted.
+			"an equality on another index is sorted",
 			"SELECT o.name FROM kv a JOIN obj o ON o.id = a.oid WHERE a.k = ? AND a.v = ? AND o.name = ?",
-			"intersect[a index-eq(kv_kvo) & o key-probe(rowid)]",
+			"intersect[a seek(kv_kvo) & o sort(index-eq(obj_name))]",
 		},
 		{
-			// r's own access would be index-eq(r_a), but its key index is a
-			// one-column unique index: one descent per surviving key.
-			"key probe through a unique key index",
+			"a unique key index is no shortcut",
 			"SELECT r.b FROM kv a JOIN r ON r.u = a.oid WHERE a.k = ? AND a.v = ? AND r.a = ?",
-			"intersect[a index-eq(kv_kvo) & r key-probe(r_u_key)]",
+			"intersect[a seek(kv_kvo) & r sort(index-eq(r_a))]",
 		},
 		{
-			// kv_oid is not unique, but a's own access would be a full scan.
-			"key probe instead of a full scan",
+			// a's own access would be a full scan: it seeks kv_oid, the
+			// index its key column leads.
+			"the key index instead of a full scan",
 			"SELECT a.k FROM obj o JOIN kv a ON a.oid = o.id WHERE o.name = ?",
-			"intersect[o index-eq(obj_name) & a key-probe(kv_oid)]",
+			"intersect[o sort(index-eq(obj_name)) & a seek(kv_oid)]",
 		},
 		{
-			"the first stage is never probed",
+			"no predicates at all",
 			"SELECT a.k FROM kv a JOIN obj o ON o.id = a.oid",
-			"intersect[a full-scan(kv) & o key-probe(rowid)]",
+			"intersect[a seek(kv_oid) & o seek(rowid)]",
+		},
+		{
+			// The page shape: ORDER BY a column of a row-store stage that
+			// leads an index, with a LIMIT, walks that index.
+			"a page driven by its order",
+			"SELECT DISTINCT o.name FROM kv a JOIN obj o ON o.id = a.oid WHERE a.k = ? AND a.v = ? AND o.name > ? ORDER BY o.name LIMIT 16",
+			"intersect[a seek(kv_kvo) & o order(obj_name)]",
+		},
+		{
+			"no drive without a LIMIT",
+			"SELECT DISTINCT o.name FROM kv a JOIN obj o ON o.id = a.oid WHERE a.k = ? AND a.v = ? ORDER BY o.name",
+			"intersect[a seek(kv_kvo) & o seek(rowid)]",
+		},
+		{
+			"no drive in descending order",
+			"SELECT o.name FROM kv a JOIN obj o ON o.id = a.oid WHERE a.k = ? AND a.v = ? ORDER BY o.name DESC LIMIT 3",
+			"intersect[a seek(kv_kvo) & o seek(rowid)]",
 		},
 		{
 			// A TEXT join key disqualifies intersection; the nested executor
@@ -187,7 +204,7 @@ func TestExplainGoldens(t *testing.T) {
 			"intersection with residual",
 			`SELECT o.name FROM kv a0 JOIN obj o ON o.id = a0.oid
 				WHERE a0.k = ? AND a0.v = 2 AND o.name >= ?`,
-			"intersect[a0 index-eq(kv_kvo) & o key-probe(rowid)]",
+			"intersect[a0 seek(kv_kvo) & o seek(rowid)]",
 		},
 		{
 			// doc_owner_title has no entry for a NULL title, so a probe on

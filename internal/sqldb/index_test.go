@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -425,93 +426,111 @@ func FuzzIndexBuild(f *testing.F) {
 	f.Add(int64(3), uint16(0), uint8(2))
 	f.Add(int64(4), uint16(700), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, nrows uint16, nindexes uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		cols := []ColumnDef{
-			{Name: "i", Type: TypeInt}, {Name: "f", Type: TypeFloat}, {Name: "s", Type: TypeText},
-			{Name: "b", Type: TypeBool}, {Name: "d", Type: TypeTime}, {Name: "p", Type: TypeText},
-		}
-		tbl, err := newTable(&CreateTableStmt{Name: "fz", Columns: cols})
-		if err != nil {
-			t.Fatal(err)
-		}
-		long := strings.Repeat("prefix/", 12)
-		texts := []string{"", "a", "ab", "b", long, long + "a", long + "a\x00", long + "b", long + long}
-		floats := []float64{math.Inf(-1), -math.MaxFloat64, -1.5, math.Copysign(0, -1), 0, 5e-324, 0.5, 2, math.Inf(1)}
-		ints := []int64{math.MinInt64, -1, 0, 1, 2, math.MaxInt64}
-		cell := func(typ Type) Value {
-			if rng.Intn(6) == 0 {
-				return Null()
-			}
-			switch typ {
-			case TypeInt:
-				return Int(ints[rng.Intn(len(ints))])
-			case TypeFloat:
-				return Float(floats[rng.Intn(len(floats))])
-			case TypeText:
-				return Text(texts[rng.Intn(len(texts))])
-			case TypeBool:
-				return Bool(rng.Intn(2) == 0)
-			}
-			return TimeMicros(ints[rng.Intn(len(ints))] / 2)
-		}
-		n := int(nrows % 1024)
-		rowids, rows := make([]int64, n), make([]Row, n)
-		next := int64(0)
-		for r := range rows {
-			next += 1 + rng.Int63n(3)
-			rowids[r], rows[r] = next, make(Row, len(cols))
-			for c := range cols {
-				rows[r][c] = cell(cols[c].Type)
-			}
-		}
-		var ixs []*index
-		for k := range int(nindexes%6) + 1 {
-			ixCols := make([]int, 1+rng.Intn(4))
-			for j := range ixCols {
-				ixCols[j] = rng.Intn(len(cols))
-			}
-			ixs = append(ixs, newIndex(fmt.Sprintf("fz_%d", k), tbl, ixCols, rng.Intn(4) == 0))
-		}
-
-		// The reference: the comparator sort of the NULL-free keys, and
-		// UNIQUE read off its neighbours.
-		want := make([][]indexEntry, len(ixs))
-		dup := false
-		for k, ix := range ixs {
-			for r := range rows {
-				if e := entryOf(rowids[r], rows[r]); !ix.nullKey(e) {
-					want[k] = append(want[k], e)
-				}
-			}
-			slices.SortFunc(want[k], ix.compare)
-			for r := 1; r < len(want[k]) && ix.unique; r++ {
-				if compareKeyCols(ix.cols, want[k][r-1], want[k][r]) == 0 {
-					dup = true
-				}
-			}
-		}
-
-		err = tbl.buildIndexes(rowids, rows, ixs)
-		if dup {
-			if err == nil || !strings.Contains(err.Error(), "UNIQUE constraint") {
-				t.Fatalf("build over a duplicate UNIQUE key: err = %v", err)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		for k, ix := range ixs {
-			var got []indexEntry
-			ix.tree.Ascend(func(e indexEntry, _ struct{}) bool {
-				got = append(got, e)
-				return true
-			})
-			if !slices.Equal(got, want[k]) {
-				t.Fatalf("%s over columns %v: built order differs from the comparator sort", ix.name, ix.cols)
-			}
-		}
+		checkIndexBuild(t, seed, int(nrows%1024), int(nindexes%6)+1, true)
 	})
+}
+
+// TestIndexBuildChunksAgree runs FuzzIndexBuild's check over tables large
+// enough that extractKeys cuts the rows into chunks (one per worker, at
+// -cpu 2 and above), whose value numbers must join into one rank. No index
+// is UNIQUE, so every build runs to the order check.
+func TestIndexBuildChunksAgree(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		checkIndexBuild(t, seed, 3*keyChunk+int(seed)*777, 6, false)
+	}
+}
+
+// checkIndexBuild builds nindexes random indexes over n random rows of
+// every column type, NULLs included, and holds each to the comparator sort;
+// unique lets some of them be UNIQUE, which over many rows mostly ends the
+// check at the violation.
+func checkIndexBuild(t *testing.T, seed int64, n, nindexes int, unique bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cols := []ColumnDef{
+		{Name: "i", Type: TypeInt}, {Name: "f", Type: TypeFloat}, {Name: "s", Type: TypeText},
+		{Name: "b", Type: TypeBool}, {Name: "d", Type: TypeTime}, {Name: "p", Type: TypeText},
+	}
+	tbl, err := newTable(&CreateTableStmt{Name: "fz", Columns: cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("prefix/", 12)
+	texts := []string{"", "a", "ab", "b", long, long + "a", long + "a\x00", long + "b", long + long}
+	floats := []float64{math.Inf(-1), -math.MaxFloat64, -1.5, math.Copysign(0, -1), 0, 5e-324, 0.5, 2, math.Inf(1)}
+	ints := []int64{math.MinInt64, -1, 0, 1, 2, math.MaxInt64}
+	cell := func(typ Type) Value {
+		if rng.Intn(6) == 0 {
+			return Null()
+		}
+		switch typ {
+		case TypeInt:
+			return Int(ints[rng.Intn(len(ints))])
+		case TypeFloat:
+			return Float(floats[rng.Intn(len(floats))])
+		case TypeText:
+			return Text(texts[rng.Intn(len(texts))])
+		case TypeBool:
+			return Bool(rng.Intn(2) == 0)
+		}
+		return TimeMicros(ints[rng.Intn(len(ints))] / 2)
+	}
+	rowids, rows := make([]int64, n), make([]Row, n)
+	next := int64(0)
+	for r := range rows {
+		next += 1 + rng.Int63n(3)
+		rowids[r], rows[r] = next, make(Row, len(cols))
+		for c := range cols {
+			rows[r][c] = cell(cols[c].Type)
+		}
+	}
+	var ixs []*index
+	for k := range nindexes {
+		ixCols := make([]int, 1+rng.Intn(4))
+		for j := range ixCols {
+			ixCols[j] = rng.Intn(len(cols))
+		}
+		ixs = append(ixs, newIndex(fmt.Sprintf("fz_%d", k), tbl, ixCols, rng.Intn(4) == 0 && unique))
+	}
+
+	// The reference: the comparator sort of the NULL-free keys, and
+	// UNIQUE read off its neighbours.
+	want := make([][]indexEntry, len(ixs))
+	dup := false
+	for k, ix := range ixs {
+		for r := range rows {
+			if e := entryOf(rowids[r], rows[r]); !ix.nullKey(e) {
+				want[k] = append(want[k], e)
+			}
+		}
+		slices.SortFunc(want[k], ix.compare)
+		for r := 1; r < len(want[k]) && ix.unique; r++ {
+			if compareKeyCols(ix.cols, want[k][r-1], want[k][r]) == 0 {
+				dup = true
+			}
+		}
+	}
+
+	err = tbl.buildIndexes(rowids, rows, ixs)
+	if dup {
+		if err == nil || !strings.Contains(err.Error(), "UNIQUE constraint") {
+			t.Fatalf("build over a duplicate UNIQUE key: err = %v", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	for k, ix := range ixs {
+		var got []indexEntry
+		ix.tree.Ascend(func(e indexEntry, _ struct{}) bool {
+			got = append(got, e)
+			return true
+		})
+		if !slices.Equal(got, want[k]) {
+			t.Fatalf("%s over columns %v: built order differs from the comparator sort", ix.name, ix.cols)
+		}
+	}
 }
 
 // TestUniqueSeesPendingWrites: the UNIQUE check sees every earlier write of
@@ -564,5 +583,74 @@ func TestUniqueSeesPendingWrites(t *testing.T) {
 	}
 	if _, err := db.Exec(ins, Text("c"), Int(7)); !isUnique(err) {
 		t.Fatalf("a duplicate after commit: err = %v, want a UNIQUE violation", err)
+	}
+}
+
+// TestReplayFlushCoalescesEachRowsDeltas replays a log that piles many
+// deltas on a few rows into one flush: a row whose indexed key flips back
+// and forth hundreds of times, a row deleted and inserted again under its
+// rowid, and rows whose key never moves. flush orders deltas by rowid and
+// coalesces each row's per entry, so every index must end with exactly one
+// entry per row, pointing at the stored row, and answer as the naive
+// evaluator does.
+func TestReplayFlushCoalescesEachRowsDeltas(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE r (id INTEGER PRIMARY KEY, k INTEGER, g TEXT)")
+	mustExec(t, db, "CREATE INDEX r_k ON r (k)")
+	mustExec(t, db, "CREATE INDEX r_gk ON r (g, k)")
+	// The rows come from a snapshot, and enough of them that the log's
+	// deltas stay a small share of the entries: replay flushes rather than
+	// rebuilds (table.rebuildCheaper).
+	if err := db.Update(func(tx *Tx) error {
+		for i := 0; i < 10000; i++ {
+			if _, err := tx.Exec("INSERT INTO r (id, k, g) VALUES (?, ?, ?)", Int(int64(i)), Int(int64(i%7)), Text(fmt.Sprintf("g%d", i%3))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap := dumpBytes(t, db)
+	path := filepath.Join(t.TempDir(), "r.wal")
+	w, _ := openTestWAL(t, path, db, WALOptions{NoSync: true})
+	for round := 0; round < 300; round++ {
+		mustExec(t, db, "UPDATE r SET k = ? WHERE id = 7", Int(int64(round%2)))
+		mustExec(t, db, "UPDATE r SET g = ? WHERE id = 11", Text(fmt.Sprintf("g%d", round%3)))
+		if round%50 == 0 {
+			mustExec(t, db, "DELETE FROM r WHERE id = 20")
+			mustExec(t, db, "INSERT INTO r (id, k, g) VALUES (?, ?, ?)", Int(20), Int(int64(round)), Text("back"))
+		}
+	}
+	want := dumpBytes(t, db)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := New()
+	if err := db2.LoadSnapshot(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	w2, stats := openTestWAL(t, path, db2, WALOptions{NoSync: true})
+	defer w2.Close()
+	if stats.Rebuilt != 0 {
+		t.Fatalf("replay rebuilt %d tables; the test needs the flush", stats.Rebuilt)
+	}
+	if got := dumpBytes(t, db2); !bytes.Equal(got, want) {
+		t.Fatal("replayed state differs from the live one")
+	}
+	checkIndexesPointAtStoredRows(t, db2.root.Load(), "after replay")
+	for _, q := range []struct {
+		sql  string
+		args []Value
+	}{
+		{"SELECT id FROM r WHERE k = ? AND id < ? ORDER BY id", []Value{Int(1), Int(100)}},
+		{"SELECT id FROM r WHERE g = ? AND k = ? AND id < ? ORDER BY id", []Value{Text("g2"), Int(0), Int(100)}},
+		{"SELECT id, k FROM r WHERE g = ?", []Value{Text("back")}},
+	} {
+		got, want := mustQuery(t, db2, q.sql, q.args...), mustQueryNaive(t, db2, q.sql, q.args...)
+		if !slices.EqualFunc(got.Data, want.Data, slices.Equal) {
+			t.Errorf("%s %v:\n  got  %v\n  want %v", q.sql, q.args, got.Data, want.Data)
+		}
 	}
 }

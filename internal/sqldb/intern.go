@@ -15,17 +15,28 @@ import "sync/atomic"
 // string headers.
 //
 // The table is a fixed-size direct-mapped cache probed lock-free with
-// atomics: a hit returns the shared copy, a miss publishes the new string,
-// evicting whatever hashed to the same slot. No locks, no growth, no
-// eviction scans — worst case (all-distinct strings) it degrades to a
-// no-op with one atomic load per call. It is safe for concurrent use.
+// atomics: a hit returns the shared copy. A miss publishes the new string
+// only the second time its hash is seen in that slot: the first time the
+// slot remembers the hash alone. One-off strings (idempotency keys, replay
+// records) then cost nothing beyond the string itself and do not evict the
+// vocabulary, while a repeated value is shared from its second sighting on.
+// No locks, no growth, no eviction scans — worst case (all-distinct
+// strings) it degrades to two atomic operations per call. It is safe for
+// concurrent use: the snapshot's decode workers call it side by side.
 
 const (
 	internSlots  = 4096
 	internMaxLen = 64
 )
 
-var internTab [internSlots]atomic.Pointer[string]
+// internSlot holds a published string and the hash of the last string seen
+// there that was not published.
+type internSlot struct {
+	s    atomic.Pointer[string]
+	seen atomic.Uint32
+}
+
+var internTab [internSlots]internSlot
 
 // Intern returns a canonical copy of s, deduplicating recently seen strings.
 // Long strings (URLs, free-text descriptions) pass through untouched: they
@@ -34,11 +45,12 @@ func Intern(s string) string {
 	if len(s) == 0 || len(s) > internMaxLen {
 		return s
 	}
-	slot := &internTab[internHash(s)%internSlots]
-	if p := slot.Load(); p != nil && *p == s {
+	h := internHash(s)
+	slot := &internTab[h%internSlots]
+	if p := slot.s.Load(); p != nil && *p == s {
 		return *p
 	}
-	slot.Store(&s)
+	slot.publish(h, s)
 	return s
 }
 
@@ -49,13 +61,24 @@ func internBytes(b []byte) string {
 	if len(b) == 0 || len(b) > internMaxLen {
 		return string(b)
 	}
-	slot := &internTab[internHashBytes(b)%internSlots]
-	if p := slot.Load(); p != nil && *p == string(b) {
+	h := internHashBytes(b)
+	slot := &internTab[h%internSlots]
+	if p := slot.s.Load(); p != nil && *p == string(b) {
 		return *p
 	}
 	s := string(b)
-	slot.Store(&s)
+	slot.publish(h, s)
 	return s
+}
+
+// publish files s, of hash h, in the slot if h is the hash the slot saw
+// last; otherwise it only remembers h.
+func (slot *internSlot) publish(h uint32, s string) {
+	if slot.seen.Swap(h) == h {
+		p := new(string)
+		*p = s
+		slot.s.Store(p)
+	}
 }
 
 // internHash is FNV-1a; inlined rather than hash/fnv to avoid the

@@ -270,7 +270,7 @@ func (ix *indexDef) serves(si int, preds []Expr, lead int) bool {
 const rankUnique = math.MaxInt
 
 // planSpec chooses the access spec for t, the table of stage si, from preds,
-// that stage's bound conjuncts, and returns it with its rank. The choice is
+// that stage's bound conjuncts, by rank. The choice is
 // a function of the schema and the predicates alone — no row count or
 // estimate enters it — so a plan never changes as the data grows. Only an
 // index that serves preds is a candidate (see index.serves), and the rule
@@ -287,7 +287,7 @@ const rankUnique = math.MaxInt
 //
 // A full scan ranks 0, below every index candidate: a probe is far cheaper
 // than a filtered scan row here, and the filters re-run regardless.
-func planSpec(t *table, si int, preds []Expr) (accessSpec, int) {
+func planSpec(t *table, si int, preds []Expr) accessSpec {
 	tbl := t.tableDef
 	// Collect per-column symbolic slots: the first equality expression, the
 	// first all-constant IN list, and range bounds.
@@ -412,7 +412,7 @@ func planSpec(t *table, si int, preds []Expr) (accessSpec, int) {
 			consider(sp, n)
 		}
 	}
-	return best, bestRank
+	return best
 }
 
 // stagePlan is the per-stage execution info for a compiled SELECT pipeline.
@@ -595,7 +595,7 @@ func (r *dbRoot) compileSelect(st *SelectStmt, naive bool) (*selectPlan, error) 
 		}
 	}
 	if !naive {
-		p.access, _ = planSpec(fromTbl, 0, stages[0].filters)
+		p.access = planSpec(fromTbl, 0, stages[0].filters)
 		p.planIntersect(tabs, conjs)
 	}
 	return p, nil
@@ -620,42 +620,68 @@ func passesAll(filters []Expr, ev *env) (bool, error) {
 // with the given parameter values. The plan itself is read-only; all
 // per-execution state lives here, each stage's table version in the env.
 //
-// Rows are matched, then ordered, then projected one by one in that order:
-// DISTINCT drops a projected row equal to one already kept (see rowSet),
-// and projection stops once LIMIT rows are kept.
+// With a LIMIT and no ORDER BY, and on a page the intersection drives in
+// ORDER BY order (runDrive), each matched tuple is projected as it is found
+// and matching stops at LIMIT. Otherwise the matched tuples are kept,
+// ordered by any ORDER BY, then projected one by one in that order, their
+// count sizing the result's slab. DISTINCT drops a projected row equal to
+// one already kept (see rowSet), and projection stops once LIMIT rows are
+// kept.
 func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 	stages := p.stages
 	ev := &env{params: params, tabs: make([]*table, len(stages)), rows: make([]Row, len(stages))}
 	for i := range stages {
 		ev.tabs[i] = r.tables[stages[i].ref.Table]
 	}
+	match := func(emit func() bool) error {
+		if p.inter != nil {
+			return p.inter.run(ev, emit)
+		}
+		return p.runNested(ev, func(int64) bool { return emit() })
+	}
+	if p.st.Count {
+		n := 0
+		if err := match(func() bool { n++; return true }); err != nil {
+			return nil, err
+		}
+		return &Rows{Columns: []string{"count"}, Data: [][]Value{{Int(int64(n))}}}, nil
+	}
+	pr := projector{p: p, ev: ev}
+	if p.st.Distinct {
+		pr.seen = newRowSet()
+	}
+	if len(p.order) == 0 && p.st.Limit >= 0 {
+		err := match(pr.add)
+		return pr.result(err)
+	}
+	if p.inter != nil && p.inter.drive != nil {
+		done, err := p.runDrive(ev, pr.add)
+		if done || err != nil || pr.err != nil {
+			return pr.result(err)
+		}
+		// The walk was the costlier way to this page: start over.
+		pr.reset()
+	}
 
 	// Matched tuple t keeps its rows of the stages in p.reads, at
 	// kept[t*w:(t+1)*w]; bind puts them back in ev for eval.
 	var kept []Row
 	n, w := 0, len(p.reads)
-	keep := func() bool {
+	err := match(func() bool {
 		for _, si := range p.reads {
 			kept = append(kept, ev.rows[si])
 		}
 		n++
 		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	bind := func(t int) {
 		for j, si := range p.reads {
 			ev.rows[si] = kept[t*w+j]
 		}
 	}
-	var err error
-	if p.inter != nil {
-		err = p.runIntersect(ev, keep)
-	} else {
-		err = p.runNested(ev, func(int64) bool { return keep() })
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	// sorted holds the tuples in ORDER BY order; without one they project
 	// in match order.
 	type keyed struct {
@@ -688,42 +714,89 @@ func (p *selectPlan) run(r *dbRoot, params []Value) (*Rows, error) {
 			return 0
 		})
 	}
-
-	if p.st.Count {
-		return &Rows{Columns: []string{"count"}, Data: [][]Value{{Int(int64(n))}}}, nil
-	}
-	res := &Rows{Columns: slices.Clone(p.columns)} // the plan is shared; the result is the caller's
-	var seen *rowSet
-	if p.st.Distinct {
-		seen = newRowSet()
-	}
-	var out []Value
+	pr.size = n
 	for i := range n {
-		if p.st.Limit >= 0 && len(res.Data) == p.st.Limit {
-			break
-		}
 		t := i
 		if sorted != nil {
 			t = sorted[i].t
 		}
 		bind(t)
-		if out == nil {
-			out = make([]Value, len(p.items))
+		if !pr.add() {
+			break
 		}
-		for j, ex := range p.items {
-			v, err := eval(ex, ev)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = v
-		}
-		if seen != nil && !seen.add(out) {
-			continue // out is free for the next row
-		}
-		res.Data = append(res.Data, out)
-		out = nil
 	}
-	return res, nil
+	return pr.result(nil)
+}
+
+// projector builds a result row by row from the tuples bound in ev. The
+// rows are carved from slabs, a few per result instead of one allocation
+// per row; size, when known, is how many rows the result can hold at most.
+type projector struct {
+	p    *selectPlan
+	ev   *env
+	seen *rowSet
+	data [][]Value
+	slab []Value
+	size int
+	err  error
+}
+
+// slabRows caps a slab of a result of unknown size: each doubles the one
+// before up to this many rows, so no more than that many go unused.
+const slabRows = 128
+
+// add projects the bound tuple and reports whether the result wants more.
+func (pr *projector) add() bool {
+	p, w := pr.p, len(pr.p.items)
+	if p.st.Limit >= 0 && len(pr.data) >= p.st.Limit {
+		return false
+	}
+	if cap(pr.slab)-len(pr.slab) < w {
+		rows := min(max(2*cap(pr.slab)/max(w, 1), 16), slabRows)
+		if pr.size > 0 {
+			rows = pr.size - len(pr.data)
+		}
+		if p.st.Limit >= 0 {
+			rows = min(rows, p.st.Limit-len(pr.data))
+		}
+		pr.slab = make([]Value, 0, rows*w)
+	}
+	out := pr.slab[len(pr.slab) : len(pr.slab)+w : len(pr.slab)+w]
+	for j, ex := range p.items {
+		v, err := eval(ex, pr.ev)
+		if err != nil {
+			pr.err = err
+			return false
+		}
+		out[j] = v
+	}
+	if pr.seen != nil && !pr.seen.add(out) {
+		return true // out's cells are free for the next row
+	}
+	pr.slab = pr.slab[:len(pr.slab)+w]
+	pr.data = append(pr.data, out)
+	return p.st.Limit < 0 || len(pr.data) < p.st.Limit
+}
+
+// reset drops every row projected so far.
+func (pr *projector) reset() {
+	pr.data, pr.slab = nil, nil
+	if pr.seen != nil {
+		pr.seen = newRowSet()
+	}
+}
+
+// result returns the rows projected, or the first error of matching or
+// projection.
+func (pr *projector) result(err error) (*Rows, error) {
+	if err == nil {
+		err = pr.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The plan is shared; the result is the caller's.
+	return &Rows{Columns: slices.Clone(pr.p.columns), Data: pr.data}, nil
 }
 
 // rowSet is the set of projected rows DISTINCT has kept. Value is
@@ -800,27 +873,30 @@ func (p *selectPlan) runNested(ev *env, emit func(rowid int64) bool) error {
 // String renders the plan as one stable line — the EXPLAIN format asserted
 // by golden tests. Single-table plans render as the bare access path
 // ("index-eq(name)"); nested joins render each stage in execution order
-// ("nested[a index-eq(i) -> b scan(t) -> c scan(u)]"); intersection
-// plans list the stages in execution order (see planIntersect) with the
-// key-probe stages marked ("intersect[a0 index-eq(i) & t key-probe(j)]").
+// ("nested[a index-eq(i) -> b scan(t) -> c scan(u)]"); intersection plans
+// list the stages in statement order, each by how it yields its keys
+// ("intersect[a0 seek(i) & t seek(rowid)]", "u sort(index-in(j))"), and a
+// page's drive index as "order(i)".
 func (p *selectPlan) String() string {
 	if p.inter != nil {
 		var b strings.Builder
 		b.WriteString("intersect[")
-		for i := range p.inter.order {
-			is := &p.inter.order[i]
+		for i := range p.inter.stages {
+			is := &p.inter.stages[i]
 			if i > 0 {
 				b.WriteString(" & ")
 			}
 			b.WriteString(p.stages[is.si].ref.Alias)
 			b.WriteByte(' ')
-			switch {
-			case is.probe && is.probeIdx == nil:
-				b.WriteString("key-probe(rowid)")
-			case is.probe:
-				b.WriteString("key-probe(" + is.probeIdx.name + ")")
+			switch d := p.inter.drive; {
+			case d != nil && d.si == i:
+				b.WriteString("order(" + d.idx.name + ")")
+			case is.kind == seekRun:
+				b.WriteString("seek(" + is.run.idx.name + ")")
+			case is.kind == seekRows:
+				b.WriteString("seek(rowid)")
 			default:
-				b.WriteString(is.access.String())
+				b.WriteString("sort(" + is.access.String() + ")")
 			}
 		}
 		b.WriteString("]")

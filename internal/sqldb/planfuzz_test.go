@@ -92,9 +92,10 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 		if _, err := db.Exec(ddl); err != nil {
 			t.Fatalf("create %s: %v", name, err)
 		}
-		// Random index shapes: single-column, composite, and one covering
-		// the (key, payload) pattern the intersection planner exploits.
-		for _, idx := range [][]string{{"k"}, {"v"}, {"w"}, {"k", "v"}, {"v", "k", "w"}, {"f"}} {
+		// Random index shapes: single-column, composite, and ones ending in
+		// the join key w after an equality prefix, the (payload, key) runs
+		// an intersection cursor seeks.
+		for _, idx := range [][]string{{"k"}, {"v"}, {"w"}, {"k", "v"}, {"v", "k", "w"}, {"f"}, {"v", "w"}, {"k", "w"}} {
 			if rng.Intn(2) == 0 {
 				continue
 			}
@@ -139,7 +140,13 @@ func buildParityDB(t testing.TB, rng *rand.Rand) (*DB, []string, []parityCol) {
 // query sometimes has no alias and names its columns unqualified; a query
 // that projects columns sometimes is DISTINCT, ordered by every stage's id
 // and cut by a LIMIT, an order in which no two result rows tie, so both
-// evaluators must keep the same rows.
+// evaluators must keep the same rows. It is sometimes a page: the DISTINCT
+// columns of one stage, that stage's unique u bounded from below (the
+// page's `after`, which also keeps NULLs out), ordered by u and cut by a
+// LIMIT, the shape an intersection drives from u's index. The predicates
+// mix stage shapes: equalities that bind a prefix of an index ending in
+// the join key (a seekable run), ranges, IN lists and predicates no index
+// serves (sorted arrays) and stages with none (row store or key index).
 func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []Value) {
 	nstage := 1 + rng.Intn(3)
 	aliases := make([]string, nstage)
@@ -159,7 +166,7 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 	// a same-named, same-typed column; k, w, u and id (INTEGER) exercise
 	// intersection, u through its unique index and id through the row
 	// store, and v (TEXT) and f (FLOAT) its refusal.
-	joinCols := []string{"k", "v", "w", "f", "u", "id"}
+	joinCols := []string{"k", "v", "w", "w", "f", "u", "id", "id"}
 	for si := 0; si < nstage; si++ {
 		aliases[si] = fmt.Sprintf("a%d", si)
 		tbl := tables[rng.Intn(len(tables))]
@@ -212,6 +219,15 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 		}
 	}
 	var where []string
+	if rng.Intn(2) == 0 {
+		// Bind v, then maybe k: with a join on w, a run of t_v_w or t_k_w
+		// (or t_v_k_w) that ascends by the key.
+		a := aliases[rng.Intn(nstage)]
+		where = append(where, fmt.Sprintf("%s = %s", col(a, "v"), constOf(cols[1])))
+		if rng.Intn(2) == 0 {
+			where = append(where, fmt.Sprintf("%s = %s", col(a, "k"), constOf(cols[0])))
+		}
+	}
 	for i := rng.Intn(5); i > 0; i-- {
 		p := simplePred()
 		if rng.Intn(6) == 0 {
@@ -235,11 +251,21 @@ func parityQuery(rng *rand.Rand, tables []string, cols []parityCol) (string, []V
 			c := cols[rng.Intn(len(cols))]
 			outs = append(outs, col(a, c.name))
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			a := aliases[rng.Intn(nstage)]
 			c := cols[rng.Intn(len(cols))]
 			orderBy = " ORDER BY " + col(a, c.name)
+		case 2:
+			a := aliases[rng.Intn(nstage)]
+			u := cols[slices.IndexFunc(cols, func(c parityCol) bool { return c.unique })]
+			where = append(where, fmt.Sprintf("%s >= %s", col(a, "u"), constOf(u)))
+			sel = "SELECT DISTINCT "
+			outs = []string{col(a, "u")}
+			if rng.Intn(2) == 0 {
+				outs = append(outs, col(a, "v"))
+			}
+			orderBy = fmt.Sprintf(" ORDER BY %s LIMIT %d", col(a, "u"), 1+rng.Intn(6))
 		case 1:
 			ids := make([]string, nstage)
 			for si, a := range aliases {

@@ -9,8 +9,10 @@ import (
 	"io"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"mcs/internal/btree"
 )
@@ -239,9 +241,13 @@ var errUnframedSnapshot = fmt.Errorf("sqldb: snapshot: frame at offset 0: no %s 
 	"from commits 21c9600..935ee9b, whose first checkpoint rewrites it framed", snapshotMagic)
 
 // readSnapshot reads a framed stream to its end and returns the LSN it
-// embeds and the tables it holds, built.
+// embeds and the tables it holds, built. Rows frames are decoded off the
+// reading goroutine (rowsPipeline) and merged in stream order, so every
+// verdict names the frame it named when one goroutine did all of it.
 func readSnapshot(r io.Reader) (lsn uint64, tables []*table, err error) {
 	fr := frameReader{r: r}
+	pipe := newRowsPipeline()
+	defer pipe.close()
 	var (
 		cur  *tableLoader // the table whose rows frames are arriving
 		rows uint64
@@ -249,6 +255,17 @@ func readSnapshot(r io.Reader) (lsn uint64, tables []*table, err error) {
 	)
 	for {
 		payload, err := fr.next()
+		if err == nil && cur != nil && !done && len(payload) > 0 && payload[0] == snapFrameRows {
+			if err := pipe.submit(cur, fr.off, payload[1:]); err != nil {
+				return 0, nil, err
+			}
+			continue
+		}
+		// Any other frame, and the end or damage of the stream, waits for
+		// the rows frames before it: the earliest bad frame is the verdict.
+		if err := pipe.drain(); err != nil {
+			return 0, nil, err
+		}
 		if err == io.EOF && done {
 			return lsn, tables, nil
 		}
@@ -268,8 +285,6 @@ func readSnapshot(r io.Reader) (lsn uint64, tables []*table, err error) {
 				d.fail("format version %d, want %d", v, snapshotVersion)
 			}
 			lsn = d.uvarint()
-		case kind == snapFrameRows && cur != nil:
-			cur.addRows(&d)
 		case kind == snapFrameTable || kind == snapFrameTrailer:
 			if cur != nil {
 				t, err := cur.build()
@@ -294,8 +309,160 @@ func readSnapshot(r io.Reader) (lsn uint64, tables []*table, err error) {
 			d.fail("%d trailing bytes", len(d.b))
 		}
 		if d.err != nil {
-			return 0, nil, fmt.Errorf("sqldb: snapshot: frame at offset %d: %w", fr.off, d.err)
+			return 0, nil, frameError(fr.off, d.err)
 		}
+	}
+}
+
+func frameError(off int64, err error) error {
+	return fmt.Errorf("sqldb: snapshot: frame at offset %d: %w", off, err)
+}
+
+// rowsPipeline decodes rows frames on GOMAXPROCS workers while the reading
+// goroutine moves on, and merges them into their tables in stream order. A
+// frame can be decoded on its own because it is CRC-checked,
+// self-delimiting and opens with an absolute rowid; only the check that its
+// first rowid follows the last one of the frame before waits for the merge.
+// At most twice as many frames as workers are in flight, each in a buffer
+// the pipeline reuses. With one worker a frame is decoded and merged as it
+// arrives, on the reading goroutine.
+type rowsPipeline struct {
+	jobs  chan *rowsFrame // nil with one worker
+	queue []*rowsFrame    // submitted and not yet merged, in stream order
+	free  []*rowsFrame
+	wg    sync.WaitGroup
+}
+
+// rowsFrame is one rows frame on its way through the pipeline: the payload
+// (after the kind byte), and what decode made of it.
+type rowsFrame struct {
+	l       *tableLoader
+	off     int64
+	payload []byte
+	rowids  []int64
+	rows    []Row
+	// err is the first row that fails on its own or against the row before
+	// it in this frame; bad is its index, and badID its rowid unless the
+	// row did not decode (undecoded).
+	err       error
+	bad       int
+	badID     int64
+	undecoded bool
+	done      chan struct{}
+}
+
+func newRowsPipeline() *rowsPipeline {
+	p := &rowsPipeline{}
+	if workers := runtime.GOMAXPROCS(0); workers > 1 {
+		p.jobs = make(chan *rowsFrame, 2*workers)
+		for range workers {
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				for f := range p.jobs {
+					f.decode()
+					f.done <- struct{}{}
+				}
+			}()
+		}
+	}
+	return p
+}
+
+// submit queues one rows frame of l's table found at offset off. It first
+// merges the oldest frame in flight if the pipeline is full, and returns
+// that frame's verdict.
+func (p *rowsPipeline) submit(l *tableLoader, off int64, payload []byte) error {
+	var f *rowsFrame
+	if n := len(p.free); n > 0 {
+		f, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		f = &rowsFrame{done: make(chan struct{}, 1)}
+	}
+	f.l, f.off, f.payload = l, off, append(f.payload[:0], payload...)
+	if p.jobs == nil {
+		f.decode()
+		return p.merge(f)
+	}
+	if len(p.queue) == cap(p.jobs) {
+		if err := p.mergeOldest(); err != nil {
+			p.free = append(p.free, f)
+			return err
+		}
+	}
+	p.queue = append(p.queue, f)
+	p.jobs <- f
+	return nil
+}
+
+// drain merges every frame in flight, in stream order, and returns the
+// first verdict.
+func (p *rowsPipeline) drain() error {
+	for len(p.queue) > 0 {
+		if err := p.mergeOldest(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *rowsPipeline) mergeOldest() error {
+	f := p.queue[0]
+	p.queue = p.queue[1:]
+	<-f.done
+	return p.merge(f)
+}
+
+// merge hands a decoded frame's rows to its table and recycles the frame.
+func (p *rowsPipeline) merge(f *rowsFrame) error {
+	err := f.l.merge(f)
+	if err != nil {
+		err = frameError(f.off, err)
+	}
+	clear(f.rows)
+	f.l, f.rowids, f.rows, f.err = nil, f.rowids[:0], f.rows[:0], nil
+	p.free = append(p.free, f)
+	return err
+}
+
+// close stops the workers once the frames in flight are done.
+func (p *rowsPipeline) close() {
+	if p.jobs != nil {
+		close(p.jobs)
+		p.wg.Wait()
+	}
+}
+
+// decode reads the frame's rows, checking each as tableLoader.add does,
+// except that the first row is not yet held to the frame before. Each row
+// is its own allocation: a slab shared by a frame's rows would stay pinned
+// for as long as any one of them is live, however many the catalog has
+// since rewritten.
+func (f *rowsFrame) decode() {
+	l := f.l
+	d := decoder{b: f.payload}
+	prev := int64(0) // a frame's first delta counts from 0
+	for len(d.b) > 0 {
+		delta := d.uvarint()
+		row := make(Row, len(l.t.cols))
+		for c := range row {
+			row[c] = decodeWALValue(&d)
+		}
+		f.bad = len(f.rowids)
+		if d.err != nil {
+			f.err, f.undecoded = d.err, true
+			return
+		}
+		prev += int64(min(delta, uint64(math.MaxInt64-prev)))
+		f.badID, f.undecoded = prev, false
+		if n := len(f.rowids); n > 0 && prev <= f.rowids[n-1] {
+			f.err = l.notAscending(prev, f.rowids[n-1])
+			return
+		}
+		if f.err = l.check(prev, row); f.err != nil {
+			return
+		}
+		f.rowids, f.rows = append(f.rowids, prev), append(f.rows, row)
 	}
 }
 
@@ -365,36 +532,51 @@ func (l *tableLoader) addIndex(name string, cols []int, unique bool) error {
 	return nil
 }
 
-// addRows decodes one rows frame. Each row is its own allocation: a slab
-// shared by a frame's rows would stay pinned for as long as any one of them
-// is live, however many the catalog has since rewritten.
-func (l *tableLoader) addRows(d *decoder) {
-	prev := int64(0) // a frame's first delta counts from 0
-	for len(d.b) > 0 {
-		delta := d.uvarint()
-		row := make(Row, len(l.t.cols))
-		for c := range row {
-			row[c] = decodeWALValue(d)
-		}
-		if d.err != nil {
-			d.err = fmt.Errorf("table %q, row after rowid %d: %w", l.t.name, l.last, d.err)
-			return
-		}
-		prev += int64(min(delta, uint64(math.MaxInt64-prev)))
-		if err := l.add(prev, row); err != nil {
-			d.fail("%w", err)
-		}
+// merge appends a decoded frame's rows, or returns the verdict on the first
+// bad row as a one-goroutine read would give it: the frame's first row must
+// follow the last row of the frame before, and a row that did not decode is
+// named by the rowid before it.
+func (l *tableLoader) merge(f *rowsFrame) error {
+	first, decoded := f.badID, f.err != nil && !f.undecoded
+	if len(f.rowids) > 0 {
+		first, decoded = f.rowids[0], true
 	}
+	if decoded && first <= l.last {
+		return l.notAscending(first, l.last)
+	}
+	if f.err != nil {
+		if !f.undecoded {
+			return f.err
+		}
+		last := l.last
+		if f.bad > 0 {
+			last = f.rowids[f.bad-1]
+		}
+		return fmt.Errorf("table %q, row after rowid %d: %w", l.t.name, last, f.err)
+	}
+	if n := len(l.rows) + len(f.rows); n > cap(l.rows) {
+		// Double: append grows a large slice by a quarter, copying the
+		// table's rows about four times over.
+		n = max(n, 2*cap(l.rows)) - len(l.rows)
+		l.rowids, l.rows = slices.Grow(l.rowids, n), slices.Grow(l.rows, n)
+	}
+	l.rowids, l.rows = append(l.rowids, f.rowids...), append(l.rows, f.rows...)
+	if n := len(l.rowids); n > 0 {
+		l.last = l.rowids[n-1]
+	}
+	return nil
 }
 
-// add appends one row. Every cell must be NULL or of its column's declared
-// type, a NOT NULL column's cell must not be NULL, and no FLOAT may be NaN:
-// the write path holds stored rows to that (coerce, completeRow), and the
-// sort words of the index build order like the cells only under it.
-func (l *tableLoader) add(rowid int64, row Row) error {
-	if rowid <= l.last {
-		return fmt.Errorf("table %q: rowid %d follows %d, want strictly ascending", l.t.name, rowid, l.last)
-	}
+func (l *tableLoader) notAscending(rowid, last int64) error {
+	return fmt.Errorf("table %q: rowid %d follows %d, want strictly ascending", l.t.name, rowid, last)
+}
+
+// check holds one row to its columns. Every cell must be NULL or of its
+// column's declared type, a NOT NULL column's cell must not be NULL, and no
+// FLOAT may be NaN: the write path holds stored rows to that (coerce,
+// completeRow), and the sort words of the index build order like the cells
+// only under it.
+func (l *tableLoader) check(rowid int64, row Row) error {
 	for c := range row {
 		v, col := &row[c], &l.t.cols[c]
 		switch {
@@ -406,7 +588,6 @@ func (l *tableLoader) add(rowid int64, row Row) error {
 			return fmt.Errorf("table %q, rowid %d: NaN in column %q", l.t.name, rowid, col.Name)
 		}
 	}
-	l.last, l.rowids, l.rows = rowid, append(l.rowids, rowid), append(l.rows, row)
 	return nil
 }
 

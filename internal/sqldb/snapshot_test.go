@@ -486,6 +486,62 @@ func TestLoadSnapshotRefusesDamage(t *testing.T) {
 		loadRefused(t, splice(stream, frame(last)), offset(len(stream)))
 		loadRefused(t, splice(stream, []byte{0}), offset(len(stream)))
 	})
+	// Rows frames are decoded side by side and merged in order (see
+	// rowsPipeline); the verdict must still name the earliest bad frame.
+	// Both streams are hand-framed: one table of many rows frames.
+	cols := []ColumnDef{{Name: "id", Type: TypeInt, NotNull: true}, {Name: "name", Type: TypeText}}
+	framed := func(bad func(frame, row int) (delta uint64, name Value)) (stream []byte, offsets []int) {
+		const frames, per = 40, 200
+		var s snapStream
+		s.header(1)
+		s.table("t", cols, []snapIndex{{"t_name", []int{1}, false}}, frames*per, 0, frames*per)
+		for f := 0; f < frames; f++ {
+			offsets = append(offsets, s.buf.Len())
+			deltas, rows := make([]uint64, per), make([][]Value, per)
+			for r := range rows {
+				deltas[r], rows[r] = 1, []Value{Int(int64(f*per + r + 1)), Text(fmt.Sprintf("n%d", f*per+r))}
+				if d, name := bad(f, r); name.T != TypeNull || d != 1 {
+					deltas[r], rows[r][1] = d, name
+				}
+			}
+			deltas[0] = uint64(f*per + 1) // a frame's first rowid is absolute
+			if d, _ := bad(f, 0); d != 1 {
+				deltas[0] = d
+			}
+			s.rows(deltas, rows...)
+		}
+		s.trailer(1, frames*per)
+		return s.buf.Bytes(), offsets
+	}
+	t.Run("rowids fall back across a frame boundary", func(t *testing.T) {
+		stream, offsets := framed(func(f, r int) (uint64, Value) {
+			if f == 17 && r == 0 {
+				return uint64(17*200 - 5), Null() // below frame 16's last rowid
+			}
+			return 1, Null()
+		})
+		loadRefused(t, stream, offset(offsets[17]))
+		loadRefused(t, stream, "rowid 3395 follows 3400")
+	})
+	t.Run("two bad frames, the later one decoded first", func(t *testing.T) {
+		// Frame 5's bad cell is its last row, frame 30's its first: a
+		// worker finds frame 30's long before frame 5's is done.
+		stream, offsets := framed(func(f, r int) (uint64, Value) {
+			if (f == 5 && r == 199) || (f == 30 && r == 0) {
+				return 1, Int(7) // an INTEGER in a TEXT column
+			}
+			return 1, Null()
+		})
+		for range 20 {
+			loadRefused(t, stream, offset(offsets[5]))
+		}
+		loadRefused(t, stream, "rowid 1200: INTEGER value in TEXT column")
+		// Damage the CRC of a frame after the bad rows: still frame 5.
+		bad := bytes.Clone(stream)
+		bad[offsets[31]+5] ^= 1
+		loadRefused(t, bad, offset(offsets[5]))
+	})
+
 	// And the undamaged stream still loads.
 	if err := New().LoadSnapshot(bytes.NewReader(stream)); err != nil {
 		t.Fatal(err)

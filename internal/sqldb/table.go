@@ -229,53 +229,59 @@ func (ix *index) remove(rowid int64, row Row) {
 }
 
 func (ix *index) push(d indexDelta) {
-	if ix.pending == nil {
-		// Start with room for a typical transaction's worth of deltas; the
-		// backing array is kept (zeroed) across flushes within a transaction.
-		ix.pending = make([]indexDelta, 0, 16)
+	if len(ix.pending) == cap(ix.pending) {
+		// Start with room for a typical transaction's worth of deltas, and
+		// double from there: append would grow a replay's long queue by a
+		// quarter at a time. The backing array is kept (zeroed) across
+		// flushes within a transaction.
+		ix.pending = slices.Grow(ix.pending, max(16, len(ix.pending)))
 	}
 	d.seq = uint32(len(ix.pending))
 	ix.pending = append(ix.pending, d)
 }
 
-// flush applies pending deltas to the tree: it sorts them by entry, and the
-// deltas on one entry (same key columns and rowid) in the order they were
-// queued, so the tree is walked leaf by leaf in key order; it coalesces the
-// ops on one entry to the last, and applies what is left. An insert+delete
-// pair in the same transaction never touches the tree, and an UPDATE that
-// leaves the key columns alone (delete of the old row's entry, insert of
-// the new row's, equal under the ordering) becomes one Set that swaps the
-// entry's row pointer.
+// flush applies pending deltas to the tree. It sorts them by rowid, and
+// the deltas of one row in the order they were queued, which takes integer
+// comparisons where an order by entry would compare key cells through row
+// pointers; it coalesces the ops on one entry (same key columns and rowid)
+// to the last, and applies what is left. An insert+delete pair in the same
+// transaction never touches the tree, and an UPDATE that leaves the key
+// columns alone (delete of the old row's entry, insert of the new row's,
+// equal under the ordering) becomes one Set that swaps the entry's row
+// pointer.
 func (ix *index) flush() {
 	p := ix.pending
 	if len(p) == 0 {
 		return
 	}
-	if len(p) > 1 {
-		slices.SortFunc(p, func(a, b indexDelta) int {
-			if c := ix.compare(a.key, b.key); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-	}
+	slices.SortFunc(p, func(a, b indexDelta) int {
+		return cmp.Or(cmp.Compare(a.key.rowid, b.key.rowid), cmp.Compare(a.seq, b.seq))
+	})
 	for k := 0; k < len(p); {
 		m := k + 1
-		for m < len(p) && ix.compare(p[m].key, p[k].key) == 0 {
+		for m < len(p) && p[m].key.rowid == p[k].key.rowid {
 			m++
 		}
-		if last := p[m-1]; last.del {
-			ix.tree.Delete(last.key)
-		} else {
-			ix.tree.Set(last.key, struct{}{})
+		// One row's deltas, by entry and then in queued order: each
+		// entry's last one applies.
+		g := p[k:m]
+		if len(g) > 1 {
+			slices.SortStableFunc(g, func(a, b indexDelta) int { return ix.compare(a.key, b.key) })
+		}
+		for i, d := range g {
+			switch {
+			case i+1 < len(g) && ix.compare(g[i+1].key, d.key) == 0:
+			case d.del:
+				ix.tree.Delete(d.key)
+			default:
+				ix.tree.Set(d.key, struct{}{})
+			}
 		}
 		k = m
 	}
 	// Keep the backing array for the next batch in this transaction, but
 	// zero it so published roots don't pin dead rows.
-	for i := range p {
-		p[i] = indexDelta{}
-	}
+	clear(p)
 	ix.pending = p[:0]
 }
 
@@ -366,7 +372,7 @@ type table struct {
 // A table with an INTEGER PRIMARY KEY column is clustered on it, as
 // SQLite's rowid alias and InnoDB's primary key are: the column's value is
 // the row's rowid, so the row store itself is the key's unique index and
-// `id = ?`, `id IN (...)`, id ranges and key probes on the column are row
+// `id = ?`, `id IN (...)`, id ranges and seeks by the column are row
 // store lookups (see table.scanRowids). pk is the column's position, or -1
 // when the table has none and rowids count inserts instead.
 type tableDef struct {
@@ -649,10 +655,14 @@ func (t *table) allRows() ([]int64, []Row) {
 //     the changed ones.
 //
 // Measured on 2 vCPUs at the end of replaying BenchmarkReplay's logs over
-// 10,000 files: user_attribute flushed 29k–264k deltas at 0.7–1.5 µs each
-// and rebuilt 212k–460k entries at 0.14–0.32 µs each (EXPERIMENTS.md, "Log
-// row changes, not statements"). So a table rebuilds once its deltas pass
-// about a quarter of its entries.
+// 20,000 files, one timer per catch-up job: a user_attribute rebuild cost
+// 0.14–0.22 µs an entry; a flush cost 0.3–0.9 µs a delta in the mixed logs
+// (deltas about a sixth of the entries, most of them updates) and
+// 0.8–2.6 µs in the ingest logs (about two fifths, most of them new rows).
+// A delta is priced at the top of the mixed range: at 500 ns the ingest
+// logs flushed instead of rebuilding and replayed 1.6–2× slower
+// (EXPERIMENTS.md, "Seek, don't scan (PR 44)"). So a table rebuilds once
+// its deltas pass about a quarter of its entries.
 const (
 	flushNsPerDelta = 1000
 	buildNsPerEntry = 200
@@ -679,8 +689,8 @@ func (t *table) dropPending() {
 }
 
 // findIndex returns the slot of the shortest index led by column col that
-// may serve stage si, which binds t and has conjuncts preds, when probed with
-// a non-NULL value of col alone, or -1.
+// may serve stage si, which binds t and has conjuncts preds, when walked for
+// non-NULL values of col alone (an intersection cursor's key index), or -1.
 func (t *table) findIndex(col, si int, preds []Expr) int {
 	best := -1
 	for i, ix := range t.indexes {

@@ -327,7 +327,8 @@ func replayFile(path string, rp *replayer, afterLSN uint64, stats *ReplayStats, 
 // non-monotonic record. last carries the running LSN high-water mark across
 // generations; a record's LSN must exceed it. dict starts empty and ends as
 // the file's dictionary after its last whole record. It returns how many
-// whole records the file kept.
+// whole records the file kept. The file is read and decoded on a goroutine
+// of its own while the records apply (replayAhead).
 func replayInto(f *os.File, rp *replayer, afterLSN uint64, stats *ReplayStats, last *uint64, dict *walDict) (uint64, error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -335,39 +336,52 @@ func replayInto(f *os.File, rp *replayer, afterLSN uint64, stats *ReplayStats, l
 	}
 	fr := frameReader{r: bufio.NewReader(io.NewSectionReader(f, 0, fi.Size()))}
 	valid, recs := int64(0), uint64(0)
-	var rows []rowChange // the row changes' buffer, reused record to record
-	for {
-		payload, err := fr.next()
-		if err == io.EOF || errors.Is(err, errFrameDamaged) {
-			break // clean end, or a torn or scribbled record: cut here
-		}
-		if err != nil {
-			return 0, fmt.Errorf("sqldb: wal: read: %w", err)
-		}
-		defined := len(dict.texts)
-		lsn, rec, err := decodeWALRecord(dict, payload, rows)
-		if err != nil {
-			// The CRC matched, so the bytes are what was written: this is a
-			// format error, not a torn write. Refuse to guess.
-			return 0, fmt.Errorf("sqldb: wal: record at offset %d: %w", fr.off, err)
-		}
-		if lsn <= *last && !(lsn <= afterLSN) {
-			dict.rollback(defined) // the cut takes its definitions with it
-			break                  // LSN went backwards: treat the rest as garbage
-		}
-		rows = rec.rows
-		stats.Records++
-		if lsn > *last {
-			*last = lsn
-		}
-		if lsn > afterLSN {
-			if err := rp.apply(lsn, rec); err != nil {
-				return 0, fmt.Errorf("sqldb: wal: %w", err)
+	// scan reads and decodes the file's records in order and hands each one
+	// to replay to emit, which returns the row changes' buffer for the next.
+	scan := func(emit func(lsn uint64, rec walRecord) ([]rowChange, error)) error {
+		var rows []rowChange
+		for {
+			payload, err := fr.next()
+			if err == io.EOF || errors.Is(err, errFrameDamaged) {
+				return nil // clean end, or a torn or scribbled record: cut here
 			}
-			stats.Applied++
+			if err != nil {
+				return fmt.Errorf("sqldb: wal: read: %w", err)
+			}
+			defined := len(dict.texts)
+			lsn, rec, err := decodeWALRecord(dict, payload, rows)
+			if err != nil {
+				// The CRC matched, so the bytes are what was written: this is
+				// a format error, not a torn write. Refuse to guess.
+				return fmt.Errorf("sqldb: wal: record at offset %d: %w", fr.off, err)
+			}
+			if lsn <= *last && !(lsn <= afterLSN) {
+				dict.rollback(defined) // the cut takes its definitions with it
+				return nil             // LSN went backwards: treat the rest as garbage
+			}
+			rows = rec.rows
+			stats.Records++
+			if lsn > *last {
+				*last = lsn
+			}
+			if lsn > afterLSN {
+				if rows, err = emit(lsn, rec); err != nil {
+					return err
+				}
+			}
+			valid = fr.end
+			recs++
 		}
-		valid = fr.end
-		recs++
+	}
+	apply := func(lsn uint64, rec walRecord) error {
+		if err := rp.apply(lsn, rec); err != nil {
+			return fmt.Errorf("sqldb: wal: %w", err)
+		}
+		stats.Applied++
+		return nil
+	}
+	if err := replayAhead(scan, apply); err != nil {
+		return 0, err
 	}
 	if valid < fi.Size() {
 		stats.TornBytes += fi.Size() - valid
@@ -380,6 +394,58 @@ func replayInto(f *os.File, rp *replayer, afterLSN uint64, stats *ReplayStats, l
 	}
 	return recs, nil
 }
+
+// replayDepth is how many decoded records replayAhead holds ahead of the
+// one applying.
+const replayDepth = 64
+
+// replayAhead runs scan on a goroutine of its own and applies the records
+// it emits, in order, on the calling one; the row changes' buffers go back
+// to scan once applied. The first error in log order wins: an apply error
+// stops the scan, and scan's own error is returned once every record
+// before it applied.
+func replayAhead(scan func(emit func(uint64, walRecord) ([]rowChange, error)) error, apply func(uint64, walRecord) error) error {
+	type item struct {
+		lsn uint64
+		rec walRecord
+	}
+	items, free := make(chan item, replayDepth), make(chan []rowChange, replayDepth+1)
+	stop, done := make(chan struct{}), make(chan struct{})
+	var scanErr error
+	go func() {
+		defer close(done)
+		defer close(items)
+		scanErr = scan(func(lsn uint64, rec walRecord) ([]rowChange, error) {
+			select {
+			case items <- item{lsn, rec}:
+			case <-stop:
+				return nil, errReplayStopped
+			}
+			select {
+			case rows := <-free:
+				return rows, nil
+			default:
+				return nil, nil
+			}
+		})
+	}()
+	for it := range items {
+		if err := apply(it.lsn, it.rec); err != nil {
+			close(stop)
+			<-done
+			return err
+		}
+		select {
+		case free <- it.rec.rows:
+		default:
+		}
+	}
+	<-done
+	return scanErr
+}
+
+// errReplayStopped ends a scan whose records no longer apply.
+var errReplayStopped = errors.New("sqldb: wal: replay stopped")
 
 // append encodes and buffers one commit's record. Called with the database
 // writer lock held, so records land in the file in LSN order; the encode
